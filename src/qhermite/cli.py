@@ -169,7 +169,7 @@ def _emit_rows(rows: list, cfg: RunConfig, out) -> None:
         out.write("  ".join("%s=%s" % kv for kv in row.items()) + "\n")
 
 
-def _params_from(args, digits: int) -> QParams:
+def _params_from(args) -> QParams:
     return QParams(mpf(args.q), mpf(args.alpha))
 
 
@@ -178,7 +178,7 @@ def _params_from(args, digits: int) -> QParams:
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     family = _FAMILY_ALIASES[args.family]
-    params = _params_from(args, cfg.precision_digits)
+    params = _params_from(args)
     pe = PolyEval(
         family=family,
         degree=args.n,
@@ -206,7 +206,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_table(args, cfg: RunConfig) -> int:
     family = _FAMILY_ALIASES[args.family]
-    params = _params_from(args, cfg.precision_digits)
+    params = _params_from(args)
     rep = args.rep or _DEFAULT_REP.get(family, "series")
     rows = []
     for n in range(args.n_max + 1):
@@ -278,7 +278,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_orthogonality(args, cfg: RunConfig) -> int:
-    params = _params_from(args, cfg.precision_digits)
+    params = _params_from(args)
     lat = None
     if args.k_min is not None or args.k_max is not None:
         base = default_lattice(mpf(args.q))

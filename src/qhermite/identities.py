@@ -17,7 +17,8 @@ digits.  Reports carry values rounded back to the ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from mpmath import mp, mpf
 
@@ -158,6 +159,28 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
 # --- connection and inversion -------------------------------------------------
 
 
+def _descending_sum(n: int, x, y, q, p: QParams, weight):
+    """The expansion shared by connection and inversion:
+
+      sum_k weight(k) / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y),
+
+    walking (q;q)_{n-2k} down from (q;q)_n as (q^2;q^2)_k goes up, over one
+    recurrence ladder.  Returns ((q;q)_n, the sum).
+    """
+    q2 = q * q
+    ladder = gdqh2_recurrence_ladder(n, x, y, p)
+    total = q - q
+    poch_q2 = 1 + (q - q)
+    poch_q_down = q_pochhammer(q, q, n)
+    acc = poch_q_down
+    for k in range(n // 2 + 1):
+        if k > 0:
+            poch_q2 *= 1 - qpow(q2, k)
+            acc = acc / (1 - qpow(q, n - 2 * k + 2)) / (1 - qpow(q, n - 2 * k + 1))
+        total = total + weight(k) / (poch_q2 * acc) * ladder[n - 2 * k]
+    return poch_q_down, total
+
+
 def check_connection(n: int, p: QParams, x, y, omega, tol=None,
                      trunc: Optional[Truncation] = None) -> IdentityReport:
     """Parameter-shift expansion: the degree-n polynomial at second variable
@@ -175,23 +198,10 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
         x, y, omega, q = unify(x, y, omega, p.q)
         q2 = q * q
         lhs = gdqh2(n, x, omega, p, trunc=trunc)
-        ladder = gdqh2_recurrence_ladder(n, x, y, p)
-        total = q - q
-        poch_q2 = 1 + (q - q)
-        poch_q_down = q_pochhammer(q, q, n)  # (q;q)_{n-2k}, walked down
-        acc = poch_q_down
-        for k in range(n // 2 + 1):
-            if k > 0:
-                poch_q2 *= 1 - qpow(q2, k)
-                acc = acc / (1 - qpow(q, n - 2 * k + 2)) / (1 - qpow(q, n - 2 * k + 1))
-            coeff = (
-                qpow(q, -2 * n * k + k * (2 * k + 1))
-                * hahn_add_power(-omega, y, q2, k)
-                / (poch_q2 * acc)
-            )
-            total = total + coeff * ladder[n - 2 * k]
-        rhs = poch_q_down * total
-        return _report("connection", params, lhs, rhs, tol, trunc,
+        poch_q, total = _descending_sum(
+            n, x, y, q, p, lambda k: (qpow(q, -2 * n * k + k * (2 * k + 1))
+                                      * hahn_add_power(-omega, y, q2, k)))
+        return _report("connection", params, lhs, poch_q * total, tol, trunc,
                        terms_used=n // 2 + 1)
 
 
@@ -204,18 +214,9 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(_work_digits("cancel", n, p.q)):
         x, y, q = unify(x, y, p.q)
-        q2 = q * q
         lhs = qpow(x, n)
-        ladder = gdqh2_recurrence_ladder(n, x, y, p)
-        total = q - q
-        poch_q2 = 1 + (q - q)
-        acc = q_pochhammer(q, q, n)
-        for k in range(n // 2 + 1):
-            if k > 0:
-                poch_q2 *= 1 - qpow(q2, k)
-                acc = acc / (1 - qpow(q, n - 2 * k + 2)) / (1 - qpow(q, n - 2 * k + 1))
-            coeff = qpow(q, -2 * n * k + 3 * k * k) * qpow(y, k) / (poch_q2 * acc)
-            total = total + coeff * ladder[n - 2 * k]
+        _, total = _descending_sum(
+            n, x, y, q, p, lambda k: qpow(q, -2 * n * k + 3 * k * k) * qpow(y, k))
         rhs = gen_q_shifted_factorial(n, p) * total
         return _report("inversion", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
@@ -236,30 +237,51 @@ def _gf_domain(y, t):
     return "binding bound: %s" % ("|y*t|" if b1 >= b2 else "|y*t^2|")
 
 
-def _gf_series(coeff_fn: Callable[[int, object], object], ladder, trunc) -> tuple:
-    """Sum coeff_fn(n, ladder[n]) adaptively; two consecutive small terms stop."""
-    trunc = trunc or default_truncation()
+def _gf_series(terms: Iterable, N: Optional[int], trunc: Truncation) -> tuple:
+    """(sum, terms used) of a series: exactly its first N+1 terms, or, with
+    N None, up to two consecutive terms below tail_tol relative to the sum."""
     total = mpf(0)
-    small = 0
-    n_used = 0
-    for n in range(len(ladder)):
-        term = to_mpf(coeff_fn(n, ladder[n]))
+    small = used = 0
+    for n, term in enumerate(islice(terms, None if N is None else N + 1)):
         total += term
-        n_used = n + 1
-        if abs(term) < trunc.tail_tol * max(1, abs(total)):
+        used = n + 1
+        if N is None and abs(term) < trunc.tail_tol * max(1, abs(total)):
             small += 1
             if small >= 2 and n >= 4:
                 break
         else:
             small = 0
-    return total, n_used
+    return total, used
+
+
+def _parity_series(t, x, y, q, p: QParams, N: Optional[int], trunc: Truncation):
+    """The even and odd halves of the generating-function series,
+
+      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
+      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1},
+
+    over one recurrence ladder; each half as (sum, terms used)."""
+    n_cap = N if N is not None else 8 * mp.dps
+    ladder = gdqh2_recurrence_ladder(2 * n_cap + 1, x, y, p)
+    poch = [mpf(1)]
+    for j in range(1, len(ladder)):
+        poch.append(poch[-1] * (1 - qpow(q, j)))
+
+    def half(odd):
+        for n in range(n_cap + 1):
+            j = 2 * n + odd
+            yield ((-1) ** n * qpow(q, n * (2 * n - 1 + 2 * odd)) * qpow(t, j)
+                   * ladder[j] / poch[j])
+
+    return _gf_series(half(0), N, trunc), _gf_series(half(1), N, trunc)
 
 
 def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
                               tol=None, trunc: Optional[Truncation] = None
                               ) -> IdentityReport:
     """Closed form e_{q^2}(-y t^2) * bigE_{q,alpha}(x t) against the series
-    sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively (or at N)."""
+    sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively (or after
+    exactly N+1 terms)."""
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
@@ -269,33 +291,25 @@ def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
         lhs = euler_e(-y * t * t, q * q) * gen_E(x * t, p)
         n_cap = N if N is not None else 8 * mp.dps
         ladder = gdqh2_recurrence_ladder(n_cap, x, y, p)
-        # running t^n q^C(n,2) / (q;q)_n
-        state = {"w": mpf(1)}
 
-        def coeff(n, h):
-            if n > 0:
-                state["w"] *= t * qpow(q, n - 1) / (1 - qpow(q, n))
-            return state["w"] * h
+        def terms():
+            w = mpf(1)  # running t^n q^C(n,2) / (q;q)_n
+            for n, h in enumerate(ladder):
+                if n > 0:
+                    w *= t * qpow(q, n - 1) / (1 - qpow(q, n))
+                yield w * h
 
-        if N is not None:
-            rhs = mpf(0)
-            for n in range(N + 1):
-                rhs += coeff(n, ladder[n])
-            used = N + 1
-        else:
-            rhs, used = _gf_series(coeff, ladder, trunc)
+        rhs, used = _gf_series(terms(), N, trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 
 
 def check_even_odd_gf(t, x, y, p: QParams, N: Optional[int] = None,
                       tol=None, trunc: Optional[Truncation] = None):
-    """Parity halves of the generating function:
+    """Parity halves of the generating function (see _parity_series):
 
-      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
-          = Cos_{q,alpha}(x t) * e_{q^2}(y t^2)
-      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}
-          = Sin_{q,alpha}(x t) * e_{q^2}(y t^2)
+      even half = Cos_{q,alpha}(x t) * e_{q^2}(y t^2)
+      odd half  = Sin_{q,alpha}(x t) * e_{q^2}(y t^2)
 
     Returns (even_report, odd_report).
     """
@@ -308,28 +322,7 @@ def check_even_odd_gf(t, x, y, p: QParams, N: Optional[int] = None,
         envelope = euler_e(y * t * t, q * q)
         rhs_even = q_cos_alpha(x * t, p, trunc=trunc) * envelope
         rhs_odd = q_sin_alpha(x * t, p, trunc=trunc) * envelope
-        n_cap = N if N is not None else 8 * mp.dps
-        ladder = gdqh2_recurrence_ladder(2 * n_cap + 1, x, y, p)
-        poch = [mpf(1)]
-        for j in range(1, len(ladder)):
-            poch.append(poch[-1] * (1 - qpow(q, j)))
-
-        def even_coeff(n, _):
-            return ((-1) ** n * qpow(q, n * (2 * n - 1)) * qpow(t, 2 * n)
-                    * ladder[2 * n] / poch[2 * n])
-
-        def odd_coeff(n, _):
-            return ((-1) ** n * qpow(q, n * (2 * n + 1)) * qpow(t, 2 * n + 1)
-                    * ladder[2 * n + 1] / poch[2 * n + 1])
-
-        half = list(range(n_cap + 1))
-        if N is not None:
-            lhs_even = sum(to_mpf(even_coeff(n, None)) for n in range(N + 1))
-            lhs_odd = sum(to_mpf(odd_coeff(n, None)) for n in range(N + 1))
-            used_e = used_o = N + 1
-        else:
-            lhs_even, used_e = _gf_series(even_coeff, half, trunc)
-            lhs_odd, used_o = _gf_series(odd_coeff, half, trunc)
+        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, N, trunc)
         even = _report("even_gf", params, lhs_even, rhs_even, tol, trunc,
                        terms_used=used_e, note=note)
         odd = _report("odd_gf", params, lhs_odd, rhs_odd, tol, trunc,
@@ -368,23 +361,7 @@ def check_bessel_forms(t, x, y, p: QParams, N: Optional[int] = None,
                     * q_bessel2(alpha, warg, q2, trunc=trunc) * envelope)
         rhs_odd = (qpow(q, (alpha + 1) * (alpha + mpf("0.5"))) * front
                    * q_bessel2(alpha + 1, warg, q2, trunc=trunc) * envelope)
-        n_cap = N if N is not None else 8 * mp.dps
-        ladder = gdqh2_recurrence_ladder(2 * n_cap + 1, x, y, p)
-        poch = [mpf(1)]
-        for j in range(1, len(ladder)):
-            poch.append(poch[-1] * (1 - qpow(q, j)))
-
-        def even_coeff(n, _):
-            return ((-1) ** n * qpow(q, n * (2 * n - 1)) * qpow(t, 2 * n)
-                    * ladder[2 * n] / poch[2 * n])
-
-        def odd_coeff(n, _):
-            return ((-1) ** n * qpow(q, n * (2 * n + 1)) * qpow(t, 2 * n + 1)
-                    * ladder[2 * n + 1] / poch[2 * n + 1])
-
-        half = list(range(n_cap + 1))
-        lhs_even, used_e = _gf_series(even_coeff, half, trunc)
-        lhs_odd, used_o = _gf_series(odd_coeff, half, trunc)
+        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, N, trunc)
         even = _report("bessel_even", params, lhs_even, rhs_even, tol, trunc,
                        terms_used=used_e, note=note)
         odd = _report("bessel_odd", params, lhs_odd, rhs_odd, tol, trunc,
@@ -452,30 +429,28 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                        trunc: Optional[Truncation] = None,
                        identity_id: str = "all"):
     """Run the selected identity family (or all of them) over the grid.
-    Individual check errors become error reports instead of raising."""
+    A check that raises becomes one error report, with its parameters, per
+    identity id it stands for, instead of raising."""
     if identity_id not in ("all",) + IDENTITY_IDS:
         raise DomainError(
             "unknown identity id %r (expected 'all' or one of %s)"
             % (identity_id, ", ".join(IDENTITY_IDS)))
     reports = []
 
-    def guard(fn, *args, **kw):
+    def guard(ids, params, check, *args):
+        """Run one check; if it raises, one error report per id it stands for."""
         try:
-            got = fn(*args, **kw)
+            got = check(*args)
         except (QHermiteError, ZeroDivisionError, OverflowError) as exc:
-            reports.append(IdentityReport(
-                identity_id=kw.pop("_id", getattr(fn, "__name__", "?")),
-                params=kw.pop("_params", {}),
+            reports.extend(IdentityReport(
+                identity_id=i, params=params,
                 lhs=mp.nan, rhs=mp.nan,
                 abs_residual=mp.inf, rel_residual=mp.inf,
                 truncation=trunc or default_truncation(),
                 tolerance=to_mpf(tol) if tol is not None else default_identity_tol(),
-                passed=False, error=str(exc)))
+                passed=False, error=str(exc)) for i in ids)
             return
-        if isinstance(got, IdentityReport):
-            reports.append(got)
-        elif isinstance(got, (list, tuple)):
-            reports.extend(got)
+        reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
     want = lambda name: identity_id in ("all", name)
     qs = _grid_mpf(grid.q_values)
@@ -491,22 +466,29 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             for x in xs:
                 for y in ys:
                     for n in grid.n_values:
+                        at = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
                         if want("representation_phi") or want("representation_laguerre"):
-                            guard(check_representations, n, p, x, y, tol, trunc)
+                            guard(("representation_phi", "representation_laguerre"), at,
+                                  check_representations, n, p, x, y, tol, trunc)
                         if want("recurrence"):
-                            guard(check_recurrence, n, p, x, y, tol, trunc)
+                            guard(("recurrence",), at, check_recurrence, n, p, x, y, tol, trunc)
                         if want("connection"):
                             for omega in omegas:
-                                guard(check_connection, n, p, x, y, omega, tol, trunc)
+                                guard(("connection",), dict(at, omega=omega),
+                                      check_connection, n, p, x, y, omega, tol, trunc)
                         if want("inversion"):
-                            guard(check_inversion, n, p, x, y, tol, trunc)
+                            guard(("inversion",), at, check_inversion, n, p, x, y, tol, trunc)
                     for t in ts:
+                        at = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
                         if want("generating_function"):
-                            guard(check_generating_function, t, x, y, p, None, tol, trunc)
+                            guard(("generating_function",), at,
+                                  check_generating_function, t, x, y, p, None, tol, trunc)
                         if want("even_gf") or want("odd_gf"):
-                            guard(check_even_odd_gf, t, x, y, p, None, tol, trunc)
+                            guard(("even_gf", "odd_gf"), at,
+                                  check_even_odd_gf, t, x, y, p, None, tol, trunc)
                         if (want("bessel_even") or want("bessel_odd")) and x * t > 0:
-                            guard(check_bessel_forms, t, x, y, p, None, tol, trunc)
+                            guard(("bessel_even", "bessel_odd"), at,
+                                  check_bessel_forms, t, x, y, p, None, tol, trunc)
 
     return [r for r in reports
             if identity_id == "all" or r.identity_id == identity_id]

@@ -14,8 +14,9 @@ The recurrence
   (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) * h_{n+1}
       = x h_n - y q^(-2n+1) (1 - q^n) h_{n-1}
 
-is exposed step-wise (gdqh2_recurrence_step) and as an iterator, and is the
-cheap way to evaluate a whole ladder of degrees at one point.
+is exposed step-wise (gdqh2_recurrence_step) and as a list of all degrees
+0..n at one point (gdqh2_recurrence_ladder), the cheap way to evaluate a
+whole ladder of degrees.
 """
 
 from __future__ import annotations

@@ -239,14 +239,7 @@ def gen_q_factorial(n: int, params: QParams):
     [n]_q! = (1-q)^(-n) (q;q)_n (note the negative exponent: the recursion
     pins it).
     """
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
-    q, alpha = unify(params.q, params.alpha)
-    out = q - q + 1
-    for m in range(n):
-        exponent = m + 1 + parity_indicator(m) * (2 * alpha + 1)
-        out *= (1 - qpow(q, exponent)) / (1 - q)
-    return out
+    return gen_q_shifted_factorial(n, params) / (1 - params.q) ** n
 
 
 def q_binomial(n: int, k: int, q):

@@ -58,6 +58,25 @@ def default_lattice(q) -> LatticeSpec:
     return LatticeSpec(q, -bound, bound)
 
 
+def _lattice_sum(points, q):
+    """(1-q) * sum of the terms of the (x, term) pairs of a lattice, compensated,
+    with the magnitudes of its first, last and largest terms.  Raises
+    EvaluationError at the first non-finite term."""
+    acc = CompensatedSum()
+    first = last = largest = mpf(0)
+    for i, (x, term) in enumerate(points):
+        if not mp.isfinite(term):
+            raise EvaluationError(
+                "integrand non-finite at lattice point x = %s" % mp.nstr(x, 8))
+        last = abs(term)
+        if i == 0:
+            first = last
+        if last > largest:
+            largest = last
+        acc.add(term)
+    return (1 - q) * acc.total, first, last, largest
+
+
 def jackson_bilateral(f: Callable, lat: LatticeSpec,
                       full_output: bool = False,
                       tail_tol=None):
@@ -67,29 +86,15 @@ def jackson_bilateral(f: Callable, lat: LatticeSpec,
     holds the end-term magnitudes at both lattice ends and the largest term.
     """
     q = to_mpf(lat.q)
-    acc = CompensatedSum()
-    first_term = last_term = mpf(0)
-    max_term = mpf(0)
-    for k in range(lat.k_min, lat.k_max + 1):
-        xk = qpow(q, k)
-        fv = to_mpf(f(xk)) + to_mpf(f(-xk))
-        if not mp.isfinite(fv):
-            raise EvaluationError(
-                "integrand non-finite at lattice point x = %s" % mp.nstr(xk, 8))
-        term = xk * fv
-        if k == lat.k_min:
-            first_term = abs(term)
-        last_term = abs(term)
-        if abs(term) > max_term:
-            max_term = abs(term)
-        acc.add(term)
-    value = (1 - q) * acc.total
+    lattice = (qpow(q, k) for k in range(lat.k_min, lat.k_max + 1))
+    value, first, last, largest = _lattice_sum(
+        ((xk, xk * (to_mpf(f(xk)) + to_mpf(f(-xk)))) for xk in lattice), q)
     if not full_output:
         return value
     diag = {
-        "term_at_k_min": first_term,
-        "term_at_k_max": last_term,
-        "max_term": max_term,
+        "term_at_k_min": first,
+        "term_at_k_max": last,
+        "max_term": largest,
         "tail_tol": to_mpf(tail_tol) if tail_tol is not None
                     else default_truncation().tail_tol,
     }
@@ -155,23 +160,14 @@ def orthogonality_check(n: int, m: int, p: QParams,
         lat = lat or default_lattice(q)
         weights = _weight_vector(p, lat, mp.prec)
         top = max(n, m)
-        acc = CompensatedSum()
-        max_term = mpf(0)
-        far_term = near_term = mpf(0)
-        for i, (xk, wk) in enumerate(weights):
-            lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-            lad_n = gdqh2_recurrence_ladder(top, -xk, mpf(1), p)
-            term = wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
-            if not mp.isfinite(term):
-                raise EvaluationError(
-                    "integrand non-finite at lattice point x = %s" % mp.nstr(xk, 8))
-            if abs(term) > max_term:
-                max_term = abs(term)
-            if i == 0:
-                far_term = abs(term)
-            near_term = abs(term)
-            acc.add(term)
-        lhs = (1 - q) * acc.total
+
+        def points():
+            for xk, wk in weights:
+                lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
+                lad_n = gdqh2_recurrence_ladder(top, -xk, mpf(1), p)
+                yield xk, wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
+
+        lhs, far_term, near_term, max_term = _lattice_sum(points(), q)
         floor = trunc.tail_tol * max(mpf(1), max_term)
         if near_term > floor or far_term > floor:
             end, where = ((near_term, "k_max %d" % lat.k_max)

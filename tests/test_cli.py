@@ -103,6 +103,22 @@ def test_check_invalid_q_exit_two(capsys):
     assert "q out of range (0,1)" in err
 
 
+def test_check_out_of_domain_t_gives_labelled_error_rows(capsys):
+    # one error row per requested identity id, with the check's parameters,
+    # for a single id as for `all`
+    grid = ("--q", "0.5", "--alpha", "0", "--n-max", "2", "--x", "1.2",
+            "--y", "1", "--t", "0.2", "5")
+    for ident, want in (("generating_function", ["generating_function"]),
+                        ("all", ["generating_function", "even_gf", "odd_gf",
+                                 "bessel_even", "bessel_odd"])):
+        code, out, _ = run(capsys, "--no-timestamp", "--format", "json",
+                           "check", ident, *grid)
+        assert code == 2
+        errors = [r for r in json.loads(out)["rows"] if r["error"]]
+        assert [r["identity"] for r in errors] == want
+        assert all("t=5.0000000e+0" in r["params"] for r in errors)
+
+
 def test_check_tight_tol_exit_one(capsys):
     code, _, _ = run(capsys, "--no-timestamp", "--rel-tol", "1e-90",
                      "check", "recurrence", "--q", "0.5", "--alpha", "0",

@@ -144,6 +144,16 @@ def test_bessel_forms_reference_point():
     assert od.passed and od.rel_residual < mpf("1e-15")
 
 
+def test_gf_checks_sum_exactly_n_plus_one_terms():
+    p = QParams(mpf("0.5"), mpf("0.25"))
+    t, x, y, N = mpf("0.3"), mpf("0.6"), mpf("0.4"), 60
+    reports = [check_generating_function(t, x, y, p, N=N),
+               *check_even_odd_gf(t, x, y, p, N=N),
+               *check_bessel_forms(t, x, y, p, N=N)]
+    assert [r.terms_used for r in reports] == [N + 1] * 5
+    assert all(r.passed for r in reports)
+
+
 def test_bessel_forms_negative_x_domain_error():
     with pytest.raises(DomainError):
         check_bessel_forms(mpf("0.3"), mpf("-0.6"), mpf("0.4"),
