@@ -84,6 +84,7 @@ from .quadrature import (
     default_lattice,
     jackson_bilateral,
     orthogonality_check,
+    orthogonality_gram,
     orthogonality_rhs,
     orthogonality_weight,
 )

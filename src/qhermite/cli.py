@@ -43,7 +43,8 @@ from .identities import (
 )
 from .polyfam import PolyEval, eval_poly
 from .qcore import QParams, Truncation
-from .quadrature import LatticeSpec, default_lattice, orthogonality_check
+from .quadrature import (LatticeSpec, default_lattice, orthogonality_check,
+                         orthogonality_gram)
 from .scalars import fmt_scalar, to_mpf
 
 __all__ = ["main", "RunConfig"]
@@ -286,15 +287,12 @@ def cmd_orthogonality(args, cfg: RunConfig) -> int:
                           args.k_min if args.k_min is not None else base.k_min,
                           args.k_max if args.k_max is not None else base.k_max)
     tol = mpf(cfg.rel_tol) if cfg.rel_tol is not None else None
-    reports = []
     if args.m is not None:
-        reports.append(orthogonality_check(args.n, args.m, params, lat=lat,
-                                           tol=tol, trunc=_truncation(cfg)))
+        reports = [orthogonality_check(args.n, args.m, params, lat=lat,
+                                       tol=tol, trunc=_truncation(cfg))]
     else:
-        for n in range(args.n + 1):
-            for m in range(n + 1):
-                reports.append(orthogonality_check(n, m, params, lat=lat,
-                                                   tol=tol, trunc=_truncation(cfg)))
+        reports = orthogonality_gram(args.n, params, lat=lat, tol=tol,
+                                     trunc=_truncation(cfg))
     return _finish_reports(reports, cfg)
 
 
@@ -366,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    caller_dps = mp.dps
     try:
         cfg = resolve_config(args)
         mp.dps = cfg.precision_digits
@@ -373,6 +372,8 @@ def main(argv=None) -> int:
     except (QHermiteError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        mp.dps = caller_dps
 
 
 if __name__ == "__main__":

@@ -61,9 +61,6 @@ __all__ = [
     "q_sin_alpha",
 ]
 
-# |a q^m - 1| below this means "a is q^(-m)" on the float backend.
-_TERMINATION_MATCH_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SeriesValue:
@@ -118,10 +115,15 @@ def _neg_q_power_index(a, q) -> Optional[int]:
         return None
     if m < 0:
         return None
+    # |a q^m - 1| below this means "a is q^(-m)": a match in three quarters
+    # of the working bits (about 2e-12 at 15 digits, 1e-38 at 50), so a
+    # q^(-m) built at down to 3/4 of the working precision terminates and
+    # anything further off is summed as the non-terminating series it is
+    tol = mp.eps ** 0.75
     for cand in (m - 1, m, m + 1):
         if cand < 0:
             continue
-        if abs(af * qf ** cand - 1) < _TERMINATION_MATCH_TOL:
+        if abs(af * qf ** cand - 1) < tol:
             return cand
     return None
 

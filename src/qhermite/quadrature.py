@@ -7,6 +7,11 @@ The measure assigns weight (1-q) q^k to the pair of points ±q^k.  Large |x|
 function; the k -> +inf end (points crowding 0) is controlled by the q^k
 factor itself, so a lattice reaching q^k ~ 1e-120 is converged far below
 any tolerance used here.
+
+`orthogonality_gram` checks every pair m <= n <= n_max in one sweep of the
+lattice: two recurrence ladders per point (at x and -x) feed all the pairs,
+and the closed-form constant is computed once per degree.
+`orthogonality_check` is the one-pair case of the same sweep.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "orthogonality_weight",
     "orthogonality_rhs",
     "orthogonality_check",
+    "orthogonality_gram",
 ]
 
 
@@ -58,23 +64,38 @@ def default_lattice(q) -> LatticeSpec:
     return LatticeSpec(q, -bound, bound)
 
 
-def _lattice_sum(points, q):
-    """(1-q) * sum of the terms of the (x, term) pairs of a lattice, compensated,
-    with the magnitudes of its first, last and largest terms.  Raises
-    EvaluationError at the first non-finite term."""
-    acc = CompensatedSum()
-    first = last = largest = mpf(0)
-    for i, (x, term) in enumerate(points):
+class _LatticeSum:
+    """(1-q) * compensated sum of one integrand over the lattice, with the
+    magnitudes of its first, last and largest terms.  The first non-finite
+    term stops the sum; `value` then raises EvaluationError naming its x."""
+
+    __slots__ = ("acc", "first", "last", "largest", "bad_x")
+
+    def __init__(self):
+        self.acc = CompensatedSum()
+        self.first = None
+        self.last = self.largest = mpf(0)
+        self.bad_x = None
+
+    def add(self, x, term):
+        if self.bad_x is not None:
+            return
         if not mp.isfinite(term):
+            self.bad_x = x
+            return
+        self.last = abs(term)
+        if self.first is None:
+            self.first = self.last
+        if self.last > self.largest:
+            self.largest = self.last
+        self.acc.add(term)
+
+    def value(self, q):
+        if self.bad_x is not None:
             raise EvaluationError(
-                "integrand non-finite at lattice point x = %s" % mp.nstr(x, 8))
-        last = abs(term)
-        if i == 0:
-            first = last
-        if last > largest:
-            largest = last
-        acc.add(term)
-    return (1 - q) * acc.total, first, last, largest
+                "integrand non-finite at lattice point x = %s"
+                % mp.nstr(self.bad_x, 8))
+        return (1 - q) * self.acc.total
 
 
 def jackson_bilateral(f: Callable, lat: LatticeSpec,
@@ -86,15 +107,19 @@ def jackson_bilateral(f: Callable, lat: LatticeSpec,
     holds the end-term magnitudes at both lattice ends and the largest term.
     """
     q = to_mpf(lat.q)
-    lattice = (qpow(q, k) for k in range(lat.k_min, lat.k_max + 1))
-    value, first, last, largest = _lattice_sum(
-        ((xk, xk * (to_mpf(f(xk)) + to_mpf(f(-xk)))) for xk in lattice), q)
+    total = _LatticeSum()
+    for k in range(lat.k_min, lat.k_max + 1):
+        xk = qpow(q, k)
+        total.add(xk, xk * (to_mpf(f(xk)) + to_mpf(f(-xk))))
+        if total.bad_x is not None:
+            break
+    value = total.value(q)
     if not full_output:
         return value
     diag = {
-        "term_at_k_min": first,
-        "term_at_k_max": last,
-        "max_term": largest,
+        "term_at_k_min": total.first,
+        "term_at_k_max": total.last,
+        "max_term": total.largest,
         "tail_tol": to_mpf(tail_tol) if tail_tol is not None
                     else default_truncation().tail_tol,
     }
@@ -140,6 +165,70 @@ def _weight_vector(p: QParams, lat: LatticeSpec, prec: int):
     return tuple(out)
 
 
+def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
+                         tol, trunc: Optional[Truncation]) -> list:
+    """Reports for the (n, m) pairs, in order, from one lattice sweep.
+
+    Each pair keeps its own compensated sum, fed in lattice order, so its
+    report is the one a sweep for that pair alone gives.  After the sweep the
+    pairs are finished in order, and the first one whose sum hit a non-finite
+    term or whose lattice tail did not converge raises.
+    """
+    if not pairs:
+        return []
+    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    trunc = trunc or default_truncation()
+    with mp.workdps(mp.dps + 20):
+        q = to_mpf(p.q)
+        lat = lat or default_lattice(q)
+        weights = _weight_vector(p, lat, mp.prec)
+        top = max(max(pair) for pair in pairs)
+        sums = [_LatticeSum() for _ in pairs]
+        for xk, wk in weights:
+            lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
+            lad_n = gdqh2_recurrence_ladder(top, -xk, mpf(1), p)
+            for (n, m), total in zip(pairs, sums):
+                total.add(xk, wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m]))
+
+        rhs_at = lru_cache(maxsize=None)(
+            lambda k: orthogonality_rhs(k, p, trunc=trunc))
+        reports = []
+        for (n, m), total in zip(pairs, sums):
+            lhs = total.value(q)
+            far_term, near_term, max_term = total.first, total.last, total.largest
+            floor = trunc.tail_tol * max(mpf(1), max_term)
+            if near_term > floor or far_term > floor:
+                end, where = ((near_term, "k_max %d" % lat.k_max)
+                              if near_term >= far_term
+                              else (far_term, "k_min %d" % lat.k_min))
+                raise ConvergenceError(
+                    "lattice tail not converged: end term %s vs tail_tol %s "
+                    "(max term %s); widen the lattice beyond %s"
+                    % (mp.nstr(end, 4), mp.nstr(trunc.tail_tol, 4),
+                       mp.nstr(max_term, 4), where))
+            if n == m:
+                rhs = rhs_at(n)
+                abs_r, rel_r = residuals(lhs, rhs)
+            else:
+                rhs = mpf(0)
+                scale = mp.sqrt(rhs_at(n) * rhs_at(m))
+                abs_r = abs(lhs)
+                rel_r = abs(lhs) / scale
+            reports.append(IdentityReport(
+                identity_id="orthogonality",
+                params={"n": n, "m": m, "q": p.q, "alpha": p.alpha},
+                lhs=lhs,
+                rhs=rhs,
+                abs_residual=abs_r,
+                rel_residual=rel_r,
+                truncation=trunc,
+                tolerance=tol,
+                passed=bool(rel_r <= tol),
+                terms_used=lat.k_max - lat.k_min + 1,
+            ))
+        return reports
+
+
 def orthogonality_check(n: int, m: int, p: QParams,
                         lat: Optional[LatticeSpec] = None,
                         tol=None, trunc: Optional[Truncation] = None
@@ -152,50 +241,14 @@ def orthogonality_check(n: int, m: int, p: QParams,
     """
     if n < 0 or m < 0:
         raise DomainError("degrees must be >= 0: got n=%d, m=%d" % (n, m))
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    trunc = trunc or default_truncation()
-    params = {"n": n, "m": m, "q": p.q, "alpha": p.alpha}
-    with mp.workdps(mp.dps + 20):
-        q = to_mpf(p.q)
-        lat = lat or default_lattice(q)
-        weights = _weight_vector(p, lat, mp.prec)
-        top = max(n, m)
+    return _orthogonality_sweep([(n, m)], p, lat, tol, trunc)[0]
 
-        def points():
-            for xk, wk in weights:
-                lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-                lad_n = gdqh2_recurrence_ladder(top, -xk, mpf(1), p)
-                yield xk, wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
 
-        lhs, far_term, near_term, max_term = _lattice_sum(points(), q)
-        floor = trunc.tail_tol * max(mpf(1), max_term)
-        if near_term > floor or far_term > floor:
-            end, where = ((near_term, "k_max %d" % lat.k_max)
-                          if near_term >= far_term
-                          else (far_term, "k_min %d" % lat.k_min))
-            raise ConvergenceError(
-                "lattice tail not converged: end term %s vs tail_tol %s "
-                "(max term %s); widen the lattice beyond %s"
-                % (mp.nstr(end, 4), mp.nstr(trunc.tail_tol, 4),
-                   mp.nstr(max_term, 4), where))
-        if n == m:
-            rhs = orthogonality_rhs(n, p, trunc=trunc)
-            abs_r, rel_r = residuals(lhs, rhs)
-        else:
-            rhs = mpf(0)
-            scale = mp.sqrt(orthogonality_rhs(n, p, trunc=trunc)
-                            * orthogonality_rhs(m, p, trunc=trunc))
-            abs_r = abs(lhs)
-            rel_r = abs(lhs) / scale
-        return IdentityReport(
-            identity_id="orthogonality",
-            params=params,
-            lhs=lhs,
-            rhs=rhs,
-            abs_residual=abs_r,
-            rel_residual=rel_r,
-            truncation=trunc,
-            tolerance=tol,
-            passed=bool(rel_r <= tol),
-            terms_used=lat.k_max - lat.k_min + 1,
-        )
+def orthogonality_gram(n_max: int, p: QParams,
+                       lat: Optional[LatticeSpec] = None,
+                       tol=None, trunc: Optional[Truncation] = None) -> list:
+    """`orthogonality_check` for every pair m <= n <= n_max, ordered by n
+    then m, from one lattice sweep; each report equals the one-pair check's.
+    Empty when n_max < 0."""
+    pairs = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
+    return _orthogonality_sweep(pairs, p, lat, tol, trunc)

@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from mpmath import mp
 
 from qhermite.cli import RunConfig, main, resolve_config
 
@@ -132,6 +133,18 @@ def test_orthogonality_single_pair(capsys):
                        "--q", "0.5", "--alpha", "0", "--n", "1", "--m", "1")
     assert code == 0
     assert "passed=true" in out
+
+
+def test_main_restores_caller_precision(capsys):
+    mp.dps = 23
+    code, out, _ = run(capsys, "--no-timestamp", "--precision", "60", "eval",
+                       "gdqh2", "--n", "1", "--q", "0.5", "--alpha", "0",
+                       "--x", "1", "--y", "1")
+    assert code == 0 and "6." + "6" * 58 + "7e-1" in out   # 60 digits
+    assert mp.dps == 23
+    assert run(capsys, "--precision", "60", "eval", "gdqh2", "--n", "-1",
+               "--x", "1")[0] == 2
+    assert mp.dps == 23
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -22,6 +22,9 @@ CASES = {
                        "--y", "0.6", "--t", "-0.25", "--omega", "0.5"),
     "orthogonality.txt": ("orthogonality", "--n", "3", "--q", "0.5",
                           "--alpha", "0.5"),
+    # every pair m <= n <= 4, from one lattice sweep
+    "orthogonality_n4.csv": ("--format", "csv", "orthogonality", "--n", "4",
+                             "--q", "0.22", "--alpha", "1.3"),
     "check_even_gf.txt": ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
                           "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
 }

@@ -224,3 +224,24 @@ def test_q_trig_at_zero_and_parity():
 def test_euler_product_pair_property(q, x):
     q, x = mpf(q), mpf(x)
     assert abs(euler_e(x, q) * euler_E(-x, q) - 1) < mpf("1e-40")
+
+
+def test_near_terminating_parameter_is_summed_as_non_terminating():
+    # a = q^-2 (1 + 1e-13) is not q^-2 at 50 digits: the q-binomial theorem
+    # gives (a z; q)_inf / (z; q)_inf, not the 3-term polynomial
+    q, z = mpf("0.5"), mpf("0.3")
+    a = q ** -2 * (1 + mpf("1e-13"))
+    s = phi_rs(PhiSpec((a,), (), q, z))
+    assert s.terms_used > 3 and s.tail_estimate > 0
+    ref = mp.qp(a * z, q) / mp.qp(z, q)
+    assert abs(s.value - ref) <= mpf("1e-45") * abs(ref)
+
+
+@pytest.mark.parametrize("dps", [15, 50, 120])
+def test_exact_negative_power_still_terminates(dps):
+    with mp.workdps(dps):
+        q, z = mpf("0.37"), mpf("0.3")
+        s = phi_rs(PhiSpec((qpow(q, -7),), (), q, z))
+        assert s.terms_used == 8 and s.tail_estimate == 0
+        ref = q_pochhammer(qpow(q, -7) * z, q, 7)
+        assert abs(s.value - ref) <= 100 * mp.eps * abs(ref)

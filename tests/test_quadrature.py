@@ -3,6 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
+from qhermite import quadrature
 from qhermite.errors import ConvergenceError, DomainError, EvaluationError
 from qhermite.qcore import QParams, gen_q_shifted_factorial, q_pochhammer
 from qhermite.quadrature import (
@@ -10,6 +11,7 @@ from qhermite.quadrature import (
     default_lattice,
     jackson_bilateral,
     orthogonality_check,
+    orthogonality_gram,
     orthogonality_rhs,
     orthogonality_weight,
 )
@@ -122,3 +124,67 @@ def test_orthogonality_narrow_lattice_flagged():
     with pytest.raises(ConvergenceError, match="widen the lattice"):
         orthogonality_check(1, 1, QParams(mpf("0.5"), mpf(0)),
                             lat=LatticeSpec(mpf("0.5"), -3, 3))
+
+
+def _one_pair_walk(n_max, p, lat=None):
+    """What the pairs m <= n <= n_max give checked one by one, in order:
+    every report, or the first error raised."""
+    reports = []
+    for n in range(n_max + 1):
+        for m in range(n + 1):
+            reports.append(orthogonality_check(n, m, p, lat=lat))
+    return reports
+
+
+@pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.22", "1.3")])
+def test_gram_reports_equal_one_pair_checks(q, alpha):
+    p = QParams(mpf(q), mpf(alpha))
+    gram = orthogonality_gram(4, p)
+    one = _one_pair_walk(4, p)
+    assert [r.params for r in gram] == [r.params for r in one]
+    for g, r in zip(gram, one):
+        for field in ("lhs", "rhs", "abs_residual", "rel_residual", "passed",
+                      "terms_used"):
+            assert getattr(g, field) == getattr(r, field), (r.params, field)
+
+
+def test_gram_narrow_lattice_raises_the_one_pair_error():
+    p = QParams(mpf("0.5"), mpf(0))
+    lat = LatticeSpec(mpf("0.5"), -3, 3)
+    with pytest.raises(ConvergenceError) as one:
+        _one_pair_walk(1, p, lat=lat)
+    with pytest.raises(ConvergenceError) as gram:
+        orthogonality_gram(1, p, lat=lat)
+    assert str(gram.value) == str(one.value)
+
+
+def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch):
+    # degree 2 is non-finite at the lattice points ±0.22^4: (2, 0) is the
+    # first pair in order that meets it, after three pairs that pass
+    ladder = quadrature.gdqh2_recurrence_ladder
+
+    def poisoned(n, x, y, p):
+        out = ladder(n, x, y, p)
+        if mpf("0.002") < abs(x) < mpf("0.003") and n >= 2:
+            out[2] = mp.nan
+        return out
+
+    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
+    p = QParams(mpf("0.22"), mpf(0))
+    lat = default_lattice(p.q)
+    assert all(r.passed for r in _one_pair_walk(1, p, lat=lat))
+    with pytest.raises(EvaluationError) as one:
+        orthogonality_check(2, 0, p, lat=lat)
+    with pytest.raises(EvaluationError) as gram:
+        orthogonality_gram(2, p, lat=lat)
+    assert str(gram.value) == str(one.value)
+
+
+def test_gram_rhs_once_per_degree(monkeypatch):
+    calls = []
+    rhs = quadrature.orthogonality_rhs
+    monkeypatch.setattr(quadrature, "orthogonality_rhs",
+                        lambda n, p, trunc=None: calls.append(n) or rhs(n, p, trunc))
+    assert len(orthogonality_gram(3, QParams(mpf("0.22"), mpf(0)))) == 10
+    assert sorted(calls) == [0, 1, 2, 3]
+    assert orthogonality_gram(-1, QParams(mpf("0.22"), mpf(0))) == []
