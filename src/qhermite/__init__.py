@@ -55,6 +55,7 @@ from .polyfam import (
     gdqh2_recurrence,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,
+    gdqh2_recurrence_values,
     mu_hermite,
     q_laguerre,
     rosenblum_hermite,

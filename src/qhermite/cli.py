@@ -132,14 +132,9 @@ def resolve_config(args) -> RunConfig:
 
 
 def _truncation(cfg: RunConfig) -> Optional[Truncation]:
-    if cfg.rel_tol is None and cfg.tail_tol is None:
+    if cfg.tail_tol is None:
         return None
-    base = Truncation()
-    return Truncation(
-        max_terms=base.max_terms,
-        tail_tol=mpf(cfg.tail_tol) if cfg.tail_tol is not None else base.tail_tol,
-        rel_tol=mpf(cfg.rel_tol) if cfg.rel_tol is not None else base.rel_tol,
-    )
+    return Truncation(tail_tol=mpf(cfg.tail_tol))
 
 
 def _now() -> str:

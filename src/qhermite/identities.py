@@ -17,13 +17,19 @@ digits.  Reports carry values rounded back to the ambient context.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, tee
 from typing import Iterable, Optional
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, QHermiteError
-from .polyfam import gdqh2, gdqh2_recurrence_ladder, rosenblum_hermite, stieltjes_wigert
+from .errors import ConvergenceError, DomainError, QHermiteError
+from .polyfam import (
+    gdqh2,
+    gdqh2_recurrence_ladder,
+    gdqh2_recurrence_values,
+    rosenblum_hermite,
+    stieltjes_wigert,
+)
 from .qcore import (
     QParams,
     Truncation,
@@ -239,10 +245,17 @@ def _gf_domain(y, t):
 
 def _gf_series(terms: Iterable, N: Optional[int], trunc: Truncation) -> tuple:
     """(sum, terms used) of a series: exactly its first N+1 terms, or, with
-    N None, up to two consecutive terms below tail_tol relative to the sum."""
+    N None, up to two consecutive terms below tail_tol relative to the sum.
+
+    The adaptive sum reads at most 8*mp.dps + 1 terms; if the stop rule is
+    not met by then it raises ConvergenceError rather than return a
+    truncated sum."""
+    if N is not None and N < 0:
+        raise DomainError("N must be >= 0: got %d" % N)
+    cap = 8 * mp.dps + 1 if N is None else N + 1
     total = mpf(0)
     small = used = 0
-    for n, term in enumerate(islice(terms, None if N is None else N + 1)):
+    for n, term in enumerate(islice(terms, cap)):
         total += term
         used = n + 1
         if N is None and abs(term) < trunc.tail_tol * max(1, abs(total)):
@@ -251,6 +264,12 @@ def _gf_series(terms: Iterable, N: Optional[int], trunc: Truncation) -> tuple:
                 break
         else:
             small = 0
+    else:
+        if N is None:
+            raise ConvergenceError(
+                "generating-function series did not meet tail_tol=%s within "
+                "%d terms (last term %s)"
+                % (mp.nstr(trunc.tail_tol, 4), used, mp.nstr(abs(term), 4)))
     return total, used
 
 
@@ -260,20 +279,21 @@ def _parity_series(t, x, y, q, p: QParams, N: Optional[int], trunc: Truncation):
       sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1},
 
-    over one recurrence ladder; each half as (sum, terms used)."""
-    n_cap = N if N is not None else 8 * mp.dps
-    ladder = gdqh2_recurrence_ladder(2 * n_cap + 1, x, y, p)
-    poch = [mpf(1)]
-    for j in range(1, len(ladder)):
-        poch.append(poch[-1] * (1 - qpow(q, j)))
+    over one recurrence stream, read only as far as the longer half needs;
+    each half as (sum, terms used)."""
 
-    def half(odd):
-        for n in range(n_cap + 1):
-            j = 2 * n + odd
+    def terms():
+        poch = mpf(1)  # running (q;q)_j
+        for j, h in enumerate(gdqh2_recurrence_values(x, y, p)):
+            if j > 0:
+                poch *= 1 - qpow(q, j)
+            n, odd = divmod(j, 2)
             yield ((-1) ** n * qpow(q, n * (2 * n - 1 + 2 * odd)) * qpow(t, j)
-                   * ladder[j] / poch[j])
+                   * h / poch)
 
-    return _gf_series(half(0), N, trunc), _gf_series(half(1), N, trunc)
+    even, odd = tee(terms())
+    return (_gf_series(islice(even, 0, None, 2), N, trunc),
+            _gf_series(islice(odd, 1, None, 2), N, trunc))
 
 
 def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
@@ -289,12 +309,10 @@ def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         lhs = euler_e(-y * t * t, q * q) * gen_E(x * t, p)
-        n_cap = N if N is not None else 8 * mp.dps
-        ladder = gdqh2_recurrence_ladder(n_cap, x, y, p)
 
         def terms():
             w = mpf(1)  # running t^n q^C(n,2) / (q;q)_n
-            for n, h in enumerate(ladder):
+            for n, h in enumerate(gdqh2_recurrence_values(x, y, p)):
                 if n > 0:
                     w *= t * qpow(q, n - 1) / (1 - qpow(q, n))
                 yield w * h

@@ -14,16 +14,18 @@ The recurrence
   (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) * h_{n+1}
       = x h_n - y q^(-2n+1) (1 - q^n) h_{n-1}
 
-is exposed step-wise (gdqh2_recurrence_step) and as a list of all degrees
-0..n at one point (gdqh2_recurrence_ladder), the cheap way to evaluate a
-whole ladder of degrees.
+is exposed step-wise (gdqh2_recurrence_step) and as one lazy stream of
+h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
+only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
+the cheap way to evaluate a whole ladder of degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf
 
@@ -32,6 +34,7 @@ from .qcore import (
     QParams,
     Truncation,
     gen_q_shifted_factorial,
+    _gen_q_shifted_prefix,
     parity_indicator,
     q_pochhammer,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "RecurrenceState",
     "gdqh2_recurrence_step",
     "gdqh2_recurrence",
+    "gdqh2_recurrence_values",
     "gdqh2_recurrence_ladder",
     "discrete_q_hermite2",
     "mu_hermite",
@@ -111,8 +115,8 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
 def _gdqh2_definition(n: int, x, y, params: QParams):
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
     q2 = q * q
-    # running pieces: (q;q)_{n-2k,alpha} walked down from n, (q^2;q^2)_k up
-    gen_fact = [gen_q_shifted_factorial(m, params) for m in range(n + 1)]
+    # (q;q)_{m,alpha} for m = 0..n, and (q^2;q^2)_k as a running product
+    gen_fact = _gen_q_shifted_prefix(n, params)
     total = q - q
     poch_q2 = q - q + 1
     for k in range(n // 2 + 1):
@@ -229,18 +233,23 @@ def gdqh2_recurrence(n: int, x, y, params: QParams):
     return gdqh2_recurrence_ladder(n, x, y, params)[-1]
 
 
+def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
+    """h_0, h_1, ... at one point, one recurrence step per value pulled.
+
+    The values are computed at the precision in force when each is pulled,
+    so read the stream inside the caller's working-precision block."""
+    x, y, q, alpha = unify(x, y, params.q, params.alpha)
+    state = RecurrenceState(0, q - q + 1, q - q)
+    while True:
+        yield state.current
+        state = gdqh2_recurrence_step(state, x, y, params)
+
+
 def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:
     """Values for all degrees 0..n at one point, via the recurrence."""
     if n < 0:
         raise DomainError("degree n must be >= 0: got %d" % n)
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    one = q - q + 1
-    state = RecurrenceState(0, one, q - q)
-    out = [state.current]
-    for _ in range(n):
-        state = gdqh2_recurrence_step(state, x, y, params)
-        out.append(state.current)
-    return out
+    return list(islice(gdqh2_recurrence_values(x, y, params), n + 1))
 
 
 def discrete_q_hermite2(n: int, x, q):

@@ -85,24 +85,19 @@ class Truncation:
     """Budget for infinite sums/products.
 
     max_terms is a hard cap; tail_tol is the absolute size at which a tail
-    is declared negligible; rel_tol is what callers use to judge residuals.
+    is declared negligible.
     """
 
     max_terms: int = 100_000
     tail_tol: Numeric = None  # type: ignore[assignment]
-    rel_tol: Numeric = None  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.tail_tol is None:
             object.__setattr__(self, "tail_tol", mpf(10) ** (-(mp.dps + 10)))
-        if self.rel_tol is None:
-            object.__setattr__(self, "rel_tol", mpf(10) ** (-(mp.dps - 5)))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1: got %s" % self.max_terms)
         if not (to_mpf(self.tail_tol) > 0):
             raise DomainError("tail_tol must be > 0: got %s" % self.tail_tol)
-        if not (to_mpf(self.rel_tol) > 0):
-            raise DomainError("rel_tol must be > 0: got %s" % self.rel_tol)
 
 
 def default_truncation() -> Truncation:
@@ -180,18 +175,25 @@ def q_number(n: int, q):
     return (1 - qpow(q, n)) / (1 - q)
 
 
+def _q_factorial_prefix(n: int, q) -> list:
+    """[[0]_q!, [1]_q!, ..., [n]_q!] as one running product."""
+    (q,) = unify(q)
+    out = q - q + 1
+    power = out  # q^k
+    table = [out]
+    for _ in range(1, n + 1):
+        power *= q
+        out *= (1 - power) / (1 - q)
+        table.append(out)
+    return table
+
+
 def q_factorial(n: int, q):
     """[n]_q! = prod_{k=1}^{n} [k]_q, with [0]_q! = 1."""
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
     _check_q(q)
-    (q,) = unify(q)
-    out = q - q + 1
-    power = out  # q^k
-    for _ in range(1, n + 1):
-        power *= q
-        out *= (1 - power) / (1 - q)
-    return out
+    return _q_factorial_prefix(n, q)[-1]
 
 
 def parity_indicator(n: int) -> int:
@@ -199,6 +201,19 @@ def parity_indicator(n: int) -> int:
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
     return 1 - (n & 1)
+
+
+def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
+    """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}] as one running product (the
+    recursion below), on the backend of (q, alpha) alone."""
+    q, alpha = unify(params.q, params.alpha)
+    out = q - q + 1
+    table = [out]
+    for m in range(n):
+        exponent = m + 1 + parity_indicator(m) * (2 * alpha + 1)
+        out *= 1 - qpow(q, exponent)
+        table.append(out)
+    return table
 
 
 def gen_q_shifted_factorial(n: int, params: QParams, method: str = "recursion"):
@@ -215,13 +230,9 @@ def gen_q_shifted_factorial(n: int, params: QParams, method: str = "recursion"):
     """
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
-    q, alpha = unify(params.q, params.alpha)
     if method == "recursion":
-        out = q - q + 1
-        for m in range(n):
-            exponent = m + 1 + parity_indicator(m) * (2 * alpha + 1)
-            out *= 1 - qpow(q, exponent)
-        return out
+        return _gen_q_shifted_prefix(n, params)[-1]
+    q, alpha = unify(params.q, params.alpha)
     if method == "closed_form":
         q2 = q * q
         a_even = qpow(q, 2 * alpha + 2)
@@ -306,8 +317,8 @@ def mixed_sub_power(a, b, q, n: int):
     _check_q(q)
     a, b, q = unify(a, b, q)
     q2 = q * q
-    fact_q = [q_factorial(m, q) for m in range(n + 1)]
-    fact_q2 = [q_factorial(m, q2) for m in range(n + 1)]
+    fact_q = _q_factorial_prefix(n, q)
+    fact_q2 = _q_factorial_prefix(n, q2)
     total = CompensatedSum(q - q)
     for k in range(n + 1):
         term = (

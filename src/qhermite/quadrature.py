@@ -9,8 +9,9 @@ factor itself, so a lattice reaching q^k ~ 1e-120 is converged far below
 any tolerance used here.
 
 `orthogonality_gram` checks every pair m <= n <= n_max in one sweep of the
-lattice: two recurrence ladders per point (at x and -x) feed all the pairs,
-and the closed-form constant is computed once per degree.
+lattice: one recurrence ladder per point x feeds all the pairs, its values
+at -x being the same ladder with the odd degrees negated, and the
+closed-form constant is computed once per degree.
 `orthogonality_check` is the one-pair case of the same sweep.
 """
 
@@ -99,8 +100,7 @@ class _LatticeSum:
 
 
 def jackson_bilateral(f: Callable, lat: LatticeSpec,
-                      full_output: bool = False,
-                      tail_tol=None):
+                      full_output: bool = False):
     """(1-q) sum_{k=k_min..k_max} q^k [f(q^k) + f(-q^k)].
 
     With full_output=True returns (value, diagnostics) where diagnostics
@@ -120,8 +120,6 @@ def jackson_bilateral(f: Callable, lat: LatticeSpec,
         "term_at_k_min": total.first,
         "term_at_k_max": total.last,
         "max_term": total.largest,
-        "tail_tol": to_mpf(tail_tol) if tail_tol is not None
-                    else default_truncation().tail_tol,
     }
     return value, diag
 
@@ -185,8 +183,10 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
         top = max(max(pair) for pair in pairs)
         sums = [_LatticeSum() for _ in pairs]
         for xk, wk in weights:
+            # h_k(-x) = (-1)^k h_k(x): the recurrence at -x flips the sign of
+            # every odd degree exactly, so one ladder serves both points
             lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-            lad_n = gdqh2_recurrence_ladder(top, -xk, mpf(1), p)
+            lad_n = [-h if k % 2 else h for k, h in enumerate(lad_p)]
             for (n, m), total in zip(pairs, sums):
                 total.add(xk, wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m]))
 

@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp, mpf
 
-from qhermite.errors import DomainError
+from qhermite import polyfam
+from qhermite.errors import ConvergenceError, DomainError
 from qhermite.identities import (
     DEFAULT_GRID,
     IdentityGrid,
@@ -152,6 +153,38 @@ def test_gf_checks_sum_exactly_n_plus_one_terms():
                *check_bessel_forms(t, x, y, p, N=N)]
     assert [r.terms_used for r in reports] == [N + 1] * 5
     assert all(r.passed for r in reports)
+
+
+def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):
+    # the series stop after tens of terms; the recurrence stream behind them
+    # is stepped no further than the longest sum needs
+    steps = []
+    step = polyfam.gdqh2_recurrence_step
+    monkeypatch.setattr(polyfam, "gdqh2_recurrence_step",
+                        lambda *a: steps.append(1) or step(*a))
+    g = DEFAULT_GRID
+    q, alpha, x, y, t = (mpf(v[-1]) for v in (
+        g.q_values, g.alpha_values, g.x_values, g.y_values, g.t_values))
+    p = QParams(q, alpha)
+    for check in (check_generating_function, check_even_odd_gf,
+                  check_bessel_forms):
+        steps.clear()
+        got = check(t, x, y, p)
+        reports = got if isinstance(got, tuple) else (got,)
+        assert all(r.passed for r in reports)
+        assert 0 < len(steps) <= 2 * max(r.terms_used for r in reports) + 1
+
+
+def test_gf_adaptive_sum_that_exhausts_its_cap_raises():
+    p = QParams(mpf("0.95"), mpf("0.5"))
+    args = (mpf("0.95"), mpf("1.1"), mpf("1.05"), p)
+    with pytest.raises(ConvergenceError, match="within 641 terms"):
+        check_bessel_forms(*args)
+    mp.dps = 20
+    with pytest.raises(ConvergenceError, match="within 401 terms"):
+        check_generating_function(*args)
+    with pytest.raises(DomainError):
+        check_generating_function(*args, N=-1)
 
 
 def test_bessel_forms_negative_x_domain_error():

@@ -15,6 +15,7 @@ from qhermite.polyfam import (
     gdqh2_recurrence,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,
+    gdqh2_recurrence_values,
     RecurrenceState,
     mu_hermite,
     q_laguerre,
@@ -169,6 +170,32 @@ def test_recurrence_step_by_step():
     ladder = gdqh2_recurrence_ladder(7, x, y, p)
     assert len(ladder) == 8
     assert ladder[7] == state.current
+
+
+@pytest.mark.parametrize("q, alpha, x, y", [
+    (mpf("0.5"), mpf("0.25"), mpf("1.1"), mpf("0.6")),
+    (mpf("0.22"), mpf("-0.7"), mpf("-0.3"), mpf("-1.4")),
+    (F(1, 3), F(3, 2), F(-5, 4), F(2, 7)),
+])
+def test_recurrence_values_prefix_is_the_ladder(q, alpha, x, y):
+    p = QParams(q, alpha)
+    stream = gdqh2_recurrence_values(x, y, p)
+    assert [next(stream) for _ in range(13)] == gdqh2_recurrence_ladder(12, x, y, p)
+    with pytest.raises(DomainError):
+        gdqh2_recurrence_ladder(-1, x, y, p)
+
+
+@pytest.mark.parametrize("q, alpha, x", [
+    ("0.5", "0", "1.3"), ("0.22", "1.3", "0.0031"), ("0.9", "-0.6", "27.5"),
+    ("0.35", "4", "1e-9"),
+])
+def test_recurrence_ladder_at_minus_x_negates_odd_degrees(q, alpha, x):
+    # bit for bit: the orthogonality sweep reads the -x ladder off this one
+    mp.dps = 70
+    p = QParams(mpf(q), mpf(alpha))
+    ladder = gdqh2_recurrence_ladder(30, mpf(x), mpf(1), p)
+    assert gdqh2_recurrence_ladder(30, -mpf(x), mpf(1), p) == [
+        (-1) ** k * h for k, h in enumerate(ladder)]
 
 
 def test_discrete_q_hermite2_is_special_case():

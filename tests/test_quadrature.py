@@ -188,3 +188,15 @@ def test_gram_rhs_once_per_degree(monkeypatch):
     assert len(orthogonality_gram(3, QParams(mpf("0.22"), mpf(0)))) == 10
     assert sorted(calls) == [0, 1, 2, 3]
     assert orthogonality_gram(-1, QParams(mpf("0.22"), mpf(0))) == []
+
+
+def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
+    calls = []
+    ladder = quadrature.gdqh2_recurrence_ladder
+    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder",
+                        lambda *a: calls.append(a[1]) or ladder(*a))
+    p = QParams(mpf("0.22"), mpf("0.7"))
+    lat = default_lattice(p.q)
+    assert len(orthogonality_gram(3, p, lat=lat)) == 10
+    assert len(calls) == lat.k_max - lat.k_min + 1
+    assert all(x > 0 for x in calls)
