@@ -33,7 +33,7 @@ from typing import Optional
 
 from mpmath import mp, mpf
 
-from .errors import QHermiteError
+from .errors import DomainError, QHermiteError
 from .identities import (
     DEFAULT_GRID,
     IDENTITY_IDS,
@@ -286,6 +286,8 @@ def cmd_orthogonality(args, cfg: RunConfig) -> int:
         reports = [orthogonality_check(args.n, args.m, params, lat=lat,
                                        tol=tol, trunc=_truncation(cfg))]
     else:
+        if args.n < 0:
+            raise DomainError("degree n must be >= 0: got %d" % args.n)
         reports = orthogonality_gram(args.n, params, lat=lat, tol=tol,
                                      trunc=_truncation(cfg))
     return _finish_reports(reports, cfg)

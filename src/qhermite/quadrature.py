@@ -11,7 +11,10 @@ any tolerance used here.
 `orthogonality_gram` checks every pair m <= n <= n_max in one sweep of the
 lattice: one recurrence ladder per point x feeds all the pairs, its values
 at -x being the same ladder with the odd degrees negated, and the
-closed-form constant is computed once per degree.
+closed-form constant is computed once per degree.  The weights
+1/(-q^(-2a-1) x^2; q^2)_inf of all lattice points come from one
+`qcore._infinite_products` call, which shares one table of the powers q^(2j)
+among them and gives each product bit for bit as the one-value loop does.
 `orthogonality_check` is the one-pair case of the same sweep.
 """
 
@@ -26,7 +29,8 @@ from mpmath import mp, mpf
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
 from .polyfam import gdqh2_recurrence_ladder
-from .qcore import QParams, Truncation, default_truncation, gen_q_shifted_factorial, q_pochhammer
+from .qcore import (QParams, Truncation, _infinite_products, default_truncation,
+                    gen_q_shifted_factorial, q_pochhammer)
 from .scalars import CompensatedSum, qpow, to_mpf
 
 __all__ = [
@@ -124,11 +128,17 @@ def jackson_bilateral(f: Callable, lat: LatticeSpec,
     return value, diag
 
 
+def _weights(xs, p: QParams, trunc: Optional[Truncation] = None) -> list:
+    """w_alpha(x) for each x in xs, in order, from one shared product loop."""
+    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    scale = -qpow(q, -2 * alpha - 1)
+    return [1 / prod for prod in
+            _infinite_products([scale * x * x for x in xs], q * q, trunc)]
+
+
 def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
     """w_alpha(x) = 1 / (-q^(-2 alpha - 1) x^2; q^2)_inf."""
-    x, q, alpha = to_mpf(x), to_mpf(p.q), to_mpf(p.alpha)
-    return 1 / q_pochhammer(-qpow(q, -2 * alpha - 1) * x * x, q * q, None,
-                            trunc=trunc)
+    return _weights([to_mpf(x)], p, trunc)[0]
 
 
 def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
@@ -152,15 +162,13 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
 @lru_cache(maxsize=8)
 def _weight_vector(p: QParams, lat: LatticeSpec, prec: int):
     """Cached per-point measure factors q^k * w_alpha(x) |x|^(2a+1) for
-    x = ±q^k over the lattice.  Keyed on the working precision so escalated
-    contexts do not reuse low-precision values."""
+    x = ±q^k over the lattice, all weights from one `_weights` call.  Keyed
+    on the working precision so escalated contexts do not reuse
+    low-precision values."""
     q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    out = []
-    for k in range(lat.k_min, lat.k_max + 1):
-        xk = qpow(q, k)
-        w = orthogonality_weight(xk, p) * qpow(abs(xk), 2 * alpha + 1)
-        out.append((xk, qpow(q, k) * w))
-    return tuple(out)
+    xs = [qpow(q, k) for k in range(lat.k_min, lat.k_max + 1)]
+    return tuple((xk, xk * (w * qpow(abs(xk), 2 * alpha + 1)))
+                 for xk, w in zip(xs, _weights(xs, p)))
 
 
 def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],

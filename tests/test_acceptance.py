@@ -32,7 +32,7 @@ from qhermite.polyfam import (
     mu_hermite,
 )
 from qhermite.qcore import QParams
-from qhermite.quadrature import orthogonality_check
+from qhermite.quadrature import orthogonality_gram
 from qhermite.scalars import binom2, qpow
 
 TOL25 = mpf("1e-25")
@@ -149,14 +149,15 @@ def test_criterion_07_discrete_orthogonality():
     start = time.time()
     q = mpf("0.5")
     for alpha in (mpf(0), mpf("0.5")):
-        p = QParams(q, alpha)
-        for n in range(6):
-            for m in range(n + 1):
-                r = orthogonality_check(n, m, p)
-                if n == m:
-                    assert r.rel_residual < mpf("1e-10"), (n, r.rel_residual)
-                else:
-                    assert r.rel_residual < mpf("1e-12"), (n, m, r.rel_residual)
+        reports = orthogonality_gram(5, QParams(q, alpha))
+        assert [(r.params["n"], r.params["m"]) for r in reports] == \
+            [(n, m) for n in range(6) for m in range(n + 1)]
+        for r in reports:
+            n, m = r.params["n"], r.params["m"]
+            if n == m:
+                assert r.rel_residual < mpf("1e-10"), (n, r.rel_residual)
+            else:
+                assert r.rel_residual < mpf("1e-12"), (n, m, r.rel_residual)
     elapsed = time.time() - start
     assert elapsed < 120, "orthogonality sweep took %.1fs" % elapsed
     print("PASS criterion 07: discrete orthogonality q = 0.5, "

@@ -151,6 +151,15 @@ def test_orthogonality_single_pair(capsys):
     assert "passed=true" in out
 
 
+@pytest.mark.parametrize("pair", [(), ("--m", "0")])
+def test_orthogonality_negative_degree_exit_two(capsys, pair):
+    code, out, err = run(capsys, "--no-timestamp", "orthogonality", "--q",
+                         "0.5", "--alpha", "0", "--n", "-1", *pair)
+    assert code == 2
+    assert out == ""
+    assert "must be >= 0" in err
+
+
 def test_main_restores_caller_precision(capsys):
     mp.dps = 23
     code, out, _ = run(capsys, "--no-timestamp", "--precision", "60", "eval",

@@ -10,6 +10,8 @@ from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
 from qhermite.qcore import (
     QParams,
     Truncation,
+    _infinite_products,
+    default_truncation,
     gen_q_factorial,
     gen_q_shifted_factorial,
     hahn_add_power,
@@ -21,6 +23,7 @@ from qhermite.qcore import (
     q_number,
     q_pochhammer,
 )
+from qhermite.scalars import to_mpf
 
 qs = st.floats(min_value=0.05, max_value=0.95)
 alphas = st.floats(min_value=-0.9, max_value=3.0)
@@ -76,6 +79,67 @@ def test_pochhammer_max_terms_exhausted():
     with pytest.raises(ConvergenceError):
         q_pochhammer(mpf("0.9999"), mpf("0.999999"), None,
                      trunc=Truncation(max_terms=10))
+
+
+def reference_infinite_product(a, q, trunc=None):
+    """(a; q)_inf by the one-value mpf loop the shared kernel replaced."""
+    a, q = to_mpf(a), to_mpf(q)
+    tr = trunc or default_truncation()
+    tail = to_mpf(tr.tail_tol)
+    prod = mpf(1)
+    power = mpf(1)  # q^k
+    for _ in range(tr.max_terms):
+        factor = 1 - a * power
+        prod *= factor
+        power *= q
+        if abs(a) * power < tail:
+            return prod
+    raise ConvergenceError(
+        "(a;q)_inf did not meet tail_tol=%s within max_terms=%d (|a q^k|=%s)"
+        % (tail, tr.max_terms, abs(a) * power)
+    )
+
+
+def _wide(num, den):
+    """num/den - 1e-110 at 120 digits: more bits than 50 digits hold."""
+    with mp.workdps(120):
+        return mpf(num) / den - mpf(10) ** -110
+
+
+def test_infinite_products_bit_identical_to_one_value_loop():
+    q = mpf("0.25")  # (a; q^2) at q = 0.5, as on the orthogonality lattice
+    wide = _wide(1, 3)
+    assert wide.man.bit_length() > mp.prec
+    values = [mpf("0.3"), mpf("-0.7"), mpf(0),
+              -mpf(2) ** 800,  # -q^(-2a-1) x^2 at k_min = -399, alpha = 0.5
+              wide, -wide, mpf(1) / 7]
+    got = _infinite_products(values, q)
+    want = [reference_infinite_product(a, q) for a in values]
+    assert [g._mpf_ for g in got] == [w._mpf_ for w in want]
+    assert [q_pochhammer(a, q, None)._mpf_ for a in values] == \
+        [w._mpf_ for w in want]
+    # one factor only: it rounds a*1 to the working precision first
+    tiny = mpf(10) ** -60
+    assert _infinite_products([wide], tiny)[0]._mpf_ == (1 - +wide)._mpf_
+    assert _infinite_products([], q) == []
+
+
+@pytest.mark.parametrize("a", ["0.9999", _wide(72, 997)],
+                         ids=["0.9999", "wide"])
+def test_infinite_products_max_terms_message_unchanged(a):
+    # at a = 72/997 with more bits than 50 digits hold, abs(a) rounds a
+    # before the tail product, which shows in the last printed digit of
+    # |a q^k| (...981183, where |a q^k| rounded would print ...981184)
+    a = mpf(a) if isinstance(a, str) else a
+    q = mpf("0.999999")
+    trunc = Truncation(max_terms=10)
+    with pytest.raises(ConvergenceError) as want:
+        reference_infinite_product(a, q, trunc)
+    for call in (lambda: q_pochhammer(a, q, None, trunc=trunc),
+                 lambda: _infinite_products([mpf(0), a], q, trunc)):
+        with pytest.raises(ConvergenceError) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 @given(a=reals, q=qs, n=st.integers(min_value=0, max_value=12))

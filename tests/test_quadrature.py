@@ -15,6 +15,8 @@ from qhermite.quadrature import (
     orthogonality_rhs,
     orthogonality_weight,
 )
+from qhermite.scalars import qpow
+from test_qcore import reference_infinite_product
 
 
 def test_lattice_validation():
@@ -69,6 +71,51 @@ def test_weight_is_even_and_decaying():
     w1 = orthogonality_weight(mpf("0.7"), p)
     assert orthogonality_weight(mpf("-0.7"), p) == w1
     assert orthogonality_weight(mpf("2.1"), p) < w1
+
+
+def _reference_weight_vector(p, lat):
+    """The lattice measure factors as built before the shared product
+    kernel: one one-value (-q^(-2a-1) x^2; q^2)_inf loop per point."""
+    q, alpha = p.q, p.alpha
+    out = []
+    for k in range(lat.k_min, lat.k_max + 1):
+        xk = qpow(q, k)
+        w = (1 / reference_infinite_product(-qpow(q, -2 * alpha - 1) * xk * xk,
+                                            q * q)
+             * qpow(abs(xk), 2 * alpha + 1))
+        out.append((xk, qpow(q, k) * w))
+    return out
+
+
+@pytest.mark.parametrize("q, alpha, dps", [("0.5", "0.5", 50),
+                                           ("0.22", "1.3", 50),
+                                           ("0.3", "-0.9", 80),
+                                           ("0.7", "2.5", 30)])
+def test_weight_vector_bit_identical_to_per_point_products(q, alpha, dps):
+    p = QParams(mpf(q), mpf(alpha))
+    with mp.workdps(dps):
+        lat = default_lattice(p.q)
+        got = quadrature._weight_vector(p, lat, mp.prec)
+        want = _reference_weight_vector(p, lat)
+    assert [(x._mpf_, w._mpf_) for x, w in got] == \
+        [(x._mpf_, w._mpf_) for x, w in want]
+
+
+@pytest.mark.parametrize("q, alpha, dps", [("0.5", "0.5", 50),
+                                           ("0.3", "-0.9", 80)])
+def test_weight_vector_matches_mpmath_qp(q, alpha, dps):
+    # differential oracle: mpmath's own (a; q^2)_inf at sampled lattice
+    # points, the far end k_min (largest |a|) included
+    p = QParams(mpf(q), mpf(alpha))
+    with mp.workdps(dps):
+        lat = default_lattice(p.q)
+        weights = quadrature._weight_vector(p, lat, mp.prec)
+        for k in (lat.k_min, lat.k_min + 1, lat.k_min // 2, -1, 0, 1,
+                  lat.k_max // 2, lat.k_max):
+            xk, wk = weights[k - lat.k_min]
+            a = -qpow(p.q, -2 * p.alpha - 1) * xk * xk
+            want = xk * qpow(abs(xk), 2 * p.alpha + 1) / mp.qp(a, p.q ** 2)
+            assert abs(wk - want) <= mpf(10) ** (10 - dps) * abs(want), k
 
 
 def test_rhs_two_path():
