@@ -22,15 +22,10 @@ from .qcore import (
     QParams,
     Truncation,
     default_truncation,
-    gen_q_factorial,
     gen_q_shifted_factorial,
     hahn_add_power,
-    hahn_sub_power,
-    mixed_sub_power,
     parity_indicator,
     q_binomial,
-    q_factorial,
-    q_number,
     q_pochhammer,
 )
 from .qseries import (
@@ -52,7 +47,6 @@ from .polyfam import (
     discrete_q_hermite2,
     eval_poly,
     gdqh2,
-    gdqh2_recurrence,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,
     gdqh2_recurrence_values,
@@ -83,7 +77,6 @@ from .identities import (
 from .quadrature import (
     LatticeSpec,
     default_lattice,
-    jackson_bilateral,
     orthogonality_check,
     orthogonality_gram,
     orthogonality_rhs,

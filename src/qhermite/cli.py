@@ -59,16 +59,6 @@ _FAMILY_ALIASES = {
 }
 
 
-_DEFAULT_REP = {
-    "gdqh2": "definition_sum",
-    "discrete_q_hermite2": "definition_sum",
-    "q_laguerre": "phi11",
-    "stieltjes_wigert": "phi11",
-    "mu_hermite": "phi11",
-    "rosenblum_hermite": "closed_sum",
-}
-
-
 @dataclass
 class RunConfig:
     precision_digits: int = 50
@@ -185,7 +175,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         rep=args.rep or "",
     )
     value = eval_poly(pe)
-    rep = pe.rep or _DEFAULT_REP.get(family, "series")
     row = {
         "family": args.family,
         "n": str(args.n),
@@ -194,7 +183,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
         "x": fmt_scalar(mpf(args.x), cfg.precision_digits),
         "y": fmt_scalar(mpf(args.y), cfg.precision_digits),
         "value": fmt_scalar(value, cfg.precision_digits),
-        "representation": rep,
+        "representation": pe.representation,
     }
     _emit_rows([row], cfg, sys.stdout)
     return 0
@@ -203,7 +192,6 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_table(args, cfg: RunConfig) -> int:
     family = _FAMILY_ALIASES[args.family]
     params = _params_from(args)
-    rep = args.rep or _DEFAULT_REP.get(family, "series")
     rows = []
     for n in range(args.n_max + 1):
         for xs in args.x:
@@ -214,7 +202,7 @@ def cmd_table(args, cfg: RunConfig) -> int:
                 "n": str(n),
                 "x": fmt_scalar(mpf(xs), cfg.precision_digits),
                 "value": fmt_scalar(eval_poly(pe), cfg.precision_digits),
-                "representation": rep,
+                "representation": pe.representation,
             })
     _emit_rows(rows, cfg, sys.stdout)
     return 0
@@ -253,6 +241,8 @@ def _finish_reports(reports, cfg: RunConfig) -> int:
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
+    if args.n_max is not None and args.n_max < 0:
+        raise DomainError("n_max must be >= 0: got %d" % args.n_max)
     grid = IdentityGrid(
         q_values=tuple(args.q) if args.q else DEFAULT_GRID.q_values,
         alpha_values=tuple(args.alpha) if args.alpha else DEFAULT_GRID.alpha_values,
@@ -270,6 +260,11 @@ def cmd_check(args, cfg: RunConfig) -> int:
     tol = mpf(cfg.rel_tol) if cfg.rel_tol is not None else None
     reports = run_identity_suite(grid, tol=tol, trunc=_truncation(cfg),
                                  identity_id=args.identity)
+    if not reports:
+        raise DomainError(
+            "check %s ran no check on this grid: the Bessel forms need x*t > 0 "
+            "and representation_laguerre needs y >= 0 at some grid point"
+            % args.identity)
     return _finish_reports(reports, cfg)
 
 

@@ -39,7 +39,7 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import binom2, qpow, to_mpf, unify
+from .scalars import qpow, to_mpf, unify
 
 __all__ = [
     "IdentityReport",

@@ -39,7 +39,7 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import Numeric, binom2, is_exact, qpow, to_mpf, unify
+from .scalars import Numeric, is_exact, qpow, to_mpf, unify
 
 __all__ = [
     "q_laguerre",
@@ -47,7 +47,6 @@ __all__ = [
     "gdqh2",
     "RecurrenceState",
     "gdqh2_recurrence_step",
-    "gdqh2_recurrence",
     "gdqh2_recurrence_values",
     "gdqh2_recurrence_ladder",
     "discrete_q_hermite2",
@@ -228,11 +227,6 @@ def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> Recu
     return RecurrenceState(n + 1, nxt / lead, state.current)
 
 
-def gdqh2_recurrence(n: int, x, y, params: QParams):
-    """Evaluate degree n via the recurrence (seeded at h_0 = 1)."""
-    return gdqh2_recurrence_ladder(n, x, y, params)[-1]
-
-
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
     """h_0, h_1, ... at one point, one recurrence step per value pulled.
 
@@ -308,13 +302,14 @@ def rosenblum_hermite(n: int, mu, x):
     return 2 * front * x * _laguerre_classical(m, mu + mpf(0.5), x * x)
 
 
-_FAMILIES = {
-    "gdqh2",
-    "discrete_q_hermite2",
-    "q_laguerre",
-    "stieltjes_wigert",
-    "mu_hermite",
-    "rosenblum_hermite",
+# family -> the representations it evaluates with, the default first
+_REPRESENTATIONS = {
+    "gdqh2": ("definition_sum", "phi_form", "laguerre_form"),
+    "discrete_q_hermite2": ("definition_sum",),
+    "q_laguerre": ("phi11", "phi21"),
+    "stieltjes_wigert": ("phi11",),
+    "mu_hermite": ("phi11",),
+    "rosenblum_hermite": ("closed_sum",),
 }
 
 
@@ -331,25 +326,35 @@ class PolyEval:
     rep: str = ""
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in _REPRESENTATIONS:
             raise DomainError(
                 "unknown family %r (expected one of %s)"
-                % (self.family, ", ".join(sorted(_FAMILIES)))
+                % (self.family, ", ".join(sorted(_REPRESENTATIONS)))
+            )
+        reps = _REPRESENTATIONS[self.family]
+        if self.rep and self.rep not in reps:
+            raise DomainError(
+                "%s evaluates with %s: got rep %r"
+                % (self.family, " or ".join(reps), self.rep)
             )
         if self.degree < 0:
             raise DomainError("degree must be >= 0: got %d" % self.degree)
+
+    @property
+    def representation(self) -> str:
+        """The representation evaluated with: rep, or the family's default."""
+        return self.rep or _REPRESENTATIONS[self.family][0]
 
 
 def eval_poly(pe: PolyEval):
     """Dispatch a PolyEval to the corresponding family function."""
     if pe.family == "gdqh2":
-        rep = pe.rep or "definition_sum"
-        return gdqh2(pe.degree, pe.point, pe.y, pe.params, rep=rep)
+        return gdqh2(pe.degree, pe.point, pe.y, pe.params, rep=pe.representation)
     if pe.family == "discrete_q_hermite2":
         return discrete_q_hermite2(pe.degree, pe.point, pe.params.q)
     if pe.family == "q_laguerre":
-        rep = pe.rep or "phi11"
-        return q_laguerre(pe.degree, pe.params.alpha, pe.point, pe.params.q, rep=rep)
+        return q_laguerre(pe.degree, pe.params.alpha, pe.point, pe.params.q,
+                          rep=pe.representation)
     if pe.family == "stieltjes_wigert":
         return stieltjes_wigert(pe.degree, pe.point, pe.params.q)
     if pe.family == "mu_hermite":

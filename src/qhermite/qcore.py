@@ -1,9 +1,9 @@
 """Core q-calculus building blocks.
 
-q-shifted factorials (finite and infinite), q-numbers and q-factorials, the
-parity-indexed generalized q-shifted factorial, Hahn's q-addition powers and
-the mixed (q, q^2) subtraction powers.  Everything downstream (series,
-polynomial families, identity checks) is assembled from these.
+q-shifted factorials (finite and infinite), the parity-indexed generalized
+q-shifted factorial, Gaussian binomials and Hahn's q-addition powers.
+Everything downstream (series, polynomial families, identity checks) is
+assembled from these.
 
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
@@ -11,9 +11,7 @@ empty product is 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -35,15 +33,10 @@ __all__ = [
     "Truncation",
     "default_truncation",
     "q_pochhammer",
-    "q_number",
-    "q_factorial",
     "parity_indicator",
     "gen_q_shifted_factorial",
-    "gen_q_factorial",
     "q_binomial",
     "hahn_add_power",
-    "hahn_sub_power",
-    "mixed_sub_power",
 ]
 
 
@@ -106,18 +99,6 @@ def default_truncation() -> Truncation:
     return Truncation()
 
 
-def _is_infinite_n(n) -> bool:
-    if n is None:
-        return True
-    if isinstance(n, str):
-        return n in ("inf", "infinity")
-    if isinstance(n, mpf):
-        return not mp.isfinite(n)
-    if isinstance(n, float):
-        return math.isinf(n)
-    return False
-
-
 def _infinite_products(values, q, trunc: Optional[Truncation] = None) -> list:
     """(a; q)_infinity for each a in values, in order.
 
@@ -162,8 +143,8 @@ def _infinite_products(values, q, trunc: Optional[Truncation] = None) -> list:
 def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
     """q-shifted factorial (a; q)_n.
 
-    (a;q)_0 = 1, (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), and n=None (or inf)
-    gives (a;q)_infinity, truncated once the next factor differs from 1 by
+    (a;q)_0 = 1, (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), and n=None gives
+    (a;q)_infinity, truncated once the next factor differs from 1 by
     less than trunc.tail_tol.  `a` may be a tuple, meaning the product of the
     individual shifted factorials (a1, ..., am; q)_n.
     """
@@ -174,7 +155,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
             out = term if out is None else out * term
         return out if out is not None else 1
 
-    if _is_infinite_n(n):
+    if n is None:
         _check_q(q)
         if is_exact(a) and is_exact(q):
             raise ExactBackendError(
@@ -183,7 +164,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
         return _infinite_products([a], q, trunc)[0]
 
     if not isinstance(n, int):
-        raise DomainError("n must be a nonnegative integer or infinite: got %r" % (n,))
+        raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
     a, q = unify(a, q)
@@ -193,34 +174,6 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
         prod *= 1 - a * power
         power *= q
     return prod
-
-
-def q_number(n: int, q):
-    """[n]_q = (1 - q^n) / (1 - q)."""
-    _check_q(q)
-    (q,) = unify(q)
-    return (1 - qpow(q, n)) / (1 - q)
-
-
-def _q_factorial_prefix(n: int, q) -> list:
-    """[[0]_q!, [1]_q!, ..., [n]_q!] as one running product."""
-    (q,) = unify(q)
-    out = q - q + 1
-    power = out  # q^k
-    table = [out]
-    for _ in range(1, n + 1):
-        power *= q
-        out *= (1 - power) / (1 - q)
-        table.append(out)
-    return table
-
-
-def q_factorial(n: int, q):
-    """[n]_q! = prod_{k=1}^{n} [k]_q, with [0]_q! = 1."""
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
-    _check_q(q)
-    return _q_factorial_prefix(n, q)[-1]
 
 
 def parity_indicator(n: int) -> int:
@@ -269,17 +222,6 @@ def gen_q_shifted_factorial(n: int, params: QParams, method: str = "recursion"):
     raise DomainError("method must be 'recursion' or 'closed_form': got %r" % method)
 
 
-def gen_q_factorial(n: int, params: QParams):
-    """Generalized q-factorial [n]_{q,alpha}!.
-
-    [m+1]_{q,alpha}! = [m+1+theta_m*(2*alpha+1)]_q * [m]_{q,alpha}!, so it
-    equals (q;q)_{n,alpha} / (1-q)^n.  At alpha = -1/2 this is the plain
-    [n]_q! = (1-q)^(-n) (q;q)_n (note the negative exponent: the recursion
-    pins it).
-    """
-    return gen_q_shifted_factorial(n, params) / (1 - params.q) ** n
-
-
 def q_binomial(n: int, k: int, q):
     """Gaussian binomial [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
     if not 0 <= k <= n:
@@ -324,36 +266,3 @@ def hahn_add_power(x, y, q, n: int, form: str = "product"):
             total.add(term)
         return total.total
     raise DomainError("form must be 'product' or 'sum': got %r" % form)
-
-
-def hahn_sub_power(x, y, q, n: int, form: str = "product"):
-    """Hahn q-subtraction power (x (-)_q y)^n = (x (+)_q (-y))^n."""
-    x, y, q = unify(x, y, q)
-    return hahn_add_power(x, -y, q, n, form=form)
-
-
-def mixed_sub_power(a, b, q, n: int):
-    """Mixed two-base subtraction power (a (-)_{q,q^2} b)^n.
-
-    n!_q * sum_{k=0}^{n} (-1)^k q^(k(k-1)) a^(n-k) b^k / ((n-k)!_q  k!_{q^2}),
-    with the n = 0 power defined as 1.  Reduces to (a - b) at n = 1 and to
-    a^n at b = 0.
-    """
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
-    _check_q(q)
-    a, b, q = unify(a, b, q)
-    q2 = q * q
-    fact_q = _q_factorial_prefix(n, q)
-    fact_q2 = _q_factorial_prefix(n, q2)
-    total = CompensatedSum(q - q)
-    for k in range(n + 1):
-        term = (
-            (-1) ** k
-            * qpow(q, k * (k - 1))
-            * qpow(a, n - k)
-            * qpow(b, k)
-            / (fact_q[n - k] * fact_q2[k])
-        )
-        total.add(term)
-    return fact_q[n] * total.total

@@ -17,8 +17,7 @@ q-cosine / q-sine pair.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -33,14 +32,12 @@ from .qcore import (
     QParams,
     Truncation,
     default_truncation,
-    gen_q_shifted_factorial,
     parity_indicator,
     q_pochhammer,
 )
 from .scalars import (
     CompensatedSum,
     Numeric,
-    binom2,
     is_exact,
     qpow,
     to_mpf,

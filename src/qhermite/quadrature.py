@@ -1,6 +1,6 @@
-"""Bilateral Jackson q-integration on the lattice {±q^k} and numerical
-verification of the orthogonality relation for the one-variable family
-h_n(x; q) = gdqh2(n, x, 1).
+"""Numerical verification of the orthogonality relation for the one-variable
+family h_n(x; q) = gdqh2(n, x, 1), by a bilateral Jackson q-sum over the
+lattice {±q^k} checked against the closed-form constants.
 
 The measure assigns weight (1-q) q^k to the pair of points ±q^k.  Large |x|
 (k very negative) is tamed by the super-geometrically decaying weight
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from mpmath import mp, mpf
 
@@ -36,7 +36,6 @@ from .scalars import CompensatedSum, qpow, to_mpf
 __all__ = [
     "LatticeSpec",
     "default_lattice",
-    "jackson_bilateral",
     "orthogonality_weight",
     "orthogonality_rhs",
     "orthogonality_check",
@@ -67,65 +66,6 @@ def default_lattice(q) -> LatticeSpec:
     q = to_mpf(q)
     bound = min(int(mp.ceil(120 / abs(mp.log10(q)))), 4000)
     return LatticeSpec(q, -bound, bound)
-
-
-class _LatticeSum:
-    """(1-q) * compensated sum of one integrand over the lattice, with the
-    magnitudes of its first, last and largest terms.  The first non-finite
-    term stops the sum; `value` then raises EvaluationError naming its x."""
-
-    __slots__ = ("acc", "first", "last", "largest", "bad_x")
-
-    def __init__(self):
-        self.acc = CompensatedSum()
-        self.first = None
-        self.last = self.largest = mpf(0)
-        self.bad_x = None
-
-    def add(self, x, term):
-        if self.bad_x is not None:
-            return
-        if not mp.isfinite(term):
-            self.bad_x = x
-            return
-        self.last = abs(term)
-        if self.first is None:
-            self.first = self.last
-        if self.last > self.largest:
-            self.largest = self.last
-        self.acc.add(term)
-
-    def value(self, q):
-        if self.bad_x is not None:
-            raise EvaluationError(
-                "integrand non-finite at lattice point x = %s"
-                % mp.nstr(self.bad_x, 8))
-        return (1 - q) * self.acc.total
-
-
-def jackson_bilateral(f: Callable, lat: LatticeSpec,
-                      full_output: bool = False):
-    """(1-q) sum_{k=k_min..k_max} q^k [f(q^k) + f(-q^k)].
-
-    With full_output=True returns (value, diagnostics) where diagnostics
-    holds the end-term magnitudes at both lattice ends and the largest term.
-    """
-    q = to_mpf(lat.q)
-    total = _LatticeSum()
-    for k in range(lat.k_min, lat.k_max + 1):
-        xk = qpow(q, k)
-        total.add(xk, xk * (to_mpf(f(xk)) + to_mpf(f(-xk))))
-        if total.bad_x is not None:
-            break
-    value = total.value(q)
-    if not full_output:
-        return value
-    diag = {
-        "term_at_k_min": total.first,
-        "term_at_k_max": total.last,
-        "max_term": total.largest,
-    }
-    return value, diag
 
 
 def _weights(xs, p: QParams, trunc: Optional[Truncation] = None) -> list:
@@ -189,21 +129,42 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
         lat = lat or default_lattice(q)
         weights = _weight_vector(p, lat, mp.prec)
         top = max(max(pair) for pair in pairs)
-        sums = [_LatticeSum() for _ in pairs]
+        # per pair: the sum, the magnitudes of its first, last and largest
+        # terms, and the first x whose term is non-finite (which stops it)
+        sums = [CompensatedSum() for _ in pairs]
+        first = [None] * len(pairs)
+        last = [mpf(0)] * len(pairs)
+        largest = [mpf(0)] * len(pairs)
+        bad_x = [None] * len(pairs)
         for xk, wk in weights:
             # h_k(-x) = (-1)^k h_k(x): the recurrence at -x flips the sign of
             # every odd degree exactly, so one ladder serves both points
             lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
             lad_n = [-h if k % 2 else h for k, h in enumerate(lad_p)]
-            for (n, m), total in zip(pairs, sums):
-                total.add(xk, wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m]))
+            for i, (n, m) in enumerate(pairs):
+                if bad_x[i] is not None:
+                    continue
+                term = wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
+                if not mp.isfinite(term):
+                    bad_x[i] = xk
+                    continue
+                last[i] = abs(term)
+                if first[i] is None:
+                    first[i] = last[i]
+                if last[i] > largest[i]:
+                    largest[i] = last[i]
+                sums[i].add(term)
 
         rhs_at = lru_cache(maxsize=None)(
             lambda k: orthogonality_rhs(k, p, trunc=trunc))
         reports = []
-        for (n, m), total in zip(pairs, sums):
-            lhs = total.value(q)
-            far_term, near_term, max_term = total.first, total.last, total.largest
+        for i, (n, m) in enumerate(pairs):
+            if bad_x[i] is not None:
+                raise EvaluationError(
+                    "integrand non-finite at lattice point x = %s"
+                    % mp.nstr(bad_x[i], 8))
+            lhs = (1 - q) * sums[i].total
+            far_term, near_term, max_term = first[i], last[i], largest[i]
             floor = trunc.tail_tol * max(mpf(1), max_term)
             if near_term > floor or far_term > floor:
                 end, where = ((near_term, "k_max %d" % lat.k_max)

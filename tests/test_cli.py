@@ -76,6 +76,39 @@ def test_table_discrete_family(capsys):
     assert out.splitlines()[0] == "n,x,value,representation"
 
 
+@pytest.mark.parametrize("argv, want", [
+    (("eval", "stieltjes-wigert", "--n", "3", "--x", "0.4", "--rep", "bogus"),
+     "stieltjes_wigert evaluates with phi11: got rep 'bogus'"),
+    (("table", "mu-hermite", "--n-max", "1", "--x", "0.4", "--rep", "phi21"),
+     "mu_hermite evaluates with phi11: got rep 'phi21'"),
+    (("eval", "discrete-qh2", "--n", "3", "--x", "0.4",
+      "--rep", "laguerre_form"),
+     "discrete_q_hermite2 evaluates with definition_sum: "
+     "got rep 'laguerre_form'"),
+])
+def test_rep_a_family_does_not_evaluate_with_exit_two(capsys, argv, want):
+    # the representation column must name the form that was used, so a form
+    # the family has not got is invalid input, not a mislabelled row
+    code, out, err = run(capsys, "--no-timestamp", *argv)
+    assert code == 2
+    assert out == ""
+    assert want in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("recurrence", "--n-max", "-1", "--q", "0.5", "--alpha", "0",
+      "--x", "1", "--y", "1"), "n_max must be >= 0: got -1"),
+    # x*t <= 0 at every cell: no Bessel form is defined on the grid
+    (("bessel_even", "--q", "0.5", "--alpha", "0", "--x", "-1", "--y", "1",
+      "--t", "0.2"), "check bessel_even ran no check on this grid"),
+])
+def test_check_that_runs_no_check_exit_two(capsys, argv, want):
+    code, out, err = run(capsys, "--no-timestamp", "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert want in err
+
+
 def test_check_small_grid_passes(capsys):
     code, out, _ = run(capsys, "--no-timestamp", "check", "recurrence",
                        "--q", "0.5", "--alpha", "0", "--n-max", "3",

@@ -27,6 +27,28 @@ CASES = {
                              "--q", "0.22", "--alpha", "1.3"),
     "check_even_gf.txt": ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
                           "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
+    # every family at its default representation
+    "eval_gdqh2.json": ("--format", "json", "eval", "gdqh2", "--n", "5",
+                        "--q", "0.4", "--alpha", "0.6", "--x", "-0.9",
+                        "--y", "0.6"),
+    "eval_discrete_qh2.txt": ("eval", "discrete-qh2", "--n", "4", "--q", "0.5",
+                              "--x", "0.7"),
+    "eval_qlaguerre.txt": ("eval", "qlaguerre", "--n", "3", "--q", "0.3",
+                           "--alpha", "1.2", "--x", "0.8"),
+    "eval_stieltjes_wigert.txt": ("eval", "stieltjes-wigert", "--n", "3",
+                                  "--q", "0.6", "--x", "0.4"),
+    "eval_mu_hermite.txt": ("eval", "mu-hermite", "--n", "5", "--q", "0.5",
+                            "--mu", "0.3", "--x", "0.7"),
+    "eval_rosenblum_hermite.csv": ("--format", "csv", "eval",
+                                   "rosenblum-hermite", "--n", "4",
+                                   "--mu", "0.5", "--x", "1.3"),
+    # the non-default representations of the two multi-form families
+    "table_gdqh2_phi_form.txt": ("table", "gdqh2", "--rep", "phi_form",
+                                 "--n-max", "4", "--q", "0.4", "--alpha", "0.6",
+                                 "--x", "-0.9", "0.5", "--y", "0.6"),
+    "table_qlaguerre_phi21.csv": ("--format", "csv", "table", "qlaguerre",
+                                  "--rep", "phi21", "--n-max", "3", "--q", "0.3",
+                                  "--alpha", "1.2", "--x", "0.8", "-1.5"),
 }
 
 

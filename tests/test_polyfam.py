@@ -12,7 +12,6 @@ from qhermite.polyfam import (
     discrete_q_hermite2,
     eval_poly,
     gdqh2,
-    gdqh2_recurrence,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,
     gdqh2_recurrence_values,
@@ -100,7 +99,7 @@ def test_gdqh2_reps_agree_exactly_on_rationals():
         for n in range(7):
             a = gdqh2(n, F(3, 2), F(2, 3), p)
             assert gdqh2(n, F(3, 2), F(2, 3), p, rep="phi_form") == a
-            assert gdqh2_recurrence(n, F(3, 2), F(2, 3), p) == a
+            assert gdqh2_recurrence_ladder(n, F(3, 2), F(2, 3), p)[-1] == a
             assert isinstance(a, F)
             if alpha.denominator == 1:
                 assert gdqh2(n, F(3, 2), F(2, 3), p, rep="laguerre_form") == a
@@ -126,7 +125,7 @@ def test_gdqh2_reps_agree_float(q, alpha, x, y, n):
     scale = max(1, abs(a))
     assert abs(gdqh2(n, x, y, p, rep="phi_form") - a) <= mpf("1e-30") * scale
     assert abs(gdqh2(n, x, y, p, rep="laguerre_form") - a) <= mpf("1e-30") * scale
-    assert abs(gdqh2_recurrence(n, x, y, p) - a) <= mpf("1e-30") * scale
+    assert abs(gdqh2_recurrence_ladder(n, x, y, p)[-1] - a) <= mpf("1e-30") * scale
 
 
 def test_gdqh2_rep_edge_routing():

@@ -12,15 +12,10 @@ from qhermite.qcore import (
     Truncation,
     _infinite_products,
     default_truncation,
-    gen_q_factorial,
     gen_q_shifted_factorial,
     hahn_add_power,
-    hahn_sub_power,
-    mixed_sub_power,
     parity_indicator,
     q_binomial,
-    q_factorial,
-    q_number,
     q_pochhammer,
 )
 from qhermite.scalars import to_mpf
@@ -151,14 +146,6 @@ def test_pochhammer_recursion_property(a, q, n):
     assert abs(lhs - rhs) <= mpf("1e-40") * max(1, abs(lhs))
 
 
-def test_q_number_and_factorial():
-    assert q_number(3, F(1, 2)) == F(7, 4)
-    assert q_factorial(3, F(1, 2)) == F(21, 8)
-    assert q_factorial(0, F(1, 2)) == 1
-    # [n]_q -> n as q -> 1
-    assert abs(q_number(5, mpf(1) - mpf("1e-12")) - 5) < mpf("1e-10")
-
-
 def test_parity_indicator():
     assert [parity_indicator(n) for n in range(6)] == [1, 0, 1, 0, 1, 0]
 
@@ -183,21 +170,6 @@ def test_gen_q_shifted_factorial_collapses_at_minus_half():
     p = QParams(F(2, 5), F(-1, 2))
     for n in range(9):
         assert gen_q_shifted_factorial(n, p) == q_pochhammer(F(2, 5), F(2, 5), n)
-
-
-def test_gen_q_factorial_normalization():
-    # [n]_{q,a}! = (q;q)_{n,a} / (1-q)^n -- the recursion pins the sign of
-    # the exponent; the (1-q)^{+n} variant is wrong for every n >= 1
-    q = F(1, 2)
-    p = QParams(q, F(-1, 2))
-    for n in range(1, 8):
-        good = q_pochhammer(q, q, n) / (1 - q) ** n
-        bad = q_pochhammer(q, q, n) * (1 - q) ** n
-        assert gen_q_factorial(n, p) == good
-        assert gen_q_factorial(n, p) != bad
-    # and at alpha = -1/2 it is the plain q-factorial
-    for n in range(8):
-        assert gen_q_factorial(n, p) == q_factorial(n, q)
 
 
 def test_q_binomial_frozen():
@@ -228,24 +200,6 @@ def test_hahn_product_vs_sum(x, y, q, n):
     assert abs(a - b) <= mpf("1e-40") * max(1, abs(a))
 
 
-def test_hahn_sub_is_add_with_negated_y():
-    q = mpf("0.3")
-    a = hahn_sub_power(mpf("1.2"), mpf("0.7"), q, 4)
-    b = hahn_add_power(mpf("1.2"), mpf("-0.7"), q, 4)
-    assert a == b
-
-
-def test_mixed_sub_power_low_degrees():
-    q = F(1, 2)
-    assert mixed_sub_power(F(5, 4), F(1, 3), q, 0) == 1
-    assert mixed_sub_power(F(5, 4), F(1, 3), q, 1) == F(5, 4) - F(1, 3)
-    # b = 0 leaves the plain power
-    for n in range(5):
-        assert mixed_sub_power(F(5, 4), F(0), q, n) == F(5, 4) ** n
-
-
 def test_negative_n_rejected():
     with pytest.raises(DomainError):
         q_pochhammer(mpf(1), mpf("0.5"), -1)
-    with pytest.raises(DomainError):
-        q_factorial(-2, mpf("0.5"))

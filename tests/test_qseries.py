@@ -11,7 +11,6 @@ from qhermite.qcore import (
     QParams,
     Truncation,
     hahn_add_power,
-    mixed_sub_power,
     q_pochhammer,
 )
 from qhermite.qseries import (
@@ -135,27 +134,6 @@ def test_hahn_addition_theorem_for_exponentials():
         if n > 10 and abs(term) < mpf("1e-70"):
             break
     assert abs(lhs - total) < mpf("1e-45")
-
-
-def test_mixed_sub_factorization():
-    # e_q(x) E_{q^2}(-(1+q) y) = sum_n (x (-)_{q,q^2} y)^n / (q;q)_n.
-    # The (1+q) rescale of y is forced by the mixed-base factorial split;
-    # without it the two sides disagree in the second order already.
-    q = mpf("0.5")
-    x, y = mpf("0.4"), mpf("0.3")
-    lhs = euler_e(x, q) * euler_E((1 + q) * y, q * q)
-    lhs_wrong = euler_e(x, q) * euler_E(y, q * q)
-    total = mpf(0)
-    poch = mpf(1)
-    for n in range(0, 300):
-        if n > 0:
-            poch *= 1 - q ** n
-        term = mixed_sub_power(x, -y, q, n) / poch
-        total += term
-        if n > 10 and abs(term) < mpf("1e-70"):
-            break
-    assert abs(lhs - total) < mpf("1e-44")
-    assert abs(lhs_wrong - total) > mpf("1e-3")
 
 
 # --- q-Bessel and q-trig ---------------------------------------------------------

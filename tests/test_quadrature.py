@@ -9,7 +9,6 @@ from qhermite.qcore import QParams, gen_q_shifted_factorial, q_pochhammer
 from qhermite.quadrature import (
     LatticeSpec,
     default_lattice,
-    jackson_bilateral,
     orthogonality_check,
     orthogonality_gram,
     orthogonality_rhs,
@@ -34,36 +33,6 @@ def test_default_lattice_width():
     assert lat.k_max == 399 and lat.k_min == -399
     lat = default_lattice(mpf("1e-40"))
     assert lat.k_max == 3  # ceil(120/40)
-
-
-def test_jackson_odd_integrand_cancels_exactly():
-    lat = LatticeSpec(mpf("0.5"), -50, 50)
-    assert jackson_bilateral(lambda x: x ** 3, lat) == 0
-    assert jackson_bilateral(lambda x: mp.sin(x), lat) == 0
-
-
-def test_jackson_indicator_telescopes_to_two():
-    # sum over the lattice of the indicator of [-1,1] is the telescoping
-    # geometric identity: 2(1-q) * sum_{k>=0} q^k = 2
-    lat = LatticeSpec(mpf("0.5"), -200, 200)
-    val = jackson_bilateral(lambda x: mpf(1) if abs(x) <= 1 else mpf(0), lat)
-    assert abs(val - 2) < mpf("1e-50")
-
-
-def test_jackson_nonfinite_point_reported():
-    lat = LatticeSpec(mpf("0.5"), -5, 5)
-    with pytest.raises(EvaluationError, match="non-finite at lattice point"):
-        jackson_bilateral(lambda x: mp.inf if x == mpf("0.25") else mpf(1),
-                          lat)
-
-
-def test_jackson_full_output_diagnostics():
-    lat = LatticeSpec(mpf("0.5"), -30, 30)
-    val, diag = jackson_bilateral(lambda x: mp.exp(-x * x), lat,
-                                  full_output=True)
-    assert val > 0
-    assert diag["max_term"] >= diag["term_at_k_max"]
-    assert diag["term_at_k_min"] >= 0
 
 
 def test_weight_is_even_and_decaying():
