@@ -190,6 +190,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_table(args, cfg: RunConfig) -> int:
+    if args.n_max < 0:
+        raise DomainError("n_max must be >= 0: got %d" % args.n_max)
     family = _FAMILY_ALIASES[args.family]
     params = _params_from(args)
     rows = []

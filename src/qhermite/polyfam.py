@@ -111,24 +111,26 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
     return series / q_pochhammer(q, q, n)
 
 
-def _gdqh2_definition(n: int, x, y, params: QParams):
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
+def _gdqh2_terms(n: int, q, params: QParams) -> Iterator:
+    """(k, sign, den) for k = 0..n//2, where the definition sum's k-th term
+    is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1)) and
+    den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
     q2 = q * q
     # (q;q)_{m,alpha} for m = 0..n, and (q^2;q^2)_k as a running product
     gen_fact = _gen_q_shifted_prefix(n, params)
-    total = q - q
     poch_q2 = q - q + 1
     for k in range(n // 2 + 1):
         if k > 0:
             poch_q2 *= 1 - qpow(q2, k)
-        term = (
-            (-1) ** k
-            * qpow(q, -2 * n * k + k * (2 * k + 1))
-            * qpow(x, n - 2 * k)
-            * qpow(y, k)
-            / (gen_fact[n - 2 * k] * poch_q2)
-        )
-        total = total + term
+        yield (k, (-1) ** k * qpow(q, -2 * n * k + k * (2 * k + 1)),
+               gen_fact[n - 2 * k] * poch_q2)
+
+
+def _gdqh2_definition(n: int, x, y, params: QParams):
+    x, y, q, alpha = unify(x, y, params.q, params.alpha)
+    total = q - q
+    for k, sign, den in _gdqh2_terms(n, q, params):
+        total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
     return q_pochhammer(q, q, n) * total
 
 

@@ -2,34 +2,51 @@
 family h_n(x; q) = gdqh2(n, x, 1), by a bilateral Jackson q-sum over the
 lattice {±q^k} checked against the closed-form constants.
 
-The measure assigns weight (1-q) q^k to the pair of points ±q^k.  Large |x|
-(k very negative) is tamed by the super-geometrically decaying weight
-function; the k -> +inf end (points crowding 0) is controlled by the q^k
-factor itself, so a lattice reaching q^k ~ 1e-120 is converged far below
-any tolerance used here.
+The pair of points ±q^k carries the measure (1-q) q^k |x|^(2a+1) w_a(x),
+with w_a(x) = 1/(-c x^2; q^2)_inf and c = q^(-2a-1).  So the pair (n, m)
+adds m_k E(q^k) at k, where m_k = q^(k(2a+2)) w_a(q^k) and
+E(x) = h_n h_m(x) + h_n h_m(-x).
 
-`orthogonality_gram` checks every pair m <= n <= n_max in one sweep of the
-lattice: one recurrence ladder per point x feeds all the pairs, its values
-at -x being the same ladder with the odd degrees negated, and the
-closed-form constant is computed once per degree.  The weights
-1/(-q^(-2a-1) x^2; q^2)_inf of all lattice points come from one
-`qcore._infinite_products` call, which shares one table of the powers q^(2j)
-among them and gives each product bit for bit as the one-value loop does.
-`orthogonality_check` is the one-pair case of the same sweep.
+The sweep walks out from k = 0.  One infinite product gives w_a(1); every
+other weight follows from the running ratio
+(-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf, one
+multiplication per point.  One recurrence ladder per point x feeds all the
+pairs, its values at -x being the same ladder with the odd degrees negated,
+and the closed-form constant is computed once per degree.
+
+- k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
+  is the sum of the absolute coefficients of h_n.  The envelope
+  m_k x_k^(2N) of the degrees up to N then falls by the ratio
+  rho = q^(-(2a+2+2N)) / (1 + c q^(2k-2)) from k to k-1, and rho shrinks as
+  k falls.  The walk stops at the first k where every pair's term is below
+  tail_tol times its largest and, with rho < 1, the bound
+  2 S_n S_m m_k x_k^(2N) rho / (1 - rho) on the rest is too.
+- k -> +inf (points crowding 0): the terms decay only like q^(k(2a+2)),
+  slowly as a -> -1.  The walk stops before the first k > 0 with
+  c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2) and adds the rest in
+  closed form (`_small_x_tail`): the q-binomial theorem gives
+  w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial.
+
+An explicit `LatticeSpec` runs the same walk over its fixed range, with no
+adaptive stop and no closed-form tail; its end terms are checked against
+tail_tol afterwards.  The walk's stop rule, the weight product and the
+closed-form constants all use one truncation: the caller's, or the default
+at the sweep's working precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
-from .polyfam import gdqh2_recurrence_ladder
-from .qcore import (QParams, Truncation, _infinite_products, default_truncation,
+from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
+from .qcore import (QParams, Truncation, default_truncation,
                     gen_q_shifted_factorial, q_pochhammer)
 from .scalars import CompensatedSum, qpow, to_mpf
 
@@ -62,23 +79,18 @@ class LatticeSpec:
 
 
 def default_lattice(q) -> LatticeSpec:
-    """Symmetric lattice reaching q^k ~ 1e-120 on the small-x end."""
+    """Symmetric lattice reaching q^k ~ 1e-120 on the small-x end: the end
+    the CLI fills in when only one of --k-min/--k-max is given."""
     q = to_mpf(q)
     bound = min(int(mp.ceil(120 / abs(mp.log10(q)))), 4000)
     return LatticeSpec(q, -bound, bound)
 
 
-def _weights(xs, p: QParams, trunc: Optional[Truncation] = None) -> list:
-    """w_alpha(x) for each x in xs, in order, from one shared product loop."""
-    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    scale = -qpow(q, -2 * alpha - 1)
-    return [1 / prod for prod in
-            _infinite_products([scale * x * x for x in xs], q * q, trunc)]
-
-
 def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
     """w_alpha(x) = 1 / (-q^(-2 alpha - 1) x^2; q^2)_inf."""
-    return _weights([to_mpf(x)], p, trunc)[0]
+    q, alpha, x = to_mpf(p.q), to_mpf(p.alpha), to_mpf(x)
+    return 1 / q_pochhammer(-qpow(q, -2 * alpha - 1) * x * x, q * q, None,
+                            trunc=trunc)
 
 
 def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
@@ -99,82 +111,183 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
             * pn * pn / gen_q_shifted_factorial(n, p))
 
 
-@lru_cache(maxsize=8)
-def _weight_vector(p: QParams, lat: LatticeSpec, prec: int):
-    """Cached per-point measure factors q^k * w_alpha(x) |x|^(2a+1) for
-    x = ±q^k over the lattice, all weights from one `_weights` call.  Keyed
-    on the working precision so escalated contexts do not reuse
-    low-precision values."""
+def _coefficients(n: int, p: QParams) -> list:
+    """[A_0, ..., A_{n//2}] with h_n(x) = sum_k A_k x^(n-2k), from the
+    definition sum's terms at y = 1."""
+    q = to_mpf(p.q)
+    front = q_pochhammer(q, q, n)
+    return [front * sign / den for _, sign, den in _gdqh2_terms(n, q, p)]
+
+
+def _small_x_tail(even: list, k: int, p: QParams, floor, max_terms: int):
+    """sum_{j >= k} q^(j(2a+2)) E(q^j) / (-c q^(2j); q^2)_inf in closed form,
+    for E(x) = sum_l even[l] x^(2l) and c = q^(-2a-1), with c q^(2k) < 1 - q^2.
+
+    Summing the q-binomial series of the weight over j gives
+    sum_i b_i q^(k s_i) / (1 - q^(s_i)), with s_i = 2a+2+2i and
+    b_i = sum_{j+l=i} (-c)^j even[l] / (q^2;q^2)_j.  Past the last l the
+    j-series falls by r = c q^(2k) / (1-q^2) per term at most, and
+    1/(1 - q^(s_i)) falls with i, so the rest after term i is at most
+    r/(1-r) times its envelope: the sum stops once that is below floor.
+    """
     q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    xs = [qpow(q, k) for k in range(lat.k_min, lat.k_max + 1)]
-    return tuple((xk, xk * (w * qpow(abs(xk), 2 * alpha + 1)))
-                 for xk, w in zip(xs, _weights(xs, p)))
+    u = qpow(q, 2 * k)  # x_k^2
+    z = qpow(q, -2 * alpha - 1) * u
+    r = z / (1 - q * q)
+    lead = qpow(q, 2 * alpha + 2)
+    start = qpow(lead, k)  # q^(k(2a+2))
+    even = [e * qpow(u, l) for l, e in enumerate(even)]
+    d = []  # (-z)^j / (q^2;q^2)_j
+    total = mpf(0)
+    for i in range(max_terms):
+        d.append(d[-1] * -z / (1 - qpow(q, 2 * i)) if d else mpf(1))
+        span = range(max(0, i - len(even) + 1), i + 1)
+        front = start / (1 - lead * qpow(q, 2 * i))
+        total += front * mp.fsum(even[i - j] * d[j] for j in span)
+        if (i + 1 >= len(even) and front * r / (1 - r)
+                * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
+            return total
+    raise ConvergenceError(
+        "closed-form lattice tail from k = %d did not meet %s within "
+        "max_terms=%d" % (k, mp.nstr(floor, 4), max_terms))
+
+
+def _walk(p: QParams, w_one, step: int) -> Iterator:
+    """(k, x_k, m_k) for k = 0, step, 2 step, ...: the lattice point
+    x_k = q^k and its measure factor m_k = q^(k(2a+2)) w_a(x_k), each from
+    the last by the running ratio w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
+    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    c = qpow(q, -2 * alpha - 1)
+    lead = qpow(q, 2 * alpha + 2)
+    k, xk, mk = 0, mpf(1), w_one
+    while True:
+        yield k, xk, mk
+        x_next = qpow(q, k + step)
+        if step > 0:
+            mk = mk * lead * (1 + c * xk * xk)
+        else:
+            mk = mk / (lead * (1 + c * x_next * x_next))
+        k, xk = k + step, x_next
 
 
 def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
                          tol, trunc: Optional[Truncation]) -> list:
-    """Reports for the (n, m) pairs, in order, from one lattice sweep.
+    """Reports for the (n, m) pairs, in order, from one lattice walk.
 
-    Each pair keeps its own compensated sum, fed in lattice order, so its
-    report is the one a sweep for that pair alone gives.  After the sweep the
-    pairs are finished in order, and the first one whose sum hit a non-finite
-    term or whose lattice tail did not converge raises.
+    Each pair keeps its own compensated sum, fed in walk order: k = 0 down
+    to the negative end, then k = 1 up to the positive end.  After the walk
+    the pairs are finished in order, and the first one whose sum hit a
+    non-finite term or whose explicit lattice's end term is above tail_tol
+    raises.  An adaptive walk that reaches trunc.max_terms points at one end
+    raises there.
     """
     if not pairs:
         return []
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    trunc = trunc or default_truncation()
     with mp.workdps(mp.dps + 20):
-        q = to_mpf(p.q)
-        lat = lat or default_lattice(q)
-        weights = _weight_vector(p, lat, mp.prec)
+        trunc = trunc or default_truncation()
+        tail = to_mpf(trunc.tail_tol)
+        q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+        c = qpow(q, -2 * alpha - 1)
         top = max(max(pair) for pair in pairs)
-        # per pair: the sum, the magnitudes of its first, last and largest
-        # terms, and the first x whose term is non-finite (which stops it)
+        coef = [_coefficients(n, p) for n in range(top + 1)]
+        size = [sum(abs(a) for a in row) for row in coef]  # S_n
+        # per pair: the sum, its largest term, and the first x whose term is
+        # non-finite (which stops it); per end: each pair's last term
         sums = [CompensatedSum() for _ in pairs]
-        first = [None] * len(pairs)
-        last = [mpf(0)] * len(pairs)
         largest = [mpf(0)] * len(pairs)
         bad_x = [None] * len(pairs)
-        for xk, wk in weights:
+
+        def visit(xk, mk):
             # h_k(-x) = (-1)^k h_k(x): the recurrence at -x flips the sign of
             # every odd degree exactly, so one ladder serves both points
             lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-            lad_n = [-h if k % 2 else h for k, h in enumerate(lad_p)]
+            lad_n = [-h if j % 2 else h for j, h in enumerate(lad_p)]
+            terms = [mpf(0)] * len(pairs)
             for i, (n, m) in enumerate(pairs):
                 if bad_x[i] is not None:
                     continue
-                term = wk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
+                term = mk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
                 if not mp.isfinite(term):
                     bad_x[i] = xk
                     continue
-                last[i] = abs(term)
-                if first[i] is None:
-                    first[i] = last[i]
-                if last[i] > largest[i]:
-                    largest[i] = last[i]
+                terms[i] = abs(term)
+                largest[i] = max(largest[i], terms[i])
                 sums[i].add(term)
+            return terms
+
+        def floor(i):
+            return tail * max(mpf(1), largest[i])
+
+        def exhausted(k, end):
+            return ConvergenceError(
+                "lattice walk reached %s %d at max_terms=%d before its tail "
+                "met tail_tol %s" % (end, k, trunc.max_terms,
+                                     mp.nstr(tail, 4)))
+
+        w_one = orthogonality_weight(1, p, trunc)
+        # k = 0, -1, -2, ...: the rest of the walk is bounded by the envelope
+        # ratio at x_k, which bounds it at every point further out
+        reach = qpow(q, -2 * alpha - 2 - 2 * top)
+        for k, xk, mk in _walk(p, w_one, -1):
+            far = visit(xk, mk)
+            if lat is not None:
+                if k == lat.k_min:
+                    break
+                continue
+            rho = reach / (1 + c * xk * xk)
+            if rho < 1:
+                rest = 2 * mk * xk ** (2 * top) * rho / (1 - rho)
+                if all(far[i] <= floor(i)
+                       and size[n] * size[m] * rest <= floor(i)
+                       for i, (n, m) in enumerate(pairs)):
+                    break
+            if 1 - k >= trunc.max_terms:
+                raise exhausted(k, "k_min")
+        points = 1 - k
+
+        # k = 1, 2, ...: up to k_max, or up to the first k the closed-form
+        # tail can take
+        z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)
+        for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
+            if lat is not None and k > lat.k_max:
+                break
+            if lat is None and c * xk * xk <= z_max:
+                break
+            if lat is None and k > trunc.max_terms:
+                raise exhausted(k - 1, "k_max")
+            near = visit(xk, mk)
+        points += k - 1
 
         rhs_at = lru_cache(maxsize=None)(
-            lambda k: orthogonality_rhs(k, p, trunc=trunc))
+            lambda deg: orthogonality_rhs(deg, p, trunc=trunc))
         reports = []
         for i, (n, m) in enumerate(pairs):
             if bad_x[i] is not None:
                 raise EvaluationError(
                     "integrand non-finite at lattice point x = %s"
                     % mp.nstr(bad_x[i], 8))
+            if lat is not None:
+                far_term, near_term, max_term = far[i], near[i], largest[i]
+                if near_term > floor(i) or far_term > floor(i):
+                    end, where = ((near_term, "k_max %d" % lat.k_max)
+                                  if near_term >= far_term
+                                  else (far_term, "k_min %d" % lat.k_min))
+                    raise ConvergenceError(
+                        "lattice tail not converged: end term %s vs tail_tol "
+                        "%s (max term %s); widen the lattice beyond %s"
+                        % (mp.nstr(end, 4), mp.nstr(tail, 4),
+                           mp.nstr(max_term, 4), where))
+            elif (n + m) % 2 == 0:
+                # E(x) = 2 h_n h_m(x): the coefficient of x^(2l) in it
+                half = (n + m) // 2
+                even = [mpf(0)] * (half + 1)
+                for a, an in enumerate(coef[n]):
+                    for b, bm in enumerate(coef[m]):
+                        even[half - a - b] += 2 * an * bm
+                sums[i].add(_small_x_tail(even, k, p, floor(i),
+                                          trunc.max_terms))
             lhs = (1 - q) * sums[i].total
-            far_term, near_term, max_term = first[i], last[i], largest[i]
-            floor = trunc.tail_tol * max(mpf(1), max_term)
-            if near_term > floor or far_term > floor:
-                end, where = ((near_term, "k_max %d" % lat.k_max)
-                              if near_term >= far_term
-                              else (far_term, "k_min %d" % lat.k_min))
-                raise ConvergenceError(
-                    "lattice tail not converged: end term %s vs tail_tol %s "
-                    "(max term %s); widen the lattice beyond %s"
-                    % (mp.nstr(end, 4), mp.nstr(trunc.tail_tol, 4),
-                       mp.nstr(max_term, 4), where))
             if n == m:
                 rhs = rhs_at(n)
                 abs_r, rel_r = residuals(lhs, rhs)
@@ -193,7 +306,7 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
                 truncation=trunc,
                 tolerance=tol,
                 passed=bool(rel_r <= tol),
-                terms_used=lat.k_max - lat.k_min + 1,
+                terms_used=points,
             ))
         return reports
 

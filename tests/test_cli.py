@@ -193,6 +193,49 @@ def test_orthogonality_negative_degree_exit_two(capsys, pair):
     assert "must be >= 0" in err
 
 
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_table_negative_n_max_exit_two(capsys, fmt):
+    # an empty degree range is invalid input, as for check and orthogonality
+    code, out, err = run(capsys, "--no-timestamp", "--format", fmt, "table",
+                         "mu-hermite", "--n-max", "-1", "--x", "0.4",
+                         "--rep", "bogus")
+    assert code == 2
+    assert out == ""
+    assert "n_max must be >= 0" in err
+
+
+@pytest.mark.parametrize("q, alpha, n", [("0.3", "-0.9", 2), ("0.5", "-0.95", 1)])
+def test_orthogonality_alpha_near_minus_one_passes(capsys, q, alpha, n):
+    # toward x = 0 the terms decay only like q^(k(2 alpha + 2)); the
+    # closed-form small-x tail sums them
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "json",
+                       "orthogonality", "--q", q, "--alpha", alpha,
+                       "--n", str(n))
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == (n + 1) * (n + 2) // 2
+    assert all(r["passed"] == "true" and r["error"] == "" for r in rows)
+
+
+def test_orthogonality_loose_tail_tol_passes(capsys):
+    # --tail-tol cuts the weights, the walk and the closed-form constants
+    # alike, so the diagonal residuals stay below it
+    code, out, _ = run(capsys, "--no-timestamp", "--tail-tol", "1e-12",
+                       "--rel-tol", "1e-10", "orthogonality", "--q", "0.5",
+                       "--alpha", "0.5", "--n", "1")
+    assert code == 0
+    assert out.count("passed=true") == 3
+
+
+def test_orthogonality_narrow_lattice_exit_two(capsys):
+    code, out, err = run(capsys, "--no-timestamp", "orthogonality", "--q",
+                         "0.5", "--alpha", "0", "--n", "1", "--k-min", "-3",
+                         "--k-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "lattice tail not converged" in err
+
+
 def test_main_restores_caller_precision(capsys):
     mp.dps = 23
     code, out, _ = run(capsys, "--no-timestamp", "--precision", "60", "eval",

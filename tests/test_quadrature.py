@@ -5,7 +5,8 @@ from mpmath import mp, mpf
 
 from qhermite import quadrature
 from qhermite.errors import ConvergenceError, DomainError, EvaluationError
-from qhermite.qcore import QParams, gen_q_shifted_factorial, q_pochhammer
+from qhermite.qcore import (QParams, Truncation, gen_q_shifted_factorial,
+                            q_pochhammer)
 from qhermite.quadrature import (
     LatticeSpec,
     default_lattice,
@@ -15,7 +16,6 @@ from qhermite.quadrature import (
     orthogonality_weight,
 )
 from qhermite.scalars import qpow
-from test_qcore import reference_infinite_product
 
 
 def test_lattice_validation():
@@ -42,49 +42,100 @@ def test_weight_is_even_and_decaying():
     assert orthogonality_weight(mpf("2.1"), p) < w1
 
 
-def _reference_weight_vector(p, lat):
-    """The lattice measure factors as built before the shared product
-    kernel: one one-value (-q^(-2a-1) x^2; q^2)_inf loop per point."""
-    q, alpha = p.q, p.alpha
-    out = []
-    for k in range(lat.k_min, lat.k_max + 1):
-        xk = qpow(q, k)
-        w = (1 / reference_infinite_product(-qpow(q, -2 * alpha - 1) * xk * xk,
-                                            q * q)
-             * qpow(abs(xk), 2 * alpha + 1))
-        out.append((xk, qpow(q, k) * w))
-    return out
+def _recorded_walk(monkeypatch):
+    """{k: (x_k, m_k)} of every point the lattice walk computes."""
+    seen = {}
+    walk = quadrature._walk
 
+    def recording(p, w_one, step):
+        for k, xk, mk in walk(p, w_one, step):
+            seen[k] = (xk, mk)
+            yield k, xk, mk
 
-@pytest.mark.parametrize("q, alpha, dps", [("0.5", "0.5", 50),
-                                           ("0.22", "1.3", 50),
-                                           ("0.3", "-0.9", 80),
-                                           ("0.7", "2.5", 30)])
-def test_weight_vector_bit_identical_to_per_point_products(q, alpha, dps):
-    p = QParams(mpf(q), mpf(alpha))
-    with mp.workdps(dps):
-        lat = default_lattice(p.q)
-        got = quadrature._weight_vector(p, lat, mp.prec)
-        want = _reference_weight_vector(p, lat)
-    assert [(x._mpf_, w._mpf_) for x, w in got] == \
-        [(x._mpf_, w._mpf_) for x, w in want]
+    monkeypatch.setattr(quadrature, "_walk", recording)
+    return seen
 
 
 @pytest.mark.parametrize("q, alpha, dps", [("0.5", "0.5", 50),
                                            ("0.3", "-0.9", 80)])
-def test_weight_vector_matches_mpmath_qp(q, alpha, dps):
-    # differential oracle: mpmath's own (a; q^2)_inf at sampled lattice
-    # points, the far end k_min (largest |a|) included
+def test_walked_weights_match_mpmath_qp(q, alpha, dps, monkeypatch):
+    # differential oracle: mpmath's own (a; q^2)_inf at k = 0 and at both
+    # ends of the walk, where the running ratio has run longest
+    seen = _recorded_walk(monkeypatch)
     p = QParams(mpf(q), mpf(alpha))
     with mp.workdps(dps):
-        lat = default_lattice(p.q)
-        weights = quadrature._weight_vector(p, lat, mp.prec)
-        for k in (lat.k_min, lat.k_min + 1, lat.k_min // 2, -1, 0, 1,
-                  lat.k_max // 2, lat.k_max):
-            xk, wk = weights[k - lat.k_min]
+        orthogonality_gram(3, p)
+        assert min(seen) < -5 and max(seen) > 5
+        for k in (min(seen), 0, max(seen)):
+            xk, mk = seen[k]
+            assert abs(xk - qpow(p.q, k)) <= mpf(10) ** -dps * xk
             a = -qpow(p.q, -2 * p.alpha - 1) * xk * xk
-            want = xk * qpow(abs(xk), 2 * p.alpha + 1) / mp.qp(a, p.q ** 2)
-            assert abs(wk - want) <= mpf(10) ** (10 - dps) * abs(want), k
+            want = qpow(p.q, k * (2 * p.alpha + 2)) / mp.qp(a, p.q ** 2)
+            assert abs(mk - want) <= mpf(10) ** (10 - dps) * abs(want), k
+
+
+def test_small_x_tail_matches_brute_force():
+    # sum_{k > 12} of the (0, 0) terms 2 q^(k(2a+2)) w_a(q^k) at
+    # q = 0.3, alpha = -0.9, where they fall only by 0.3^0.2 per point:
+    # 1400 points reach 1e-146
+    with mp.workdps(60):
+        p = QParams(mpf("0.3"), mpf("-0.9"))
+        q, alpha = p.q, p.alpha
+        c = qpow(q, -2 * alpha - 1)
+        brute = mp.fsum(2 * qpow(q, k * (2 * alpha + 2))
+                        / mp.qp(-c * qpow(q, 2 * k), q * q)
+                        for k in range(13, 13 + 1400))
+        got = quadrature._small_x_tail([mpf(2)], 13, p,
+                                       mpf(10) ** -(mp.dps + 10), 100)
+        assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
+
+
+@pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.22", "1.3"),
+                                      ("0.7", "2.5")])
+def test_adaptive_gram_matches_wide_lattice(q, alpha):
+    p = QParams(mpf(q), mpf(alpha))
+    adaptive = orthogonality_gram(4, p)
+    wide = orthogonality_gram(4, p, lat=default_lattice(p.q))
+    assert adaptive[0].terms_used < wide[0].terms_used // 5
+    for a, w in zip(adaptive, wide):
+        n, m = a.params["n"], a.params["m"]
+        scale = mp.sqrt(orthogonality_rhs(n, p) * orthogonality_rhs(m, p))
+        assert abs(a.lhs - w.lhs) <= mpf(10) ** -mp.dps * scale, (n, m)
+
+
+def test_alpha_near_minus_one_converges():
+    for q, alpha, n_max in (("0.3", "-0.9", 2), ("0.5", "-0.95", 1)):
+        reports = orthogonality_gram(n_max, QParams(mpf(q), mpf(alpha)))
+        assert all(r.passed for r in reports), (q, alpha)
+
+
+def test_truncation_reaches_weights_walk_and_rhs():
+    # a loose tail_tol moves both sides, and the two stay within it
+    p = QParams(mpf("0.5"), mpf("0.5"))
+    loose = orthogonality_gram(1, p, tol=mpf("1e-10"),
+                               trunc=Truncation(tail_tol=mpf("1e-12")))
+    tight = orthogonality_gram(1, p, tol=mpf("1e-10"))
+    for a, b in zip(loose, tight):
+        assert a.passed and b.passed
+        if a.params["n"] == a.params["m"]:
+            assert a.lhs != b.lhs and a.rhs != b.rhs
+    assert loose[0].terms_used < tight[0].terms_used
+
+
+@pytest.mark.parametrize("q, alpha, cap, end", [("0.5", "0", 5, "k_min -4"),
+                                                ("0.2", "10", 14, "k_max 14")])
+def test_walk_max_terms_names_the_end(q, alpha, cap, end, monkeypatch):
+    # the weight product w_a(1) gets the default truncation here, since at
+    # the cap it would stop first.  At q = 0.2, alpha = 10 the walk toward
+    # large x stops within 14 points, but the small-x tail needs
+    # c q^(2k) <= tail_tol^(1/8) = 10^-7.5 with c = 0.2^(-21): k >= 16
+    weight = quadrature.orthogonality_weight
+    monkeypatch.setattr(quadrature, "orthogonality_weight",
+                        lambda x, p, trunc=None: weight(x, p))
+    with pytest.raises(ConvergenceError, match="reached %s at max_terms=%d"
+                       % (end, cap)):
+        orthogonality_gram(1, QParams(mpf(q), mpf(alpha)),
+                           trunc=Truncation(max_terms=cap))
 
 
 def test_rhs_two_path():
@@ -154,14 +205,21 @@ def _one_pair_walk(n_max, p, lat=None):
 
 @pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.22", "1.3")])
 def test_gram_reports_equal_one_pair_checks(q, alpha):
+    # on an explicit lattice bit for bit; the adaptive walk serves all the
+    # pairs at once, so it may walk further than one pair's, and agrees to
+    # the working precision
     p = QParams(mpf(q), mpf(alpha))
-    gram = orthogonality_gram(4, p)
-    one = _one_pair_walk(4, p)
+    lat = default_lattice(p.q)
+    gram = orthogonality_gram(4, p, lat=lat)
+    one = _one_pair_walk(4, p, lat=lat)
     assert [r.params for r in gram] == [r.params for r in one]
     for g, r in zip(gram, one):
         for field in ("lhs", "rhs", "abs_residual", "rel_residual", "passed",
                       "terms_used"):
             assert getattr(g, field) == getattr(r, field), (r.params, field)
+    for g, r in zip(orthogonality_gram(4, p), _one_pair_walk(4, p)):
+        assert g.rhs == r.rhs and g.passed and r.passed
+        assert abs(g.lhs - r.lhs) <= mpf(10) ** -mp.dps * max(abs(r.rhs), 1)
 
 
 def test_gram_narrow_lattice_raises_the_one_pair_error():
@@ -212,7 +270,7 @@ def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
     monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder",
                         lambda *a: calls.append(a[1]) or ladder(*a))
     p = QParams(mpf("0.22"), mpf("0.7"))
-    lat = default_lattice(p.q)
-    assert len(orthogonality_gram(3, p, lat=lat)) == 10
-    assert len(calls) == lat.k_max - lat.k_min + 1
+    reports = orthogonality_gram(3, p)
+    assert len(reports) == 10
+    assert len(calls) == reports[0].terms_used
     assert all(x > 0 for x in calls)
