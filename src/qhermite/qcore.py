@@ -99,45 +99,37 @@ def default_truncation() -> Truncation:
     return Truncation()
 
 
-def _infinite_products(values, q, trunc: Optional[Truncation] = None) -> list:
-    """(a; q)_infinity for each a in values, in order.
+def _infinite_product(value, q, trunc: Optional[Truncation] = None):
+    """(a; q)_infinity.
 
-    Each product runs the loop prod *= 1 - a q^j, stopping once
-    |a q^(j+1)| < trunc.tail_tol, on raw libmp values with the operations,
-    order and rounding of the plain mpf loop at the ambient precision, so it
-    is bit for bit the same.  The powers q^j are computed once for all the
-    a's, and a q^j serves both the factor and the next tail test:
-    round-to-nearest is symmetric in sign, so |a q^j| rounded is |a| q^j
-    rounded whenever |a| is exact at this precision.
+    The loop prod *= 1 - a q^j stops once |a q^(j+1)| < trunc.tail_tol.  It
+    runs on raw libmp values with the operations, order and rounding of the
+    plain mpf loop at the ambient precision, so it is bit for bit the same,
+    and a q^j serves both the factor and the next tail test: round-to-nearest
+    is symmetric in sign, so |a q^j| rounded is |a| q^j rounded whenever |a|
+    is exact at this precision.
     """
     tr = trunc or default_truncation()
     tail = to_mpf(tr.tail_tol)
     limit, prec = tail._mpf_, mp.prec
     step = to_mpf(q)._mpf_
-    powers = [fone]  # q^j, grown as far as the slowest product needs
-    out = []
-    for value in values:
-        a = to_mpf(value)._mpf_
-        a_abs = mpf_abs(a, prec, round_nearest)  # abs() rounds to prec
-        exact = a_abs == mpf_abs(a)
-        prod = fone
-        a_q = mpf_mul(a, fone, prec, round_nearest)
-        for j in range(1, tr.max_terms + 1):
-            prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, round_nearest),
-                           prec, round_nearest)
-            if j == len(powers):
-                powers.append(mpf_mul(powers[-1], step, prec, round_nearest))
-            a_q = mpf_mul(a, powers[j], prec, round_nearest)
-            size = (mpf_abs(a_q) if exact
-                    else mpf_mul(a_abs, powers[j], prec, round_nearest))
-            if mpf_lt(size, limit):
-                out.append(mp.make_mpf(prod))
-                break
-        else:
-            raise ConvergenceError(
-                "(a;q)_inf did not meet tail_tol=%s within max_terms=%d "
-                "(|a q^k|=%s)" % (tail, tr.max_terms, mp.make_mpf(size)))
-    return out
+    a = to_mpf(value)._mpf_
+    a_abs = mpf_abs(a, prec, round_nearest)  # abs() rounds to prec
+    exact = a_abs == mpf_abs(a)
+    prod = power = fone  # power = q^j
+    a_q = mpf_mul(a, fone, prec, round_nearest)
+    for _ in range(tr.max_terms):
+        prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, round_nearest),
+                       prec, round_nearest)
+        power = mpf_mul(power, step, prec, round_nearest)
+        a_q = mpf_mul(a, power, prec, round_nearest)
+        size = (mpf_abs(a_q) if exact
+                else mpf_mul(a_abs, power, prec, round_nearest))
+        if mpf_lt(size, limit):
+            return mp.make_mpf(prod)
+    raise ConvergenceError(
+        "(a;q)_inf did not meet tail_tol=%s within max_terms=%d "
+        "(|a q^k|=%s)" % (tail, tr.max_terms, mp.make_mpf(size)))
 
 
 def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
@@ -161,7 +153,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
             raise ExactBackendError(
                 "(a;q)_infinity is an infinite product; use mpf operands"
             )
-        return _infinite_products([a], q, trunc)[0]
+        return _infinite_product(a, q, trunc)
 
     if not isinstance(n, int):
         raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))

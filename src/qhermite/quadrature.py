@@ -16,11 +16,12 @@ and the closed-form constant is computed once per degree.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
-  m_k x_k^(2N) of the degrees up to N then falls by the ratio
-  rho = q^(-(2a+2+2N)) / (1 + c q^(2k-2)) from k to k-1, and rho shrinks as
-  k falls.  The walk stops at the first k where every pair's term is below
-  tail_tol times its largest and, with rho < 1, the bound
-  2 S_n S_m m_k x_k^(2N) rho / (1 - rho) on the rest is too.
+  m_j x_j^(2N) of the degrees up to N falls from j to j-1 by
+  q^(-(2a+2+2N)) / (1 + c q^(2j-2)), which is at most
+  rho = q^(-(2a+2+2N)) / (1 + c q^(2k)) for every j <= k.  The walk stops
+  at the first k where every pair's term is below tail_tol times its
+  largest and, with rho < 1, the bound 2 S_n S_m m_k x_k^(2N) rho / (1 - rho)
+  on the rest is too.
 - k -> +inf (points crowding 0): the terms decay only like q^(k(2a+2)),
   slowly as a -> -1.  The walk stops before the first k > 0 with
   c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2) and adds the rest in
@@ -226,8 +227,7 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
                                      mp.nstr(tail, 4)))
 
         w_one = orthogonality_weight(1, p, trunc)
-        # k = 0, -1, -2, ...: the rest of the walk is bounded by the envelope
-        # ratio at x_k, which bounds it at every point further out
+        # k = 0, -1, -2, ...
         reach = qpow(q, -2 * alpha - 2 - 2 * top)
         for k, xk, mk in _walk(p, w_one, -1):
             far = visit(xk, mk)

@@ -10,7 +10,7 @@ from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
 from qhermite.qcore import (
     QParams,
     Truncation,
-    _infinite_products,
+    _infinite_product,
     default_truncation,
     gen_q_shifted_factorial,
     hahn_add_power,
@@ -108,15 +108,14 @@ def test_infinite_products_bit_identical_to_one_value_loop():
     values = [mpf("0.3"), mpf("-0.7"), mpf(0),
               -mpf(2) ** 800,  # -q^(-2a-1) x^2 at k_min = -399, alpha = 0.5
               wide, -wide, mpf(1) / 7]
-    got = _infinite_products(values, q)
     want = [reference_infinite_product(a, q) for a in values]
-    assert [g._mpf_ for g in got] == [w._mpf_ for w in want]
+    assert [_infinite_product(a, q)._mpf_ for a in values] == \
+        [w._mpf_ for w in want]
     assert [q_pochhammer(a, q, None)._mpf_ for a in values] == \
         [w._mpf_ for w in want]
     # one factor only: it rounds a*1 to the working precision first
     tiny = mpf(10) ** -60
-    assert _infinite_products([wide], tiny)[0]._mpf_ == (1 - +wide)._mpf_
-    assert _infinite_products([], q) == []
+    assert _infinite_product(wide, tiny)._mpf_ == (1 - +wide)._mpf_
 
 
 @pytest.mark.parametrize("a", ["0.9999", _wide(72, 997)],
@@ -131,7 +130,7 @@ def test_infinite_products_max_terms_message_unchanged(a):
     with pytest.raises(ConvergenceError) as want:
         reference_infinite_product(a, q, trunc)
     for call in (lambda: q_pochhammer(a, q, None, trunc=trunc),
-                 lambda: _infinite_products([mpf(0), a], q, trunc)):
+                 lambda: _infinite_product(a, q, trunc)):
         with pytest.raises(ConvergenceError) as got:
             call()
         assert str(got.value) == str(want.value)
