@@ -209,7 +209,7 @@ def test_gram_reports_equal_one_pair_checks(q, alpha):
     # pairs at once, so it may walk further than one pair's, and agrees to
     # the working precision
     p = QParams(mpf(q), mpf(alpha))
-    lat = default_lattice(p.q)
+    lat = LatticeSpec(p.q, -40, 160)  # converged at both ends for these
     gram = orthogonality_gram(4, p, lat=lat)
     one = _one_pair_walk(4, p, lat=lat)
     assert [r.params for r in gram] == [r.params for r in one]
