@@ -75,8 +75,6 @@ from .identities import (
     summarize_reports,
 )
 from .quadrature import (
-    LatticeSpec,
-    default_lattice,
     orthogonality_check,
     orthogonality_gram,
     orthogonality_rhs,

@@ -43,8 +43,7 @@ from .identities import (
 )
 from .polyfam import PolyEval, eval_poly
 from .qcore import QParams, Truncation
-from .quadrature import (LatticeSpec, default_lattice, orthogonality_check,
-                         orthogonality_gram)
+from .quadrature import orthogonality_check, orthogonality_gram
 from .scalars import fmt_scalar, to_mpf
 
 __all__ = ["main", "RunConfig"]
@@ -272,20 +271,14 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 def cmd_orthogonality(args, cfg: RunConfig) -> int:
     params = _params_from(args)
-    lat = None
-    if args.k_min is not None or args.k_max is not None:
-        base = default_lattice(mpf(args.q))
-        lat = LatticeSpec(mpf(args.q),
-                          args.k_min if args.k_min is not None else base.k_min,
-                          args.k_max if args.k_max is not None else base.k_max)
     tol = mpf(cfg.rel_tol) if cfg.rel_tol is not None else None
     if args.m is not None:
-        reports = [orthogonality_check(args.n, args.m, params, lat=lat,
-                                       tol=tol, trunc=_truncation(cfg))]
+        reports = [orthogonality_check(args.n, args.m, params, tol=tol,
+                                       trunc=_truncation(cfg))]
     else:
         if args.n < 0:
             raise DomainError("degree n must be >= 0: got %d" % args.n)
-        reports = orthogonality_gram(args.n, params, lat=lat, tol=tol,
+        reports = orthogonality_gram(args.n, params, tol=tol,
                                      trunc=_truncation(cfg))
     return _finish_reports(reports, cfg)
 
@@ -350,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--m", type=int, default=None)
     po.add_argument("--q", default="0.5")
     po.add_argument("--alpha", default="0")
-    po.add_argument("--k-min", type=int, default=None)
-    po.add_argument("--k-max", type=int, default=None)
     po.set_defaults(fn=cmd_orthogonality)
     return ap
 

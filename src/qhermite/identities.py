@@ -243,37 +243,30 @@ def _gf_domain(y, t):
     return "binding bound: %s" % ("|y*t|" if b1 >= b2 else "|y*t^2|")
 
 
-def _gf_series(terms: Iterable, N: Optional[int], trunc: Truncation) -> tuple:
-    """(sum, terms used) of a series: exactly its first N+1 terms, or, with
-    N None, up to two consecutive terms below tail_tol relative to the sum.
+def _gf_series(terms: Iterable, trunc: Truncation) -> tuple:
+    """(sum, terms used) of a series, summed up to two consecutive terms
+    below tail_tol relative to the sum.
 
-    The adaptive sum reads at most 8*mp.dps + 1 terms; if the stop rule is
-    not met by then it raises ConvergenceError rather than return a
-    truncated sum."""
-    if N is not None and N < 0:
-        raise DomainError("N must be >= 0: got %d" % N)
-    cap = 8 * mp.dps + 1 if N is None else N + 1
+    It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
+    it raises ConvergenceError rather than return a truncated sum."""
     total = mpf(0)
     small = used = 0
-    for n, term in enumerate(islice(terms, cap)):
+    for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
         total += term
         used = n + 1
-        if N is None and abs(term) < trunc.tail_tol * max(1, abs(total)):
+        if abs(term) < trunc.tail_tol * max(1, abs(total)):
             small += 1
             if small >= 2 and n >= 4:
-                break
+                return total, used
         else:
             small = 0
-    else:
-        if N is None:
-            raise ConvergenceError(
-                "generating-function series did not meet tail_tol=%s within "
-                "%d terms (last term %s)"
-                % (mp.nstr(trunc.tail_tol, 4), used, mp.nstr(abs(term), 4)))
-    return total, used
+    raise ConvergenceError(
+        "generating-function series did not meet tail_tol=%s within "
+        "%d terms (last term %s)"
+        % (mp.nstr(trunc.tail_tol, 4), used, mp.nstr(abs(term), 4)))
 
 
-def _parity_series(t, x, y, q, p: QParams, N: Optional[int], trunc: Truncation):
+def _parity_series(t, x, y, q, p: QParams, trunc: Truncation):
     """The even and odd halves of the generating-function series,
 
       sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
@@ -292,16 +285,15 @@ def _parity_series(t, x, y, q, p: QParams, N: Optional[int], trunc: Truncation):
                    * h / poch)
 
     even, odd = tee(terms())
-    return (_gf_series(islice(even, 0, None, 2), N, trunc),
-            _gf_series(islice(odd, 1, None, 2), N, trunc))
+    return (_gf_series(islice(even, 0, None, 2), trunc),
+            _gf_series(islice(odd, 1, None, 2), trunc))
 
 
-def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
-                              tol=None, trunc: Optional[Truncation] = None
+def check_generating_function(t, x, y, p: QParams, tol=None,
+                              trunc: Optional[Truncation] = None
                               ) -> IdentityReport:
     """Closed form e_{q^2}(-y t^2) * bigE_{q,alpha}(x t) against the series
-    sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively (or after
-    exactly N+1 terms)."""
+    sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively."""
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
@@ -317,13 +309,13 @@ def check_generating_function(t, x, y, p: QParams, N: Optional[int] = None,
                     w *= t * qpow(q, n - 1) / (1 - qpow(q, n))
                 yield w * h
 
-        rhs, used = _gf_series(terms(), N, trunc)
+        rhs, used = _gf_series(terms(), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 
 
-def check_even_odd_gf(t, x, y, p: QParams, N: Optional[int] = None,
-                      tol=None, trunc: Optional[Truncation] = None):
+def check_even_odd_gf(t, x, y, p: QParams, tol=None,
+                      trunc: Optional[Truncation] = None):
     """Parity halves of the generating function (see _parity_series):
 
       even half = Cos_{q,alpha}(x t) * e_{q^2}(y t^2)
@@ -340,7 +332,7 @@ def check_even_odd_gf(t, x, y, p: QParams, N: Optional[int] = None,
         envelope = euler_e(y * t * t, q * q)
         rhs_even = q_cos_alpha(x * t, p, trunc=trunc) * envelope
         rhs_odd = q_sin_alpha(x * t, p, trunc=trunc) * envelope
-        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, N, trunc)
+        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, trunc)
         even = _report("even_gf", params, lhs_even, rhs_even, tol, trunc,
                        terms_used=used_e, note=note)
         odd = _report("odd_gf", params, lhs_odd, rhs_odd, tol, trunc,
@@ -348,8 +340,8 @@ def check_even_odd_gf(t, x, y, p: QParams, N: Optional[int] = None,
         return even, odd
 
 
-def check_bessel_forms(t, x, y, p: QParams, N: Optional[int] = None,
-                       tol=None, trunc: Optional[Truncation] = None):
+def check_bessel_forms(t, x, y, p: QParams, tol=None,
+                       trunc: Optional[Truncation] = None):
     """The parity generating functions with the trig factor replaced by its
     second-Jackson-q-Bessel closed form (z = x t):
 
@@ -379,7 +371,7 @@ def check_bessel_forms(t, x, y, p: QParams, N: Optional[int] = None,
                     * q_bessel2(alpha, warg, q2, trunc=trunc) * envelope)
         rhs_odd = (qpow(q, (alpha + 1) * (alpha + mpf("0.5"))) * front
                    * q_bessel2(alpha + 1, warg, q2, trunc=trunc) * envelope)
-        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, N, trunc)
+        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, trunc)
         even = _report("bessel_even", params, lhs_even, rhs_even, tol, trunc,
                        terms_used=used_e, note=note)
         odd = _report("bessel_odd", params, lhs_odd, rhs_odd, tol, trunc,
@@ -500,13 +492,13 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                         at = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
                         if want("generating_function"):
                             guard(("generating_function",), at,
-                                  check_generating_function, t, x, y, p, None, tol, trunc)
+                                  check_generating_function, t, x, y, p, tol, trunc)
                         if want("even_gf") or want("odd_gf"):
                             guard(("even_gf", "odd_gf"), at,
-                                  check_even_odd_gf, t, x, y, p, None, tol, trunc)
+                                  check_even_odd_gf, t, x, y, p, tol, trunc)
                         if (want("bessel_even") or want("bessel_odd")) and x * t > 0:
                             guard(("bessel_even", "bessel_odd"), at,
-                                  check_bessel_forms, t, x, y, p, None, tol, trunc)
+                                  check_bessel_forms, t, x, y, p, tol, trunc)
 
     return [r for r in reports
             if identity_id == "all" or r.identity_id == identity_id]

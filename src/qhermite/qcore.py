@@ -108,6 +108,10 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     and a q^j serves both the factor and the next tail test: round-to-nearest
     is symmetric in sign, so |a q^j| rounded is |a| q^j rounded whenever |a|
     is exact at this precision.
+
+    Raw libmp is kept for speed alone: the same loop on mpf values, bit for
+    bit equal, made `orthogonality --n 4` and `--n 2` items about 20-50%
+    slower, since mpf wrapping dominates a product of tens of factors.
     """
     tr = trunc or default_truncation()
     tail = to_mpf(tr.tail_tol)

@@ -21,23 +21,21 @@ and the closed-form constant is computed once per degree.
   rho = q^(-(2a+2+2N)) / (1 + c q^(2k)) for every j <= k.  The walk stops
   at the first k where every pair's term is below tail_tol times its
   largest and, with rho < 1, the bound 2 S_n S_m m_k x_k^(2N) rho / (1 - rho)
-  on the rest is too.
+  on the rest is too.  A pair of odd n + m, whose terms are exactly 0, has
+  no largest term and is held to tail_tol itself.
 - k -> +inf (points crowding 0): the terms decay only like q^(k(2a+2)),
   slowly as a -> -1.  The walk stops before the first k > 0 with
   c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2) and adds the rest in
   closed form (`_small_x_tail`): the q-binomial theorem gives
   w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial.
 
-An explicit `LatticeSpec` runs the same walk over its fixed range, with no
-adaptive stop and no closed-form tail; its end terms are checked against
-tail_tol afterwards.  The walk's stop rule, the weight product and the
-closed-form constants all use one truncation: the caller's, or the default
-at the sweep's working precision.
+The walk's stop rule, the weight product and the closed-form constants all
+use one truncation: the caller's, or the default at the sweep's working
+precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Optional
@@ -52,39 +50,11 @@ from .qcore import (QParams, Truncation, default_truncation,
 from .scalars import CompensatedSum, qpow, to_mpf
 
 __all__ = [
-    "LatticeSpec",
-    "default_lattice",
     "orthogonality_weight",
     "orthogonality_rhs",
     "orthogonality_check",
     "orthogonality_gram",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Lattice exponents k_min..k_max for the bilateral sum over ±q^k."""
-
-    q: mpf
-    k_min: int
-    k_max: int
-
-    def __post_init__(self):
-        q = to_mpf(self.q)
-        if not (0 < q < 1):
-            raise DomainError("q out of range (0,1): got %s" % q)
-        if not (self.k_min < 0 < self.k_max):
-            raise DomainError(
-                "lattice needs k_min < 0 < k_max: got [%d, %d]"
-                % (self.k_min, self.k_max))
-
-
-def default_lattice(q) -> LatticeSpec:
-    """Symmetric lattice reaching q^k ~ 1e-120 on the small-x end: the end
-    the CLI fills in when only one of --k-min/--k-max is given."""
-    q = to_mpf(q)
-    bound = min(int(mp.ceil(120 / abs(mp.log10(q)))), 4000)
-    return LatticeSpec(q, -bound, bound)
 
 
 def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
@@ -171,16 +141,15 @@ def _walk(p: QParams, w_one, step: int) -> Iterator:
         k, xk = k + step, x_next
 
 
-def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
-                         tol, trunc: Optional[Truncation]) -> list:
+def _orthogonality_sweep(pairs, p: QParams, tol,
+                         trunc: Optional[Truncation]) -> list:
     """Reports for the (n, m) pairs, in order, from one lattice walk.
 
     Each pair keeps its own compensated sum, fed in walk order: k = 0 down
     to the negative end, then k = 1 up to the positive end.  After the walk
     the pairs are finished in order, and the first one whose sum hit a
-    non-finite term or whose explicit lattice's end term is above tail_tol
-    raises.  An adaptive walk that reaches trunc.max_terms points at one end
-    raises there.
+    non-finite term raises.  A walk that reaches trunc.max_terms points at
+    one end raises there.
     """
     if not pairs:
         return []
@@ -194,7 +163,7 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
         coef = [_coefficients(n, p) for n in range(top + 1)]
         size = [sum(abs(a) for a in row) for row in coef]  # S_n
         # per pair: the sum, its largest term, and the first x whose term is
-        # non-finite (which stops it); per end: each pair's last term
+        # non-finite (which stops it)
         sums = [CompensatedSum() for _ in pairs]
         largest = [mpf(0)] * len(pairs)
         bad_x = [None] * len(pairs)
@@ -218,7 +187,10 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
             return terms
 
         def floor(i):
-            return tail * max(mpf(1), largest[i])
+            # relative to the pair's largest term; a pair with no nonzero
+            # term (odd n + m, whose terms are exactly 0) has no scale and
+            # takes tail_tol itself, so the walk still stops
+            return tail * (largest[i] or 1)
 
         def exhausted(k, end):
             return ConvergenceError(
@@ -231,10 +203,6 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
         reach = qpow(q, -2 * alpha - 2 - 2 * top)
         for k, xk, mk in _walk(p, w_one, -1):
             far = visit(xk, mk)
-            if lat is not None:
-                if k == lat.k_min:
-                    break
-                continue
             rho = reach / (1 + c * xk * xk)
             if rho < 1:
                 rest = 2 * mk * xk ** (2 * top) * rho / (1 - rho)
@@ -246,17 +214,14 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
                 raise exhausted(k, "k_min")
         points = 1 - k
 
-        # k = 1, 2, ...: up to k_max, or up to the first k the closed-form
-        # tail can take
+        # k = 1, 2, ...: up to the first k the closed-form tail can take
         z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)
         for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
-            if lat is not None and k > lat.k_max:
+            if c * xk * xk <= z_max:
                 break
-            if lat is None and c * xk * xk <= z_max:
-                break
-            if lat is None and k > trunc.max_terms:
+            if k > trunc.max_terms:
                 raise exhausted(k - 1, "k_max")
-            near = visit(xk, mk)
+            visit(xk, mk)
         points += k - 1
 
         rhs_at = lru_cache(maxsize=None)(
@@ -267,18 +232,7 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
                 raise EvaluationError(
                     "integrand non-finite at lattice point x = %s"
                     % mp.nstr(bad_x[i], 8))
-            if lat is not None:
-                far_term, near_term, max_term = far[i], near[i], largest[i]
-                if near_term > floor(i) or far_term > floor(i):
-                    end, where = ((near_term, "k_max %d" % lat.k_max)
-                                  if near_term >= far_term
-                                  else (far_term, "k_min %d" % lat.k_min))
-                    raise ConvergenceError(
-                        "lattice tail not converged: end term %s vs tail_tol "
-                        "%s (max term %s); widen the lattice beyond %s"
-                        % (mp.nstr(end, 4), mp.nstr(tail, 4),
-                           mp.nstr(max_term, 4), where))
-            elif (n + m) % 2 == 0:
+            if (n + m) % 2 == 0:
                 # E(x) = 2 h_n h_m(x): the coefficient of x^(2l) in it
                 half = (n + m) // 2
                 even = [mpf(0)] * (half + 1)
@@ -311,10 +265,8 @@ def _orthogonality_sweep(pairs, p: QParams, lat: Optional[LatticeSpec],
         return reports
 
 
-def orthogonality_check(n: int, m: int, p: QParams,
-                        lat: Optional[LatticeSpec] = None,
-                        tol=None, trunc: Optional[Truncation] = None
-                        ) -> IdentityReport:
+def orthogonality_check(n: int, m: int, p: QParams, tol=None,
+                        trunc: Optional[Truncation] = None) -> IdentityReport:
     """Quadrature vs closed form for the weighted pairing of degrees n and m.
 
     n == m: relative residual against the closed-form constant.
@@ -323,14 +275,14 @@ def orthogonality_check(n: int, m: int, p: QParams,
     """
     if n < 0 or m < 0:
         raise DomainError("degrees must be >= 0: got n=%d, m=%d" % (n, m))
-    return _orthogonality_sweep([(n, m)], p, lat, tol, trunc)[0]
+    return _orthogonality_sweep([(n, m)], p, tol, trunc)[0]
 
 
-def orthogonality_gram(n_max: int, p: QParams,
-                       lat: Optional[LatticeSpec] = None,
-                       tol=None, trunc: Optional[Truncation] = None) -> list:
+def orthogonality_gram(n_max: int, p: QParams, tol=None,
+                       trunc: Optional[Truncation] = None) -> list:
     """`orthogonality_check` for every pair m <= n <= n_max, ordered by n
-    then m, from one lattice sweep; each report equals the one-pair check's.
-    Empty when n_max < 0."""
+    then m, from one lattice sweep.  The sweep walks as far as its furthest
+    pair needs, so each lhs agrees with the one-pair check's to the working
+    precision.  Empty when n_max < 0."""
     pairs = [(n, m) for n in range(n_max + 1) for m in range(n + 1)]
-    return _orthogonality_sweep(pairs, p, lat, tol, trunc)
+    return _orthogonality_sweep(pairs, p, tol, trunc)

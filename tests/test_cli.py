@@ -228,12 +228,14 @@ def test_orthogonality_loose_tail_tol_passes(capsys):
 
 
 def test_orthogonality_narrow_lattice_exit_two(capsys):
-    code, out, err = run(capsys, "--no-timestamp", "orthogonality", "--q",
-                         "0.5", "--alpha", "0", "--n", "1", "--k-min", "-3",
-                         "--k-max", "3")
-    assert code == 2
-    assert out == ""
-    assert "lattice tail not converged" in err
+    # the walk alone picks the lattice: a fixed range is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "--no-timestamp", "orthogonality", "--q", "0.5",
+            "--alpha", "0", "--n", "1", "--k-min", "-3", "--k-max", "3")
+    assert exc.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert "unrecognized arguments: --k-min -3 --k-max 3" in cap.err
 
 
 def test_main_restores_caller_precision(capsys):

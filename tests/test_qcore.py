@@ -106,7 +106,7 @@ def test_infinite_products_bit_identical_to_one_value_loop():
     wide = _wide(1, 3)
     assert wide.man.bit_length() > mp.prec
     values = [mpf("0.3"), mpf("-0.7"), mpf(0),
-              -mpf(2) ** 800,  # -q^(-2a-1) x^2 at k_min = -399, alpha = 0.5
+              -mpf(2) ** 800,  # -q^(-2a-1) x^2 at x = 2^399, alpha = 0.5
               wide, -wide, mpf(1) / 7]
     want = [reference_infinite_product(a, q) for a in values]
     assert [_infinite_product(a, q)._mpf_ for a in values] == \

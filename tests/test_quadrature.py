@@ -4,35 +4,17 @@ import pytest
 from mpmath import mp, mpf
 
 from qhermite import quadrature
-from qhermite.errors import ConvergenceError, DomainError, EvaluationError
+from qhermite.errors import ConvergenceError, EvaluationError
+from qhermite.polyfam import gdqh2
 from qhermite.qcore import (QParams, Truncation, gen_q_shifted_factorial,
                             q_pochhammer)
 from qhermite.quadrature import (
-    LatticeSpec,
-    default_lattice,
     orthogonality_check,
     orthogonality_gram,
     orthogonality_rhs,
     orthogonality_weight,
 )
 from qhermite.scalars import qpow
-
-
-def test_lattice_validation():
-    with pytest.raises(DomainError, match=r"q out of range \(0,1\)"):
-        LatticeSpec(mpf("1.5"), -10, 10)
-    with pytest.raises(DomainError):
-        LatticeSpec(mpf("0.5"), 5, 10)   # k_min must sit below zero
-    with pytest.raises(DomainError):
-        LatticeSpec(mpf("0.5"), -5, 0)
-
-
-def test_default_lattice_width():
-    lat = default_lattice(mpf("0.5"))
-    # 120/log10(2) = 398.6..., rounded up
-    assert lat.k_max == 399 and lat.k_min == -399
-    lat = default_lattice(mpf("1e-40"))
-    assert lat.k_max == 3  # ceil(120/40)
 
 
 def test_weight_is_even_and_decaying():
@@ -90,17 +72,63 @@ def test_small_x_tail_matches_brute_force():
         assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
 
 
-@pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.22", "1.3"),
-                                      ("0.7", "2.5")])
+def _jackson_reference(pairs, p, ks):
+    """{(n, m): [term at k for k in ks]} of the bilateral sum over ±q^k,
+    each term (1-q) q^k |x|^(2a+1) / (-c x^2; q^2)_inf h_n h_m summed over
+    x = ±q^k, from mpmath's own product and the definition sum at each
+    point: no code shared with the walk."""
+    q, alpha = p.q, p.alpha
+    c = q ** (-2 * alpha - 1)
+    top = max(max(pair) for pair in pairs)
+    terms = {pair: [] for pair in pairs}
+    for k in ks:
+        x = q ** k
+        mass = (1 - q) * x * x ** (2 * alpha + 1) / mp.qp(-c * x * x, q * q)
+        at = {s: [gdqh2(n, s * x, mpf(1), p, rep="definition_sum")
+                  for n in range(top + 1)] for s in (1, -1)}
+        for n, m in pairs:
+            terms[(n, m)].append(
+                mass * (at[1][n] * at[1][m] + at[-1][n] * at[-1][m]))
+    return terms
+
+
+# k ranges of the reference, each wide enough to be checked converged below
+_REFERENCE_K = {("0.5", "0.5"): (-21, 72), ("0.22", "1.3"): (-16, 26),
+                ("0.7", "2.5"): (-27, 64)}
+
+
+@pytest.mark.parametrize("q, alpha", list(_REFERENCE_K))
 def test_adaptive_gram_matches_wide_lattice(q, alpha):
+    k_lo, k_hi = _REFERENCE_K[(q, alpha)]
     p = QParams(mpf(q), mpf(alpha))
     adaptive = orthogonality_gram(4, p)
-    wide = orthogonality_gram(4, p, lat=default_lattice(p.q))
-    assert adaptive[0].terms_used < wide[0].terms_used // 5
-    for a, w in zip(adaptive, wide):
+    pairs = [(r.params["n"], r.params["m"]) for r in adaptive]
+    dps = mp.dps
+    with mp.workdps(dps + 10):
+        terms = _jackson_reference(pairs, p, range(k_lo, k_hi + 1))
+        for pair, row in terms.items():
+            # the reference range is converged at both ends
+            largest = max(abs(t) for t in row)
+            assert max(abs(row[0]), abs(row[-1])) \
+                <= mpf(10) ** -(dps + 10) * largest, pair
+        wide = {pair: mp.fsum(row) for pair, row in terms.items()}
+    for a in adaptive:
         n, m = a.params["n"], a.params["m"]
         scale = mp.sqrt(orthogonality_rhs(n, p) * orthogonality_rhs(m, p))
-        assert abs(a.lhs - w.lhs) <= mpf(10) ** -mp.dps * scale, (n, m)
+        assert abs(a.lhs - wide[(n, m)]) <= mpf(10) ** -dps * scale, (n, m)
+
+
+@pytest.mark.parametrize("q, alpha", [("0.2", "10"), ("0.5", "40"),
+                                      ("0.8", "40")])
+def test_large_alpha_diagonals_exact_to_working_precision(q, alpha):
+    # at large alpha every term is far below 1: the walk's stop rule must
+    # be relative to each pair's own terms, not to 1
+    p = QParams(mpf(q), mpf(alpha))
+    reports = orthogonality_gram(4, p)
+    assert all(r.passed for r in reports)
+    for r in reports:
+        if r.params["n"] == r.params["m"]:
+            assert abs(r.lhs - r.rhs) <= mpf(10) ** -mp.dps * r.rhs, r.params
 
 
 def test_alpha_near_minus_one_converges():
@@ -178,63 +206,32 @@ def test_orthogonality_equal_parity_off_diagonal():
     assert r.passed and r.rel_residual < mpf("1e-12")
 
 
-def test_orthogonality_lattice_widening_stability():
-    p = QParams(mpf("0.5"), mpf(0))
-    base = default_lattice(p.q)
-    wide = LatticeSpec(p.q, base.k_min - 10, base.k_max + 10)
-    a = orthogonality_check(1, 1, p, lat=base)
-    b = orthogonality_check(1, 1, p, lat=wide)
-    assert abs(a.lhs - b.lhs) < mpf("1e-45") * abs(a.lhs)
-
-
-def test_orthogonality_narrow_lattice_flagged():
-    with pytest.raises(ConvergenceError, match="widen the lattice"):
-        orthogonality_check(1, 1, QParams(mpf("0.5"), mpf(0)),
-                            lat=LatticeSpec(mpf("0.5"), -3, 3))
-
-
-def _one_pair_walk(n_max, p, lat=None):
+def _one_pair_walk(n_max, p):
     """What the pairs m <= n <= n_max give checked one by one, in order:
     every report, or the first error raised."""
     reports = []
     for n in range(n_max + 1):
         for m in range(n + 1):
-            reports.append(orthogonality_check(n, m, p, lat=lat))
+            reports.append(orthogonality_check(n, m, p))
     return reports
 
 
 @pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.22", "1.3")])
 def test_gram_reports_equal_one_pair_checks(q, alpha):
-    # on an explicit lattice bit for bit; the adaptive walk serves all the
-    # pairs at once, so it may walk further than one pair's, and agrees to
-    # the working precision
+    # the walk serves all the pairs at once, so it may walk further than one
+    # pair's, and agrees to the working precision
     p = QParams(mpf(q), mpf(alpha))
-    lat = LatticeSpec(p.q, -40, 160)  # converged at both ends for these
-    gram = orthogonality_gram(4, p, lat=lat)
-    one = _one_pair_walk(4, p, lat=lat)
+    gram, one = orthogonality_gram(4, p), _one_pair_walk(4, p)
     assert [r.params for r in gram] == [r.params for r in one]
     for g, r in zip(gram, one):
-        for field in ("lhs", "rhs", "abs_residual", "rel_residual", "passed",
-                      "terms_used"):
-            assert getattr(g, field) == getattr(r, field), (r.params, field)
-    for g, r in zip(orthogonality_gram(4, p), _one_pair_walk(4, p)):
         assert g.rhs == r.rhs and g.passed and r.passed
         assert abs(g.lhs - r.lhs) <= mpf(10) ** -mp.dps * max(abs(r.rhs), 1)
 
 
-def test_gram_narrow_lattice_raises_the_one_pair_error():
-    p = QParams(mpf("0.5"), mpf(0))
-    lat = LatticeSpec(mpf("0.5"), -3, 3)
-    with pytest.raises(ConvergenceError) as one:
-        _one_pair_walk(1, p, lat=lat)
-    with pytest.raises(ConvergenceError) as gram:
-        orthogonality_gram(1, p, lat=lat)
-    assert str(gram.value) == str(one.value)
-
-
 def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch):
-    # degree 2 is non-finite at the lattice points ±0.22^4: (2, 0) is the
-    # first pair in order that meets it, after three pairs that pass
+    # degree 2 is non-finite at the lattice points ±0.22^4, which the walk
+    # reaches on its small-x end (it goes on to k = 8): (2, 0) is the first
+    # pair in order that meets it, after three pairs that pass
     ladder = quadrature.gdqh2_recurrence_ladder
 
     def poisoned(n, x, y, p):
@@ -245,12 +242,11 @@ def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch)
 
     monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
     p = QParams(mpf("0.22"), mpf(0))
-    lat = default_lattice(p.q)
-    assert all(r.passed for r in _one_pair_walk(1, p, lat=lat))
+    assert all(r.passed for r in _one_pair_walk(1, p))
     with pytest.raises(EvaluationError) as one:
-        orthogonality_check(2, 0, p, lat=lat)
+        orthogonality_check(2, 0, p)
     with pytest.raises(EvaluationError) as gram:
-        orthogonality_gram(2, p, lat=lat)
+        orthogonality_gram(2, p)
     assert str(gram.value) == str(one.value)
 
 
