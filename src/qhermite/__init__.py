@@ -42,10 +42,8 @@ from .qseries import (
     q_sin_alpha,
 )
 from .polyfam import (
-    PolyEval,
     RecurrenceState,
     discrete_q_hermite2,
-    eval_poly,
     gdqh2,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,

@@ -41,20 +41,41 @@ from .identities import (
     run_identity_suite,
     summarize_reports,
 )
-from .polyfam import PolyEval, eval_poly
+from .polyfam import (
+    discrete_q_hermite2,
+    gdqh2,
+    mu_hermite,
+    q_laguerre,
+    rosenblum_hermite,
+    stieltjes_wigert,
+)
 from .qcore import QParams, Truncation
 from .quadrature import orthogonality_check, orthogonality_gram
 from .scalars import fmt_scalar, to_mpf
 
 __all__ = ["main", "RunConfig"]
 
-_FAMILY_ALIASES = {
-    "gdqh2": "gdqh2",
-    "discrete-qh2": "discrete_q_hermite2",
-    "qlaguerre": "q_laguerre",
-    "stieltjes-wigert": "stieltjes_wigert",
-    "mu-hermite": "mu_hermite",
-    "rosenblum-hermite": "rosenblum_hermite",
+# CLI family name -> (evaluator of (n, x, args, rep), the representations
+# it evaluates with, the default first)
+_FAMILIES = {
+    "gdqh2": (
+        lambda n, x, a, rep: gdqh2(n, x, mpf(a.y), _params_from(a), rep=rep),
+        ("definition_sum", "phi_form", "laguerre_form")),
+    "discrete-qh2": (
+        lambda n, x, a, rep: discrete_q_hermite2(n, x, mpf(a.q)),
+        ("definition_sum",)),
+    "qlaguerre": (
+        lambda n, x, a, rep: q_laguerre(n, mpf(a.alpha), x, mpf(a.q), rep=rep),
+        ("phi11", "phi21")),
+    "stieltjes-wigert": (
+        lambda n, x, a, rep: stieltjes_wigert(n, x, mpf(a.q)),
+        ("phi11",)),
+    "mu-hermite": (
+        lambda n, x, a, rep: mu_hermite(n, mpf(a.mu), x, mpf(a.q)),
+        ("phi11",)),
+    "rosenblum-hermite": (
+        lambda n, x, a, rep: rosenblum_hermite(n, mpf(a.mu), x),
+        ("closed_sum",)),
 }
 
 
@@ -161,29 +182,31 @@ def _params_from(args) -> QParams:
 # --- commands -----------------------------------------------------------------
 
 
+def _family(args):
+    """The evaluator of args.family and the representation it uses.
+
+    Every numeric flag is read first, whether the family uses it or not, so
+    an out-of-range --q or a malformed --mu exits 2 for every family.
+    """
+    evaluate, reps = _FAMILIES[args.family]
+    _params_from(args)
+    mpf(args.y)
+    mpf(args.mu)
+    rep = args.rep or reps[0]
+    if rep not in reps:
+        raise DomainError("%s evaluates with %s: got rep %r"
+                          % (args.family, " or ".join(reps), rep))
+    return evaluate, rep
+
+
 def cmd_eval(args, cfg: RunConfig) -> int:
-    family = _FAMILY_ALIASES[args.family]
-    params = _params_from(args)
-    pe = PolyEval(
-        family=family,
-        degree=args.n,
-        point=mpf(args.x),
-        params=params,
-        y=mpf(args.y),
-        mu=mpf(args.mu),
-        rep=args.rep or "",
-    )
-    value = eval_poly(pe)
-    row = {
-        "family": args.family,
-        "n": str(args.n),
-        "q": fmt_scalar(mpf(args.q), cfg.precision_digits),
-        "alpha": fmt_scalar(mpf(args.alpha), cfg.precision_digits),
-        "x": fmt_scalar(mpf(args.x), cfg.precision_digits),
-        "y": fmt_scalar(mpf(args.y), cfg.precision_digits),
-        "value": fmt_scalar(value, cfg.precision_digits),
-        "representation": pe.representation,
-    }
+    evaluate, rep = _family(args)
+    digits = cfg.precision_digits
+    row = {"family": args.family, "n": str(args.n)}
+    for name in ("q", "alpha", "x", "y"):
+        row[name] = fmt_scalar(mpf(getattr(args, name)), digits)
+    row["value"] = fmt_scalar(evaluate(args.n, mpf(args.x), args, rep), digits)
+    row["representation"] = rep
     _emit_rows([row], cfg, sys.stdout)
     return 0
 
@@ -191,20 +214,12 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_table(args, cfg: RunConfig) -> int:
     if args.n_max < 0:
         raise DomainError("n_max must be >= 0: got %d" % args.n_max)
-    family = _FAMILY_ALIASES[args.family]
-    params = _params_from(args)
-    rows = []
-    for n in range(args.n_max + 1):
-        for xs in args.x:
-            pe = PolyEval(family=family, degree=n, point=mpf(xs),
-                          params=params, y=mpf(args.y), mu=mpf(args.mu),
-                          rep=args.rep or "")
-            rows.append({
-                "n": str(n),
-                "x": fmt_scalar(mpf(xs), cfg.precision_digits),
-                "value": fmt_scalar(eval_poly(pe), cfg.precision_digits),
-                "representation": pe.representation,
-            })
+    evaluate, rep = _family(args)
+    digits = cfg.precision_digits
+    rows = [{"n": str(n), "x": fmt_scalar(mpf(xs), digits),
+             "value": fmt_scalar(evaluate(n, mpf(xs), args, rep), digits),
+             "representation": rep}
+            for n in range(args.n_max + 1) for xs in args.x]
     _emit_rows(rows, cfg, sys.stdout)
     return 0
 
@@ -304,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("eval", help="evaluate one polynomial")
-    pe.add_argument("family", choices=sorted(_FAMILY_ALIASES))
+    pe.add_argument("family", choices=sorted(_FAMILIES))
     pe.add_argument("--n", type=int, required=True)
     pe.add_argument("--q", default="0.5")
     pe.add_argument("--alpha", default="0")
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(fn=cmd_eval)
 
     pt = sub.add_parser("table", help="table of values for n = 0..n_max")
-    pt.add_argument("family", choices=sorted(_FAMILY_ALIASES))
+    pt.add_argument("family", choices=sorted(_FAMILIES))
     pt.add_argument("--n-max", type=int, required=True)
     pt.add_argument("--q", default="0.5")
     pt.add_argument("--alpha", default="0")

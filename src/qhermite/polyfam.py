@@ -52,8 +52,6 @@ __all__ = [
     "discrete_q_hermite2",
     "mu_hermite",
     "rosenblum_hermite",
-    "PolyEval",
-    "eval_poly",
 ]
 
 
@@ -303,64 +301,3 @@ def rosenblum_hermite(n: int, mu, x):
         return front * _laguerre_classical(m, mu - mpf(0.5), x * x)
     return 2 * front * x * _laguerre_classical(m, mu + mpf(0.5), x * x)
 
-
-# family -> the representations it evaluates with, the default first
-_REPRESENTATIONS = {
-    "gdqh2": ("definition_sum", "phi_form", "laguerre_form"),
-    "discrete_q_hermite2": ("definition_sum",),
-    "q_laguerre": ("phi11", "phi21"),
-    "stieltjes_wigert": ("phi11",),
-    "mu_hermite": ("phi11",),
-    "rosenblum_hermite": ("closed_sum",),
-}
-
-
-@dataclass(frozen=True)
-class PolyEval:
-    """One polynomial evaluation request (used by the CLI)."""
-
-    family: str
-    degree: int
-    point: Numeric
-    params: Optional[QParams] = None
-    y: Numeric = 1
-    mu: Numeric = 0
-    rep: str = ""
-
-    def __post_init__(self):
-        if self.family not in _REPRESENTATIONS:
-            raise DomainError(
-                "unknown family %r (expected one of %s)"
-                % (self.family, ", ".join(sorted(_REPRESENTATIONS)))
-            )
-        reps = _REPRESENTATIONS[self.family]
-        if self.rep and self.rep not in reps:
-            raise DomainError(
-                "%s evaluates with %s: got rep %r"
-                % (self.family, " or ".join(reps), self.rep)
-            )
-        if self.degree < 0:
-            raise DomainError("degree must be >= 0: got %d" % self.degree)
-
-    @property
-    def representation(self) -> str:
-        """The representation evaluated with: rep, or the family's default."""
-        return self.rep or _REPRESENTATIONS[self.family][0]
-
-
-def eval_poly(pe: PolyEval):
-    """Dispatch a PolyEval to the corresponding family function."""
-    if pe.family == "gdqh2":
-        return gdqh2(pe.degree, pe.point, pe.y, pe.params, rep=pe.representation)
-    if pe.family == "discrete_q_hermite2":
-        return discrete_q_hermite2(pe.degree, pe.point, pe.params.q)
-    if pe.family == "q_laguerre":
-        return q_laguerre(pe.degree, pe.params.alpha, pe.point, pe.params.q,
-                          rep=pe.representation)
-    if pe.family == "stieltjes_wigert":
-        return stieltjes_wigert(pe.degree, pe.point, pe.params.q)
-    if pe.family == "mu_hermite":
-        return mu_hermite(pe.degree, pe.mu, pe.point, pe.params.q)
-    if pe.family == "rosenblum_hermite":
-        return rosenblum_hermite(pe.degree, pe.mu, pe.point)
-    raise DomainError("unknown family %r" % pe.family)

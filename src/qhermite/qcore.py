@@ -69,10 +69,6 @@ class QParams:
         _check_q(self.q)
         _check_alpha(self.alpha)
 
-    def q_even_step(self):
-        """q^(2*alpha+2), the extra factor picked up at even indices."""
-        return qpow(self.q, 2 * self.alpha + 2)
-
 
 @dataclass(frozen=True)
 class Truncation:

@@ -78,12 +78,12 @@ def test_table_discrete_family(capsys):
 
 @pytest.mark.parametrize("argv, want", [
     (("eval", "stieltjes-wigert", "--n", "3", "--x", "0.4", "--rep", "bogus"),
-     "stieltjes_wigert evaluates with phi11: got rep 'bogus'"),
+     "stieltjes-wigert evaluates with phi11: got rep 'bogus'"),
     (("table", "mu-hermite", "--n-max", "1", "--x", "0.4", "--rep", "phi21"),
-     "mu_hermite evaluates with phi11: got rep 'phi21'"),
+     "mu-hermite evaluates with phi11: got rep 'phi21'"),
     (("eval", "discrete-qh2", "--n", "3", "--x", "0.4",
       "--rep", "laguerre_form"),
-     "discrete_q_hermite2 evaluates with definition_sum: "
+     "discrete-qh2 evaluates with definition_sum: "
      "got rep 'laguerre_form'"),
 ])
 def test_rep_a_family_does_not_evaluate_with_exit_two(capsys, argv, want):

@@ -8,9 +8,7 @@ from mpmath import mp, mpf
 
 from qhermite.errors import DomainError, RepresentationDomainError
 from qhermite.polyfam import (
-    PolyEval,
     discrete_q_hermite2,
-    eval_poly,
     gdqh2,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_step,
@@ -253,14 +251,3 @@ def test_rosenblum_hermite_vs_mpmath_laguerre():
                 * mp.laguerre(m, mu + mpf("0.5"), x * x))
         assert abs(odd - want) <= mpf("1e-40") * max(1, abs(want))
 
-
-def test_eval_poly_dispatch():
-    p = QParams(mpf("0.5"), mpf(0))
-    pe = PolyEval(family="gdqh2", degree=2, point=mpf(1), params=p, y=mpf(1))
-    assert abs(eval_poly(pe) + mpf(1) / 3) < mpf("1e-48")
-    pe = PolyEval(family="stieltjes_wigert", degree=0, point=mpf(2), params=p)
-    assert eval_poly(pe) == 1
-    with pytest.raises(DomainError):
-        PolyEval(family="borel", degree=1, point=mpf(0), params=p)
-    with pytest.raises(DomainError):
-        PolyEval(family="gdqh2", degree=-1, point=mpf(0), params=p)
