@@ -56,26 +56,28 @@ from .scalars import fmt_scalar, to_mpf
 __all__ = ["main", "RunConfig"]
 
 # CLI family name -> (evaluator of (n, x, args, rep), the representations
-# it evaluates with, the default first)
+# it evaluates with, the default first, the parameters it reads, in the
+# order q, alpha, x, y, mu)
 _FAMILIES = {
     "gdqh2": (
         lambda n, x, a, rep: gdqh2(n, x, mpf(a.y), _params_from(a), rep=rep),
-        ("definition_sum", "phi_form", "laguerre_form")),
+        ("definition_sum", "phi_form", "laguerre_form"),
+        ("q", "alpha", "x", "y")),
     "discrete-qh2": (
         lambda n, x, a, rep: discrete_q_hermite2(n, x, mpf(a.q)),
-        ("definition_sum",)),
+        ("definition_sum",), ("q", "x")),
     "qlaguerre": (
         lambda n, x, a, rep: q_laguerre(n, mpf(a.alpha), x, mpf(a.q), rep=rep),
-        ("phi11", "phi21")),
+        ("phi11", "phi21"), ("q", "alpha", "x")),
     "stieltjes-wigert": (
         lambda n, x, a, rep: stieltjes_wigert(n, x, mpf(a.q)),
-        ("phi11",)),
+        ("phi11",), ("q", "x")),
     "mu-hermite": (
         lambda n, x, a, rep: mu_hermite(n, mpf(a.mu), x, mpf(a.q)),
-        ("phi11",)),
+        ("phi11",), ("q", "x", "mu")),
     "rosenblum-hermite": (
         lambda n, x, a, rep: rosenblum_hermite(n, mpf(a.mu), x),
-        ("closed_sum",)),
+        ("closed_sum",), ("x", "mu")),
 }
 
 
@@ -183,12 +185,13 @@ def _params_from(args) -> QParams:
 
 
 def _family(args):
-    """The evaluator of args.family and the representation it uses.
+    """The evaluator of args.family, the representation it uses and the
+    parameters it reads.
 
     Every numeric flag is read first, whether the family uses it or not, so
     an out-of-range --q or a malformed --mu exits 2 for every family.
     """
-    evaluate, reps = _FAMILIES[args.family]
+    evaluate, reps, reads = _FAMILIES[args.family]
     _params_from(args)
     mpf(args.y)
     mpf(args.mu)
@@ -196,14 +199,14 @@ def _family(args):
     if rep not in reps:
         raise DomainError("%s evaluates with %s: got rep %r"
                           % (args.family, " or ".join(reps), rep))
-    return evaluate, rep
+    return evaluate, rep, reads
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    evaluate, rep = _family(args)
+    evaluate, rep, reads = _family(args)
     digits = cfg.precision_digits
     row = {"family": args.family, "n": str(args.n)}
-    for name in ("q", "alpha", "x", "y"):
+    for name in reads:
         row[name] = fmt_scalar(mpf(getattr(args, name)), digits)
     row["value"] = fmt_scalar(evaluate(args.n, mpf(args.x), args, rep), digits)
     row["representation"] = rep
@@ -214,7 +217,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_table(args, cfg: RunConfig) -> int:
     if args.n_max < 0:
         raise DomainError("n_max must be >= 0: got %d" % args.n_max)
-    evaluate, rep = _family(args)
+    evaluate, rep, _ = _family(args)
     digits = cfg.precision_digits
     rows = [{"n": str(n), "x": fmt_scalar(mpf(xs), digits),
              "value": fmt_scalar(evaluate(n, mpf(xs), args, rep), digits),

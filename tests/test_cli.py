@@ -76,6 +76,26 @@ def test_table_discrete_family(capsys):
     assert out.splitlines()[0] == "n,x,value,representation"
 
 
+@pytest.mark.parametrize("family, reads", [
+    ("gdqh2", ["q", "alpha", "x", "y"]),
+    ("discrete-qh2", ["q", "x"]),
+    ("qlaguerre", ["q", "alpha", "x"]),
+    ("stieltjes-wigert", ["q", "x"]),
+    ("mu-hermite", ["q", "x", "mu"]),
+    ("rosenblum-hermite", ["x", "mu"]),
+])
+def test_eval_row_prints_the_parameters_the_family_reads(capsys, family,
+                                                          reads):
+    # a parameter the family ignores is not printed as if it had been used
+    code, out, _ = run(capsys, "--no-timestamp", "--format", "csv", "eval",
+                       family, "--n", "2", "--x", "0.7", "--mu", "0.3")
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert header == ["family", "n", *reads, "value", "representation"]
+    if "mu" in reads:
+        assert row[header.index("mu")] == "3." + "0" * 49 + "e-1"
+
+
 @pytest.mark.parametrize("argv, want", [
     (("eval", "stieltjes-wigert", "--n", "3", "--x", "0.4", "--rep", "bogus"),
      "stieltjes-wigert evaluates with phi11: got rep 'bogus'"),
