@@ -115,6 +115,10 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"true": True, "false": False, "yes": True, "no": False,
+             "1": True, "0": False}
+
+
 def resolve_config(args) -> RunConfig:
     """flags > config file > defaults."""
     merged = {"precision": "50", "rel_tol": None, "tail_tol": None,
@@ -134,12 +138,16 @@ def resolve_config(args) -> RunConfig:
         merged["format"] = args.format
     if getattr(args, "no_timestamp", False):
         merged["timestamp"] = "false"
+    timestamp = _BOOLEANS.get(merged["timestamp"].lower())
+    if timestamp is None:
+        raise ValueError("config key 'timestamp' must be one of %s: got %r"
+                         % ("/".join(_BOOLEANS), merged["timestamp"]))
     return RunConfig(
         precision_digits=int(merged["precision"]),
         rel_tol=merged["rel_tol"],
         tail_tol=merged["tail_tol"],
         fmt=merged["format"],
-        timestamp=str(merged["timestamp"]).lower() not in ("false", "0", "no"),
+        timestamp=timestamp,
     )
 
 

@@ -297,6 +297,24 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("value, stamped", [
+    ("NO", False), ("0", False), ("Yes", True), ("true", True),
+    ("off", None), ("flase", None),
+])
+def test_config_timestamp_takes_only_a_boolean(tmp_path, capsys, value,
+                                               stamped):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("timestamp = %s\n" % value)
+    code, out, err = run(capsys, "--config", str(cfg), "eval", "gdqh2",
+                         "--n", "0", "--x", "1")
+    if stamped is None:
+        assert code == 2 and out == ""
+        assert "config key 'timestamp'" in err and repr(value) in err
+    else:
+        assert code == 0
+        assert out.startswith("# ") is stamped
+
+
 def test_eval_invalid_degree_exit_two(capsys):
     code, _, err = run(capsys, "eval", "gdqh2", "--n", "-2", "--q", "0.5",
                        "--alpha", "0", "--x", "1", "--y", "1")
