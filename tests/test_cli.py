@@ -5,9 +5,19 @@ import io
 import json
 
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
-from qhermite.cli import RunConfig, main, resolve_config
+from qhermite.cli import _FAMILIES, RunConfig, main, resolve_config
+from qhermite.polyfam import (
+    discrete_q_hermite2,
+    gdqh2,
+    mu_hermite,
+    q_laguerre,
+    rosenblum_hermite,
+    stieltjes_wigert,
+)
+from qhermite.qcore import QParams
+from qhermite.scalars import fmt_scalar
 
 
 def run(capsys, *argv):
@@ -74,6 +84,52 @@ def test_table_discrete_family(capsys):
     assert rows[0]["value"].startswith("1.0000")
     assert rows[1]["value"].startswith("7.0000")
     assert out.splitlines()[0] == "n,x,value,representation"
+
+
+# the library call each CLI family stands for, at q = 0.4, alpha = 0.6,
+# y = 0.9, mu = 0.3
+_DIRECT = {
+    "gdqh2": lambda n, x, rep: gdqh2(n, x, mpf("0.9"),
+                                     QParams(mpf("0.4"), mpf("0.6")), rep=rep),
+    "discrete-qh2": lambda n, x, rep: discrete_q_hermite2(n, x, mpf("0.4")),
+    "qlaguerre": lambda n, x, rep: q_laguerre(n, mpf("0.6"), x, mpf("0.4"),
+                                              rep=rep),
+    "stieltjes-wigert": lambda n, x, rep: stieltjes_wigert(n, x, mpf("0.4")),
+    "mu-hermite": lambda n, x, rep: mu_hermite(n, mpf("0.3"), x, mpf("0.4")),
+    "rosenblum-hermite": lambda n, x, rep: rosenblum_hermite(n, mpf("0.3"), x),
+}
+_FLAGS = ("--q", "0.4", "--alpha", "0.6", "--y", "0.9", "--mu", "0.3")
+
+
+def test_family_table_is_the_cli_choice_list():
+    assert sorted(_DIRECT) == sorted(_FAMILIES)
+
+
+@pytest.mark.parametrize("family, rep", [
+    (family, rep) for family, (_, reps, _) in sorted(_FAMILIES.items())
+    for rep in reps])
+def test_family_table_calls_the_library(capsys, family, rep):
+    code, out, err = run(capsys, "--no-timestamp", "--format", "json", "eval",
+                         family, "--n", "3", "--x", "0.7", "--rep", rep,
+                         *_FLAGS)
+    assert code == 0 and err == ""
+    row = json.loads(out)["rows"][0]
+    with mp.workdps(50):
+        want = _DIRECT[family](3, mpf("0.7"), rep)
+        assert row["value"] == fmt_scalar(want, 50)
+    assert row["representation"] == rep
+    code, out, err = run(capsys, "--no-timestamp", "eval", family,
+                         "--n", "-1", "--x", "0.7", "--rep", rep, *_FLAGS)
+    assert code == 2 and out == ""
+    assert "degree" in err
+
+
+def test_unknown_family_exit_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "--no-timestamp", "eval", "borel", "--n", "1",
+            "--x", "0.7")
+    assert exc.value.code == 2
+    assert "invalid choice: 'borel'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family, reads", [
