@@ -101,10 +101,6 @@ _DIRECT = {
 _FLAGS = ("--q", "0.4", "--alpha", "0.6", "--y", "0.9", "--mu", "0.3")
 
 
-def test_family_table_is_the_cli_choice_list():
-    assert sorted(_DIRECT) == sorted(_FAMILIES)
-
-
 @pytest.mark.parametrize("family, rep", [
     (family, rep) for family, (_, reps, _) in sorted(_FAMILIES.items())
     for rep in reps])
