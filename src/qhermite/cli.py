@@ -97,8 +97,8 @@ class RunConfig:
             raise ValueError("format must be human, json or csv: got %r" % self.fmt)
         for name in ("rel_tol", "tail_tol"):
             v = getattr(self, name)
-            if v is not None and not (mpf(v) > 0):
-                raise ValueError("%s must be > 0: got %s" % (name, v))
+            if v is not None and not (0 < mpf(v) < mp.inf):
+                raise ValueError("%s must be finite and > 0: got %s" % (name, v))
 
 
 def _read_config_file(path: str) -> dict:

@@ -11,7 +11,9 @@ degrades to the absolute one there).
 Checks escalate their internal working precision before summing: the
 connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
-digits.  Reports carry values rounded back to the ambient context.
+digits.  Reports carry lhs, rhs and residuals at the working precision of
+the check, not rounded back to the ambient context: a printer that rounds
+them once to its own digits avoids rounding them twice.
 """
 
 from __future__ import annotations
@@ -266,25 +268,28 @@ def _gf_series(terms: Iterable, trunc: Truncation) -> tuple:
         % (mp.nstr(trunc.tail_tol, 4), used, mp.nstr(abs(term), 4)))
 
 
+def _gf_terms(t, x, y, q, p: QParams):
+    """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
+    series, over one recurrence stream with a running weight."""
+    w = mpf(1)  # running q^C(j,2) t^j / (q;q)_j
+    for j, h in enumerate(gdqh2_recurrence_values(x, y, p)):
+        if j > 0:
+            w *= t * qpow(q, j - 1) / (1 - qpow(q, j))
+        yield w * h
+
+
 def _parity_series(t, x, y, q, p: QParams, trunc: Truncation):
-    """The even and odd halves of the generating-function series,
+    """The even and odd halves of the generating-function series with the
+    sign (-1)^(j//2),
 
       sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1},
 
-    over one recurrence stream, read only as far as the longer half needs;
-    each half as (sum, terms used)."""
-
-    def terms():
-        poch = mpf(1)  # running (q;q)_j
-        for j, h in enumerate(gdqh2_recurrence_values(x, y, p)):
-            if j > 0:
-                poch *= 1 - qpow(q, j)
-            n, odd = divmod(j, 2)
-            yield ((-1) ** n * qpow(q, n * (2 * n - 1 + 2 * odd)) * qpow(t, j)
-                   * h / poch)
-
-    even, odd = tee(terms())
+    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1).  Both read one term
+    stream, only as far as the longer half needs; each half as
+    (sum, terms used)."""
+    signed = ((-1) ** (j // 2) * w for j, w in enumerate(_gf_terms(t, x, y, q, p)))
+    even, odd = tee(signed)
     return (_gf_series(islice(even, 0, None, 2), trunc),
             _gf_series(islice(odd, 1, None, 2), trunc))
 
@@ -301,15 +306,7 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         lhs = euler_e(-y * t * t, q * q) * gen_E(x * t, p)
-
-        def terms():
-            w = mpf(1)  # running t^n q^C(n,2) / (q;q)_n
-            for n, h in enumerate(gdqh2_recurrence_values(x, y, p)):
-                if n > 0:
-                    w *= t * qpow(q, n - 1) / (1 - qpow(q, n))
-                yield w * h
-
-        rhs, used = _gf_series(terms(), trunc)
+        rhs, used = _gf_series(_gf_terms(t, x, y, q, p), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 

@@ -74,8 +74,8 @@ class QParams:
 class Truncation:
     """Budget for infinite sums/products.
 
-    max_terms is a hard cap; tail_tol is the absolute size at which a tail
-    is declared negligible.
+    max_terms is a hard cap; tail_tol, finite and > 0 and stored as an mpf,
+    is the absolute size at which a tail is declared negligible.
     """
 
     max_terms: int = 100_000
@@ -86,8 +86,9 @@ class Truncation:
             object.__setattr__(self, "tail_tol", mpf(10) ** (-(mp.dps + 10)))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1: got %s" % self.max_terms)
-        if not (to_mpf(self.tail_tol) > 0):
-            raise DomainError("tail_tol must be > 0: got %s" % self.tail_tol)
+        if not (0 < to_mpf(self.tail_tol) < mp.inf):
+            raise DomainError("tail_tol must be finite and > 0: got %s" % self.tail_tol)
+        object.__setattr__(self, "tail_tol", to_mpf(self.tail_tol))
 
 
 def default_truncation() -> Truncation:
@@ -110,7 +111,7 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     slower, since mpf wrapping dominates a product of tens of factors.
     """
     tr = trunc or default_truncation()
-    tail = to_mpf(tr.tail_tol)
+    tail = tr.tail_tol
     limit, prec = tail._mpf_, mp.prec
     step = to_mpf(q)._mpf_
     a = to_mpf(value)._mpf_

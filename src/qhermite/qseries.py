@@ -10,9 +10,10 @@ with a term-ratio recurrence.  Termination via an upper parameter equal to
 q^(-m) is detected (or declared via PhiSpec.terminate_at); terminating series
 work on the exact backend, everything else runs on mpf.
 
-On top of it: Euler's q-exponentials E_q / e_q, their two-parameter
-generalizations, Jackson's second q-Bessel function, and the generalized
-q-cosine / q-sine pair.
+On top of it, each as phi_rs calls: Euler's q-exponentials E_q / e_q, their
+two-parameter generalizations (the sum of an even and an odd half, each a
+series in base q^2), Jackson's second q-Bessel function, and the generalized
+q-cosine / q-sine pair.  phi_rs holds the only summation loop.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .qcore import (
     QParams,
     Truncation,
     default_truncation,
-    parity_indicator,
     q_pochhammer,
 )
 from .scalars import (
@@ -172,7 +172,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     power_exponent = 1 + s - r
-    tail_tol = to_mpf(tr.tail_tol)
+    tail_tol = tr.tail_tol
     total = CompensatedSum(q - q)
     term = q - q + 1
     total.add(term)
@@ -236,59 +236,37 @@ def euler_e(x, q, trunc: Optional[Truncation] = None):
     return phi((mpf(0),), (), q, x, trunc=trunc)
 
 
-def _gen_series(x, params: QParams, m: int, big: bool, trunc: Optional[Truncation]):
-    """Shared engine for gen_E / gen_e: term ratio against the generalized
-    factorial recursion (q^m;q^m)_{k+1,a} = (1 - Q^(k+1+theta_k(2a+1))) (...)_k."""
-    if m < 1:
-        raise DomainError("base exponent m must be >= 1: got %d" % m)
-    tr = trunc or default_truncation()
-    x, q, alpha = unify(x, params.q, params.alpha)
-    Q = qpow(q, m)
-    if not big and not abs(to_mpf(x)) < 1:
-        raise DomainError("the small exponential requires |x| < 1: got |x|=%s" % abs(to_mpf(x)))
-    if is_exact(x) and is_exact(q) and is_exact(alpha):
-        # infinite series: float backend
-        x, q, alpha, Q = (to_mpf(v) for v in (x, q, alpha, Q))
-    tail_tol = to_mpf(tr.tail_tol)
-    total = CompensatedSum(x - x)
-    term = x - x + 1
-    total.add(term)
-    Qk = term  # Q^k
-    for k in range(tr.max_terms):
-        step = 1 - qpow(Q, k + 1 + parity_indicator(k) * (2 * alpha + 1))
-        ratio = x / step
-        if big:
-            ratio *= Qk  # Q^C(k+1,2) / Q^C(k,2)
-        term = term * ratio
-        total.add(term)
-        Qk *= Q
-        if abs(to_mpf(term)) < tail_tol:
-            rho = abs(to_mpf(ratio))
-            if rho < 1:
-                tail = abs(to_mpf(term)) * rho / (1 - rho)
-                if tail < tail_tol:
-                    return SeriesValue(total.total, k + 2, tail)
-    raise ConvergenceError(
-        "generalized exponential did not converge in max_terms=%d" % tr.max_terms
-    )
+def _base_q2(x, params: QParams):
+    """x, q, b = q^(2a+2) and b q^2 as mpf: the series in base q^2 built on
+    them are infinite, so exact inputs go to the float backend."""
+    x, q, alpha = (to_mpf(v) for v in unify(x, params.q, params.alpha))
+    return x, q, qpow(q, 2 * alpha + 2), qpow(q, 2 * alpha + 4)
 
 
-def gen_E(x, params: QParams, m: int = 1, trunc: Optional[Truncation] = None):
-    """Generalized big q-exponential:
-    sum_k q^(m k(k-1)/2) x^k / (q^m;q^m)_{k,alpha}.  Entire in x.
+def gen_E(x, params: QParams, trunc: Optional[Truncation] = None):
+    """Generalized big q-exponential sum_k q^C(k,2) x^k / (q;q)_{k,alpha}.
+    Entire in x; at alpha=-1/2 it reduces to euler_E.
 
-    At m=1, alpha=-1/2 it reduces to euler_E.
+    Its even and odd halves, with b = q^(2a+2):
+      0-phi-1(-; b; q^2, q x^2) + x/(1-b) * 0-phi-1(-; b q^2; q^2, q^3 x^2).
     """
-    return _gen_series(x, params, m, True, trunc).value
+    x, q, b, bq2 = _base_q2(x, params)
+    return (phi((), (b,), q * q, q * x * x, trunc=trunc)
+            + x / (1 - b) * phi((), (bq2,), q * q, q ** 3 * x * x, trunc=trunc))
 
 
-def gen_e(x, params: QParams, m: int = 1, trunc: Optional[Truncation] = None):
-    """Generalized small q-exponential:
-    sum_k x^k / (q^m;q^m)_{k,alpha}, |x| < 1.
+def gen_e(x, params: QParams, trunc: Optional[Truncation] = None):
+    """Generalized small q-exponential sum_k x^k / (q;q)_{k,alpha}, |x| < 1.
+    At alpha=-1/2 it reduces to euler_e.
 
-    At m=1, alpha=-1/2 it reduces to euler_e.
+    Its even and odd halves, with b = q^(2a+2):
+      2-phi-1(0, 0; b; q^2, x^2) + x/(1-b) * 2-phi-1(0, 0; b q^2; q^2, x^2).
     """
-    return _gen_series(x, params, m, False, trunc).value
+    x, q, b, bq2 = _base_q2(x, params)
+    if not abs(x) < 1:
+        raise DomainError("the small exponential requires |x| < 1: got |x|=%s" % abs(x))
+    return (phi((0, 0), (b,), q * q, x * x, trunc=trunc)
+            + x / (1 - b) * phi((0, 0), (bq2,), q * q, x * x, trunc=trunc))
 
 
 def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
@@ -323,61 +301,15 @@ def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
     return pref * front * series
 
 
-def q_cos_alpha(x, params: QParams, trunc: Optional[Truncation] = None, rep: str = "series"):
-    """Generalized q-cosine:
-    sum_n (-1)^n q^(n(2n-1)) x^(2n) / (q;q)_{2n,alpha},
-    equivalently 0-phi-1(-; q^(2a+2); q^2, -q x^2).
-    """
-    x, q, alpha = unify(x, params.q, params.alpha)
-    if rep == "phi":
-        x, q, alpha = (to_mpf(v) for v in (x, q, alpha))
-        return phi((), (qpow(q, 2 * alpha + 2),), q * q, -q * x * x, trunc=trunc)
-    if rep != "series":
-        raise DomainError("rep must be 'series' or 'phi': got %r" % rep)
-    return _cos_sin_series(x, params, odd=False, trunc=trunc)
+def q_cos_alpha(x, params: QParams, trunc: Optional[Truncation] = None):
+    """Generalized q-cosine sum_n (-1)^n q^(n(2n-1)) x^(2n) / (q;q)_{2n,alpha},
+    summed as 0-phi-1(-; q^(2a+2); q^2, -q x^2)."""
+    x, q, b, _ = _base_q2(x, params)
+    return phi((), (b,), q * q, -q * x * x, trunc=trunc)
 
 
-def q_sin_alpha(x, params: QParams, trunc: Optional[Truncation] = None, rep: str = "series"):
-    """Generalized q-sine:
-    sum_n (-1)^n q^(n(2n+1)) x^(2n+1) / (q;q)_{2n+1,alpha},
-    equivalently x/(1-q^(2a+2)) * 0-phi-1(-; q^(2a+4); q^2, -q^3 x^2).
-    """
-    x, q, alpha = unify(x, params.q, params.alpha)
-    if rep == "phi":
-        x, q, alpha = (to_mpf(v) for v in (x, q, alpha))
-        head = x / (1 - qpow(q, 2 * alpha + 2))
-        return head * phi(
-            (), (qpow(q, 2 * alpha + 4),), q * q, -(q ** 3) * x * x, trunc=trunc
-        )
-    if rep != "series":
-        raise DomainError("rep must be 'series' or 'phi': got %r" % rep)
-    return _cos_sin_series(x, params, odd=True, trunc=trunc)
-
-
-def _cos_sin_series(x, params: QParams, odd: bool, trunc: Optional[Truncation]):
-    """Direct summation of the generalized cosine/sine series.
-
-    Maintains the denominator (q;q)_{2n+par,alpha} by applying the two
-    factorial recursion steps per n instead of recomputing it.
-    """
-    tr = trunc or default_truncation()
-    x, q, alpha = (to_mpf(v) for v in unify(x, params.q, params.alpha))
-    tail_tol = to_mpf(tr.tail_tol)
-    par = 1 if odd else 0
-    denom = mpf(1)
-    for idx in range(par):
-        denom *= 1 - qpow(q, idx + 1 + parity_indicator(idx) * (2 * alpha + 1))
-    total = CompensatedSum(mpf(0))
-    xpow = x ** par
-    for n in range(tr.max_terms):
-        idx = 2 * n + par
-        term = (-1) ** n * qpow(q, n * (2 * n + (1 if odd else -1))) * xpow / denom
-        total.add(term)
-        if abs(term) < tail_tol and n >= 1:
-            return total.total
-        for j in (idx, idx + 1):
-            denom *= 1 - qpow(q, j + 1 + parity_indicator(j) * (2 * alpha + 1))
-        xpow *= x * x
-    raise ConvergenceError(
-        "q_cos/q_sin series did not converge in max_terms=%d" % tr.max_terms
-    )
+def q_sin_alpha(x, params: QParams, trunc: Optional[Truncation] = None):
+    """Generalized q-sine sum_n (-1)^n q^(n(2n+1)) x^(2n+1) / (q;q)_{2n+1,alpha},
+    summed as x/(1-q^(2a+2)) * 0-phi-1(-; q^(2a+4); q^2, -q^3 x^2)."""
+    x, q, b, bq2 = _base_q2(x, params)
+    return x / (1 - b) * phi((), (bq2,), q * q, -(q ** 3) * x * x, trunc=trunc)

@@ -156,7 +156,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(mp.dps + 20):
         trunc = trunc or default_truncation()
-        tail = to_mpf(trunc.tail_tol)
+        tail = trunc.tail_tol
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
         c = qpow(q, -2 * alpha - 1)
         top = max(max(pair) for pair in pairs)

@@ -367,6 +367,26 @@ def test_config_timestamp_takes_only_a_boolean(tmp_path, capsys, value,
         assert out.startswith("# ") is stamped
 
 
+_CHECK_ONE_CELL = ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
+                   "--x", "-1.1", "--y", "-0.9", "--t", "0.3")
+
+
+@pytest.mark.parametrize("key", ["rel_tol", "tail_tol"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_infinite_tolerance_exit_two(tmp_path, capsys, key, where):
+    # an infinite rel_tol would pass every check, an infinite tail_tol cut
+    # every series to its first term
+    if where == "flag":
+        argv = ("--" + key.replace("_", "-"), "inf")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = inf\n" % key)
+        argv = ("--config", str(cfg))
+    code, out, err = run(capsys, "--no-timestamp", *argv, *_CHECK_ONE_CELL)
+    assert code == 2 and out == ""
+    assert "%s must be finite and > 0" % key in err
+
+
 def test_eval_invalid_degree_exit_two(capsys):
     code, _, err = run(capsys, "eval", "gdqh2", "--n", "-2", "--q", "0.5",
                        "--alpha", "0", "--x", "1", "--y", "1")

@@ -24,7 +24,7 @@ from qhermite.identities import (
     summarize_reports,
 )
 from qhermite.polyfam import gdqh2
-from qhermite.qcore import QParams, q_pochhammer
+from qhermite.qcore import QParams, Truncation, q_pochhammer
 from qhermite.qseries import euler_e, gen_E
 from qhermite.scalars import binom2
 
@@ -87,6 +87,15 @@ def test_generating_function_reference_point():
                                   QParams(mpf("0.5"), mpf(0)))
     assert r.passed and r.rel_residual < mpf("1e-25")
     assert "binding bound" in r.note
+
+
+@pytest.mark.parametrize("tail_tol", [F(1, 10 ** 60), "1e-60"], ids=["Fraction", "str"])
+def test_gf_checks_take_any_tail_tol_truncation_accepts(tail_tol):
+    # the adaptive sums compare each term against trunc.tail_tol
+    trunc, p = Truncation(tail_tol=tail_tol), QParams(mpf("0.5"), mpf(0))
+    args = (mpf("0.3"), mpf(1), mpf("0.5"), p)
+    assert check_generating_function(*args, trunc=trunc).passed
+    assert all(r.passed for r in check_even_odd_gf(*args, trunc=trunc))
 
 
 def test_generating_function_trivial_points():

@@ -42,6 +42,13 @@ def test_truncation_validation():
         Truncation(tail_tol=mpf(0))
 
 
+@pytest.mark.parametrize("tail_tol", [mp.inf, "inf"], ids=["mpf", "str"])
+def test_truncation_rejects_infinite_tail_tol(tail_tol):
+    # an infinite tail_tol would stop every series after its first term
+    with pytest.raises(DomainError, match="tail_tol must be finite"):
+        Truncation(tail_tol=tail_tol)
+
+
 def test_pochhammer_exact_small():
     # (1/2; 1/2)_2 = (1 - 1/2)(1 - 1/4) = 3/8
     assert q_pochhammer(F(1, 2), F(1, 2), 2) == F(3, 8)

@@ -10,6 +10,7 @@ from qhermite.errors import DivergenceError, DomainError, PoleError
 from qhermite.qcore import (
     QParams,
     Truncation,
+    gen_q_shifted_factorial,
     hahn_add_power,
     q_pochhammer,
 )
@@ -25,7 +26,7 @@ from qhermite.qseries import (
     q_cos_alpha,
     q_sin_alpha,
 )
-from qhermite.scalars import qpow
+from qhermite.scalars import qpow, to_mpf
 
 qs = st.floats(min_value=0.1, max_value=0.9)
 
@@ -113,17 +114,17 @@ def test_gen_exponentials_reduce_at_minus_half():
 
 def test_gen_exponential_product_inverse():
     # gen_e_{q^2,a}(x) * gen_E_{q^2,a}(-x) = 1 at a = -1/2
-    p = QParams(mpf("0.6"), mpf("-0.5"))
+    p = QParams(mpf("0.6") ** 2, mpf("-0.5"))
     x = mpf("0.42")
-    assert abs(gen_e(x, p, m=2) * gen_E(-x, p, m=2) - 1) < mpf("1e-45")
+    assert abs(gen_e(x, p) * gen_E(-x, p) - 1) < mpf("1e-45")
 
 
 def test_hahn_addition_theorem_for_exponentials():
     # e~_{q^2}(x) E~_{q^2}(y) = sum_n (x (+)_{q^2} y)^n / (q^2;q^2)_n
     q2 = mpf("0.25")
-    p = QParams(mpf("0.5"), mpf("-0.5"))
+    p = QParams(q2, mpf("-0.5"))
     x, y = mpf("0.35"), mpf("0.6")
-    lhs = gen_e(x, p, m=2) * gen_E(y, p, m=2)
+    lhs = gen_e(x, p) * gen_E(y, p)
     total = mpf(0)
     poch = mpf(1)
     for n in range(0, 220):
@@ -176,16 +177,68 @@ def test_q_bessel2_edge_cases():
     assert mp.isfinite(q_bessel2(mpf(3), mpf("-1"), q))  # integer order is fine
 
 
-def test_q_trig_series_vs_phi():
-    for alpha in (mpf(0), mpf("0.25"), mpf("1.5")):
-        p = QParams(mpf("0.5"), alpha)
-        for x in (mpf("0.3"), mpf("0.9"), mpf("-0.7")):
-            c1 = q_cos_alpha(x, p)
-            c2 = q_cos_alpha(x, p, rep="phi")
-            s1 = q_sin_alpha(x, p)
-            s2 = q_sin_alpha(x, p, rep="phi")
-            assert abs(c1 - c2) < mpf("1e-44")
-            assert abs(s1 - s2) < mpf("1e-44")
+# each function as its defining series sum_k c_k x^k / (q;q)_{k,alpha} over
+# the k it keeps, and as its even/odd 0-phi-1 / 2-phi-1 halves in base q^2
+# with b = q^(2a+2), summed by mpmath.qhyper
+_DEFINING = {
+    q_cos_alpha: lambda k, q: (-1) ** (k // 2) * q ** (k * (k - 1) // 2) * (1 - k % 2),
+    q_sin_alpha: lambda k, q: (-1) ** (k // 2) * q ** (k * (k - 1) // 2) * (k % 2),
+    gen_E: lambda k, q: q ** (k * (k - 1) // 2),
+    gen_e: lambda k, q: 1,
+}
+_HALVES = {
+    q_cos_alpha: ((), lambda q, x: -q * x * x, None),
+    q_sin_alpha: ((), None, lambda q, x: -q ** 3 * x * x),
+    gen_E: ((), lambda q, x: q * x * x, lambda q, x: q ** 3 * x * x),
+    gen_e: ((0, 0), lambda q, x: x * x, lambda q, x: x * x),
+}
+
+
+def _defining_sum(fn, x, p):
+    # up to two consecutive terms below 1e-75: the trig series skip every
+    # other k
+    total, small, k = mpf(0), 0, 0
+    while small < 2:
+        term = _DEFINING[fn](k, p.q) * x ** k / gen_q_shifted_factorial(k, p)
+        total += term
+        small = small + 1 if abs(term) < mpf("1e-75") else 0
+        k += 1
+    return total
+
+
+def _qhyper_halves(fn, x, p):
+    q = p.q
+    b = q ** (2 * p.alpha + 2)
+    upper, z_even, z_odd = _HALVES[fn]
+    total = mpf(0)
+    if z_even:
+        total += mp.qhyper(upper, [b], q * q, z_even(q, x))
+    if z_odd:
+        total += x / (1 - b) * mp.qhyper(upper, [b * q * q], q * q, z_odd(q, x))
+    return total
+
+
+@pytest.mark.parametrize("fn", list(_DEFINING), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("alpha", ["-0.9", "0", "1.5"])
+def test_q_exp_trig_vs_independent_sums(fn, alpha):
+    # gen_e needs |x| < 1 and its defining sum about 70/log10(1/|x|) terms
+    p = QParams(mpf("0.5"), mpf(alpha))
+    for x in ((mpf("0.3"), mpf("-0.4")) if fn is gen_e
+              else (mpf("0.3"), mpf("-0.55"), mpf("0.9"))):
+        got = fn(x, p)
+        with mp.workdps(mp.dps + 20):
+            want_sum = _defining_sum(fn, x, p)
+            want_qhyper = _qhyper_halves(fn, x, p)
+        for want in (want_sum, want_qhyper):
+            assert abs(got - want) <= mpf("1e-45") * max(1, abs(want))
+
+
+@pytest.mark.parametrize("fn", list(_DEFINING), ids=lambda f: f.__name__)
+def test_q_exp_trig_exact_inputs_equal_mpf_inputs(fn):
+    for x, q, alpha in ((F(3, 10), F(1, 2), F(3, 2)), (F(-11, 20), F(2, 5), F(-9, 10))):
+        got = fn(x, QParams(q, alpha))
+        assert got == fn(to_mpf(x), QParams(to_mpf(q), to_mpf(alpha)))
+        assert isinstance(got, mpf)
 
 
 def test_q_trig_at_zero_and_parity():
