@@ -11,15 +11,21 @@ degrades to the absolute one there).
 Checks escalate their internal working precision before summing: the
 connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
-digits.  Reports carry lhs, rhs and residuals at the working precision of
-the check, not rounded back to the ambient context: a printer that rounds
-them once to its own digits avoids rounding them twice.
+digits; run_identity_suite builds one ladder per (q, alpha, x, y) cell, to
+its largest n at that top precision, and computes only the requested ids.
+Reports carry lhs, rhs and residuals at the working precision of the check,
+not rounded back to the ambient context: a printer that rounds them once to
+its own digits avoids rounding them twice.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from contextvars import ContextVar
+from copy import copy
 from dataclasses import dataclass
-from itertools import islice, tee
+from itertools import accumulate, count, islice, product, tee
+from operator import mul
 from typing import Iterable, Optional
 
 from mpmath import mp, mpf
@@ -130,6 +136,39 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
     )
 
 
+# The (q, alpha, x, y) cell run_identity_suite evaluates, None outside it: the
+# ids asked for, its one ladder's degree and digits, and a memo of what its
+# checks share (that ladder, definition sums, term streams, e_{q^2}(y t^2)).
+_Cell = namedtuple("_Cell", "ids ladder_n ladder_dps memo")
+_CELL: ContextVar[Optional[_Cell]] = ContextVar("_CELL", default=None)
+
+
+def _wanted(identity_id: str) -> bool:
+    """Whether a check computes identity_id: unless a suite cell did not ask."""
+    cell = _CELL.get()
+    return cell is None or identity_id in cell.ids
+
+
+def _once(f, *args):
+    """f(*args), made once per suite cell for equal args and precision."""
+    cell = _CELL.get()
+    if cell is None:
+        return f(*args)
+    key = (f, args, mp.prec)
+    if key not in cell.memo:
+        cell.memo[key] = f(*args)
+    return cell.memo[key]
+
+
+def _ladder(n: int, x, y, p: QParams) -> list:
+    """h_0..h_n, or the cell's longer ladder inside a suite cell."""
+    cell = _CELL.get()
+    if cell is None:
+        return gdqh2_recurrence_ladder(n, x, y, p)
+    with mp.workdps(cell.ladder_dps):
+        return _once(gdqh2_recurrence_ladder, cell.ladder_n, x, y, p)
+
+
 # --- local families: representations and recurrence --------------------------
 
 
@@ -141,16 +180,14 @@ def check_representations(n: int, p: QParams, x, y,
     y < 0, outside its real-power domain.
     """
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
-    out = []
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
+                                     ("representation_laguerre", "laguerre_form"))
+             if _wanted(i) and (rep == "phi_form" or to_mpf(y) >= 0)]
     with mp.workdps(_work_digits("poly", n, p.q)):
-        base = gdqh2(n, x, y, p, rep="definition_sum", trunc=trunc)
-        alt = gdqh2(n, x, y, p, rep="phi_form", trunc=trunc)
-        out.append(_report("representation_phi", params, base, alt, tol, trunc))
-        if to_mpf(y) >= 0:
-            lag = gdqh2(n, x, y, p, rep="laguerre_form", trunc=trunc)
-            out.append(_report("representation_laguerre", params, base, lag, tol, trunc))
-    return out
+        base = _once(gdqh2, n, x, y, p) if forms else None
+        return [_report(i, params, base, gdqh2(n, x, y, p, rep=rep, trunc=trunc),
+                        tol, trunc) for i, rep in forms]
 
 
 def check_recurrence(n: int, p: QParams, x, y, tol=None,
@@ -159,9 +196,8 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(_work_digits("poly", n, p.q)):
-        lhs = gdqh2_recurrence_ladder(n, x, y, p)[-1]
-        rhs = gdqh2(n, x, y, p, trunc=trunc)
-        return _report("recurrence", params, lhs, rhs, tol, trunc)
+        lhs = _ladder(n, x, y, p)[n]
+        return _report("recurrence", params, lhs, _once(gdqh2, n, x, y, p), tol, trunc)
 
 
 # --- connection and inversion -------------------------------------------------
@@ -176,7 +212,7 @@ def _descending_sum(n: int, x, y, q, p: QParams, weight):
     recurrence ladder.  Returns ((q;q)_n, the sum).
     """
     q2 = q * q
-    ladder = gdqh2_recurrence_ladder(n, x, y, p)
+    ladder = _ladder(n, x, y, p)
     total = q - q
     poch_q2 = 1 + (q - q)
     poch_q_down = q_pochhammer(q, q, n)
@@ -270,28 +306,34 @@ def _gf_series(terms: Iterable, trunc: Truncation) -> tuple:
 
 def _gf_terms(t, x, y, q, p: QParams):
     """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
-    series, over one recurrence stream with a running weight."""
-    w = mpf(1)  # running q^C(j,2) t^j / (q;q)_j
-    for j, h in enumerate(gdqh2_recurrence_values(x, y, p)):
-        if j > 0:
-            w *= t * qpow(q, j - 1) / (1 - qpow(q, j))
-        yield w * h
+    series, over one recurrence stream with a running weight, buffered: each
+    copy() reads them from the first, computed once when first needed."""
+    weights = accumulate((t * qpow(q, j - 1) / (1 - qpow(q, j)) for j in count(1)),
+                         mul, initial=mpf(1))  # running q^C(j,2) t^j / (q;q)_j
+    return tee(map(mul, weights, gdqh2_recurrence_values(x, y, p)), 1)[0]
 
 
-def _parity_series(t, x, y, q, p: QParams, trunc: Truncation):
-    """The even and odd halves of the generating-function series with the
-    sign (-1)^(j//2),
+def _parity_reports(ids, rhs, t, x, y, q, p: QParams, params, tol, trunc, note):
+    """The wanted reports of ids = (even id, odd id): each half of the
+    generating-function series with the sign (-1)^(j//2),
 
       sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1},
 
-    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1).  Both read one term
-    stream, only as far as the longer half needs; each half as
-    (sum, terms used)."""
-    signed = ((-1) ** (j // 2) * w for j, w in enumerate(_gf_terms(t, x, y, q, p)))
-    even, odd = tee(signed)
-    return (_gf_series(islice(even, 0, None, 2), trunc),
-            _gf_series(islice(odd, 1, None, 2), trunc))
+    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), against
+    rhs(half) * e_{q^2}(y t^2).  Both halves read one term stream."""
+    envelope = _once(euler_e, y * t * t, q * q)
+    terms = _once(_gf_terms, t, x, y, q, p)
+    out = []
+    for half, ident in enumerate(ids):
+        if _wanted(ident):
+            value = rhs(half) * envelope
+            signed = ((-1) ** (j // 2) * w
+                      for j, w in islice(enumerate(copy(terms)), half, None, 2))
+            lhs, used = _gf_series(signed, trunc)
+            out.append(_report(ident, params, lhs, value, tol, trunc,
+                               terms_used=used, note=note))
+    return tuple(out)
 
 
 def check_generating_function(t, x, y, p: QParams, tol=None,
@@ -306,14 +348,14 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         lhs = euler_e(-y * t * t, q * q) * gen_E(x * t, p)
-        rhs, used = _gf_series(_gf_terms(t, x, y, q, p), trunc)
+        rhs, used = _gf_series(copy(_once(_gf_terms, t, x, y, q, p)), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 
 
 def check_even_odd_gf(t, x, y, p: QParams, tol=None,
                       trunc: Optional[Truncation] = None):
-    """Parity halves of the generating function (see _parity_series):
+    """Parity halves of the generating function (see _parity_reports):
 
       even half = Cos_{q,alpha}(x t) * e_{q^2}(y t^2)
       odd half  = Sin_{q,alpha}(x t) * e_{q^2}(y t^2)
@@ -326,15 +368,10 @@ def check_even_odd_gf(t, x, y, p: QParams, tol=None,
     trunc = trunc or default_truncation()
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
-        envelope = euler_e(y * t * t, q * q)
-        rhs_even = q_cos_alpha(x * t, p, trunc=trunc) * envelope
-        rhs_odd = q_sin_alpha(x * t, p, trunc=trunc) * envelope
-        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, trunc)
-        even = _report("even_gf", params, lhs_even, rhs_even, tol, trunc,
-                       terms_used=used_e, note=note)
-        odd = _report("odd_gf", params, lhs_odd, rhs_odd, tol, trunc,
-                      terms_used=used_o, note=note)
-        return even, odd
+        trig = (q_cos_alpha, q_sin_alpha)
+        return _parity_reports(("even_gf", "odd_gf"),
+                               lambda half: trig[half](x * t, p, trunc=trunc),
+                               t, x, y, q, p, params, tol, trunc, note)
 
 
 def check_bessel_forms(t, x, y, p: QParams, tol=None,
@@ -363,17 +400,11 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
                  / q_pochhammer(qpow(q, 2 * alpha + 2), q2, None, trunc=trunc)
                  * qpow(z, -alpha))
         warg = 2 * z * qpow(q, -alpha - mpf("0.5"))
-        envelope = euler_e(y * t * t, q2)
-        rhs_even = (qpow(q, alpha * (alpha + mpf("0.5"))) * front
-                    * q_bessel2(alpha, warg, q2, trunc=trunc) * envelope)
-        rhs_odd = (qpow(q, (alpha + 1) * (alpha + mpf("0.5"))) * front
-                   * q_bessel2(alpha + 1, warg, q2, trunc=trunc) * envelope)
-        (lhs_even, used_e), (lhs_odd, used_o) = _parity_series(t, x, y, q, p, trunc)
-        even = _report("bessel_even", params, lhs_even, rhs_even, tol, trunc,
-                       terms_used=used_e, note=note)
-        odd = _report("bessel_odd", params, lhs_odd, rhs_odd, tol, trunc,
-                      terms_used=used_o, note=note)
-        return even, odd
+        return _parity_reports(
+            ("bessel_even", "bessel_odd"),
+            lambda half: (qpow(q, (alpha + half) * (alpha + mpf("0.5"))) * front
+                          * q_bessel2(alpha + half, warg, q2, trunc=trunc)),
+            t, x, y, q, p, params, tol, trunc, note)
 
 
 # --- limit targets --------------------------------------------------------------
@@ -437,7 +468,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                        identity_id: str = "all"):
     """Run the selected identity family (or all of them) over the grid.
     A check that raises becomes one error report, with its parameters, per
-    identity id it stands for, instead of raising."""
+    requested id it stands for, instead of raising."""
     if identity_id not in ("all",) + IDENTITY_IDS:
         raise DomainError(
             "unknown identity id %r (expected 'all' or one of %s)"
@@ -445,7 +476,10 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
     reports = []
 
     def guard(ids, params, check, *args):
-        """Run one check; if it raises, one error report per id it stands for."""
+        """Run one check for its requested ids; one error report each if it raises."""
+        ids = [i for i in ids if identity_id in ("all", i)]
+        if not ids:
+            return
         try:
             got = check(*args)
         except (QHermiteError, ZeroDivisionError, OverflowError) as exc:
@@ -459,46 +493,42 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
-    want = lambda name: identity_id in ("all", name)
+    ids = IDENTITY_IDS if identity_id == "all" else (identity_id,)
     qs = _grid_mpf(grid.q_values)
     alphas = _grid_mpf(grid.alpha_values)
     xs = _grid_mpf(grid.x_values)
     ys = _grid_mpf(grid.y_values)
     omegas = _grid_mpf(grid.omega_values)
     ts = _grid_mpf(grid.t_values)
+    n_max = max(grid.n_values, default=0)
 
     for q in qs:
         for alpha in alphas:
             p = QParams(q, alpha)
-            for x in xs:
-                for y in ys:
+            for x, y in product(xs, ys):
+                cell = _CELL.set(_Cell(ids, n_max, _work_digits("cancel", n_max, q), {}))
+                try:
                     for n in grid.n_values:
                         at = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
-                        if want("representation_phi") or want("representation_laguerre"):
-                            guard(("representation_phi", "representation_laguerre"), at,
-                                  check_representations, n, p, x, y, tol, trunc)
-                        if want("recurrence"):
-                            guard(("recurrence",), at, check_recurrence, n, p, x, y, tol, trunc)
-                        if want("connection"):
-                            for omega in omegas:
-                                guard(("connection",), dict(at, omega=omega),
-                                      check_connection, n, p, x, y, omega, tol, trunc)
-                        if want("inversion"):
-                            guard(("inversion",), at, check_inversion, n, p, x, y, tol, trunc)
+                        guard(("representation_phi", "representation_laguerre"), at,
+                              check_representations, n, p, x, y, tol, trunc)
+                        guard(("recurrence",), at, check_recurrence, n, p, x, y, tol, trunc)
+                        for omega in omegas:
+                            guard(("connection",), dict(at, omega=omega),
+                                  check_connection, n, p, x, y, omega, tol, trunc)
+                        guard(("inversion",), at, check_inversion, n, p, x, y, tol, trunc)
                     for t in ts:
                         at = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
-                        if want("generating_function"):
-                            guard(("generating_function",), at,
-                                  check_generating_function, t, x, y, p, tol, trunc)
-                        if want("even_gf") or want("odd_gf"):
-                            guard(("even_gf", "odd_gf"), at,
-                                  check_even_odd_gf, t, x, y, p, tol, trunc)
-                        if (want("bessel_even") or want("bessel_odd")) and x * t > 0:
+                        guard(("generating_function",), at,
+                              check_generating_function, t, x, y, p, tol, trunc)
+                        guard(("even_gf", "odd_gf"), at,
+                              check_even_odd_gf, t, x, y, p, tol, trunc)
+                        if x * t > 0:
                             guard(("bessel_even", "bessel_odd"), at,
                                   check_bessel_forms, t, x, y, p, tol, trunc)
-
-    return [r for r in reports
-            if identity_id == "all" or r.identity_id == identity_id]
+                finally:
+                    _CELL.reset(cell)
+    return reports
 
 
 def summarize_reports(reports):

@@ -1,5 +1,7 @@
 """Connection, inversion, generating functions, Bessel forms, limit trends."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from qhermite import polyfam
 from qhermite.errors import ConvergenceError, DomainError
 from qhermite.identities import (
     DEFAULT_GRID,
+    IDENTITY_IDS,
     IdentityGrid,
     check_bessel_forms,
     check_connection,
@@ -26,7 +29,7 @@ from qhermite.identities import (
 from qhermite.polyfam import gdqh2
 from qhermite.qcore import QParams, Truncation, q_pochhammer
 from qhermite.qseries import euler_e, gen_E
-from qhermite.scalars import binom2
+from qhermite.scalars import binom2, fmt_scalar
 
 
 def test_residual_normalization():
@@ -248,13 +251,85 @@ def test_suite_small_grid_all_pass():
 
 
 def test_suite_single_identity_filter():
-    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0",),
-                        n_values=(2,), x_values=("0.4",), y_values=("1",),
-                        omega_values=("0.6",), t_values=("0.2",))
-    reports = run_identity_suite(grid, identity_id="inversion")
-    assert reports and all(r.identity_id == "inversion" for r in reports)
+    # a single id gives exactly the rows of `all` under that id, at both
+    # signs of x and y; an out-of-domain t gives one error row, its own
+    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0.3",),
+                        n_values=(0, 1, 4), x_values=("-0.7", "1.2"),
+                        y_values=("-0.4", "0.6"), omega_values=("0.9",),
+                        t_values=("0.25",))
+    everything = run_identity_suite(grid)
+    for ident in IDENTITY_IDS:
+        alone = run_identity_suite(grid, identity_id=ident)
+        assert alone and alone == [r for r in everything if r.identity_id == ident]
+    ood = replace(grid, n_values=(), x_values=("1.2",), y_values=("1",),
+                  t_values=("5",))
+    for ident in IDENTITY_IDS[5:]:
+        (row,) = run_identity_suite(ood, identity_id=ident)
+        assert row.identity_id == ident and "|y*t| < 1" in row.error
     with pytest.raises(DomainError):
         run_identity_suite(grid, identity_id="no_such_identity")
+
+
+# one (q, alpha, x, y) cell of DEFAULT_GRID, x > 0 so every id has rows
+CELL = replace(DEFAULT_GRID, **{f: getattr(DEFAULT_GRID, f)[-1:] for f in (
+    "q_values", "alpha_values", "x_values", "y_values")})
+
+
+def test_suite_cell_computes_shared_values_once(monkeypatch):
+    # one ladder to n_max, one generating-function stream read as far as the
+    # longest sum, and per n the shared definition sum and connection's lhs
+    steps, sums = [], Counter()
+    step, definition = polyfam.gdqh2_recurrence_step, polyfam._gdqh2_definition
+    monkeypatch.setattr(polyfam, "gdqh2_recurrence_step",
+                        lambda *a: steps.append(1) or step(*a))
+    monkeypatch.setattr(polyfam, "_gdqh2_definition",
+                        lambda n, *a: sums.update([n]) or definition(n, *a))
+    reports = run_identity_suite(CELL)
+    assert all(r.passed for r in reports)
+    used = {r.identity_id: r.terms_used for r in reports if "t" in r.params}
+    assert used["even_gf"] == used["bessel_even"] and used["odd_gf"] == used["bessel_odd"]
+    # terms 0..g-1 of the whole series, even terms to 2e-2, odd to 2o-1
+    stream = max(used["generating_function"], 2 * used["even_gf"] - 1,
+                 2 * used["odd_gf"])
+    n_max = max(CELL.n_values)
+    assert len(steps) <= n_max + stream - 1
+    assert sums == {n: 2 for n in CELL.n_values}
+
+
+def test_suite_rows_match_direct_calls():
+    # representation and generating-function rows are the direct calls' bit
+    # for bit; the shared ladder is more precise than a direct call's, which
+    # moves only residuals far below the printed digits
+    for r in run_identity_suite(CELL):
+        a = r.params
+        p, n = QParams(a["q"], a["alpha"]), a.get("n")
+        if r.identity_id.startswith("representation"):
+            assert r in check_representations(n, p, a["x"], a["y"])
+        elif "t" in a:
+            check = {"generating_function": check_generating_function,
+                     "even_gf": check_even_odd_gf, "odd_gf": check_even_odd_gf,
+                     "bessel_even": check_bessel_forms,
+                     "bessel_odd": check_bessel_forms}[r.identity_id]
+            got = check(a["t"], a["x"], a["y"], p)
+            assert r in (got if isinstance(got, tuple) else (got,))
+    # every row meets the bound; the printed digits are compared at the
+    # first alpha and the first q, where the cell's ladder carries the most
+    # digits beyond a direct call's (about 100 at n = 0)
+    first = (mpf(DEFAULT_GRID.q_values[0]), mpf(DEFAULT_GRID.alpha_values[0]))
+    for ident in ("recurrence", "connection", "inversion"):
+        for r in run_identity_suite(DEFAULT_GRID, identity_id=ident):
+            a = r.params
+            assert r.rel_residual <= mpf(10) ** -(mp.dps + 25), (ident, a)
+            if (a["q"], a["alpha"]) != first:
+                continue
+            p, n = QParams(a["q"], a["alpha"]), a["n"]
+            if ident == "connection":
+                d = check_connection(n, p, a["x"], a["y"], a["omega"])
+            else:
+                d = {"recurrence": check_recurrence,
+                     "inversion": check_inversion}[ident](n, p, a["x"], a["y"])
+            assert fmt_scalar(r.lhs, 50) == fmt_scalar(d.lhs, 50)
+            assert fmt_scalar(r.rhs, 50) == fmt_scalar(d.rhs, 50)
 
 
 def test_summarize_counts():
