@@ -136,21 +136,20 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
     )
 
 
-# The (q, alpha, x, y) cell run_identity_suite evaluates, None outside it: the
-# ids asked for, its one ladder's degree and digits, and a memo of what its
-# checks share (that ladder, definition sums, term streams, e_{q^2}(y t^2)).
+# The (q, alpha, x, y) cell run_identity_suite evaluates, else None: the ids
+# asked for, its one ladder's degree and digits, and a memo of shared values.
 _Cell = namedtuple("_Cell", "ids ladder_n ladder_dps memo")
 _CELL: ContextVar[Optional[_Cell]] = ContextVar("_CELL", default=None)
 
 
 def _wanted(identity_id: str) -> bool:
-    """Whether a check computes identity_id: unless a suite cell did not ask."""
+    """False only inside a suite cell that did not ask for identity_id."""
     cell = _CELL.get()
     return cell is None or identity_id in cell.ids
 
 
 def _once(f, *args):
-    """f(*args), made once per suite cell for equal args and precision."""
+    """f(*args), once per suite cell for equal args and precision; raises are not kept."""
     cell = _CELL.get()
     if cell is None:
         return f(*args)
@@ -474,10 +473,11 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             "unknown identity id %r (expected 'all' or one of %s)"
             % (identity_id, ", ".join(IDENTITY_IDS)))
     reports = []
+    asked = IDENTITY_IDS if identity_id == "all" else (identity_id,)
 
     def guard(ids, params, check, *args):
         """Run one check for its requested ids; one error report each if it raises."""
-        ids = [i for i in ids if identity_id in ("all", i)]
+        ids = [i for i in ids if i in asked]
         if not ids:
             return
         try:
@@ -493,7 +493,6 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
-    ids = IDENTITY_IDS if identity_id == "all" else (identity_id,)
     qs = _grid_mpf(grid.q_values)
     alphas = _grid_mpf(grid.alpha_values)
     xs = _grid_mpf(grid.x_values)
@@ -506,7 +505,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
         for alpha in alphas:
             p = QParams(q, alpha)
             for x, y in product(xs, ys):
-                cell = _CELL.set(_Cell(ids, n_max, _work_digits("cancel", n_max, q), {}))
+                cell = _CELL.set(_Cell(asked, n_max, _work_digits("cancel", n_max, q), {}))
                 try:
                     for n in grid.n_values:
                         at = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
