@@ -24,7 +24,7 @@ from collections import namedtuple
 from contextvars import ContextVar
 from copy import copy
 from dataclasses import dataclass
-from itertools import accumulate, count, islice, product, tee
+from itertools import accumulate, islice, pairwise, product, tee
 from operator import mul
 from typing import Iterable, Optional
 
@@ -47,7 +47,7 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import qpow, to_mpf, unify
+from .scalars import qpow, qpowers, to_mpf, unify
 
 __all__ = [
     "IdentityReport",
@@ -210,16 +210,17 @@ def _descending_sum(n: int, x, y, q, p: QParams, weight):
     walking (q;q)_{n-2k} down from (q;q)_n as (q^2;q^2)_k goes up, over one
     recurrence ladder.  Returns ((q;q)_n, the sum).
     """
-    q2 = q * q
     ladder = _ladder(n, x, y, p)
     total = q - q
     poch_q2 = 1 + (q - q)
     poch_q_down = q_pochhammer(q, q, n)
     acc = poch_q_down
+    up, down = qpowers(q, 2), qpowers(q, -2, n - 1)  # q^(2k), q^(n-2k+1), k >= 1
     for k in range(n // 2 + 1):
         if k > 0:
-            poch_q2 *= 1 - qpow(q2, k)
-            acc = acc / (1 - qpow(q, n - 2 * k + 2)) / (1 - qpow(q, n - 2 * k + 1))
+            poch_q2 *= 1 - next(up)
+            low = next(down)
+            acc = acc / (1 - low * q) / (1 - low)
         total = total + weight(k) / (poch_q2 * acc) * ladder[n - 2 * k]
     return poch_q_down, total
 
@@ -307,7 +308,7 @@ def _gf_terms(t, x, y, q, p: QParams):
     """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
     series, over one recurrence stream with a running weight, buffered: each
     copy() reads them from the first, computed once when first needed."""
-    weights = accumulate((t * qpow(q, j - 1) / (1 - qpow(q, j)) for j in count(1)),
+    weights = accumulate((t * a / (1 - b) for a, b in pairwise(qpowers(q, 1, 0))),
                          mul, initial=mpf(1))  # running q^C(j,2) t^j / (q;q)_j
     return tee(map(mul, weights, gdqh2_recurrence_values(x, y, p)), 1)[0]
 

@@ -18,6 +18,10 @@ is exposed step-wise (gdqh2_recurrence_step) and as one lazy stream of
 h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
 only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
 the cheap way to evaluate a whole ladder of degrees.
+
+The step, the definition sum's signs and (q;q)_{n,alpha} carry their
+q-powers as running products with 32 guard bits (scalars.qpowers), so a
+ladder or a sum takes one real power q^(2 alpha + 1), not one per step.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import Numeric, is_exact, qpow, to_mpf, unify
+from .scalars import (Numeric, guarded_mul, is_exact, qpow, qpowers, to_mpf,
+                      unify)
 
 __all__ = [
     "q_laguerre",
@@ -113,15 +118,15 @@ def _gdqh2_terms(n: int, q, params: QParams) -> Iterator:
     """(k, sign, den) for k = 0..n//2, where the definition sum's k-th term
     is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1)) and
     den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
-    q2 = q * q
-    # (q;q)_{m,alpha} for m = 0..n, and (q^2;q^2)_k as a running product
+    # (q;q)_{m,alpha} for m = 0..n; the sign runs by its ratio
+    # -q^(-2n+4k+3) = (-q)^(-2n+4k+3), and (q^2;q^2)_k over a running q^(2k)
     gen_fact = _gen_q_shifted_prefix(n, params)
-    poch_q2 = q - q + 1
+    ratios, up = qpowers(-q, 4, 3 - 2 * n), qpowers(q, 2)
+    sign = poch_q2 = q - q + 1
     for k in range(n // 2 + 1):
-        if k > 0:
-            poch_q2 *= 1 - qpow(q2, k)
-        yield (k, (-1) ** k * qpow(q, -2 * n * k + k * (2 * k + 1)),
-               gen_fact[n - 2 * k] * poch_q2)
+        yield (k, sign, gen_fact[n - 2 * k] * poch_q2)
+        sign = guarded_mul(sign, next(ratios))
+        poch_q2 *= 1 - next(up)
 
 
 def _gdqh2_definition(n: int, x, y, params: QParams):
@@ -207,24 +212,28 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
 
 @dataclass(frozen=True)
 class RecurrenceState:
-    """Ladder state: degree n together with values at n and n-1."""
+    """Ladder state: degree n together with values at n and n-1, and the
+    powers q^n and q^(2 alpha + 1) a step carries along (None: computed)."""
 
     n: int
     current: Numeric
     previous: Numeric
+    q_n: Optional[Numeric] = None
+    lift: Optional[Numeric] = None
 
 
 def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
     """One step of the three-term recurrence, n -> n+1."""
     n = state.n
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    lead = (1 - qpow(q, n + 1 + parity_indicator(n) * (2 * alpha + 1))) / (
-        1 - qpow(q, n + 1)
-    )
+    q_n = state.q_n if state.q_n is not None else next(qpowers(q, 1, n))
+    lift = state.lift if state.lift is not None else next(qpowers(q, 1, 2 * alpha + 1))
+    q_n1 = guarded_mul(q_n, q)
+    lead = (1 - (guarded_mul(q_n1, lift) if parity_indicator(n) else q_n1)) / (1 - q_n1)
     nxt = x * state.current
     if n >= 1:
-        nxt = nxt - y * qpow(q, -2 * n + 1) * (1 - qpow(q, n)) * state.previous
-    return RecurrenceState(n + 1, nxt / lead, state.current)
+        nxt = nxt - y * (q / guarded_mul(q_n, q_n)) * (1 - q_n) * state.previous
+    return RecurrenceState(n + 1, nxt / lead, state.current, q_n1, lift)
 
 
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:

@@ -19,6 +19,7 @@ from mpmath.libmp import fone, mpf_abs, mpf_lt, mpf_mul, mpf_sub, round_nearest
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
 from .scalars import (
+    GUARD_BITS,
     CompensatedSum,
     Numeric,
     binom2,
@@ -178,14 +179,17 @@ def parity_indicator(n: int) -> int:
 
 def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
     """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}] as one running product (the
-    recursion below), on the backend of (q, alpha) alone."""
+    recursion below) with the guard bits, on the backend of (q, alpha) alone."""
     q, alpha = unify(params.q, params.alpha)
     out = q - q + 1
     table = [out]
-    for m in range(n):
-        exponent = m + 1 + parity_indicator(m) * (2 * alpha + 1)
-        out *= 1 - qpow(q, exponent)
-        table.append(out)
+    if n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
+        with mp.workprec(mp.prec + GUARD_BITS):
+            lift, power = qpow(q, 2 * alpha + 1), out  # power = q^m
+            for m in range(n):
+                power *= q
+                out *= 1 - (power * lift if m % 2 == 0 else power)
+                table.append(out)
     return table
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .errors import DomainError, ExactBackendError
 
@@ -99,6 +100,31 @@ def qpow(base, exponent):
             return mpf(0)
         raise DomainError("0 cannot be raised to a non-positive non-integer power")
     return b ** to_mpf(e)
+
+
+GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep
+
+
+def guarded_mul(a, b):
+    """a * b for a running product of q-powers: exact on the exact backend,
+    else rounded to mp.prec + GUARD_BITS bits, so that N < 2^20 such products
+    stay as accurate at mp.prec as the correctly rounded power they replace."""
+    if is_exact(a) and is_exact(b):
+        return a * b
+    return mp.make_mpf(mpf_mul(to_mpf(a)._mpf_, to_mpf(b)._mpf_,
+                               mp.prec + GUARD_BITS, round_nearest))
+
+
+def qpowers(q, step: int = 1, first=None):
+    """q^first, q^(first+step), q^(first+2*step), ... as a running product,
+    first = step unless given: q^step and q^first are taken once with the
+    guard bits, then each next power by guarded_mul."""
+    with mp.workprec(mp.prec + GUARD_BITS):
+        ratio = q ** step
+        power = ratio if first is None else qpow(q, first)
+    while True:
+        yield power
+        power = guarded_mul(power, ratio)
 
 
 def binom2(k: int) -> int:

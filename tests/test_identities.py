@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qhermite import polyfam
@@ -56,6 +57,28 @@ def test_connection_structural_zero_exact():
     r = check_connection(6, p, F(5, 4), F(2, 3), F(2, 3))
     assert r.abs_residual == 0
     assert r.rel_residual == 0
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 9))
+
+
+@given(q=st.builds(F, st.integers(1, 8), st.just(9)), two_alpha=st.integers(-1, 5),
+       x=rationals, y=rationals, omega=rationals, n=st.integers(0, 10))
+@settings(max_examples=25, deadline=None)
+def test_terminating_identities_are_exact_on_rationals(q, two_alpha, x, y, omega, n):
+    # on the exact backend every running power is a rational, so a wrong
+    # offset in any running exponent leaves a nonzero residual
+    p = QParams(q, F(two_alpha, 2))
+    reports = [check_recurrence(n, p, x, y), check_connection(n, p, x, y, omega),
+               check_inversion(n, p, x, y)]
+    # the Laguerre form takes (q^2)^(alpha+1), rational only at integer
+    # alpha; at y < 0 the check leaves it out
+    laguerre = two_alpha % 2 == 0 and y > 0
+    reports += check_representations(n, p, x, y if laguerre else -abs(y))
+    ids = [r.identity_id for r in reports]
+    assert "representation_phi" in ids
+    assert "representation_laguerre" in ids or not laguerre
+    assert [r.rel_residual for r in reports] == [0] * len(reports)
 
 
 def test_connection_y_zero_collapses_to_definition():

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qhermite.errors import DomainError, RepresentationDomainError
+from qhermite.errors import DomainError, ExactBackendError, RepresentationDomainError
 from qhermite.polyfam import (
+    _gdqh2_terms,
     discrete_q_hermite2,
     gdqh2,
     gdqh2_recurrence_ladder,
@@ -19,7 +20,12 @@ from qhermite.polyfam import (
     rosenblum_hermite,
     stieltjes_wigert,
 )
-from qhermite.qcore import QParams, gen_q_shifted_factorial, q_pochhammer
+from qhermite.qcore import (
+    QParams,
+    _gen_q_shifted_prefix,
+    gen_q_shifted_factorial,
+    q_pochhammer,
+)
 from qhermite.scalars import binom2, qpow
 
 qs = st.floats(min_value=0.15, max_value=0.85)
@@ -167,6 +173,49 @@ def test_recurrence_step_by_step():
     ladder = gdqh2_recurrence_ladder(7, x, y, p)
     assert len(ladder) == 8
     assert ladder[7] == state.current
+
+
+@pytest.mark.parametrize("q, alpha, x, y", [
+    (mpf("0.5"), mpf("0.25"), mpf("1.1"), mpf("0.6")),
+    (F(1, 3), F(1), F(-5, 4), F(2, 7)),
+])
+def test_step_from_a_state_without_powers(q, alpha, x, y):
+    # a hand-built mid-ladder state carries neither q^n nor q^(2 alpha + 1);
+    # the step takes them itself and lands on the stream's value
+    p = QParams(q, alpha)
+    h = gdqh2_recurrence_ladder(6, x, y, p)
+    state = gdqh2_recurrence_step(RecurrenceState(5, h[5], h[4]), x, y, p)
+    assert state.n == 6
+    assert state.current == h[6]
+
+
+def test_exact_prefix_needs_no_power_at_degree_zero():
+    # (q;q)_{0,alpha} = 1 takes no power; from degree 1 on the real power
+    # q^(2 alpha + 1) has no exact value
+    p = QParams(F(1, 2), F(1, 3))
+    assert _gen_q_shifted_prefix(0, p) == [1]
+    with pytest.raises(ExactBackendError):
+        _gen_q_shifted_prefix(1, p)
+
+
+def test_running_powers_within_two_ulps():
+    # the running products of the prefix (q;q)_{m,alpha} and of the
+    # definition sum's signs against powers taken one by one at 40 more digits
+    n, q, alpha = 60, mpf("0.68"), mpf("0.37")
+    p = QParams(q, alpha)
+    prefix = _gen_q_shifted_prefix(n, p)
+    signs = [sign for _, sign, _ in _gdqh2_terms(n, q, p)]
+    with mp.workdps(mp.dps + 40):
+        want_prefix = [mpf(1)]
+        for m in range(n):
+            exponent = m + 1 + (1 - m % 2) * (2 * alpha + 1)
+            want_prefix.append(want_prefix[-1] * (1 - qpow(q, exponent)))
+        want_signs = [(-1) ** k * qpow(q, -2 * n * k + k * (2 * k + 1))
+                      for k in range(n // 2 + 1)]
+    for got, want in zip(prefix + signs, want_prefix + want_signs):
+        ulp = mpf(2) ** (mp.frexp(want)[1] - mp.prec)
+        assert abs(got - want) <= 2 * ulp
+    assert len(prefix) == n + 1 and len(signs) == n // 2 + 1
 
 
 @pytest.mark.parametrize("q, alpha, x, y", [
