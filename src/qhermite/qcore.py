@@ -188,7 +188,7 @@ def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
             lift, power = qpow(q, 2 * alpha + 1), out  # power = q^m
             for m in range(n):
                 power *= q
-                out *= 1 - (power * lift if m % 2 == 0 else power)
+                out *= 1 - (power * lift if parity_indicator(m) else power)
                 table.append(out)
     return table
 

@@ -115,7 +115,7 @@ def guarded_mul(a, b):
                                mp.prec + GUARD_BITS, round_nearest))
 
 
-def qpowers(q, step: int = 1, first=None):
+def qpowers(q, step: int, first=None):
     """q^first, q^(first+step), q^(first+2*step), ... as a running product,
     first = step unless given: q^step and q^first are taken once with the
     guard bits, then each next power by guarded_mul."""
