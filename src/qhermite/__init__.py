@@ -21,20 +21,16 @@ from .errors import (
 from .qcore import (
     QParams,
     Truncation,
-    default_truncation,
     gen_q_shifted_factorial,
     hahn_add_power,
     parity_indicator,
-    q_binomial,
     q_pochhammer,
 )
 from .qseries import (
     PhiSpec,
     SeriesValue,
-    euler_E,
     euler_e,
     gen_E,
-    gen_e,
     phi,
     phi_rs,
     q_bessel2,

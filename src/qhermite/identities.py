@@ -41,7 +41,6 @@ from .polyfam import (
 from .qcore import (
     QParams,
     Truncation,
-    default_truncation,
     gen_q_shifted_factorial,
     hahn_add_power,
     q_pochhammer,
@@ -128,7 +127,7 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
         rhs=to_mpf(rhs),
         abs_residual=abs_r,
         rel_residual=rel_r,
-        truncation=trunc or default_truncation(),
+        truncation=trunc or Truncation(),
         tolerance=tol,
         passed=bool(rel_r <= tol),
         terms_used=terms_used,
@@ -281,18 +280,20 @@ def _gf_domain(y, t):
     return "binding bound: %s" % ("|y*t|" if b1 >= b2 else "|y*t^2|")
 
 
-def _gf_series(terms: Iterable, trunc: Truncation) -> tuple:
+def _gf_series(terms: Iterable, trunc: Optional[Truncation]) -> tuple:
     """(sum, terms used) of a series, summed up to two consecutive terms
-    below tail_tol relative to the sum.
+    below trunc's tail tolerance, at the working precision, relative to the
+    sum.
 
     It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
     it raises ConvergenceError rather than return a truncated sum."""
+    tail = (trunc or Truncation()).effective_tail_tol()
     total = mpf(0)
     small = used = 0
     for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
         total += term
         used = n + 1
-        if abs(term) < trunc.tail_tol * max(1, abs(total)):
+        if abs(term) < tail * max(1, abs(total)):
             small += 1
             if small >= 2 and n >= 4:
                 return total, used
@@ -301,7 +302,7 @@ def _gf_series(terms: Iterable, trunc: Truncation) -> tuple:
     raise ConvergenceError(
         "generating-function series did not meet tail_tol=%s within "
         "%d terms (last term %s)"
-        % (mp.nstr(trunc.tail_tol, 4), used, mp.nstr(abs(term), 4)))
+        % (mp.nstr(tail, 4), used, mp.nstr(abs(term), 4)))
 
 
 def _gf_terms(t, x, y, q, p: QParams):
@@ -322,7 +323,7 @@ def _parity_reports(ids, rhs, t, x, y, q, p: QParams, params, tol, trunc, note):
 
     since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), against
     rhs(half) * e_{q^2}(y t^2).  Both halves read one term stream."""
-    envelope = _once(euler_e, y * t * t, q * q)
+    envelope = _once(euler_e, y * t * t, q * q, trunc)
     terms = _once(_gf_terms, t, x, y, q, p)
     out = []
     for half, ident in enumerate(ids):
@@ -344,10 +345,9 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    trunc = trunc or default_truncation()
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
-        lhs = euler_e(-y * t * t, q * q) * gen_E(x * t, p)
+        lhs = euler_e(-y * t * t, q * q, trunc) * gen_E(x * t, p, trunc)
         rhs, used = _gf_series(copy(_once(_gf_terms, t, x, y, q, p)), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
@@ -365,7 +365,6 @@ def check_even_odd_gf(t, x, y, p: QParams, tol=None,
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    trunc = trunc or default_truncation()
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         trig = (q_cos_alpha, q_sin_alpha)
@@ -390,7 +389,6 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    trunc = trunc or default_truncation()
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         alpha = to_mpf(p.alpha)
@@ -488,7 +486,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                 identity_id=i, params=params,
                 lhs=mp.nan, rhs=mp.nan,
                 abs_residual=mp.inf, rel_residual=mp.inf,
-                truncation=trunc or default_truncation(),
+                truncation=trunc or Truncation(),
                 tolerance=to_mpf(tol) if tol is not None else default_identity_tol(),
                 passed=False, error=str(exc)) for i in ids)
             return

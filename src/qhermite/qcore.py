@@ -1,9 +1,9 @@
 """Core q-calculus building blocks.
 
 q-shifted factorials (finite and infinite), the parity-indexed generalized
-q-shifted factorial, Gaussian binomials and Hahn's q-addition powers.
-Everything downstream (series, polynomial families, identity checks) is
-assembled from these.
+q-shifted factorial, Hahn's q-addition powers, and the Truncation budget
+every infinite sum and product reads.  Everything downstream (series,
+polynomial families, identity checks) is assembled from these.
 
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
@@ -18,25 +18,14 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_abs, mpf_lt, mpf_mul, mpf_sub, round_nearest
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
-from .scalars import (
-    GUARD_BITS,
-    CompensatedSum,
-    Numeric,
-    binom2,
-    is_exact,
-    qpow,
-    to_mpf,
-    unify,
-)
+from .scalars import GUARD_BITS, Numeric, is_exact, qpow, to_mpf, unify
 
 __all__ = [
     "QParams",
     "Truncation",
-    "default_truncation",
     "q_pochhammer",
     "parity_indicator",
     "gen_q_shifted_factorial",
-    "q_binomial",
     "hahn_add_power",
 ]
 
@@ -75,44 +64,48 @@ class QParams:
 class Truncation:
     """Budget for infinite sums/products.
 
-    max_terms is a hard cap; tail_tol, finite and > 0 and stored as an mpf,
-    is the absolute size at which a tail is declared negligible.
+    max_terms is a hard cap; tail_tol is the size at which a tail is
+    declared negligible.  An explicit tail_tol, finite and > 0, is stored as
+    an mpf; None stays None and means 10^-(mp.dps+10) at the precision of
+    the sum that reads it (`effective_tail_tol`), so a Truncation built only
+    to change the cap tightens with every sum's own working digits.
     """
 
     max_terms: int = 100_000
-    tail_tol: Numeric = None  # type: ignore[assignment]
+    tail_tol: Optional[Numeric] = None
 
     def __post_init__(self):
-        if self.tail_tol is None:
-            object.__setattr__(self, "tail_tol", mpf(10) ** (-(mp.dps + 10)))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1: got %s" % self.max_terms)
-        if not (0 < to_mpf(self.tail_tol) < mp.inf):
-            raise DomainError("tail_tol must be finite and > 0: got %s" % self.tail_tol)
-        object.__setattr__(self, "tail_tol", to_mpf(self.tail_tol))
+        if self.tail_tol is not None:
+            if not (0 < to_mpf(self.tail_tol) < mp.inf):
+                raise DomainError(
+                    "tail_tol must be finite and > 0: got %s" % self.tail_tol)
+            object.__setattr__(self, "tail_tol", to_mpf(self.tail_tol))
 
-
-def default_truncation() -> Truncation:
-    """Truncation tied to the ambient mpmath precision."""
-    return Truncation()
+    def effective_tail_tol(self) -> mpf:
+        """tail_tol, or 10^-(mp.dps+10) at the precision in force now."""
+        if self.tail_tol is not None:
+            return self.tail_tol
+        return mpf(10) ** (-(mp.dps + 10))
 
 
 def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     """(a; q)_infinity.
 
-    The loop prod *= 1 - a q^j stops once |a q^(j+1)| < trunc.tail_tol.  It
-    runs on raw libmp values with the operations, order and rounding of the
-    plain mpf loop at the ambient precision, so it is bit for bit the same,
-    and a q^j serves both the factor and the next tail test: round-to-nearest
-    is symmetric in sign, so |a q^j| rounded is |a| q^j rounded whenever |a|
-    is exact at this precision.
+    The loop prod *= 1 - a q^j stops once |a q^(j+1)| falls below trunc's
+    tail tolerance.  It runs on raw libmp values with the operations, order
+    and rounding of the plain mpf loop at the ambient precision, so it is
+    bit for bit the same, and a q^j serves both the factor and the next tail
+    test: round-to-nearest is symmetric in sign, so |a q^j| rounded is
+    |a| q^j rounded whenever |a| is exact at this precision.
 
     Raw libmp is kept for speed alone: the same loop on mpf values, bit for
     bit equal, made `orthogonality --n 4` and `--n 2` items about 20-50%
     slower, since mpf wrapping dominates a product of tens of factors.
     """
-    tr = trunc or default_truncation()
-    tail = tr.tail_tol
+    tr = trunc or Truncation()
+    tail = tr.effective_tail_tol()
     limit, prec = tail._mpf_, mp.prec
     step = to_mpf(q)._mpf_
     a = to_mpf(value)._mpf_
@@ -139,8 +132,8 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
 
     (a;q)_0 = 1, (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), and n=None gives
     (a;q)_infinity, truncated once the next factor differs from 1 by
-    less than trunc.tail_tol.  `a` may be a tuple, meaning the product of the
-    individual shifted factorials (a1, ..., am; q)_n.
+    less than trunc's tail tolerance.  `a` may be a tuple, meaning the
+    product of the individual shifted factorials (a1, ..., am; q)_n.
     """
     if isinstance(a, tuple):
         out = None
@@ -193,73 +186,31 @@ def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
     return table
 
 
-def gen_q_shifted_factorial(n: int, params: QParams, method: str = "recursion"):
-    """Generalized q-shifted factorial (q; q)_{n, alpha}.
+def gen_q_shifted_factorial(n: int, params: QParams):
+    """Generalized q-shifted factorial (q; q)_{n, alpha}:
 
-    recursion (ground truth):
         (q;q)_{0,alpha} = 1
         (q;q)_{m+1,alpha} = (1 - q^(m+1+theta_m*(2*alpha+1))) * (q;q)_{m,alpha}
-    closed_form:
-        (q;q)_{2m,alpha}   = (q^2;q^2)_m (q^(2a+2);q^2)_m
-        (q;q)_{2m+1,alpha} = (q^2;q^2)_m (q^(2a+2);q^2)_{m+1}
 
-    At alpha = -1/2 both collapse to the plain (q;q)_n.
+    At alpha = -1/2 it collapses to the plain (q;q)_n.
     """
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
-    if method == "recursion":
-        return _gen_q_shifted_prefix(n, params)[-1]
-    q, alpha = unify(params.q, params.alpha)
-    if method == "closed_form":
-        q2 = q * q
-        a_even = qpow(q, 2 * alpha + 2)
-        half, rem = divmod(n, 2)
-        out = q_pochhammer(q2, q2, half) * q_pochhammer(a_even, q2, half + rem)
-        return out
-    raise DomainError("method must be 'recursion' or 'closed_form': got %r" % method)
+    return _gen_q_shifted_prefix(n, params)[-1]
 
 
-def q_binomial(n: int, k: int, q):
-    """Gaussian binomial [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
-    if not 0 <= k <= n:
-        raise DomainError("need 0 <= k <= n: got k=%d, n=%d" % (k, n))
-    (q,) = unify(q)
-    return (
-        q_pochhammer(q, q, n)
-        / q_pochhammer(q, q, k)
-        / q_pochhammer(q, q, n - k)
-    )
+def hahn_add_power(x, y, q, n: int):
+    """Hahn q-addition power (x (+)_q y)^n = prod_{j=0}^{n-1} (x + q^j y).
 
-
-def hahn_add_power(x, y, q, n: int, form: str = "product"):
-    """Hahn q-addition power (x (+)_q y)^n.
-
-    product (the definition):  prod_{j=0}^{n-1} (x + q^j y)
-    sum (the expansion):       sum_k [n,k]_q q^C(k,2) x^(n-k) y^k
-
-    The two forms agree identically; the product form is the default because
-    it preserves structural zeros (a vanishing factor) exactly.
+    The product keeps structural zeros (a vanishing factor) exact.
     """
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
     _check_q(q)
     x, y, q = unify(x, y, q)
-    if form == "product":
-        out = q - q + 1
-        power = out
-        for _ in range(n):
-            out *= x + power * y
-            power *= q
-        return out
-    if form == "sum":
-        total = CompensatedSum(q - q)
-        for k in range(n + 1):
-            term = (
-                q_binomial(n, k, q)
-                * qpow(q, binom2(k))
-                * qpow(x, n - k)
-                * qpow(y, k)
-            )
-            total.add(term)
-        return total.total
-    raise DomainError("form must be 'product' or 'sum': got %r" % form)
+    out = q - q + 1
+    power = out
+    for _ in range(n):
+        out *= x + power * y
+        power *= q
+    return out

@@ -10,10 +10,12 @@ with a term-ratio recurrence.  Termination via an upper parameter equal to
 q^(-m) is detected (or declared via PhiSpec.terminate_at); terminating series
 work on the exact backend, everything else runs on mpf.
 
-On top of it, each as phi_rs calls: Euler's q-exponentials E_q / e_q, their
-two-parameter generalizations (the sum of an even and an odd half, each a
+On top of it, each as phi_rs calls: Euler's small q-exponential e_q, the
+generalized big q-exponential (the sum of an even and an odd half, each a
 series in base q^2), Jackson's second q-Bessel function, and the generalized
-q-cosine / q-sine pair.  phi_rs holds the only summation loop.
+q-cosine / q-sine pair.  phi_rs holds the only summation loop; a
+non-terminating sum stops at the tail tolerance of its Truncation, taken at
+the precision the sum runs at.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (
-    QParams,
-    Truncation,
-    default_truncation,
-    q_pochhammer,
-)
+from .qcore import QParams, Truncation, q_pochhammer
 from .scalars import (
     CompensatedSum,
     Numeric,
@@ -49,10 +46,8 @@ __all__ = [
     "SeriesValue",
     "phi_rs",
     "phi",
-    "euler_E",
     "euler_e",
     "gen_E",
-    "gen_e",
     "q_bessel2",
     "q_cos_alpha",
     "q_sin_alpha",
@@ -133,7 +128,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     |z| < 1) and stop when the absolute term drops below tail_tol with a
     geometric tail bound recorded.
     """
-    tr = trunc or default_truncation()
+    tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
     q, z = vals[0], vals[1]
@@ -172,7 +167,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     power_exponent = 1 + s - r
-    tail_tol = tr.tail_tol
+    tail_tol = tr.effective_tail_tol()
     total = CompensatedSum(q - q)
     term = q - q + 1
     total.add(term)
@@ -218,16 +213,6 @@ def phi(upper, lower, q, z, terminate_at=None, trunc=None):
     ).value
 
 
-def euler_E(x, q, trunc: Optional[Truncation] = None):
-    """Big q-exponential E_q(x) = sum q^C(k,2) x^k / (q;q)_k = (-x;q)_inf.
-
-    Entire in x; computed as the 0-phi-0 series (float backend: the sum is
-    infinite).
-    """
-    x, q = to_mpf(x), to_mpf(q)
-    return phi((), (), q, -x, trunc=trunc)
-
-
 def euler_e(x, q, trunc: Optional[Truncation] = None):
     """Small q-exponential e_q(x) = sum x^k / (q;q)_k = 1/(x;q)_inf, |x| < 1."""
     x, q = to_mpf(x), to_mpf(q)
@@ -245,7 +230,7 @@ def _base_q2(x, params: QParams):
 
 def gen_E(x, params: QParams, trunc: Optional[Truncation] = None):
     """Generalized big q-exponential sum_k q^C(k,2) x^k / (q;q)_{k,alpha}.
-    Entire in x; at alpha=-1/2 it reduces to euler_E.
+    Entire in x; at alpha=-1/2 it reduces to E_q(x) = (-x; q)_inf.
 
     Its even and odd halves, with b = q^(2a+2):
       0-phi-1(-; b; q^2, q x^2) + x/(1-b) * 0-phi-1(-; b q^2; q^2, q^3 x^2).
@@ -253,20 +238,6 @@ def gen_E(x, params: QParams, trunc: Optional[Truncation] = None):
     x, q, b, bq2 = _base_q2(x, params)
     return (phi((), (b,), q * q, q * x * x, trunc=trunc)
             + x / (1 - b) * phi((), (bq2,), q * q, q ** 3 * x * x, trunc=trunc))
-
-
-def gen_e(x, params: QParams, trunc: Optional[Truncation] = None):
-    """Generalized small q-exponential sum_k x^k / (q;q)_{k,alpha}, |x| < 1.
-    At alpha=-1/2 it reduces to euler_e.
-
-    Its even and odd halves, with b = q^(2a+2):
-      2-phi-1(0, 0; b; q^2, x^2) + x/(1-b) * 2-phi-1(0, 0; b q^2; q^2, x^2).
-    """
-    x, q, b, bq2 = _base_q2(x, params)
-    if not abs(x) < 1:
-        raise DomainError("the small exponential requires |x| < 1: got |x|=%s" % abs(x))
-    return (phi((0, 0), (b,), q * q, x * x, trunc=trunc)
-            + x / (1 - b) * phi((0, 0), (bq2,), q * q, x * x, trunc=trunc))
 
 
 def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):

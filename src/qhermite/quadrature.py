@@ -30,8 +30,8 @@ and the closed-form constant is computed once per degree.
   w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial.
 
 The walk's stop rule, the weight product and the closed-form constants all
-use one truncation: the caller's, or the default at the sweep's working
-precision.
+use one truncation, the caller's; a tail_tol left unset resolves to
+10^-(dps+10) at the sweep's working precision, whatever the cap.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from mpmath import mp, mpf
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
-from .qcore import (QParams, Truncation, default_truncation,
-                    gen_q_shifted_factorial, q_pochhammer)
+from .qcore import QParams, Truncation, gen_q_shifted_factorial, q_pochhammer
 from .scalars import CompensatedSum, qpow, to_mpf
 
 __all__ = [
@@ -155,8 +154,8 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         return []
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(mp.dps + 20):
-        trunc = trunc or default_truncation()
-        tail = trunc.tail_tol
+        trunc = trunc or Truncation()
+        tail = trunc.effective_tail_tol()
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
         c = qpow(q, -2 * alpha - 1)
         top = max(max(pair) for pair in pairs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qhermite import polyfam
+from qhermite import polyfam, qcore, qseries
 from qhermite.errors import ConvergenceError, DomainError
 from qhermite.identities import (
     DEFAULT_GRID,
@@ -122,6 +122,33 @@ def test_gf_checks_take_any_tail_tol_truncation_accepts(tail_tol):
     args = (mpf("0.3"), mpf(1), mpf("0.5"), p)
     assert check_generating_function(*args, trunc=trunc).passed
     assert all(r.passed for r in check_even_odd_gf(*args, trunc=trunc))
+
+
+@pytest.mark.parametrize("check", [check_generating_function, check_even_odd_gf,
+                                   check_bessel_forms],
+                         ids=lambda f: f.__name__)
+def test_gf_checks_hand_the_caller_truncation_to_every_sum(check, monkeypatch):
+    # every phi_rs series and infinite product behind a generating-function
+    # check, closed forms and the e_{q^2}(y t^2) envelope included, reads the
+    # caller's Truncation, so --tail-tol reaches all of them
+    seen = []
+    phi_rs, infinite = qseries.phi_rs, qcore._infinite_product
+
+    def phi_spy(spec, trunc=None):
+        seen.append(("phi_rs", trunc))
+        return phi_rs(spec, trunc)
+
+    def product_spy(value, q, trunc=None):
+        seen.append(("infinite", trunc))
+        return infinite(value, q, trunc)
+
+    monkeypatch.setattr(qseries, "phi_rs", phi_spy)
+    monkeypatch.setattr(qcore, "_infinite_product", product_spy)
+    trunc = Truncation(tail_tol=mpf("1e-20"))
+    check(mpf("0.3"), mpf("0.8"), mpf("0.5"), QParams(mpf("0.5"), mpf("0.7")),
+          trunc=trunc)
+    assert Counter(kind for kind, _ in seen)["phi_rs"] == 3
+    assert all(got is trunc for _, got in seen), seen
 
 
 def test_generating_function_trivial_points():

@@ -1,4 +1,9 @@
-"""q-Pochhammer symbols, generalized factorials and Hahn q-addition."""
+"""q-Pochhammer symbols, generalized factorials and Hahn q-addition.
+
+The Gaussian binomial, the sum form of the Hahn power and the closed form of
+the generalized factorial live here as test-local oracles: no library path
+uses them, and each checks one library function by another route.
+"""
 
 from fractions import Fraction as F
 
@@ -11,18 +16,44 @@ from qhermite.qcore import (
     QParams,
     Truncation,
     _infinite_product,
-    default_truncation,
     gen_q_shifted_factorial,
     hahn_add_power,
     parity_indicator,
-    q_binomial,
     q_pochhammer,
 )
-from qhermite.scalars import to_mpf
+from qhermite.scalars import CompensatedSum, binom2, qpow, to_mpf, unify
 
 qs = st.floats(min_value=0.05, max_value=0.95)
 alphas = st.floats(min_value=-0.9, max_value=3.0)
 reals = st.floats(min_value=-2.0, max_value=2.0)
+
+
+def q_binomial(n: int, k: int, q):
+    """Gaussian binomial [n choose k]_q = (q;q)_n / ((q;q)_k (q;q)_{n-k})."""
+    (q,) = unify(q)
+    return (q_pochhammer(q, q, n) / q_pochhammer(q, q, k)
+            / q_pochhammer(q, q, n - k))
+
+
+def hahn_add_power_sum(x, y, q, n: int):
+    """(x (+)_q y)^n by its expansion sum_k [n,k]_q q^C(k,2) x^(n-k) y^k."""
+    x, y, q = unify(x, y, q)
+    total = CompensatedSum(q - q)
+    for k in range(n + 1):
+        total.add(q_binomial(n, k, q) * qpow(q, binom2(k))
+                  * qpow(x, n - k) * qpow(y, k))
+    return total.total
+
+
+def gen_q_shifted_factorial_closed_form(n: int, p: QParams):
+    """(q;q)_{n,alpha} by its closed form:
+        (q;q)_{2m,alpha}   = (q^2;q^2)_m (q^(2a+2);q^2)_m
+        (q;q)_{2m+1,alpha} = (q^2;q^2)_m (q^(2a+2);q^2)_{m+1}"""
+    q, alpha = unify(p.q, p.alpha)
+    q2 = q * q
+    half, rem = divmod(n, 2)
+    return (q_pochhammer(q2, q2, half)
+            * q_pochhammer(qpow(q, 2 * alpha + 2), q2, half + rem))
 
 
 def test_qparams_validation():
@@ -40,6 +71,20 @@ def test_truncation_validation():
         Truncation(max_terms=0)
     with pytest.raises(DomainError):
         Truncation(tail_tol=mpf(0))
+
+
+def test_unset_tail_tol_resolves_at_the_reading_precision():
+    # a Truncation built only to change the cap keeps tail_tol unset, and
+    # each sum reads 10^-(dps+10) at its own working digits
+    trunc = Truncation(max_terms=5)
+    assert trunc.tail_tol is None
+    for dps in (15, 50, 70):
+        with mp.workdps(dps):
+            assert trunc.effective_tail_tol() == mpf(10) ** -(dps + 10)
+    explicit = Truncation(tail_tol="1e-30")
+    assert isinstance(explicit.tail_tol, mpf)
+    with mp.workdps(70):
+        assert explicit.effective_tail_tol() == explicit.tail_tol
 
 
 @pytest.mark.parametrize("tail_tol", [mp.inf, "inf"], ids=["mpf", "str"])
@@ -86,8 +131,9 @@ def test_pochhammer_max_terms_exhausted():
 def reference_infinite_product(a, q, trunc=None):
     """(a; q)_inf by the one-value mpf loop the shared kernel replaced."""
     a, q = to_mpf(a), to_mpf(q)
-    tr = trunc or default_truncation()
-    tail = to_mpf(tr.tail_tol)
+    tr = trunc or Truncation()
+    tail = (mpf(10) ** -(mp.dps + 10) if tr.tail_tol is None
+            else to_mpf(tr.tail_tol))
     prod = mpf(1)
     power = mpf(1)  # q^k
     for _ in range(tr.max_terms):
@@ -168,7 +214,7 @@ def test_gen_q_shifted_factorial_frozen():
 def test_gen_q_shifted_factorial_recursion_vs_closed(q, alpha, n):
     p = QParams(mpf(q), mpf(alpha))
     a = gen_q_shifted_factorial(n, p)
-    b = gen_q_shifted_factorial(n, p, method="closed_form")
+    b = gen_q_shifted_factorial_closed_form(n, p)
     assert abs(a - b) <= mpf("1e-45") * max(1, abs(a))
 
 
@@ -194,15 +240,15 @@ def test_hahn_add_power_frozen():
 def test_hahn_structural_zero():
     # first factor (x + y) with y = -x kills every power n >= 1, exactly
     for n in range(1, 6):
-        assert hahn_add_power(F(-3, 7), F(3, 7), F(1, 2), n, form="product") == 0
+        assert hahn_add_power(F(-3, 7), F(3, 7), F(1, 2), n) == 0
 
 
 @given(x=reals, y=reals, q=qs, n=st.integers(min_value=0, max_value=10))
 @settings(max_examples=40, deadline=None)
 def test_hahn_product_vs_sum(x, y, q, n):
     x, y, q = mpf(x), mpf(y), mpf(q)
-    a = hahn_add_power(x, y, q, n, form="product")
-    b = hahn_add_power(x, y, q, n, form="sum")
+    a = hahn_add_power(x, y, q, n)
+    b = hahn_add_power_sum(x, y, q, n)
     assert abs(a - b) <= mpf("1e-40") * max(1, abs(a))
 
 

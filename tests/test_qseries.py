@@ -1,4 +1,9 @@
-"""Basic hypergeometric engine, q-exponentials, q-trig, q-Bessel."""
+"""Basic hypergeometric engine, q-exponentials, q-trig, q-Bessel.
+
+The big q-exponential E_q and the generalized small q-exponential live here
+as test-local oracles: no library path uses them, and they pair with the
+library's e_q and generalized big exponential in the inverse-pair identities.
+"""
 
 from fractions import Fraction as F
 
@@ -16,19 +21,34 @@ from qhermite.qcore import (
 )
 from qhermite.qseries import (
     PhiSpec,
-    euler_E,
     euler_e,
     gen_E,
-    gen_e,
     phi,
     phi_rs,
     q_bessel2,
     q_cos_alpha,
     q_sin_alpha,
 )
-from qhermite.scalars import qpow, to_mpf
+from qhermite.scalars import qpow, to_mpf, unify
 
 qs = st.floats(min_value=0.1, max_value=0.9)
+
+
+def euler_E(x, q):
+    """Big q-exponential E_q(x) = sum q^C(k,2) x^k / (q;q)_k = (-x;q)_inf,
+    as the 0-phi-0 series."""
+    return phi((), (), to_mpf(q), -to_mpf(x))
+
+
+def gen_e(x, p: QParams):
+    """Generalized small q-exponential sum_k x^k / (q;q)_{k,alpha}, |x| < 1,
+    as its even and odd halves with b = q^(2a+2):
+      2-phi-1(0, 0; b; q^2, x^2) + x/(1-b) * 2-phi-1(0, 0; b q^2; q^2, x^2)."""
+    x, q, alpha = (to_mpf(v) for v in unify(x, p.q, p.alpha))
+    assert abs(x) < 1
+    b, bq2 = qpow(q, 2 * alpha + 2), qpow(q, 2 * alpha + 4)
+    return (phi((0, 0), (b,), q * q, x * x)
+            + x / (1 - b) * phi((0, 0), (bq2,), q * q, x * x))
 
 
 # --- the phi engine -------------------------------------------------------------

@@ -150,13 +150,26 @@ def test_truncation_reaches_weights_walk_and_rhs():
     assert loose[0].terms_used < tight[0].terms_used
 
 
+@pytest.mark.parametrize("cap", [100_000, 1_000])
+def test_cap_alone_leaves_the_sweep_unchanged(cap):
+    # a Truncation built only to change max_terms keeps the sweep's own
+    # tail_tol, 10^-(dps+10) at its working digits, so every report matches
+    p = QParams(mpf("0.5"), mpf("0.5"))
+    capped = orthogonality_gram(2, p, trunc=Truncation(max_terms=cap))
+    default = orthogonality_gram(2, p)
+    assert [(r.lhs, r.rhs, r.abs_residual, r.rel_residual, r.terms_used)
+            for r in capped] == \
+        [(r.lhs, r.rhs, r.abs_residual, r.rel_residual, r.terms_used)
+         for r in default]
+
+
 @pytest.mark.parametrize("q, alpha, cap, end", [("0.5", "0", 5, "k_min -4"),
                                                 ("0.2", "10", 14, "k_max 14")])
 def test_walk_max_terms_names_the_end(q, alpha, cap, end, monkeypatch):
     # the weight product w_a(1) gets the default truncation here, since at
     # the cap it would stop first.  At q = 0.2, alpha = 10 the walk toward
     # large x stops within 14 points, but the small-x tail needs
-    # c q^(2k) <= tail_tol^(1/8) = 10^-7.5 with c = 0.2^(-21): k >= 16
+    # c q^(2k) <= tail_tol^(1/8) = 10^-10 with c = 0.2^(-21): k >= 18
     weight = quadrature.orthogonality_weight
     monkeypatch.setattr(quadrature, "orthogonality_weight",
                         lambda x, p, trunc=None: weight(x, p))
