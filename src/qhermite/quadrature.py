@@ -11,8 +11,8 @@ The sweep walks out from k = 0.  One infinite product gives w_a(1); every
 other weight follows from the running ratio
 (-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf, one
 multiplication per point.  One recurrence ladder per point x feeds all the
-pairs, its values at -x being the same ladder with the odd degrees negated,
-and the closed-form constant is computed once per degree.
+pairs (at -x, the same ladder with the odd degrees negated); the closed
+form's products and the small-x tail's factors are computed once per sweep.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
@@ -63,6 +63,23 @@ def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
                             trunc=trunc)
 
 
+def _rhs_by_degree(p: QParams, trunc: Optional[Truncation]):
+    """n -> orthogonality_rhs(n, p, trunc), taking its products once."""
+    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    q2 = q * q
+    neg_q = q_pochhammer(-q, q2, None, trunc=trunc)
+    num = neg_q * neg_q * q_pochhammer(q2, q2, None, trunc=trunc)
+    den = q_pochhammer(
+        (-qpow(q, -2 * alpha - 1), -qpow(q, 2 * alpha + 3), qpow(q, 2 * alpha + 2)),
+        q2, None, trunc=trunc)
+
+    def rhs(n: int):
+        pn = q_pochhammer(q, q, n)
+        return (2 * qpow(q, -n * n) * (1 - q) * num / den
+                * pn * pn / gen_q_shifted_factorial(n, p))
+    return rhs
+
+
 def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
     """Diagonal normalization constant:
 
@@ -70,15 +87,7 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
         / (-q^(-2a-1), -q^(2a+3), q^(2a+2); q^2)_inf
         * (q;q)_n^2 / (q;q)_{n,alpha}.
     """
-    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    q2 = q * q
-    num = q_pochhammer((-q, -q, q2), q2, None, trunc=trunc)
-    den = q_pochhammer(
-        (-qpow(q, -2 * alpha - 1), -qpow(q, 2 * alpha + 3), qpow(q, 2 * alpha + 2)),
-        q2, None, trunc=trunc)
-    pn = q_pochhammer(q, q, n)
-    return (2 * qpow(q, -n * n) * (1 - q) * num / den
-            * pn * pn / gen_q_shifted_factorial(n, p))
+    return _rhs_by_degree(p, trunc)(n)
 
 
 def _coefficients(n: int, p: QParams) -> list:
@@ -89,9 +98,10 @@ def _coefficients(n: int, p: QParams) -> list:
     return [front * sign / den for _, sign, den in _gdqh2_terms(n, q, p)]
 
 
-def _small_x_tail(even: list, k: int, p: QParams, floor, max_terms: int):
-    """sum_{j >= k} q^(j(2a+2)) E(q^j) / (-c q^(2j); q^2)_inf in closed form,
-    for E(x) = sum_l even[l] x^(2l) and c = q^(-2a-1), with c q^(2k) < 1 - q^2.
+def _small_x_tail(k: int, p: QParams, max_terms: int):
+    """tail(even, floor) = the closed form of
+    sum_{j >= k} q^(j(2a+2)) E(q^j) / (-c q^(2j); q^2)_inf, for
+    E(x) = sum_l even[l] x^(2l) and c = q^(-2a-1), with c q^(2k) < 1 - q^2.
 
     Summing the q-binomial series of the weight over j gives
     sum_i b_i q^(k s_i) / (1 - q^(s_i)), with s_i = 2a+2+2i and
@@ -106,20 +116,25 @@ def _small_x_tail(even: list, k: int, p: QParams, floor, max_terms: int):
     r = z / (1 - q * q)
     lead = qpow(q, 2 * alpha + 2)
     start = qpow(lead, k)  # q^(k(2a+2))
-    even = [e * qpow(u, l) for l, e in enumerate(even)]
-    d = []  # (-z)^j / (q^2;q^2)_j
-    total = mpf(0)
-    for i in range(max_terms):
-        d.append(d[-1] * -z / (1 - qpow(q, 2 * i)) if d else mpf(1))
-        span = range(max(0, i - len(even) + 1), i + 1)
-        front = start / (1 - lead * qpow(q, 2 * i))
-        total += front * mp.fsum(even[i - j] * d[j] for j in span)
-        if (i + 1 >= len(even) and front * r / (1 - r)
-                * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
-            return total
-    raise ConvergenceError(
-        "closed-form lattice tail from k = %d did not meet %s within "
-        "max_terms=%d" % (k, mp.nstr(floor, 4), max_terms))
+    front, d = [], []  # q^(k(2a+2)) / (1 - q^(s_i)) and (-z)^i / (q^2;q^2)_i
+
+    def tail(even: list, floor):
+        even = [e * qpow(u, l) for l, e in enumerate(even)]
+        total = mpf(0)
+        for i in range(max_terms):
+            if i == len(d):  # grown by the first call that reads index i
+                power = qpow(q, 2 * i)
+                d.append(d[-1] * -z / (1 - power) if d else mpf(1))
+                front.append(start / (1 - lead * power))
+            span = range(max(0, i - len(even) + 1), i + 1)
+            total += front[i] * mp.fsum(even[i - j] * d[j] for j in span)
+            if (i + 1 >= len(even) and front[i] * r / (1 - r)
+                    * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
+                return total
+        raise ConvergenceError(
+            "closed-form lattice tail from k = %d did not meet %s within "
+            "max_terms=%d" % (k, mp.nstr(floor, 4), max_terms))
+    return tail
 
 
 def _walk(p: QParams, w_one, step: int) -> Iterator:
@@ -223,8 +238,9 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             visit(xk, mk)
         points += k - 1
 
-        rhs_at = lru_cache(maxsize=None)(
-            lambda deg: orthogonality_rhs(deg, p, trunc=trunc))
+        # after the walk, so that a cap on max_terms stops the walk first
+        small_x = _small_x_tail(k, p, trunc.max_terms)
+        rhs_at = lru_cache(maxsize=None)(_rhs_by_degree(p, trunc))
         reports = []
         for i, (n, m) in enumerate(pairs):
             if bad_x[i] is not None:
@@ -238,8 +254,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 for a, an in enumerate(coef[n]):
                     for b, bm in enumerate(coef[m]):
                         even[half - a - b] += 2 * an * bm
-                sums[i].add(_small_x_tail(even, k, p, floor(i),
-                                          trunc.max_terms))
+                sums[i].add(small_x(even, floor(i)))
             lhs = (1 - q) * sums[i].total
             if n == m:
                 rhs = rhs_at(n)

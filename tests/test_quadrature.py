@@ -3,7 +3,7 @@
 import pytest
 from mpmath import mp, mpf
 
-from qhermite import quadrature
+from qhermite import qcore, quadrature
 from qhermite.errors import ConvergenceError, EvaluationError
 from qhermite.polyfam import gdqh2
 from qhermite.qcore import (QParams, Truncation, gen_q_shifted_factorial,
@@ -59,16 +59,25 @@ def test_walked_weights_match_mpmath_qp(q, alpha, dps, monkeypatch):
 def test_small_x_tail_matches_brute_force():
     # sum_{k > 12} of the (0, 0) terms 2 q^(k(2a+2)) w_a(q^k) at
     # q = 0.3, alpha = -0.9, where they fall only by 0.3^0.2 per point:
-    # 1400 points reach 1e-146
+    # 1400 points reach 1e-146.  Then the (2, 2) terms, whose three even
+    # coefficients read the factors the first call left at several indices
     with mp.workdps(60):
         p = QParams(mpf("0.3"), mpf("-0.9"))
         q, alpha = p.q, p.alpha
         c = qpow(q, -2 * alpha - 1)
-        brute = mp.fsum(2 * qpow(q, k * (2 * alpha + 2))
-                        / mp.qp(-c * qpow(q, 2 * k), q * q)
-                        for k in range(13, 13 + 1400))
-        got = quadrature._small_x_tail([mpf(2)], 13, p,
-                                       mpf(10) ** -(mp.dps + 10), 100)
+        ks = range(13, 13 + 1400)
+        mass = [qpow(q, k * (2 * alpha + 2)) / mp.qp(-c * qpow(q, 2 * k), q * q)
+                for k in ks]
+        tail = quadrature._small_x_tail(13, p, 100)
+        floor = mpf(10) ** -(mp.dps + 10)
+        brute = mp.fsum(2 * m for m in mass)
+        got = tail([mpf(2)], floor)
+        assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
+        a0, a1 = quadrature._coefficients(2, p)  # h_2(x) = a0 x^2 + a1
+        brute = mp.fsum(2 * gdqh2(2, qpow(q, k), mpf(1), p,
+                                  rep="definition_sum") ** 2 * m
+                        for k, m in zip(ks, mass))
+        got = tail([2 * a1 * a1, 4 * a0 * a1, 2 * a0 * a0], floor)
         assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
 
 
@@ -263,14 +272,36 @@ def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch)
     assert str(gram.value) == str(one.value)
 
 
-def test_gram_rhs_once_per_degree(monkeypatch):
+def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
+    # one for the weight w_a(1) and five for the closed-form constants, with
+    # (-q; q^2)_inf taken once and squared, whatever the number of degrees
     calls = []
-    rhs = quadrature.orthogonality_rhs
-    monkeypatch.setattr(quadrature, "orthogonality_rhs",
-                        lambda n, p, trunc=None: calls.append(n) or rhs(n, p, trunc))
-    assert len(orthogonality_gram(3, QParams(mpf("0.22"), mpf(0)))) == 10
-    assert sorted(calls) == [0, 1, 2, 3]
-    assert orthogonality_gram(-1, QParams(mpf("0.22"), mpf(0))) == []
+    product = qcore._infinite_product
+    monkeypatch.setattr(qcore, "_infinite_product",
+                        lambda *a: calls.append(a[0]) or product(*a))
+    for n_max in (0, 1, 4):
+        calls.clear()
+        reports = orthogonality_gram(n_max, QParams(0.22, 0))
+        assert len(reports) == (n_max + 1) * (n_max + 2) // 2
+        assert len(calls) == 1 + 5, n_max
+    calls.clear()
+    assert orthogonality_gram(-1, QParams(0.22, 0)) == [] and calls == []
+
+
+@pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.3", "-0.9")])
+@pytest.mark.parametrize("trunc", [None, Truncation(tail_tol=mpf("1e-40"))],
+                         ids=["default", "tail_tol=1e-40"])
+def test_public_rhs_equals_gram_diagonal_bit_for_bit(q, alpha, trunc):
+    # the sweep takes its constants at 20 digits over the caller's, through
+    # the same products and degree part as the one-degree public call
+    p = QParams(mpf(q), mpf(alpha))
+    gram = orthogonality_gram(4, p, trunc=trunc)
+    diagonal = {r.params["n"]: r.rhs for r in gram
+                if r.params["n"] == r.params["m"]}
+    with mp.workdps(mp.dps + 20):
+        public = {n: orthogonality_rhs(n, p, trunc) for n in range(5)}
+    assert {n: v._mpf_ for n, v in public.items()} == \
+        {n: v._mpf_ for n, v in diagonal.items()}
 
 
 def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
