@@ -24,6 +24,7 @@ from collections import namedtuple
 from contextvars import ContextVar
 from copy import copy
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate, islice, pairwise, product, tee
 from operator import mul
 from typing import Iterable, Optional
@@ -32,6 +33,7 @@ from mpmath import mp, mpf
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
+    _gdqh2_terms,
     gdqh2,
     gdqh2_recurrence_ladder,
     gdqh2_recurrence_values,
@@ -41,12 +43,12 @@ from .polyfam import (
 from .qcore import (
     QParams,
     Truncation,
+    _products,
     gen_q_shifted_factorial,
-    hahn_add_power,
     q_pochhammer,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import qpow, qpowers, to_mpf, unify
+from .scalars import guarded_mul, is_exact, qpow, qpowers, to_mpf, unify
 
 __all__ = [
     "IdentityReport",
@@ -201,27 +203,22 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
 # --- connection and inversion -------------------------------------------------
 
 
-def _descending_sum(n: int, x, y, q, p: QParams, weight):
-    """The expansion shared by connection and inversion:
+def _descending_sum(n: int, x, y, omega, q, p: QParams):
+    """The expansion shared by connection and inversion,
 
-      sum_k weight(k) / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y),
+      sum_k (-1)^k q^(-2nk+k(2k+1)) (omega (+)_{q^2} -y)^k
+            / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y):
 
-    walking (q;q)_{n-2k} down from (q;q)_n as (q^2;q^2)_k goes up, over one
-    recurrence ladder.  Returns ((q;q)_n, the sum).
+    the definition sum's terms at alpha = -1/2, where (q;q)_{m,-1/2} =
+    (q;q)_m, with (omega (+)_{q^2} -y)^k h_{n-2k} for x^(n-2k) y^k, over one
+    recurrence ladder.  At omega = 0, (0 (+)_{q^2} -y)^k = (-y)^k q^(k(k-1)).
+    The Hahn powers are one product: omega = y zeroes every k >= 1 exactly.
     """
     ladder = _ladder(n, x, y, p)
-    total = q - q
-    poch_q2 = 1 + (q - q)
-    poch_q_down = q_pochhammer(q, q, n)
-    acc = poch_q_down
-    up, down = qpowers(q, 2), qpowers(q, -2, n - 1)  # q^(2k), q^(n-2k+1), k >= 1
-    for k in range(n // 2 + 1):
-        if k > 0:
-            poch_q2 *= 1 - next(up)
-            low = next(down)
-            acc = acc / (1 - low * q) / (1 - low)
-        total = total + weight(k) / (poch_q2 * acc) * ladder[n - 2 * k]
-    return poch_q_down, total
+    half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
+    hahn = _products(omega, y, guarded_mul(q, q), n // 2)
+    return sum((sign * hahn[k] / den * ladder[n - 2 * k]
+                for k, sign, den in _gdqh2_terms(n, q, half)), q - q)
 
 
 def check_connection(n: int, p: QParams, x, y, omega, tol=None,
@@ -230,27 +227,24 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     omega expanded in the family at second variable y,
 
       h_n(x, omega) = (q;q)_n sum_k q^(-2nk+k(2k+1)) (-omega (+)_{q^2} y)^k
-                      / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y).
+                      / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y),
 
-    The Hahn power is formed as a product, so omega = y annihilates every
-    k >= 1 term exactly.
+    _descending_sum at omega, since (-1)^k (omega (+)_{q^2} -y)^k is the
+    Hahn power above.
     """
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y, "omega": omega}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(_work_digits("cancel", n, p.q)):
         x, y, omega, q = unify(x, y, omega, p.q)
-        q2 = q * q
         lhs = gdqh2(n, x, omega, p, trunc=trunc)
-        poch_q, total = _descending_sum(
-            n, x, y, q, p, lambda k: (qpow(q, -2 * n * k + k * (2 * k + 1))
-                                      * hahn_add_power(-omega, y, q2, k)))
-        return _report("connection", params, lhs, poch_q * total, tol, trunc,
+        rhs = q_pochhammer(q, q, n) * _descending_sum(n, x, y, omega, q, p)
+        return _report("connection", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
 
 
 def check_inversion(n: int, p: QParams, x, y, tol=None,
                     trunc: Optional[Truncation] = None) -> IdentityReport:
-    """Monomial expansion:
+    """Monomial expansion, _descending_sum at omega = 0:
       x^n = (q;q)_{n,alpha} sum_k q^(-2nk+3k^2) y^k
             / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y)."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
@@ -258,9 +252,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     with mp.workdps(_work_digits("cancel", n, p.q)):
         x, y, q = unify(x, y, p.q)
         lhs = qpow(x, n)
-        _, total = _descending_sum(
-            n, x, y, q, p, lambda k: qpow(q, -2 * n * k + 3 * k * k) * qpow(y, k))
-        rhs = gen_q_shifted_factorial(n, p) * total
+        rhs = gen_q_shifted_factorial(n, p) * _descending_sum(n, x, y, 0, q, p)
         return _report("inversion", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
 

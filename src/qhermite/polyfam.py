@@ -19,9 +19,10 @@ h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
 only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
 the cheap way to evaluate a whole ladder of degrees.
 
-The step, the definition sum's signs and (q;q)_{n,alpha} carry their
-q-powers as running products with 32 guard bits (scalars.qpowers), so a
-ladder or a sum takes one real power q^(2 alpha + 1), not one per step.
+The step and the definition sum's signs carry their q-powers as running
+products with 32 guard bits (scalars.qpowers), and (q;q)_{m,alpha} and
+(q^2;q^2)_k are prefixes of qcore's one guarded product, so a ladder or a
+sum takes one real power q^(2 alpha + 1), not one per step.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .qcore import (
     Truncation,
     gen_q_shifted_factorial,
     _gen_q_shifted_prefix,
+    _products,
     parity_indicator,
     q_pochhammer,
 )
@@ -118,15 +120,16 @@ def _gdqh2_terms(n: int, q, params: QParams) -> Iterator:
     """(k, sign, den) for k = 0..n//2, where the definition sum's k-th term
     is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1)) and
     den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
-    # (q;q)_{m,alpha} for m = 0..n; the sign runs by its ratio
-    # -q^(-2n+4k+3) = (-q)^(-2n+4k+3), and (q^2;q^2)_k over a running q^(2k)
+    # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2; the sign
+    # runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3)
+    q2 = guarded_mul(q, q)
     gen_fact = _gen_q_shifted_prefix(n, params)
-    ratios, up = qpowers(-q, 4, 3 - 2 * n), qpowers(q, 2)
-    sign = poch_q2 = q - q + 1
+    poch_q2 = _products(1, q2, q2, n // 2)
+    ratios = qpowers(-q, 4, 3 - 2 * n)
+    sign = q - q + 1
     for k in range(n // 2 + 1):
-        yield (k, sign, gen_fact[n - 2 * k] * poch_q2)
+        yield (k, sign, gen_fact[n - 2 * k] * poch_q2[k])
         sign = guarded_mul(sign, next(ratios))
-        poch_q2 *= 1 - next(up)
 
 
 def _gdqh2_definition(n: int, x, y, params: QParams):

@@ -3,7 +3,8 @@
 q-shifted factorials (finite and infinite), the parity-indexed generalized
 q-shifted factorial, Hahn's q-addition powers, and the Truncation budget
 every infinite sum and product reads.  Everything downstream (series,
-polynomial families, identity checks) is assembled from these.
+polynomial families, identity checks) is assembled from these; the finite
+(a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`.
 
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
@@ -152,15 +153,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
 
     if not isinstance(n, int):
         raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
-    a, q = unify(a, q)
-    prod = a - a + 1  # one, on the right backend
-    power = prod
-    for _ in range(n):
-        prod *= 1 - a * power
-        power *= q
-    return prod
+    return _products(1, a, q, n)[-1]
 
 
 def parity_indicator(n: int) -> int:
@@ -170,20 +163,34 @@ def parity_indicator(n: int) -> int:
     return 1 - (n & 1)
 
 
-def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
-    """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}] as one running product (the
-    recursion below) with the guard bits, on the backend of (q, alpha) alone."""
-    q, alpha = unify(params.q, params.alpha)
-    out = q - q + 1
+def _products(c, a, q, n: int, lift=1) -> list:
+    """[P_0, ..., P_n] with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
+    times lift for even m, as one running product GUARD_BITS above mp.prec
+    (its entries keep those bits).  Exact operands stay exact, and a factor
+    c - a is 0 exactly when c = a."""
+    if n < 0:
+        raise DomainError("n must be >= 0: got %d" % n)
+    c, a, q, lift = unify(c, a, q, lift)
+    out = q - q + 1  # one, on the right backend
     table = [out]
-    if n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
-        with mp.workprec(mp.prec + GUARD_BITS):
-            lift, power = qpow(q, 2 * alpha + 1), out  # power = q^m
-            for m in range(n):
-                power *= q
-                out *= 1 - (power * lift if parity_indicator(m) else power)
-                table.append(out)
+    with mp.workprec(mp.prec + GUARD_BITS):
+        power = a  # a q^m
+        for m in range(n):
+            out *= c - (power if m & 1 else power * lift)
+            table.append(out)
+            power *= q
     return table
+
+
+def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
+    """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}]: the running product of the
+    recursion below, on the backend of (q, alpha) alone."""
+    q, alpha = unify(params.q, params.alpha)
+    if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
+        return [q - q + 1]
+    with mp.workprec(mp.prec + GUARD_BITS):
+        lift = qpow(q, 2 * alpha + 1)
+    return _products(1, q, q, n, lift)
 
 
 def gen_q_shifted_factorial(n: int, params: QParams):
@@ -204,13 +211,5 @@ def hahn_add_power(x, y, q, n: int):
 
     The product keeps structural zeros (a vanishing factor) exact.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
     _check_q(q)
-    x, y, q = unify(x, y, q)
-    out = q - q + 1
-    power = out
-    for _ in range(n):
-        out *= x + power * y
-        power *= q
-    return out
+    return _products(x, -y, q, n)[-1]

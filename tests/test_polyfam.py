@@ -198,10 +198,13 @@ def test_exact_prefix_needs_no_power_at_degree_zero():
         _gen_q_shifted_prefix(1, p)
 
 
-def test_running_powers_within_two_ulps():
+@pytest.mark.parametrize("alpha", ["0.37", "-0.5"])
+def test_running_powers_within_two_ulps(alpha):
     # the running products of the prefix (q;q)_{m,alpha} and of the
-    # definition sum's signs against powers taken one by one at 40 more digits
-    n, q, alpha = 60, mpf("0.68"), mpf("0.37")
+    # definition sum's signs against powers taken one by one at 40 more
+    # digits; at alpha = -1/2 the prefix is the plain (q;q)_m that
+    # connection and inversion read
+    n, q, alpha = 60, mpf("0.68"), mpf(alpha)
     p = QParams(q, alpha)
     prefix = _gen_q_shifted_prefix(n, p)
     signs = [sign for _, sign, _ in _gdqh2_terms(n, q, p)]

@@ -243,6 +243,27 @@ def test_hahn_structural_zero():
         assert hahn_add_power(F(-3, 7), F(3, 7), F(1, 2), n) == 0
 
 
+def _ulps_off(got, exact):
+    """|got rounded once to mp.prec - exact| in ulps of exact at mp.prec."""
+    return abs(+got - exact) / mpf(2) ** (mp.frexp(exact)[1] - mp.prec)
+
+
+@pytest.mark.parametrize("kind", ["pochhammer", "hahn"])
+def test_finite_products_within_one_ulp(kind):
+    # the running product keeps guard bits: (q;q)_100 and a Hahn power of 30
+    # factors in base q^2, once rounded to the working precision, are within
+    # 1 ulp of the same product of the same operands taken at 150 digits
+    q = mpf("0.68")
+    product, args = {
+        "pochhammer": (q_pochhammer, (q, q, 100)),
+        "hahn": (hahn_add_power, (mpf("0.3"), mpf("-0.9"), q * q, 30)),
+    }[kind]
+    got = product(*args)
+    with mp.workdps(150):
+        exact = product(*args)
+    assert _ulps_off(got, exact) <= 1
+
+
 @given(x=reals, y=reals, q=qs, n=st.integers(min_value=0, max_value=10))
 @settings(max_examples=40, deadline=None)
 def test_hahn_product_vs_sum(x, y, q, n):
