@@ -373,10 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _require_finite(args) -> None:
+    """Reject an inf or nan numeric flag before anything is evaluated (a
+    malformed one raises mpf's own ValueError, as the command would)."""
+    for flag in ("q", "alpha", "x", "y", "mu", "omega", "t"):
+        value = getattr(args, flag, None)
+        for text in [value] if isinstance(value, str) else value or ():
+            if not mp.isfinite(mpf(text)):
+                raise DomainError("--%s must be finite: got %s" % (flag, text))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     caller_dps = mp.dps
     try:
+        _require_finite(args)
         cfg = resolve_config(args)
         mp.dps = cfg.precision_digits
         return args.fn(args, cfg)

@@ -115,12 +115,12 @@ def default_identity_tol():
 def _work_digits(kind: str, n: int, q) -> int:
     """Guard digits for a check dominated by cancellation of size q^(-c n^2)."""
     grow = mp.log10(1 / to_mpf(q))
-    c = {"poly": 0.5, "cancel": 1.0}.get(kind, 0.0)
+    c = {"poly": 0.5, "cancel": 1.0}[kind]
     return int(mp.dps + mp.ceil(c * n * n * grow) + 30)
 
 
 def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    """A report against tol, as its public check resolved it up front."""
     abs_r, rel_r = residuals(lhs, rhs)
     return IdentityReport(
         identity_id=identity_id,
@@ -450,7 +450,7 @@ DEFAULT_GRID = IdentityGrid()
 
 
 def _grid_mpf(values):
-    return [mpf(v) if isinstance(v, str) else to_mpf(v) for v in values]
+    return [to_mpf(v) for v in values]
 
 
 def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,

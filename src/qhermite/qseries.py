@@ -6,8 +6,9 @@ The r-phi-s engine sums
       = sum_k [(-1)^k q^C(k,2)]^(1+s-r) * prod (ai;q)_k / prod (bj;q)_k
               * z^k / (q;q)_k
 
-with a term-ratio recurrence.  Termination via an upper parameter equal to
-q^(-m) is detected (or declared via PhiSpec.terminate_at); terminating series
+with a term-ratio recurrence.  It terminates at PhiSpec.terminate_at, else at
+the least m of an upper parameter exactly q^(-m) (bit for bit on mpf); a lower
+parameter exactly q^(-m) inside that range is a pole.  Terminating series
 work on the exact backend, everything else runs on mpf.
 
 On top of it, each as phi_rs calls: Euler's small q-exponential e_q, the
@@ -69,7 +70,8 @@ class PhiSpec:
 
     terminate_at, when given, asserts that the summand vanishes for
     k > terminate_at (callers that build q^(-n) upper parameters know this
-    index exactly and should pass it; detection from floats is a fallback).
+    index exactly and should pass it; else only an upper parameter equal to
+    qpow(q, -m) at the working precision terminates the series).
     """
 
     upper: tuple
@@ -91,33 +93,13 @@ class PhiSpec:
 
 
 def _neg_q_power_index(a, q) -> Optional[int]:
-    """Return m >= 0 if a == q^(-m) (within matching tolerance), else None."""
-    if is_exact(a) and a == 1:
-        return 0
+    """m >= 0 if a == qpow(q, -m) at the working precision (bit for bit on
+    mpf, exactly on the exact backend), with m from one rounded log."""
     af = to_mpf(a)
-    qf = to_mpf(q)
-    if af <= 0:
+    if not 1 <= af < mp.inf:
         return None
-    if af < 1:
-        return None
-    # candidate from logs, then verify
-    try:
-        m = int(mp.nint(mp.log(af) / mp.log(1 / qf)))
-    except (ValueError, ZeroDivisionError):
-        return None
-    if m < 0:
-        return None
-    # |a q^m - 1| below this means "a is q^(-m)": a match in three quarters
-    # of the working bits (about 2e-12 at 15 digits, 1e-38 at 50), so a
-    # q^(-m) built at down to 3/4 of the working precision terminates and
-    # anything further off is summed as the non-terminating series it is
-    tol = mp.eps ** 0.75
-    for cand in (m - 1, m, m + 1):
-        if cand < 0:
-            continue
-        if abs(af * qf ** cand - 1) < tol:
-            return cand
-    return None
+    m = int(mp.nint(mp.log(af) / -mp.log(to_mpf(q))))
+    return m if a == qpow(q, -m) else None
 
 
 def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
@@ -137,9 +119,8 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
 
     n_term = spec.terminate_at
     if n_term is None:
-        hits = [m for m in (_neg_q_power_index(a, q) for a in upper) if m is not None]
-        if hits:
-            n_term = min(hits)
+        hits = (_neg_q_power_index(a, q) for a in upper)
+        n_term = min((m for m in hits if m is not None), default=None)
 
     # a lower parameter q^(-m) kills the denominator at k = m+1
     for b in lower:

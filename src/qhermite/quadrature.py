@@ -183,15 +183,15 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         bad_x = [None] * len(pairs)
 
         def visit(xk, mk):
-            # h_k(-x) = (-1)^k h_k(x): the recurrence at -x flips the sign of
-            # every odd degree exactly, so one ladder serves both points
-            lad_p = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-            lad_n = [-h if j % 2 else h for j, h in enumerate(lad_p)]
+            # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
+            # every odd degree exactly, so one ladder serves both points and
+            # their products sum to h_n h_m (1 + (-1)^(n+m)), bit for bit
+            lad = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
             terms = [mpf(0)] * len(pairs)
             for i, (n, m) in enumerate(pairs):
                 if bad_x[i] is not None:
                     continue
-                term = mk * (lad_p[n] * lad_p[m] + lad_n[n] * lad_n[m])
+                term = mk * (lad[n] * lad[m] * (1 + (-1) ** (n + m)))
                 if not mp.isfinite(term):
                     bad_x[i] = xk
                     continue

@@ -34,8 +34,6 @@ def to_mpf(value) -> mpf:
         return value
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
-    if isinstance(value, str):
-        return mpf(value)
     return mpf(value)
 
 
@@ -115,13 +113,13 @@ def guarded_mul(a, b):
                                mp.prec + GUARD_BITS, round_nearest))
 
 
-def qpowers(q, step: int, first=None):
-    """q^first, q^(first+step), q^(first+2*step), ... as a running product,
-    first = step unless given: q^step and q^first are taken once with the
-    guard bits, then each next power by guarded_mul."""
+def qpowers(q, step: int, first):
+    """q^first, q^(first+step), q^(first+2*step), ... as a running product:
+    q^step and q^first are taken once with the guard bits, then each next
+    power by guarded_mul."""
     with mp.workprec(mp.prec + GUARD_BITS):
         ratio = q ** step
-        power = ratio if first is None else qpow(q, first)
+        power = qpow(q, first)
     while True:
         yield power
         power = guarded_mul(power, ratio)

@@ -387,6 +387,27 @@ def test_infinite_tolerance_exit_two(tmp_path, capsys, key, where):
     assert "%s must be finite and > 0" % key in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("eval", "gdqh2", "--n", "2", "--x", "inf"), "x", "inf"),
+    (("eval", "mu-hermite", "--n", "2", "--x", "0.4", "--mu=-inf"), "mu", "-inf"),
+    (("table", "discrete-qh2", "--n-max", "1", "--x", "nan", "0.5"), "x", "nan"),
+    (("check", "recurrence", "--n-max", "2", "--x", "inf", "--q", "0.5",
+      "--alpha", "0", "--y", "1"), "x", "inf"),
+    (("check", "all", "--q", "0.5", "--alpha", "0", "--n-max", "1",
+      "--x", "0.8", "--y", "1", "--omega", "nan", "--t", "0.2"), "omega", "nan"),
+    (("check", "generating_function", "--t", "0.2", "inf"), "t", "inf"),
+    (("orthogonality", "--n", "1", "--alpha", "inf"), "alpha", "inf"),
+    (("orthogonality", "--n", "1", "--m", "0", "--q", "nan"), "q", "nan"),
+])
+def test_non_finite_numeric_flag_exit_two(capsys, argv, flag, value):
+    # an inf or nan parameter is invalid input, named before anything is
+    # evaluated: not a nan row, a failed check or an exhausted product
+    code, out, err = run(capsys, "--no-timestamp", *argv)
+    assert code == 2
+    assert out == ""
+    assert "--%s must be finite: got %s" % (flag, value) in err
+
+
 def test_eval_invalid_degree_exit_two(capsys):
     code, _, err = run(capsys, "eval", "gdqh2", "--n", "-2", "--q", "0.5",
                        "--alpha", "0", "--x", "1", "--y", "1")

@@ -69,6 +69,11 @@ def test_phi_auto_termination_detection():
     a = phi((q ** -5,), (q ** 2,), q, mpf("0.7"), terminate_at=5)
     b = phi((q ** -5,), (q ** 2,), q, mpf("0.7"))  # detected from the parameter
     assert a == b
+    # on the exact backend 32 = (1/2)^-5 exactly: the 1-phi-0 stops after 6
+    # terms and is the q-binomial product (q^-5 z; q)_5
+    sv = phi_rs(PhiSpec((F(32),), (), F(1, 2), F(3, 10)))
+    assert sv.terms_used == 6 and sv.tail_estimate == 0
+    assert sv.value == q_pochhammer(F(48, 5), F(1, 2), 5) == F(11438, 3125)
 
 
 def test_phi_pole_in_lower_parameter():
@@ -78,6 +83,10 @@ def test_phi_pole_in_lower_parameter():
         phi((q ** -6,), (q ** -3,), q, mpf("0.2"), terminate_at=6)
     # ...but a pole beyond the truncation range is harmless
     phi((q ** -2,), (q ** -9,), q, mpf("0.2"), terminate_at=2)
+    # the pole is found where q^-3 is no binary fraction too, built by qpow
+    q = mpf("0.37")
+    with pytest.raises(PoleError):
+        phi((qpow(q, -6),), (qpow(q, -3),), q, mpf("0.2"), terminate_at=6)
 
 
 def test_phi_divergence_rules():
@@ -278,14 +287,17 @@ def test_euler_product_pair_property(q, x):
 
 
 def test_near_terminating_parameter_is_summed_as_non_terminating():
-    # a = q^-2 (1 + 1e-13) is not q^-2 at 50 digits: the q-binomial theorem
-    # gives (a z; q)_inf / (z; q)_inf, not the 3-term polynomial
-    q, z = mpf("0.5"), mpf("0.3")
-    a = q ** -2 * (1 + mpf("1e-13"))
-    s = phi_rs(PhiSpec((a,), (), q, z))
-    assert s.terms_used > 3 and s.tail_estimate > 0
-    ref = mp.qp(a * z, q) / mp.qp(z, q)
-    assert abs(s.value - ref) <= mpf("1e-45") * abs(ref)
+    # a = q^-m (1 + off) is not q^-m at 50 digits: the q-binomial theorem
+    # gives (a z; q)_inf / (z; q)_inf, not the (m+1)-term polynomial.  The
+    # second a is four ulps off qpow(q, -5): termination takes bit equality,
+    # not a match within a tolerance
+    z = mpf("0.3")
+    for q, m, off in ((mpf("0.5"), 2, mpf("1e-13")), (mpf("0.37"), 5, 4 * mp.eps)):
+        a = qpow(q, -m) * (1 + off)
+        s = phi_rs(PhiSpec((a,), (), q, z))
+        assert s.terms_used > m + 1 and s.tail_estimate > 0
+        ref = mp.qp(a * z, q) / mp.qp(z, q)
+        assert abs(s.value - ref) <= mpf("1e-45") * abs(ref)
 
 
 @pytest.mark.parametrize("dps", [15, 50, 120])
