@@ -235,11 +235,10 @@ def cmd_table(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _report_row(r, digits: int) -> dict:
+def _report_row(r, digits: int, param) -> dict:
     return {
         "identity": r.identity_id,
-        "params": ";".join("%s=%s" % (k, fmt_scalar(to_mpf(v), 8))
-                           for k, v in sorted(r.params.items())),
+        "params": ";".join("%s=%s" % (k, param(v)) for k, v in sorted(r.params.items())),
         "lhs": fmt_scalar(r.lhs, digits),
         "rhs": fmt_scalar(r.rhs, digits),
         "abs_residual": fmt_scalar(r.abs_residual, 8),
@@ -252,7 +251,15 @@ def _report_row(r, digits: int) -> dict:
 
 
 def _finish_reports(reports, cfg: RunConfig) -> int:
-    rows = [_report_row(r, cfg.precision_digits) for r in reports]
+    # a parameter value repeats on every row of its cell: format it once
+    shown = {}
+
+    def param(v):
+        if v not in shown:
+            shown[v] = fmt_scalar(to_mpf(v), 8)
+        return shown[v]
+
+    rows = [_report_row(r, cfg.precision_digits, param) for r in reports]
     summary = summarize_reports(reports)
     if cfg.fmt == "human":
         _emit_rows(rows, cfg, sys.stdout)

@@ -11,8 +11,14 @@ degrades to the absolute one there).
 Checks escalate their internal working precision before summing: the
 connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
-digits; run_identity_suite builds one ladder per (q, alpha, x, y) cell, to
-its largest n at that top precision, and computes only the requested ids.
+digits.  run_identity_suite computes only the requested ids, and opens one
+shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
+in it each finite table, real power, infinite product, working-digit count
+and parity half-sum is computed once per backend, operands and precision,
+across the block's (x, y) cells.  Each cell builds one recurrence ladder to
+its largest n at the digits connection and inversion need there; inside a
+block those two checks run at the ladder's digits at every n, so one set of
+alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
 Reports carry lhs, rhs and residuals at the working precision of the check,
 not rounded back to the ambient context: a printer that rounds them once to
 its own digits avoids rounding them twice.
@@ -21,7 +27,6 @@ its own digits avoids rounding them twice.
 from __future__ import annotations
 
 from collections import namedtuple
-from contextvars import ContextVar
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +51,9 @@ from .qcore import (
     _products,
     gen_q_shifted_factorial,
     q_pochhammer,
+    scope_declared,
+    shared,
+    shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
 from .scalars import guarded_mul, is_exact, qpow, qpowers, to_mpf, unify
@@ -137,36 +145,34 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
     )
 
 
-# The (q, alpha, x, y) cell run_identity_suite evaluates, else None: the ids
-# asked for, its one ladder's degree and digits, and a memo of shared values.
-_Cell = namedtuple("_Cell", "ids ladder_n ladder_dps memo")
-_CELL: ContextVar[Optional[_Cell]] = ContextVar("_CELL", default=None)
+# What run_identity_suite declares in the shared scope of one (q, alpha)
+# block: the ids asked for, and the degree and digits of each (x, y) cell's
+# one ladder, which connection and inversion also sum at.
+_Block = namedtuple("_Block", "ids ladder_n ladder_dps")
 
 
 def _wanted(identity_id: str) -> bool:
-    """False only inside a suite cell that did not ask for identity_id."""
-    cell = _CELL.get()
-    return cell is None or identity_id in cell.ids
-
-
-def _once(f, *args):
-    """f(*args), once per suite cell for equal args and precision; raises are not kept."""
-    cell = _CELL.get()
-    if cell is None:
-        return f(*args)
-    key = (f, args, mp.prec)
-    if key not in cell.memo:
-        cell.memo[key] = f(*args)
-    return cell.memo[key]
+    """False only inside a suite block that did not ask for identity_id."""
+    block = scope_declared()
+    return block is None or identity_id in block.ids
 
 
 def _ladder(n: int, x, y, p: QParams) -> list:
-    """h_0..h_n, or the cell's longer ladder inside a suite cell."""
-    cell = _CELL.get()
-    if cell is None:
+    """h_0..h_n, or the cell's longer ladder inside a suite block."""
+    block = scope_declared()
+    if block is None:
         return gdqh2_recurrence_ladder(n, x, y, p)
-    with mp.workdps(cell.ladder_dps):
-        return _once(gdqh2_recurrence_ladder, cell.ladder_n, x, y, p)
+    with mp.workdps(block.ladder_dps):
+        return shared(gdqh2_recurrence_ladder, block.ladder_n, x, y, p)
+
+
+def _cancel_digits(n: int, q) -> int:
+    """The digits of connection and inversion at degree n: the cell's ladder
+    digits inside a suite block, so one set of tables serves every n."""
+    block = scope_declared()
+    if block is None:
+        return shared(_work_digits, "cancel", n, q)
+    return block.ladder_dps
 
 
 # --- local families: representations and recurrence --------------------------
@@ -184,8 +190,8 @@ def check_representations(n: int, p: QParams, x, y,
     forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
                                      ("representation_laguerre", "laguerre_form"))
              if _wanted(i) and (rep == "phi_form" or to_mpf(y) >= 0)]
-    with mp.workdps(_work_digits("poly", n, p.q)):
-        base = _once(gdqh2, n, x, y, p) if forms else None
+    with mp.workdps(shared(_work_digits, "poly", n, p.q)):
+        base = shared(gdqh2, n, x, y, p) if forms else None
         return [_report(i, params, base, gdqh2(n, x, y, p, rep=rep, trunc=trunc),
                         tol, trunc) for i, rep in forms]
 
@@ -195,9 +201,9 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
     """Three-term recurrence ladder vs the definition sum at degree n."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(_work_digits("poly", n, p.q)):
+    with mp.workdps(shared(_work_digits, "poly", n, p.q)):
         lhs = _ladder(n, x, y, p)[n]
-        return _report("recurrence", params, lhs, _once(gdqh2, n, x, y, p), tol, trunc)
+        return _report("recurrence", params, lhs, shared(gdqh2, n, x, y, p), tol, trunc)
 
 
 # --- connection and inversion -------------------------------------------------
@@ -234,7 +240,7 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     """
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y, "omega": omega}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(_work_digits("cancel", n, p.q)):
+    with mp.workdps(_cancel_digits(n, p.q)):
         x, y, omega, q = unify(x, y, omega, p.q)
         lhs = gdqh2(n, x, omega, p, trunc=trunc)
         rhs = q_pochhammer(q, q, n) * _descending_sum(n, x, y, omega, q, p)
@@ -249,7 +255,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
             / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y)."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(_work_digits("cancel", n, p.q)):
+    with mp.workdps(_cancel_digits(n, p.q)):
         x, y, q = unify(x, y, p.q)
         lhs = qpow(x, n)
         rhs = gen_q_shifted_factorial(n, p) * _descending_sum(n, x, y, 0, q, p)
@@ -306,26 +312,30 @@ def _gf_terms(t, x, y, q, p: QParams):
     return tee(map(mul, weights, gdqh2_recurrence_values(x, y, p)), 1)[0]
 
 
+def _half_series(half: int, terms, trunc) -> tuple:
+    """(sum, terms used) of one half of the generating-function series read
+    from a copy of its term stream, with the sign (-1)^(j//2),
+
+      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}      (half 0)
+      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
+
+    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1)."""
+    return _gf_series(((-1) ** (j // 2) * w for j, w
+                       in islice(enumerate(copy(terms)), half, None, 2)), trunc)
+
+
 def _parity_reports(ids, rhs, t, x, y, q, p: QParams, params, tol, trunc, note):
     """The wanted reports of ids = (even id, odd id): each half of the
-    generating-function series with the sign (-1)^(j//2),
-
-      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}
-      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1},
-
-    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), against
-    rhs(half) * e_{q^2}(y t^2).  Both halves read one term stream."""
-    envelope = _once(euler_e, y * t * t, q * q, trunc)
-    terms = _once(_gf_terms, t, x, y, q, p)
+    series (_half_series) against rhs(half) * e_{q^2}(y t^2).  Both halves
+    read one term stream."""
+    envelope = shared(euler_e, y * t * t, q * q, trunc)
+    terms = shared(_gf_terms, t, x, y, q, p)
     out = []
     for half, ident in enumerate(ids):
         if _wanted(ident):
-            value = rhs(half) * envelope
-            signed = ((-1) ** (j // 2) * w
-                      for j, w in islice(enumerate(copy(terms)), half, None, 2))
-            lhs, used = _gf_series(signed, trunc)
-            out.append(_report(ident, params, lhs, value, tol, trunc,
-                               terms_used=used, note=note))
+            lhs, used = shared(_half_series, half, terms, trunc)
+            out.append(_report(ident, params, lhs, rhs(half) * envelope, tol,
+                               trunc, terms_used=used, note=note))
     return tuple(out)
 
 
@@ -340,7 +350,7 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     with mp.workdps(mp.dps + 30):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         lhs = euler_e(-y * t * t, q * q, trunc) * gen_E(x * t, p, trunc)
-        rhs, used = _gf_series(copy(_once(_gf_terms, t, x, y, q, p)), trunc)
+        rhs, used = _gf_series(copy(shared(_gf_terms, t, x, y, q, p)), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 
@@ -495,9 +505,8 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
     for q in qs:
         for alpha in alphas:
             p = QParams(q, alpha)
-            for x, y in product(xs, ys):
-                cell = _CELL.set(_Cell(asked, n_max, _work_digits("cancel", n_max, q), {}))
-                try:
+            with shared_scope(_Block(asked, n_max, _work_digits("cancel", n_max, q))):
+                for x, y in product(xs, ys):
                     for n in grid.n_values:
                         at = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
                         guard(("representation_phi", "representation_laguerre"), at,
@@ -516,8 +525,6 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                         if x * t > 0:
                             guard(("bessel_even", "bessel_odd"), at,
                                   check_bessel_forms, t, x, y, p, tol, trunc)
-                finally:
-                    _CELL.reset(cell)
     return reports
 
 

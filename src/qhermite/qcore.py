@@ -6,13 +6,22 @@ every infinite sum and product reads.  Everything downstream (series,
 polynomial families, identity checks) is assembled from these; the finite
 (a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`.
 
+A shared-value scope (`shared_scope`) lets a caller that evaluates many
+checks at one (q, alpha) compute each finite table, real power and infinite
+product once: inside it `shared(f, *args)` runs f once per backend, operands
+and mp.prec, and a finite table grows to the longest n asked, a shorter
+request reading its prefix, bit for bit the table built to that n.
+
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -91,6 +100,55 @@ class Truncation:
         return mpf(10) ** (-(mp.dps + 10))
 
 
+# The open shared-value scope, else None: (what its opener declared, memo).
+_SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
+
+
+@contextmanager
+def shared_scope(declared=None):
+    """A block inside which `shared` computes each value once.
+
+    run_identity_suite opens one per (q, alpha) block and declares its
+    cells' state in it; the orthogonality sweep opens one per sweep.  The
+    memo lives only while the block runs, and is gone after it, raised or
+    not."""
+    token = _SCOPE.set((declared, {}))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def scope_declared():
+    """What the opener of the innermost open scope declared; None outside one."""
+    scope = _SCOPE.get()
+    return None if scope is None else scope[0]
+
+
+def _backend_key(value):
+    """value tagged with its type: Fraction(1, 2) == mpf(0.5), and both hash
+    alike, but they compute on different backends.  An mpf is keyed by its
+    raw value, which hashes faster."""
+    if isinstance(value, QParams):
+        return QParams, _backend_key(value.q), _backend_key(value.alpha)
+    return type(value), getattr(value, "_mpf_", value)
+
+
+def shared(f, *args):
+    """f(*args), once per open scope for args equal in value and type at one
+    mp.prec; plainly computed outside a scope.  A raise is not kept."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return f(*args)
+    memo = scope[1]
+    key = (f, mp.prec) + tuple(map(_backend_key, args))
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = f(*args)
+        return value
+
+
 def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     """(a; q)_infinity.
 
@@ -149,7 +207,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
             raise ExactBackendError(
                 "(a;q)_infinity is an infinite product; use mpf operands"
             )
-        return _infinite_product(a, q, trunc)
+        return shared(_infinite_product, a, q, trunc)
 
     if not isinstance(n, int):
         raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
@@ -167,19 +225,50 @@ def _products(c, a, q, n: int, lift=1) -> list:
     """[P_0, ..., P_n] with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
     times lift for even m, as one running product GUARD_BITS above mp.prec
     (its entries keep those bits).  Exact operands stay exact, and a factor
-    c - a is 0 exactly when c = a."""
+    c - a is 0 exactly when c = a.  Inside a shared scope one table per
+    operands and precision grows to the longest n asked."""
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
-    c, a, q, lift = unify(c, a, q, lift)
-    out = q - q + 1  # one, on the right backend
-    table = [out]
+    table, rest = shared(_product_table, *unify(c, a, q, lift))
+    if len(table) <= n:
+        table.extend(islice(rest, n + 1 - len(table)))
+    return table[:n + 1]
+
+
+def _product_table(c, a, q, lift) -> tuple:
+    """([], the stream P_0, P_1, ... of `_products`), on unified operands."""
+    if is_exact(q):
+        return [], _exact_products(c, a, q, lift)
+    return [], _raw_products(c._mpf_, a._mpf_, q._mpf_, lift._mpf_,
+                             mp.prec + GUARD_BITS)
+
+
+def _exact_products(c, a, q, lift):
+    """P_0, P_1, ... of `_products` on exact operands."""
+    out, power = q - q + 1, a  # power = a q^m
+    for m in count():
+        yield out
+        out *= c - (power if m & 1 else power * lift)
+        power *= q
+
+
+def _raw_products(c, power, q, lift, prec: int):
+    """`_exact_products` on raw libmp values at prec bits: the operations,
+    order and rounding of that loop on mpf values in mp.workprec(prec), so
+    bit for bit the same, without an mpf wrapper per operation."""
+    out = fone
+    for m in count():
+        yield mp.make_mpf(out)
+        factor = power if m & 1 else mpf_mul(power, lift, prec, round_nearest)
+        out = mpf_mul(out, mpf_sub(c, factor, prec, round_nearest),
+                      prec, round_nearest)
+        power = mpf_mul(power, q, prec, round_nearest)
+
+
+def _odd_lift(q, alpha):
+    """q^(2 alpha + 1), GUARD_BITS above mp.prec."""
     with mp.workprec(mp.prec + GUARD_BITS):
-        power = a  # a q^m
-        for m in range(n):
-            out *= c - (power if m & 1 else power * lift)
-            table.append(out)
-            power *= q
-    return table
+        return qpow(q, 2 * alpha + 1)
 
 
 def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
@@ -188,9 +277,7 @@ def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
     q, alpha = unify(params.q, params.alpha)
     if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
         return [q - q + 1]
-    with mp.workprec(mp.prec + GUARD_BITS):
-        lift = qpow(q, 2 * alpha + 1)
-    return _products(1, q, q, n, lift)
+    return _products(1, q, q, n, shared(_odd_lift, q, alpha))
 
 
 def gen_q_shifted_factorial(n: int, params: QParams):

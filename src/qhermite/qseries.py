@@ -14,7 +14,9 @@ work on the exact backend, everything else runs on mpf.
 On top of it, each as phi_rs calls: Euler's small q-exponential e_q, the
 generalized big q-exponential (the sum of an even and an odd half, each a
 series in base q^2), Jackson's second q-Bessel function, and the generalized
-q-cosine / q-sine pair.  phi_rs holds the only summation loop; a
+q-cosine / q-sine pair.  phi_rs holds the only summation loops: a plain one
+for the exact backend and, for mpf operands, one on raw libmp values that is
+bit for bit the same loop on mpf values with a compensated sum.  A
 non-terminating sum stops at the tail tolerance of its Truncation, taken at
 the precision the sum runs at.
 """
@@ -25,6 +27,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub,
+                          round_nearest)
 
 from .errors import (
     ConvergenceError,
@@ -34,7 +39,6 @@ from .errors import (
 )
 from .qcore import QParams, Truncation, q_pochhammer
 from .scalars import (
-    CompensatedSum,
     Numeric,
     is_exact,
     qpow,
@@ -148,15 +152,11 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     power_exponent = 1 + s - r
-    tail_tol = tr.effective_tail_tol()
-    total = CompensatedSum(q - q)
-    term = q - q + 1
-    total.add(term)
-    qk = q - q + 1  # q^k
-    k = 0
-    while True:
-        if n_term is not None and k >= n_term:
-            return SeriesValue(total.total, k + 1, q - q)
+    if not is_exact(q):
+        return _float_sum(q, z, upper, lower, n_term, power_exponent, tr)
+    # Fractions: exact, and terminating (n_term is set), so the sum is plain
+    total = term = qk = q - q + 1  # qk = q^k
+    for k in range(n_term):
         if k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
@@ -175,15 +175,63 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
         if power_exponent:
             ratio *= ((-1) ** power_exponent) * qpow(qk, power_exponent)
         term = term * ratio
-        total.add(term)
+        total += term
         qk *= q
+    return SeriesValue(total, n_term + 1, q - q)
+
+
+def _float_sum(q, z, upper, lower, n_term, power_exponent, tr) -> SeriesValue:
+    """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
+    the operations, order and rounding of the exact loop run on mpf values
+    at mp.prec (with CompensatedSum for the sum), so bit for bit the same.
+    It stops at n_term, else once a term and the geometric bound on the
+    rest after it are both below the tail tolerance."""
+    prec, rnd = mp.prec, round_nearest
+    limit = tr.effective_tail_tol()._mpf_
+    q_, z_ = q._mpf_, z._mpf_
+    ups = [a._mpf_ for a in upper]
+    lows = [(b, b._mpf_) for b in lower]
+    sign = -1 if power_exponent & 1 else 1  # (-1)^(1+s-r)
+    # sum and compensation after term_0 = 1
+    total, comp = fone, fzero
+    term = qk = fone  # qk = q^k
+    k = 0
+    while True:
+        if n_term is not None and k >= n_term:
+            return SeriesValue(mp.make_mpf(total), k + 1, q - q)
+        if k + 1 >= tr.max_terms:
+            raise ConvergenceError(
+                "phi series needed more than max_terms=%d terms (last |term|=%s)"
+                % (tr.max_terms, mp.make_mpf(mpf_abs(term, prec, rnd)))
+            )
+        ratio = mpf_div(z_, mpf_sub(fone, mpf_mul(q_, qk, prec, rnd), prec, rnd),
+                        prec, rnd)
+        for a in ups:
+            ratio = mpf_mul(ratio, mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd),
+                            prec, rnd)
+        for b, b_ in lows:
+            denom = mpf_sub(fone, mpf_mul(b_, qk, prec, rnd), prec, rnd)
+            if denom == fzero:
+                raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
+            ratio = mpf_div(ratio, denom, prec, rnd)
+        if power_exponent:
+            bracket = mpf_mul_int(mpf_pow_int(qk, power_exponent, prec, rnd),
+                                  sign, prec, rnd)
+            ratio = mpf_mul(ratio, bracket, prec, rnd)
+        term = mpf_mul(term, ratio, prec, rnd)
+        low = mpf_sub(term, comp, prec, rnd)
+        high = mpf_add(total, low, prec, rnd)
+        comp = mpf_sub(mpf_sub(high, total, prec, rnd), low, prec, rnd)
+        total = high
+        qk = mpf_mul(qk, q_, prec, rnd)
         k += 1
-        if n_term is None and abs(to_mpf(term)) < tail_tol:
-            rho = abs(to_mpf(ratio))
-            if rho < 1:
-                tail = abs(to_mpf(term)) * rho / (1 - rho)
-                if tail < tail_tol:
-                    return SeriesValue(total.total, k + 1, tail)
+        if n_term is None and mpf_lt(mpf_abs(term, prec, rnd), limit):
+            rho = mpf_abs(ratio, prec, rnd)
+            if mpf_lt(rho, fone):
+                tail = mpf_div(mpf_mul(mpf_abs(term, prec, rnd), rho, prec, rnd),
+                               mpf_sub(fone, rho, prec, rnd), prec, rnd)
+                if mpf_lt(tail, limit):
+                    return SeriesValue(mp.make_mpf(total), k + 1, mp.make_mpf(tail))
 
 
 def phi(upper, lower, q, z, terminate_at=None, trunc=None):

@@ -13,6 +13,10 @@ other weight follows from the running ratio
 multiplication per point.  One recurrence ladder per point x feeds all the
 pairs (at -x, the same ladder with the odd degrees negated); the closed
 form's products and the small-x tail's factors are computed once per sweep.
+The sweep opens one shared-value scope (qcore.shared_scope), so w_a(1)'s
+product, bit for bit the first factor of the constants' denominator, is
+taken once, and the coefficients and the constants read one (q;q)_n and
+one (q;q)_{n,alpha} table.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
@@ -36,7 +40,6 @@ use one truncation, the caller's; a tail_tol left unset resolves to
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator, Optional
 
@@ -45,7 +48,8 @@ from mpmath import mp, mpf
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
-from .qcore import QParams, Truncation, gen_q_shifted_factorial, q_pochhammer
+from .qcore import (QParams, Truncation, gen_q_shifted_factorial, q_pochhammer,
+                    shared_scope)
 from .scalars import CompensatedSum, qpow, to_mpf
 
 __all__ = [
@@ -168,7 +172,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
     if not pairs:
         return []
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(mp.dps + 20):
+    with mp.workdps(mp.dps + 20), shared_scope():
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
@@ -240,7 +244,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
 
         # after the walk, so that a cap on max_terms stops the walk first
         small_x = _small_x_tail(k, p, trunc.max_terms)
-        rhs_at = lru_cache(maxsize=None)(_rhs_by_degree(p, trunc))
+        rhs_of = list(map(_rhs_by_degree(p, trunc), range(top + 1)))
         reports = []
         for i, (n, m) in enumerate(pairs):
             if bad_x[i] is not None:
@@ -257,11 +261,11 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 sums[i].add(small_x(even, floor(i)))
             lhs = (1 - q) * sums[i].total
             if n == m:
-                rhs = rhs_at(n)
+                rhs = rhs_of[n]
                 abs_r, rel_r = residuals(lhs, rhs)
             else:
                 rhs = mpf(0)
-                scale = mp.sqrt(rhs_at(n) * rhs_at(m))
+                scale = mp.sqrt(rhs_of[n] * rhs_of[m])
                 abs_r = abs(lhs)
                 rel_r = abs(lhs) / scale
             reports.append(IdentityReport(

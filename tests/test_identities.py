@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qhermite import polyfam, qcore, qseries
+from qhermite import identities, polyfam, qcore, qseries
 from qhermite.errors import ConvergenceError, DomainError
 from qhermite.identities import (
     DEFAULT_GRID,
@@ -344,6 +344,50 @@ def test_suite_cell_computes_shared_values_once(monkeypatch):
     n_max = max(CELL.n_values)
     assert len(steps) <= n_max + stream - 1
     assert sums == {n: 2 for n in CELL.n_values}
+
+
+def test_suite_block_builds_each_table_and_product_once(monkeypatch):
+    # over one (q, alpha) and two (x, y) cells: every distinct finite table
+    # (operands, backend and precision) and every distinct infinite product
+    # is built once, and connection and inversion share one set of tables
+    tables, products = Counter(), Counter()
+    table, product = qcore._product_table, qcore._infinite_product
+
+    def key(args):
+        return tuple((type(a), a) for a in args) + (mp.prec,)
+
+    monkeypatch.setattr(qcore, "_product_table",
+                        lambda *a: tables.update([key(a)]) or table(*a))
+    monkeypatch.setattr(qcore, "_infinite_product",
+                        lambda *a: products.update([key(a)]) or product(*a))
+    grid = replace(CELL, x_values=("0.9", "1.3"), y_values=("0.4",))
+    reports = run_identity_suite(grid)
+    assert all(r.passed for r in reports) and len(reports) == 2 * (5 * 13 + 5)
+    assert tables and set(tables.values()) == {1}
+    assert products and set(products.values()) == {1}
+    # the Hahn tables of connection (c = omega) and inversion (c = 0), one
+    # per backend at the cells' ladder digits, not one per degree
+    with mp.workdps(identities._work_digits("cancel", 12, mpf(grid.q_values[0]))):
+        ladder_prec = mp.prec
+    hahn = [k for k in tables if k[0][1] in (0, mpf(grid.omega_values[0]))]
+    assert len(hahn) == 2 and {k[-1] for k in hahn} == {ladder_prec}
+
+
+def test_suite_leaves_no_scope_open(monkeypatch):
+    grid = replace(CELL, n_values=(0, 1))
+    assert run_identity_suite(grid) and qcore.scope_declared() is None
+
+    def broken(*args):
+        raise RuntimeError("not a check error")
+
+    monkeypatch.setattr(identities, "check_inversion", broken)
+    with pytest.raises(RuntimeError):
+        run_identity_suite(grid)
+    assert qcore.scope_declared() is None
+    built = []
+    qcore.shared(built.append, 1)
+    qcore.shared(built.append, 1)
+    assert built == [1, 1]
 
 
 def test_suite_rows_match_direct_calls():

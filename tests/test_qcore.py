@@ -15,13 +15,19 @@ from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
 from qhermite.qcore import (
     QParams,
     Truncation,
+    _gen_q_shifted_prefix,
     _infinite_product,
+    _products,
     gen_q_shifted_factorial,
     hahn_add_power,
     parity_indicator,
     q_pochhammer,
+    scope_declared,
+    shared,
+    shared_scope,
 )
-from qhermite.scalars import CompensatedSum, binom2, qpow, to_mpf, unify
+from qhermite.scalars import (GUARD_BITS, CompensatedSum, binom2, qpow, to_mpf,
+                              unify)
 
 qs = st.floats(min_value=0.05, max_value=0.95)
 alphas = st.floats(min_value=-0.9, max_value=3.0)
@@ -272,3 +278,96 @@ def test_hahn_product_vs_sum(x, y, q, n):
 def test_negative_n_rejected():
     with pytest.raises(DomainError):
         q_pochhammer(mpf(1), mpf("0.5"), -1)
+
+
+# --- the raw finite-product loop and the shared-value scope ------------------------
+
+
+def reference_products(c, a, q, n: int, lift=1) -> list:
+    """[P_0, ..., P_n] by the mpf loop the raw one replaced."""
+    c, a, q, lift = unify(c, a, q, lift)
+    out = q - q + 1
+    table = [out]
+    with mp.workprec(mp.prec + GUARD_BITS):
+        power = a
+        for m in range(n):
+            out *= c - (power if m & 1 else power * lift)
+            table.append(out)
+            power *= q
+    return table
+
+
+def _product_cases():
+    q = mpf("0.68")
+    with mp.workprec(mp.prec + GUARD_BITS):
+        lift = qpow(q, 2 * mpf("0.37") + 1)
+    wide = _wide(5, 7)  # more bits than the working precision holds
+    return [(1, q, q, 40, 1), (1, q, q, 40, lift), (1, q * q, q * q, 20, 1),
+            (mpf("0.3"), mpf("-0.9"), q * q, 30, 1), (wide, -wide, q, 12, wide),
+            (0, mpf("1.7"), mpf("0.2"), 9, 1), (mpf(1), mpf(1), q, 5, 1)]
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_finite_products_bit_identical_to_mpf_loop(dps):
+    with mp.workdps(dps):
+        for case in _product_cases():
+            want = [v._mpf_ for v in reference_products(*case)]
+            assert [v._mpf_ for v in _products(*case)] == want, case
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_scoped_table_prefix_equals_a_table_built_to_that_n(dps):
+    # grown past a request or grown by one, a scoped table's prefix is the
+    # table built to that n, bit for bit
+    with mp.workdps(dps):
+        for c, a, q, n, lift in _product_cases():
+            want = [[v._mpf_ for v in reference_products(c, a, q, k, lift)]
+                    for k in range(n + 1)]
+            for order in (range(n + 1), reversed(range(n + 1))):
+                with shared_scope():
+                    got = {k: [v._mpf_ for v in _products(c, a, q, k, lift)]
+                           for k in order}
+                assert [got[k] for k in range(n + 1)] == want
+
+
+def test_exact_and_float_operands_never_share_an_entry():
+    # Fraction(1, 2) == mpf(0.5) and both hash alike; the scope keys each
+    # operand by its type, so each backend computes its own value
+    calls = []
+    with shared_scope():
+        exact = _products(1, F(1, 2), F(1, 2), 4)
+        floats = _products(1, mpf(0.5), mpf(0.5), 4)
+        exact_gen = gen_q_shifted_factorial(3, QParams(F(1, 2), 1))
+        float_gen = gen_q_shifted_factorial(3, QParams(mpf(0.5), mpf(1)))
+        for v in (F(1, 2), mpf(0.5), F(1, 2), mpf(0.5), 1, mpf(1), F(1)):
+            shared(calls.append, v)
+    assert all(type(v) is F for v in exact[1:]) and exact == floats
+    assert all(type(v) is mpf for v in floats)
+    assert type(exact_gen) is F and type(float_gen) is mpf
+    assert exact_gen == float_gen
+    assert [type(v) for v in calls] == [F, mpf, int, mpf, F]
+
+
+def test_scope_is_per_precision_and_closes():
+    builds = []
+    with shared_scope("declared"):
+        assert scope_declared() == "declared"
+        for dps in (50, 120, 50):
+            with mp.workdps(dps):
+                shared(builds.append, mp.prec)
+                assert _gen_q_shifted_prefix(6, QParams(mpf("0.3"), mpf("0.2"))) \
+                    == reference_products(1, mpf("0.3"), mpf("0.3"), 6,
+                                          _lift(mpf("0.3"), mpf("0.2")))
+    assert len(builds) == 2 and scope_declared() is None
+    shared(builds.append, 1)
+    shared(builds.append, 1)
+    assert len(builds) == 4
+    with pytest.raises(DomainError):
+        with shared_scope():
+            q_pochhammer(mpf(1), mpf("0.5"), -1)
+    assert scope_declared() is None
+
+
+def _lift(q, alpha):
+    with mp.workprec(mp.prec + GUARD_BITS):
+        return qpow(q, 2 * alpha + 1)

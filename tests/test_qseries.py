@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qhermite.errors import DivergenceError, DomainError, PoleError
+from qhermite import qseries
+from qhermite.errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from qhermite.qcore import (
     QParams,
     Truncation,
@@ -21,6 +22,7 @@ from qhermite.qcore import (
 )
 from qhermite.qseries import (
     PhiSpec,
+    SeriesValue,
     euler_e,
     gen_E,
     phi,
@@ -29,7 +31,7 @@ from qhermite.qseries import (
     q_cos_alpha,
     q_sin_alpha,
 )
-from qhermite.scalars import qpow, to_mpf, unify
+from qhermite.scalars import CompensatedSum, qpow, to_mpf, unify
 
 qs = st.floats(min_value=0.1, max_value=0.9)
 
@@ -308,3 +310,120 @@ def test_exact_negative_power_still_terminates(dps):
         assert s.terms_used == 8 and s.tail_estimate == 0
         ref = q_pochhammer(qpow(q, -7) * z, q, 7)
         assert abs(s.value - ref) <= 100 * mp.eps * abs(ref)
+
+
+# --- the raw float summation loop ------------------------------------------------
+
+
+def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
+    """phi_rs by the mpf loop the raw one replaced: the same pole and
+    divergence rules, then a CompensatedSum of term-ratio steps."""
+    tr = trunc or Truncation()
+    r, s = len(spec.upper), len(spec.lower)
+    vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
+    q, z, upper, lower = vals[0], vals[1], vals[2:2 + r], vals[2 + r:]
+    n_term = spec.terminate_at
+    if n_term is None:
+        hits = (qseries._neg_q_power_index(a, q) for a in upper)
+        n_term = min((m for m in hits if m is not None), default=None)
+    for b in lower:
+        mb = qseries._neg_q_power_index(b, q)
+        assert mb is None or (n_term is not None and mb >= n_term)
+    assert n_term is not None or r < s + 1 or abs(z) < 1
+    power_exponent = 1 + s - r
+    tail_tol = tr.effective_tail_tol()
+    total = CompensatedSum(q - q)
+    term = q - q + 1
+    total.add(term)
+    qk = q - q + 1
+    k = 0
+    while True:
+        if n_term is not None and k >= n_term:
+            return SeriesValue(total.total, k + 1, q - q)
+        if k + 1 >= tr.max_terms:
+            raise ConvergenceError(
+                "phi series needed more than max_terms=%d terms (last |term|=%s)"
+                % (tr.max_terms, abs(to_mpf(term))))
+        ratio = z / (1 - q * qk)
+        for a in upper:
+            ratio *= 1 - a * qk
+        for b in lower:
+            denom = 1 - b * qk
+            if denom == 0:
+                raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
+            ratio /= denom
+        if power_exponent:
+            ratio *= ((-1) ** power_exponent) * qpow(qk, power_exponent)
+        term = term * ratio
+        total.add(term)
+        qk *= q
+        k += 1
+        if n_term is None and abs(to_mpf(term)) < tail_tol:
+            rho = abs(to_mpf(ratio))
+            if rho < 1:
+                tail = abs(to_mpf(term)) * rho / (1 - rho)
+                if tail < tail_tol:
+                    return SeriesValue(total.total, k + 1, tail)
+
+
+def _wide(value):
+    """value - 1e-(dps+60), with more bits than the working precision holds."""
+    with mp.workdps(mp.dps + 70):
+        return mpf(value) - mpf(10) ** -(mp.dps + 60)
+
+
+def _phi_cases():
+    q, x = mpf("0.68"), mpf("0.9")
+    q2, b = q * q, qpow(q, 2 * mpf("0.37") + 2)
+    m = 6
+    return [
+        # terminating: the phi and Laguerre forms, a 2-phi-0 (1+s-r = -1) and
+        # an upper q^(-m) found by its exact value
+        PhiSpec((qpow(q, -2 * m), qpow(q, -2 * m - mpf("0.74"))), (0,), q2,
+                -mpf("0.4") * qpow(q, mpf("3.74")) / (x * x), terminate_at=m),
+        PhiSpec((qpow(q2, -m),), (b,), q2, -qpow(q2, m) * b * x, terminate_at=m),
+        PhiSpec((qpow(q, -5), _wide("0.3")), (), q, mpf("0.2"), terminate_at=5),
+        PhiSpec((qpow(q, -7),), (_wide("0.5"),), q, mpf("-1.3")),
+        # convergent: 0-phi-1 (1+s-r = 2), 1-phi-0 (0), 0-phi-0 (1), 1-phi-1,
+        # 2-phi-1, with operands wider than the working precision
+        PhiSpec((), (b,), q2, -q * x * x),
+        PhiSpec((0,), (), q2, mpf("-0.05")),
+        PhiSpec((), (), q, mpf("-0.8")),
+        PhiSpec((_wide("0.4"),), (_wide("0.25"),), q, _wide("0.7")),
+        PhiSpec((0, _wide("-0.6")), (b,), q2, mpf("0.09")),
+    ]
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_phi_rs_bit_identical_to_mpf_loop(dps):
+    with mp.workdps(dps):
+        for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
+            for spec in _phi_cases():
+                got, want = phi_rs(spec, trunc), reference_phi_rs(spec, trunc)
+                assert (got.value._mpf_, got.terms_used, got.tail_estimate._mpf_) \
+                    == (want.value._mpf_, want.terms_used, want.tail_estimate._mpf_)
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_phi_rs_errors_match_mpf_loop(dps):
+    # the max_terms message prints the last |term| as the mpf loop had it;
+    # an in-loop pole is a lower parameter 1/q^m that is not qpow(q, -m)
+    # bit for bit, so the exact pre-check passes it and the running q^m
+    # meets it
+    with mp.workdps(dps):
+        q = mpf("0.3")
+        capped = (PhiSpec((), (mpf("0.5"),), q, mpf("7.5")), Truncation(max_terms=4))
+        running, poles = mpf(1), []
+        for m in range(1, 40):
+            running *= q
+            b = 1 / running
+            if b != qpow(q, -m) and 1 - b * running == 0:
+                poles.append((PhiSpec((), (b,), q, mpf("0.2")), None))
+        assert poles
+        for (spec, trunc), error in [(capped, ConvergenceError),
+                                     (poles[0], PoleError)]:
+            with pytest.raises(error) as want:
+                reference_phi_rs(spec, trunc)
+            with pytest.raises(error) as got:
+                phi_rs(spec, trunc)
+            assert str(got.value) == str(want.value)

@@ -273,17 +273,20 @@ def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch)
 
 
 def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
-    # one for the weight w_a(1) and five for the closed-form constants, with
-    # (-q; q^2)_inf taken once and squared, whatever the number of degrees
+    # five for the closed-form constants, with (-q; q^2)_inf taken once and
+    # squared, whatever the number of degrees; the weight w_a(1) is the
+    # denominator's first factor, bit for bit, and at alpha = 0 so is
+    # (q^(2a+2); q^2)_inf the numerator's (q^2; q^2)_inf
     calls = []
     product = qcore._infinite_product
     monkeypatch.setattr(qcore, "_infinite_product",
                         lambda *a: calls.append(a[0]) or product(*a))
-    for n_max in (0, 1, 4):
-        calls.clear()
-        reports = orthogonality_gram(n_max, QParams(0.22, 0))
-        assert len(reports) == (n_max + 1) * (n_max + 2) // 2
-        assert len(calls) == 1 + 5, n_max
+    for alpha, distinct in ((0, 4), (mpf("0.3"), 5)):
+        for n_max in (0, 1, 4):
+            calls.clear()
+            reports = orthogonality_gram(n_max, QParams(0.22, alpha))
+            assert len(reports) == (n_max + 1) * (n_max + 2) // 2
+            assert len(calls) == distinct, (alpha, n_max)
     calls.clear()
     assert orthogonality_gram(-1, QParams(0.22, 0)) == [] and calls == []
 
