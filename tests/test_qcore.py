@@ -297,10 +297,15 @@ def reference_products(c, a, q, n: int, lift=1) -> list:
     return table
 
 
+def _lift(q, alpha):
+    """q^(2 alpha + 1) with the guard bits, as the generalized factorial takes it."""
+    with mp.workprec(mp.prec + GUARD_BITS):
+        return qpow(q, 2 * alpha + 1)
+
+
 def _product_cases():
     q = mpf("0.68")
-    with mp.workprec(mp.prec + GUARD_BITS):
-        lift = qpow(q, 2 * mpf("0.37") + 1)
+    lift = _lift(q, mpf("0.37"))
     wide = _wide(5, 7)  # more bits than the working precision holds
     return [(1, q, q, 40, 1), (1, q, q, 40, lift), (1, q * q, q * q, 20, 1),
             (mpf("0.3"), mpf("-0.9"), q * q, 30, 1), (wide, -wide, q, 12, wide),
@@ -366,8 +371,3 @@ def test_scope_is_per_precision_and_closes():
         with shared_scope():
             q_pochhammer(mpf(1), mpf("0.5"), -1)
     assert scope_declared() is None
-
-
-def _lift(q, alpha):
-    with mp.workprec(mp.prec + GUARD_BITS):
-        return qpow(q, 2 * alpha + 1)
