@@ -13,9 +13,9 @@ connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
 digits.  run_identity_suite computes only the requested ids, and opens one
 shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
-in it each finite table, real power, infinite product, working-digit count
-and parity half-sum is computed once per backend, operands and precision,
-across the block's (x, y) cells.  Each cell builds one recurrence ladder to
+in it each finite table, recurrence-coefficient table, real power, infinite
+product, working-digit count and parity half-sum is computed once per
+backend, operands and precision, across the block's (x, y) cells.  Each cell builds one recurrence ladder to
 its largest n at the digits connection and inversion need there; inside a
 block those two checks run at the ladder's digits at every n, so one set of
 alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
@@ -444,8 +444,10 @@ def hermite_scaled_deviation(n: int, x, q):
 
 @dataclass(frozen=True)
 class IdentityGrid:
-    """Cartesian parameter grid for the suite runner.  Values are kept as
-    strings so a run at any precision sees the exact decimal literals."""
+    """Cartesian parameter grid for the suite runner.  Values are decimal
+    strings, but run_identity_suite rounds each to an mpf once, at the
+    ambient precision, before any check raises its working digits: a check
+    at more digits sees that binary neighbour, not the decimal literal."""
 
     q_values: tuple = ("0.2", "0.5", "0.8")
     alpha_values: tuple = ("-0.4", "0", "1.5")

@@ -19,17 +19,22 @@ h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
 only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
 the cheap way to evaluate a whole ladder of degrees.
 
-The step and the definition sum's signs carry their q-powers as running
-products with 32 guard bits (scalars.qpowers), and (q;q)_{m,alpha} and
-(q^2;q^2)_k are prefixes of qcore's one guarded product, so a ladder or a
-sum takes one real power q^(2 alpha + 1), not one per step.
+The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
+on (q, alpha) alone.  They sit in one growable table per (q, alpha) and
+mp.prec, reached through qcore.shared: inside a shared scope every ladder
+and stream at one precision reads one table, and outside one a stream
+keeps the table its first step fetched, so a step does its multiplications
+and no powers.  The table and the definition sum's signs carry their
+q-powers as running products with 32 guard bits (scalars.qpowers), and
+(q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
+product, so a table or a sum takes one real power q^(2 alpha + 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
@@ -43,6 +48,7 @@ from .qcore import (
     _products,
     parity_indicator,
     q_pochhammer,
+    shared,
 )
 from .qseries import phi
 from .scalars import (Numeric, guarded_mul, is_exact, qpow, qpowers, to_mpf,
@@ -216,34 +222,62 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
 @dataclass(frozen=True)
 class RecurrenceState:
     """Ladder state: degree n together with values at n and n-1, and the
-    powers q^n and q^(2 alpha + 1) a step carries along (None: computed)."""
+    coefficient table a step reads (None: fetched by the step)."""
 
     n: int
     current: Numeric
     previous: Numeric
-    q_n: Optional[Numeric] = None
-    lift: Optional[Numeric] = None
+    table: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+
+def _recurrence_rows(q, lift) -> Iterator:
+    """The step's coefficients (lead_n, q / (q^n)^2, 1 - q^n) for n = 0, 1,
+    ..., with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a
+    running product and lift = q^(2 alpha + 1), both with the guard bits."""
+    q_n = next(qpowers(q, 1, 0))
+    for n in count():
+        q_n1 = guarded_mul(q_n, q)
+        top = guarded_mul(q_n1, lift) if parity_indicator(n) else q_n1
+        yield (1 - top) / (1 - q_n1), q / guarded_mul(q_n, q_n), 1 - q_n
+        q_n = q_n1
+
+
+def _recurrence_table(q, alpha) -> tuple:
+    """(mp.prec, [], the stream of `_recurrence_rows`) on unified operands:
+    one per shared scope, operands and precision, grown by the steps.  The
+    exponent 2 alpha + 1 is rounded at mp.prec, not with the guard bits as
+    in qcore's lift, so the lift is not shared with (q;q)_{n,alpha}."""
+    return mp.prec, [], _recurrence_rows(q, next(qpowers(q, 1, 2 * alpha + 1)))
 
 
 def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
-    """One step of the three-term recurrence, n -> n+1."""
+    """One step of the three-term recurrence, n -> n+1.
+
+    The coefficients come from the state's table, or from the one of this
+    (q, alpha) and mp.prec when the state has none or one built at another
+    precision; the returned state carries that table on, so pass a state
+    only to steps at the params it was stepped with."""
     n = state.n
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    q_n = state.q_n if state.q_n is not None else next(qpowers(q, 1, n))
-    lift = state.lift if state.lift is not None else next(qpowers(q, 1, 2 * alpha + 1))
-    q_n1 = guarded_mul(q_n, q)
-    lead = (1 - (guarded_mul(q_n1, lift) if parity_indicator(n) else q_n1)) / (1 - q_n1)
+    table = state.table
+    if table is None or table[0] != mp.prec:
+        table = shared(_recurrence_table, q, alpha)
+    _, rows, rest = table
+    if len(rows) <= n:
+        rows.extend(islice(rest, n + 1 - len(rows)))
+    lead, ratio, gap = rows[n]
     nxt = x * state.current
     if n >= 1:
-        nxt = nxt - y * (q / guarded_mul(q_n, q_n)) * (1 - q_n) * state.previous
-    return RecurrenceState(n + 1, nxt / lead, state.current, q_n1, lift)
+        nxt = nxt - y * ratio * gap * state.previous
+    return RecurrenceState(n + 1, nxt / lead, state.current, table)
 
 
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
     """h_0, h_1, ... at one point, one recurrence step per value pulled.
 
     The values are computed at the precision in force when each is pulled,
-    so read the stream inside the caller's working-precision block."""
+    with that precision's coefficient table, so read the stream inside the
+    caller's working-precision block."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
     state = RecurrenceState(0, q - q + 1, q - q)
     while True:

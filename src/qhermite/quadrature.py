@@ -15,8 +15,10 @@ pairs (at -x, the same ladder with the odd degrees negated); the closed
 form's products and the small-x tail's factors are computed once per sweep.
 The sweep opens one shared-value scope (qcore.shared_scope), so w_a(1)'s
 product, bit for bit the first factor of the constants' denominator, is
-taken once, and the coefficients and the constants read one (q;q)_n and
-one (q;q)_{n,alpha} table.
+taken once, the coefficients and the constants read one (q;q)_n and one
+(q;q)_{n,alpha} table, and every ladder reads one table of recurrence
+coefficients.  A pair of odd n + m has E = 0 exactly at every point: it
+gets no sum, only the test that its factors are finite, and its lhs is 0.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
@@ -163,8 +165,9 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                          trunc: Optional[Truncation]) -> list:
     """Reports for the (n, m) pairs, in order, from one lattice walk.
 
-    Each pair keeps its own compensated sum, fed in walk order: k = 0 down
-    to the negative end, then k = 1 up to the positive end.  After the walk
+    Each pair of even n + m keeps its own compensated sum, fed in walk
+    order: k = 0 down to the negative end, then k = 1 up to the positive
+    end; a pair of odd n + m sums nothing.  After the walk
     the pairs are finished in order, and the first one whose sum hit a
     non-finite term raises.  A walk that reaches trunc.max_terms points at
     one end raises there.
@@ -195,7 +198,13 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             for i, (n, m) in enumerate(pairs):
                 if bad_x[i] is not None:
                     continue
-                term = mk * (lad[n] * lad[m] * (1 + (-1) ** (n + m)))
+                if (n + m) % 2:
+                    # the term is exactly 0 and is not summed; a non-finite
+                    # factor would have made it NaN, and still stops the pair
+                    if not mp.isfinite(mk * lad[n] * lad[m]):
+                        bad_x[i] = xk
+                    continue
+                term = mk * (lad[n] * lad[m] * 2)
                 if not mp.isfinite(term):
                     bad_x[i] = xk
                     continue

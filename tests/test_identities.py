@@ -342,7 +342,7 @@ def test_suite_cell_computes_shared_values_once(monkeypatch):
     stream = max(used["generating_function"], 2 * used["even_gf"] - 1,
                  2 * used["odd_gf"])
     n_max = max(CELL.n_values)
-    assert len(steps) <= n_max + stream - 1
+    assert len(steps) == n_max + stream - 1
     assert sums == {n: 2 for n in CELL.n_values}
 
 
@@ -371,6 +371,22 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
         ladder_prec = mp.prec
     hahn = [k for k in tables if k[0][1] in (0, mpf(grid.omega_values[0]))]
     assert len(hahn) == 2 and {k[-1] for k in hahn} == {ladder_prec}
+
+
+def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
+    # the two cells' ladders (at the ladder digits) and generating-function
+    # streams (at 30 more digits) each read one table of their precision
+    tables = Counter()
+    table = polyfam._recurrence_table
+    monkeypatch.setattr(polyfam, "_recurrence_table",
+                        lambda *a: tables.update([mp.prec]) or table(*a))
+    grid = replace(CELL, x_values=("0.9", "1.3"), y_values=("0.4",))
+    assert all(r.passed for r in run_identity_suite(grid))
+    with mp.workdps(identities._work_digits("cancel", 12, mpf(grid.q_values[0]))):
+        ladder_prec = mp.prec
+    with mp.workdps(mp.dps + 30):
+        gf_prec = mp.prec
+    assert tables == Counter({ladder_prec: 1, gf_prec: 1})
 
 
 def test_suite_leaves_no_scope_open(monkeypatch):

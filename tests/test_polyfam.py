@@ -25,8 +25,9 @@ from qhermite.qcore import (
     _gen_q_shifted_prefix,
     gen_q_shifted_factorial,
     q_pochhammer,
+    shared_scope,
 )
-from qhermite.scalars import binom2, qpow
+from qhermite.scalars import binom2, guarded_mul, qpow, qpowers, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
 alphas = st.floats(min_value=-0.8, max_value=2.5)
@@ -180,8 +181,8 @@ def test_recurrence_step_by_step():
     (F(1, 3), F(1), F(-5, 4), F(2, 7)),
 ])
 def test_step_from_a_state_without_powers(q, alpha, x, y):
-    # a hand-built mid-ladder state carries neither q^n nor q^(2 alpha + 1);
-    # the step takes them itself and lands on the stream's value
+    # a hand-built mid-ladder state carries no coefficient table; the step
+    # fetches one itself and lands on the stream's value
     p = QParams(q, alpha)
     h = gdqh2_recurrence_ladder(6, x, y, p)
     state = gdqh2_recurrence_step(RecurrenceState(5, h[5], h[4]), x, y, p)
@@ -232,6 +233,72 @@ def test_recurrence_values_prefix_is_the_ladder(q, alpha, x, y):
     assert [next(stream) for _ in range(13)] == gdqh2_recurrence_ladder(12, x, y, p)
     with pytest.raises(DomainError):
         gdqh2_recurrence_ladder(-1, x, y, p)
+
+
+def _ladder_with_own_powers(n, x, y, p):
+    """h_0..h_n from a step that carries q^n and q^(2 alpha + 1) itself:
+    the step before the coefficient table, as the reference."""
+    x, y, q, alpha = unify(x, y, p.q, p.alpha)
+    q_n, lift = next(qpowers(q, 1, 0)), next(qpowers(q, 1, 2 * alpha + 1))
+    previous, current = q - q, q - q + 1
+    out = [current]
+    for k in range(n):
+        q_n1 = guarded_mul(q_n, q)
+        lead = (1 - (guarded_mul(q_n1, lift) if k % 2 == 0 else q_n1)) / (1 - q_n1)
+        nxt = x * current
+        if k >= 1:
+            nxt = nxt - y * (q / guarded_mul(q_n, q_n)) * (1 - q_n) * previous
+        previous, current, q_n = current, nxt / lead, q_n1
+        out.append(current)
+    return out
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+@pytest.mark.parametrize("alpha", ["0.37", "-0.5", "1.5"])
+def test_coefficient_table_is_bit_for_bit_the_carried_powers(dps, alpha):
+    # in one scope the later points read the table the first one grew, and
+    # outside one each ladder builds its own: both are the same bits
+    mp.dps = dps
+    p = QParams(mpf("0.68"), mpf(alpha))
+    points = [(mpf(x), mpf(y)) for x in ("0.9", "-1.7") for y in ("0.5", "-0.3")]
+    with shared_scope():
+        scoped = [gdqh2_recurrence_ladder(60, x, y, p) for x, y in points]
+    for (x, y), got in zip(points, scoped):
+        want = [h._mpf_ for h in _ladder_with_own_powers(60, x, y, p)]
+        assert [h._mpf_ for h in got] == want
+        assert [h._mpf_ for h in gdqh2_recurrence_ladder(60, x, y, p)] == want
+
+
+@pytest.mark.parametrize("alpha", [F(3, 2), F(-1, 2), F(0)])
+def test_coefficient_table_exact_values(alpha):
+    p = QParams(F(1, 3), alpha)
+    for x, y in ((F(-5, 4), F(2, 7)), (F(3, 2), F(-1, 5))):
+        got = gdqh2_recurrence_ladder(12, x, y, p)
+        assert got == _ladder_with_own_powers(12, x, y, p)
+        assert all(isinstance(h, (int, F)) for h in got)
+        assert got[12] == gdqh2(12, x, y, p)
+
+
+def test_stream_reads_the_table_of_the_precision_it_is_pulled_at():
+    # pulled across precision changes, each value is the step from the two
+    # before it with the coefficients of the precision it is pulled at: a
+    # lead rounded at 50 digits would not give the 80-digit bits
+    p = QParams(mpf("0.68"), mpf("0.37"))
+    x, y = mpf("0.9"), mpf("-0.5")
+    stream = gdqh2_recurrence_values(x, y, p)
+    values, precs = [], []
+    for dps in (50, 80, 50, 181, 80):
+        with mp.workdps(dps):
+            for _ in range(4):
+                values.append(next(stream))
+                precs.append(mp.prec)
+    previous = mpf(0)
+    for n in range(len(values) - 1):
+        with mp.workprec(precs[n + 1]):
+            state = RecurrenceState(n, values[n], previous)
+            want = gdqh2_recurrence_step(state, x, y, p).current
+        assert values[n + 1]._mpf_ == want._mpf_, n
+        previous = values[n]
 
 
 @pytest.mark.parametrize("q, alpha, x", [

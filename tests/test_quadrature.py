@@ -1,9 +1,11 @@
 """Bilateral Jackson sums and the discrete orthogonality relation."""
 
+from collections import Counter
+
 import pytest
 from mpmath import mp, mpf
 
-from qhermite import qcore, quadrature
+from qhermite import polyfam, qcore, quadrature
 from qhermite.errors import ConvergenceError, EvaluationError
 from qhermite.polyfam import gdqh2
 from qhermite.qcore import (QParams, Truncation, gen_q_shifted_factorial,
@@ -250,26 +252,49 @@ def test_gram_reports_equal_one_pair_checks(q, alpha):
         assert abs(g.lhs - r.lhs) <= mpf(10) ** -mp.dps * max(abs(r.rhs), 1)
 
 
-def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(monkeypatch):
-    # degree 2 is non-finite at the lattice points ±0.22^4, which the walk
-    # reaches on its small-x end (it goes on to k = 8): (2, 0) is the first
-    # pair in order that meets it, after three pairs that pass
+@pytest.mark.parametrize("degree", [1, 2])
+def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(
+        monkeypatch, degree):
+    # the degree is non-finite at the lattice points ±0.22^4, which the walk
+    # reaches on its small-x end (it goes on to k = 8): (degree, 0) is the
+    # first pair in order that meets it, after the pairs below it, which
+    # pass.  At degree 1 that is an odd pair, whose terms are not summed but
+    # whose factors are still tested; the even pair (degree, degree) meets
+    # the same x, with the same message
     ladder = quadrature.gdqh2_recurrence_ladder
 
     def poisoned(n, x, y, p):
         out = ladder(n, x, y, p)
-        if mpf("0.002") < abs(x) < mpf("0.003") and n >= 2:
-            out[2] = mp.nan
+        if mpf("0.002") < abs(x) < mpf("0.003") and n >= degree:
+            out[degree] = mp.nan
         return out
 
     monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
     p = QParams(mpf("0.22"), mpf(0))
-    assert all(r.passed for r in _one_pair_walk(1, p))
-    with pytest.raises(EvaluationError) as one:
-        orthogonality_check(2, 0, p)
+    assert all(r.passed for r in _one_pair_walk(degree - 1, p))
     with pytest.raises(EvaluationError) as gram:
-        orthogonality_gram(2, p)
-    assert str(gram.value) == str(one.value)
+        orthogonality_gram(degree, p)
+    assert "x = 0.00234256" in str(gram.value)
+    for m in (0, degree):
+        with pytest.raises(EvaluationError) as one:
+            orthogonality_check(degree, m, p)
+        assert str(one.value) == str(gram.value)
+
+
+def test_gram_reads_one_coefficient_table(monkeypatch):
+    # every ladder of the sweep, one per lattice point, reads the one table
+    # of recurrence coefficients at the sweep's working precision
+    tables, ladders = Counter(), []
+    table, ladder = polyfam._recurrence_table, quadrature.gdqh2_recurrence_ladder
+    monkeypatch.setattr(polyfam, "_recurrence_table",
+                        lambda *a: tables.update([mp.prec]) or table(*a))
+    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder",
+                        lambda *a: ladders.append(1) or ladder(*a))
+    reports = orthogonality_gram(3, QParams(mpf("0.22"), mpf("1.3")))
+    assert len(reports) == 10 and all(r.passed for r in reports)
+    with mp.workdps(mp.dps + 20):
+        assert tables == Counter({mp.prec: 1})
+    assert len(ladders) == reports[0].terms_used > 1
 
 
 def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
