@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -319,6 +320,7 @@ def cmd_orthogonality(args, cfg: RunConfig) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+@functools.cache  # one per process: building costs more than parsing
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qhermite",
@@ -346,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--mu", default="0")
     pe.add_argument("--rep", default=None,
                     help="representation (family-specific, e.g. phi_form)")
-    pe.set_defaults(fn=cmd_eval)
 
     pt = sub.add_parser("table", help="table of values for n = 0..n_max")
     pt.add_argument("family", choices=sorted(_FAMILIES))
@@ -357,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--y", default="1")
     pt.add_argument("--mu", default="0")
     pt.add_argument("--rep", default=None)
-    pt.set_defaults(fn=cmd_table)
 
     pc = sub.add_parser("check", help="run identity suites over a grid")
     pc.add_argument("identity", choices=("all",) + IDENTITY_IDS)
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--y", nargs="+", default=None)
     pc.add_argument("--omega", nargs="+", default=None)
     pc.add_argument("--t", nargs="+", default=None)
-    pc.set_defaults(fn=cmd_check)
 
     po = sub.add_parser("orthogonality", help="orthogonality quadrature checks")
     po.add_argument("--n", type=int, required=True,
@@ -376,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--m", type=int, default=None)
     po.add_argument("--q", default="0.5")
     po.add_argument("--alpha", default="0")
-    po.set_defaults(fn=cmd_orthogonality)
     return ap
 
 
@@ -397,7 +395,8 @@ def main(argv=None) -> int:
         _require_finite(args)
         cfg = resolve_config(args)
         mp.dps = cfg.precision_digits
-        return args.fn(args, cfg)
+        # by name, so that a wrapped or patched command is the one called
+        return globals()["cmd_" + args.command](args, cfg)
     except (QHermiteError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

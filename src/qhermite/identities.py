@@ -15,7 +15,9 @@ digits.  run_identity_suite computes only the requested ids, and opens one
 shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
 in it each finite table, recurrence-coefficient table, real power, infinite
 product, working-digit count and parity half-sum is computed once per
-backend, operands and precision, across the block's (x, y) cells.  Each cell builds one recurrence ladder to
+backend, operands and precision, across the block's (x, y) cells.  Those of
+(q, alpha) alone, all but the Hahn tables and half-sums, are kept for later
+calls too (qcore._KEPT_KERNELS).  Each cell builds one recurrence ladder to
 its largest n at the digits connection and inversion need there; inside a
 block those two checks run at the ladder's digits at every n, so one set of
 alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
@@ -222,7 +224,7 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     """
     ladder = _ladder(n, x, y, p)
     half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
-    hahn = _products(omega, y, guarded_mul(q, q), n // 2)
+    hahn = _products(omega, y, guarded_mul(q, q), n // 2, point=True)
     return sum((sign * hahn[k] / den * ladder[n - 2 * k]
                 for k, sign, den in _gdqh2_terms(n, q, half)), q - q)
 

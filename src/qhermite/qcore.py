@@ -10,7 +10,9 @@ A shared-value scope (`shared_scope`) lets a caller that evaluates many
 checks at one (q, alpha) compute each finite table, real power and infinite
 product once: inside it `shared(f, *args)` runs f once per backend, operands
 and mp.prec, and a finite table grows to the longest n asked, a shorter
-request reading its prefix, bit for bit the table built to that n.
+request reading its prefix, bit for bit the table built to that n.  The
+values of `_KEPT_KERNELS`, which take no point x, y, omega or t, outlive it
+in one LRU cache of `_KEPT_CAP` entries; every other value ends with it.
 
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
@@ -21,7 +23,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import count, islice
+from threading import Lock
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -103,6 +107,13 @@ class Truncation:
 # The open shared-value scope, else None: (what its opener declared, memo).
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
 
+# The kernels, by name, whose values depend on (q, alpha), the backend,
+# mp.prec and the truncation alone, never on a point x, y, omega or t.  The
+# cap holds DEFAULT_GRID's 485 values, or an identity_sweep seed's 275-300.
+_KEPT_KERNELS = frozenset({"_product_table", "_odd_lift", "_infinite_product",
+                           "_recurrence_table", "_work_digits"})
+_KEPT_CAP = 512
+
 
 @contextmanager
 def shared_scope(declared=None):
@@ -111,7 +122,7 @@ def shared_scope(declared=None):
     run_identity_suite opens one per (q, alpha) block and declares its
     cells' state in it; the orthogonality sweep opens one per sweep.  The
     memo lives only while the block runs, and is gone after it, raised or
-    not."""
+    not; the values of `_KEPT_KERNELS` stay in `_kept`."""
     token = _SCOPE.set((declared, {}))
     try:
         yield
@@ -136,10 +147,13 @@ def _backend_key(value):
 
 def shared(f, *args):
     """f(*args), once per open scope for args equal in value and type at one
-    mp.prec; plainly computed outside a scope.  A raise is not kept."""
+    mp.prec, and across scopes while `_kept` holds it for a kernel of
+    `_KEPT_KERNELS`; plainly computed outside a scope.  A raise is not kept."""
     scope = _SCOPE.get()
     if scope is None:
         return f(*args)
+    if f.__name__ in _KEPT_KERNELS:
+        return _kept(f, mp.prec, *args)
     memo = scope[1]
     key = (f, mp.prec) + tuple(map(_backend_key, args))
     try:
@@ -147,6 +161,32 @@ def shared(f, *args):
     except KeyError:
         value = memo[key] = f(*args)
         return value
+
+
+@lru_cache(maxsize=_KEPT_CAP, typed=True)
+def _kept(f, prec: int, *args):
+    """f(*args) at mp.prec = prec, the least recently used dropped first."""
+    return f(*args)
+
+
+class _Rows(list):
+    """The rows a stream has yielded, grown under a lock to the longest n
+    asked.  A growth that raises, an interrupt too, keeps its whole rows and
+    drops the stream, which the next growth restarts past them."""
+
+    def __init__(self, *stream):
+        super().__init__()
+        self._start, self._rest, self._lock = partial(*stream), None, Lock()
+
+    def upto(self, n: int) -> list:
+        if len(self) <= n:
+            with self._lock:
+                rest, self._rest = self._rest, None  # back once grown
+                if rest is None:
+                    rest = islice(self._start(), len(self), None)
+                self.extend(islice(rest, max(0, n + 1 - len(self))))
+                self._rest = rest
+        return self
 
 
 def _infinite_product(value, q, trunc: Optional[Truncation] = None):
@@ -221,26 +261,31 @@ def parity_indicator(n: int) -> int:
     return 1 - (n & 1)
 
 
-def _products(c, a, q, n: int, lift=1) -> list:
+def _products(c, a, q, n: int, lift=1, point=False) -> list:
     """[P_0, ..., P_n] with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
     times lift for even m, as one running product GUARD_BITS above mp.prec
     (its entries keep those bits).  Exact operands stay exact, and a factor
     c - a is 0 exactly when c = a.  Inside a shared scope one table per
-    operands and precision grows to the longest n asked."""
+    operands and precision grows to the longest n asked; it outlives the
+    scope unless point says that c or a holds a point (Hahn's x, y, omega)."""
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
-    table, rest = shared(_product_table, *unify(c, a, q, lift))
-    if len(table) <= n:
-        table.extend(islice(rest, n + 1 - len(table)))
-    return table[:n + 1]
+    table = shared(_point_table if point else _product_table,
+                   *unify(c, a, q, lift))
+    return table.upto(n)[:n + 1]
 
 
-def _product_table(c, a, q, lift) -> tuple:
-    """([], the stream P_0, P_1, ... of `_products`), on unified operands."""
+def _product_table(c, a, q, lift) -> _Rows:
+    """The rows P_0, P_1, ... of `_products`, on unified operands."""
     if is_exact(q):
-        return [], _exact_products(c, a, q, lift)
-    return [], _raw_products(c._mpf_, a._mpf_, q._mpf_, lift._mpf_,
-                             mp.prec + GUARD_BITS)
+        return _Rows(_exact_products, c, a, q, lift)
+    return _Rows(_raw_products, c._mpf_, a._mpf_, q._mpf_, lift._mpf_,
+                 mp.prec + GUARD_BITS)
+
+
+def _point_table(*operands) -> _Rows:
+    """`_product_table` of operands that hold a point: kept for one scope."""
+    return _product_table(*operands)
 
 
 def _exact_products(c, a, q, lift):
@@ -299,4 +344,4 @@ def hahn_add_power(x, y, q, n: int):
     The product keeps structural zeros (a vanishing factor) exact.
     """
     _check_q(q)
-    return _products(x, -y, q, n)[-1]
+    return _products(x, -y, q, n, point=True)[-1]

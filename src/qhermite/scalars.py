@@ -43,9 +43,13 @@ def unify(*values):
     If every value is an int or Fraction the tuple is returned unchanged
     (exact mode); otherwise every value is coerced to mpf.
     """
-    if all(is_exact(v) for v in values):
+    exact = floats = True
+    for v in values:
+        exact = exact and isinstance(v, _EXACT_TYPES)
+        floats = floats and isinstance(v, mpf)
+    if exact or floats:
         return values
-    return tuple(to_mpf(v) for v in values)
+    return tuple(map(to_mpf, values))
 
 
 def as_int_if_integral(e):

@@ -1,12 +1,19 @@
 """Command-line surface: formats, determinism, exit codes, config precedence."""
 
 import csv
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import qhermite
+from qhermite import cli, qcore
 from qhermite.cli import _FAMILIES, RunConfig, main, resolve_config
 from qhermite.polyfam import (
     discrete_q_hermite2,
@@ -423,3 +430,56 @@ def test_resolve_config_defaults():
     assert cfg.precision_digits == 50
     assert cfg.fmt == "human"
     assert cfg.timestamp is False
+
+
+def fresh_process(*argv):
+    """(exit code, stdout) of `python -m qhermite.cli` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qhermite.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "qhermite.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    return done.returncode, done.stdout
+
+
+def test_one_parser_per_process_prints_what_a_fresh_process_prints(
+        capsys, monkeypatch):
+    # commands with different flags, one after another in one process, each
+    # print the bytes of their own process
+    for argv in (("--no-timestamp", "orthogonality", "--n", "2", "--q", "0.3",
+                  "--alpha", "0.5"),
+                 ("--no-timestamp", "--format", "csv", "--precision", "30",
+                  "check", "recurrence", "--n-max", "3", "--q", "0.4", "0.6",
+                  "--x", "1.2"),
+                 ("--no-timestamp", "orthogonality", "--n", "1", "--m", "0")):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == fresh_process(*argv)
+    assert cli.build_parser() is cli.build_parser()
+    # a patched command is the one called, through the parser built above
+    monkeypatch.setattr(cli, "cmd_check", lambda args, cfg: 7)
+    assert main(["check", "all"]) == 7
+
+
+def sweep_block(monkeypatch) -> list:
+    """The argv of the first seed-1 identity_sweep block of the benchmark."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    block = len(workloads.SWEEP_BLOCK)
+    return [item["argv"] for item in workloads.make_items("identity_sweep", 1,
+                                                          block)]
+
+
+def test_kept_values_print_what_cold_ones_do(capsys, monkeypatch):
+    # each item with the kept tables cleared, then the block twice over with
+    # them kept: byte-identical output
+    block = sweep_block(monkeypatch)
+    cold = []
+    for argv in block:
+        qcore._kept.cache_clear()
+        cold.append(run(capsys, *argv)[:2])
+    for _ in range(2):
+        hits = qcore._kept.cache_info().hits
+        assert [run(capsys, *argv)[:2] for argv in block] == cold
+        assert qcore._kept.cache_info().hits > hits
+    assert all(code == 0 for code, _ in cold)

@@ -350,6 +350,7 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
     # over one (q, alpha) and two (x, y) cells: every distinct finite table
     # (operands, backend and precision) and every distinct infinite product
     # is built once, and connection and inversion share one set of tables
+    qcore._kept.cache_clear()  # builds counted from a cold start
     tables, products = Counter(), Counter()
     table, product = qcore._product_table, qcore._infinite_product
 
@@ -376,6 +377,7 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
 def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
     # the two cells' ladders (at the ladder digits) and generating-function
     # streams (at 30 more digits) each read one table of their precision
+    qcore._kept.cache_clear()  # builds counted from a cold start
     tables = Counter()
     table = polyfam._recurrence_table
     monkeypatch.setattr(polyfam, "_recurrence_table",

@@ -5,13 +5,19 @@ the generalized factorial live here as test-local oracles: no library path
 uses them, and each checks one library function by another route.
 """
 
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from qhermite import qcore
 from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
+from qhermite.identities import IdentityGrid, run_identity_suite
+from qhermite.polyfam import gdqh2_recurrence_ladder
 from qhermite.qcore import (
     QParams,
     Truncation,
@@ -26,6 +32,7 @@ from qhermite.qcore import (
     shared,
     shared_scope,
 )
+from qhermite.quadrature import orthogonality_gram
 from qhermite.scalars import (GUARD_BITS, CompensatedSum, binom2, qpow, to_mpf,
                               unify)
 
@@ -329,6 +336,7 @@ def test_scoped_table_prefix_equals_a_table_built_to_that_n(dps):
             want = [[v._mpf_ for v in reference_products(c, a, q, k, lift)]
                     for k in range(n + 1)]
             for order in (range(n + 1), reversed(range(n + 1))):
+                qcore._kept.cache_clear()  # each order grows its own tables
                 with shared_scope():
                     got = {k: [v._mpf_ for v in _products(c, a, q, k, lift)]
                            for k in order}
@@ -371,3 +379,136 @@ def test_scope_is_per_precision_and_closes():
         with shared_scope():
             q_pochhammer(mpf(1), mpf("0.5"), -1)
     assert scope_declared() is None
+
+
+def test_unify_keeps_objects_and_backends():
+    # all exact or all mpf: the very values; any other mix: each as an mpf,
+    # an mpf passed through as the same object
+    half, third, one = mpf("0.5"), F(1, 3), 1
+    for values in ((), (one, third), (half, mpf(2)), (half, third, one),
+                   (third, "0.25", half), (0.5, one)):
+        got = unify(*values)
+        assert len(got) == len(values)
+        if all(isinstance(v, (int, F)) for v in values) or \
+                all(isinstance(v, mpf) for v in values):
+            assert all(g is v for g, v in zip(got, values))
+        else:
+            assert all(type(g) is mpf and g == to_mpf(v)
+                       for g, v in zip(got, values))
+            assert all(g is v for g, v in zip(got, values) if type(v) is mpf)
+
+
+# --- the tables, powers and products kept across scopes --------------------------
+
+
+def test_kept_cache_stays_within_its_cap():
+    # each sweep at a fresh (q, alpha) adds ten entries: sixty of them pass
+    # the cap, which then holds, dropping the least recently used first
+    qcore._kept.cache_clear()
+    rng = random.Random(3)
+    sizes = []
+    for _ in range(60):
+        p = QParams(mpf("%.4f" % rng.uniform(0.2, 0.25)),
+                    mpf("%.4f" % rng.uniform(-0.4, 1.5)))
+        assert all(r.passed for r in orthogonality_gram(2, p))
+        sizes.append(qcore._kept.cache_info().currsize)
+    assert max(sizes) == sizes[-1] == qcore._KEPT_CAP
+    misses = qcore._kept.cache_info().misses
+    orthogonality_gram(2, p)  # the most recent sweep's values are all kept
+    assert qcore._kept.cache_info().misses == misses
+
+
+def test_kept_values_hold_no_point(monkeypatch):
+    # a suite block keeps values of (q, alpha) alone: no x, y, omega or t
+    # reaches a kept kernel, while every kept kernel is reached
+    points = {"x": "1.37", "y": "0.61", "omega": "0.73", "t": "0.19"}
+    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0.7",),
+                        n_values=tuple(range(6)),
+                        **{k + "_values": (v,) for k, v in points.items()})
+    raw = {sign * mpf(v) for v in points.values() for sign in (1, -1)}
+    raw = {v._mpf_ for v in raw}
+    reached = []
+    kept = qcore._kept
+    monkeypatch.setattr(qcore, "_kept",
+                        lambda f, prec, *args: reached.append((f, args))
+                        or kept(f, prec, *args))
+    assert all(r.passed for r in run_identity_suite(grid))
+    assert {f.__name__ for f, _ in reached} == qcore._KEPT_KERNELS
+    assert not [(f.__name__, args) for f, args in reached
+                if any(getattr(a, "_mpf_", None) in raw for a in args)]
+
+
+def test_threads_extend_one_table_as_one_thread_does():
+    # four threads grow the same kept tables at once, in four orders; every
+    # row is the one a single thread computes, bit for bit.  mp.prec is one
+    # per process, and taking a table's first powers raises it for a moment,
+    # so the tables are made before the threads start and only grown in them
+    q, lift = mpf("0.68"), _lift(mpf("0.68"), mpf("0.37"))
+    p, x, y = QParams(q, mpf("0.37")), mpf("0.9"), mpf("0.5")
+    degrees = list(range(0, 150, 3))
+
+    def work(order):
+        with shared_scope():
+            return {n: [[v._mpf_ for v in rows] for rows in (
+                _products(1, q, q, n, lift), _products(1, q * q, q * q, n),
+                gdqh2_recurrence_ladder(n, x, y, p))] for n in order}
+
+    qcore._kept.cache_clear()
+    want = work(degrees)
+    got, errors = [], []
+
+    def run(order):
+        try:
+            got.append(work(order))
+        except BaseException as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    orders = [degrees, degrees[::-1]] + [
+        random.Random(seed).sample(degrees, len(degrees)) for seed in (1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            qcore._kept.cache_clear()
+            work([1])
+            threads = [threading.Thread(target=run, args=(order,))
+                       for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and got == [want] * (2 * len(orders))
+
+
+@pytest.mark.parametrize("stream", ["_raw_products", "_recurrence_rows"])
+def test_interrupted_growth_never_serves_a_short_table(monkeypatch, stream):
+    # an interrupt inside a table's growth leaves the rows it completed; the
+    # next call grows the table on, to every row it asks for
+    from qhermite import polyfam
+    q, p = mpf("0.3"), QParams(mpf("0.3"), mpf("0.2"))
+    x, y = mpf("1.1"), mpf("0.4")
+    if stream == "_raw_products":
+        home, build = qcore, lambda n: _products(1, q, q, n)
+        want = [v._mpf_ for v in reference_products(1, q, q, 20)]
+    else:
+        home, build = polyfam, lambda n: gdqh2_recurrence_ladder(n, x, y, p)
+        want = [h._mpf_ for h in build(20)]  # outside a scope: its own table
+    real, armed = getattr(home, stream), [True]
+
+    def interrupted(*args):
+        for i, row in enumerate(real(*args)):
+            if i == 7 and armed:
+                armed.pop()
+                raise KeyboardInterrupt
+            yield row
+
+    monkeypatch.setattr(home, stream, interrupted)
+    qcore._kept.cache_clear()
+    with shared_scope(), pytest.raises(KeyboardInterrupt):
+        build(3)
+        build(20)
+    with shared_scope():
+        assert [v._mpf_ for v in build(20)] == want

@@ -284,6 +284,7 @@ def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(
 def test_gram_reads_one_coefficient_table(monkeypatch):
     # every ladder of the sweep, one per lattice point, reads the one table
     # of recurrence coefficients at the sweep's working precision
+    qcore._kept.cache_clear()  # builds counted from a cold start
     tables, ladders = Counter(), []
     table, ladder = polyfam._recurrence_table, quadrature.gdqh2_recurrence_ladder
     monkeypatch.setattr(polyfam, "_recurrence_table",
@@ -302,6 +303,7 @@ def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
     # squared, whatever the number of degrees; the weight w_a(1) is the
     # denominator's first factor, bit for bit, and at alpha = 0 so is
     # (q^(2a+2); q^2)_inf the numerator's (q^2; q^2)_inf
+    qcore._kept.cache_clear()  # builds counted from a cold start
     calls = []
     product = qcore._infinite_product
     monkeypatch.setattr(qcore, "_infinite_product",
