@@ -15,12 +15,13 @@ digits.  run_identity_suite computes only the requested ids, and opens one
 shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
 in it each finite table, recurrence-coefficient table, real power, infinite
 product, working-digit count and parity half-sum is computed once per
-backend, operands and precision, across the block's (x, y) cells.  Those of
-(q, alpha) alone, all but the Hahn tables and half-sums, are kept for later
-calls too (qcore._KEPT_KERNELS).  Each cell builds one recurrence ladder to
-its largest n at the digits connection and inversion need there; inside a
-block those two checks run at the ladder's digits at every n, so one set of
-alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
+backend, operands and precision, across the block's (x, y) cells.  Those
+of (q, alpha) alone are requested through qcore.kept and serve later calls
+too; the ladders, Hahn tables and series, which hold a point, go through
+qcore.shared and end with the block.  Each cell builds one recurrence
+ladder to its largest n at the digits connection and inversion need there;
+inside a block those two checks run at the ladder's digits at every n, so
+one set of alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
 Reports carry lhs, rhs and residuals at the working precision of the check,
 not rounded back to the ambient context: a printer that rounds them once to
 its own digits avoids rounding them twice.
@@ -52,6 +53,7 @@ from .qcore import (
     Truncation,
     _products,
     gen_q_shifted_factorial,
+    kept,
     q_pochhammer,
     scope_declared,
     shared,
@@ -173,7 +175,7 @@ def _cancel_digits(n: int, q) -> int:
     digits inside a suite block, so one set of tables serves every n."""
     block = scope_declared()
     if block is None:
-        return shared(_work_digits, "cancel", n, q)
+        return kept(_work_digits, "cancel", n, q)
     return block.ladder_dps
 
 
@@ -192,7 +194,7 @@ def check_representations(n: int, p: QParams, x, y,
     forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
                                      ("representation_laguerre", "laguerre_form"))
              if _wanted(i) and (rep == "phi_form" or to_mpf(y) >= 0)]
-    with mp.workdps(shared(_work_digits, "poly", n, p.q)):
+    with mp.workdps(kept(_work_digits, "poly", n, p.q)):
         base = shared(gdqh2, n, x, y, p) if forms else None
         return [_report(i, params, base, gdqh2(n, x, y, p, rep=rep, trunc=trunc),
                         tol, trunc) for i, rep in forms]
@@ -203,7 +205,7 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
     """Three-term recurrence ladder vs the definition sum at degree n."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(shared(_work_digits, "poly", n, p.q)):
+    with mp.workdps(kept(_work_digits, "poly", n, p.q)):
         lhs = _ladder(n, x, y, p)[n]
         return _report("recurrence", params, lhs, shared(gdqh2, n, x, y, p), tol, trunc)
 

@@ -21,14 +21,14 @@ the cheap way to evaluate a whole ladder of degrees.
 
 The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
 on (q, alpha) alone.  They sit in one growable table per (q, alpha) and
-mp.prec, reached through qcore.shared: every ladder and stream of shared
-scopes at one precision reads one table, kept across scopes, and outside
-one a stream keeps the table its first step fetched, so a step does its
-multiplications and no powers.  The table and the definition sum's signs
-carry their q-powers as running products with 32 guard bits
-(scalars.qpowers), and (q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of
-qcore's one guarded product, so a table or a sum takes one real power
-q^(2 alpha + 1).
+mp.prec, a value qcore.kept serves: every ladder and stream of shared
+scopes at one precision reads one table, and outside one a stream keeps the
+table its first step fetched, so a step does its multiplications and no
+powers.  The table and the definition sum's signs carry their q-powers as
+running products with 32 guard bits (scalars.qpowers), and
+(q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
+product; the table and (q;q)_{m,alpha} take the one real power
+q^(2 alpha + 1), qcore._odd_lift.
 """
 
 from __future__ import annotations
@@ -47,10 +47,11 @@ from .qcore import (
     _Rows,
     gen_q_shifted_factorial,
     _gen_q_shifted_prefix,
+    _odd_lift,
     _products,
+    kept,
     parity_indicator,
     q_pochhammer,
-    shared,
 )
 from .qseries import phi
 from .scalars import (Numeric, guarded_mul, is_exact, qpow, qpowers, to_mpf,
@@ -246,10 +247,8 @@ def _recurrence_rows(q, lift) -> Iterator:
 
 def _recurrence_table(q, alpha) -> tuple:
     """(mp.prec, the rows of `_recurrence_rows`) on unified operands, grown
-    by the steps at that precision.  The exponent 2 alpha + 1 is rounded at
-    mp.prec, not with the guard bits as in qcore's lift, so the lift is not
-    shared with (q;q)_{n,alpha}."""
-    return mp.prec, _Rows(_recurrence_rows, q, next(qpowers(q, 1, 2 * alpha + 1)))
+    by the steps at that precision, with the lift of (q;q)_{n,alpha}."""
+    return mp.prec, _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha))
 
 
 def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
@@ -263,7 +262,7 @@ def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> Recu
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
     table = state.table
     if table is None or table[0] != mp.prec:
-        table = shared(_recurrence_table, q, alpha)
+        table = kept(_recurrence_table, q, alpha)
     lead, ratio, gap = table[1].upto(n)[n]
     nxt = x * state.current
     if n >= 1:

@@ -8,11 +8,13 @@ polynomial families, identity checks) is assembled from these; the finite
 
 A shared-value scope (`shared_scope`) lets a caller that evaluates many
 checks at one (q, alpha) compute each finite table, real power and infinite
-product once: inside it `shared(f, *args)` runs f once per backend, operands
-and mp.prec, and a finite table grows to the longest n asked, a shorter
-request reading its prefix, bit for bit the table built to that n.  The
-values of `_KEPT_KERNELS`, which take no point x, y, omega or t, outlive it
-in one LRU cache of `_KEPT_CAP` entries; every other value ends with it.
+product once.  Each value's lifetime is chosen where it is requested:
+`kept(f, *args)` serves a value of (q, alpha) alone, kept across scopes in
+one LRU cache of `_KEPT_CAP` entries, and `shared(f, *args)` a value that
+holds a point (x, y, omega or t), kept until its scope ends.  Both compute f
+once per operands, their types and mp.prec, and do nothing outside a scope.
+A finite table grows to the longest n asked, a shorter request reading its
+prefix, bit for bit the table built to that n.
 
 Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
 empty product is 1.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import count, islice
 from threading import Lock
@@ -68,10 +70,14 @@ class QParams:
 
     q: Numeric
     alpha: Numeric
+    # compared and hashed with the values, so no memo serves one backend's
+    # value for the other's equal QParams
+    _backend: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_q(self.q)
         _check_alpha(self.alpha)
+        object.__setattr__(self, "_backend", (type(self.q), type(self.alpha)))
 
 
 @dataclass(frozen=True)
@@ -106,24 +112,29 @@ class Truncation:
 
 # The open shared-value scope, else None: (what its opener declared, memo).
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-
-# The kernels, by name, whose values depend on (q, alpha), the backend,
-# mp.prec and the truncation alone, never on a point x, y, omega or t.  The
-# cap holds DEFAULT_GRID's 485 values, or an identity_sweep seed's 275-300.
-_KEPT_KERNELS = frozenset({"_product_table", "_odd_lift", "_infinite_product",
-                           "_recurrence_table", "_work_digits"})
+# The cap holds DEFAULT_GRID's 494 kept values, or the 270-300 of two blocks
+# of an identity_sweep seed.
 _KEPT_CAP = 512
+
+
+def _value(f, prec: int, *args):
+    """f(*args) at mp.prec = prec: the one entry of both memos, each an
+    lru_cache(typed=True), so Fraction(1, 2) and mpf(0.5), equal and hashing
+    alike, get separate entries and a raise is kept by neither."""
+    return f(*args)
+
+
+_kept = lru_cache(maxsize=_KEPT_CAP, typed=True)(_value)
 
 
 @contextmanager
 def shared_scope(declared=None):
-    """A block inside which `shared` computes each value once.
+    """A block inside which `shared` and `kept` compute each value once.
 
     run_identity_suite opens one per (q, alpha) block and declares its
     cells' state in it; the orthogonality sweep opens one per sweep.  The
-    memo lives only while the block runs, and is gone after it, raised or
-    not; the values of `_KEPT_KERNELS` stay in `_kept`."""
-    token = _SCOPE.set((declared, {}))
+    memo of `shared` is gone after the block, raised or not."""
+    token = _SCOPE.set((declared, lru_cache(maxsize=None, typed=True)(_value)))
     try:
         yield
     finally:
@@ -136,37 +147,18 @@ def scope_declared():
     return None if scope is None else scope[0]
 
 
-def _backend_key(value):
-    """value tagged with its type: Fraction(1, 2) == mpf(0.5), and both hash
-    alike, but they compute on different backends.  An mpf is keyed by its
-    raw value, which hashes faster."""
-    if isinstance(value, QParams):
-        return QParams, _backend_key(value.q), _backend_key(value.alpha)
-    return type(value), getattr(value, "_mpf_", value)
-
-
 def shared(f, *args):
-    """f(*args), once per open scope for args equal in value and type at one
-    mp.prec, and across scopes while `_kept` holds it for a kernel of
-    `_KEPT_KERNELS`; plainly computed outside a scope.  A raise is not kept."""
+    """f(*args) for a value that holds a point (x, y, omega or t): computed
+    once per open scope and mp.prec, plainly outside a scope."""
     scope = _SCOPE.get()
-    if scope is None:
-        return f(*args)
-    if f.__name__ in _KEPT_KERNELS:
-        return _kept(f, mp.prec, *args)
-    memo = scope[1]
-    key = (f, mp.prec) + tuple(map(_backend_key, args))
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = f(*args)
-        return value
+    return f(*args) if scope is None else scope[1](f, mp.prec, *args)
 
 
-@lru_cache(maxsize=_KEPT_CAP, typed=True)
-def _kept(f, prec: int, *args):
-    """f(*args) at mp.prec = prec, the least recently used dropped first."""
-    return f(*args)
+def kept(f, *args):
+    """f(*args) for a value of (q, alpha) alone: inside a scope computed once
+    per mp.prec and kept across scopes, `_KEPT_CAP` values at most, the least
+    recently used dropped first; plainly computed outside a scope."""
+    return f(*args) if _SCOPE.get() is None else _kept(f, mp.prec, *args)
 
 
 class _Rows(list):
@@ -247,7 +239,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
             raise ExactBackendError(
                 "(a;q)_infinity is an infinite product; use mpf operands"
             )
-        return shared(_infinite_product, a, q, trunc)
+        return kept(_infinite_product, a, q, trunc)
 
     if not isinstance(n, int):
         raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
@@ -266,12 +258,11 @@ def _products(c, a, q, n: int, lift=1, point=False) -> list:
     times lift for even m, as one running product GUARD_BITS above mp.prec
     (its entries keep those bits).  Exact operands stay exact, and a factor
     c - a is 0 exactly when c = a.  Inside a shared scope one table per
-    operands and precision grows to the longest n asked; it outlives the
-    scope unless point says that c or a holds a point (Hahn's x, y, omega)."""
+    operands and precision grows to the longest n asked; it is `kept` unless
+    point says that c or a holds a point (Hahn's x, y, omega), then `shared`."""
     if n < 0:
         raise DomainError("n must be >= 0: got %d" % n)
-    table = shared(_point_table if point else _product_table,
-                   *unify(c, a, q, lift))
+    table = (shared if point else kept)(_product_table, *unify(c, a, q, lift))
     return table.upto(n)[:n + 1]
 
 
@@ -281,11 +272,6 @@ def _product_table(c, a, q, lift) -> _Rows:
         return _Rows(_exact_products, c, a, q, lift)
     return _Rows(_raw_products, c._mpf_, a._mpf_, q._mpf_, lift._mpf_,
                  mp.prec + GUARD_BITS)
-
-
-def _point_table(*operands) -> _Rows:
-    """`_product_table` of operands that hold a point: kept for one scope."""
-    return _product_table(*operands)
 
 
 def _exact_products(c, a, q, lift):
@@ -322,7 +308,7 @@ def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
     q, alpha = unify(params.q, params.alpha)
     if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
         return [q - q + 1]
-    return _products(1, q, q, n, shared(_odd_lift, q, alpha))
+    return _products(1, q, q, n, kept(_odd_lift, q, alpha))
 
 
 def gen_q_shifted_factorial(n: int, params: QParams):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from qhermite import polyfam
 from qhermite.errors import DomainError, ExactBackendError, RepresentationDomainError
 from qhermite.polyfam import (
     _gdqh2_terms,
@@ -23,11 +24,12 @@ from qhermite.polyfam import (
 from qhermite.qcore import (
     QParams,
     _gen_q_shifted_prefix,
+    _odd_lift,
     gen_q_shifted_factorial,
     q_pochhammer,
     shared_scope,
 )
-from qhermite.scalars import binom2, guarded_mul, qpow, qpowers, unify
+from qhermite.scalars import GUARD_BITS, binom2, guarded_mul, qpow, qpowers, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
 alphas = st.floats(min_value=-0.8, max_value=2.5)
@@ -239,7 +241,9 @@ def _ladder_with_own_powers(n, x, y, p):
     """h_0..h_n from a step that carries q^n and q^(2 alpha + 1) itself:
     the step before the coefficient table, as the reference."""
     x, y, q, alpha = unify(x, y, p.q, p.alpha)
-    q_n, lift = next(qpowers(q, 1, 0)), next(qpowers(q, 1, 2 * alpha + 1))
+    with mp.workprec(mp.prec + GUARD_BITS):
+        lift = qpow(q, 2 * alpha + 1)
+    q_n = next(qpowers(q, 1, 0))
     previous, current = q - q, q - q + 1
     out = [current]
     for k in range(n):
@@ -267,6 +271,17 @@ def test_coefficient_table_is_bit_for_bit_the_carried_powers(dps, alpha):
         want = [h._mpf_ for h in _ladder_with_own_powers(60, x, y, p)]
         assert [h._mpf_ for h in got] == want
         assert [h._mpf_ for h in gdqh2_recurrence_ladder(60, x, y, p)] == want
+
+
+def test_coefficient_table_takes_the_generalized_factorials_lift(monkeypatch):
+    # the recurrence's q^(2 alpha + 1) is (q;q)_{n,alpha}'s, bit for bit: its
+    # exponent too is rounded with the guard bits
+    lifts, rows = [], polyfam._recurrence_rows
+    monkeypatch.setattr(polyfam, "_recurrence_rows",
+                        lambda q, lift: lifts.append(lift) or rows(q, lift))
+    q, alpha = mpf("0.68"), mpf("0.37")
+    gdqh2_recurrence_ladder(3, mpf("0.9"), mpf("0.5"), QParams(q, alpha))
+    assert [v._mpf_ for v in lifts] == [_odd_lift(q, alpha)._mpf_]
 
 
 @pytest.mark.parametrize("alpha", [F(3, 2), F(-1, 2), F(0)])

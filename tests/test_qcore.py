@@ -26,6 +26,7 @@ from qhermite.qcore import (
     _products,
     gen_q_shifted_factorial,
     hahn_add_power,
+    kept,
     parity_indicator,
     q_pochhammer,
     scope_declared,
@@ -352,13 +353,14 @@ def test_exact_and_float_operands_never_share_an_entry():
         floats = _products(1, mpf(0.5), mpf(0.5), 4)
         exact_gen = gen_q_shifted_factorial(3, QParams(F(1, 2), 1))
         float_gen = gen_q_shifted_factorial(3, QParams(mpf(0.5), mpf(1)))
-        for v in (F(1, 2), mpf(0.5), F(1, 2), mpf(0.5), 1, mpf(1), F(1)):
+        for v in (F(1, 2), mpf(0.5), F(1, 2), mpf(0.5), 1, mpf(1), F(1),
+                  QParams(F(1, 2), 1), QParams(mpf(0.5), mpf(1))):
             shared(calls.append, v)
     assert all(type(v) is F for v in exact[1:]) and exact == floats
     assert all(type(v) is mpf for v in floats)
     assert type(exact_gen) is F and type(float_gen) is mpf
     assert exact_gen == float_gen
-    assert [type(v) for v in calls] == [F, mpf, int, mpf, F]
+    assert [type(v) for v in calls] == [F, mpf, int, mpf, F, QParams, QParams]
 
 
 def test_scope_is_per_precision_and_closes():
@@ -401,6 +403,44 @@ def test_unify_keeps_objects_and_backends():
 # --- the tables, powers and products kept across scopes --------------------------
 
 
+@pytest.mark.parametrize("serve", [shared, kept])
+def test_each_memo_keeps_a_value_for_its_lifetime(serve):
+    # shared: once per scope; kept: once across scopes at one precision.
+    # Neither holds a value outside a scope, nor a call that raised, and
+    # Fraction(1, 2) and mpf(0.5) get separate entries in both
+    qcore._kept.cache_clear()
+    builds = []
+
+    def build(v):
+        builds.append((type(v), mp.dps))
+        if v < 0:
+            raise ValueError(v)
+        return v
+
+    def scope(dps):
+        with shared_scope(), mp.workdps(dps):
+            for v in (F(1, 2), mpf(0.5), F(1, 2), mpf(0.5)):
+                assert type(serve(build, v)) is type(v)
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    serve(build, F(-1))
+
+    def once(dps):
+        return [(F, dps), (mpf, dps), (F, dps), (F, dps)]
+
+    scope(50)
+    scope(50)
+    scope(80)
+    if serve is shared:
+        assert builds == once(50) + once(50) + once(80)
+    else:
+        assert builds == once(50) + [(F, 50)] * 2 + once(80)
+    builds.clear()
+    for _ in range(2):
+        assert serve(build, F(1, 2)) == serve(build, mpf(0.5))
+    assert builds == [(F, 50), (mpf, 50)] * 2
+
+
 def test_kept_cache_stays_within_its_cap():
     # each sweep at a fresh (q, alpha) adds ten entries: sixty of them pass
     # the cap, which then holds, dropping the least recently used first
@@ -433,7 +473,9 @@ def test_kept_values_hold_no_point(monkeypatch):
                         lambda f, prec, *args: reached.append((f, args))
                         or kept(f, prec, *args))
     assert all(r.passed for r in run_identity_suite(grid))
-    assert {f.__name__ for f, _ in reached} == qcore._KEPT_KERNELS
+    assert {f.__name__ for f, _ in reached} == {
+        "_product_table", "_odd_lift", "_infinite_product", "_recurrence_table",
+        "_work_digits"}
     assert not [(f.__name__, args) for f, args in reached
                 if any(getattr(a, "_mpf_", None) in raw for a in args)]
 

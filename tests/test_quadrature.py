@@ -303,13 +303,13 @@ def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
     # squared, whatever the number of degrees; the weight w_a(1) is the
     # denominator's first factor, bit for bit, and at alpha = 0 so is
     # (q^(2a+2); q^2)_inf the numerator's (q^2; q^2)_inf
-    qcore._kept.cache_clear()  # builds counted from a cold start
     calls = []
     product = qcore._infinite_product
     monkeypatch.setattr(qcore, "_infinite_product",
                         lambda *a: calls.append(a[0]) or product(*a))
     for alpha, distinct in ((0, 4), (mpf("0.3"), 5)):
         for n_max in (0, 1, 4):
+            qcore._kept.cache_clear()  # each sweep's builds from a cold start
             calls.clear()
             reports = orthogonality_gram(n_max, QParams(0.22, alpha))
             assert len(reports) == (n_max + 1) * (n_max + 2) // 2
