@@ -13,15 +13,18 @@ connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
 digits.  run_identity_suite computes only the requested ids, and opens one
 shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
-in it each finite table, recurrence-coefficient table, real power, infinite
-product, working-digit count and parity half-sum is computed once per
-backend, operands and precision, across the block's (x, y) cells.  Those
+in it each finite table, recurrence-coefficient table, polynomial form's
+row of (n, q, alpha), real power, infinite product, working-digit count and
+parity half-sum is computed once per backend, operands and precision,
+across the block's (x, y) cells.  Those
 of (q, alpha) alone are requested through qcore.kept and serve later calls
 too; the ladders, Hahn tables and series, which hold a point, go through
 qcore.shared and end with the block.  Each cell builds one recurrence
 ladder to its largest n at the digits connection and inversion need there;
 inside a block those two checks run at the ladder's digits at every n, so
-one set of alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree.
+one set of alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree;
+both read the definition sum's terms row (polyfam._gdqh2_terms) at
+alpha = -1/2.
 Reports carry lhs, rhs and residuals at the working precision of the check,
 not rounded back to the ambient context: a printer that rounds them once to
 its own digits avoids rounding them twice.
@@ -228,7 +231,7 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
     hahn = _products(omega, y, guarded_mul(q, q), n // 2, point=True)
     return sum((sign * hahn[k] / den * ladder[n - 2 * k]
-                for k, sign, den in _gdqh2_terms(n, q, half)), q - q)
+                for k, sign, den in kept(_gdqh2_terms, n, q, half)), q - q)
 
 
 def check_connection(n: int, p: QParams, x, y, omega, tol=None,

@@ -29,6 +29,15 @@ running products with 32 guard bits (scalars.qpowers), and
 (q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
 product; the table and (q;q)_{m,alpha} take the one real power
 q^(2 alpha + 1), qcore._odd_lift.
+
+Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
+serves: the definition sum's terms (k, sign, den) (_gdqh2_terms, which
+connection, inversion and the quadrature also read), the phi form's and the
+Laguerre form's powers and prefactors (_phi_row, _laguerre_row) and
+q_laguerre's phi11 factors (_q_laguerre_row).  A row is computed by the
+form's own expressions in their order, so a row kept, built in a scope or
+built outside one gives the same bits; what holds the point (x^(n-2k), y^k,
+z and the phi sum) is computed by each call.
 """
 
 from __future__ import annotations
@@ -71,6 +80,14 @@ __all__ = [
 ]
 
 
+def _q_laguerre_row(n: int, alpha, q) -> tuple:
+    """phi11's factors of (n, alpha, q) alone: q^-n, q^(alpha+1),
+    -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n."""
+    qa1 = qpow(q, alpha + 1)
+    return (qpow(q, -n), qa1, -qpow(q, n) * qa1,
+            q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n))
+
+
 def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
                trunc: Optional[Truncation] = None):
     """q-Laguerre polynomial L_n^(alpha)(x; q).
@@ -84,23 +101,16 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
     if n < 0:
         raise DomainError("degree n must be >= 0: got %d" % n)
     alpha, x, q = unify(alpha, x, q)
-    qa1 = qpow(q, alpha + 1)
     if rep == "phi11":
-        series = phi(
-            (qpow(q, -n),),
-            (qa1,),
-            q,
-            -qpow(q, n) * qa1 * x,
-            terminate_at=n,
-            trunc=trunc,
-        )
-        return q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n) * series
+        down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
+        series = phi((down,), (qa1,), q, step * x, terminate_at=n, trunc=trunc)
+        return front * series
     if rep == "phi21":
         series = phi(
             (qpow(q, -n), -x),
             (x - x,),
             q,
-            qpow(q, n) * qa1,
+            qpow(q, n) * qpow(q, alpha + 1),
             terminate_at=n,
             trunc=trunc,
         )
@@ -125,53 +135,71 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
     return series / q_pochhammer(q, q, n)
 
 
-def _gdqh2_terms(n: int, q, params: QParams) -> Iterator:
-    """(k, sign, den) for k = 0..n//2, where the definition sum's k-th term
-    is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1)) and
-    den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
+def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
+    """The row ((k, sign, den) for k = 0..n//2), where the definition sum's
+    k-th term is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1))
+    and den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
     # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2; the sign
     # runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3)
     q2 = guarded_mul(q, q)
     gen_fact = _gen_q_shifted_prefix(n, params)
     poch_q2 = _products(1, q2, q2, n // 2)
     ratios = qpowers(-q, 4, 3 - 2 * n)
-    sign = q - q + 1
+    sign, row = q - q + 1, []
     for k in range(n // 2 + 1):
-        yield (k, sign, gen_fact[n - 2 * k] * poch_q2[k])
+        row.append((k, sign, gen_fact[n - 2 * k] * poch_q2[k]))
         sign = guarded_mul(sign, next(ratios))
+    return tuple(row)
 
 
 def _gdqh2_definition(n: int, x, y, params: QParams):
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
     total = q - q
-    for k, sign, den in _gdqh2_terms(n, q, params):
+    for k, sign, den in kept(_gdqh2_terms, n, q, params):
         total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
     return q_pochhammer(q, q, n) * total
 
 
-def _gdqh2_phi(n: int, x, y, params: QParams, trunc):
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    if to_mpf(x) == 0:
-        # the 2-phi-1 form divides by x^2; the definition is total
-        return _gdqh2_definition(n, x, y, params)
+def _phi_row(n: int, q, params: QParams) -> tuple:
+    """The phi form's factors of (n, q, alpha) alone: its upper parameters,
+    q^2, q^(2 alpha + 3) and (q;q)_n / (q;q)_{n,alpha}."""
+    _, alpha = unify(q, params.alpha)
     m = n // 2
-    q2 = q * q
     if n % 2 == 0:
         upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha))
     else:
         upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha - 2))
-    z = -y * qpow(q, 2 * alpha + 3) / (x * x)
-    series = phi(upper, (x - x,), q2, z, terminate_at=m, trunc=trunc)
-    front = (
-        q_pochhammer(q, q, n)
-        / gen_q_shifted_factorial(n, params)
-        * qpow(x, n)
+    return (upper, q * q, qpow(q, 2 * alpha + 3),
+            q_pochhammer(q, q, n) / gen_q_shifted_factorial(n, params))
+
+
+def _gdqh2_phi(n: int, x, y, params: QParams, trunc):
+    x, y, q, _ = unify(x, y, params.q, params.alpha)
+    if to_mpf(x) == 0:
+        # the 2-phi-1 form divides by x^2; the definition is total
+        return _gdqh2_definition(n, x, y, params)
+    upper, q2, scale, ratio = kept(_phi_row, n, q, params)
+    z = -y * scale / (x * x)
+    series = phi(upper, (x - x,), q2, z, terminate_at=n // 2, trunc=trunc)
+    return ratio * qpow(x, n) * series
+
+
+def _laguerre_row(n: int, q, params: QParams) -> tuple:
+    """The Laguerre form's factors of (n, q, alpha) alone: q^2,
+    q^(-2 alpha - 1), its prefactor and its q-Laguerre order."""
+    _, alpha = unify(q, params.alpha)
+    m, odd = n // 2, n % 2
+    q2 = q * q
+    pref = (
+        qpow(q, -m * (2 * m - 1 + 2 * odd))
+        * q_pochhammer(q, q, 2 * m + odd)
+        / q_pochhammer(qpow(q, 2 * alpha + 2), q2, m + odd)
     )
-    return front * series
+    return q2, qpow(q, -2 * alpha - 1), pref, alpha + 1 if odd else alpha
 
 
 def _gdqh2_laguerre(n: int, x, y, params: QParams, trunc):
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
+    x, y, q, _ = unify(x, y, params.q, params.alpha)
     if to_mpf(y) == 0:
         return _gdqh2_definition(n, x, y, params)
     if to_mpf(y) < 0:
@@ -179,23 +207,11 @@ def _gdqh2_laguerre(n: int, x, y, params: QParams, trunc):
             "laguerre_form needs y > 0 (real-power argument); "
             "use definition_sum for y < 0"
         )
-    m = n // 2
-    q2 = q * q
-    arg = x * x / y * qpow(q, -2 * alpha - 1)
-    a_even = qpow(q, 2 * alpha + 2)
-    if n % 2 == 0:
-        pref = (
-            qpow(q, -m * (2 * m - 1))
-            * q_pochhammer(q, q, 2 * m)
-            / q_pochhammer(a_even, q2, m)
-        )
-        return pref * qpow(-y, m) * q_laguerre(m, alpha, arg, q2, trunc=trunc)
-    pref = (
-        qpow(q, -m * (2 * m + 1))
-        * q_pochhammer(q, q, 2 * m + 1)
-        / q_pochhammer(a_even, q2, m + 1)
-    )
-    return pref * x * qpow(-y, m) * q_laguerre(m, alpha + 1, arg, q2, trunc=trunc)
+    q2, scale, pref, order = kept(_laguerre_row, n, q, params)
+    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2, trunc=trunc)
+    if n % 2:
+        pref = pref * x
+    return pref * qpow(-y, n // 2) * laguerre
 
 
 def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",

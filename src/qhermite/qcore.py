@@ -112,9 +112,10 @@ class Truncation:
 
 # The open shared-value scope, else None: (what its opener declared, memo).
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-# The cap holds DEFAULT_GRID's 494 kept values, or the 270-300 of two blocks
-# of an identity_sweep seed.
-_KEPT_CAP = 512
+# A (q, alpha) block of DEFAULT_GRID keeps about 125 values, its nine blocks
+# 1,118.  The cap holds the three blocks of an identity_sweep seed (512-533
+# values) twice over; a second DEFAULT_GRID suite in one process rebuilds most.
+_KEPT_CAP = 1024
 
 
 def _value(f, prec: int, *args):

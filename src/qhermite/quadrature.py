@@ -51,8 +51,8 @@ from mpmath import mp, mpf
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
-from .qcore import (QParams, Truncation, gen_q_shifted_factorial, q_pochhammer,
-                    shared_scope)
+from .qcore import (QParams, Truncation, gen_q_shifted_factorial, kept,
+                    q_pochhammer, shared_scope)
 from .scalars import CompensatedSum, qpow, to_mpf
 
 __all__ = [
@@ -102,7 +102,7 @@ def _coefficients(n: int, p: QParams) -> list:
     definition sum's terms at y = 1."""
     q = to_mpf(p.q)
     front = q_pochhammer(q, q, n)
-    return [front * sign / den for _, sign, den in _gdqh2_terms(n, q, p)]
+    return [front * sign / den for _, sign, den in kept(_gdqh2_terms, n, q, p)]
 
 
 def _small_x_tail(k: int, p: QParams, max_terms: int):

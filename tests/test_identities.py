@@ -374,6 +374,37 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
     assert len(hahn) == 2 and {k[-1] for k in hahn} == {ladder_prec}
 
 
+def test_suite_block_builds_each_form_row_once(monkeypatch):
+    # over one (q, alpha) and two (x, y) cells: the rows of (n, q, alpha)
+    # that the three forms, q_laguerre and the descending sum read are each
+    # built once per operands and precision
+    qcore._kept.cache_clear()  # builds counted from a cold start
+    rows = Counter()
+
+    def counted(name):
+        row = getattr(polyfam, name)
+
+        def build(*args):
+            rows.update([(name, mp.prec) + tuple((type(a), a) for a in args)])
+            return row(*args)
+        monkeypatch.setattr(polyfam, name, build)
+        return build
+
+    monkeypatch.setattr(identities, "_gdqh2_terms", counted("_gdqh2_terms"))
+    for name in ("_phi_row", "_laguerre_row", "_q_laguerre_row"):
+        counted(name)
+    grid = replace(CELL, x_values=("0.9", "1.3"), y_values=("0.4",))
+    assert all(r.passed for r in run_identity_suite(grid))
+    assert set(rows.values()) == {1}
+    # per n: the forms' rows, and the terms at alpha for the definition sum
+    # at the polynomial digits and for connection's lhs at the ladder digits,
+    # and at alpha = -1/2 for the descending sum
+    n_values = len(CELL.n_values)
+    assert Counter(k[0] for k in rows) == Counter({
+        "_gdqh2_terms": 3 * n_values, "_phi_row": n_values,
+        "_laguerre_row": n_values, "_q_laguerre_row": n_values})
+
+
 def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
     # the two cells' ladders (at the ladder digits) and generating-function
     # streams (at 30 more digits) each read one table of their precision

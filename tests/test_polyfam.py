@@ -1,6 +1,7 @@
 """Polynomial families: values, representation agreement, recurrence."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,6 +154,43 @@ def test_gdqh2_rep_edge_routing():
         gdqh2(2, mpf(1), mpf(1), p, rep="nonsense")
     with pytest.raises(DomainError):
         gdqh2(-1, mpf(1), mpf(1), p)
+
+
+@pytest.mark.parametrize("num, cases", [
+    (mpf, [(mpf("0.37"), ("definition_sum", "phi_form", "laguerre_form")),
+           (mpf("1.5"), ("definition_sum", "phi_form", "laguerre_form"))]),
+    (F, [(F(1, 2), ("definition_sum", "phi_form")), (F(1), ("laguerre_form",))]),
+], ids=["mpf", "Fraction"])
+def test_kept_rows_change_no_bit(num, cases):
+    # each form and the descending sum, at every n, two alphas and two
+    # precisions, and on the x = 0 and y = 0 routes to the definition sum,
+    # give the same bits outside a scope, in a scope that builds the rows of
+    # (n, q, alpha) and in a later one that reads them kept
+    from qhermite import qcore
+    from qhermite.identities import _descending_sum
+    q, omega = num("0.6"), num("0.4")
+    points = [(num("1.3"), num("0.7")), (num(0), num("0.7")), (num("1.3"), num(0))]
+
+    def values():
+        out = []
+        for dps, (alpha, reps), n, (x, y) in product(
+                (50, 80), cases, range(14), points):
+            p = QParams(q, alpha)
+            with mp.workdps(dps):
+                out += [gdqh2(n, x, y, p, rep=rep) for rep in reps]
+                out.append(_descending_sum(n, x, y, omega, q, p))
+        return [v._mpf_ if isinstance(v, mpf) else v for v in out]
+
+    qcore._kept.cache_clear()
+    plain = values()
+    with shared_scope():
+        built = values()
+    misses = qcore._kept.cache_info().misses
+    with shared_scope():
+        read = values()
+    assert qcore._kept.cache_info().misses == misses  # every row was kept
+    assert plain == built == read
+    assert all(isinstance(v, F) for v in plain) == (num is F)
 
 
 @given(q=qs, alpha=alphas, x=st.floats(min_value=0.1, max_value=2),

@@ -442,12 +442,13 @@ def test_each_memo_keeps_a_value_for_its_lifetime(serve):
 
 
 def test_kept_cache_stays_within_its_cap():
-    # each sweep at a fresh (q, alpha) adds ten entries: sixty of them pass
-    # the cap, which then holds, dropping the least recently used first
+    # each sweep at a fresh (q, alpha) adds about thirteen entries: a
+    # hundred of them pass the cap, which then holds, dropping the least
+    # recently used first
     qcore._kept.cache_clear()
     rng = random.Random(3)
     sizes = []
-    for _ in range(60):
+    for _ in range(100):
         p = QParams(mpf("%.4f" % rng.uniform(0.2, 0.25)),
                     mpf("%.4f" % rng.uniform(-0.4, 1.5)))
         assert all(r.passed for r in orthogonality_gram(2, p))
@@ -475,9 +476,15 @@ def test_kept_values_hold_no_point(monkeypatch):
     assert all(r.passed for r in run_identity_suite(grid))
     assert {f.__name__ for f, _ in reached} == {
         "_product_table", "_odd_lift", "_infinite_product", "_recurrence_table",
-        "_work_digits"}
+        "_work_digits", "_gdqh2_terms", "_phi_row", "_laguerre_row",
+        "_q_laguerre_row"}
+
+    def operands(args):  # a row's QParams is read field by field
+        for a in args:
+            yield from (a.q, a.alpha) if isinstance(a, QParams) else (a,)
+
     assert not [(f.__name__, args) for f, args in reached
-                if any(getattr(a, "_mpf_", None) in raw for a in args)]
+                if any(getattr(a, "_mpf_", None) in raw for a in operands(args))]
 
 
 def test_threads_extend_one_table_as_one_thread_does():
