@@ -25,6 +25,16 @@ CASES = {
     # every pair m <= n <= 4, from one lattice sweep
     "orthogonality_n4.csv": ("--format", "csv", "orthogonality", "--n", "4",
                              "--q", "0.22", "--alpha", "1.3"),
+    # alpha near -1: a long walk toward 0 and the closed-form small-x tail
+    "orthogonality_alpha_near_minus_one.txt": ("orthogonality", "--n", "5",
+                                               "--q", "0.3", "--alpha", "-0.9"),
+    # the caller's truncation reaches the walk, the weights and the constants
+    "orthogonality_tail_tol.json": ("--format", "json", "--tail-tol", "1e-40",
+                                    "orthogonality", "--n", "3", "--q", "0.7",
+                                    "--alpha", "2.5"),
+    # one pair of odd n + m: no sum, lhs = 0, and the walk's terms count
+    "orthogonality_odd_pair.txt": ("orthogonality", "--n", "1", "--m", "0",
+                                   "--q", "0.5", "--alpha", "0.5"),
     "check_even_gf.txt": ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
                           "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
     # every family at its default representation
