@@ -19,7 +19,11 @@ bit the first factor of the constants' denominator, is taken once, the
 coefficients and the constants read one (q;q)_n and one (q;q)_{n,alpha}
 table, and every ladder reads one table of recurrence coefficients.  A
 pair of odd n + m has E = 0 exactly at every point: it gets no sum, only
-the test that its factors are finite, and its lhs is 0.
+the test that its factors are finite, and its lhs is 0.  The per-point
+work runs on raw libmp values, with the operations, order and precision of
+the same loop on mpf values.  mpf exponents do not overflow, so a product is
+non-finite only when a factor is: the pairs test their own factors only at
+a point whose weight or ladder is not finite.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
@@ -47,13 +51,16 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add,
+                          mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pow_int,
+                          mpf_shift, mpf_sub, mpf_sum, round_nearest)
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .identities import IdentityReport, residuals, default_identity_tol
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
 from .qcore import (QParams, Truncation, gen_q_shifted_factorial, kept,
                     q_pochhammer, shared_scope)
-from .scalars import CompensatedSum, qpow, to_mpf
+from .scalars import qpow, to_mpf
 
 __all__ = [
     "orthogonality_weight",
@@ -118,26 +125,34 @@ def _small_x_tail(k: int, p: QParams, max_terms: int):
     r/(1-r) times its envelope: the sum stops once that is below floor.
     """
     q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    prec, rnd = mp.prec, round_nearest
     u = qpow(q, 2 * k)  # x_k^2
     z = qpow(q, -2 * alpha - 1) * u
     r = z / (1 - q * q)
     lead = qpow(q, 2 * alpha + 2)
     start = qpow(lead, k)  # q^(k(2a+2))
-    front, d = [], []  # q^(k(2a+2)) / (1 - q^(s_i)) and (-z)^i / (q^2;q^2)_i
+    # q^(k(2a+2)) / (1 - q^(s_i)), that times r/(1-r), (-z)^i / (q^2;q^2)_i
+    # per index i, and u^l per l
+    front, bound, d, u_l = [], [], [], []
 
     def tail(even: list, floor):
-        even = [e * qpow(u, l) for l, e in enumerate(even)]
-        total = mpf(0)
+        while len(u_l) < len(even):
+            u_l.append(mpf_pow_int(u._mpf_, len(u_l), prec, rnd))
+        even = [mpf_mul(e._mpf_, w, prec, rnd) for e, w in zip(even, u_l)]
+        total = fzero
         for i in range(max_terms):
             if i == len(d):  # grown by the first call that reads index i
                 power = qpow(q, 2 * i)
                 d.append(d[-1] * -z / (1 - power) if d else mpf(1))
                 front.append(start / (1 - lead * power))
+                bound.append(front[i] * r / (1 - r))
             span = range(max(0, i - len(even) + 1), i + 1)
-            total += front[i] * mp.fsum(even[i - j] * d[j] for j in span)
-            if (i + 1 >= len(even) and front[i] * r / (1 - r)
-                    * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
-                return total
+            terms = [mpf_mul(even[i - j], d[j]._mpf_, prec, rnd) for j in span]
+            total = mpf_add(total, mpf_mul(front[i]._mpf_, mpf_sum(
+                terms, prec, rnd), prec, rnd), prec, rnd)
+            if i + 1 >= len(even) and mpf_le(mpf_mul(bound[i]._mpf_, mpf_sum(
+                    terms, prec, rnd, True), prec, rnd), floor._mpf_):
+                return mp.make_mpf(total)
         raise ConvergenceError(
             "closed-form lattice tail from k = %d did not meet %s within "
             "max_terms=%d" % (k, mp.nstr(floor, 4), max_terms))
@@ -149,16 +164,18 @@ def _walk(p: QParams, w_one, step: int) -> Iterator:
     x_k = q^k and its measure factor m_k = q^(k(2a+2)) w_a(x_k), each from
     the last by the running ratio w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
     q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    c = qpow(q, -2 * alpha - 1)
-    lead = qpow(q, 2 * alpha + 2)
-    k, xk, mk = 0, mpf(1), w_one
+    prec, rnd = mp.prec, round_nearest
+    c = qpow(q, -2 * alpha - 1)._mpf_
+    lead = qpow(q, 2 * alpha + 2)._mpf_
+    k, xk, mk = 0, fone, w_one._mpf_
     while True:
-        yield k, xk, mk
-        x_next = qpow(q, k + step)
-        if step > 0:
-            mk = mk * lead * (1 + c * xk * xk)
-        else:
-            mk = mk / (lead * (1 + c * x_next * x_next))
+        yield k, mp.make_mpf(xk), mp.make_mpf(mk)
+        x_next = mpf_pow_int(q._mpf_, k + step, prec, rnd)
+        x = xk if step > 0 else x_next
+        grow = mpf_add(mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd), fone,
+                       prec, rnd)  # 1 + c x^2
+        mk = (mpf_mul(mpf_mul(mk, lead, prec, rnd), grow, prec, rnd) if step > 0
+              else mpf_div(mk, mpf_mul(lead, grow, prec, rnd), prec, rnd))
         k, xk = k + step, x_next
 
 
@@ -177,6 +194,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         return []
     tol = to_mpf(tol) if tol is not None else default_identity_tol()
     with mp.workdps(mp.dps + 20), shared_scope():
+        prec, rnd = mp.prec, round_nearest
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
@@ -184,41 +202,52 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         top = max(max(pair) for pair in pairs)
         coef = [_coefficients(n, p) for n in range(top + 1)]
         size = [sum(abs(a) for a in row) for row in coef]  # S_n
-        # per pair: the sum, its largest term, and the first x whose term is
-        # non-finite (which stops it)
-        sums = [CompensatedSum() for _ in pairs]
-        largest = [mpf(0)] * len(pairs)
+        # per pair: S_n S_m, the Kahan sum (total, comp), its largest term,
+        # and the first x whose term is non-finite (which stops it)
+        s_nm = [(size[n] * size[m])._mpf_ for n, m in pairs]
+        total, comp, largest = ([fzero] * len(pairs) for _ in range(3))
         bad_x = [None] * len(pairs)
+        summed = [i for i, (n, m) in enumerate(pairs) if (n + m) % 2 == 0]
+        nonfinite = {fnan, finf, fninf}
+
+        def add(i, term):
+            low = mpf_sub(term, comp[i], prec, rnd)
+            high = mpf_add(total[i], low, prec, rnd)
+            comp[i] = mpf_sub(mpf_sub(high, total[i], prec, rnd), low, prec, rnd)
+            total[i] = high
 
         def visit(xk, mk):
             # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
             # every odd degree exactly, so one ladder serves both points and
             # their products sum to h_n h_m (1 + (-1)^(n+m)), bit for bit
-            lad = gdqh2_recurrence_ladder(top, xk, mpf(1), p)
-            terms = [mpf(0)] * len(pairs)
-            for i, (n, m) in enumerate(pairs):
-                if bad_x[i] is not None:
-                    continue
-                if (n + m) % 2:
-                    # the term is exactly 0 and is not summed; a non-finite
-                    # factor would have made it NaN, and still stops the pair
-                    if not mp.isfinite(mk * lad[n] * lad[m]):
+            lad = [v._mpf_ for v in
+                   gdqh2_recurrence_ladder(top, xk, mpf(1), p)]
+            mk = mk._mpf_
+            if mk in nonfinite or not nonfinite.isdisjoint(lad):
+                # a product is non-finite exactly when a factor is (mpf
+                # exponents do not overflow): each pair stops at its own
+                # factors, a pair of odd n + m (not summed) included
+                for i, (n, m) in enumerate(pairs):
+                    if bad_x[i] is None and {mk, lad[n], lad[m]} & nonfinite:
                         bad_x[i] = xk
-                    continue
-                term = mk * (lad[n] * lad[m] * 2)
-                if not mp.isfinite(term):
-                    bad_x[i] = xk
-                    continue
-                terms[i] = abs(term)
-                largest[i] = max(largest[i], terms[i])
-                sums[i].add(term)
+            terms = [fzero] * len(pairs)
+            for i in summed:
+                if bad_x[i] is None:
+                    n, m = pairs[i]
+                    term = mpf_mul(mk, mpf_shift(  # times 2, exactly
+                        mpf_mul(lad[n], lad[m], prec, rnd), 1), prec, rnd)
+                    terms[i] = mpf_abs(term)
+                    if mpf_lt(largest[i], terms[i]):
+                        largest[i] = terms[i]
+                    add(i, term)
             return terms
 
         def floor(i):
             # relative to the pair's largest term; a pair with no nonzero
             # term (odd n + m, whose terms are exactly 0) has no scale and
             # takes tail_tol itself, so the walk still stops
-            return tail * (largest[i] or 1)
+            return mpf_mul(tail._mpf_, largest[i] if largest[i] != fzero
+                           else fone, prec, rnd)
 
         def exhausted(k, end):
             return ConvergenceError(
@@ -233,10 +262,10 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             far = visit(xk, mk)
             rho = reach / (1 + c * xk * xk)
             if rho < 1:
-                rest = 2 * mk * xk ** (2 * top) * rho / (1 - rho)
-                if all(far[i] <= floor(i)
-                       and size[n] * size[m] * rest <= floor(i)
-                       for i, (n, m) in enumerate(pairs)):
+                rest = (2 * mk * xk ** (2 * top) * rho / (1 - rho))._mpf_
+                if all(mpf_le(far[i], f) and
+                       mpf_le(mpf_mul(s_nm[i], rest, prec, rnd), f)
+                       for i, f in enumerate(map(floor, range(len(pairs))))):
                     break
             if 1 - k >= trunc.max_terms:
                 raise exhausted(k, "k_min")
@@ -268,8 +297,8 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 for a, an in enumerate(coef[n]):
                     for b, bm in enumerate(coef[m]):
                         even[half - a - b] += 2 * an * bm
-                sums[i].add(small_x(even, floor(i)))
-            lhs = (1 - q) * sums[i].total
+                add(i, small_x(even, mp.make_mpf(floor(i)))._mpf_)
+            lhs = (1 - q) * mp.make_mpf(total[i])
             if n == m:
                 rhs = rhs_of[n]
                 abs_r, rel_r = residuals(lhs, rhs)
