@@ -344,3 +344,75 @@ def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
     assert len(reports) == 10
     assert len(calls) == reports[0].terms_used
     assert all(x > 0 for x in calls)
+
+
+@pytest.mark.parametrize("k, bad", [(3, mp.nan), (-2, -mp.inf)])
+def test_nonfinite_weight_stops_every_pair_at_its_point(monkeypatch, k, bad):
+    # a non-finite m_k makes every pair's factors non-finite at x_k, which
+    # the walk reaches on either end for every pair here (k = 3: x = 0.22^3
+    # on the small-x end; k = -2: x = 0.22^-2 toward large x).  The Gram
+    # matrix raises at its first pair, (0, 0), and every one-pair check, odd
+    # n + m included, raises naming the same x
+    walk = quadrature._walk
+
+    def poisoned(p, w_one, step):
+        for j, xj, mj in walk(p, w_one, step):
+            yield j, xj, (bad if j == k else mj)
+
+    monkeypatch.setattr(quadrature, "_walk", poisoned)
+    p = QParams(mpf("0.22"), mpf(0))
+    message = ("integrand non-finite at lattice point x = %s"
+               % mp.nstr(qpow(p.q, k), 8))
+    with pytest.raises(EvaluationError) as gram:
+        orthogonality_gram(3, p)
+    assert str(gram.value) == message
+    for n, m in [(n, m) for n in range(4) for m in range(n + 1)]:
+        with pytest.raises(EvaluationError) as one:
+            orthogonality_check(n, m, p)
+        assert str(one.value) == message, (n, m)
+
+
+def test_nonfinite_ladder_entry_stops_only_the_pairs_that_read_it(
+        monkeypatch):
+    # degree 1 is non-finite at x = ±0.22^4: the point is tested pair by
+    # pair, so the pairs that read degree 1 stop there, and a pair that
+    # reads only degrees 0 and 2 keeps every bit of its unpoisoned report
+    p = QParams(mpf("0.22"), mpf(0))
+    clean = {pair: orthogonality_check(*pair, p) for pair in [(2, 0), (2, 2)]}
+    ladder = quadrature.gdqh2_recurrence_ladder
+
+    def poisoned(n, x, y, p):
+        out = ladder(n, x, y, p)
+        if mpf("0.002") < abs(x) < mpf("0.003"):
+            out[1] = mp.nan
+        return out
+
+    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
+    for pair, want in clean.items():
+        got = orthogonality_check(*pair, p)
+        assert (got.lhs._mpf_, got.rel_residual._mpf_, got.terms_used) == \
+            (want.lhs._mpf_, want.rel_residual._mpf_, want.terms_used), pair
+    for pair in [(1, 0), (2, 1), (1, 1)]:
+        with pytest.raises(EvaluationError, match=r"x = 0\.00234256"):
+            orthogonality_check(*pair, p)
+    with pytest.raises(EvaluationError, match=r"x = 0\.00234256"):
+        orthogonality_gram(2, p)
+
+
+@pytest.mark.parametrize("dps", [50, 80])
+@pytest.mark.parametrize("q, alpha", [("0.5", "0"), ("0.22", "1.3"),
+                                      ("0.7", "2.5"), ("0.3", "-0.9")])
+def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
+    # x h_n = lead_n h_(n+1) + beta_n h_(n-1) with beta_n = q (1 - q^n) / q^(2n)
+    # at y = 1, so <x h_n, h_(n+1)> read from both sides gives
+    # lead_n d_(n+1) = beta_(n+1) d_n: the closed-form constants against the
+    # recurrence's own leading factors, at every degree up to 38
+    with mp.workdps(dps):
+        p = QParams(mpf(q), mpf(alpha))
+        rows = polyfam._recurrence_table(p.q, p.alpha)[1].upto(37)
+        d = [orthogonality_rhs(n, p) for n in range(39)]
+        for n in range(38):
+            beta = p.q * (1 - qpow(p.q, n + 1)) / qpow(p.q, 2 * (n + 1))
+            lead = rows[n][0]
+            assert abs(lead * d[n + 1] - beta * d[n]) \
+                <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
