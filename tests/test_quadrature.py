@@ -1,6 +1,7 @@
 """Bilateral Jackson sums and the discrete orthogonality relation."""
 
 from collections import Counter
+from itertools import count, islice
 
 import pytest
 from mpmath import mp, mpf
@@ -416,3 +417,67 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
             lead = rows[n][0]
             assert abs(lead * d[n + 1] - beta * d[n]) \
                 <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
+
+
+def _mpf_walk(p, w_one, step):
+    """`quadrature._walk` as the loop on mpf values that it runs on raw
+    libmp values: the reference for its bits."""
+    q, alpha = p.q, p.alpha
+    c, lead = qpow(q, -2 * alpha - 1), qpow(q, 2 * alpha + 2)
+    k, xk, mk = 0, mpf(1), w_one
+    while True:
+        yield k, xk, mk
+        x_next = qpow(q, k + step)
+        if step > 0:
+            mk = mk * lead * (1 + c * xk * xk)
+        else:
+            mk = mk / (lead * (1 + c * x_next * x_next))
+        k, xk = k + step, x_next
+
+
+def _mpf_small_x_tail(k, p, even, floor):
+    """One call of `quadrature._small_x_tail`'s closure as the loop on mpf
+    values, with mp.fsum, that it runs on raw libmp values."""
+    q, alpha = p.q, p.alpha
+    u = qpow(q, 2 * k)
+    z = qpow(q, -2 * alpha - 1) * u
+    r = z / (1 - q * q)
+    lead = qpow(q, 2 * alpha + 2)
+    start = qpow(lead, k)
+    even = [e * qpow(u, l) for l, e in enumerate(even)]
+    total, d = mpf(0), [mpf(1)]
+    for i in count():
+        power = qpow(q, 2 * i)
+        if i:
+            d.append(d[-1] * -z / (1 - power))
+        front = start / (1 - lead * power)
+        span = range(max(0, i - len(even) + 1), i + 1)
+        total += front * mp.fsum(even[i - j] * d[j] for j in span)
+        if (i + 1 >= len(even) and front * r / (1 - r)
+                * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
+            return total
+
+
+@pytest.mark.parametrize("q, alpha, k", [("0.3", "-0.9", 13), ("0.7", "2.5", 40),
+                                         ("0.22", "1.3", 9)])
+def test_raw_walk_and_small_x_tail_give_the_mpf_loops_bits(q, alpha, k):
+    p = QParams(mpf(q), mpf(alpha))
+    with mp.workdps(70):
+        w_one = orthogonality_weight(1, p)
+        for step in (-1, 1):
+            raw = islice(quadrature._walk(p, w_one, step), 60)
+            ref = islice(_mpf_walk(p, w_one, step), 60)
+            assert [(j, x._mpf_, m._mpf_) for j, x, m in raw] == \
+                [(j, x._mpf_, m._mpf_) for j, x, m in ref]
+        # calls in turn on one closure: later ones read the factors the
+        # earlier ones grew, and the short one reads a prefix of them.  The
+        # coefficient of x^(2l) is scaled by x_k^(-2l), so that every power
+        # of x_k^2 reaches the last bits of the sum
+        tail = quadrature._small_x_tail(k, p, 1000)
+        u = qpow(p.q, 2 * k)
+        for coeffs, digits in (([2], 80), ([3, -mpf(1) / 7, 5], 80),
+                               ([mpf(1) / 3, 2], 40), ([-2], 90)):
+            even = [a / qpow(u, l) for l, a in enumerate(coeffs)]
+            floor = mpf(10) ** -digits
+            assert tail(even, floor)._mpf_ == \
+                _mpf_small_x_tail(k, p, even, floor)._mpf_, (coeffs, digits)
