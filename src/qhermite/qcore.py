@@ -31,7 +31,8 @@ from threading import Lock
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, mpf_abs, mpf_lt, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fone, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt,
+                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
 from .scalars import GUARD_BITS, Numeric, is_exact, qpow, to_mpf, unify
@@ -183,40 +184,43 @@ class _Rows(list):
 
 
 def _infinite_product(value, q, trunc: Optional[Truncation] = None):
-    """(a; q)_infinity.
+    """(a; q)_infinity: a short product, then Euler's series for the rest.
 
-    The loop prod *= 1 - a q^j stops once |a q^(j+1)| falls below trunc's
-    tail tolerance.  It runs on raw libmp values with the operations, order
-    and rounding of the plain mpf loop at the ambient precision, so it is
-    bit for bit the same, and a q^j serves both the factor and the next tail
-    test: round-to-nearest is symmetric in sign, so |a q^j| rounded is
-    |a| q^j rounded whenever |a| is exact at this precision.
-
-    Raw libmp is kept for speed alone: the same loop on mpf values, bit for
-    bit equal, made `orthogonality --n 4` and `--n 2` items about 20-50%
-    slower, since mpf wrapping dominates a product of tens of factors.
+    The factors 1 - a q^j are multiplied while |a q^j| >= (1 - q)/2.  The
+    rest, (z; q)_inf at z = a q^J, is Euler's sum
+    sum_k (-1)^k q^C(k,2) z^k / (q;q)_k, each term the last times
+    -z q^k / (1 - q^(k+1)), a ratio of at most 1/2: no term cancels, the sum
+    is above 1/2 and the rest after a term is at most that term.  The sum
+    stops at the first term of at most half of trunc's tail tolerance, read
+    at the caller's precision, so what it drops is below tail_tol times the
+    sum.  Both parts run on raw libmp values GUARD_BITS above mp.prec and
+    are rounded to mp.prec once, at the end.  max_terms counts the factors
+    and the series terms together.
     """
     tr = trunc or Truncation()
     tail = tr.effective_tail_tol()
-    limit, prec = tail._mpf_, mp.prec
+    out, prec, rnd = mp.prec, mp.prec + GUARD_BITS, round_nearest
+    limit = mpf_shift(tail._mpf_, -1)
     step = to_mpf(q)._mpf_
-    a = to_mpf(value)._mpf_
-    a_abs = mpf_abs(a, prec, round_nearest)  # abs() rounds to prec
-    exact = a_abs == mpf_abs(a)
-    prod = power = fone  # power = q^j
-    a_q = mpf_mul(a, fone, prec, round_nearest)
-    for _ in range(tr.max_terms):
-        prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, round_nearest),
-                       prec, round_nearest)
-        power = mpf_mul(power, step, prec, round_nearest)
-        a_q = mpf_mul(a, power, prec, round_nearest)
-        size = (mpf_abs(a_q) if exact
-                else mpf_mul(a_abs, power, prec, round_nearest))
-        if mpf_lt(size, limit):
-            return mp.make_mpf(prod)
+    gap = mpf_shift(mpf_sub(fone, step, prec, rnd), -1)  # (1 - q)/2
+    a_q = to_mpf(value)._mpf_  # a q^j, then z q^k = a q^(J+k)
+    prod, budget = fone, tr.max_terms
+    while budget and not mpf_lt(mpf_abs(a_q), gap):
+        prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, rnd), prec, rnd)
+        a_q = mpf_mul(a_q, step, prec, rnd)
+        budget -= 1
+    total = term = power = fone  # power = q^(k+1) after its update
+    for _ in range(budget):
+        power = mpf_mul(power, step, prec, rnd)
+        term = mpf_div(mpf_mul(term, mpf_neg(a_q), prec, rnd),
+                       mpf_sub(fone, power, prec, rnd), prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
+        a_q = mpf_mul(a_q, step, prec, rnd)
+        if mpf_le(mpf_abs(term), limit):
+            return mp.make_mpf(mpf_mul(prod, total, out, rnd))
     raise ConvergenceError(
         "(a;q)_inf did not meet tail_tol=%s within max_terms=%d "
-        "(|a q^k|=%s)" % (tail, tr.max_terms, mp.make_mpf(size)))
+        "(|a q^k|=%s)" % (tail, tr.max_terms, mp.make_mpf(mpf_abs(a_q))))
 
 
 def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):

@@ -6,10 +6,14 @@ uses them, and each checks one library function by another route.
 """
 
 import random
+import re
 import sys
 import threading
 from fractions import Fraction as F
+from functools import partial
+from itertools import count
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -142,24 +146,22 @@ def test_pochhammer_max_terms_exhausted():
                      trunc=Truncation(max_terms=10))
 
 
-def reference_infinite_product(a, q, trunc=None):
-    """(a; q)_inf by the one-value mpf loop the shared kernel replaced."""
-    a, q = to_mpf(a), to_mpf(q)
-    tr = trunc or Truncation()
-    tail = (mpf(10) ** -(mp.dps + 10) if tr.tail_tol is None
-            else to_mpf(tr.tail_tol))
-    prod = mpf(1)
-    power = mpf(1)  # q^k
-    for _ in range(tr.max_terms):
-        factor = 1 - a * power
-        prod *= factor
-        power *= q
-        if abs(a) * power < tail:
-            return prod
-    raise ConvergenceError(
-        "(a;q)_inf did not meet tail_tol=%s within max_terms=%d (|a q^k|=%s)"
-        % (tail, tr.max_terms, abs(a) * power)
-    )
+def qp_oracle(a, q):
+    """(a; q)_inf by mpmath.qp at 120 digits, 40 above the most the tests
+    ask.  The factors down to |a q^j| < 1 go to mpmath's finite product,
+    because its infinite one returns 0 for (-2^800; 1/4)_inf."""
+    with mp.workdps(120):
+        j = 0
+        while abs(a) * q ** j >= 1:
+            j += 1
+        return mpmath.qp(a, q, j) * mpmath.qp(a * q ** j, q, maxterms=10 ** 6)
+
+
+def _ulps(got, exact):
+    """|got - exact| in units of the last place of exact at mp.prec."""
+    ulp = mpf(2) ** (mp.frexp(exact)[1] - mp.prec)
+    with mp.workdps(120):
+        return abs(got - exact) / ulp
 
 
 def _wide(num, den):
@@ -168,39 +170,110 @@ def _wide(num, den):
         return mpf(num) / den - mpf(10) ** -110
 
 
-def test_infinite_products_bit_identical_to_one_value_loop():
-    q = mpf("0.25")  # (a; q^2) at q = 0.5, as on the orthogonality lattice
+def _infinite_product_cases():
+    rng = random.Random(20191)
+    cases = [(mpf(rng.uniform(0.02, 0.97)),
+              rng.choice((-1, 1)) * mpf(10) ** rng.uniform(-3, 3))
+             for _ in range(16)]
+    cases += [(mpf(q), mpf(a)) for q, a in (("0.9", "-7.5"), ("0.93", "0.8"),
+                                            ("0.97", "3.1"), ("0.5", "0"))]
     wide = _wide(1, 3)
-    assert wide.man.bit_length() > mp.prec
-    values = [mpf("0.3"), mpf("-0.7"), mpf(0),
-              -mpf(2) ** 800,  # -q^(-2a-1) x^2 at x = 2^399, alpha = 0.5
-              wide, -wide, mpf(1) / 7]
-    want = [reference_infinite_product(a, q) for a in values]
-    assert [_infinite_product(a, q)._mpf_ for a in values] == \
-        [w._mpf_ for w in want]
-    assert [q_pochhammer(a, q, None)._mpf_ for a in values] == \
-        [w._mpf_ for w in want]
-    # one factor only: it rounds a*1 to the working precision first
-    tiny = mpf(10) ** -60
-    assert _infinite_product(wide, tiny)._mpf_ == (1 - +wide)._mpf_
+    cases += [(mpf("0.25"), a) for a in (-mpf(2) ** 800, wide, -wide,
+                                         _wide(72, 997), mpf(1) / 7)]
+    return cases
 
 
-@pytest.mark.parametrize("a", ["0.9999", _wide(72, 997)],
-                         ids=["0.9999", "wide"])
-def test_infinite_products_max_terms_message_unchanged(a):
-    # at a = 72/997 with more bits than 50 digits hold, abs(a) rounds a
-    # before the tail product, which shows in the last printed digit of
-    # |a q^k| (...981183, where |a q^k| rounded would print ...981184)
-    a = mpf(a) if isinstance(a, str) else a
-    q = mpf("0.999999")
-    trunc = Truncation(max_terms=10)
-    with pytest.raises(ConvergenceError) as want:
-        reference_infinite_product(a, q, trunc)
-    for call in (lambda: q_pochhammer(a, q, None, trunc=trunc),
-                 lambda: _infinite_product(a, q, trunc)):
+def test_infinite_products_within_one_ulp_of_qp():
+    # -2^800 is -q^(-2a-1) x^2 at x = 2^399, alpha = 0.5 in base q^2 = 1/4;
+    # the _wide operands have more bits than any of these precisions hold
+    cases = _infinite_product_cases()
+    assert _wide(1, 3).man.bit_length() > 80 * 3.33 + GUARD_BITS
+    exact = [qp_oracle(a, q) for q, a in cases]
+    for dps in (50, 70, 80):
+        with mp.workdps(dps):
+            for (q, a), want in zip(cases, exact):
+                got = _infinite_product(a, q)
+                assert _ulps(got, want) <= 1, (dps, q, a)
+                assert q_pochhammer(a, q, None)._mpf_ == got._mpf_
+
+
+def test_infinite_product_keeps_a_zero_factor_exact():
+    # 1 - a q^j = 0 at j = 2 and at j = 0: the product is exactly 0
+    for a, q in ((4, "0.5"), (16, "0.25"), (1, "0.9")):
+        assert _infinite_product(mpf(a), mpf(q)) == 0
+        assert q_pochhammer(mpf(a), mpf(q), None) == 0
+
+
+def _series_terms(tail):
+    """The most terms Euler's series for the rest can take: term k is at most
+    2^-k / k! in size, since |z| < (1 - q)/2 and 1 - q^i >= i (1 - q) q^(i-1),
+    and the sum stops at the first term of at most tail/2."""
+    k, term = 1, mpf(1) / 2
+    while term > tail / 2:
+        k += 1
+        term /= 2 * k
+    return k
+
+
+def _factors(a, q):
+    """How many factors 1 - a q^j have |a q^j| >= (1 - q)/2."""
+    j = 0
+    while abs(a) * q ** j >= (1 - q) / 2:
+        j += 1
+    return j
+
+
+@pytest.mark.parametrize("q, a", [("0.99", "-40"), ("0.999", "0.5")])
+def test_infinite_product_terms_are_bounded_near_q_one(q, a):
+    # the plain product runs until |a q^j| < 10^-60: about 13,700 factors
+    # at q = 0.99 and 138,000 at q = 0.999 for a = 0.5
+    q, a = mpf(q), mpf(a)
+    budget = _factors(a, q) + 1 + _series_terms(mpf(10) ** -(mp.dps + 10))
+    assert budget < 8_000
+    got = _infinite_product(a, q, Truncation(max_terms=budget))
+    if q < mpf("0.995"):  # mpmath's product of 30,000 factors, else 300,000
+        assert _ulps(got, qp_oracle(a, q)) <= 1
+
+
+def _terms_needed(a, q, tail_tol=None):
+    """The least max_terms at which (a; q)_inf meets its tail tolerance."""
+    for cap in count(1):
+        try:
+            _infinite_product(a, q, Truncation(max_terms=cap, tail_tol=tail_tol))
+        except ConvergenceError:
+            continue
+        return cap
+
+
+def test_infinite_product_honours_the_callers_tail_tol():
+    # a stop rule read from the caller's tail_tol: within it, in fewer terms
+    # than the default 10^-60 at 50 digits takes
+    tol = mpf("1e-20")
+    for q, a in ((mpf("0.5"), mpf("0.3")), (mpf("0.9"), mpf("-2.5"))):
+        got = _infinite_product(a, q, Truncation(tail_tol=tol))
+        want = qp_oracle(a, q)
+        with mp.workdps(120):
+            assert 0 < abs(got - want) <= tol * abs(want)
+        assert _terms_needed(a, q, tol) < _terms_needed(a, q)
+
+
+@pytest.mark.parametrize("q, a, cap", [("0.999999", "0.9999", 10),
+                                       ("0.5", "0.3", 5)],
+                         ids=["factors", "series"])
+def test_infinite_products_max_terms_message(q, a, cap):
+    # exhausted among the factors or in Euler's series: the message names
+    # tail_tol, the cap and the next |a q^k|, at k = the cap either way
+    q, a = mpf(q), mpf(a)
+    for call in (partial(q_pochhammer, a, q, None),
+                 partial(_infinite_product, a, q)):
         with pytest.raises(ConvergenceError) as got:
-            call()
-        assert str(got.value) == str(want.value)
+            call(trunc=Truncation(max_terms=cap))
+        match = re.fullmatch(
+            r"\(a;q\)_inf did not meet tail_tol=(\S+) within "
+            r"max_terms=%d \(\|a q\^k\|=(\S+)\)" % cap, str(got.value))
+        assert match, str(got.value)
+        assert mpf(match[1]) == mpf(10) ** -(mp.dps + 10)
+        assert abs(mpf(match[2]) / (a * q ** cap) - 1) < mpf(10) ** -45
 
 
 @given(a=reals, q=qs, n=st.integers(min_value=0, max_value=12))
