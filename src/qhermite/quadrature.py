@@ -100,8 +100,12 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
       2 q^(-n^2) (1-q) (-q, -q, q^2; q^2)_inf
         / (-q^(-2a-1), -q^(2a+3), q^(2a+2); q^2)_inf
         * (q;q)_n^2 / (q;q)_{n,alpha}.
+
+    It opens a shared-value scope, so its products and tables are kept and
+    a call at the same (q, alpha), precision and truncation reads them.
     """
-    return _rhs_by_degree(p, trunc)(n)
+    with shared_scope():
+        return _rhs_by_degree(p, trunc)(n)
 
 
 def _coefficients(n: int, p: QParams) -> list:

@@ -419,6 +419,19 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
                 <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
 
 
+def test_public_rhs_keeps_its_products(monkeypatch):
+    # one degree at a time, the public constant reads the five products
+    # (one tuple of three and two more) its first call kept
+    calls = []
+    product = qcore._infinite_product
+    monkeypatch.setattr(qcore, "_infinite_product",
+                        lambda *a: calls.append(a) or product(*a))
+    p = QParams(mpf("0.7"), mpf("2.5"))
+    first = [orthogonality_rhs(n, p)._mpf_ for n in range(39)]
+    assert [orthogonality_rhs(n, p)._mpf_ for n in range(39)] == first
+    assert len(calls) <= 5
+
+
 def _mpf_walk(p, w_one, step):
     """`quadrature._walk` as the loop on mpf values that it runs on raw
     libmp values: the reference for its bits."""
