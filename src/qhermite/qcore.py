@@ -4,7 +4,9 @@ q-shifted factorials (finite and infinite), the parity-indexed generalized
 q-shifted factorial, Hahn's q-addition powers, and the Truncation budget
 every infinite sum and product reads.  Everything downstream (series,
 polynomial families, identity checks) is assembled from these; the finite
-(a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`.
+(a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`,
+and (a;q)_inf reads `_infinite_product`: the factors down to
+|a q^j| < (1 - q)/2, then Euler's series for the rest, rounded once.
 
 A shared-value scope (`shared_scope`) lets a caller that evaluates many
 checks at one (q, alpha) compute each finite table, real power and infinite
@@ -227,8 +229,8 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
     """q-shifted factorial (a; q)_n.
 
     (a;q)_0 = 1, (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), and n=None gives
-    (a;q)_infinity, truncated once the next factor differs from 1 by
-    less than trunc's tail tolerance.  `a` may be a tuple, meaning the
+    (a;q)_infinity to within trunc's tail tolerance times its size
+    (`_infinite_product`).  `a` may be a tuple, meaning the
     product of the individual shifted factorials (a1, ..., am; q)_n.
     """
     if isinstance(a, tuple):

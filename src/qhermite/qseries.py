@@ -183,7 +183,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
 def _float_sum(q, z, upper, lower, n_term, power_exponent, tr) -> SeriesValue:
     """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
     the operations, order and rounding of the exact loop run on mpf values
-    at mp.prec (with CompensatedSum for the sum), so bit for bit the same.
+    at mp.prec with one Kahan step per term, so bit for bit the same.
     It stops at n_term, else once a term and the geometric bound on the
     rest after it are both below the tail tolerance."""
     prec, rnd = mp.prec, round_nearest
