@@ -32,6 +32,10 @@ CASES = {
     "orthogonality_tail_tol.json": ("--format", "json", "--tail-tol", "1e-40",
                                     "orthogonality", "--n", "3", "--q", "0.7",
                                     "--alpha", "2.5"),
+    # q near 1: long walks, and products of a few dozen factors and series
+    # terms where the plain product takes hundreds
+    "orthogonality_q_near_one.txt": ("orthogonality", "--n", "3", "--q", "0.9",
+                                     "--alpha", "0.5"),
     # one pair of odd n + m: no sum, lhs = 0, and the walk's terms count
     "orthogonality_odd_pair.txt": ("orthogonality", "--n", "1", "--m", "0",
                                    "--q", "0.5", "--alpha", "0.5"),
