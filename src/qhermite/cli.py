@@ -36,13 +36,13 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, QHermiteError
 from .identities import (
-    DEFAULT_GRID,
     IDENTITY_IDS,
     IdentityGrid,
     run_identity_suite,
     summarize_reports,
 )
 from .polyfam import (
+    _check_degree,
     discrete_q_hermite2,
     gdqh2,
     mu_hermite,
@@ -195,15 +195,10 @@ def _params_from(args) -> QParams:
 
 def _family(args):
     """The evaluator of args.family, the representation it uses and the
-    parameters it reads.
-
-    Every numeric flag is read first, whether the family uses it or not, so
-    an out-of-range --q or a malformed --mu exits 2 for every family.
-    """
+    parameters it reads.  --q and --alpha are checked for every family, so
+    an out-of-range one exits 2 whether the family reads it or not."""
     evaluate, reps, reads = _FAMILIES[args.family]
     _params_from(args)
-    mpf(args.y)
-    mpf(args.mu)
     rep = args.rep or reps[0]
     if rep not in reps:
         raise DomainError("%s evaluates with %s: got rep %r"
@@ -278,16 +273,13 @@ def _finish_reports(reports, cfg: RunConfig) -> int:
 def cmd_check(args, cfg: RunConfig) -> int:
     if args.n_max is not None and args.n_max < 0:
         raise DomainError("n_max must be >= 0: got %d" % args.n_max)
-    grid = IdentityGrid(
-        q_values=tuple(args.q) if args.q else DEFAULT_GRID.q_values,
-        alpha_values=tuple(args.alpha) if args.alpha else DEFAULT_GRID.alpha_values,
-        n_values=tuple(range(args.n_max + 1)) if args.n_max is not None
-                 else DEFAULT_GRID.n_values,
-        x_values=tuple(args.x) if args.x else DEFAULT_GRID.x_values,
-        y_values=tuple(args.y) if args.y else DEFAULT_GRID.y_values,
-        omega_values=tuple(args.omega) if args.omega else DEFAULT_GRID.omega_values,
-        t_values=tuple(args.t) if args.t else DEFAULT_GRID.t_values,
-    )
+    # only the flags given; IdentityGrid's defaults fill the rest
+    given = {name + "_values": tuple(getattr(args, name))
+             for name in ("q", "alpha", "x", "y", "omega", "t")
+             if getattr(args, name)}
+    if args.n_max is not None:
+        given["n_values"] = tuple(range(args.n_max + 1))
+    grid = IdentityGrid(**given)
     # validate grid parameters up front so bad values exit 2, not 1
     for qs in grid.q_values:
         for al in grid.alpha_values:
@@ -310,8 +302,7 @@ def cmd_orthogonality(args, cfg: RunConfig) -> int:
         reports = [orthogonality_check(args.n, args.m, params, tol=tol,
                                        trunc=_truncation(cfg))]
     else:
-        if args.n < 0:
-            raise DomainError("degree n must be >= 0: got %d" % args.n)
+        _check_degree(args.n)
         reports = orthogonality_gram(args.n, params, tol=tol,
                                      trunc=_truncation(cfg))
     return _finish_reports(reports, cfg)

@@ -127,11 +127,20 @@ def default_identity_tol():
     return mpf(10) ** (-(mp.dps // 2))
 
 
-def _work_digits(kind: str, n: int, q) -> int:
-    """Guard digits for a check dominated by cancellation of size q^(-c n^2)."""
-    grow = mp.log10(1 / to_mpf(q))
-    c = {"poly": 0.5, "cancel": 1.0}[kind]
-    return int(mp.dps + mp.ceil(c * n * n * grow) + 30)
+def _tolerance(tol) -> mpf:
+    """A check's tolerance: tol as an mpf, else default_identity_tol()."""
+    return to_mpf(tol) if tol is not None else default_identity_tol()
+
+
+def _work_digits(kind: str, n: int = 0, q=None) -> int:
+    """The ambient digits plus a margin, plus c n^2 log10(1/q) guard digits
+    for a sum whose terms cancel from size q^(-c n^2): kind "poly" (the
+    forms and the recurrence), "cancel" (connection and inversion), "gf"
+    (the generating functions) or "sweep" (the orthogonality sweep)."""
+    c, margin = {"poly": (0.5, 30), "cancel": (1.0, 30), "gf": (0, 30),
+                 "sweep": (0, 20)}[kind]
+    grow = mp.ceil(c * n * n * mp.log10(1 / to_mpf(q))) if c else 0
+    return int(mp.dps + grow + margin)
 
 
 def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
@@ -193,7 +202,7 @@ def check_representations(n: int, p: QParams, x, y,
     y < 0, outside its real-power domain.
     """
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    tol = _tolerance(tol)
     forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
                                      ("representation_laguerre", "laguerre_form"))
              if _wanted(i) and (rep == "phi_form" or to_mpf(y) >= 0)]
@@ -207,7 +216,7 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
                      trunc: Optional[Truncation] = None) -> IdentityReport:
     """Three-term recurrence ladder vs the definition sum at degree n."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    tol = _tolerance(tol)
     with mp.workdps(kept(_work_digits, "poly", n, p.q)):
         lhs = _ladder(n, x, y, p)[n]
         return _report("recurrence", params, lhs, shared(gdqh2, n, x, y, p), tol, trunc)
@@ -246,7 +255,7 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     Hahn power above.
     """
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y, "omega": omega}
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
         x, y, omega, q = unify(x, y, omega, p.q)
         lhs = gdqh2(n, x, omega, p, trunc=trunc)
@@ -261,7 +270,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
       x^n = (q;q)_{n,alpha} sum_k q^(-2nk+3k^2) y^k
             / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y)."""
     params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
+    tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
         x, y, q = unify(x, y, p.q)
         lhs = qpow(x, n)
@@ -353,8 +362,8 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively."""
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(mp.dps + 30):
+    tol = _tolerance(tol)
+    with mp.workdps(_work_digits("gf")):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         lhs = euler_e(-y * t * t, q * q, trunc) * gen_E(x * t, p, trunc)
         rhs, used = _gf_series(copy(shared(_gf_terms, t, x, y, q, p)), trunc)
@@ -373,8 +382,8 @@ def check_even_odd_gf(t, x, y, p: QParams, tol=None,
     """
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(mp.dps + 30):
+    tol = _tolerance(tol)
+    with mp.workdps(_work_digits("gf")):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         trig = (q_cos_alpha, q_sin_alpha)
         return _parity_reports(("even_gf", "odd_gf"),
@@ -397,8 +406,8 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
     """
     params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
     note = _gf_domain(y, t)
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(mp.dps + 30):
+    tol = _tolerance(tol)
+    with mp.workdps(_work_digits("gf")):
         x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
         alpha = to_mpf(p.alpha)
         z = x * t
@@ -498,7 +507,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                 lhs=mp.nan, rhs=mp.nan,
                 abs_residual=mp.inf, rel_residual=mp.inf,
                 truncation=trunc or Truncation(),
-                tolerance=to_mpf(tol) if tol is not None else default_identity_tol(),
+                tolerance=_tolerance(tol),
                 passed=False, error=str(exc)) for i in ids)
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])

@@ -2,8 +2,9 @@
 generalized discrete q-Hermite II family and its relatives.
 
 The central object is gdqh2(n, x, y, params): degree n in x, with y the
-second (scaling) variable and params = (q, alpha).  Three representations
-are provided and must agree wherever they are all defined:
+second (scaling) variable and params = (q, alpha), 0 < q < 1 and alpha
+finite and > -1.  Three representations are provided and must agree
+wherever they are all defined:
 
   definition_sum   the defining double-indexed sum (total; the fallback)
   phi_form         prefactor * x^n * 2-phi-1(...; q^2, -y q^(2a+3)/x^2)
@@ -34,7 +35,8 @@ Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
 serves: the definition sum's terms (k, sign, den) (_gdqh2_terms, which
 connection, inversion and the quadrature also read), the phi form's and the
 Laguerre form's powers and prefactors (_phi_row, _laguerre_row) and
-q_laguerre's phi11 factors (_q_laguerre_row).  A row is computed by the
+q_laguerre's factors (_q_laguerre_row), which its phi11 and phi21 forms
+both read.  A row is computed by the
 form's own expressions in their order, so a row kept, built in a scope or
 built outside one gives the same bits; what holds the point (x^(n-2k), y^k,
 z and the phi sum) is computed by each call.
@@ -80,8 +82,13 @@ __all__ = [
 ]
 
 
+def _check_degree(n: int) -> None:
+    if n < 0:
+        raise DomainError("degree n must be >= 0: got %d" % n)
+
+
 def _q_laguerre_row(n: int, alpha, q) -> tuple:
-    """phi11's factors of (n, alpha, q) alone: q^-n, q^(alpha+1),
+    """q_laguerre's factors of (n, alpha, q) alone: q^-n, q^(alpha+1),
     -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n."""
     qa1 = qpow(q, alpha + 1)
     return (qpow(q, -n), qa1, -qpow(q, n) * qa1,
@@ -98,31 +105,23 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
     Note the phi21 argument is q^(n+a+1) alone; x enters only through the
     upper parameter -x.
     """
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
+    if rep not in ("phi11", "phi21"):
+        raise DomainError("rep must be 'phi11' or 'phi21': got %r" % rep)
     alpha, x, q = unify(alpha, x, q)
+    down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
     if rep == "phi11":
-        down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
-        series = phi((down,), (qa1,), q, step * x, terminate_at=n, trunc=trunc)
-        return front * series
-    if rep == "phi21":
-        series = phi(
-            (qpow(q, -n), -x),
-            (x - x,),
-            q,
-            qpow(q, n) * qpow(q, alpha + 1),
-            terminate_at=n,
-            trunc=trunc,
-        )
-        return series / q_pochhammer(q, q, n)
-    raise DomainError("rep must be 'phi11' or 'phi21': got %r" % rep)
+        return front * phi((down,), (qa1,), q, step * x, terminate_at=n,
+                           trunc=trunc)
+    # q^n q^(alpha+1) = -step exactly: rounding is symmetric in sign
+    return (phi((down, -x), (x - x,), q, -step, terminate_at=n, trunc=trunc)
+            / q_pochhammer(q, q, n))
 
 
 def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
     """Stieltjes-Wigert polynomial
     S_n(x; q) = 1/(q;q)_n * 1-phi-1(q^-n; 0; q, -q^(n+1) x)."""
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
     x, q = unify(x, q)
     series = phi(
         (qpow(q, -n),),
@@ -225,8 +224,7 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
     stricter: it takes the power (q^2)^(alpha+1), so exact inputs need an
     integer alpha (half-integers raise ExactBackendError).
     """
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
     if rep == "definition_sum":
         return _gdqh2_definition(n, x, y, params)
     if rep == "phi_form":
@@ -301,8 +299,7 @@ def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
 
 def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:
     """Values for all degrees 0..n at one point, via the recurrence."""
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
     return list(islice(gdqh2_recurrence_values(x, y, params), n + 1))
 
 
@@ -319,8 +316,7 @@ def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
     H_{2m}^(mu)(x;q)   = (-1)^m (q;q)_m L_m^(mu-1/2)(x^2; q)
     H_{2m+1}^(mu)(x;q) = (-1)^m (q;q)_m x L_m^(mu+1/2)(x^2; q)
     """
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
     mu, x, q = unify(mu, x, q)
     if not (to_mpf(mu) > -0.5):
         raise DomainError("mu must be > -1/2: got %s" % to_mpf(mu))
@@ -350,8 +346,7 @@ def rosenblum_hermite(n: int, mu, x):
 
     Normalized so that mu = 0 gives the physicists' Hermite polynomials H_n.
     """
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
+    _check_degree(n)
     mu, x = (to_mpf(v) for v in unify(mu, x))
     if not (mu >= 0):
         raise DomainError("mu must be >= 0: got %s" % mu)

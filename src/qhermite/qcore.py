@@ -18,8 +18,8 @@ once per operands, their types and mp.prec, and do nothing outside a scope.
 A finite table grows to the longest n asked, a shorter request reading its
 prefix, bit for bit the table built to that n.
 
-Conventions: 0 < q < 1 throughout, alpha > -1 where alpha appears, and the
-empty product is 1.
+Conventions: 0 < q < 1 throughout, alpha finite and > -1 where alpha
+appears, and the empty product is 1.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def _check_q(q) -> None:
 
 def _check_alpha(alpha) -> None:
     af = to_mpf(alpha)
-    if not (af > -1):
+    if not (-1 < af < mp.inf):
         raise DomainError("alpha out of range (-1, inf): got %s" % af)
 
 
 @dataclass(frozen=True)
 class QParams:
-    """Base q in (0,1) and family parameter alpha > -1.
+    """Base q in (0,1) and a finite family parameter alpha > -1.
 
     Either field may be an int/Fraction (exact backend) or an mpf.  The
     derived quantity q^(2*alpha+2) shows up in every generalized factorial;
@@ -197,15 +197,19 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     at the caller's precision, so what it drops is below tail_tol times the
     sum.  Both parts run on raw libmp values GUARD_BITS above mp.prec and
     are rounded to mp.prec once, at the end.  max_terms counts the factors
-    and the series terms together.
+    and the series terms together; a non-finite a raises DomainError before
+    the first factor.
     """
+    a = to_mpf(value)
+    if not mp.isfinite(a):
+        raise DomainError("(a;q)_inf needs a finite a: got a=%s" % a)
     tr = trunc or Truncation()
     tail = tr.effective_tail_tol()
     out, prec, rnd = mp.prec, mp.prec + GUARD_BITS, round_nearest
     limit = mpf_shift(tail._mpf_, -1)
     step = to_mpf(q)._mpf_
     gap = mpf_shift(mpf_sub(fone, step, prec, rnd), -1)  # (1 - q)/2
-    a_q = to_mpf(value)._mpf_  # a q^j, then z q^k = a q^(J+k)
+    a_q = a._mpf_  # a q^j, then z q^k = a q^(J+k)
     prod, budget = fone, tr.max_terms
     while budget and not mpf_lt(mpf_abs(a_q), gap):
         prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, rnd), prec, rnd)

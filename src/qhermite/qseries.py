@@ -12,11 +12,13 @@ parameter exactly q^(-m) inside that range is a pole.  Terminating series
 work on the exact backend, everything else runs on mpf.
 
 On top of it, each as phi_rs calls: Euler's small q-exponential e_q, the
-generalized big q-exponential (the sum of an even and an odd half, each a
-series in base q^2), Jackson's second q-Bessel function, and the generalized
-q-cosine / q-sine pair.  phi_rs holds the only summation loops: a plain one
-for the exact backend and, for mpf operands, one on raw libmp values that is
-bit for bit the same loop on mpf values with a compensated sum.  A
+generalized big q-exponential, the generalized q-cosine / q-sine pair and
+Jackson's second q-Bessel function.  The big q-exponential's even and odd
+halves, 0-phi-1 series in base q^2, and the q-cosine and q-sine, the same
+halves with alternating signs, are one helper, _parity_half; alpha is
+finite and > -1 (QParams).  phi_rs holds the only summation loops: a plain
+one for the exact backend and, for mpf operands, one on raw libmp values
+that is bit for bit the same loop on mpf values with a compensated sum.  A
 non-terminating sum stops at the tail tolerance of its Truncation, taken at
 the precision the sum runs at.
 """
@@ -37,7 +39,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import QParams, Truncation, q_pochhammer
+from .qcore import QParams, Truncation, _check_q, q_pochhammer
 from .scalars import (
     Numeric,
     is_exact,
@@ -87,9 +89,7 @@ class PhiSpec:
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(self.upper))
         object.__setattr__(self, "lower", tuple(self.lower))
-        qf = to_mpf(self.q)
-        if not (0 < qf < 1):
-            raise DomainError("q out of range (0,1): got %s" % qf)
+        _check_q(self.q)
         if self.terminate_at is not None and self.terminate_at < 0:
             raise DomainError(
                 "terminate_at must be >= 0: got %s" % self.terminate_at
@@ -250,23 +250,25 @@ def euler_e(x, q, trunc: Optional[Truncation] = None):
     return phi((mpf(0),), (), q, x, trunc=trunc)
 
 
-def _base_q2(x, params: QParams):
-    """x, q, b = q^(2a+2) and b q^2 as mpf: the series in base q^2 built on
-    them are infinite, so exact inputs go to the float backend."""
+def _parity_half(half: int, sign: int, x, params: QParams, trunc):
+    """The even (half 0) or odd (half 1) terms of sum_k sign^(k//2)
+    q^C(k,2) x^k / (q;q)_{k,alpha}, sign = +-1, with b = q^(2a+2):
+      half 0: 0-phi-1(-; b; q^2, sign q x^2)
+      half 1: x/(1-b) * 0-phi-1(-; b q^2; q^2, sign q^3 x^2),
+    on the float backend: the series are infinite."""
     x, q, alpha = (to_mpf(v) for v in unify(x, params.q, params.alpha))
-    return x, q, qpow(q, 2 * alpha + 2), qpow(q, 2 * alpha + 4)
+    b = qpow(q, 2 * alpha + 2)
+    if not half:
+        return phi((), (b,), q * q, sign * q * x * x, trunc=trunc)
+    return x / (1 - b) * phi((), (qpow(q, 2 * alpha + 4),), q * q,
+                             sign * q ** 3 * x * x, trunc=trunc)
 
 
 def gen_E(x, params: QParams, trunc: Optional[Truncation] = None):
-    """Generalized big q-exponential sum_k q^C(k,2) x^k / (q;q)_{k,alpha}.
-    Entire in x; at alpha=-1/2 it reduces to E_q(x) = (-x; q)_inf.
-
-    Its even and odd halves, with b = q^(2a+2):
-      0-phi-1(-; b; q^2, q x^2) + x/(1-b) * 0-phi-1(-; b q^2; q^2, q^3 x^2).
-    """
-    x, q, b, bq2 = _base_q2(x, params)
-    return (phi((), (b,), q * q, q * x * x, trunc=trunc)
-            + x / (1 - b) * phi((), (bq2,), q * q, q ** 3 * x * x, trunc=trunc))
+    """Generalized big q-exponential sum_k q^C(k,2) x^k / (q;q)_{k,alpha},
+    its two halves at sign +1; at alpha=-1/2 it is E_q(x) = (-x; q)_inf."""
+    return (_parity_half(0, 1, x, params, trunc)
+            + _parity_half(1, 1, x, params, trunc))
 
 
 def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
@@ -279,8 +281,7 @@ def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
     unless nu is a nonnegative integer; z = 0 returns the limit value.
     """
     nu, z, q = (to_mpf(v) for v in unify(nu, z, q))
-    if not (0 < q < 1):
-        raise DomainError("q out of range (0,1): got %s" % q)
+    _check_q(q)
     nu_int = mp.isint(nu)
     if z < 0 and not nu_int:
         raise DomainError(
@@ -303,13 +304,11 @@ def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
 
 def q_cos_alpha(x, params: QParams, trunc: Optional[Truncation] = None):
     """Generalized q-cosine sum_n (-1)^n q^(n(2n-1)) x^(2n) / (q;q)_{2n,alpha},
-    summed as 0-phi-1(-; q^(2a+2); q^2, -q x^2)."""
-    x, q, b, _ = _base_q2(x, params)
-    return phi((), (b,), q * q, -q * x * x, trunc=trunc)
+    the even half of gen_E's series with sign -1 (_parity_half)."""
+    return _parity_half(0, -1, x, params, trunc)
 
 
 def q_sin_alpha(x, params: QParams, trunc: Optional[Truncation] = None):
     """Generalized q-sine sum_n (-1)^n q^(n(2n+1)) x^(2n+1) / (q;q)_{2n+1,alpha},
-    summed as x/(1-q^(2a+2)) * 0-phi-1(-; q^(2a+4); q^2, -q^3 x^2)."""
-    x, q, b, bq2 = _base_q2(x, params)
-    return x / (1 - b) * phi((), (bq2,), q * q, -(q ** 3) * x * x, trunc=trunc)
+    the odd half of gen_E's series with sign -1 (_parity_half)."""
+    return _parity_half(1, -1, x, params, trunc)

@@ -56,7 +56,7 @@ from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add,
                           mpf_shift, mpf_sub, mpf_sum, round_nearest)
 
 from .errors import ConvergenceError, DomainError, EvaluationError
-from .identities import IdentityReport, residuals, default_identity_tol
+from .identities import IdentityReport, _tolerance, _work_digits, residuals
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
 from .qcore import (QParams, Truncation, gen_q_shifted_factorial, kept,
                     q_pochhammer, shared_scope)
@@ -196,8 +196,8 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
     """
     if not pairs:
         return []
-    tol = to_mpf(tol) if tol is not None else default_identity_tol()
-    with mp.workdps(mp.dps + 20), shared_scope():
+    tol = _tolerance(tol)
+    with mp.workdps(_work_digits("sweep")), shared_scope():
         prec, rnd = mp.prec, round_nearest
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()

@@ -82,6 +82,8 @@ def test_qparams_validation():
         QParams(mpf(0), mpf(0))
     with pytest.raises(DomainError, match="alpha out of range"):
         QParams(mpf("0.5"), mpf(-1))
+    with pytest.raises(DomainError, match=r"alpha out of range \(-1, inf\)"):
+        QParams(mpf("0.5"), mpf("inf"))
 
 
 def test_truncation_validation():
@@ -144,6 +146,14 @@ def test_pochhammer_max_terms_exhausted():
     with pytest.raises(ConvergenceError):
         q_pochhammer(mpf("0.9999"), mpf("0.999999"), None,
                      trunc=Truncation(max_terms=10))
+
+
+@pytest.mark.parametrize("a", ["inf", "-inf", "nan"])
+def test_pochhammer_infinite_rejects_a_non_finite_operand(a):
+    # told before the first factor, however large the budget
+    with pytest.raises(DomainError, match=r"needs a finite a: got a="):
+        q_pochhammer(mpf(a), mpf("0.5"), None,
+                     trunc=Truncation(max_terms=10 ** 9))
 
 
 def qp_oracle(a, q):
