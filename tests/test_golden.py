@@ -3,8 +3,8 @@
 Every printed digit is pinned: a change to the order of any check's
 arithmetic, its truncation or its working precision shows here.  Each file
 under golden/ is the stdout of `python3 -m qhermite.cli --no-timestamp` with
-the arguments listed below; rewrite one only for a deliberate change of
-output.
+the arguments listed below, which exits 0 unless EXIT says otherwise;
+rewrite one only for a deliberate change of output.
 """
 
 from pathlib import Path
@@ -39,6 +39,10 @@ CASES = {
     # one pair of odd n + m: no sum, lhs = 0, and the walk's terms count
     "orthogonality_odd_pair.txt": ("orthogonality", "--n", "1", "--m", "0",
                                    "--q", "0.5", "--alpha", "0.5"),
+    # one passing row and one error row (|y*t| >= 1): lhs = nan, exit 2
+    "check_gf_out_of_domain.txt": ("check", "generating_function", "--q", "0.4",
+                                   "--alpha", "0.6", "--x", "0.9", "--y", "0.6",
+                                   "--t", "0.2", "6.0"),
     "check_even_gf.txt": ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
                           "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
     # every family at its default representation
@@ -65,8 +69,11 @@ CASES = {
                                   "--alpha", "1.2", "--x", "0.8", "-1.5"),
 }
 
+# exit code per case, 0 unless listed
+EXIT = {"check_gf_out_of_domain.txt": 2}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, capsys):
-    assert main(["--no-timestamp", *CASES[name]]) == 0
+    assert main(["--no-timestamp", *CASES[name]]) == EXIT.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")

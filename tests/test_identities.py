@@ -21,6 +21,7 @@ from qhermite.identities import (
     check_inversion,
     check_recurrence,
     check_representations,
+    default_identity_tol,
     hermite_scaled_deviation,
     residuals,
     run_identity_suite,
@@ -316,6 +317,9 @@ def test_suite_single_identity_filter():
     for ident in IDENTITY_IDS[5:]:
         (row,) = run_identity_suite(ood, identity_id=ident)
         assert row.identity_id == ident and "|y*t| < 1" in row.error
+        # the fields a printed row does not show
+        assert row.truncation == Truncation()
+        assert row.tolerance == default_identity_tol()
     with pytest.raises(DomainError):
         run_identity_suite(grid, identity_id="no_such_identity")
 
