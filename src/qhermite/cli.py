@@ -42,7 +42,6 @@ from .identities import (
     summarize_reports,
 )
 from .polyfam import (
-    _check_degree,
     discrete_q_hermite2,
     gdqh2,
     mu_hermite,
@@ -50,7 +49,7 @@ from .polyfam import (
     rosenblum_hermite,
     stieltjes_wigert,
 )
-from .qcore import QParams, Truncation
+from .qcore import QParams, Truncation, _check_degree
 from .quadrature import orthogonality_check, orthogonality_gram
 from .scalars import fmt_scalar, to_mpf
 
@@ -129,14 +128,9 @@ def resolve_config(args) -> RunConfig:
             if k not in merged:
                 raise ValueError("unknown config key %r" % k)
             merged[k] = v
-    if getattr(args, "precision", None) is not None:
-        merged["precision"] = str(args.precision)
-    if getattr(args, "rel_tol", None) is not None:
-        merged["rel_tol"] = args.rel_tol
-    if getattr(args, "tail_tol", None) is not None:
-        merged["tail_tol"] = args.tail_tol
-    if getattr(args, "format", None) is not None:
-        merged["format"] = args.format
+    for k in ("precision", "rel_tol", "tail_tol", "format"):
+        if getattr(args, k, None) is not None:
+            merged[k] = str(getattr(args, k))
     if getattr(args, "no_timestamp", False):
         merged["timestamp"] = "false"
     timestamp = _BOOLEANS.get(merged["timestamp"].lower())
@@ -219,8 +213,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_table(args, cfg: RunConfig) -> int:
-    if args.n_max < 0:
-        raise DomainError("n_max must be >= 0: got %d" % args.n_max)
+    _check_degree(args.n_max, "n_max")
     evaluate, rep, _ = _family(args)
     digits = cfg.precision_digits
     rows = [{"n": str(n), "x": fmt_scalar(mpf(xs), digits),
@@ -255,24 +248,22 @@ def _finish_reports(reports, cfg: RunConfig) -> int:
             shown[v] = fmt_scalar(to_mpf(v), 8)
         return shown[v]
 
-    rows = [_report_row(r, cfg.precision_digits, param) for r in reports]
+    _emit_rows([_report_row(r, cfg.precision_digits, param) for r in reports],
+               cfg, sys.stdout)
     summary = summarize_reports(reports)
     if cfg.fmt == "human":
-        _emit_rows(rows, cfg, sys.stdout)
         sys.stdout.write(
             "summary: total=%d passed=%d failed=%d errors=%d\n"
             % (summary["total"], summary["passed"], summary["failed"],
                summary["errors"]))
-    else:
-        _emit_rows(rows, cfg, sys.stdout)
     if summary["errors"]:
         return 2
     return 0 if summary["all_passed"] else 1
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
-    if args.n_max is not None and args.n_max < 0:
-        raise DomainError("n_max must be >= 0: got %d" % args.n_max)
+    if args.n_max is not None:
+        _check_degree(args.n_max, "n_max")
     # only the flags given; IdentityGrid's defaults fill the rest
     given = {name + "_values": tuple(getattr(args, name))
              for name in ("q", "alpha", "x", "y", "omega", "t")
@@ -284,8 +275,8 @@ def cmd_check(args, cfg: RunConfig) -> int:
     for qs in grid.q_values:
         for al in grid.alpha_values:
             QParams(mpf(qs), mpf(al))
-    tol = mpf(cfg.rel_tol) if cfg.rel_tol is not None else None
-    reports = run_identity_suite(grid, tol=tol, trunc=_truncation(cfg),
+    reports = run_identity_suite(grid, tol=cfg.rel_tol,
+                                 trunc=_truncation(cfg),
                                  identity_id=args.identity)
     if not reports:
         raise DomainError(
@@ -296,15 +287,12 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_orthogonality(args, cfg: RunConfig) -> int:
-    params = _params_from(args)
-    tol = mpf(cfg.rel_tol) if cfg.rel_tol is not None else None
+    params, tol, trunc = _params_from(args), cfg.rel_tol, _truncation(cfg)
     if args.m is not None:
-        reports = [orthogonality_check(args.n, args.m, params, tol=tol,
-                                       trunc=_truncation(cfg))]
+        reports = [orthogonality_check(args.n, args.m, params, tol, trunc)]
     else:
         _check_degree(args.n)
-        reports = orthogonality_gram(args.n, params, tol=tol,
-                                     trunc=_truncation(cfg))
+        reports = orthogonality_gram(args.n, params, tol, trunc)
     return _finish_reports(reports, cfg)
 
 

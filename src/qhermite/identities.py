@@ -25,14 +25,17 @@ inside a block those two checks run at the ladder's digits at every n, so
 one set of alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree;
 both read the definition sum's terms row (polyfam._gdqh2_terms) at
 alpha = -1/2.
-Reports carry lhs, rhs and residuals at the working precision of the check,
-not rounded back to the ambient context: a printer that rounds them once to
-its own digits avoids rounding them twice.
+Every IdentityReport, the suite's error rows and the orthogonality sweep's
+included, is built by _report from parameters spelled by _params.  Reports
+carry lhs, rhs and residuals at the working precision of the check, not
+rounded back to the ambient context: a printer that rounds them once to its
+own digits avoids rounding them twice.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,9 +146,17 @@ def _work_digits(kind: str, n: int = 0, q=None) -> int:
     return int(mp.dps + grow + margin)
 
 
-def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
-    """A report against tol, as its public check resolved it up front."""
-    abs_r, rel_r = residuals(lhs, rhs)
+def _params(p: QParams, **point) -> dict:
+    """A report's parameters: q and alpha, then the point it was checked at."""
+    return {"q": p.q, "alpha": p.alpha, **point}
+
+
+def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note="",
+            residual=None, error=None):
+    """A report against tol, as its public check resolved it up front.  The
+    (absolute, relative) residual is residuals(lhs, rhs) unless the caller
+    sets its own; error is the message of a check that raised."""
+    abs_r, rel_r = residual if residual is not None else residuals(lhs, rhs)
     return IdentityReport(
         identity_id=identity_id,
         params=params,
@@ -158,6 +169,7 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note=""):
         passed=bool(rel_r <= tol),
         terms_used=terms_used,
         note=note,
+        error=error,
     )
 
 
@@ -201,7 +213,7 @@ def check_representations(n: int, p: QParams, x, y,
     Returns up to two reports; laguerre_form is skipped (not failed) when
     y < 0, outside its real-power domain.
     """
-    params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
+    params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
                                      ("representation_laguerre", "laguerre_form"))
@@ -215,7 +227,7 @@ def check_representations(n: int, p: QParams, x, y,
 def check_recurrence(n: int, p: QParams, x, y, tol=None,
                      trunc: Optional[Truncation] = None) -> IdentityReport:
     """Three-term recurrence ladder vs the definition sum at degree n."""
-    params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
+    params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     with mp.workdps(kept(_work_digits, "poly", n, p.q)):
         lhs = _ladder(n, x, y, p)[n]
@@ -254,7 +266,7 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     _descending_sum at omega, since (-1)^k (omega (+)_{q^2} -y)^k is the
     Hahn power above.
     """
-    params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y, "omega": omega}
+    params = _params(p, n=n, x=x, y=y, omega=omega)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
         x, y, omega, q = unify(x, y, omega, p.q)
@@ -269,7 +281,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     """Monomial expansion, _descending_sum at omega = 0:
       x^n = (q;q)_{n,alpha} sum_k q^(-2nk+3k^2) y^k
             / [(q^2;q^2)_k (q;q)_{n-2k}] * h_{n-2k}(x, y)."""
-    params = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
+    params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
         x, y, q = unify(x, y, p.q)
@@ -292,6 +304,19 @@ def _gf_domain(y, t):
             "|y*t| = %s, |y*t^2| = %s" % (mp.nstr(b1, 6), mp.nstr(b2, 6))
         )
     return "binding bound: %s" % ("|y*t|" if b1 >= b2 else "|y*t^2|")
+
+
+@contextmanager
+def _gf_frame(t, x, y, p: QParams, tol):
+    """The opening of a generating-function check, in this order: its
+    params, the domain note, tol resolved at the ambient digits, then the
+    working digits, at which x, y, t and q are taken as mpfs."""
+    params = _params(p, x=x, y=y, t=t)
+    note = _gf_domain(y, t)
+    tol = _tolerance(tol)
+    with mp.workdps(_work_digits("gf")):
+        x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
+        yield params, note, tol, x, y, t, q
 
 
 def _gf_series(terms: Iterable, trunc: Optional[Truncation]) -> tuple:
@@ -360,11 +385,7 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
                               ) -> IdentityReport:
     """Closed form e_{q^2}(-y t^2) * bigE_{q,alpha}(x t) against the series
     sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively."""
-    params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
-    note = _gf_domain(y, t)
-    tol = _tolerance(tol)
-    with mp.workdps(_work_digits("gf")):
-        x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
+    with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
         lhs = euler_e(-y * t * t, q * q, trunc) * gen_E(x * t, p, trunc)
         rhs, used = _gf_series(copy(shared(_gf_terms, t, x, y, q, p)), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
@@ -380,11 +401,7 @@ def check_even_odd_gf(t, x, y, p: QParams, tol=None,
 
     Returns (even_report, odd_report).
     """
-    params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
-    note = _gf_domain(y, t)
-    tol = _tolerance(tol)
-    with mp.workdps(_work_digits("gf")):
-        x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
+    with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
         trig = (q_cos_alpha, q_sin_alpha)
         return _parity_reports(("even_gf", "odd_gf"),
                                lambda half: trig[half](x * t, p, trunc=trunc),
@@ -404,11 +421,7 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
     Needs z > 0 unless alpha is an integer (real power z^-a).
     Returns (even_report, odd_report).
     """
-    params = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
-    note = _gf_domain(y, t)
-    tol = _tolerance(tol)
-    with mp.workdps(_work_digits("gf")):
-        x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
+    with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
         alpha = to_mpf(p.alpha)
         z = x * t
         q2 = q * q
@@ -502,13 +515,9 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
         try:
             got = check(*args)
         except (QHermiteError, ZeroDivisionError, OverflowError) as exc:
-            reports.extend(IdentityReport(
-                identity_id=i, params=params,
-                lhs=mp.nan, rhs=mp.nan,
-                abs_residual=mp.inf, rel_residual=mp.inf,
-                truncation=trunc or Truncation(),
-                tolerance=_tolerance(tol),
-                passed=False, error=str(exc)) for i in ids)
+            reports.extend(_report(i, params, mp.nan, mp.nan, _tolerance(tol),
+                                   trunc, residual=(mp.inf, mp.inf),
+                                   error=str(exc)) for i in ids)
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
@@ -526,7 +535,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             with shared_scope(_Block(asked, n_max, _work_digits("cancel", n_max, q))):
                 for x, y in product(xs, ys):
                     for n in grid.n_values:
-                        at = {"n": n, "q": p.q, "alpha": p.alpha, "x": x, "y": y}
+                        at = _params(p, n=n, x=x, y=y)
                         guard(("representation_phi", "representation_laguerre"), at,
                               check_representations, n, p, x, y, tol, trunc)
                         guard(("recurrence",), at, check_recurrence, n, p, x, y, tol, trunc)
@@ -535,7 +544,7 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                                   check_connection, n, p, x, y, omega, tol, trunc)
                         guard(("inversion",), at, check_inversion, n, p, x, y, tol, trunc)
                     for t in ts:
-                        at = {"q": p.q, "alpha": p.alpha, "x": x, "y": y, "t": t}
+                        at = _params(p, x=x, y=y, t=t)
                         guard(("generating_function",), at,
                               check_generating_function, t, x, y, p, tol, trunc)
                         guard(("even_gf", "odd_gf"), at,

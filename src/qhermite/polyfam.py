@@ -56,6 +56,7 @@ from .qcore import (
     QParams,
     Truncation,
     _Rows,
+    _check_degree,
     gen_q_shifted_factorial,
     _gen_q_shifted_prefix,
     _odd_lift,
@@ -80,11 +81,6 @@ __all__ = [
     "mu_hermite",
     "rosenblum_hermite",
 ]
-
-
-def _check_degree(n: int) -> None:
-    if n < 0:
-        raise DomainError("degree n must be >= 0: got %d" % n)
 
 
 def _q_laguerre_row(n: int, alpha, q) -> tuple:

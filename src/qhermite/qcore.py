@@ -55,6 +55,12 @@ def _check_q(q) -> None:
         raise DomainError("q out of range (0,1): got %s" % qf)
 
 
+def _check_degree(n: int, name: str = "degree n") -> None:
+    """The one non-negative-index rule: "<name> must be >= 0: got <n>"."""
+    if n < 0:
+        raise DomainError("%s must be >= 0: got %d" % (name, n))
+
+
 def _check_alpha(alpha) -> None:
     af = to_mpf(alpha)
     if not (-1 < af < mp.inf):
@@ -259,8 +265,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
 
 def parity_indicator(n: int) -> int:
     """1 for even n, 0 for odd n."""
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
+    _check_degree(n, "n")
     return 1 - (n & 1)
 
 
@@ -271,8 +276,7 @@ def _products(c, a, q, n: int, lift=1, point=False) -> list:
     c - a is 0 exactly when c = a.  Inside a shared scope one table per
     operands and precision grows to the longest n asked; it is `kept` unless
     point says that c or a holds a point (Hahn's x, y, omega), then `shared`."""
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
+    _check_degree(n, "n")
     table = (shared if point else kept)(_product_table, *unify(c, a, q, lift))
     return table.upto(n)[:n + 1]
 
@@ -330,8 +334,9 @@ def gen_q_shifted_factorial(n: int, params: QParams):
 
     At alpha = -1/2 it collapses to the plain (q;q)_n.
     """
-    if n < 0:
-        raise DomainError("n must be >= 0: got %d" % n)
+    # here, not only in _products: at exact q with 2 alpha not an integer,
+    # the prefix takes q^(2 alpha + 1), which the exact backend rejects
+    _check_degree(n, "n")
     return _gen_q_shifted_prefix(n, params)[-1]
 
 

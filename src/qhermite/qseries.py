@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import QParams, Truncation, _check_q, q_pochhammer
+from .qcore import QParams, Truncation, _check_degree, _check_q, q_pochhammer
 from .scalars import (
     Numeric,
     is_exact,
@@ -90,10 +90,8 @@ class PhiSpec:
         object.__setattr__(self, "upper", tuple(self.upper))
         object.__setattr__(self, "lower", tuple(self.lower))
         _check_q(self.q)
-        if self.terminate_at is not None and self.terminate_at < 0:
-            raise DomainError(
-                "terminate_at must be >= 0: got %s" % self.terminate_at
-            )
+        if self.terminate_at is not None:
+            _check_degree(self.terminate_at, "terminate_at")
 
 
 def _neg_q_power_index(a, q) -> Optional[int]:

@@ -55,11 +55,11 @@ from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add,
                           mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pow_int,
                           mpf_shift, mpf_sub, mpf_sum, round_nearest)
 
-from .errors import ConvergenceError, DomainError, EvaluationError
-from .identities import IdentityReport, _tolerance, _work_digits, residuals
+from .errors import ConvergenceError, EvaluationError
+from .identities import _params, _report, _tolerance, _work_digits
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
-from .qcore import (QParams, Truncation, gen_q_shifted_factorial, kept,
-                    q_pochhammer, shared_scope)
+from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
+                    kept, q_pochhammer, shared_scope)
 from .scalars import qpow, to_mpf
 
 __all__ = [
@@ -304,38 +304,27 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 add(i, small_x(even, mp.make_mpf(floor(i)))._mpf_)
             lhs = (1 - q) * mp.make_mpf(total[i])
             if n == m:
-                rhs = rhs_of[n]
-                abs_r, rel_r = residuals(lhs, rhs)
+                rhs, residual = rhs_of[n], None
             else:
-                rhs = mpf(0)
                 scale = mp.sqrt(rhs_of[n] * rhs_of[m])
-                abs_r = abs(lhs)
-                rel_r = abs(lhs) / scale
-            reports.append(IdentityReport(
-                identity_id="orthogonality",
-                params={"n": n, "m": m, "q": p.q, "alpha": p.alpha},
-                lhs=lhs,
-                rhs=rhs,
-                abs_residual=abs_r,
-                rel_residual=rel_r,
-                truncation=trunc,
-                tolerance=tol,
-                passed=bool(rel_r <= tol),
-                terms_used=points,
-            ))
+                rhs, residual = 0, (abs(lhs), abs(lhs) / scale)
+            reports.append(_report("orthogonality", _params(p, n=n, m=m), lhs,
+                                   rhs, tol, trunc, terms_used=points,
+                                   residual=residual))
         return reports
 
 
 def orthogonality_check(n: int, m: int, p: QParams, tol=None,
-                        trunc: Optional[Truncation] = None) -> IdentityReport:
-    """Quadrature vs closed form for the weighted pairing of degrees n and m.
+                        trunc: Optional[Truncation] = None):
+    """Quadrature vs closed form for the weighted pairing of degrees n and m,
+    as one IdentityReport.
 
     n == m: relative residual against the closed-form constant.
     n != m: |quadrature| / scale with scale = sqrt(rhs(n) rhs(m)), reported
     with rhs = 0.
     """
-    if n < 0 or m < 0:
-        raise DomainError("degrees must be >= 0: got n=%d, m=%d" % (n, m))
+    _check_degree(n)
+    _check_degree(m, "degree m")
     return _orthogonality_sweep([(n, m)], p, tol, trunc)[0]
 
 

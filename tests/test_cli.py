@@ -269,7 +269,7 @@ def test_orthogonality_negative_degree_exit_two(capsys, pair):
                          "0.5", "--alpha", "0", "--n", "-1", *pair)
     assert code == 2
     assert out == ""
-    assert "must be >= 0" in err
+    assert err == "error: degree n must be >= 0: got -1\n"
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])

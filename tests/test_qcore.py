@@ -367,8 +367,14 @@ def test_hahn_product_vs_sum(x, y, q, n):
 
 
 def test_negative_n_rejected():
-    with pytest.raises(DomainError):
-        q_pochhammer(mpf(1), mpf("0.5"), -1)
+    # one rule and one message for every index the products take; at exact q
+    # with 2 alpha not an integer, gen_q_shifted_factorial checks n before
+    # its prefix takes q^(2 alpha + 1), which the exact backend rejects
+    for call in (lambda: q_pochhammer(mpf(1), mpf("0.5"), -1),
+                 lambda: parity_indicator(-1),
+                 lambda: gen_q_shifted_factorial(-1, QParams(F(1, 2), F(1, 3)))):
+        with pytest.raises(DomainError, match=r"^n must be >= 0: got -1$"):
+            call()
 
 
 # --- the raw finite-product loop and the shared-value scope ------------------------

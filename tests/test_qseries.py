@@ -91,6 +91,11 @@ def test_phi_pole_in_lower_parameter():
         phi((qpow(q, -6),), (qpow(q, -3),), q, mpf("0.2"), terminate_at=6)
 
 
+def test_phi_rejects_a_negative_terminate_at():
+    with pytest.raises(DomainError, match=r"^terminate_at must be >= 0: got -1$"):
+        PhiSpec((mpf("0.5"),), (), mpf("0.5"), mpf("0.2"), terminate_at=-1)
+
+
 def test_phi_divergence_rules():
     q = mpf("0.5")
     with pytest.raises(DivergenceError):   # r > s + 1, non-terminating

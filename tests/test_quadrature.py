@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qhermite import polyfam, qcore, quadrature
-from qhermite.errors import ConvergenceError, EvaluationError
+from qhermite.errors import ConvergenceError, DomainError, EvaluationError
 from qhermite.polyfam import gdqh2
 from qhermite.qcore import (QParams, Truncation, gen_q_shifted_factorial,
                             q_pochhammer)
@@ -317,6 +317,14 @@ def test_gram_takes_its_infinite_products_once_per_sweep(monkeypatch):
             assert len(calls) == distinct, (alpha, n_max)
     calls.clear()
     assert orthogonality_gram(-1, QParams(0.22, 0)) == [] and calls == []
+
+
+def test_orthogonality_check_names_the_negative_degree():
+    p = QParams(mpf("0.5"), mpf(0))
+    with pytest.raises(DomainError, match=r"^degree n must be >= 0: got -1$"):
+        orthogonality_check(-1, 0, p)
+    with pytest.raises(DomainError, match=r"^degree m must be >= 0: got -2$"):
+        orthogonality_check(0, -2, p)
 
 
 @pytest.mark.parametrize("q, alpha", [("0.5", "0.5"), ("0.3", "-0.9")])
