@@ -26,10 +26,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from mpmath import mp, mpf
@@ -156,14 +156,24 @@ def _now() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _json_doc(rows: list, timestamp: Optional[str]) -> str:
+    """json.dumps({"rows": rows, "timestamp": timestamp}, indent=2,
+    sort_keys=True) + "\n", the timestamp left out when None, written as one
+    string: the rows are flat dicts of strings."""
+    enc = encode_basestring_ascii
+    items = ["    {\n" + ",\n".join("      %s: %s" % (enc(k), enc(v))
+                                   for k, v in sorted(row.items()))
+             + "\n    }" if row else "    {}" for row in rows]
+    body = '"rows": [\n%s\n  ]' % ",\n".join(items) if rows else '"rows": []'
+    if timestamp is not None:
+        body += ',\n  "timestamp": ' + enc(timestamp)
+    return "{\n  %s\n}\n" % body
+
+
 def _emit_rows(rows: list, cfg: RunConfig, out) -> None:
     """rows: list of dicts with string values, identical key order."""
     if cfg.fmt == "json":
-        doc = {"rows": rows}
-        if cfg.timestamp:
-            doc["timestamp"] = _now()
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+        out.write(_json_doc(rows, _now() if cfg.timestamp else None))
         return
     if cfg.fmt == "csv":
         if not rows:
@@ -240,13 +250,15 @@ def _report_row(r, digits: int, param) -> dict:
 
 
 def _finish_reports(reports, cfg: RunConfig) -> int:
-    # a parameter value repeats on every row of its cell: format it once
+    # a parameter value repeats on every row of its cell: format it once,
+    # keyed on its raw value, which hashes without mpf's own hash
     shown = {}
 
     def param(v):
-        if v not in shown:
-            shown[v] = fmt_scalar(to_mpf(v), 8)
-        return shown[v]
+        key = getattr(v, "_mpf_", v)
+        if key not in shown:
+            shown[key] = fmt_scalar(to_mpf(v), 8)
+        return shown[key]
 
     _emit_rows([_report_row(r, cfg.precision_digits, param) for r in reports],
                cfg, sys.stdout)

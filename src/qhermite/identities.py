@@ -14,17 +14,18 @@ result good to the ambient precision needs about n^2*log10(1/q) guard
 digits.  run_identity_suite computes only the requested ids, and opens one
 shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
 in it each finite table, recurrence-coefficient table, polynomial form's
-row of (n, q, alpha), real power, infinite product, working-digit count and
-parity half-sum is computed once per backend, operands and precision,
-across the block's (x, y) cells.  Those
-of (q, alpha) alone are requested through qcore.kept and serve later calls
-too; the ladders, Hahn tables and series, which hold a point, go through
-qcore.shared and end with the block.  Each cell builds one recurrence
-ladder to its largest n at the digits connection and inversion need there;
-inside a block those two checks run at the ladder's digits at every n, so
-one set of alpha = -1/2, (q^2;q^2) and Hahn tables serves every degree;
-both read the definition sum's terms row (polyfam._gdqh2_terms) at
-alpha = -1/2.
+row of (n, q, alpha), series factor row, real power, infinite product,
+working-digit count and parity half-sum is computed once per backend,
+operands and precision, across the block's (x, y) cells.  Those of
+(q, alpha) alone, the phi series' factor rows and the generating-function
+weight's rows of q (_gf_weights) among them, are requested through
+qcore.kept and serve later calls too; the ladders, Hahn tables and
+series, which hold a point, go through qcore.shared and end with the
+block.  Each cell builds one recurrence ladder to its largest n at the
+digits connection and inversion need there; inside a block those two
+checks run at the ladder's digits at every n, so one set of alpha = -1/2,
+(q^2;q^2) and Hahn tables serves every degree; both read the definition
+sum's terms row (polyfam._gdqh2_terms) at alpha = -1/2.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
 included, is built by _report from parameters spelled by _params.  Reports
 carry lhs, rhs and residuals at the working precision of the check, not
@@ -39,11 +40,12 @@ from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, pairwise, product, tee
+from itertools import accumulate, islice, product, tee
 from operator import mul
 from typing import Iterable, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_mul, mpf_pow_int, mpf_sub, round_nearest
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
@@ -58,6 +60,7 @@ from .qcore import (
     QParams,
     Truncation,
     _products,
+    _Rows,
     gen_q_shifted_factorial,
     kept,
     q_pochhammer,
@@ -66,7 +69,7 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import guarded_mul, is_exact, qpow, qpowers, to_mpf, unify
+from .scalars import GUARD_BITS, guarded_mul, is_exact, qpow, to_mpf, unify
 
 __all__ = [
     "IdentityReport",
@@ -344,11 +347,29 @@ def _gf_series(terms: Iterable, trunc: Optional[Truncation]) -> tuple:
         % (mp.nstr(tail, 4), used, mp.nstr(abs(term), 4)))
 
 
+def _gf_weights(q) -> _Rows:
+    """The rows (q^j, 1 - q^(j+1)), j = 0, 1, ..., of the generating-function
+    series' running weight: q^j a running product GUARD_BITS above mp.prec,
+    as qpowers takes it, and 1 - q^(j+1) rounded to mp.prec."""
+    return _Rows(_gf_weight_rows, q._mpf_, mp.prec)
+
+
+def _gf_weight_rows(q, prec: int):
+    """The rows of `_gf_weights`."""
+    guard, rnd = prec + GUARD_BITS, round_nearest
+    step, power = mpf_pow_int(q, 1, guard, rnd), fone
+    while True:
+        after = mpf_mul(power, step, guard, rnd)
+        yield mp.make_mpf(power), mp.make_mpf(mpf_sub(fone, after, prec, rnd))
+        power = after
+
+
 def _gf_terms(t, x, y, q, p: QParams):
     """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
-    series, over one recurrence stream with a running weight, buffered: each
-    copy() reads them from the first, computed once when first needed."""
-    weights = accumulate((t * a / (1 - b) for a, b in pairwise(qpowers(q, 1, 0))),
+    series, over one recurrence stream with a running weight whose factors
+    t q^j / (1 - q^(j+1)) read the kept rows of q (`_gf_weights`), buffered:
+    each copy() reads them from the first, computed once when first needed."""
+    weights = accumulate((t * a / d for a, d in kept(_gf_weights, q).each()),
                          mul, initial=mpf(1))  # running q^C(j,2) t^j / (q;q)_j
     return tee(map(mul, weights, gdqh2_recurrence_values(x, y, p)), 1)[0]
 

@@ -121,9 +121,11 @@ class Truncation:
 
 # The open shared-value scope, else None: (what its opener declared, memo).
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-# A (q, alpha) block of DEFAULT_GRID keeps about 125 values, its nine blocks
-# 1,118.  The cap holds the three blocks of an identity_sweep seed (512-533
-# values) twice over; a second DEFAULT_GRID suite in one process rebuilds most.
+# A (q, alpha) block of DEFAULT_GRID keeps about 150 values, its nine blocks
+# 1,381, the phi factor and generating-function weight rows included.  The
+# cap holds the three blocks of an identity_sweep seed (607-626 values) and
+# a half; a second DEFAULT_GRID suite in one process rebuilds most.  A cap
+# of 2048 costs the orthogonality_gram bench about 1.4 MB more peak RSS.
 _KEPT_CAP = 1024
 
 
@@ -189,6 +191,12 @@ class _Rows(list):
                 self.extend(islice(rest, max(0, n + 1 - len(self))))
                 self._rest = rest
         return self
+
+    def each(self):
+        """The rows in order, each grown when first read: for a series that
+        finds how many rows it needs only as it reads them."""
+        for k in count():
+            yield self[k] if k < len(self) else self.upto(k)[k]
 
 
 def _infinite_product(value, q, trunc: Optional[Truncation] = None):

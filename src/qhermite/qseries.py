@@ -18,7 +18,11 @@ halves, 0-phi-1 series in base q^2, and the q-cosine and q-sine, the same
 halves with alternating signs, are one helper, _parity_half; alpha is
 finite and > -1 (QParams).  phi_rs holds the only summation loops: a plain
 one for the exact backend and, for mpf operands, one on raw libmp values
-that is bit for bit the same loop on mpf values with a compensated sum.  A
+that is bit for bit the same loop on mpf values with a compensated sum.
+That loop reads the factors of each term ratio that hold no z, 1 - q^(k+1),
+1 - a q^k, 1 - b q^k and (-1)^e q^(k e), from one table per (q, upper,
+lower) and precision, requested through qcore.kept: built once and kept
+inside a shared-value scope, built per call outside one.  A
 non-terminating sum stops at the tail tolerance of its Truncation, taken at
 the precision the sum runs at.
 """
@@ -39,7 +43,8 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import QParams, Truncation, _check_degree, _check_q, q_pochhammer
+from .qcore import (QParams, Truncation, _check_degree, _check_q, _Rows, kept,
+                    q_pochhammer)
 from .scalars import (
     Numeric,
     is_exact,
@@ -151,7 +156,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
 
     power_exponent = 1 + s - r
     if not is_exact(q):
-        return _float_sum(q, z, upper, lower, n_term, power_exponent, tr)
+        return _float_sum(q, z, upper, lower, n_term, tr)
     # Fractions: exact, and terminating (n_term is set), so the sum is plain
     total = term = qk = q - q + 1  # qk = q^k
     for k in range(n_term):
@@ -178,21 +183,50 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     return SeriesValue(total, n_term + 1, q - q)
 
 
-def _float_sum(q, z, upper, lower, n_term, power_exponent, tr) -> SeriesValue:
+def _phi_factors(q, upper, lower) -> _Rows:
+    """The rows of phi_rs's term-ratio factors that hold no z, one per k:
+    (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
+    (-1)^e q^(k e), or None at e = 1+s-r = 0), on raw libmp values at
+    mp.prec, q^k a running product.  Every phi the identity suite sums has
+    parameters of (n, q, alpha) alone; q_laguerre's phi21 form, whose upper
+    -x holds a point, is read only by the CLI's eval and table, which open
+    no scope, so kept only computes there."""
+    return _Rows(_phi_factor_rows, q._mpf_, tuple(a._mpf_ for a in upper),
+                 tuple(b._mpf_ for b in lower), 1 + len(lower) - len(upper),
+                 mp.prec)
+
+
+def _phi_factor_rows(q, ups, lows, power_exponent: int, prec: int):
+    """The rows of `_phi_factors`, k = 0, 1, ..."""
+    rnd = round_nearest
+    sign = -1 if power_exponent & 1 else 1  # (-1)^(1+s-r)
+    qk = fone  # q^k
+    while True:
+        yield (mpf_sub(fone, mpf_mul(q, qk, prec, rnd), prec, rnd),
+               [mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd) for a in ups],
+               [mpf_sub(fone, mpf_mul(b, qk, prec, rnd), prec, rnd) for b in lows],
+               mpf_mul_int(mpf_pow_int(qk, power_exponent, prec, rnd), sign,
+                           prec, rnd) if power_exponent else None)
+        qk = mpf_mul(qk, q, prec, rnd)
+
+
+def _float_sum(q, z, upper, lower, n_term, tr) -> SeriesValue:
     """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
     the operations, order and rounding of the exact loop run on mpf values
-    at mp.prec with one Kahan step per term, so bit for bit the same.
+    at mp.prec with one Kahan step per term, so bit for bit the same.  The
+    factors that hold no z are read from one kept table per (q, upper,
+    lower) and mp.prec (`_phi_factors`), z and the sum stay per call.
     It stops at n_term, else once a term and the geometric bound on the
     rest after it are both below the tail tolerance."""
     prec, rnd = mp.prec, round_nearest
     limit = tr.effective_tail_tol()._mpf_
-    q_, z_ = q._mpf_, z._mpf_
-    ups = [a._mpf_ for a in upper]
-    lows = [(b, b._mpf_) for b in lower]
-    sign = -1 if power_exponent & 1 else 1  # (-1)^(1+s-r)
+    z_ = z._mpf_
+    table = kept(_phi_factors, q, upper, lower)
+    # a terminating sum's rows in one growth
+    rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
     # sum and compensation after term_0 = 1
     total, comp = fone, fzero
-    term = qk = fone  # qk = q^k
+    term = fone
     k = 0
     while True:
         if n_term is not None and k >= n_term:
@@ -202,26 +236,21 @@ def _float_sum(q, z, upper, lower, n_term, power_exponent, tr) -> SeriesValue:
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
                 % (tr.max_terms, mp.make_mpf(mpf_abs(term, prec, rnd)))
             )
-        ratio = mpf_div(z_, mpf_sub(fone, mpf_mul(q_, qk, prec, rnd), prec, rnd),
-                        prec, rnd)
-        for a in ups:
-            ratio = mpf_mul(ratio, mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd),
-                            prec, rnd)
-        for b, b_ in lows:
-            denom = mpf_sub(fone, mpf_mul(b_, qk, prec, rnd), prec, rnd)
+        head, ups, lows, bracket = next(rows)
+        ratio = mpf_div(z_, head, prec, rnd)
+        for factor in ups:
+            ratio = mpf_mul(ratio, factor, prec, rnd)
+        for b, denom in zip(lower, lows):
             if denom == fzero:
                 raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
             ratio = mpf_div(ratio, denom, prec, rnd)
-        if power_exponent:
-            bracket = mpf_mul_int(mpf_pow_int(qk, power_exponent, prec, rnd),
-                                  sign, prec, rnd)
+        if bracket is not None:
             ratio = mpf_mul(ratio, bracket, prec, rnd)
         term = mpf_mul(term, ratio, prec, rnd)
         low = mpf_sub(term, comp, prec, rnd)
         high = mpf_add(total, low, prec, rnd)
         comp = mpf_sub(mpf_sub(high, total, prec, rnd), low, prec, rnd)
         total = high
-        qk = mpf_mul(qk, q_, prec, rnd)
         k += 1
         if n_term is None and mpf_lt(mpf_abs(term, prec, rnd), limit):
             rho = mpf_abs(ratio, prec, rnd)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_mul, round_nearest
+from mpmath.libmp import mpf_mul, round_nearest, to_str
 
 from .errors import DomainError, ExactBackendError
 
@@ -157,12 +157,6 @@ class CompensatedSum:
 
 def fmt_scalar(x, digits: int) -> str:
     """Deterministic scientific-notation rendering with `digits` significant digits."""
-    v = to_mpf(x)
-    return mp.nstr(
-        v,
-        digits,
-        min_fixed=1,
-        max_fixed=0,
-        show_zero_exponent=True,
-        strip_zeros=False,
-    )
+    # what mp.nstr does for an mpf, without its type dispatch
+    return to_str(to_mpf(x)._mpf_, digits, min_fixed=1, max_fixed=0,
+                  show_zero_exponent=True, strip_zeros=False)

@@ -483,3 +483,23 @@ def test_kept_values_print_what_cold_ones_do(capsys, monkeypatch):
         assert [run(capsys, *argv)[:2] for argv in block] == cold
         assert qcore._kept.cache_info().hits > hits
     assert all(code == 0 for code, _ in cold)
+
+
+@pytest.mark.parametrize("timestamp", [False, True])
+def test_json_rows_are_the_bytes_json_dump_writes(monkeypatch, timestamp):
+    # the rows are written as one string; it is json.dump's indent=2,
+    # sort_keys=True document and a newline, escapes and all
+    monkeypatch.setattr(cli, "_now", lambda: "2026-10-19T16:20:32Z")
+    row = {"identity": "recurrence", "params": "alpha=0.0e+0;n=3;q=5.0e-1",
+           "lhs": "1.25e+0", "passed": "true", "error": ""}
+    cases = [
+        [],
+        [row],
+        [row, dict(row, lhs="-3.5e-2", passed="false"), dict(row, identity="inversion")],
+        [dict(row, passed="false", error='bad "t" at C:\\tmp\nnext line, |y·t| ≥ 1 ✓')],
+    ]
+    for rows in cases:
+        out = io.StringIO()
+        cli._emit_rows(rows, RunConfig(fmt="json", timestamp=timestamp), out)
+        doc = dict({"rows": rows}, **({"timestamp": cli._now()} if timestamp else {}))
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,8 +1,11 @@
 """Connection, inversion, generating functions, Bessel forms, limit trends."""
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import accumulate, islice, pairwise
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,9 +32,9 @@ from qhermite.identities import (
     summarize_reports,
 )
 from qhermite.polyfam import gdqh2
-from qhermite.qcore import QParams, Truncation, q_pochhammer
+from qhermite.qcore import QParams, Truncation, q_pochhammer, shared_scope
 from qhermite.qseries import euler_e, gen_E
-from qhermite.scalars import binom2, fmt_scalar
+from qhermite.scalars import binom2, fmt_scalar, qpowers
 
 
 def test_residual_normalization():
@@ -226,6 +229,32 @@ def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):
         reports = got if isinstance(got, tuple) else (got,)
         assert all(r.passed for r in reports)
         assert 0 < len(steps) <= 2 * max(r.terms_used for r in reports) + 1
+
+
+def test_gf_terms_read_the_running_weight_of_the_expression_it_replaced():
+    # the weight's factors read the kept rows (q^j, 1 - q^(j+1)) of q; the
+    # terms are those of the running weight below, bit for bit, outside a
+    # scope and in one, cold and warm, at each precision, for a q rounded
+    # to fewer bits than the sum runs at and one to more
+    def reference(t, x, y, q, p):
+        weights = accumulate((t * a / (1 - b) for a, b
+                              in pairwise(qpowers(q, 1, 0))), mul, initial=mpf(1))
+        return map(mul, weights, polyfam.gdqh2_recurrence_values(x, y, p))
+
+    t, x, y = mpf("-0.25"), mpf("0.9"), mpf("0.6")
+    qs = [mpf("0.68")]
+    with mp.workdps(80):
+        qs.append(mpf("0.41"))
+    qcore._kept.cache_clear()
+    for dps in (80, 50, 80):
+        with mp.workdps(dps):
+            for q in qs:
+                p = QParams(q, mpf("0.37"))
+                want = [v._mpf_ for v in islice(reference(t, x, y, q, p), 120)]
+                for scope in (nullcontext, shared_scope, shared_scope):
+                    with scope():
+                        got = identities._gf_terms(t, x, y, q, p)
+                        assert [v._mpf_ for v in islice(got, 120)] == want
 
 
 def test_gf_adaptive_sum_that_exhausts_its_cap_raises():

@@ -566,11 +566,14 @@ def test_kept_values_hold_no_point(monkeypatch):
     assert {f.__name__ for f, _ in reached} == {
         "_product_table", "_odd_lift", "_infinite_product", "_recurrence_table",
         "_work_digits", "_gdqh2_terms", "_phi_row", "_laguerre_row",
-        "_q_laguerre_row"}
+        "_q_laguerre_row", "_phi_factors", "_gf_weights"}
 
-    def operands(args):  # a row's QParams is read field by field
-        for a in args:
-            yield from (a.q, a.alpha) if isinstance(a, QParams) else (a,)
+    def operands(args):  # a row's QParams field by field, a phi's
+        for a in args:       # parameter tuples element by element
+            if isinstance(a, QParams):
+                yield from (a.q, a.alpha)
+            else:
+                yield from a if isinstance(a, tuple) else (a,)
 
     assert not [(f.__name__, args) for f, args in reached
                 if any(getattr(a, "_mpf_", None) in raw for a in operands(args))]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from qhermite import qseries
+from qhermite import qcore, qseries
 from qhermite.errors import ConvergenceError, DivergenceError, DomainError, PoleError
 from qhermite.qcore import (
     QParams,
@@ -19,6 +19,7 @@ from qhermite.qcore import (
     gen_q_shifted_factorial,
     hahn_add_power,
     q_pochhammer,
+    shared_scope,
 )
 from qhermite.qseries import (
     PhiSpec,
@@ -432,3 +433,58 @@ def test_phi_rs_errors_match_mpf_loop(dps):
             with pytest.raises(error) as got:
                 phi_rs(spec, trunc)
             assert str(got.value) == str(want.value)
+
+
+def test_phi_rs_in_a_scope_gives_the_bits_of_a_sum_outside_one():
+    # a scope reads the factors that hold no z from one kept table per
+    # (q, upper, lower) and precision: euler_e's 1-phi-0, a parity half's
+    # 0-phi-1 and the phi form's terminating 2-phi-1 give the value, terms
+    # and tail of a sum outside a scope, cold and warm, at 50 digits, at 80
+    # with tables of their own, and at 50 again
+    q, x, m = mpf("0.68"), mpf("0.9"), 6
+    q2, b = q * q, qpow(q, 2 * mpf("0.37") + 2)
+    specs = [
+        PhiSpec((mpf(0),), (), q, mpf("0.4")),
+        PhiSpec((), (b,), q2, q * x * x),
+        PhiSpec((qpow(q, -2 * m), qpow(q, -2 * m - mpf("0.74"))), (mpf(0),), q2,
+                -mpf("0.4") * qpow(q, mpf("3.74")) / (x * x), terminate_at=m),
+    ]
+
+    def bits(sv):
+        return sv.value._mpf_, sv.terms_used, sv.tail_estimate._mpf_
+
+    qcore._kept.cache_clear()
+    for dps in (50, 80, 50):
+        with mp.workdps(dps):
+            want = [bits(phi_rs(spec)) for spec in specs]
+            for _ in range(2):  # cold at the first dps, then warm
+                with shared_scope():
+                    assert [bits(phi_rs(spec)) for spec in specs] == want
+    assert qcore._kept.cache_info().hits
+
+
+def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():
+    # a lower parameter q^-m, found exactly or met by the running q^k, is
+    # the same PoleError at the same k in a scope, cold and warm, as outside
+    q = mpf("0.3")
+    running, specs = mpf(1), [PhiSpec((qpow(q, -6),), (qpow(q, -3),), q,
+                                      mpf("0.2"), terminate_at=6)]
+    for m in range(1, 40):
+        running *= q
+        b = 1 / running
+        if b != qpow(q, -m) and 1 - b * running == 0:
+            specs.append(PhiSpec((), (b,), q, mpf("0.2")))
+            break
+    assert len(specs) == 2
+
+    def message(spec):
+        with pytest.raises(PoleError) as err:
+            phi_rs(spec)
+        return str(err.value)
+
+    want = [message(spec) for spec in specs]
+    assert "hits a pole at k=" in want[1]
+    qcore._kept.cache_clear()
+    for _ in range(2):
+        with shared_scope():
+            assert [message(spec) for spec in specs] == want
