@@ -25,7 +25,10 @@ block.  Each cell builds one recurrence ladder to its largest n at the
 digits connection and inversion need there; inside a block those two
 checks run at the ladder's digits at every n, so one set of alpha = -1/2,
 (q^2;q^2) and Hahn tables serves every degree; both read the definition
-sum's terms row (polyfam._gdqh2_terms) at alpha = -1/2.
+sum's terms row (polyfam._gdqh2_terms) at alpha = -1/2.  Called outside
+any scope, the four polynomial checks each run in a call-local scope
+(qcore._call_local), so one call builds each table, form row and
+q^(2 alpha + 1) once, and none of them outlives the call.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
 included, is built by _report from parameters spelled by _params.  Reports
 carry lhs, rhs and residuals at the working precision of the check, not
@@ -59,6 +62,7 @@ from .polyfam import (
 from .qcore import (
     QParams,
     Truncation,
+    _call_local,
     _products,
     _Rows,
     gen_q_shifted_factorial,
@@ -209,6 +213,7 @@ def _cancel_digits(n: int, q) -> int:
 # --- local families: representations and recurrence --------------------------
 
 
+@_call_local
 def check_representations(n: int, p: QParams, x, y,
                           tol=None, trunc: Optional[Truncation] = None):
     """definition_sum vs phi_form vs laguerre_form at one point.
@@ -227,6 +232,7 @@ def check_representations(n: int, p: QParams, x, y,
                         tol, trunc) for i, rep in forms]
 
 
+@_call_local
 def check_recurrence(n: int, p: QParams, x, y, tol=None,
                      trunc: Optional[Truncation] = None) -> IdentityReport:
     """Three-term recurrence ladder vs the definition sum at degree n."""
@@ -258,6 +264,7 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
                 for k, sign, den in kept(_gdqh2_terms, n, q, half)), q - q)
 
 
+@_call_local
 def check_connection(n: int, p: QParams, x, y, omega, tol=None,
                      trunc: Optional[Truncation] = None) -> IdentityReport:
     """Parameter-shift expansion: the degree-n polynomial at second variable
@@ -279,6 +286,7 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
                        terms_used=n // 2 + 1)
 
 
+@_call_local
 def check_inversion(n: int, p: QParams, x, y, tol=None,
                     trunc: Optional[Truncation] = None) -> IdentityReport:
     """Monomial expansion, _descending_sum at omega = 0:

@@ -21,15 +21,17 @@ only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
 the cheap way to evaluate a whole ladder of degrees.
 
 The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
-on (q, alpha) alone.  They sit in one growable table per (q, alpha) and
-mp.prec, a value qcore.kept serves: every ladder and stream of shared
-scopes at one precision reads one table, and outside one a stream keeps the
-table its first step fetched, so a step does its multiplications and no
-powers.  The table and the definition sum's signs carry their q-powers as
-running products with 32 guard bits (scalars.qpowers), and
-(q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
-product; the table and (q;q)_{m,alpha} take the one real power
-q^(2 alpha + 1), qcore._odd_lift.
+on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
+1 there and an odd step divides by nothing.  They sit in one growable table
+per (q, alpha) and mp.prec, a value qcore.kept serves: every ladder and
+stream of shared scopes at one precision reads one table, a polynomial
+check called outside a scope reads one table in its call-local scope, and
+elsewhere a stream keeps the table its first step fetched, so a step does
+its multiplications and no powers.  The table and the definition sum's
+signs carry their q-powers as running products with 32 guard bits
+(scalars.qpowers), and (q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of
+qcore's one guarded product; the table and (q;q)_{m,alpha} take the one
+real power q^(2 alpha + 1), qcore._odd_lift.
 
 Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
 serves: the definition sum's terms (k, sign, den) (_gdqh2_terms, which
@@ -235,7 +237,8 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
 @dataclass(frozen=True)
 class RecurrenceState:
     """Ladder state: degree n together with values at n and n-1, and the
-    coefficient table a step reads (None: fetched by the step)."""
+    coefficient table a step reads with the (mp.prec, q, alpha) it serves
+    (None: fetched by the step)."""
 
     n: int
     current: Numeric
@@ -246,38 +249,46 @@ class RecurrenceState:
 def _recurrence_rows(q, lift) -> Iterator:
     """The step's coefficients (lead_n, q / (q^n)^2, 1 - q^n) for n = 0, 1,
     ..., with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a
-    running product and lift = q^(2 alpha + 1), both with the guard bits."""
+    running product and lift = q^(2 alpha + 1), both with the guard bits.
+    At odd n, theta_n = 0 and lead_n is the backend's exact 1, the quotient
+    (1 - q^(n+1)) / (1 - q^(n+1)) without the division."""
+    one = q - q + 1
     q_n = next(qpowers(q, 1, 0))
     for n in count():
         q_n1 = guarded_mul(q_n, q)
-        top = guarded_mul(q_n1, lift) if parity_indicator(n) else q_n1
-        yield (1 - top) / (1 - q_n1), q / guarded_mul(q_n, q_n), 1 - q_n
+        lead = ((1 - guarded_mul(q_n1, lift)) / (1 - q_n1)
+                if parity_indicator(n) else one)
+        yield lead, q / guarded_mul(q_n, q_n), 1 - q_n
         q_n = q_n1
 
 
-def _recurrence_table(q, alpha) -> tuple:
-    """(mp.prec, the rows of `_recurrence_rows`) on unified operands, grown
+def _recurrence_table(q, alpha) -> _Rows:
+    """The rows of `_recurrence_rows` on unified operands at mp.prec, grown
     by the steps at that precision, with the lift of (q;q)_{n,alpha}."""
-    return mp.prec, _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha))
+    return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha))
 
 
 def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
     """One step of the three-term recurrence, n -> n+1.
 
-    The coefficients come from the state's table, or from the one of this
-    (q, alpha) and mp.prec when the state has none or one built at another
-    precision; the returned state carries that table on, so pass a state
-    only to steps at the params it was stepped with."""
+    The coefficients come from the state's table when it serves this
+    (mp.prec, q, alpha), else from the one of this (q, alpha) and mp.prec;
+    the returned state carries that table on, under this step's own
+    (mp.prec, q, alpha), so the next step at the same operands finds them
+    by identity.  lead_n is exactly 1 at odd n, so an odd step returns
+    x h_n - y q^(-2n+1) (1 - q^n) h_(n-1) undivided, the bits the division
+    by 1 gives."""
     n = state.n
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    table = state.table
-    if table is None or table[0] != mp.prec:
-        table = kept(_recurrence_table, q, alpha)
+    key, table = (mp.prec, q, alpha), state.table
+    if table is None or table[0] != key:
+        table = key, kept(_recurrence_table, q, alpha)
     lead, ratio, gap = table[1].upto(n)[n]
     nxt = x * state.current
     if n >= 1:
         nxt = nxt - y * ratio * gap * state.previous
-    return RecurrenceState(n + 1, nxt / lead, state.current, table)
+    return RecurrenceState(n + 1, nxt if n & 1 else nxt / lead, state.current,
+                           table)
 
 
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:

@@ -14,7 +14,10 @@ product once.  Each value's lifetime is chosen where it is requested:
 `kept(f, *args)` serves a value of (q, alpha) alone, kept across scopes in
 one LRU cache of `_KEPT_CAP` entries, and `shared(f, *args)` a value that
 holds a point (x, y, omega or t), kept until its scope ends.  Both compute f
-once per operands, their types and mp.prec, and do nothing outside a scope.
+once per operands, their types and mp.prec.  Outside a scope, a polynomial
+check opens a call-local one (`_call_local`), in which both memoize in the
+scope's own memo: its values end with the call and never enter the LRU.
+Elsewhere outside a scope both just compute.
 A finite table grows to the longest n asked, a shorter request reading its
 prefix, bit for bit the table built to that n.
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from itertools import count, islice
 from threading import Lock
 from typing import Optional
@@ -119,7 +122,8 @@ class Truncation:
         return mpf(10) ** (-(mp.dps + 10))
 
 
-# The open shared-value scope, else None: (what its opener declared, memo).
+# The open shared-value scope, else None: (what its opener declared, memo,
+# call-local), where a call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
 # A (q, alpha) block of DEFAULT_GRID keeps about 150 values, its nine blocks
 # 1,381, the phi factor and generating-function weight rows included.  The
@@ -140,17 +144,37 @@ _kept = lru_cache(maxsize=_KEPT_CAP, typed=True)(_value)
 
 
 @contextmanager
+def _scope(declared, local: bool):
+    """Open a scope with a fresh memo; see `shared_scope` and `_call_local`."""
+    token = _SCOPE.set((declared, lru_cache(maxsize=None, typed=True)(_value),
+                        local))
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
 def shared_scope(declared=None):
     """A block inside which `shared` and `kept` compute each value once.
 
     run_identity_suite opens one per (q, alpha) block and declares its
     cells' state in it; the orthogonality sweep opens one per sweep.  The
     memo of `shared` is gone after the block, raised or not."""
-    token = _SCOPE.set((declared, lru_cache(maxsize=None, typed=True)(_value)))
-    try:
-        yield
-    finally:
-        _SCOPE.reset(token)
+    return _scope(declared, False)
+
+
+def _call_local(check):
+    """check, run inside a call-local scope when no scope is open: there
+    `kept` memoizes in the scope's own memo too, so one call builds each
+    value once and none outlives the call or enters the `_KEPT_CAP` LRU.
+    Inside an open scope check runs in that scope."""
+    @wraps(check)
+    def run(*args, **kwargs):
+        if _SCOPE.get() is not None:
+            return check(*args, **kwargs)
+        with _scope(None, True):
+            return check(*args, **kwargs)
+    return run
 
 
 def scope_declared():
@@ -161,7 +185,8 @@ def scope_declared():
 
 def shared(f, *args):
     """f(*args) for a value that holds a point (x, y, omega or t): computed
-    once per open scope and mp.prec, plainly outside a scope."""
+    once per open scope, call-local ones too, and mp.prec, plainly outside
+    a scope."""
     scope = _SCOPE.get()
     return f(*args) if scope is None else scope[1](f, mp.prec, *args)
 
@@ -169,8 +194,12 @@ def shared(f, *args):
 def kept(f, *args):
     """f(*args) for a value of (q, alpha) alone: inside a scope computed once
     per mp.prec and kept across scopes, `_KEPT_CAP` values at most, the least
-    recently used dropped first; plainly computed outside a scope."""
-    return f(*args) if _SCOPE.get() is None else _kept(f, mp.prec, *args)
+    recently used dropped first; in a call-local scope kept in its memo until
+    the call ends; plainly computed outside a scope."""
+    scope = _SCOPE.get()
+    if scope is None:
+        return f(*args)
+    return (scope[1] if scope[2] else _kept)(f, mp.prec, *args)
 
 
 class _Rows(list):

@@ -22,9 +22,10 @@ that is bit for bit the same loop on mpf values with a compensated sum.
 That loop reads the factors of each term ratio that hold no z, 1 - q^(k+1),
 1 - a q^k, 1 - b q^k and (-1)^e q^(k e), from one table per (q, upper,
 lower) and precision, requested through qcore.kept: built once and kept
-inside a shared-value scope, built per call outside one.  A
-non-terminating sum stops at the tail tolerance of its Truncation, taken at
-the precision the sum runs at.
+inside a shared-value scope, built once per call inside the call-local
+scope a polynomial check opens outside one, and built per sum elsewhere.
+A non-terminating sum stops at the tail tolerance of its Truncation,
+taken at the precision the sum runs at.
 """
 
 from __future__ import annotations

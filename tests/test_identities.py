@@ -407,6 +407,49 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
     assert len(hahn) == 2 and {k[-1] for k in hahn} == {ladder_prec}
 
 
+def test_direct_checks_build_each_table_once_and_keep_nothing(monkeypatch):
+    # called outside any scope, each polynomial check builds every distinct
+    # finite table and q^(2 alpha + 1) once, keeps none of them past the
+    # call, and reports the bits of the same call inside a shared scope
+    p = QParams(mpf("0.68"), mpf("0.37"))
+    x, y, omega = mpf("0.9"), mpf("0.5"), mpf("0.3")
+    calls = [(check_representations, (60, p, x, y)),
+             (check_recurrence, (60, p, x, y)),
+             (check_inversion, (60, p, x, y)),
+             (check_connection, (60, p, x, y, omega))]
+    builds = Counter()
+    table, lift = qcore._product_table, qcore._odd_lift
+
+    def key(name, args):
+        return (name,) + tuple((type(a), a) for a in args) + (mp.prec,)
+
+    def counted_lift(*a):
+        builds.update([key("lift", a)])
+        return lift(*a)
+
+    monkeypatch.setattr(qcore, "_product_table",
+                        lambda *a: builds.update([key("table", a)]) or table(*a))
+    monkeypatch.setattr(qcore, "_odd_lift", counted_lift)
+    monkeypatch.setattr(polyfam, "_odd_lift", counted_lift)
+    size = qcore._kept.cache_info().currsize
+    direct = []
+    for check, args in calls:
+        builds.clear()
+        direct.append(check(*args))
+        assert builds and set(builds.values()) == {1}, check.__name__
+    assert qcore._kept.cache_info().currsize == size
+    assert qcore.scope_declared() is None
+    with shared_scope():
+        scoped = [check(*args) for check, args in calls]
+
+    def bits(got):
+        return [(r.identity_id, r.lhs._mpf_, r.rhs._mpf_, r.rel_residual._mpf_)
+                for r in (got if isinstance(got, list) else [got])]
+
+    assert [bits(r) for r in direct] == [bits(r) for r in scoped]
+    assert direct == scoped
+
+
 def test_suite_block_builds_each_form_row_once(monkeypatch):
     # over one (q, alpha) and two (x, y) cells: the rows of (n, q, alpha)
     # that the three forms, q_laguerre and the descending sum read are each

@@ -1,7 +1,7 @@
 """Polynomial families: values, representation agreement, recurrence."""
 
 from fractions import Fraction as F
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,6 +230,20 @@ def test_step_from_a_state_without_powers(q, alpha, x, y):
     assert state.current == h[6]
 
 
+def test_step_reads_the_table_of_its_own_params():
+    # a state stepped at one (q, alpha) carries that table on; a step at
+    # another (q, alpha) reads its own coefficients, not the carried ones
+    with mp.workdps(30):
+        x, y = mpf("0.7"), mpf("0.9")
+        first, other = QParams(mpf("0.5"), mpf(0)), QParams(mpf("0.3"), mpf("1.2"))
+        state = gdqh2_recurrence_step(RecurrenceState(0, mpf(1), mpf(0)), x, y, first)
+        carried = gdqh2_recurrence_step(state, x, y, other)
+        fresh = gdqh2_recurrence_step(
+            RecurrenceState(1, state.current, state.previous), x, y, other)
+        assert carried.current == fresh.current
+        assert abs(fresh.current - mpf("-1.77333333333333333333")) < mpf("1e-20")
+
+
 def test_exact_prefix_needs_no_power_at_degree_zero():
     # (q;q)_{0,alpha} = 1 takes no power; from degree 1 on the real power
     # q^(2 alpha + 1) has no exact value
@@ -309,6 +323,30 @@ def test_coefficient_table_is_bit_for_bit_the_carried_powers(dps, alpha):
         want = [h._mpf_ for h in _ladder_with_own_powers(60, x, y, p)]
         assert [h._mpf_ for h in got] == want
         assert [h._mpf_ for h in gdqh2_recurrence_ladder(60, x, y, p)] == want
+
+
+@pytest.mark.parametrize("dps", [50, 700])
+@pytest.mark.parametrize("q, alpha, x, y", [
+    ("0.68", "0.37", "0.9", "-0.5"),
+    (F(17, 25), F(3, 2), F(-9, 10), F(1, 2)),
+], ids=["mpf", "Fraction"])
+def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
+    # theta_n = 0 at odd n, so lead_n = (1 - q^(n+1)) / (1 - q^(n+1)) is the
+    # backend's exact one, and the ladder that skips dividing by it has the
+    # bits of the one that divides at every n (_ladder_with_own_powers)
+    with mp.workdps(dps):
+        q, alpha, x, y = (v if isinstance(v, F) else mpf(v) for v in (q, alpha, x, y))
+        rows = list(islice(polyfam._recurrence_rows(q, _odd_lift(q, alpha)), 61))
+        one = q - q + 1
+        for lead, _, _ in rows[1::2]:
+            assert type(lead) is type(one) and lead == 1
+            assert getattr(lead, "_mpf_", None) == getattr(one, "_mpf_", None)
+        p = QParams(q, alpha)
+        got = gdqh2_recurrence_ladder(60, x, y, p)
+        want = _ladder_with_own_powers(60, x, y, p)
+        assert [getattr(h, "_mpf_", h) for h in got] \
+            == [getattr(h, "_mpf_", h) for h in want]
+        assert all(type(h) is type(one) for h in got)
 
 
 def test_coefficient_table_takes_the_generalized_factorials_lift(monkeypatch):
