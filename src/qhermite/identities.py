@@ -29,6 +29,10 @@ sum's terms row (polyfam._gdqh2_terms) at alpha = -1/2.  Called outside
 any scope, the four polynomial checks each run in a call-local scope
 (qcore._call_local), so one call builds each table, form row and
 q^(2 alpha + 1) once, and none of them outlives the call.
+The generating-function checks read one term stream (_gf_terms) over the
+float recurrence kernel (polyfam._raw_recurrence); the stream, its sum
+(_gf_series) and its parity halves (_half_series) run on raw libmp values
+with the operations and rounding order of the same loops on mpf values.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
 included, is built by _report from parameters spelled by _params.  Reports
 carry lhs, rhs and residuals at the working precision of the check, not
@@ -43,19 +47,20 @@ from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product, tee
-from operator import mul
+from itertools import islice, product, tee
 from typing import Iterable, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import fone, mpf_mul, mpf_pow_int, mpf_sub, round_nearest
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
+                          mpf_sub, round_nearest)
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
     _gdqh2_terms,
+    _raw_recurrence,
     gdqh2,
     gdqh2_recurrence_ladder,
-    gdqh2_recurrence_values,
     rosenblum_hermite,
     stieltjes_wigert,
 )
@@ -73,7 +78,8 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import GUARD_BITS, guarded_mul, is_exact, qpow, to_mpf, unify
+from .scalars import (GUARD_BITS, _ten_power, guarded_mul, is_exact, qpow,
+                      to_mpf, unify)
 
 __all__ = [
     "IdentityReport",
@@ -134,7 +140,7 @@ def residuals(lhs, rhs):
 
 def default_identity_tol():
     # half the ambient digits: 1e-25 at the standard 50-digit context
-    return mpf(10) ** (-(mp.dps // 2))
+    return _ten_power(-(mp.dps // 2), mp.prec)
 
 
 def _tolerance(tol) -> mpf:
@@ -331,34 +337,42 @@ def _gf_frame(t, x, y, p: QParams, tol):
 
 
 def _gf_series(terms: Iterable, trunc: Optional[Truncation]) -> tuple:
-    """(sum, terms used) of a series, summed up to two consecutive terms
-    below trunc's tail tolerance, at the working precision, relative to the
-    sum.
+    """(sum, terms used) of a series of raw libmp terms, summed up to two
+    consecutive terms below trunc's tail tolerance, at the working
+    precision, relative to the sum: a term counts as small when
+    |term| < tail_tol * max(1, |sum|), each rounded as on mpf values.
 
     It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
     it raises ConvergenceError rather than return a truncated sum."""
     tail = (trunc or Truncation()).effective_tail_tol()
-    total = mpf(0)
+    prec, rnd = mp.prec, round_nearest
+    unit = mpf_pos(tail._mpf_, prec, rnd)  # tail_tol * 1
+    total = fzero
     small = used = 0
     for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
-        total += term
+        total = mpf_add(total, term, prec, rnd)
         used = n + 1
-        if abs(term) < tail * max(1, abs(total)):
+        size = mpf_abs(total, prec, rnd)
+        limit = (mpf_mul(tail._mpf_, size, prec, rnd) if mpf_gt(size, fone)
+                 else unit)
+        if mpf_lt(mpf_abs(term, prec, rnd), limit):
             small += 1
             if small >= 2 and n >= 4:
-                return total, used
+                return mp.make_mpf(total), used
         else:
             small = 0
     raise ConvergenceError(
         "generating-function series did not meet tail_tol=%s within "
         "%d terms (last term %s)"
-        % (mp.nstr(tail, 4), used, mp.nstr(abs(term), 4)))
+        % (mp.nstr(tail, 4), used,
+           mp.nstr(mp.make_mpf(mpf_abs(term, prec, rnd)), 4)))
 
 
 def _gf_weights(q) -> _Rows:
     """The rows (q^j, 1 - q^(j+1)), j = 0, 1, ..., of the generating-function
-    series' running weight: q^j a running product GUARD_BITS above mp.prec,
-    as qpowers takes it, and 1 - q^(j+1) rounded to mp.prec."""
+    series' running weight, raw libmp values: q^j a running product
+    GUARD_BITS above mp.prec, as qpowers takes it, and 1 - q^(j+1) rounded
+    to mp.prec."""
     return _Rows(_gf_weight_rows, q._mpf_, mp.prec)
 
 
@@ -368,18 +382,31 @@ def _gf_weight_rows(q, prec: int):
     step, power = mpf_pow_int(q, 1, guard, rnd), fone
     while True:
         after = mpf_mul(power, step, guard, rnd)
-        yield mp.make_mpf(power), mp.make_mpf(mpf_sub(fone, after, prec, rnd))
+        yield power, mpf_sub(fone, after, prec, rnd)
         power = after
+
+
+def _gf_term_stream(rows, t, x, y, q, p: QParams):
+    """The terms of `_gf_terms`, unbuffered, each rounded at the precision in
+    force when it is pulled: weight_j h_j, with h_j the float kernel's, then
+    weight_(j+1) = weight_j ((t q^j) / (1 - q^(j+1))) from the next row."""
+    t, rnd, weight, prec = t._mpf_, round_nearest, fone, mp.prec
+    for h in _raw_recurrence(x, y, q, to_mpf(p.alpha)):
+        yield mpf_mul(weight, h, prec, rnd)
+        power, gap = next(rows)
+        prec = mp.prec
+        weight = mpf_mul(weight, mpf_div(mpf_mul(t, power, prec, rnd), gap,
+                                         prec, rnd), prec, rnd)
 
 
 def _gf_terms(t, x, y, q, p: QParams):
     """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
-    series, over one recurrence stream with a running weight whose factors
-    t q^j / (1 - q^(j+1)) read the kept rows of q (`_gf_weights`), buffered:
-    each copy() reads them from the first, computed once when first needed."""
-    weights = accumulate((t * a / d for a, d in kept(_gf_weights, q).each()),
-                         mul, initial=mpf(1))  # running q^C(j,2) t^j / (q;q)_j
-    return tee(map(mul, weights, gdqh2_recurrence_values(x, y, p)), 1)[0]
+    series as raw libmp values, over one float recurrence stream with a
+    running weight whose factors t q^j / (1 - q^(j+1)) read the kept rows of
+    q (`_gf_weights`), buffered: each copy() reads them from the first,
+    computed once when first needed."""
+    rows = kept(_gf_weights, q).each()
+    return tee(_gf_term_stream(rows, t, x, y, q, p), 1)[0]
 
 
 def _half_series(half: int, terms, trunc) -> tuple:
@@ -390,7 +417,7 @@ def _half_series(half: int, terms, trunc) -> tuple:
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
 
     since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1)."""
-    return _gf_series(((-1) ** (j // 2) * w for j, w
+    return _gf_series((mpf_neg(w) if j & 2 else w for j, w
                        in islice(enumerate(copy(terms)), half, None, 2)), trunc)
 
 

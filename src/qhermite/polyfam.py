@@ -18,7 +18,15 @@ The recurrence
 is exposed step-wise (gdqh2_recurrence_step) and as one lazy stream of
 h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
 only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
-the cheap way to evaluate a whole ladder of degrees.
+the cheap way to evaluate a whole ladder of degrees.  On mpf operands the
+stream is one float kernel, _raw_recurrence: a generator of raw libmp
+values with the step's operations, order and rounding, which at each pull
+reads the coefficient table of the precision then in force.  Three callers
+read it: gdqh2_recurrence_values and gdqh2_recurrence_ladder, which wrap
+its values in mpfs, the generating-function term stream and the
+orthogonality sweep's ladder at each lattice point.  Exact operands keep
+the step, the same exact/raw split as phi_rs and qcore._products; so does
+the definition sum, whose mpf loop runs on raw values too.
 
 The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
 on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
@@ -26,8 +34,8 @@ on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
 per (q, alpha) and mp.prec, a value qcore.kept serves: every ladder and
 stream of shared scopes at one precision reads one table, a polynomial
 check called outside a scope reads one table in its call-local scope, and
-elsewhere a stream keeps the table its first step fetched, so a step does
-its multiplications and no powers.  The table and the definition sum's
+elsewhere a stream keeps the table it fetched at its precision, so a step
+does its multiplications and no powers.  The table and the definition sum's
 signs carry their q-powers as running products with 32 guard bits
 (scalars.qpowers), and (q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of
 qcore's one guarded product; the table and (q;q)_{m,alpha} take the one
@@ -52,6 +60,8 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
+                          mpf_sub, round_nearest)
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
@@ -150,11 +160,23 @@ def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
 
 
 def _gdqh2_definition(n: int, x, y, params: QParams):
+    """(q;q)_n times the sum of the terms sign * x^(n-2k) * y^k / den of
+    `_gdqh2_terms`, each rounded in that order; on mpf operands the loop runs
+    on raw libmp values with the same operations, so the same bits."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    total = q - q
-    for k, sign, den in kept(_gdqh2_terms, n, q, params):
-        total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
-    return q_pochhammer(q, q, n) * total
+    terms = kept(_gdqh2_terms, n, q, params)
+    if is_exact(q):
+        total = q - q
+        for k, sign, den in terms:
+            total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
+        return q_pochhammer(q, q, n) * total
+    prec, rnd = mp.prec, round_nearest
+    x, y, total = x._mpf_, y._mpf_, fzero
+    for k, sign, den in terms:
+        term = mpf_mul(mpf_mul(sign._mpf_, mpf_pow_int(x, n - 2 * k, prec, rnd),
+                               prec, rnd), mpf_pow_int(y, k, prec, rnd), prec, rnd)
+        total = mpf_add(total, mpf_div(term, den._mpf_, prec, rnd), prec, rnd)
+    return q_pochhammer(q, q, n) * mp.make_mpf(total)
 
 
 def _phi_row(n: int, q, params: QParams) -> tuple:
@@ -291,17 +313,46 @@ def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> Recu
                            table)
 
 
+def _raw_recurrence(x, y, q, alpha) -> Iterator:
+    """h_0, h_1, ... at one point on mpf operands, as raw libmp values: the
+    float kernel of the recurrence.  Each value is gdqh2_recurrence_step's,
+    bit for bit: the same operations in the same order, rounded at the
+    precision in force when it is pulled, with the rows of that precision's
+    `_recurrence_table`, and no division at odd n, where lead_n is one."""
+    x, y, rnd = x._mpf_, y._mpf_, round_nearest
+    previous, current, prec = fzero, fone, None
+    for n in count():
+        yield current
+        if mp.prec != prec:
+            prec, table = mp.prec, kept(_recurrence_table, q, alpha)
+        lead, ratio, gap = table.upto(n)[n]
+        nxt = mpf_mul(x, current, prec, rnd)
+        if n:
+            back = mpf_mul(mpf_mul(y, ratio._mpf_, prec, rnd), gap._mpf_, prec, rnd)
+            nxt = mpf_sub(nxt, mpf_mul(back, previous, prec, rnd), prec, rnd)
+        previous, current = current, (nxt if n & 1
+                                      else mpf_div(nxt, lead._mpf_, prec, rnd))
+
+
+def _stepped_values(x, y, params: QParams, zero) -> Iterator:
+    """h_0, h_1, ... by gdqh2_recurrence_step, the exact backend's stream."""
+    state = RecurrenceState(0, zero + 1, zero)
+    while True:
+        yield state.current
+        state = gdqh2_recurrence_step(state, x, y, params)
+
+
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
     """h_0, h_1, ... at one point, one recurrence step per value pulled.
 
     The values are computed at the precision in force when each is pulled,
     with that precision's coefficient table, so read the stream inside the
-    caller's working-precision block."""
+    caller's working-precision block.  On mpf operands they are the float
+    kernel's (`_raw_recurrence`), on exact ones gdqh2_recurrence_step's."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    state = RecurrenceState(0, q - q + 1, q - q)
-    while True:
-        yield state.current
-        state = gdqh2_recurrence_step(state, x, y, params)
+    if is_exact(q):
+        return _stepped_values(x, y, params, q - q)
+    return map(mp.make_mpf, _raw_recurrence(x, y, q, alpha))
 
 
 def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:

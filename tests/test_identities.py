@@ -2,6 +2,7 @@
 
 from collections import Counter
 from contextlib import nullcontext
+from copy import copy
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import accumulate, islice, pairwise
@@ -45,6 +46,14 @@ def test_residual_normalization():
     # below 1 in magnitude the relative residual degrades to the absolute one
     a, r = residuals(mpf("0.25"), mpf("0.5"))
     assert a == r == mpf("0.25")
+
+
+def test_default_tolerance_is_half_the_digits_at_each_precision():
+    # 10^-(dps//2), bit for bit, at each precision and again on its return
+    for dps in (15, 50, 80, 50, 181, 15):
+        with mp.workdps(dps):
+            want = (mpf(10) ** -(dps // 2))._mpf_
+            assert default_identity_tol()._mpf_ == want
 
 
 def test_connection_reference_point():
@@ -211,13 +220,26 @@ def test_bessel_forms_reference_point():
     assert od.passed and od.rel_residual < mpf("1e-15")
 
 
+def _counting_steps(monkeypatch, module, steps):
+    """module's float recurrence kernel, with one entry in steps per value
+    past h_0: one recurrence step each."""
+    kernel = module._raw_recurrence
+
+    def counted(*args):
+        stream = kernel(*args)
+        yield next(stream)
+        for h in stream:
+            steps.append(1)
+            yield h
+
+    monkeypatch.setattr(module, "_raw_recurrence", counted)
+
+
 def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):
     # the series stop after tens of terms; the recurrence stream behind them
     # is stepped no further than the longest sum needs
     steps = []
-    step = polyfam.gdqh2_recurrence_step
-    monkeypatch.setattr(polyfam, "gdqh2_recurrence_step",
-                        lambda *a: steps.append(1) or step(*a))
+    _counting_steps(monkeypatch, identities, steps)
     g = DEFAULT_GRID
     q, alpha, x, y, t = (mpf(v[-1]) for v in (
         g.q_values, g.alpha_values, g.x_values, g.y_values, g.t_values))
@@ -253,8 +275,81 @@ def test_gf_terms_read_the_running_weight_of_the_expression_it_replaced():
                 want = [v._mpf_ for v in islice(reference(t, x, y, q, p), 120)]
                 for scope in (nullcontext, shared_scope, shared_scope):
                     with scope():
-                        got = identities._gf_terms(t, x, y, q, p)
+                        got = map(mp.make_mpf, identities._gf_terms(t, x, y, q, p))
                         assert [v._mpf_ for v in islice(got, 120)] == want
+
+
+def _reference_terms(t, x, y, q, p):
+    """The generating-function terms as mpf expressions: a running weight
+    over the recurrence step chain, the stream before the raw one."""
+    def chain():
+        state = polyfam.RecurrenceState(0, mpf(1), mpf(0))
+        while True:
+            yield state.current
+            state = polyfam.gdqh2_recurrence_step(state, x, y, p)
+
+    weights = accumulate((t * a / (1 - b) for a, b
+                          in pairwise(qpowers(q, 1, 0))), mul, initial=mpf(1))
+    return map(mul, weights, chain())
+
+
+def _reference_series(terms, trunc):
+    """The generating-function sum on mpf values, with its stop rule, cap
+    and error text, as the reference for the raw one."""
+    tail = (trunc or Truncation()).effective_tail_tol()
+    total = mpf(0)
+    small = used = 0
+    for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
+        total += term
+        used = n + 1
+        if abs(term) < tail * max(1, abs(total)):
+            small += 1
+            if small >= 2 and n >= 4:
+                return total._mpf_, used
+        else:
+            small = 0
+    raise ConvergenceError(
+        "generating-function series did not meet tail_tol=%s within "
+        "%d terms (last term %s)"
+        % (mp.nstr(tail, 4), used, mp.nstr(abs(term), 4)))
+
+
+def _outcome(series, *args):
+    """(sum bits, terms used), or the text of the ConvergenceError raised."""
+    try:
+        total, used = series(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+    return getattr(total, "_mpf_", total), used
+
+
+@pytest.mark.parametrize("dps", [50, 80, 181])
+def test_gf_stream_and_sums_are_the_mpf_expressions_bit_for_bit(dps):
+    # the raw term stream, the whole series and both halves against the mpf
+    # loops they replaced, to the same bits, terms used and stop; at q =
+    # 0.95 the sums exhaust their 8*mp.dps + 1 cap with the same text
+    cases = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
+             ("0.2", "-0.4", "0.2", "-1.1", "0.3"),
+             ("0.95", "0.5", "0.95", "1.1", "1.05")]
+    for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
+        for q, alpha, t, x, y in cases:
+            with mp.workdps(dps):
+                q, alpha, t, x, y = map(mpf, (q, alpha, t, x, y))
+                p = QParams(q, alpha)
+                terms = identities._gf_terms(t, x, y, q, p)
+                assert list(islice(copy(terms), 200)) == [
+                    v._mpf_ for v in islice(_reference_terms(t, x, y, q, p), 200)]
+                got = [_outcome(identities._gf_series, copy(terms), trunc)]
+                want = [_outcome(_reference_series,
+                                 _reference_terms(t, x, y, q, p), trunc)]
+                for half in (0, 1):
+                    ref = ((-1) ** (j // 2) * w for j, w in islice(enumerate(
+                        _reference_terms(t, x, y, q, p)), half, None, 2))
+                    got.append(_outcome(identities._half_series, half, terms, trunc))
+                    want.append(_outcome(_reference_series, ref, trunc))
+                assert got == want
+                capped = "within %d terms" % (8 * dps + 1)
+                assert (capped in str(got[0])) == (q > mpf("0.9"))
 
 
 def test_gf_adaptive_sum_that_exhausts_its_cap_raises():
@@ -362,9 +457,9 @@ def test_suite_cell_computes_shared_values_once(monkeypatch):
     # one ladder to n_max, one generating-function stream read as far as the
     # longest sum, and per n the shared definition sum and connection's lhs
     steps, sums = [], Counter()
-    step, definition = polyfam.gdqh2_recurrence_step, polyfam._gdqh2_definition
-    monkeypatch.setattr(polyfam, "gdqh2_recurrence_step",
-                        lambda *a: steps.append(1) or step(*a))
+    definition = polyfam._gdqh2_definition
+    for module in (polyfam, identities):  # the ladder's kernel, the stream's
+        _counting_steps(monkeypatch, module, steps)
     monkeypatch.setattr(polyfam, "_gdqh2_definition",
                         lambda n, *a: sums.update([n]) or definition(n, *a))
     reports = run_identity_suite(CELL)

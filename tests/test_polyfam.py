@@ -349,6 +349,56 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
         assert all(type(h) is type(one) for h in got)
 
 
+def _step_chain(x, y, p):
+    """h_0, h_1, ... by gdqh2_recurrence_step, one state per value: the
+    stream before the float kernel, as the reference."""
+    state = RecurrenceState(0, mpf(1), mpf(0))
+    while True:
+        yield state.current
+        state = gdqh2_recurrence_step(state, x, y, p)
+
+
+@pytest.mark.parametrize("alpha", ["0.37", "-0.5", "1.5"])
+def test_float_kernel_is_the_step_chain_bit_for_bit(alpha):
+    # the kernel's raw values are the step chain's and the ladder that
+    # carries its own powers', at 50, 181 and 750 digits, pulled in lockstep
+    # across precision changes, and at non-finite points
+    p = QParams(mpf("0.68"), mpf(alpha))
+    points = [(mpf(x), mpf(y)) for x, y in (("0.9", "0.5"), ("-1.7", "-0.3"),
+                                            ("inf", "0.5"), ("0.9", "nan"))]
+    for x, y in points:
+        for dps in (50, 181, 750):
+            with mp.workdps(dps):
+                got = list(islice(polyfam._raw_recurrence(x, y, p.q, p.alpha), 61))
+                assert got == [h._mpf_ for h in islice(_step_chain(x, y, p), 61)]
+                assert got == [h._mpf_ for h in _ladder_with_own_powers(60, x, y, p)]
+        kernel = polyfam._raw_recurrence(x, y, p.q, p.alpha)
+        chain = _step_chain(x, y, p)
+        for dps in (50, 750, 181, 50, 181):
+            with mp.workdps(dps):
+                for _ in range(7):
+                    assert next(kernel) == next(chain)._mpf_
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
+    # the raw loop rounds sign * x^(n-2k) * y^k / den and the running sum as
+    # the mpf expression below does, at x = 0, y = 0 and y < 0 too
+    def reference(n, x, y, p):
+        total = mpf(0)
+        for k, sign, den in _gdqh2_terms(n, p.q, p):
+            total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
+        return q_pochhammer(p.q, p.q, n) * total
+
+    with mp.workdps(dps):
+        p = QParams(mpf("0.68"), mpf("0.37"))
+        points = [(mpf(x), mpf(y)) for x, y in (
+            ("0", "0.6"), ("0.9", "0"), ("0", "0"), ("0.9", "-0.5"),
+            ("-1.7", "0.3"))]
+        for (x, y), n in product(points, range(25)):
+            assert gdqh2(n, x, y, p)._mpf_ == reference(n, x, y, p)._mpf_, (x, y, n)
+
+
 def test_coefficient_table_takes_the_generalized_factorials_lift(monkeypatch):
     # the recurrence's q^(2 alpha + 1) is (q;q)_{n,alpha}'s, bit for bit: its
     # exponent too is rounded with the guard bits

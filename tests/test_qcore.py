@@ -95,12 +95,14 @@ def test_truncation_validation():
 
 def test_unset_tail_tol_resolves_at_the_reading_precision():
     # a Truncation built only to change the cap keeps tail_tol unset, and
-    # each sum reads 10^-(dps+10) at its own working digits
+    # each sum reads 10^-(dps+10) at its own working digits, a precision
+    # met again included
     trunc = Truncation(max_terms=5)
     assert trunc.tail_tol is None
-    for dps in (15, 50, 70):
+    for dps in (15, 50, 70, 50, 15):
         with mp.workdps(dps):
-            assert trunc.effective_tail_tol() == mpf(10) ** -(dps + 10)
+            want = (mpf(10) ** -(dps + 10))._mpf_
+            assert trunc.effective_tail_tol()._mpf_ == want
     explicit = Truncation(tail_tol="1e-30")
     assert isinstance(explicit.tail_tol, mpf)
     with mp.workdps(70):

@@ -463,6 +463,23 @@ def test_phi_rs_in_a_scope_gives_the_bits_of_a_sum_outside_one():
     assert qcore._kept.cache_info().hits
 
 
+def test_phi_rs_outside_a_scope_builds_no_factor_table(monkeypatch):
+    # no scope keeps a table there, so a sum reads its factor rows as they
+    # are made; inside a scope it builds the one kept table
+    tables = []
+    build = qseries._phi_factors
+    monkeypatch.setattr(qseries, "_phi_factors",
+                        lambda *a: tables.append(a) or build(*a))
+    q, b = mpf("0.68"), qpow(mpf("0.68"), 2 * mpf("0.37") + 2)
+    phi((), (b,), q * q, q * mpf("0.81"))
+    phi((q ** -3,), (mpf(0),), q, mpf("0.3"))
+    assert tables == []
+    qcore._kept.cache_clear()
+    with shared_scope():
+        phi((), (b,), q * q, q * mpf("0.81"))
+    assert len(tables) == 1
+
+
 def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():
     # a lower parameter q^-m, found exactly or met by the running q^k, is
     # the same PoleError at the same k in a scope, cold and warm, as outside

@@ -253,6 +253,19 @@ def test_gram_reports_equal_one_pair_checks(q, alpha):
         assert abs(g.lhs - r.lhs) <= mpf(10) ** -mp.dps * max(abs(r.rhs), 1)
 
 
+def _poison_kernel(monkeypatch, degree):
+    """The sweep's float recurrence kernel, with h_degree non-finite at the
+    lattice points ±0.22^4."""
+    kernel = quadrature._raw_recurrence
+
+    def poisoned(x, y, q, alpha):
+        for n, h in enumerate(kernel(x, y, q, alpha)):
+            yield (mp.nan._mpf_ if n == degree
+                   and mpf("0.002") < abs(x) < mpf("0.003") else h)
+
+    monkeypatch.setattr(quadrature, "_raw_recurrence", poisoned)
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(
         monkeypatch, degree):
@@ -262,15 +275,7 @@ def test_gram_nonfinite_term_raises_at_the_first_pair_that_meets_it(
     # pass.  At degree 1 that is an odd pair, whose terms are not summed but
     # whose factors are still tested; the even pair (degree, degree) meets
     # the same x, with the same message
-    ladder = quadrature.gdqh2_recurrence_ladder
-
-    def poisoned(n, x, y, p):
-        out = ladder(n, x, y, p)
-        if mpf("0.002") < abs(x) < mpf("0.003") and n >= degree:
-            out[degree] = mp.nan
-        return out
-
-    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
+    _poison_kernel(monkeypatch, degree)
     p = QParams(mpf("0.22"), mpf(0))
     assert all(r.passed for r in _one_pair_walk(degree - 1, p))
     with pytest.raises(EvaluationError) as gram:
@@ -287,10 +292,10 @@ def test_gram_reads_one_coefficient_table(monkeypatch):
     # of recurrence coefficients at the sweep's working precision
     qcore._kept.cache_clear()  # builds counted from a cold start
     tables, ladders = Counter(), []
-    table, ladder = polyfam._recurrence_table, quadrature.gdqh2_recurrence_ladder
+    table, ladder = polyfam._recurrence_table, quadrature._raw_recurrence
     monkeypatch.setattr(polyfam, "_recurrence_table",
                         lambda *a: tables.update([mp.prec]) or table(*a))
-    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder",
+    monkeypatch.setattr(quadrature, "_raw_recurrence",
                         lambda *a: ladders.append(1) or ladder(*a))
     reports = orthogonality_gram(3, QParams(mpf("0.22"), mpf("1.3")))
     assert len(reports) == 10 and all(r.passed for r in reports)
@@ -345,9 +350,9 @@ def test_public_rhs_equals_gram_diagonal_bit_for_bit(q, alpha, trunc):
 
 def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
     calls = []
-    ladder = quadrature.gdqh2_recurrence_ladder
-    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder",
-                        lambda *a: calls.append(a[1]) or ladder(*a))
+    ladder = quadrature._raw_recurrence
+    monkeypatch.setattr(quadrature, "_raw_recurrence",
+                        lambda *a: calls.append(a[0]) or ladder(*a))
     p = QParams(mpf("0.22"), mpf("0.7"))
     reports = orthogonality_gram(3, p)
     assert len(reports) == 10
@@ -388,15 +393,7 @@ def test_nonfinite_ladder_entry_stops_only_the_pairs_that_read_it(
     # reads only degrees 0 and 2 keeps every bit of its unpoisoned report
     p = QParams(mpf("0.22"), mpf(0))
     clean = {pair: orthogonality_check(*pair, p) for pair in [(2, 0), (2, 2)]}
-    ladder = quadrature.gdqh2_recurrence_ladder
-
-    def poisoned(n, x, y, p):
-        out = ladder(n, x, y, p)
-        if mpf("0.002") < abs(x) < mpf("0.003"):
-            out[1] = mp.nan
-        return out
-
-    monkeypatch.setattr(quadrature, "gdqh2_recurrence_ladder", poisoned)
+    _poison_kernel(monkeypatch, 1)
     for pair, want in clean.items():
         got = orthogonality_check(*pair, p)
         assert (got.lhs._mpf_, got.rel_residual._mpf_, got.terms_used) == \
