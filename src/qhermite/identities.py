@@ -16,19 +16,13 @@ shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
 in it each finite table, recurrence-coefficient table, polynomial form's
 row of (n, q, alpha), series factor row, real power, infinite product,
 working-digit count and parity half-sum is computed once per backend,
-operands and precision, across the block's (x, y) cells.  Those of
-(q, alpha) alone, the phi series' factor rows and the generating-function
-weight's rows of q (_gf_weights) among them, are requested through
-qcore.kept and serve later calls too; the ladders, Hahn tables and
-series, which hold a point, go through qcore.shared and end with the
-block.  Each cell builds one recurrence ladder to its largest n at the
-digits connection and inversion need there; inside a block those two
-checks run at the ladder's digits at every n, so one set of alpha = -1/2,
-(q^2;q^2) and Hahn tables serves every degree; both read the definition
-sum's terms row (polyfam._gdqh2_terms) at alpha = -1/2.  Called outside
-any scope, the four polynomial checks each run in a call-local scope
-(qcore._call_local), so one call builds each table, form row and
-q^(2 alpha + 1) once, and none of them outlives the call.
+operands and precision, across the block's (x, y) cells.  Each cell builds
+one recurrence ladder to its largest n at the digits connection and
+inversion need there; inside a block those two checks run at the ladder's
+digits at every n, so one set of alpha = -1/2, (q^2;q^2) and Hahn tables
+serves every degree; both read the definition sum's terms row
+(polyfam._gdqh2_terms) at alpha = -1/2.  The four polynomial checks are
+wrapped in qcore._call_local.
 The generating-function checks read one term stream (_gf_terms) over the
 float recurrence kernel (polyfam._raw_recurrence); the stream, its sum
 (_gf_series) and its parity halves (_half_series) run on raw libmp values

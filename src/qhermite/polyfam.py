@@ -21,35 +21,27 @@ only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
 the cheap way to evaluate a whole ladder of degrees.  On mpf operands the
 stream is one float kernel, _raw_recurrence: a generator of raw libmp
 values with the step's operations, order and rounding, which at each pull
-reads the coefficient table of the precision then in force.  Three callers
-read it: gdqh2_recurrence_values and gdqh2_recurrence_ladder, which wrap
-its values in mpfs, the generating-function term stream and the
-orthogonality sweep's ladder at each lattice point.  Exact operands keep
-the step, the same exact/raw split as phi_rs and qcore._products; so does
-the definition sum, whose mpf loop runs on raw values too.
+reads the coefficient table of the precision then in force.  Exact operands
+keep the step, the same exact/raw split as phi_rs and qcore._products; so
+does the definition sum, whose mpf loop runs on raw values too.
 
 The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
 on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
 1 there and an odd step divides by nothing.  They sit in one growable table
-per (q, alpha) and mp.prec, a value qcore.kept serves: every ladder and
-stream of shared scopes at one precision reads one table, a polynomial
-check called outside a scope reads one table in its call-local scope, and
-elsewhere a stream keeps the table it fetched at its precision, so a step
-does its multiplications and no powers.  The table and the definition sum's
-signs carry their q-powers as running products with 32 guard bits
-(scalars.qpowers), and (q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of
-qcore's one guarded product; the table and (q;q)_{m,alpha} take the one
-real power q^(2 alpha + 1), qcore._odd_lift.
+per (q, alpha) and mp.prec, a value qcore.kept serves, so a step does its
+multiplications and no powers.  The table's q^n and the definition sum's
+signs are running products with 32 guard bits (scalars.guarded_mul), and
+(q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
+product; the table and (q;q)_{m,alpha} take the one real power
+q^(2 alpha + 1), qcore._odd_lift.
 
 Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
-serves: the definition sum's terms (k, sign, den) (_gdqh2_terms, which
-connection, inversion and the quadrature also read), the phi form's and the
-Laguerre form's powers and prefactors (_phi_row, _laguerre_row) and
-q_laguerre's factors (_q_laguerre_row), which its phi11 and phi21 forms
-both read.  A row is computed by the
-form's own expressions in their order, so a row kept, built in a scope or
-built outside one gives the same bits; what holds the point (x^(n-2k), y^k,
-z and the phi sum) is computed by each call.
+serves: the definition sum's terms (k, sign, den) (_gdqh2_terms), the phi
+form's and the Laguerre form's powers and prefactors (_phi_row,
+_laguerre_row) and q_laguerre's factors (_q_laguerre_row), which its phi11
+and phi21 forms both read.  A row is computed by the form's own expressions
+in their order, so a row kept or built afresh gives the same bits; what
+holds the point (x^(n-2k), y^k, z and the phi sum) is computed by each call.
 """
 
 from __future__ import annotations
@@ -274,8 +266,7 @@ def _recurrence_rows(q, lift) -> Iterator:
     running product and lift = q^(2 alpha + 1), both with the guard bits.
     At odd n, theta_n = 0 and lead_n is the backend's exact 1, the quotient
     (1 - q^(n+1)) / (1 - q^(n+1)) without the division."""
-    one = q - q + 1
-    q_n = next(qpowers(q, 1, 0))
+    q_n = one = q - q + 1
     for n in count():
         q_n1 = guarded_mul(q_n, q)
         lead = ((1 - guarded_mul(q_n1, lift)) / (1 - q_n1)

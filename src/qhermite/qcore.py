@@ -8,16 +8,19 @@ polynomial families, identity checks) is assembled from these; the finite
 and (a;q)_inf reads `_infinite_product`: the factors down to
 |a q^j| < (1 - q)/2, then Euler's series for the rest, rounded once.
 
-A shared-value scope (`shared_scope`) lets a caller that evaluates many
-checks at one (q, alpha) compute each finite table, real power and infinite
-product once.  Each value's lifetime is chosen where it is requested:
-`kept(f, *args)` serves a value of (q, alpha) alone, kept across scopes in
-one LRU cache of `_KEPT_CAP` entries, and `shared(f, *args)` a value that
-holds a point (x, y, omega or t), kept until its scope ends.  Both compute f
-once per operands, their types and mp.prec.  Outside a scope, a polynomial
-check opens a call-local one (`_call_local`), in which both memoize in the
-scope's own memo: its values end with the call and never enter the LRU.
-Elsewhere outside a scope both just compute.
+One rule sets the lifetime of every memoized value:
+
+- `kept(f, *args)`, for a value of (q, alpha) alone: inside a shared-value
+  scope (`shared_scope`) computed once and kept across scopes, in one LRU
+  cache of `_KEPT_CAP` entries, the least recently used dropped first.
+- `shared(f, *args)`, for a value that holds a point (x, y, omega or t):
+  computed once and kept until its scope ends.
+- A direct polynomial check runs in a call-local scope (`_call_local`)
+  when none is open: both memoize in its own memo, whose values end with
+  the call and never enter the LRU.
+- Outside every scope both just compute.
+
+Where they memoize, f runs once per operands, their types and mp.prec.
 A finite table grows to the longest n asked, a shorter request reading its
 prefix, bit for bit the table built to that n.
 
@@ -126,11 +129,9 @@ class Truncation:
 # The open shared-value scope, else None: (what its opener declared, memo,
 # call-local), where a call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-# A (q, alpha) block of DEFAULT_GRID keeps about 150 values, its nine blocks
-# 1,381, the phi factor and generating-function weight rows included.  The
-# cap holds the three blocks of an identity_sweep seed (607-626 values) and
-# a half; a second DEFAULT_GRID suite in one process rebuilds most.  A cap
-# of 2048 costs the orthogonality_gram bench about 1.4 MB more peak RSS.
+# A (q, alpha) block of DEFAULT_GRID keeps about 150 values: the cap holds
+# the three blocks of an identity_sweep seed and a half, and a larger one
+# costs the orthogonality sweep, a fresh (q, alpha) per call, peak RSS.
 _KEPT_CAP = 1024
 
 
@@ -156,19 +157,14 @@ def _scope(declared, local: bool):
 
 
 def shared_scope(declared=None):
-    """A block inside which `shared` and `kept` compute each value once.
-
-    run_identity_suite opens one per (q, alpha) block and declares its
-    cells' state in it; the orthogonality sweep opens one per sweep.  The
-    memo of `shared` is gone after the block, raised or not."""
+    """A block inside which `shared` and `kept` compute each value once;
+    the memo of `shared` is gone after the block, raised or not."""
     return _scope(declared, False)
 
 
 def _call_local(check):
-    """check, run inside a call-local scope when no scope is open: there
-    `kept` memoizes in the scope's own memo too, so one call builds each
-    value once and none outlives the call or enters the `_KEPT_CAP` LRU.
-    Inside an open scope check runs in that scope."""
+    """check, run in a call-local scope of its own when no scope is open,
+    else in the open one."""
     @wraps(check)
     def run(*args, **kwargs):
         if _SCOPE.get() is not None:
@@ -178,11 +174,6 @@ def _call_local(check):
     return run
 
 
-def _in_scope() -> bool:
-    """True while a scope, shared or call-local, is open."""
-    return _SCOPE.get() is not None
-
-
 def scope_declared():
     """What the opener of the innermost open scope declared; None outside one."""
     scope = _SCOPE.get()
@@ -190,18 +181,13 @@ def scope_declared():
 
 
 def shared(f, *args):
-    """f(*args) for a value that holds a point (x, y, omega or t): computed
-    once per open scope, call-local ones too, and mp.prec, plainly outside
-    a scope."""
+    """f(*args) for a value that holds a point, by the module's rule."""
     scope = _SCOPE.get()
     return f(*args) if scope is None else scope[1](f, mp.prec, *args)
 
 
 def kept(f, *args):
-    """f(*args) for a value of (q, alpha) alone: inside a scope computed once
-    per mp.prec and kept across scopes, `_KEPT_CAP` values at most, the least
-    recently used dropped first; in a call-local scope kept in its memo until
-    the call ends; plainly computed outside a scope."""
+    """f(*args) for a value of (q, alpha) alone, by the module's rule."""
     scope = _SCOPE.get()
     if scope is None:
         return f(*args)

@@ -19,12 +19,8 @@ halves with alternating signs, are one helper, _parity_half; alpha is
 finite and > -1 (QParams).  phi_rs holds the only summation loops: a plain
 one for the exact backend and, for mpf operands, one on raw libmp values
 that is bit for bit the same loop on mpf values with a compensated sum.
-That loop reads the factors of each term ratio that hold no z, 1 - q^(k+1),
-1 - a q^k, 1 - b q^k and (-1)^e q^(k e), from one table per (q, upper,
-lower) and precision, requested through qcore.kept: built once and kept
-inside a shared-value scope, built once per call inside the call-local
-scope a polynomial check opens outside one, and outside any scope read
-from its row stream as the sum needs them, with no table.
+That loop reads the factors of each term ratio that hold no z from one
+table per (q, upper, lower) and precision, a value qcore.kept serves.
 A non-terminating sum stops at the tail tolerance of its Truncation,
 taken at the precision the sum runs at.
 """
@@ -45,8 +41,8 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (QParams, Truncation, _check_degree, _check_q, _in_scope,
-                    _Rows, kept, q_pochhammer)
+from .qcore import (QParams, Truncation, _check_degree, _check_q, _Rows, kept,
+                    q_pochhammer)
 from .scalars import (
     Numeric,
     is_exact,
@@ -189,10 +185,9 @@ def _phi_factors(q, upper, lower) -> _Rows:
     """The rows of phi_rs's term-ratio factors that hold no z, one per k:
     (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
     (-1)^e q^(k e), or None at e = 1+s-r = 0), on raw libmp values at
-    mp.prec, q^k a running product.  Every phi the identity suite sums has
-    parameters of (n, q, alpha) alone; q_laguerre's phi21 form, whose upper
-    -x holds a point, is read only by the CLI's eval and table, which open
-    no scope, so they read the rows as they are made."""
+    mp.prec, q^k a running product.  The table is kept, so a phi whose
+    parameters hold a point (q_laguerre's phi21 form, upper -x) is summed
+    only with no shared scope open."""
     return _Rows(_phi_factor_rows, q, upper, lower, mp.prec)
 
 
@@ -216,20 +211,15 @@ def _float_sum(q, z, upper, lower, n_term, tr) -> SeriesValue:
     """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
     the operations, order and rounding of the exact loop run on mpf values
     at mp.prec with one Kahan step per term, so bit for bit the same.  The
-    factors that hold no z are read from one kept table per (q, upper,
-    lower) and mp.prec (`_phi_factors`) inside a scope, and from its row
-    stream as it is made outside one; z and the sum stay per call.
-    It stops at n_term, else once a term and the geometric bound on the
-    rest after it are both below the tail tolerance."""
+    factors that hold no z are the rows of `_phi_factors`; z and the sum
+    stay per call.  It stops at n_term, else once a term and the geometric
+    bound on the rest after it are both below the tail tolerance."""
     prec, rnd = mp.prec, round_nearest
     limit = tr.effective_tail_tol()._mpf_
     z_ = z._mpf_
-    if _in_scope():
-        table = kept(_phi_factors, q, upper, lower)
-        # a terminating sum's rows in one growth
-        rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
-    else:  # no scope keeps the table: read the rows as they are made
-        rows = _phi_factor_rows(q, upper, lower, prec)
+    table = kept(_phi_factors, q, upper, lower)
+    # a terminating sum's rows in one growth
+    rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
     # sum and compensation after term_0 = 1
     total, comp = fone, fzero
     term = fone

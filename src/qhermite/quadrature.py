@@ -14,11 +14,11 @@ multiplication per point.  One recurrence ladder per point x, read raw from
 the float recurrence kernel (polyfam._raw_recurrence), feeds all the pairs
 (at -x, the same ladder with the odd degrees negated); the closed
 form's products and the small-x tail's factors are computed once per sweep.
-The sweep opens one shared-value scope (qcore.shared_scope), in which the
-values of (q, alpha) alone are qcore.kept, so w_a(1)'s product, bit for
-bit the first factor of the constants' denominator, is taken once, the
-coefficients and the constants read one (q;q)_n and one (q;q)_{n,alpha}
-table, and every ladder reads one table of recurrence coefficients.  A
+The sweep opens one shared-value scope (qcore.shared_scope), so w_a(1)'s
+product, bit for bit the first factor of the constants' denominator, is
+taken once, the coefficients and the constants read one (q;q)_n and one
+(q;q)_{n,alpha} table, and every ladder reads one table of recurrence
+coefficients.  A
 pair of odd n + m has E = 0 exactly at every point: it gets no sum, only
 the test that its factors are finite, and its lhs is 0.  The per-point
 work runs on raw libmp values, with the operations, order and precision of

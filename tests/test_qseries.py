@@ -13,6 +13,7 @@ from mpmath import mp, mpf
 
 from qhermite import qcore, qseries
 from qhermite.errors import ConvergenceError, DivergenceError, DomainError, PoleError
+from qhermite.polyfam import q_laguerre
 from qhermite.qcore import (
     QParams,
     Truncation,
@@ -463,21 +464,31 @@ def test_phi_rs_in_a_scope_gives_the_bits_of_a_sum_outside_one():
     assert qcore._kept.cache_info().hits
 
 
-def test_phi_rs_outside_a_scope_builds_no_factor_table(monkeypatch):
-    # no scope keeps a table there, so a sum reads its factor rows as they
-    # are made; inside a scope it builds the one kept table
-    tables = []
-    build = qseries._phi_factors
-    monkeypatch.setattr(qseries, "_phi_factors",
-                        lambda *a: tables.append(a) or build(*a))
-    q, b = mpf("0.68"), qpow(mpf("0.68"), 2 * mpf("0.37") + 2)
-    phi((), (b,), q * q, q * mpf("0.81"))
-    phi((q ** -3,), (mpf(0),), q, mpf("0.3"))
-    assert tables == []
+def test_phi_rs_outside_a_scope_keeps_nothing_and_gives_the_scoped_bits():
+    # with no scope open a sum builds its factor table for itself: the kept
+    # cache is not read or written, cold or warm, and the value, terms and
+    # tail are those of the sum in a scope, for a convergent 0-phi-1, a
+    # terminating 1-phi-1 and q_laguerre's phi21 form, whose upper -x holds
+    # a point
+    q, x = mpf("0.68"), mpf("0.9")
+    b = qpow(q, 2 * mpf("0.37") + 2)
+    specs = [PhiSpec((), (b,), q * q, q * x * x),
+             PhiSpec((qpow(q, -5),), (b,), q, -mpf("0.3"), terminate_at=5)]
+
+    def bits():
+        sums = [phi_rs(spec) for spec in specs]
+        return ([(sv.value._mpf_, sv.terms_used, sv.tail_estimate._mpf_)
+                 for sv in sums],
+                q_laguerre(4, mpf("0.37"), x, q, rep="phi21")._mpf_)
+
     qcore._kept.cache_clear()
-    with shared_scope():
-        phi((), (b,), q * q, q * mpf("0.81"))
-    assert len(tables) == 1
+    for _ in range(2):  # cold, then with the scoped tables kept
+        before = qcore._kept.cache_info()
+        direct = bits()
+        assert qcore._kept.cache_info() == before
+        with shared_scope():
+            assert bits() == direct
+    assert qcore._kept.cache_info().hits
 
 
 def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():
