@@ -436,7 +436,8 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     """Closed form e_{q^2}(-y t^2) * bigE_{q,alpha}(x t) against the series
     sum_n q^C(n,2) t^n h_n(x,y) / (q;q)_n, truncated adaptively."""
     with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
-        lhs = euler_e(-y * t * t, q * q, trunc) * gen_E(x * t, p, trunc)
+        lhs = (shared(euler_e, -y * t * t, q * q, trunc)
+               * gen_E(x * t, p, trunc))
         rhs, used = _gf_series(copy(shared(_gf_terms, t, x, y, q, p)), trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)

@@ -114,8 +114,8 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
         return front * phi((down,), (qa1,), q, step * x, terminate_at=n,
                            trunc=trunc)
     # q^n q^(alpha+1) = -step exactly: rounding is symmetric in sign
-    return (phi((down, -x), (x - x,), q, -step, terminate_at=n, trunc=trunc)
-            / q_pochhammer(q, q, n))
+    return (phi((down, -x), (x - x,), q, -step, terminate_at=n, trunc=trunc,
+                point=True) / q_pochhammer(q, q, n))
 
 
 def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):

@@ -6,7 +6,8 @@ every infinite sum and product reads.  Everything downstream (series,
 polynomial families, identity checks) is assembled from these; the finite
 (a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`,
 and (a;q)_inf reads `_infinite_product`: the factors down to
-|a q^j| < (1 - q)/2, then Euler's series for the rest, rounded once.
+|a q^j| < (1 - q)/2, then Euler's series for the rest on fixed-point ints,
+rounded once.
 
 One rule sets the lifetime of every memoized value:
 
@@ -39,8 +40,8 @@ from threading import Lock
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, mpf_abs, mpf_add, mpf_div, mpf_le, mpf_lt,
-                          mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_lt, mpf_mul,
+                          mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
 from .scalars import (GUARD_BITS, Numeric, _ten_power, is_exact, qpow,
@@ -230,10 +231,12 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     is above 1/2 and the rest after a term is at most that term.  The sum
     stops at the first term of at most half of trunc's tail tolerance, read
     at the caller's precision, so what it drops is below tail_tol times the
-    sum.  Both parts run on raw libmp values GUARD_BITS above mp.prec and
-    are rounded to mp.prec once, at the end.  max_terms counts the factors
-    and the series terms together; a non-finite a raises DomainError before
-    the first factor.
+    sum.  The product runs on raw libmp values GUARD_BITS above mp.prec; the
+    series on ints scaled by 2^wp, with wp that precision, or the stop
+    limit's, if finer, plus bits for the roundings of its terms.  Their
+    product is rounded to mp.prec once, at the end.  max_terms counts the
+    factors and the series terms together; a non-finite a raises
+    DomainError before the first factor.
     """
     a = to_mpf(value)
     if not mp.isfinite(a):
@@ -250,18 +253,25 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
         prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, rnd), prec, rnd)
         a_q = mpf_mul(a_q, step, prec, rnd)
         budget -= 1
-    total = term = power = fone  # power = q^(k+1) after its update
+    # the guarded precision, or the limit's if finer, plus bits for the
+    # roundings of the terms: each is at most half the last, so there are
+    # fewer than wp of them
+    wp = max(prec, -limit[2] - limit[3]) + prec.bit_length()
+    one, step, bound = 1 << wp, to_fixed(step, wp), to_fixed(limit, wp)
+    a_q = to_fixed(a_q, wp)
+    total = term = power = one  # power = q^(k+1) after its update
     for _ in range(budget):
-        power = mpf_mul(power, step, prec, rnd)
-        term = mpf_div(mpf_mul(term, mpf_neg(a_q), prec, rnd),
-                       mpf_sub(fone, power, prec, rnd), prec, rnd)
-        total = mpf_add(total, term, prec, rnd)
-        a_q = mpf_mul(a_q, step, prec, rnd)
-        if mpf_le(mpf_abs(term), limit):
+        power = power * step >> wp
+        term = -(term * a_q) // (one - power)
+        total += term
+        a_q = a_q * step >> wp
+        if abs(term) <= bound:
+            total = from_man_exp(total, -wp)
             return mp.make_mpf(mpf_mul(prod, total, out, rnd))
     raise ConvergenceError(
         "(a;q)_inf did not meet tail_tol=%s within max_terms=%d "
-        "(|a q^k|=%s)" % (tail, tr.max_terms, mp.make_mpf(mpf_abs(a_q))))
+        "(|a q^k|=%s)" % (tail, tr.max_terms,
+                          mp.make_mpf(from_man_exp(abs(a_q), -wp))))
 
 
 def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):

@@ -11,16 +11,18 @@ the least m of an upper parameter exactly q^(-m) (bit for bit on mpf); a lower
 parameter exactly q^(-m) inside that range is a pole.  Terminating series
 work on the exact backend, everything else runs on mpf.
 
-On top of it, each as phi_rs calls: Euler's small q-exponential e_q, the
-generalized big q-exponential, the generalized q-cosine / q-sine pair and
-Jackson's second q-Bessel function.  The big q-exponential's even and odd
+On top of it: Euler's small q-exponential e_q, the reciprocal of qcore's
+(x; q)_inf, and, each as phi_rs calls, the generalized big q-exponential,
+the generalized q-cosine / q-sine pair and Jackson's second q-Bessel
+function.  The big q-exponential's even and odd
 halves, 0-phi-1 series in base q^2, and the q-cosine and q-sine, the same
 halves with alternating signs, are one helper, _parity_half; alpha is
 finite and > -1 (QParams).  phi_rs holds the only summation loops: a plain
 one for the exact backend and, for mpf operands, one on raw libmp values
 that is bit for bit the same loop on mpf values with a compensated sum.
 That loop reads the factors of each term ratio that hold no z from one
-table per (q, upper, lower) and precision, a value qcore.kept serves.
+table per (q, upper, lower) and precision, a value qcore.kept serves, or
+qcore.shared when a parameter holds a point (PhiSpec.point).
 A non-terminating sum stops at the tail tolerance of its Truncation,
 taken at the precision the sum runs at.
 """
@@ -41,8 +43,8 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (QParams, Truncation, _check_degree, _check_q, _Rows, kept,
-                    q_pochhammer)
+from .qcore import (QParams, Truncation, _check_degree, _check_q,
+                    _infinite_product, _Rows, kept, q_pochhammer, shared)
 from .scalars import (
     Numeric,
     is_exact,
@@ -80,7 +82,9 @@ class PhiSpec:
     terminate_at, when given, asserts that the summand vanishes for
     k > terminate_at (callers that build q^(-n) upper parameters know this
     index exactly and should pass it; else only an upper parameter equal to
-    qpow(q, -m) at the working precision terminates the series).
+    qpow(q, -m) at the working precision terminates the series).  point
+    says that a parameter holds a point (x, y, omega or t), so the factor
+    table of the float sum is not kept past a shared scope.
     """
 
     upper: tuple
@@ -88,6 +92,7 @@ class PhiSpec:
     q: Numeric
     z: Numeric
     terminate_at: Optional[int] = None
+    point: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(self.upper))
@@ -154,7 +159,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
 
     power_exponent = 1 + s - r
     if not is_exact(q):
-        return _float_sum(q, z, upper, lower, n_term, tr)
+        return _float_sum(q, z, upper, lower, n_term, tr, spec.point)
     # Fractions: exact, and terminating (n_term is set), so the sum is plain
     total = term = qk = q - q + 1  # qk = q^k
     for k in range(n_term):
@@ -185,9 +190,7 @@ def _phi_factors(q, upper, lower) -> _Rows:
     """The rows of phi_rs's term-ratio factors that hold no z, one per k:
     (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
     (-1)^e q^(k e), or None at e = 1+s-r = 0), on raw libmp values at
-    mp.prec, q^k a running product.  The table is kept, so a phi whose
-    parameters hold a point (q_laguerre's phi21 form, upper -x) is summed
-    only with no shared scope open."""
+    mp.prec, q^k a running product."""
     return _Rows(_phi_factor_rows, q, upper, lower, mp.prec)
 
 
@@ -207,17 +210,18 @@ def _phi_factor_rows(q, upper, lower, prec: int):
         qk = mpf_mul(qk, q, prec, rnd)
 
 
-def _float_sum(q, z, upper, lower, n_term, tr) -> SeriesValue:
+def _float_sum(q, z, upper, lower, n_term, tr, point: bool) -> SeriesValue:
     """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
     the operations, order and rounding of the exact loop run on mpf values
     at mp.prec with one Kahan step per term, so bit for bit the same.  The
-    factors that hold no z are the rows of `_phi_factors`; z and the sum
-    stay per call.  It stops at n_term, else once a term and the geometric
-    bound on the rest after it are both below the tail tolerance."""
+    factors that hold no z are the rows of `_phi_factors`, kept, or shared
+    when point says a parameter holds a point; z and the sum stay per call.
+    It stops at n_term, else once a term and the geometric bound on the
+    rest after it are both below the tail tolerance."""
     prec, rnd = mp.prec, round_nearest
     limit = tr.effective_tail_tol()._mpf_
     z_ = z._mpf_
-    table = kept(_phi_factors, q, upper, lower)
+    table = (shared if point else kept)(_phi_factors, q, upper, lower)
     # a terminating sum's rows in one growth
     rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
     # sum and compensation after term_0 = 1
@@ -257,20 +261,23 @@ def _float_sum(q, z, upper, lower, n_term, tr) -> SeriesValue:
                     return SeriesValue(mp.make_mpf(total), k + 1, mp.make_mpf(tail))
 
 
-def phi(upper, lower, q, z, terminate_at=None, trunc=None):
+def phi(upper, lower, q, z, terminate_at=None, trunc=None, point=False):
     """Convenience wrapper: the value of phi_rs."""
     return phi_rs(
-        PhiSpec(tuple(upper), tuple(lower), q, z, terminate_at=terminate_at),
+        PhiSpec(tuple(upper), tuple(lower), q, z, terminate_at=terminate_at,
+                point=point),
         trunc=trunc,
     ).value
 
 
 def euler_e(x, q, trunc: Optional[Truncation] = None):
-    """Small q-exponential e_q(x) = sum x^k / (q;q)_k = 1/(x;q)_inf, |x| < 1."""
+    """Small q-exponential e_q(x) = sum x^k / (q;q)_k = 1/(x;q)_inf, |x| < 1,
+    taken as the reciprocal of the product, which is not kept: x is a point."""
     x, q = to_mpf(x), to_mpf(q)
     if not abs(x) < 1:
         raise DomainError("e_q requires |x| < 1: got |x|=%s" % abs(x))
-    return phi((mpf(0),), (), q, x, trunc=trunc)
+    _check_q(q)
+    return 1 / _infinite_product(x, q, trunc)
 
 
 def _parity_half(half: int, sign: int, x, params: QParams, trunc):

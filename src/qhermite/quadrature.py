@@ -13,18 +13,21 @@ other weight follows from the running ratio
 multiplication per point.  One recurrence ladder per point x, read raw from
 the float recurrence kernel (polyfam._raw_recurrence), feeds all the pairs
 (at -x, the same ladder with the odd degrees negated); the closed
-form's products and the small-x tail's factors are computed once per sweep.
+form's products and the small-x tail's lattice moments are computed once
+per sweep.
 The sweep opens one shared-value scope (qcore.shared_scope), so w_a(1)'s
 product, bit for bit the first factor of the constants' denominator, is
 taken once, the coefficients and the constants read one (q;q)_n and one
 (q;q)_{n,alpha} table, and every ladder reads one table of recurrence
 coefficients.  A
 pair of odd n + m has E = 0 exactly at every point: it gets no sum, only
-the test that its factors are finite, and its lhs is 0.  The per-point
-work runs on raw libmp values, with the operations, order and precision of
-the same loop on mpf values.  mpf exponents do not overflow, so a product is
-non-finite only when a factor is: the pairs test their own factors only at
-a point whose weight or ladder is not finite.
+the test that its factors are finite, and its lhs is 0.  The walk and the
+ladders run on raw libmp values, with the operations, order and precision
+of the same loop on mpf values.  A pair of even n + m sums on Python ints:
+the exact products m_k 2 h_n h_m of those values, then its exact small-x
+tail, rounded to the working precision once.  mpf exponents do not
+overflow, so a product is non-finite only when a factor is: the pairs test
+their own factors only at a point whose weight or ladder is not finite.
 
 - k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
   is the sum of the absolute coefficients of h_n.  The envelope
@@ -39,7 +42,8 @@ a point whose weight or ladder is not finite.
   slowly as a -> -1.  The walk stops before the first k > 0 with
   c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2) and adds the rest in
   closed form (`_small_x_tail`): the q-binomial theorem gives
-  w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial.
+  w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial,
+  so the rest is a dot product of E's coefficients with lattice moments.
 
 The walk's stop rule, the weight product and the closed-form constants all
 use one truncation, the caller's; a tail_tol left unset resolves to
@@ -52,9 +56,9 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add,
-                          mpf_div, mpf_le, mpf_lt, mpf_mul, mpf_pow_int,
-                          mpf_shift, mpf_sub, mpf_sum, round_nearest)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
+                          mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
+                          mpf_pow_int, round_nearest, to_fixed)
 
 from .errors import ConvergenceError, EvaluationError
 from .identities import _params, _report, _tolerance, _work_digits
@@ -64,7 +68,7 @@ from .polyfam import _gdqh2_terms, _raw_recurrence
 from .polyfam import gdqh2_recurrence_ladder  # noqa: F401
 from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
                     kept, q_pochhammer, shared_scope)
-from .scalars import qpow, to_mpf
+from .scalars import GUARD_BITS, qpow, to_mpf
 
 __all__ = [
     "orthogonality_weight",
@@ -120,50 +124,96 @@ def _coefficients(n: int, p: QParams) -> list:
     return [front * sign / den for _, sign, den in kept(_gdqh2_terms, n, q, p)]
 
 
-def _small_x_tail(k: int, p: QParams, max_terms: int):
+def _plus(a: tuple, b: tuple) -> tuple:
+    """The exact sum of two dyadic numbers, each a pair (man, exp) with a
+    signed int man, meaning man 2^exp."""
+    (x, ex), (y, ey) = a, b
+    if ex > ey:
+        (x, ex), (y, ey) = b, a
+    return x + (y << (ey - ex)), ex
+
+
+def _dyadic(value) -> tuple:
+    """A finite raw libmp value as the pair (man, exp) of `_plus`."""
+    sign, man, exp, _ = value
+    return (-man if sign else man), exp
+
+
+def _small_x_tail(k: int, p: QParams, trunc: Truncation):
     """tail(even, floor) = the closed form of
     sum_{j >= k} q^(j(2a+2)) E(q^j) / (-c q^(2j); q^2)_inf, for
-    E(x) = sum_l even[l] x^(2l) and c = q^(-2a-1), with c q^(2k) < 1 - q^2.
+    E(x) = sum_l even[l] x^(2l) and c = q^(-2a-1), with c q^(2k) < 1 - q^2:
+    exact, from exact coefficients, each a pair (man, exp) of `_plus`, to
+    within floor, a raw libmp value.
 
     Summing the q-binomial series of the weight over j gives
-    sum_i b_i q^(k s_i) / (1 - q^(s_i)), with s_i = 2a+2+2i and
-    b_i = sum_{j+l=i} (-c)^j even[l] / (q^2;q^2)_j.  Past the last l the
-    j-series falls by r = c q^(2k) / (1-q^2) per term at most, and
-    1/(1 - q^(s_i)) falls with i, so the rest after term i is at most
-    r/(1-r) times its envelope: the sum stops once that is below floor.
+    sum_l even[l] M_l, with the lattice moments
+    M_l = sum_{j >= k} q^(j s_l) w_a(q^j) = U_l sum_i d_i g_(l+i), where
+    s_l = 2a+2+2l, U_l = q^(k s_l), d_i = (-c q^(2k))^i / (q^2;q^2)_i and
+    g_i = 1/(1 - q^(s_i)).  The closure keeps the moments, summed on ints
+    scaled by 2^wp, with wp the working precision, or tail_tol's if finer,
+    plus GUARD_BITS; U_l is rounded at wp bits.  A call takes the terms
+    with l + i <= I, for the first I >= len(even) - 1 at which the bound on
+    the rest is at most floor: past I the d-series falls by
+    r = c q^(2k) / (1-q^2) per term at most and g falls, so the rest is at
+    most r/(1-r) g_I sum_l |even[l]| U_l |d_(I-l)|.
     """
     q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-    prec, rnd = mp.prec, round_nearest
-    u = qpow(q, 2 * k)  # x_k^2
-    z = qpow(q, -2 * alpha - 1) * u
-    r = z / (1 - q * q)
-    lead = qpow(q, 2 * alpha + 2)
-    start = qpow(lead, k)  # q^(k(2a+2))
-    # q^(k(2a+2)) / (1 - q^(s_i)), that times r/(1-r), (-z)^i / (q^2;q^2)_i
-    # per index i, and u^l per l
-    front, bound, d, u_l = [], [], [], []
+    tail_tol = trunc.effective_tail_tol()._mpf_
+    wp = max(mp.prec, -tail_tol[2] - tail_tol[3]) + GUARD_BITS
+    one, rnd = 1 << wp, round_nearest
+    with mp.workprec(wp):
+        u = qpow(q, 2 * k)  # x_k^2
+        z = qpow(q, -2 * alpha - 1) * u
+        r = z / (1 - q * q)
+        lead = qpow(q, 2 * alpha + 2)
+        start = qpow(lead, k)._mpf_  # U_0 = q^(k(2a+2))
+        q2, neg_z, bound = (to_fixed(v._mpf_, wp)
+                            for v in (q * q, -z, r / (1 - r)))
+        lead = to_fixed(lead._mpf_, wp)
+    # per index i: q^(2i), d_i and g_i scaled by 2^wp; per l: U_l as a
+    # pair, and the partial sums of d_i g_(l+i), scaled by 2^(2 wp)
+    power, d, g, u_l, moment = [one], [one], [], [], []
 
-    def tail(even: list, floor):
+    def grow(i: int):
+        while len(g) <= i:
+            j = len(g)
+            if j:
+                power.append(power[-1] * q2 >> wp)
+                d.append(d[-1] * neg_z // (one - power[j]))
+            g.append(one * one // (one - (lead * power[j] >> wp)))
+
+    def tail(even: list, floor) -> tuple:
         while len(u_l) < len(even):
-            u_l.append(mpf_pow_int(u._mpf_, len(u_l), prec, rnd))
-        even = [mpf_mul(e._mpf_, w, prec, rnd) for e, w in zip(even, u_l)]
-        total = fzero
-        for i in range(max_terms):
-            if i == len(d):  # grown by the first call that reads index i
-                power = qpow(q, 2 * i)
-                d.append(d[-1] * -z / (1 - power) if d else mpf(1))
-                front.append(start / (1 - lead * power))
-                bound.append(front[i] * r / (1 - r))
-            span = range(max(0, i - len(even) + 1), i + 1)
-            terms = [mpf_mul(even[i - j], d[j]._mpf_, prec, rnd) for j in span]
-            total = mpf_add(total, mpf_mul(front[i]._mpf_, mpf_sum(
-                terms, prec, rnd), prec, rnd), prec, rnd)
-            if i + 1 >= len(even) and mpf_le(mpf_mul(bound[i]._mpf_, mpf_sum(
-                    terms, prec, rnd, True), prec, rnd), floor._mpf_):
-                return mp.make_mpf(total)
-        raise ConvergenceError(
-            "closed-form lattice tail from k = %d did not meet %s within "
-            "max_terms=%d" % (k, mp.nstr(floor, 4), max_terms))
+            u_l.append(_dyadic(mpf_mul(start, mpf_pow_int(
+                u._mpf_, len(u_l), wp, rnd), wp, rnd)))
+            moment.append([])
+        # even[l] U_l, exactly, on one exponent
+        weights = [(e * w, ee + we) for (e, ee), (w, we) in zip(even, u_l)]
+        low = min(exp for _, exp in weights)
+        weights = [man << (exp - low) for man, exp in weights]
+        # the bound on the rest, scaled by 2^(3 wp - low), against floor
+        shift = 3 * wp - low + floor[2]
+        cap = floor[1] << shift if shift >= 0 else floor[1]
+        for i in range(len(even) - 1, trunc.max_terms):
+            grow(i)
+            rest = bound * g[i] * sum(abs(w * d[i - l]) for l, w
+                                      in enumerate(weights))
+            if (rest if shift >= 0 else rest << -shift) <= cap:
+                break
+        else:
+            raise ConvergenceError(
+                "closed-form lattice tail from k = %d did not meet %s within "
+                "max_terms=%d" % (k, mp.nstr(mp.make_mpf(floor), 4),
+                                  trunc.max_terms))
+        dot = 0
+        for l, w in enumerate(weights):
+            sums = moment[l]
+            while len(sums) <= i - l:
+                j = len(sums)
+                sums.append((sums[-1] if j else 0) + d[j] * g[l + j])
+            dot += w * sums[i - l]
+        return dot, low - 2 * wp
     return tail
 
 
@@ -191,9 +241,9 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                          trunc: Optional[Truncation]) -> list:
     """Reports for the (n, m) pairs, in order, from one lattice walk.
 
-    Each pair of even n + m keeps its own compensated sum, fed in walk
-    order: k = 0 down to the negative end, then k = 1 up to the positive
-    end; a pair of odd n + m sums nothing.  After the walk
+    Each pair of even n + m keeps its own exact sum, fed in walk order:
+    k = 0 down to the negative end, then k = 1 up to the positive end, then
+    its small-x tail; a pair of odd n + m sums nothing.  After the walk
     the pairs are finished in order, and the first one whose sum hit a
     non-finite term raises.  A walk that reaches trunc.max_terms points at
     one end raises there.
@@ -210,19 +260,13 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         top = max(max(pair) for pair in pairs)
         coef = [_coefficients(n, p) for n in range(top + 1)]
         size = [sum(abs(a) for a in row) for row in coef]  # S_n
-        # per pair: S_n S_m, the Kahan sum (total, comp), its largest term,
-        # and the first x whose term is non-finite (which stops it)
+        # per pair: S_n S_m, its exact sum, its largest term, and the first
+        # x whose term is non-finite (which stops it)
         s_nm = [(size[n] * size[m])._mpf_ for n, m in pairs]
-        total, comp, largest = ([fzero] * len(pairs) for _ in range(3))
+        total, largest = [(0, 0)] * len(pairs), [fzero] * len(pairs)
         bad_x = [None] * len(pairs)
         summed = [i for i, (n, m) in enumerate(pairs) if (n + m) % 2 == 0]
         nonfinite = {fnan, finf, fninf}
-
-        def add(i, term):
-            low = mpf_sub(term, comp[i], prec, rnd)
-            high = mpf_add(total[i], low, prec, rnd)
-            comp[i] = mpf_sub(mpf_sub(high, total[i], prec, rnd), low, prec, rnd)
-            total[i] = high
 
         def visit(xk, mk):
             # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
@@ -237,16 +281,21 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 for i, (n, m) in enumerate(pairs):
                     if bad_x[i] is None and {mk, lad[n], lad[m]} & nonfinite:
                         bad_x[i] = xk
+            sign, man, exp, _ = mk
             terms = [fzero] * len(pairs)
             for i in summed:
                 if bad_x[i] is None:
                     n, m = pairs[i]
-                    term = mpf_mul(mk, mpf_shift(  # times 2, exactly
-                        mpf_mul(lad[n], lad[m], prec, rnd), 1), prec, rnd)
-                    terms[i] = mpf_abs(term)
+                    sn, man_n, exp_n, _ = lad[n]
+                    sm, man_m, exp_m, _ = lad[m]
+                    # m_k 2 h_n h_m, exactly, and rounded for the stop rules
+                    term = man * man_n * man_m
+                    exp_t = exp + exp_n + exp_m + 1
+                    terms[i] = from_man_exp(term, exp_t, prec, rnd)
                     if mpf_lt(largest[i], terms[i]):
                         largest[i] = terms[i]
-                    add(i, term)
+                    total[i] = _plus(total[i], (-term if sign ^ sn ^ sm
+                                                else term, exp_t))
             return terms
 
         def floor(i):
@@ -289,8 +338,9 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         points += k - 1
 
         # after the walk, so that a cap on max_terms stops the walk first
-        small_x = _small_x_tail(k, p, trunc.max_terms)
+        small_x = _small_x_tail(k, p, trunc)
         rhs_of = list(map(_rhs_by_degree(p, trunc), range(top + 1)))
+        exact = [[_dyadic(a._mpf_) for a in row] for row in coef]
         reports = []
         for i, (n, m) in enumerate(pairs):
             if bad_x[i] is not None:
@@ -300,12 +350,13 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             if (n + m) % 2 == 0:
                 # E(x) = 2 h_n h_m(x): the coefficient of x^(2l) in it
                 half = (n + m) // 2
-                even = [mpf(0)] * (half + 1)
-                for a, an in enumerate(coef[n]):
-                    for b, bm in enumerate(coef[m]):
-                        even[half - a - b] += 2 * an * bm
-                add(i, small_x(even, mp.make_mpf(floor(i)))._mpf_)
-            lhs = (1 - q) * mp.make_mpf(total[i])
+                even = [(0, 0)] * (half + 1)
+                for a, (an, ea) in enumerate(exact[n]):
+                    for b, (bm, eb) in enumerate(exact[m]):
+                        even[half - a - b] = _plus(even[half - a - b],
+                                                   (an * bm, ea + eb + 1))
+                total[i] = _plus(total[i], small_x(even, floor(i)))
+            lhs = (1 - q) * mp.make_mpf(from_man_exp(*total[i], prec, rnd))
             if n == m:
                 rhs, residual = rhs_of[n], None
             else:

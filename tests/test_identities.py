@@ -142,8 +142,9 @@ def test_gf_checks_take_any_tail_tol_truncation_accepts(tail_tol):
                          ids=lambda f: f.__name__)
 def test_gf_checks_hand_the_caller_truncation_to_every_sum(check, monkeypatch):
     # every phi_rs series and infinite product behind a generating-function
-    # check, closed forms and the e_{q^2}(y t^2) envelope included, reads the
-    # caller's Truncation, so --tail-tol reaches all of them
+    # check, closed forms and the e_{q^2}(+-y t^2) envelope included, reads
+    # the caller's Truncation, so --tail-tol reaches all of them; the
+    # envelope is one product, 1 / (+-y t^2; q^2)_inf, taken by euler_e
     seen = []
     phi_rs, infinite = qseries.phi_rs, qcore._infinite_product
 
@@ -151,16 +152,23 @@ def test_gf_checks_hand_the_caller_truncation_to_every_sum(check, monkeypatch):
         seen.append(("phi_rs", trunc))
         return phi_rs(spec, trunc)
 
-    def product_spy(value, q, trunc=None):
-        seen.append(("infinite", trunc))
-        return infinite(value, q, trunc)
+    def spy(kind):
+        def product(value, q, trunc=None):
+            seen.append((kind, trunc))
+            if kind == "envelope":
+                assert abs(value) == y * t * t and q == p.q ** 2
+            return infinite(value, q, trunc)
+        return product
 
     monkeypatch.setattr(qseries, "phi_rs", phi_spy)
-    monkeypatch.setattr(qcore, "_infinite_product", product_spy)
+    monkeypatch.setattr(qcore, "_infinite_product", spy("infinite"))
+    monkeypatch.setattr(qseries, "_infinite_product", spy("envelope"))
     trunc = Truncation(tail_tol=mpf("1e-20"))
-    check(mpf("0.3"), mpf("0.8"), mpf("0.5"), QParams(mpf("0.5"), mpf("0.7")),
-          trunc=trunc)
-    assert Counter(kind for kind, _ in seen)["phi_rs"] == 3
+    t, x, y = mpf("0.3"), mpf("0.8"), mpf("0.5")
+    p = QParams(mpf("0.5"), mpf("0.7"))
+    check(t, x, y, p, trunc=trunc)
+    kinds = Counter(kind for kind, _ in seen)
+    assert kinds["phi_rs"] == 2 and kinds["envelope"] == 1, kinds
     assert all(got is trunc for _, got in seen), seen
 
 

@@ -192,6 +192,12 @@ def _infinite_product_cases():
     wide = _wide(1, 3)
     cases += [(mpf("0.25"), a) for a in (-mpf(2) ** 800, wide, -wide,
                                          _wide(72, 997), mpf(1) / 7)]
+    # the orthogonality weights' (-q^(-2a-1) x^2; q^2)_inf at lattice
+    # points x = q^k toward both ends
+    cases += [(q * q, -qpow(q, -2 * alpha - 1) * q ** (2 * k))
+              for q in (mpf("0.2"), mpf("0.23"), mpf("0.25"), mpf("0.9"))
+              for alpha in (mpf("-0.4"), mpf("1.5"))
+              for k in (-12, 0, 6, 20)]
     return cases
 
 

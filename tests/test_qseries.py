@@ -7,6 +7,7 @@ library's e_q and generalized big exponential in the inverse-pair identities.
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -135,6 +136,22 @@ def test_euler_e_is_reciprocal_product():
         assert abs(euler_e(x, q) * q_pochhammer(x, q, None) - 1) < mpf("1e-45")
     with pytest.raises(DomainError):
         euler_e(mpf("1.1"), q)
+
+
+def test_euler_e_near_its_radius_is_the_reciprocal_product():
+    # x = 0.99 at q = 0.999: the series would need far more than 100,000
+    # terms; the product takes a few thousand factors and a short series.
+    # The oracle is mpmath.qp's product of the first 5000 factors, times
+    # (z; q)_inf = exp(-sum_m z^m / (m (1 - q^m))) at z = x q^5000 < 0.007
+    # for the rest, which mpmath.qp would take in 300,000 more factors
+    x, q = mpf("0.99"), mpf("0.999")
+    with mp.workdps(mp.dps + 40):
+        z = x * q ** 5000
+        rest = mp.exp(-mp.fsum(z ** m / (m * (1 - q ** m))
+                               for m in range(1, 70)))
+        want = 1 / (mpmath.qp(x, q, 5000, maxterms=5000) * rest)
+    got = euler_e(x, q)
+    assert abs(got - want) <= mpf(10) ** (1 - mp.dps) * want
 
 
 def test_euler_pair_inverse():
@@ -489,6 +506,32 @@ def test_phi_rs_outside_a_scope_keeps_nothing_and_gives_the_scoped_bits():
         with shared_scope():
             assert bits() == direct
     assert qcore._kept.cache_info().hits
+
+
+def test_phi21_tables_end_with_their_scope(monkeypatch):
+    # q_laguerre's phi21 form sums a phi whose upper -x holds a point: its
+    # factor table is shared, so a scope builds one per x and keeps none of
+    # them in qcore._kept past its end, and the bits are those of the same
+    # calls outside any scope
+    builds = []
+    factors = qseries._phi_factors
+    monkeypatch.setattr(qseries, "_phi_factors",
+                        lambda q, upper, lower: builds.append(upper[1])
+                        or factors(q, upper, lower))
+    q, alpha = mpf("0.3"), mpf("1.2")
+    xs = [mpf("0.8"), mpf("-1.5"), mpf("2.25")]
+
+    def values():
+        return [q_laguerre(3, alpha, x, q, rep="phi21")._mpf_ for x in xs]
+
+    qcore._kept.cache_clear()
+    direct = values()
+    for _ in range(2):  # the second scope finds none of the first's tables
+        builds.clear()
+        with shared_scope():
+            assert values() == direct and values() == direct
+        assert builds == [-x for x in xs]
+    assert values() == direct
 
 
 def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():

@@ -1,10 +1,12 @@
 """Bilateral Jackson sums and the discrete orthogonality relation."""
 
 from collections import Counter
+from fractions import Fraction as F
 from itertools import count, islice
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from qhermite import polyfam, qcore, quadrature
 from qhermite.errors import ConvergenceError, DomainError, EvaluationError
@@ -59,11 +61,21 @@ def test_walked_weights_match_mpmath_qp(q, alpha, dps, monkeypatch):
             assert abs(mk - want) <= mpf(10) ** (10 - dps) * abs(want), k
 
 
+def _dyadics(values) -> list:
+    """mpf values as the exact (man, exp) pairs `_small_x_tail` reads."""
+    return [quadrature._dyadic(v._mpf_) for v in values]
+
+
+def _value(pair):
+    """An exact (man, exp) pair as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(*pair))
+
+
 def test_small_x_tail_matches_brute_force():
     # sum_{k > 12} of the (0, 0) terms 2 q^(k(2a+2)) w_a(q^k) at
     # q = 0.3, alpha = -0.9, where they fall only by 0.3^0.2 per point:
     # 1400 points reach 1e-146.  Then the (2, 2) terms, whose three even
-    # coefficients read the factors the first call left at several indices
+    # coefficients read the moments the first call left at several depths
     with mp.workdps(60):
         p = QParams(mpf("0.3"), mpf("-0.9"))
         q, alpha = p.q, p.alpha
@@ -71,17 +83,109 @@ def test_small_x_tail_matches_brute_force():
         ks = range(13, 13 + 1400)
         mass = [qpow(q, k * (2 * alpha + 2)) / mp.qp(-c * qpow(q, 2 * k), q * q)
                 for k in ks]
-        tail = quadrature._small_x_tail(13, p, 100)
+        tail = quadrature._small_x_tail(13, p, Truncation(max_terms=100))
         floor = mpf(10) ** -(mp.dps + 10)
         brute = mp.fsum(2 * m for m in mass)
-        got = tail([mpf(2)], floor)
+        got = _value(tail(_dyadics([mpf(2)]), floor._mpf_))
         assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
         a0, a1 = quadrature._coefficients(2, p)  # h_2(x) = a0 x^2 + a1
         brute = mp.fsum(2 * gdqh2(2, qpow(q, k), mpf(1), p,
                                   rep="definition_sum") ** 2 * m
                         for k, m in zip(ks, mass))
-        got = tail([2 * a1 * a1, 4 * a0 * a1, 2 * a0 * a0], floor)
+        got = _value(tail(_dyadics([2 * a1 * a1, 4 * a0 * a1, 2 * a0 * a0]),
+                          floor._mpf_))
         assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
+
+
+def _record_sweep(monkeypatch):
+    """What one sweep reads: {x_k: m_k} of the points it visits, and per
+    small-x tail call (k, even, floor, tail)."""
+    walked, visited, tails = {}, [], []
+    walk, ladder = quadrature._walk, quadrature._raw_recurrence
+    small_x = quadrature._small_x_tail
+
+    def recording_walk(p, w_one, step):
+        for k, xk, mk in walk(p, w_one, step):
+            walked[xk] = mk
+            yield k, xk, mk
+
+    def recording_ladder(x, y, q, alpha):
+        visited.append(x)
+        return ladder(x, y, q, alpha)
+
+    def recording_tail(k, p, trunc):
+        tail = small_x(k, p, trunc)
+
+        def call(even, floor):
+            tails.append((k, even, floor, tail(even, floor)))
+            return tails[-1][-1]
+        return call
+
+    monkeypatch.setattr(quadrature, "_walk", recording_walk)
+    monkeypatch.setattr(quadrature, "_raw_recurrence", recording_ladder)
+    monkeypatch.setattr(quadrature, "_small_x_tail", recording_tail)
+    return walked, visited, tails
+
+
+def _fraction(value) -> F:
+    """A finite raw libmp value or (man, exp) pair as an exact Fraction."""
+    man, exp = value if len(value) == 2 else quadrature._dyadic(value)
+    return man * F(2) ** exp
+
+
+@pytest.mark.parametrize("q, alpha", [("0.22", "1.3"), ("0.3", "-0.9")])
+def test_pair_sums_are_their_exact_terms_rounded_once(q, alpha, monkeypatch):
+    # each even pair's lhs is (1 - q) times its total, and the total is the
+    # exact sum of the terms m_k 2 h_n h_m at the points visited, from the
+    # raw values the sweep read, plus its small-x tail, rounded once
+    walked, visited, tails = _record_sweep(monkeypatch)
+    p = QParams(mpf(q), mpf(alpha))
+    reports = orthogonality_gram(3, p)
+    with mp.workdps(quadrature._work_digits("sweep")):
+        assert len(visited) == reports[0].terms_used
+        ladders = [list(islice(polyfam._raw_recurrence(
+            x, mpf(1), p.q, p.alpha), 4)) for x in visited]
+        even = [r for r in reports if (r.params["n"] + r.params["m"]) % 2 == 0]
+        assert len(tails) == len(even) == 6
+        for r, (_, _, _, tail) in zip(even, tails):
+            n, m = r.params["n"], r.params["m"]
+            exact = _fraction(tail) + sum(
+                2 * _fraction(walked[x]._mpf_) * _fraction(lad[n])
+                * _fraction(lad[m]) for x, lad in zip(visited, ladders))
+            total = mp.make_mpf(from_rational(exact.numerator,
+                                              exact.denominator, mp.prec,
+                                              round_nearest))
+            assert ((1 - p.q) * total)._mpf_ == r.lhs._mpf_, (n, m)
+        assert all(r.lhs == 0 for r in reports if r not in even)
+
+
+@pytest.mark.parametrize("q, alpha", [("0.22", "1.3"), ("0.3", "-0.9"),
+                                      ("0.7", "2.5")])
+def test_moment_tail_is_the_lattice_sum_from_its_k_within_the_floor(
+        q, alpha, monkeypatch):
+    # every pair's closed-form tail against the direct sum over the lattice
+    # points q^j, j >= k, with mpmath's own (a; q^2)_inf, 40 digits above
+    # the sweep's: they differ by at most the pair's floor
+    _, _, tails = _record_sweep(monkeypatch)
+    p = QParams(mpf(q), mpf(alpha))
+    orthogonality_gram(2, p)
+    assert len(tails) == 4
+    with mp.workdps(quadrature._work_digits("sweep") + 40):
+        c = p.q ** (-2 * p.alpha - 1)
+        k = tails[0][0]
+        direct = [[] for _ in range(3)]  # per l: q^(j s_l) w_a(q^j)
+        for j in count(k):
+            x2 = p.q ** (2 * j)
+            mass = p.q ** (j * (2 * p.alpha + 2)) / mp.qp(-c * x2, p.q ** 2)
+            for l, row in enumerate(direct):
+                row.append(mass * x2 ** l)
+            if mass < mpf(10) ** -(mp.dps + 5) * direct[0][0]:
+                break
+        moments = [mp.fsum(row) for row in direct]
+        for _, even, floor, tail in tails:
+            want = mp.fsum(_value(e) * moment
+                           for e, moment in zip(even, moments))
+            assert abs(_value(tail) - want) <= mp.make_mpf(floor)
 
 
 def _jackson_reference(pairs, p, ks):
@@ -453,32 +557,9 @@ def _mpf_walk(p, w_one, step):
         k, xk = k + step, x_next
 
 
-def _mpf_small_x_tail(k, p, even, floor):
-    """One call of `quadrature._small_x_tail`'s closure as the loop on mpf
-    values, with mp.fsum, that it runs on raw libmp values."""
-    q, alpha = p.q, p.alpha
-    u = qpow(q, 2 * k)
-    z = qpow(q, -2 * alpha - 1) * u
-    r = z / (1 - q * q)
-    lead = qpow(q, 2 * alpha + 2)
-    start = qpow(lead, k)
-    even = [e * qpow(u, l) for l, e in enumerate(even)]
-    total, d = mpf(0), [mpf(1)]
-    for i in count():
-        power = qpow(q, 2 * i)
-        if i:
-            d.append(d[-1] * -z / (1 - power))
-        front = start / (1 - lead * power)
-        span = range(max(0, i - len(even) + 1), i + 1)
-        total += front * mp.fsum(even[i - j] * d[j] for j in span)
-        if (i + 1 >= len(even) and front * r / (1 - r)
-                * mp.fsum(abs(even[i - j] * d[j]) for j in span) <= floor):
-            return total
-
-
-@pytest.mark.parametrize("q, alpha, k", [("0.3", "-0.9", 13), ("0.7", "2.5", 40),
-                                         ("0.22", "1.3", 9)])
-def test_raw_walk_and_small_x_tail_give_the_mpf_loops_bits(q, alpha, k):
+@pytest.mark.parametrize("q, alpha", [("0.3", "-0.9"), ("0.7", "2.5"),
+                                      ("0.22", "1.3")])
+def test_raw_walk_gives_the_mpf_loops_bits(q, alpha):
     p = QParams(mpf(q), mpf(alpha))
     with mp.workdps(70):
         w_one = orthogonality_weight(1, p)
@@ -487,15 +568,3 @@ def test_raw_walk_and_small_x_tail_give_the_mpf_loops_bits(q, alpha, k):
             ref = islice(_mpf_walk(p, w_one, step), 60)
             assert [(j, x._mpf_, m._mpf_) for j, x, m in raw] == \
                 [(j, x._mpf_, m._mpf_) for j, x, m in ref]
-        # calls in turn on one closure: later ones read the factors the
-        # earlier ones grew, and the short one reads a prefix of them.  The
-        # coefficient of x^(2l) is scaled by x_k^(-2l), so that every power
-        # of x_k^2 reaches the last bits of the sum
-        tail = quadrature._small_x_tail(k, p, 1000)
-        u = qpow(p.q, 2 * k)
-        for coeffs, digits in (([2], 80), ([3, -mpf(1) / 7, 5], 80),
-                               ([mpf(1) / 3, 2], 40), ([-2], 90)):
-            even = [a / qpow(u, l) for l, a in enumerate(coeffs)]
-            floor = mpf(10) ** -digits
-            assert tail(even, floor)._mpf_ == \
-                _mpf_small_x_tail(k, p, even, floor)._mpf_, (coeffs, digits)
