@@ -14,17 +14,17 @@ work on the exact backend, everything else runs on mpf.
 On top of it: Euler's small q-exponential e_q, the reciprocal of qcore's
 (x; q)_inf, and, each as phi_rs calls, the generalized big q-exponential,
 the generalized q-cosine / q-sine pair and Jackson's second q-Bessel
-function.  The big q-exponential's even and odd
-halves, 0-phi-1 series in base q^2, and the q-cosine and q-sine, the same
-halves with alternating signs, are one helper, _parity_half; alpha is
-finite and > -1 (QParams).  phi_rs holds the only summation loops: a plain
-one for the exact backend and, for mpf operands, one on raw libmp values
-that is bit for bit the same loop on mpf values with a compensated sum.
-That loop reads the factors of each term ratio that hold no z from one
-table per (q, upper, lower) and precision, a value qcore.kept serves, or
-qcore.shared when a parameter holds a point (PhiSpec.point).
-A non-terminating sum stops at the tail tolerance of its Truncation,
-taken at the precision the sum runs at.
+function.  The big q-exponential's even and odd halves, 0-phi-1 series in
+base q^2, and the q-cosine and q-sine, the same halves with alternating
+signs, are one helper, _parity_half; alpha is finite and > -1 (QParams).
+phi_rs holds the only summation loops: a plain one for the exact backend
+and, for mpf operands, one on raw libmp values that is bit for bit the
+same loop on mpf values with a compensated sum.  That loop reads the
+factors of each term ratio that hold no z from one table per (q, upper,
+lower) and precision, a value qcore.kept serves, or qcore.shared when a
+parameter holds a point (PhiSpec.point).  A non-terminating sum stops at
+the tail tolerance of its Truncation, taken at the precision the sum runs
+at.
 """
 
 from __future__ import annotations

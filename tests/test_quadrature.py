@@ -98,8 +98,9 @@ def test_small_x_tail_matches_brute_force():
 
 
 def _record_sweep(monkeypatch):
-    """What one sweep reads: {x_k: m_k} of the points it visits, and per
-    small-x tail call (k, even, floor, tail)."""
+    """What one sweep reads: {x_k: m_k} of the points it walks, the x of
+    each point it visits, in order, and per small-x tail call
+    (k, even, floor, tail)."""
     walked, visited, tails = {}, [], []
     walk, ladder = quadrature._walk, quadrature._raw_recurrence
     small_x = quadrature._small_x_tail
