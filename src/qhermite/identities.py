@@ -24,7 +24,7 @@ serves every degree; both read the definition sum's terms row
 (polyfam._gdqh2_terms) at alpha = -1/2.  The four polynomial checks are
 wrapped in qcore._call_local.
 The generating-function checks read one term stream (_gf_terms) over the
-float recurrence kernel (polyfam._raw_recurrence); the stream, its sum
+float recurrence kernel (polyfam._recurrence); the stream, its sum
 (_gf_series) and its parity halves (_half_series) run on raw libmp values
 with the operations and rounding order of the same loops on mpf values.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
@@ -52,7 +52,7 @@ from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
     _gdqh2_terms,
-    _raw_recurrence,
+    _recurrence,
     gdqh2,
     gdqh2_recurrence_ladder,
     rosenblum_hermite,
@@ -385,7 +385,7 @@ def _gf_term_stream(rows, t, x, y, q, p: QParams):
     force when it is pulled: weight_j h_j, with h_j the float kernel's, then
     weight_(j+1) = weight_j ((t q^j) / (1 - q^(j+1))) from the next row."""
     t, rnd, weight, prec = t._mpf_, round_nearest, fone, mp.prec
-    for h in _raw_recurrence(x, y, q, to_mpf(p.alpha)):
+    for h in _recurrence(x, y, q, to_mpf(p.alpha)):
         yield mpf_mul(weight, h, prec, rnd)
         power, gap = next(rows)
         prec = mp.prec

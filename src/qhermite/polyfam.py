@@ -18,12 +18,10 @@ The recurrence
 is exposed step-wise (gdqh2_recurrence_step) and as one lazy stream of
 h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
 only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
-the cheap way to evaluate a whole ladder of degrees.  On mpf operands the
-stream is one float kernel, _raw_recurrence: a generator of raw libmp
-values with the step's operations, order and rounding, which at each pull
-reads the coefficient table of the precision then in force.  Exact operands
-keep the step, the same exact/raw split as phi_rs and qcore._products; so
-does the definition sum, whose mpf loop runs on raw values too.
+the cheap way to evaluate a whole ladder of degrees.  The stream and the
+step read one kernel, _recurrence, a loop over the operands' arithmetic
+(scalars.Arithmetic) that at each pull reads the coefficient table of the
+precision then in force; the definition sum is one such loop too.
 
 The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
 on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
@@ -52,8 +50,7 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import round_nearest
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
@@ -70,8 +67,8 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import (Numeric, guarded_mul, is_exact, qpow, qpowers, to_mpf,
-                      unify)
+from .scalars import (Numeric, arithmetic, guarded_mul, is_exact, qpow, qpowers,
+                      to_mpf, unify)
 
 __all__ = [
     "q_laguerre",
@@ -153,22 +150,17 @@ def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
 
 def _gdqh2_definition(n: int, x, y, params: QParams):
     """(q;q)_n times the sum of the terms sign * x^(n-2k) * y^k / den of
-    `_gdqh2_terms`, each rounded in that order; on mpf operands the loop runs
-    on raw libmp values with the same operations, so the same bits."""
+    `_gdqh2_terms`, each rounded in that order."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    terms = kept(_gdqh2_terms, n, q, params)
-    if is_exact(q):
-        total = q - q
-        for k, sign, den in terms:
-            total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
-        return q_pochhammer(q, q, n) * total
+    ar = arithmetic(q)
+    mul, pow_int, raw = ar.mul, ar.pow_int, ar.raw
     prec, rnd = mp.prec, round_nearest
-    x, y, total = x._mpf_, y._mpf_, fzero
-    for k, sign, den in terms:
-        term = mpf_mul(mpf_mul(sign._mpf_, mpf_pow_int(x, n - 2 * k, prec, rnd),
-                               prec, rnd), mpf_pow_int(y, k, prec, rnd), prec, rnd)
-        total = mpf_add(total, mpf_div(term, den._mpf_, prec, rnd), prec, rnd)
-    return q_pochhammer(q, q, n) * mp.make_mpf(total)
+    x, y, total = raw(x), raw(y), ar.zero
+    for k, sign, den in kept(_gdqh2_terms, n, q, params):
+        term = mul(mul(raw(sign), pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
+                   pow_int(y, k, prec, rnd), prec, rnd)
+        total = ar.add(total, ar.div(term, raw(den), prec, rnd), prec, rnd)
+    return q_pochhammer(q, q, n) * ar.value(total)
 
 
 def _phi_row(n: int, q, params: QParams) -> tuple:
@@ -251,8 +243,8 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
 @dataclass(frozen=True)
 class RecurrenceState:
     """Ladder state: degree n together with values at n and n-1, and the
-    coefficient table a step reads with the (mp.prec, q, alpha) it serves
-    (None: fetched by the step)."""
+    coefficient table a step reads with the mp.prec and the (q, alpha),
+    values and types, it serves (None: fetched by the step)."""
 
     n: int
     current: Numeric
@@ -262,16 +254,18 @@ class RecurrenceState:
 
 def _recurrence_rows(q, lift) -> Iterator:
     """The step's coefficients (lead_n, q / (q^n)^2, 1 - q^n) for n = 0, 1,
-    ..., with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a
-    running product and lift = q^(2 alpha + 1), both with the guard bits.
-    At odd n, theta_n = 0 and lead_n is the backend's exact 1, the quotient
-    (1 - q^(n+1)) / (1 - q^(n+1)) without the division."""
+    ..., as operands of q's arithmetic, with lead_n = (1 -
+    q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a running product and lift
+    = q^(2 alpha + 1), both with the guard bits.  At odd n, theta_n = 0 and
+    lead_n is the backend's exact 1, the quotient (1 - q^(n+1)) /
+    (1 - q^(n+1)) without the division."""
+    raw = arithmetic(q).raw
     q_n = one = q - q + 1
     for n in count():
         q_n1 = guarded_mul(q_n, q)
         lead = ((1 - guarded_mul(q_n1, lift)) / (1 - q_n1)
                 if parity_indicator(n) else one)
-        yield lead, q / guarded_mul(q_n, q_n), 1 - q_n
+        yield raw(lead), raw(q / guarded_mul(q_n, q_n)), raw(1 - q_n)
         q_n = q_n1
 
 
@@ -281,56 +275,55 @@ def _recurrence_table(q, alpha) -> _Rows:
     return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha))
 
 
-def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
-    """One step of the three-term recurrence, n -> n+1.
-
-    The coefficients come from the state's table when it serves this
-    (mp.prec, q, alpha), else from the one of this (q, alpha) and mp.prec;
-    the returned state carries that table on, under this step's own
-    (mp.prec, q, alpha), so the next step at the same operands finds them
-    by identity.  lead_n is exactly 1 at odd n, so an odd step returns
-    x h_n - y q^(-2n+1) (1 - q^n) h_(n-1) undivided, the bits the division
-    by 1 gives."""
-    n = state.n
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    key, table = (mp.prec, q, alpha), state.table
-    if table is None or table[0] != key:
-        table = key, kept(_recurrence_table, q, alpha)
-    lead, ratio, gap = table[1].upto(n)[n]
-    nxt = x * state.current
-    if n >= 1:
-        nxt = nxt - y * ratio * gap * state.previous
-    return RecurrenceState(n + 1, nxt if n & 1 else nxt / lead, state.current,
-                           table)
-
-
-def _raw_recurrence(x, y, q, alpha) -> Iterator:
-    """h_0, h_1, ... at one point on mpf operands, as raw libmp values: the
-    float kernel of the recurrence.  Each value is gdqh2_recurrence_step's,
-    bit for bit: the same operations in the same order, rounded at the
-    precision in force when it is pulled, with the rows of that precision's
-    `_recurrence_table`, and no division at odd n, where lead_n is one."""
-    x, y, rnd = x._mpf_, y._mpf_, round_nearest
-    previous, current, prec = fzero, fone, None
-    for n in count():
+def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
+                table=None) -> Iterator:
+    """h_n, h_(n+1), ... at one point, from h_n = current and h_(n-1) =
+    previous (h_0 = 1 by default), as operands of q's arithmetic: the one
+    recurrence kernel.  Each value is rounded at the precision in force when
+    it is pulled, with the rows of that precision's `_recurrence_table`, or
+    the given table's at the first step, and is not divided at odd n, where
+    lead_n is one."""
+    ar = arithmetic(q)
+    mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
+    x, y = ar.raw(x), ar.raw(y)
+    if current is None:
+        current, previous = ar.one, ar.zero
+    else:
+        current, previous = ar.raw(current), ar.raw(previous)
+    prec = None if table is None else mp.prec
+    while True:
         yield current
         if mp.prec != prec:
             prec, table = mp.prec, kept(_recurrence_table, q, alpha)
         lead, ratio, gap = table.upto(n)[n]
-        nxt = mpf_mul(x, current, prec, rnd)
+        nxt = mul(x, current, prec, rnd)
         if n:
-            back = mpf_mul(mpf_mul(y, ratio._mpf_, prec, rnd), gap._mpf_, prec, rnd)
-            nxt = mpf_sub(nxt, mpf_mul(back, previous, prec, rnd), prec, rnd)
+            back = mul(mul(y, ratio, prec, rnd), gap, prec, rnd)
+            nxt = sub(nxt, mul(back, previous, prec, rnd), prec, rnd)
         previous, current = current, (nxt if n & 1
-                                      else mpf_div(nxt, lead._mpf_, prec, rnd))
+                                      else div(nxt, lead, prec, rnd))
+        n += 1
 
 
-def _stepped_values(x, y, params: QParams, zero) -> Iterator:
-    """h_0, h_1, ... by gdqh2_recurrence_step, the exact backend's stream."""
-    state = RecurrenceState(0, zero + 1, zero)
-    while True:
-        yield state.current
-        state = gdqh2_recurrence_step(state, x, y, params)
+def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
+    """One step of the three-term recurrence, n -> n+1: the kernel started
+    at the state's (n, current, previous), with x, y, params and the
+    state's values on one backend (`unify`).
+
+    The coefficients come from the state's table when it serves this
+    mp.prec and this (q, alpha) on this backend, else from the one of this
+    (q, alpha) and mp.prec; the returned state carries that table on, so
+    the next step at the same operands finds it by identity."""
+    x, y, q, alpha, current, previous = unify(
+        x, y, params.q, params.alpha, state.current, state.previous)
+    # keyed on the types too: Fraction(1, 2) == mpf(0.5)
+    key, table = (mp.prec, q, alpha, type(q), type(alpha)), state.table
+    if table is None or table[0] != key:
+        table = key, kept(_recurrence_table, q, alpha)
+    values = _recurrence(x, y, q, alpha, state.n, current, previous, table[1])
+    next(values)
+    return RecurrenceState(state.n + 1, arithmetic(q).value(next(values)),
+                           state.current, table)
 
 
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
@@ -338,12 +331,9 @@ def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
 
     The values are computed at the precision in force when each is pulled,
     with that precision's coefficient table, so read the stream inside the
-    caller's working-precision block.  On mpf operands they are the float
-    kernel's (`_raw_recurrence`), on exact ones gdqh2_recurrence_step's."""
+    caller's working-precision block."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    if is_exact(q):
-        return _stepped_values(x, y, params, q - q)
-    return map(mp.make_mpf, _raw_recurrence(x, y, q, alpha))
+    return map(arithmetic(q).value, _recurrence(x, y, q, alpha))
 
 
 def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:

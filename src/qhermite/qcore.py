@@ -5,9 +5,9 @@ q-shifted factorial, Hahn's q-addition powers, and the Truncation budget
 every infinite sum and product reads.  Everything downstream (series,
 polynomial families, identity checks) is assembled from these; the finite
 (a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n all read one loop, `_products`,
-and (a;q)_inf reads `_infinite_product`: the factors down to
-|a q^j| < (1 - q)/2, then Euler's series for the rest on fixed-point ints,
-rounded once.
+over the arithmetic of their operands (scalars.Arithmetic), and (a;q)_inf
+reads `_infinite_product`: the factors down to |a q^j| < (1 - q)/2, then
+Euler's series for the rest on fixed-point ints, rounded once.
 
 One rule sets the lifetime of every memoized value:
 
@@ -44,8 +44,8 @@ from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_lt, mpf_mul,
                           mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
-from .scalars import (GUARD_BITS, Numeric, _ten_power, is_exact, qpow,
-                      to_mpf, unify)
+from .scalars import (GUARD_BITS, Numeric, _ten_power, arithmetic, is_exact,
+                      qpow, to_mpf, unify)
 
 __all__ = [
     "QParams",
@@ -322,32 +322,20 @@ def _products(c, a, q, n: int, lift=1, point=False) -> list:
 
 def _product_table(c, a, q, lift) -> _Rows:
     """The rows P_0, P_1, ... of `_products`, on unified operands."""
-    if is_exact(q):
-        return _Rows(_exact_products, c, a, q, lift)
-    return _Rows(_raw_products, c._mpf_, a._mpf_, q._mpf_, lift._mpf_,
-                 mp.prec + GUARD_BITS)
+    return _Rows(_product_rows, c, a, q, lift, mp.prec + GUARD_BITS)
 
 
-def _exact_products(c, a, q, lift):
-    """P_0, P_1, ... of `_products` on exact operands."""
-    out, power = q - q + 1, a  # power = a q^m
+def _product_rows(c, power, q, lift, prec: int):
+    """P_0, P_1, ... of `_products` in the arithmetic of q, at prec bits."""
+    ar = arithmetic(q)
+    mul, sub, rnd = ar.mul, ar.sub, round_nearest
+    c, power, q, lift = map(ar.raw, (c, power, q, lift))  # power = a q^m
+    out = ar.one
     for m in count():
-        yield out
-        out *= c - (power if m & 1 else power * lift)
-        power *= q
-
-
-def _raw_products(c, power, q, lift, prec: int):
-    """`_exact_products` on raw libmp values at prec bits: the operations,
-    order and rounding of that loop on mpf values in mp.workprec(prec), so
-    bit for bit the same, without an mpf wrapper per operation."""
-    out = fone
-    for m in count():
-        yield mp.make_mpf(out)
-        factor = power if m & 1 else mpf_mul(power, lift, prec, round_nearest)
-        out = mpf_mul(out, mpf_sub(c, factor, prec, round_nearest),
-                      prec, round_nearest)
-        power = mpf_mul(power, q, prec, round_nearest)
+        yield ar.value(out)
+        factor = power if m & 1 else mul(power, lift, prec, rnd)
+        out = mul(out, sub(c, factor, prec, rnd), prec, rnd)
+        power = mul(power, q, prec, rnd)
 
 
 def _odd_lift(q, alpha):

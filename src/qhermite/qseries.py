@@ -17,12 +17,11 @@ the generalized q-cosine / q-sine pair and Jackson's second q-Bessel
 function.  The big q-exponential's even and odd halves, 0-phi-1 series in
 base q^2, and the q-cosine and q-sine, the same halves with alternating
 signs, are one helper, _parity_half; alpha is finite and > -1 (QParams).
-phi_rs holds the only summation loops: a plain one for the exact backend
-and, for mpf operands, one on raw libmp values that is bit for bit the
-same loop on mpf values with a compensated sum.  That loop reads the
-factors of each term ratio that hold no z from one table per (q, upper,
-lower) and precision, a value qcore.kept serves, or qcore.shared when a
-parameter holds a point (PhiSpec.point).  A non-terminating sum stops at
+phi_rs holds the only summation loop, a compensated sum over the operands'
+arithmetic (scalars.Arithmetic).  It reads the factors of each term ratio
+that hold no z from one table per (q, upper, lower) and precision, a value
+qcore.kept serves, or qcore.shared when a parameter holds a point
+(PhiSpec.point).  A non-terminating sum stops at
 the tail tolerance of its Truncation, taken at the precision the sum runs
 at.
 """
@@ -33,9 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import round_nearest
 
 from .errors import (
     ConvergenceError,
@@ -45,13 +42,7 @@ from .errors import (
 )
 from .qcore import (QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
-from .scalars import (
-    Numeric,
-    is_exact,
-    qpow,
-    to_mpf,
-    unify,
-)
+from .scalars import Numeric, arithmetic, is_exact, qpow, to_mpf, unify
 
 __all__ = [
     "PhiSpec",
@@ -157,108 +148,77 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
                 "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
             )
 
-    power_exponent = 1 + s - r
-    if not is_exact(q):
-        return _float_sum(q, z, upper, lower, n_term, tr, spec.point)
-    # Fractions: exact, and terminating (n_term is set), so the sum is plain
-    total = term = qk = q - q + 1  # qk = q^k
-    for k in range(n_term):
+    ar = arithmetic(q)
+    add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
+    absolute, lt, one, zero = ar.abs, ar.lt, ar.one, ar.zero
+    prec, rnd = mp.prec, round_nearest
+    limit, z = ar.raw(tr.effective_tail_tol()), ar.raw(z)
+    table = (shared if spec.point else kept)(_phi_factors, q, upper, lower)
+    # a terminating sum's rows in one growth
+    rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
+    # a Kahan-compensated sum after term_0 = 1; on the exact backend the
+    # compensation stays exactly 0
+    total = term = one
+    comp, k = zero, 0
+    while True:
+        if n_term is not None and k >= n_term:
+            return SeriesValue(ar.value(total), k + 1, q - q)
         if k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
-                % (tr.max_terms, abs(to_mpf(term)))
+                % (tr.max_terms, abs(to_mpf(ar.value(term))))
             )
-        # term_{k+1} / term_k; the bracket [(-1)^k q^C(k,2)]^(1+s-r)
-        # contributes [(-1) q^k]^(1+s-r) per step
-        ratio = z / (1 - q * qk)
-        for a in upper:
-            ratio *= 1 - a * qk
-        for b in lower:
-            denom = 1 - b * qk
-            if denom == 0:
+        head, ups, lows, bracket = next(rows)
+        ratio = div(z, head, prec, rnd)
+        for factor in ups:
+            ratio = mul(ratio, factor, prec, rnd)
+        for b, denom in zip(lower, lows):
+            if denom == zero:
                 raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
-            ratio /= denom
-        if power_exponent:
-            ratio *= ((-1) ** power_exponent) * qpow(qk, power_exponent)
-        term = term * ratio
-        total += term
-        qk *= q
-    return SeriesValue(total, n_term + 1, q - q)
+            ratio = div(ratio, denom, prec, rnd)
+        if bracket is not None:
+            ratio = mul(ratio, bracket, prec, rnd)
+        term = mul(term, ratio, prec, rnd)
+        low = sub(term, comp, prec, rnd)
+        high = add(total, low, prec, rnd)
+        comp = sub(sub(high, total, prec, rnd), low, prec, rnd)
+        total = high
+        k += 1
+        if n_term is None and lt(absolute(term, prec, rnd), limit):
+            rho = absolute(ratio, prec, rnd)
+            if lt(rho, one):
+                tail = div(mul(absolute(term, prec, rnd), rho, prec, rnd),
+                           sub(one, rho, prec, rnd), prec, rnd)
+                if lt(tail, limit):
+                    return SeriesValue(ar.value(total), k + 1, ar.value(tail))
 
 
 def _phi_factors(q, upper, lower) -> _Rows:
     """The rows of phi_rs's term-ratio factors that hold no z, one per k:
     (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
-    (-1)^e q^(k e), or None at e = 1+s-r = 0), on raw libmp values at
+    (-1)^e q^(k e), or None at e = 1+s-r = 0), in the arithmetic of q at
     mp.prec, q^k a running product."""
     return _Rows(_phi_factor_rows, q, upper, lower, mp.prec)
 
 
 def _phi_factor_rows(q, upper, lower, prec: int):
     """The rows of `_phi_factors`, k = 0, 1, ..., at prec bits."""
-    rnd = round_nearest
+    ar = arithmetic(q)
+    mul, sub, rnd, one = ar.mul, ar.sub, round_nearest, ar.one
     power_exponent = 1 + len(lower) - len(upper)
-    sign = -1 if power_exponent & 1 else 1  # (-1)^(1+s-r)
-    q, qk = q._mpf_, fone  # q^k
-    ups, lows = [a._mpf_ for a in upper], [b._mpf_ for b in lower]
+    q, qk = ar.raw(q), one  # q^k
+    ups, lows = [ar.raw(a) for a in upper], [ar.raw(b) for b in lower]
     while True:
-        yield (mpf_sub(fone, mpf_mul(q, qk, prec, rnd), prec, rnd),
-               [mpf_sub(fone, mpf_mul(a, qk, prec, rnd), prec, rnd) for a in ups],
-               [mpf_sub(fone, mpf_mul(b, qk, prec, rnd), prec, rnd) for b in lows],
-               mpf_mul_int(mpf_pow_int(qk, power_exponent, prec, rnd), sign,
-                           prec, rnd) if power_exponent else None)
-        qk = mpf_mul(qk, q, prec, rnd)
-
-
-def _float_sum(q, z, upper, lower, n_term, tr, point: bool) -> SeriesValue:
-    """phi_rs's sum on mpf operands, Kahan-compensated, on raw libmp values:
-    the operations, order and rounding of the exact loop run on mpf values
-    at mp.prec with one Kahan step per term, so bit for bit the same.  The
-    factors that hold no z are the rows of `_phi_factors`, kept, or shared
-    when point says a parameter holds a point; z and the sum stay per call.
-    It stops at n_term, else once a term and the geometric bound on the
-    rest after it are both below the tail tolerance."""
-    prec, rnd = mp.prec, round_nearest
-    limit = tr.effective_tail_tol()._mpf_
-    z_ = z._mpf_
-    table = (shared if point else kept)(_phi_factors, q, upper, lower)
-    # a terminating sum's rows in one growth
-    rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
-    # sum and compensation after term_0 = 1
-    total, comp = fone, fzero
-    term = fone
-    k = 0
-    while True:
-        if n_term is not None and k >= n_term:
-            return SeriesValue(mp.make_mpf(total), k + 1, q - q)
-        if k + 1 >= tr.max_terms:
-            raise ConvergenceError(
-                "phi series needed more than max_terms=%d terms (last |term|=%s)"
-                % (tr.max_terms, mp.make_mpf(mpf_abs(term, prec, rnd)))
-            )
-        head, ups, lows, bracket = next(rows)
-        ratio = mpf_div(z_, head, prec, rnd)
-        for factor in ups:
-            ratio = mpf_mul(ratio, factor, prec, rnd)
-        for b, denom in zip(lower, lows):
-            if denom == fzero:
-                raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
-            ratio = mpf_div(ratio, denom, prec, rnd)
-        if bracket is not None:
-            ratio = mpf_mul(ratio, bracket, prec, rnd)
-        term = mpf_mul(term, ratio, prec, rnd)
-        low = mpf_sub(term, comp, prec, rnd)
-        high = mpf_add(total, low, prec, rnd)
-        comp = mpf_sub(mpf_sub(high, total, prec, rnd), low, prec, rnd)
-        total = high
-        k += 1
-        if n_term is None and mpf_lt(mpf_abs(term, prec, rnd), limit):
-            rho = mpf_abs(ratio, prec, rnd)
-            if mpf_lt(rho, fone):
-                tail = mpf_div(mpf_mul(mpf_abs(term, prec, rnd), rho, prec, rnd),
-                               mpf_sub(fone, rho, prec, rnd), prec, rnd)
-                if mpf_lt(tail, limit):
-                    return SeriesValue(mp.make_mpf(total), k + 1, mp.make_mpf(tail))
+        bracket = None
+        if power_exponent:
+            bracket = ar.pow_int(qk, power_exponent, prec, rnd)
+            if power_exponent & 1:
+                bracket = ar.neg(bracket, prec, rnd)
+        yield (sub(one, mul(q, qk, prec, rnd), prec, rnd),
+               [sub(one, mul(a, qk, prec, rnd), prec, rnd) for a in ups],
+               [sub(one, mul(b, qk, prec, rnd), prec, rnd) for b in lows],
+               bracket)
+        qk = mul(qk, q, prec, rnd)
 
 
 def phi(upper, lower, q, z, terminate_at=None, trunc=None, point=False):

@@ -11,7 +11,7 @@ The sweep walks out from k = 0.  One infinite product gives w_a(1); every
 other weight follows from the running ratio
 (-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf, one
 multiplication per point.  One recurrence ladder per point x, read raw from
-the float recurrence kernel (polyfam._raw_recurrence), feeds all the pairs
+the float recurrence kernel (polyfam._recurrence), feeds all the pairs
 (at -x, the same ladder with the odd degrees negated); the closed
 form's products and the small-x tail's lattice moments are computed once
 per sweep.
@@ -62,8 +62,8 @@ from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
 
 from .errors import ConvergenceError, EvaluationError
 from .identities import _params, _report, _tolerance, _work_digits
-from .polyfam import _gdqh2_terms, _raw_recurrence
-# bound here, though the sweep reads the float kernel, for the benchmark's
+from .polyfam import _gdqh2_terms, _recurrence
+# bound here, though the sweep reads the recurrence kernel, for the benchmark's
 # tracer, which wraps the ladder at every module that binds it
 from .polyfam import gdqh2_recurrence_ladder  # noqa: F401
 from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
@@ -272,7 +272,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
             # every odd degree exactly, so one ladder serves both points and
             # their products sum to h_n h_m (1 + (-1)^(n+m)), bit for bit
-            lad = list(islice(_raw_recurrence(xk, one, q, alpha), top + 1))
+            lad = list(islice(_recurrence(xk, one, q, alpha), top + 1))
             mk = mk._mpf_
             if mk in nonfinite or not nonfinite.isdisjoint(lad):
                 # a product is non-finite exactly when a factor is (mpf

@@ -10,12 +10,16 @@ instead of silently rounding when a non-integer exponent sneaks in.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter, lt
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, mpf_mul, mpf_pow_int, round_nearest, to_str
+from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub,
+                          round_nearest, to_str)
 
 from .errors import DomainError, ExactBackendError
 
@@ -103,6 +107,41 @@ def qpow(base, exponent):
             return mpf(0)
         raise DomainError("0 cannot be raised to a non-positive non-integer power")
     return b ** to_mpf(e)
+
+
+class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
+                                          "raw value one zero")):
+    """The operations of a loop that runs on either backend: one loop, two
+    arithmetics, the same operation order.
+
+    A kernel takes its operands with raw, calls op(a, b, prec, rnd),
+    neg(a, prec, rnd), abs(a, prec, rnd), pow_int(a, n, prec, rnd) and
+    lt(a, b), starts from one and zero, and hands a result back with value.
+    RAW's members are libmp's own functions on raw mpf tuples, each rounding
+    to prec, so a loop on RAW has the bits of the same expressions on mpf
+    values at mp.prec = prec, with no Python frame per operation added.
+    EXACT's are Python's operators on ints and Fractions, which ignore prec
+    and rnd, so the same loop is exact.
+    """
+
+    __slots__ = ()
+
+
+EXACT = Arithmetic(
+    lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
+    lambda a, b, prec, rnd: a * b, lambda a, b, prec, rnd: a / b,
+    lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
+    lambda a, n, prec, rnd: qpow(a, n), lt, lambda v: v, lambda v: v,
+    Fraction(1), Fraction(0))
+RAW = Arithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_neg, mpf_abs,
+                 mpf_pow_int, mpf_lt, attrgetter("_mpf_"), mp.make_mpf,
+                 fone, fzero)
+
+
+def arithmetic(value) -> Arithmetic:
+    """EXACT for an int or Fraction, else RAW: the arithmetic of a group of
+    operands that `unify` brought onto value's backend."""
+    return EXACT if isinstance(value, _EXACT_TYPES) else RAW
 
 
 GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep

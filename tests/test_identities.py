@@ -231,7 +231,7 @@ def test_bessel_forms_reference_point():
 def _counting_steps(monkeypatch, module, steps):
     """module's float recurrence kernel, with one entry in steps per value
     past h_0: one recurrence step each."""
-    kernel = module._raw_recurrence
+    kernel = module._recurrence
 
     def counted(*args):
         stream = kernel(*args)
@@ -240,7 +240,7 @@ def _counting_steps(monkeypatch, module, steps):
             steps.append(1)
             yield h
 
-    monkeypatch.setattr(module, "_raw_recurrence", counted)
+    monkeypatch.setattr(module, "_recurrence", counted)
 
 
 def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):

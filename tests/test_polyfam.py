@@ -30,7 +30,8 @@ from qhermite.qcore import (
     q_pochhammer,
     shared_scope,
 )
-from qhermite.scalars import GUARD_BITS, binom2, guarded_mul, qpow, qpowers, unify
+from qhermite.scalars import (GUARD_BITS, arithmetic, binom2, guarded_mul, qpow,
+                              qpowers, unify)
 
 qs = st.floats(min_value=0.15, max_value=0.85)
 alphas = st.floats(min_value=-0.8, max_value=2.5)
@@ -232,7 +233,8 @@ def test_step_from_a_state_without_powers(q, alpha, x, y):
 
 def test_step_reads_the_table_of_its_own_params():
     # a state stepped at one (q, alpha) carries that table on; a step at
-    # another (q, alpha) reads its own coefficients, not the carried ones
+    # another (q, alpha), or at equal values on the other backend, reads its
+    # own coefficients, not the carried ones
     with mp.workdps(30):
         x, y = mpf("0.7"), mpf("0.9")
         first, other = QParams(mpf("0.5"), mpf(0)), QParams(mpf("0.3"), mpf("1.2"))
@@ -242,6 +244,15 @@ def test_step_reads_the_table_of_its_own_params():
             RecurrenceState(1, state.current, state.previous), x, y, other)
         assert carried.current == fresh.current
         assert abs(fresh.current - mpf("-1.77333333333333333333")) < mpf("1e-20")
+    with mp.workdps(50):
+        first, other = QParams(F(1, 2), F(1, 2)), QParams(mpf("0.5"), mpf("0.5"))
+        state = gdqh2_recurrence_step(RecurrenceState(0, F(1), F(0)),
+                                      F(7, 10), F(9, 10), first)
+        carried, fresh = state, RecurrenceState(1, state.current, state.previous)
+        for _ in range(8):
+            carried = gdqh2_recurrence_step(carried, x, y, other)
+            fresh = gdqh2_recurrence_step(fresh, x, y, other)
+            assert carried.current._mpf_ == fresh.current._mpf_, carried.n
 
 
 def test_exact_prefix_needs_no_power_at_degree_zero():
@@ -337,8 +348,8 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
     with mp.workdps(dps):
         q, alpha, x, y = (v if isinstance(v, F) else mpf(v) for v in (q, alpha, x, y))
         rows = list(islice(polyfam._recurrence_rows(q, _odd_lift(q, alpha)), 61))
-        one = q - q + 1
-        for lead, _, _ in rows[1::2]:
+        one, value = q - q + 1, arithmetic(q).value
+        for lead in (value(row[0]) for row in rows[1::2]):
             assert type(lead) is type(one) and lead == 1
             assert getattr(lead, "_mpf_", None) == getattr(one, "_mpf_", None)
         p = QParams(q, alpha)
@@ -351,7 +362,7 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
 
 def _step_chain(x, y, p):
     """h_0, h_1, ... by gdqh2_recurrence_step, one state per value: the
-    stream before the float kernel, as the reference."""
+    kernel restarted from each state."""
     state = RecurrenceState(0, mpf(1), mpf(0))
     while True:
         yield state.current
@@ -369,10 +380,10 @@ def test_float_kernel_is_the_step_chain_bit_for_bit(alpha):
     for x, y in points:
         for dps in (50, 181, 750):
             with mp.workdps(dps):
-                got = list(islice(polyfam._raw_recurrence(x, y, p.q, p.alpha), 61))
+                got = list(islice(polyfam._recurrence(x, y, p.q, p.alpha), 61))
                 assert got == [h._mpf_ for h in islice(_step_chain(x, y, p), 61)]
                 assert got == [h._mpf_ for h in _ladder_with_own_powers(60, x, y, p)]
-        kernel = polyfam._raw_recurrence(x, y, p.q, p.alpha)
+        kernel = polyfam._recurrence(x, y, p.q, p.alpha)
         chain = _step_chain(x, y, p)
         for dps in (50, 750, 181, 50, 181):
             with mp.workdps(dps):
@@ -382,21 +393,27 @@ def test_float_kernel_is_the_step_chain_bit_for_bit(alpha):
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
 def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
-    # the raw loop rounds sign * x^(n-2k) * y^k / den and the running sum as
+    # the loop rounds sign * x^(n-2k) * y^k / den and the running sum as
     # the mpf expression below does, at x = 0, y = 0 and y < 0 too
     def reference(n, x, y, p):
-        total = mpf(0)
+        total = p.q - p.q
         for k, sign, den in _gdqh2_terms(n, p.q, p):
             total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
         return q_pochhammer(p.q, p.q, n) * total
 
+    def bits(v):
+        return getattr(v, "_mpf_", (type(v), v))
+
     with mp.workdps(dps):
-        p = QParams(mpf("0.68"), mpf("0.37"))
-        points = [(mpf(x), mpf(y)) for x, y in (
-            ("0", "0.6"), ("0.9", "0"), ("0", "0"), ("0.9", "-0.5"),
-            ("-1.7", "0.3"))]
-        for (x, y), n in product(points, range(25)):
-            assert gdqh2(n, x, y, p)._mpf_ == reference(n, x, y, p)._mpf_, (x, y, n)
+        cells = [(QParams(mpf("0.68"), mpf("0.37")), mpf),
+                 (QParams(F(17, 25), F(3, 2)), F)]  # exact: the same loop
+        for p, kind in cells:
+            points = [(kind(x), kind(y)) for x, y in (
+                ("0", "0.6"), ("0.9", "0"), ("0", "0"), ("0.9", "-0.5"),
+                ("-1.7", "0.3"))]
+            for (x, y), n in product(points, range(25)):
+                assert bits(gdqh2(n, x, y, p)) == bits(reference(n, x, y, p)), \
+                    (x, y, n)
 
 
 def test_coefficient_table_takes_the_generalized_factorials_lift(monkeypatch):

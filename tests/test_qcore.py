@@ -389,7 +389,8 @@ def test_negative_n_rejected():
 
 
 def reference_products(c, a, q, n: int, lift=1) -> list:
-    """[P_0, ..., P_n] by the mpf loop the raw one replaced."""
+    """[P_0, ..., P_n] by the mpf expressions, the reference of the one loop
+    on both backends."""
     c, a, q, lift = unify(c, a, q, lift)
     out = q - q + 1
     table = [out]
@@ -409,20 +410,30 @@ def _lift(q, alpha):
 
 
 def _product_cases():
-    q = mpf("0.68")
+    q, e = mpf("0.68"), F(17, 25)
     lift = _lift(q, mpf("0.37"))
     wide = _wide(5, 7)  # more bits than the working precision holds
     return [(1, q, q, 40, 1), (1, q, q, 40, lift), (1, q * q, q * q, 20, 1),
             (mpf("0.3"), mpf("-0.9"), q * q, 30, 1), (wide, -wide, q, 12, wide),
-            (0, mpf("1.7"), mpf("0.2"), 9, 1), (mpf(1), mpf(1), q, 5, 1)]
+            (0, mpf("1.7"), mpf("0.2"), 9, 1), (mpf(1), mpf(1), q, 5, 1),
+            # exact: the same loop on Fractions, a lift of alpha = 1 and a
+            # factor that vanishes exactly
+            (1, e, e, 14, 1), (1, e, e, 14, e ** 3),
+            (F(3, 10), F(-9, 10), e * e, 10, 1), (0, F(17, 10), F(1, 5), 9, 1),
+            (1, 1, e, 5, 1)]
+
+
+def _bits(values) -> list:
+    """The raw bits of mpf values, the type and value of exact ones."""
+    return [getattr(v, "_mpf_", (type(v), v)) for v in values]
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
 def test_finite_products_bit_identical_to_mpf_loop(dps):
     with mp.workdps(dps):
         for case in _product_cases():
-            want = [v._mpf_ for v in reference_products(*case)]
-            assert [v._mpf_ for v in _products(*case)] == want, case
+            want = _bits(reference_products(*case))
+            assert _bits(_products(*case)) == want, case
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
@@ -431,13 +442,12 @@ def test_scoped_table_prefix_equals_a_table_built_to_that_n(dps):
     # table built to that n, bit for bit
     with mp.workdps(dps):
         for c, a, q, n, lift in _product_cases():
-            want = [[v._mpf_ for v in reference_products(c, a, q, k, lift)]
+            want = [_bits(reference_products(c, a, q, k, lift))
                     for k in range(n + 1)]
             for order in (range(n + 1), reversed(range(n + 1))):
                 qcore._kept.cache_clear()  # each order grows its own tables
                 with shared_scope():
-                    got = {k: [v._mpf_ for v in _products(c, a, q, k, lift)]
-                           for k in order}
+                    got = {k: _bits(_products(c, a, q, k, lift)) for k in order}
                 assert [got[k] for k in range(n + 1)] == want
 
 
@@ -632,14 +642,14 @@ def test_threads_extend_one_table_as_one_thread_does():
     assert errors == [] and got == [want] * (2 * len(orders))
 
 
-@pytest.mark.parametrize("stream", ["_raw_products", "_recurrence_rows"])
+@pytest.mark.parametrize("stream", ["_product_rows", "_recurrence_rows"])
 def test_interrupted_growth_never_serves_a_short_table(monkeypatch, stream):
     # an interrupt inside a table's growth leaves the rows it completed; the
     # next call grows the table on, to every row it asks for
     from qhermite import polyfam
     q, p = mpf("0.3"), QParams(mpf("0.3"), mpf("0.2"))
     x, y = mpf("1.1"), mpf("0.4")
-    if stream == "_raw_products":
+    if stream == "_product_rows":
         home, build = qcore, lambda n: _products(1, q, q, n)
         want = [v._mpf_ for v in reference_products(1, q, q, 20)]
     else:

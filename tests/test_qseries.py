@@ -340,8 +340,8 @@ def test_exact_negative_power_still_terminates(dps):
 
 
 def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
-    """phi_rs by the mpf loop the raw one replaced: the same pole and
-    divergence rules, then a CompensatedSum of term-ratio steps."""
+    """phi_rs by mpf expressions, the reference of its one loop: the same
+    pole and divergence rules, then a CompensatedSum of term-ratio steps."""
     tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
@@ -415,7 +415,36 @@ def _phi_cases():
         PhiSpec((), (), q, mpf("-0.8")),
         PhiSpec((_wide("0.4"),), (_wide("0.25"),), q, _wide("0.7")),
         PhiSpec((0, _wide("-0.6")), (b,), q2, mpf("0.09")),
+    ] + _exact_phi_cases()
+
+
+def _exact_phi_cases():
+    """Terminating sums on Fractions: the same loop run exactly."""
+    q, x = F(17, 25), F(9, 10)
+    q2, b, m = q * q, q ** 3, 6
+    return [
+        PhiSpec((q ** (-2 * m), q ** (-2 * m - 1)), (0,), q2,
+                F(-2, 5) * q ** 3 / (x * x), terminate_at=m),
+        PhiSpec((q2 ** -m,), (b,), q2, -q2 ** m * b * x, terminate_at=m),
+        PhiSpec((q ** -7,), (F(1, 2),), q, F(-13, 10)),
     ]
+
+
+def _bits(series: SeriesValue) -> tuple:
+    """A sum's raw bits, of mpf values, or type and value, of exact ones."""
+    return tuple(getattr(v, "_mpf_", (type(v), v)) for v in
+                 (series.value, series.terms_used, series.tail_estimate))
+
+
+def test_exact_sum_with_a_negative_bracket_power_stays_exact():
+    # a 2-phi-0 (1+s-r = -1) on Fractions is the Fraction sum of its terms;
+    # (-1)^(1+s-r) taken as a Python power was the float -1.0, which made
+    # the sum a float
+    q, a, z = F(17, 25), (F(17, 25) ** -5, F(3, 10)), F(1, 5)
+    got = phi_rs(PhiSpec(a, (), q, z, terminate_at=5))
+    want = sum(q_pochhammer(a, q, k) / q_pochhammer(q, q, k) * z ** k
+               / ((-1) ** k * q ** (k * (k - 1) // 2)) for k in range(6))
+    assert type(got.value) is F and got.value == want
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
@@ -424,8 +453,7 @@ def test_phi_rs_bit_identical_to_mpf_loop(dps):
         for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
             for spec in _phi_cases():
                 got, want = phi_rs(spec, trunc), reference_phi_rs(spec, trunc)
-                assert (got.value._mpf_, got.terms_used, got.tail_estimate._mpf_) \
-                    == (want.value._mpf_, want.terms_used, want.tail_estimate._mpf_)
+                assert _bits(got) == _bits(want), spec
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])

@@ -102,7 +102,7 @@ def _record_sweep(monkeypatch):
     each point it visits, in order, and per small-x tail call
     (k, even, floor, tail)."""
     walked, visited, tails = {}, [], []
-    walk, ladder = quadrature._walk, quadrature._raw_recurrence
+    walk, ladder = quadrature._walk, quadrature._recurrence
     small_x = quadrature._small_x_tail
 
     def recording_walk(p, w_one, step):
@@ -123,7 +123,7 @@ def _record_sweep(monkeypatch):
         return call
 
     monkeypatch.setattr(quadrature, "_walk", recording_walk)
-    monkeypatch.setattr(quadrature, "_raw_recurrence", recording_ladder)
+    monkeypatch.setattr(quadrature, "_recurrence", recording_ladder)
     monkeypatch.setattr(quadrature, "_small_x_tail", recording_tail)
     return walked, visited, tails
 
@@ -144,7 +144,7 @@ def test_pair_sums_are_their_exact_terms_rounded_once(q, alpha, monkeypatch):
     reports = orthogonality_gram(3, p)
     with mp.workdps(quadrature._work_digits("sweep")):
         assert len(visited) == reports[0].terms_used
-        ladders = [list(islice(polyfam._raw_recurrence(
+        ladders = [list(islice(polyfam._recurrence(
             x, mpf(1), p.q, p.alpha), 4)) for x in visited]
         even = [r for r in reports if (r.params["n"] + r.params["m"]) % 2 == 0]
         assert len(tails) == len(even) == 6
@@ -361,14 +361,14 @@ def test_gram_reports_equal_one_pair_checks(q, alpha):
 def _poison_kernel(monkeypatch, degree):
     """The sweep's float recurrence kernel, with h_degree non-finite at the
     lattice points ±0.22^4."""
-    kernel = quadrature._raw_recurrence
+    kernel = quadrature._recurrence
 
     def poisoned(x, y, q, alpha):
         for n, h in enumerate(kernel(x, y, q, alpha)):
             yield (mp.nan._mpf_ if n == degree
                    and mpf("0.002") < abs(x) < mpf("0.003") else h)
 
-    monkeypatch.setattr(quadrature, "_raw_recurrence", poisoned)
+    monkeypatch.setattr(quadrature, "_recurrence", poisoned)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -397,10 +397,10 @@ def test_gram_reads_one_coefficient_table(monkeypatch):
     # of recurrence coefficients at the sweep's working precision
     qcore._kept.cache_clear()  # builds counted from a cold start
     tables, ladders = Counter(), []
-    table, ladder = polyfam._recurrence_table, quadrature._raw_recurrence
+    table, ladder = polyfam._recurrence_table, quadrature._recurrence
     monkeypatch.setattr(polyfam, "_recurrence_table",
                         lambda *a: tables.update([mp.prec]) or table(*a))
-    monkeypatch.setattr(quadrature, "_raw_recurrence",
+    monkeypatch.setattr(quadrature, "_recurrence",
                         lambda *a: ladders.append(1) or ladder(*a))
     reports = orthogonality_gram(3, QParams(mpf("0.22"), mpf("1.3")))
     assert len(reports) == 10 and all(r.passed for r in reports)
@@ -455,8 +455,8 @@ def test_public_rhs_equals_gram_diagonal_bit_for_bit(q, alpha, trunc):
 
 def test_gram_builds_one_ladder_per_lattice_point(monkeypatch):
     calls = []
-    ladder = quadrature._raw_recurrence
-    monkeypatch.setattr(quadrature, "_raw_recurrence",
+    ladder = quadrature._recurrence
+    monkeypatch.setattr(quadrature, "_recurrence",
                         lambda *a: calls.append(a[0]) or ladder(*a))
     p = QParams(mpf("0.22"), mpf("0.7"))
     reports = orthogonality_gram(3, p)
@@ -524,7 +524,7 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
         d = [orthogonality_rhs(n, p) for n in range(39)]
         for n in range(38):
             beta = p.q * (1 - qpow(p.q, n + 1)) / qpow(p.q, 2 * (n + 1))
-            lead = rows[n][0]
+            lead = mp.make_mpf(rows[n][0])
             assert abs(lead * d[n + 1] - beta * d[n]) \
                 <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
 
