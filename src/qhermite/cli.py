@@ -51,7 +51,7 @@ from .polyfam import (
 )
 from .qcore import QParams, Truncation, _check_degree
 from .quadrature import orthogonality_check, orthogonality_gram
-from .scalars import fmt_scalar, to_mpf
+from .scalars import fmt_scalar
 
 __all__ = ["main", "RunConfig"]
 
@@ -234,15 +234,15 @@ def cmd_table(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _report_row(r, digits: int, param) -> dict:
+def _report_row(r, digits: int, fmt) -> dict:
     return {
         "identity": r.identity_id,
-        "params": ";".join("%s=%s" % (k, param(v)) for k, v in sorted(r.params.items())),
-        "lhs": fmt_scalar(r.lhs, digits),
-        "rhs": fmt_scalar(r.rhs, digits),
-        "abs_residual": fmt_scalar(r.abs_residual, 8),
-        "rel_residual": fmt_scalar(r.rel_residual, 8),
-        "tolerance": fmt_scalar(r.tolerance, 8),
+        "params": ";".join("%s=%s" % (k, fmt(v, 8)) for k, v in sorted(r.params.items())),
+        "lhs": fmt(r.lhs, digits),
+        "rhs": fmt(r.rhs, digits),
+        "abs_residual": fmt(r.abs_residual, 8),
+        "rel_residual": fmt(r.rel_residual, 8),
+        "tolerance": fmt(r.tolerance, 8),
         "terms": str(r.terms_used),
         "passed": str(bool(r.passed)).lower(),
         "error": r.error or "",
@@ -250,17 +250,18 @@ def _report_row(r, digits: int, param) -> dict:
 
 
 def _finish_reports(reports, cfg: RunConfig) -> int:
-    # a parameter value repeats on every row of its cell: format it once,
-    # keyed on its raw value, which hashes without mpf's own hash
+    # parameters, tolerances and many values and residuals repeat across
+    # rows: format each (value, digits) once, keyed on the raw value, which
+    # hashes without mpf's own hash
     shown = {}
 
-    def param(v):
-        key = getattr(v, "_mpf_", v)
+    def fmt(v, digits):
+        key = getattr(v, "_mpf_", v), digits
         if key not in shown:
-            shown[key] = fmt_scalar(to_mpf(v), 8)
+            shown[key] = fmt_scalar(v, digits)
         return shown[key]
 
-    _emit_rows([_report_row(r, cfg.precision_digits, param) for r in reports],
+    _emit_rows([_report_row(r, cfg.precision_digits, fmt) for r in reports],
                cfg, sys.stdout)
     summary = summarize_reports(reports)
     if cfg.fmt == "human":

@@ -38,21 +38,17 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product, tee
-from typing import Iterable, Optional
+from itertools import count, islice, product
+from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_gt,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pos, mpf_pow_int,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
     _gdqh2_terms,
-    _recurrence,
     gdqh2,
     gdqh2_recurrence_ladder,
     rosenblum_hermite,
@@ -72,8 +68,8 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (GUARD_BITS, _ten_power, guarded_mul, is_exact, qpow,
-                      to_mpf, unify)
+from .scalars import (_ten_power, cancelled, fixed_bits, guarded_mul,
+                      is_exact, qpow, to_mpf, unify)
 
 __all__ = [
     "IdentityReport",
@@ -330,101 +326,119 @@ def _gf_frame(t, x, y, p: QParams, tol):
         yield params, note, tol, x, y, t, q
 
 
-def _gf_series(terms: Iterable, trunc: Optional[Truncation]) -> tuple:
-    """(sum, terms used) of a series of raw libmp terms, summed up to two
-    consecutive terms below trunc's tail tolerance, at the working
-    precision, relative to the sum: a term counts as small when
-    |term| < tail_tol * max(1, |sum|), each rounded as on mpf values.
+def _gf_rows(q, alpha, wp: int) -> _Rows:
+    """The rows (q^n, 1 / (1 - q^(n+1+theta_n(2 alpha+1)))), n = 0, 1, ...,
+    of the generating-function recurrence, as ints scaled by 2^wp: q^n a
+    running product, q^(2 alpha + 1) taken once at wp bits."""
+    return _Rows(_gf_row_stream, q, alpha, wp)
+
+
+def _gf_row_stream(q, alpha, wp: int):
+    """The rows of `_gf_rows`."""
+    with mp.workprec(wp):
+        lift = to_fixed(qpow(q, 2 * alpha + 1)._mpf_, wp)
+    one, q = 1 << wp, to_fixed(q._mpf_, wp)
+    power = one
+    for n in count():
+        after = power * q >> wp  # q^(n+1)
+        gap = one - (after if n & 1 else after * lift >> wp)
+        yield power, (one << wp) // gap
+        power = after
+
+
+def _gf_terms(t, x, y, q, alpha, wp: int) -> _Rows:
+    """The terms T_j = q^C(j,2) t^j h_j(x, y) / (q;q)_j of the
+    generating-function series as ints scaled by 2^wp, one stream per cell
+    that the whole series and both halves read.  Multiplying the
+    polynomials' recurrence by the running weight gives one recurrence,
+
+      T_(n+1) = t (x q^n T_n - y t T_(n-1)) / (1 - q^(n+1+theta_n(2a+1))),
+
+    T_0 = 1, T_(-1) = 0, whose coefficients are bounded and whose solutions
+    both fall like |y t^2|^(1/2) per step; it reads the kept rows of
+    (q, alpha) (`_gf_rows`)."""
+    return _Rows(_gf_term_stream, t, x, y, q, alpha, wp)
+
+
+def _gf_term_stream(t, x, y, q, alpha, wp: int):
+    """The terms of `_gf_terms`, each product rounded down to 2^-wp."""
+    t, x, y = (to_fixed(v._mpf_, wp) for v in (t, x, y))
+    tx, yt2 = t * x >> wp, (y * t >> wp) * t >> wp
+    current, previous = 1 << wp, 0
+    for power, inverse in kept(_gf_rows, q, alpha, wp).each():
+        yield current
+        step = ((tx * power >> wp) * current - yt2 * previous) >> wp
+        current, previous = step * inverse >> wp, current
+
+
+def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
+    """(sum, terms used) of the generating-function series (half None) or
+    of one half of it, with the sign (-1)^(j//2),
+
+      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}      (half 0)
+      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
+
+    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), read from the cell's
+    term stream (`_gf_terms`) at wp bits from scalars.fixed_bits.  The sum
+    stops after two consecutive terms below trunc's tail tolerance relative
+    to the sum, |term| < tail_tol * max(1, |sum|), compared on the ints, and
+    is rounded to mp.prec once; a sum that cancelled more bits than its
+    guard allows (scalars.cancelled) is summed once more with them added.
 
     It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
     it raises ConvergenceError rather than return a truncated sum."""
     tail = (trunc or Truncation()).effective_tail_tol()
-    prec, rnd = mp.prec, round_nearest
-    unit = mpf_pos(tail._mpf_, prec, rnd)  # tail_tol * 1
-    total = fzero
-    small = used = 0
-    for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
-        total = mpf_add(total, term, prec, rnd)
-        used = n + 1
-        size = mpf_abs(total, prec, rnd)
-        limit = (mpf_mul(tail._mpf_, size, prec, rnd) if mpf_gt(size, fone)
-                 else unit)
-        if mpf_lt(mpf_abs(term, prec, rnd), limit):
+    cap = 8 * mp.dps + 1
+    wp = fixed_bits(tail, cap)
+    alpha = to_mpf(p.alpha)
+    total, used, peak = _gf_sum(half, shared(_gf_terms, t, x, y, q, alpha, wp),
+                                tail, wp, cap)
+    more = cancelled(peak, total)
+    if more:
+        wp += more
+        total, used, _ = _gf_sum(half, shared(_gf_terms, t, x, y, q, alpha, wp),
+                                 tail, wp, cap)
+    return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest)), used
+
+
+def _gf_sum(half, stream: _Rows, tail, wp: int, cap: int) -> tuple:
+    """(total, terms used, largest |term|) of `_gf_series` on the ints."""
+    one, unit = 1 << wp, to_fixed(tail._mpf_, wp)
+    terms = stream.each()
+    if half is not None:
+        terms = islice(terms, half, None, 2)
+    total = peak = small = used = 0
+    for n, term in enumerate(islice(terms, cap)):
+        if half is not None and n & 1:
+            term = -term
+        total += term
+        used, size = n + 1, abs(term)
+        peak = max(peak, size)
+        sum_size = abs(total)
+        if size < (unit * sum_size >> wp if sum_size > one else unit):
             small += 1
             if small >= 2 and n >= 4:
-                return mp.make_mpf(total), used
+                return total, used, peak
         else:
             small = 0
     raise ConvergenceError(
         "generating-function series did not meet tail_tol=%s within "
         "%d terms (last term %s)"
         % (mp.nstr(tail, 4), used,
-           mp.nstr(mp.make_mpf(mpf_abs(term, prec, rnd)), 4)))
+           mp.nstr(mp.make_mpf(from_man_exp(size, -wp, mp.prec,
+                                            round_nearest)), 4)))
 
 
-def _gf_weights(q) -> _Rows:
-    """The rows (q^j, 1 - q^(j+1)), j = 0, 1, ..., of the generating-function
-    series' running weight, raw libmp values: q^j a running product
-    GUARD_BITS above mp.prec, as qpowers takes it, and 1 - q^(j+1) rounded
-    to mp.prec."""
-    return _Rows(_gf_weight_rows, q._mpf_, mp.prec)
-
-
-def _gf_weight_rows(q, prec: int):
-    """The rows of `_gf_weights`."""
-    guard, rnd = prec + GUARD_BITS, round_nearest
-    step, power = mpf_pow_int(q, 1, guard, rnd), fone
-    while True:
-        after = mpf_mul(power, step, guard, rnd)
-        yield power, mpf_sub(fone, after, prec, rnd)
-        power = after
-
-
-def _gf_term_stream(rows, t, x, y, q, p: QParams):
-    """The terms of `_gf_terms`, unbuffered, each rounded at the precision in
-    force when it is pulled: weight_j h_j, with h_j the float kernel's, then
-    weight_(j+1) = weight_j ((t q^j) / (1 - q^(j+1))) from the next row."""
-    t, rnd, weight, prec = t._mpf_, round_nearest, fone, mp.prec
-    for h in _recurrence(x, y, q, to_mpf(p.alpha)):
-        yield mpf_mul(weight, h, prec, rnd)
-        power, gap = next(rows)
-        prec = mp.prec
-        weight = mpf_mul(weight, mpf_div(mpf_mul(t, power, prec, rnd), gap,
-                                         prec, rnd), prec, rnd)
-
-
-def _gf_terms(t, x, y, q, p: QParams):
-    """The terms q^C(j,2) t^j h_j(x, y) / (q;q)_j of the generating-function
-    series as raw libmp values, over one float recurrence stream with a
-    running weight whose factors t q^j / (1 - q^(j+1)) read the kept rows of
-    q (`_gf_weights`), buffered: each copy() reads them from the first,
-    computed once when first needed."""
-    rows = kept(_gf_weights, q).each()
-    return tee(_gf_term_stream(rows, t, x, y, q, p), 1)[0]
-
-
-def _half_series(half: int, terms, trunc) -> tuple:
-    """(sum, terms used) of one half of the generating-function series read
-    from a copy of its term stream, with the sign (-1)^(j//2),
-
-      sum_n (-1)^n q^(n(2n-1)) t^(2n)   h_{2n}   / (q;q)_{2n}      (half 0)
-      sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
-
-    since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1)."""
-    return _gf_series((mpf_neg(w) if j & 2 else w for j, w
-                       in islice(enumerate(copy(terms)), half, None, 2)), trunc)
-
-
+@_call_local
 def _parity_reports(ids, rhs, t, x, y, q, p: QParams, params, tol, trunc, note):
     """The wanted reports of ids = (even id, odd id): each half of the
-    series (_half_series) against rhs(half) * e_{q^2}(y t^2).  Both halves
-    read one term stream."""
+    series (_gf_series) against rhs(half) * e_{q^2}(y t^2).  Both halves
+    read one term stream, in a call-local scope when no scope is open."""
     envelope = shared(euler_e, y * t * t, q * q, trunc)
-    terms = shared(_gf_terms, t, x, y, q, p)
     out = []
     for half, ident in enumerate(ids):
         if _wanted(ident):
-            lhs, used = shared(_half_series, half, terms, trunc)
+            lhs, used = shared(_gf_series, half, t, x, y, q, p, trunc)
             out.append(_report(ident, params, lhs, rhs(half) * envelope, tol,
                                trunc, terms_used=used, note=note))
     return tuple(out)
@@ -438,7 +452,7 @@ def check_generating_function(t, x, y, p: QParams, tol=None,
     with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
         lhs = (shared(euler_e, -y * t * t, q * q, trunc)
                * gen_E(x * t, p, trunc))
-        rhs, used = _gf_series(copy(shared(_gf_terms, t, x, y, q, p)), trunc)
+        rhs, used = _gf_series(None, t, x, y, q, p, trunc)
         return _report("generating_function", params, lhs, rhs, tol, trunc,
                        terms_used=used, note=note)
 

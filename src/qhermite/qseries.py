@@ -31,8 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from itertools import count
+
 from mpmath import mp, mpf
-from mpmath.libmp import round_nearest
+from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest
 
 from .errors import (
     ConvergenceError,
@@ -42,7 +44,8 @@ from .errors import (
 )
 from .qcore import (QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
-from .scalars import Numeric, arithmetic, is_exact, qpow, to_mpf, unify
+from .scalars import (RAW, Numeric, arithmetic, cancelled, fixed,
+                      fixed_bits, is_exact, qpow, to_mpf, unify)
 
 __all__ = [
     "PhiSpec",
@@ -93,23 +96,35 @@ class PhiSpec:
             _check_degree(self.terminate_at, "terminate_at")
 
 
-def _neg_q_power_index(a, q) -> Optional[int]:
-    """m >= 0 if a == qpow(q, -m) at the working precision (bit for bit on
-    mpf, exactly on the exact backend), with m from one rounded log."""
+def _q_log_index(a, q) -> Optional[int]:
+    """The m >= 0 nearest log(a) / -log(q), from one rounded log, for
+    1 <= a < inf; else None."""
     af = to_mpf(a)
     if not 1 <= af < mp.inf:
         return None
-    m = int(mp.nint(mp.log(af) / -mp.log(to_mpf(q))))
-    return m if a == qpow(q, -m) else None
+    return int(mp.nint(mp.log(af) / -mp.log(to_mpf(q))))
+
+
+def _neg_q_power_index(a, q) -> Optional[int]:
+    """m >= 0 if a == qpow(q, -m) at the working precision (bit for bit on
+    mpf, exactly on the exact backend), with m from one rounded log."""
+    m = _q_log_index(a, q)
+    return m if m is not None and a == qpow(q, -m) else None
 
 
 def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     """Sum a basic hypergeometric series.
 
-    Terminating series are summed exactly through their last nonzero term.
-    Non-terminating series require r <= s+1 (r = s+1 additionally needs
-    |z| < 1) and stop when the absolute term drops below tail_tol with a
-    geometric tail bound recorded.
+    Terminating series are summed through their last nonzero term, exactly
+    on the exact backend, else on raw libmp values.  Non-terminating series
+    require r <= s+1 (r = s+1 additionally needs |z| < 1), run on ints
+    scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_bits` at the
+    tail tolerance and max_terms) and stop when the absolute term drops
+    below tail_tol with a geometric tail bound recorded, rounded up by one
+    unit of 2^-wp so that it is never 0.  A non-terminating sum that
+    cancelled more bits than its guard allows (`scalars.cancelled`) is
+    summed once more with those bits added to wp.  Each is rounded to
+    mp.prec once.
     """
     tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
@@ -132,37 +147,58 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
                 % (b, mb)
             )
 
-    if n_term is None:
-        if is_exact(q):
-            # exact backend only makes sense for terminating sums
-            raise DivergenceError(
-                "non-terminating series on the exact backend; "
-                "pass terminate_at or use mpf operands"
-            )
-        if r > s + 1:
-            raise DivergenceError(
-                "r=%d > s+1=%d diverges for z != 0 unless terminating" % (r, s + 1)
-            )
-        if r == s + 1 and not abs(z) < 1:
-            raise DivergenceError(
-                "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
-            )
+    if n_term is not None:
+        total, used, _, _ = _phi_loop(q, z, upper, lower, tr, spec.point,
+                                      n_term)
+        return SeriesValue(arithmetic(q).value(total), used, q - q)
+    if is_exact(q):
+        # exact backend only makes sense for terminating sums
+        raise DivergenceError(
+            "non-terminating series on the exact backend; "
+            "pass terminate_at or use mpf operands"
+        )
+    if r > s + 1:
+        raise DivergenceError(
+            "r=%d > s+1=%d diverges for z != 0 unless terminating" % (r, s + 1)
+        )
+    if r == s + 1 and not abs(z) < 1:
+        raise DivergenceError(
+            "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
+        )
+    wp = fixed_bits(tr.effective_tail_tol(), tr.max_terms)
+    total, used, tail, peak = _phi_loop(q, z, upper, lower, tr, spec.point,
+                                        wp=wp)
+    more = cancelled(peak, total)
+    if more:
+        wp += more
+        total, used, tail, peak = _phi_loop(q, z, upper, lower, tr,
+                                            spec.point, wp=wp)
+    ar = fixed(wp)
+    return SeriesValue(ar.value(total), used, ar.value(tail + 1))
 
-    ar = arithmetic(q)
+
+def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
+              wp=None) -> tuple:
+    """phi_rs's one loop, over the arithmetic of q, or over fixed(wp) when
+    wp is given, a compensated sum on RAW alone, where an addition rounds:
+    (total, terms used, tail bound, largest |term|) as operands of that
+    arithmetic, through term n_term, else until the tail meets tr's tail
+    tolerance.  It reads the factors of each term ratio that hold no z
+    from `_phi_factors`' table in that arithmetic, `shared` when point
+    says a parameter holds a point, else `kept`."""
+    ar = arithmetic(q) if wp is None else fixed(wp)
     add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
     absolute, lt, one, zero = ar.abs, ar.lt, ar.one, ar.zero
-    prec, rnd = mp.prec, round_nearest
+    prec, rnd, compensate = mp.prec, round_nearest, ar is RAW
     limit, z = ar.raw(tr.effective_tail_tol()), ar.raw(z)
-    table = (shared if spec.point else kept)(_phi_factors, q, upper, lower)
+    table = (shared if point else kept)(_phi_factors, q, upper, lower, wp)
     # a terminating sum's rows in one growth
     rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
-    # a Kahan-compensated sum after term_0 = 1; on the exact backend the
-    # compensation stays exactly 0
-    total = term = one
+    total = term = peak = one  # term_0 = 1
     comp, k = zero, 0
     while True:
         if n_term is not None and k >= n_term:
-            return SeriesValue(ar.value(total), k + 1, q - q)
+            return total, k + 1, zero, peak
         if k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
@@ -179,45 +215,65 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
         if bracket is not None:
             ratio = mul(ratio, bracket, prec, rnd)
         term = mul(term, ratio, prec, rnd)
-        low = sub(term, comp, prec, rnd)
-        high = add(total, low, prec, rnd)
-        comp = sub(sub(high, total, prec, rnd), low, prec, rnd)
-        total = high
+        if compensate:
+            low = sub(term, comp, prec, rnd)
+            high = add(total, low, prec, rnd)
+            comp = sub(sub(high, total, prec, rnd), low, prec, rnd)
+            total = high
+        else:
+            total = add(total, term, prec, rnd)
         k += 1
-        if n_term is None and lt(absolute(term, prec, rnd), limit):
-            rho = absolute(ratio, prec, rnd)
-            if lt(rho, one):
-                tail = div(mul(absolute(term, prec, rnd), rho, prec, rnd),
-                           sub(one, rho, prec, rnd), prec, rnd)
-                if lt(tail, limit):
-                    return SeriesValue(ar.value(total), k + 1, ar.value(tail))
+        if n_term is None:
+            size = absolute(term, prec, rnd)
+            peak = max(peak, size)
+            if lt(size, limit):
+                rho = absolute(ratio, prec, rnd)
+                if lt(rho, one):
+                    tail = div(mul(size, rho, prec, rnd),
+                               sub(one, rho, prec, rnd), prec, rnd)
+                    if lt(tail, limit):
+                        return total, k + 1, tail, peak
 
 
-def _phi_factors(q, upper, lower) -> _Rows:
+def _phi_factors(q, upper, lower, wp=None) -> _Rows:
     """The rows of phi_rs's term-ratio factors that hold no z, one per k:
     (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
     (-1)^e q^(k e), or None at e = 1+s-r = 0), in the arithmetic of q at
-    mp.prec, q^k a running product."""
-    return _Rows(_phi_factor_rows, q, upper, lower, mp.prec)
+    mp.prec, or in fixed(wp) when wp is given, q^k a running product.  A
+    lower factor is 0 where 1 - b q^k rounds to 0 at mp.prec with q^k that
+    product on raw values: the pole rule of both."""
+    return _Rows(_phi_factor_rows, q, upper, lower, mp.prec, wp)
 
 
-def _phi_factor_rows(q, upper, lower, prec: int):
-    """The rows of `_phi_factors`, k = 0, 1, ..., at prec bits."""
-    ar = arithmetic(q)
+def _phi_factor_rows(q, upper, lower, prec: int, wp):
+    """The rows of `_phi_factors`, k = 0, 1, ..., at prec bits or at wp."""
+    ar = arithmetic(q) if wp is None else fixed(wp)
     mul, sub, rnd, one = ar.mul, ar.sub, round_nearest, ar.one
     power_exponent = 1 + len(lower) - len(upper)
+    # on fixed(wp), the one k near b q^k = 1 where a lower factor can round
+    # to 0 on raw values: k = m of b = q^-m, checked with q^m that product
+    poles = {}
+    for i, b in enumerate(lower if wp is not None else ()):
+        m, power = _q_log_index(b, q), fone
+        if m is not None:
+            for _ in range(m):
+                power = mpf_mul(power, q._mpf_, prec, rnd)
+            if mpf_sub(fone, mpf_mul(b._mpf_, power, prec, rnd), prec, rnd) == fzero:
+                poles.setdefault(m, []).append(i)
     q, qk = ar.raw(q), one  # q^k
     ups, lows = [ar.raw(a) for a in upper], [ar.raw(b) for b in lower]
-    while True:
+    for k in count():
         bracket = None
         if power_exponent:
             bracket = ar.pow_int(qk, power_exponent, prec, rnd)
             if power_exponent & 1:
                 bracket = ar.neg(bracket, prec, rnd)
+        row = [sub(one, mul(b, qk, prec, rnd), prec, rnd) for b in lows]
+        for i in poles.get(k, ()):
+            row[i] = ar.zero
         yield (sub(one, mul(q, qk, prec, rnd), prec, rnd),
                [sub(one, mul(a, qk, prec, rnd), prec, rnd) for a in ups],
-               [sub(one, mul(b, qk, prec, rnd), prec, rnd) for b in lows],
-               bracket)
+               row, bracket)
         qk = mul(qk, q, prec, rnd)
 
 

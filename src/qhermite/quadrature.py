@@ -58,7 +58,8 @@ from typing import Iterator, Optional
 from mpmath import mp, mpf
 from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
                           mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
-                          mpf_pow_int, round_nearest, to_fixed)
+                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .errors import ConvergenceError, EvaluationError
 from .identities import _params, _report, _tolerance, _work_digits
@@ -256,7 +257,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         q, alpha = to_mpf(p.q), to_mpf(p.alpha)
-        c, one = qpow(q, -2 * alpha - 1), mpf(1)
+        c, one = qpow(q, -2 * alpha - 1)._mpf_, mpf(1)
         top = max(max(pair) for pair in pairs)
         coef = [_coefficients(n, p) for n in range(top + 1)]
         size = [sum(abs(a) for a in row) for row in coef]  # S_n
@@ -312,13 +313,21 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                                      mp.nstr(tail, 4)))
 
         w_one = orthogonality_weight(1, p, trunc)
+        # the stop rules run on raw values, each rounded as on mpf values
         # k = 0, -1, -2, ...
-        reach = qpow(q, -2 * alpha - 2 - 2 * top)
+        reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
         for k, xk, mk in _walk(p, w_one, -1):
             far = visit(xk, mk)
-            rho = reach / (1 + c * xk * xk)
-            if rho < 1:
-                rest = (2 * mk * xk ** (2 * top) * rho / (1 - rho))._mpf_
+            x = xk._mpf_
+            rho = mpf_div(reach, mpf_add(mpf_mul(mpf_mul(c, x, prec, rnd), x,
+                                                 prec, rnd), fone, prec, rnd),
+                          prec, rnd)  # reach / (1 + c x^2)
+            if mpf_lt(rho, fone):
+                # 2 m_k x^(2N) rho / (1 - rho)
+                rest = mpf_div(mpf_mul(mpf_mul(mpf_shift(mk._mpf_, 1),
+                                               mpf_pow_int(x, 2 * top, prec, rnd),
+                                               prec, rnd), rho, prec, rnd),
+                               mpf_sub(fone, rho, prec, rnd), prec, rnd)
                 if all(mpf_le(far[i], f) and
                        mpf_le(mpf_mul(s_nm[i], rest, prec, rnd), f)
                        for i, f in enumerate(map(floor, range(len(pairs))))):
@@ -328,9 +337,10 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         points = 1 - k
 
         # k = 1, 2, ...: up to the first k the closed-form tail can take
-        z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)
+        z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)._mpf_
         for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
-            if c * xk * xk <= z_max:
+            x = xk._mpf_
+            if mpf_le(mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd), z_max):
                 break
             if k > trunc.max_terms:
                 raise exhausted(k - 1, "k_max")

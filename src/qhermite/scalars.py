@@ -17,9 +17,10 @@ from operator import attrgetter, lt
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, fzero, mpf_abs, mpf_add, mpf_div,
-                          mpf_lt, mpf_mul, mpf_neg, mpf_pow_int, mpf_sub,
-                          round_nearest, to_str)
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
+                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
+                          mpf_pow_int, mpf_sub, round_nearest, to_fixed,
+                          to_str)
 
 from .errors import DomainError, ExactBackendError
 
@@ -111,8 +112,8 @@ def qpow(base, exponent):
 
 class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
                                           "raw value one zero")):
-    """The operations of a loop that runs on either backend: one loop, two
-    arithmetics, the same operation order.
+    """The operations of a loop that runs on any of three arithmetics: one
+    loop, the same operation order.
 
     A kernel takes its operands with raw, calls op(a, b, prec, rnd),
     neg(a, prec, rnd), abs(a, prec, rnd), pow_int(a, n, prec, rnd) and
@@ -121,7 +122,10 @@ class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
     to prec, so a loop on RAW has the bits of the same expressions on mpf
     values at mp.prec = prec, with no Python frame per operation added.
     EXACT's are Python's operators on ints and Fractions, which ignore prec
-    and rnd, so the same loop is exact.
+    and rnd, so the same loop is exact.  `fixed(wp)`'s are Python's
+    operators on ints scaled by 2^wp, rounded down to a unit of 2^-wp at
+    each product and quotient: prec is wp there and rnd is ignored, and
+    value rounds to mp.prec once.  Only on RAW does an addition round.
     """
 
     __slots__ = ()
@@ -167,6 +171,43 @@ def qpowers(q, step: int, first):
     while True:
         yield power
         power = guarded_mul(power, ratio)
+
+
+@lru_cache(maxsize=64)
+def fixed(wp: int) -> Arithmetic:
+    """The fixed-point arithmetic at wp bits (see `Arithmetic`)."""
+    one = 1 << wp
+
+    def pow_int(a, n, prec, rnd):  # n >= 0, one product at a time
+        out = one
+        for _ in range(n):
+            out = out * a >> wp
+        return out
+
+    return Arithmetic(
+        lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
+        lambda a, b, prec, rnd: a * b >> wp,
+        lambda a, b, prec, rnd: (a << wp) // b,
+        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a), pow_int, lt,
+        lambda v: to_fixed(to_mpf(v)._mpf_, wp),
+        lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
+        one, 0)
+
+
+def fixed_bits(tol, count: int) -> int:
+    """The bits of a fixed-point sum that stops at tol and rounds to mp.prec:
+    mp.prec, or tol's bits if finer, plus GUARD_BITS, plus the bits of the
+    count of its roundings, so a stop limit never rounds to 0."""
+    _, _, exp, bc = to_mpf(tol)._mpf_
+    return max(mp.prec, -exp - bc) + GUARD_BITS + count.bit_length()
+
+
+def cancelled(peak: int, total: int) -> int:
+    """The bits a fixed-point sum must rerun with: 0, unless |total| is below
+    its largest term peak by more than half of GUARD_BITS, then the bits
+    between them, the part of the guard that cancellation took."""
+    lost = peak.bit_length() - abs(total).bit_length()
+    return lost if lost > GUARD_BITS // 2 else 0
 
 
 @lru_cache(maxsize=128)

@@ -1,12 +1,9 @@
 """Connection, inversion, generating functions, Bessel forms, limit trends."""
 
 from collections import Counter
-from contextlib import nullcontext
-from copy import copy
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import accumulate, islice, pairwise
-from operator import mul
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +32,7 @@ from qhermite.identities import (
 from qhermite.polyfam import gdqh2
 from qhermite.qcore import QParams, Truncation, q_pochhammer, shared_scope
 from qhermite.qseries import euler_e, gen_E
-from qhermite.scalars import binom2, fmt_scalar, qpowers
+from qhermite.scalars import binom2, fixed_bits, fmt_scalar
 
 
 def test_residual_normalization():
@@ -228,26 +225,26 @@ def test_bessel_forms_reference_point():
     assert od.passed and od.rel_residual < mpf("1e-15")
 
 
-def _counting_steps(monkeypatch, module, steps):
-    """module's float recurrence kernel, with one entry in steps per value
-    past h_0: one recurrence step each."""
-    kernel = module._recurrence
+def _counting_steps(monkeypatch, module, steps, kernel="_recurrence"):
+    """module's stream `kernel`, the float recurrence kernel by default, with
+    one entry in steps per value past the first: one recurrence step each."""
+    stream_of = getattr(module, kernel)
 
     def counted(*args):
-        stream = kernel(*args)
+        stream = stream_of(*args)
         yield next(stream)
         for h in stream:
             steps.append(1)
             yield h
 
-    monkeypatch.setattr(module, "_recurrence", counted)
+    monkeypatch.setattr(module, kernel, counted)
 
 
 def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):
-    # the series stop after tens of terms; the recurrence stream behind them
-    # is stepped no further than the longest sum needs
+    # the series stop after tens of terms; the term stream behind them is
+    # stepped no further than the longest sum needs
     steps = []
-    _counting_steps(monkeypatch, identities, steps)
+    _counting_steps(monkeypatch, identities, steps, "_gf_term_stream")
     g = DEFAULT_GRID
     q, alpha, x, y, t = (mpf(v[-1]) for v in (
         g.q_values, g.alpha_values, g.x_values, g.y_values, g.t_values))
@@ -261,103 +258,100 @@ def test_gf_checks_read_the_recurrence_only_as_far_as_they_sum(monkeypatch):
         assert 0 < len(steps) <= 2 * max(r.terms_used for r in reports) + 1
 
 
-def test_gf_terms_read_the_running_weight_of_the_expression_it_replaced():
-    # the weight's factors read the kept rows (q^j, 1 - q^(j+1)) of q; the
-    # terms are those of the running weight below, bit for bit, outside a
-    # scope and in one, cold and warm, at each precision, for a q rounded
-    # to fewer bits than the sum runs at and one to more
-    def reference(t, x, y, q, p):
-        weights = accumulate((t * a / (1 - b) for a, b
-                              in pairwise(qpowers(q, 1, 0))), mul, initial=mpf(1))
-        return map(mul, weights, polyfam.gdqh2_recurrence_values(x, y, p))
-
-    t, x, y = mpf("-0.25"), mpf("0.9"), mpf("0.6")
-    qs = [mpf("0.68")]
-    with mp.workdps(80):
-        qs.append(mpf("0.41"))
-    qcore._kept.cache_clear()
-    for dps in (80, 50, 80):
-        with mp.workdps(dps):
-            for q in qs:
-                p = QParams(q, mpf("0.37"))
-                want = [v._mpf_ for v in islice(reference(t, x, y, q, p), 120)]
-                for scope in (nullcontext, shared_scope, shared_scope):
-                    with scope():
-                        got = map(mp.make_mpf, identities._gf_terms(t, x, y, q, p))
-                        assert [v._mpf_ for v in islice(got, 120)] == want
+def _reference_terms(t, x, y, q, p, count):
+    """The first count generating-function terms q^C(j,2) t^j h_j / (q;q)_j
+    as mpf values at 40 more digits: a running weight times the float
+    recurrence kernel's h_j."""
+    with mp.workdps(mp.dps + 40):
+        out, weight = [], mpf(1)
+        for j, h in enumerate(islice(polyfam.gdqh2_recurrence_values(x, y, p),
+                                     count)):
+            out.append(weight * h)
+            weight *= t * q ** j / (1 - q ** (j + 1))
+        return out
 
 
-def _reference_terms(t, x, y, q, p):
-    """The generating-function terms as mpf expressions: a running weight
-    over the recurrence step chain, the stream before the raw one."""
-    def chain():
-        state = polyfam.RecurrenceState(0, mpf(1), mpf(0))
-        while True:
-            yield state.current
-            state = polyfam.gdqh2_recurrence_step(state, x, y, p)
-
-    weights = accumulate((t * a / (1 - b) for a, b
-                          in pairwise(qpowers(q, 1, 0))), mul, initial=mpf(1))
-    return map(mul, weights, chain())
-
-
-def _reference_series(terms, trunc):
-    """The generating-function sum on mpf values, with its stop rule, cap
-    and error text, as the reference for the raw one."""
-    tail = (trunc or Truncation()).effective_tail_tol()
-    total = mpf(0)
-    small = used = 0
-    for n, term in enumerate(islice(terms, 8 * mp.dps + 1)):
-        total += term
-        used = n + 1
-        if abs(term) < tail * max(1, abs(total)):
-            small += 1
-            if small >= 2 and n >= 4:
-                return total._mpf_, used
-        else:
-            small = 0
-    raise ConvergenceError(
-        "generating-function series did not meet tail_tol=%s within "
-        "%d terms (last term %s)"
-        % (mp.nstr(tail, 4), used, mp.nstr(abs(term), 4)))
-
-
-def _outcome(series, *args):
-    """(sum bits, terms used), or the text of the ConvergenceError raised."""
+def _gf_outcome(half, t, x, y, q, p, trunc):
+    """(sum, terms used) of `_gf_series`, or the ConvergenceError raised."""
     try:
-        total, used = series(*args)
+        return identities._gf_series(half, t, x, y, q, p, trunc)
     except ConvergenceError as exc:
-        return str(exc)
-    return getattr(total, "_mpf_", total), used
+        return exc
+
+
+def _gf_bits(outcome) -> tuple:
+    """An outcome of `_gf_outcome` as its sum's bits and terms, or its text."""
+    if isinstance(outcome, ConvergenceError):
+        return (str(outcome),)
+    return outcome[0]._mpf_, outcome[1]
+
+
+# (q, alpha, t, x, y): a fast cell, a cell at alpha < 0 and x < 0, two slow
+# ones, and at q = 0.95 one whose sums exhaust their 8*mp.dps + 1 cap
+_GF_CASES = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
+             ("0.2", "-0.4", "0.2", "-1.1", "0.3"),
+             ("0.8", "1.5", "0.5", "1.7", "1.2"),
+             ("0.5", "-0.9", "0.5", "-1.8", "1.2"),
+             ("0.95", "0.5", "0.95", "1.1", "1.05")]
 
 
 @pytest.mark.parametrize("dps", [50, 80, 181])
-def test_gf_stream_and_sums_are_the_mpf_expressions_bit_for_bit(dps):
-    # the raw term stream, the whole series and both halves against the mpf
-    # loops they replaced, to the same bits, terms used and stop; at q =
-    # 0.95 the sums exhaust their 8*mp.dps + 1 cap with the same text
-    cases = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
-             ("0.2", "-0.4", "0.2", "-1.1", "0.3"),
-             ("0.95", "0.5", "0.95", "1.1", "1.05")]
+def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps):
+    # the fixed-point term stream within 2^(16-wp) times the largest term (or
+    # 1) of each term at 40 more digits; the whole series and both halves within 2^(1-prec) of the sum
+    # of those terms relative to max(1, |sum|), plus 100 tail_tol when the
+    # caller's tail_tol stops them early; at q = 0.95 all three exhaust
+    # their cap with its text and the last term read; the same ints and
+    # bits outside a scope and in one, cold and warm
     for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
-        for q, alpha, t, x, y in cases:
+        for case in _GF_CASES:
             with mp.workdps(dps):
-                q, alpha, t, x, y = map(mpf, (q, alpha, t, x, y))
+                q, alpha, t, x, y = map(mpf, case)
                 p = QParams(q, alpha)
-                terms = identities._gf_terms(t, x, y, q, p)
-                assert list(islice(copy(terms), 200)) == [
-                    v._mpf_ for v in islice(_reference_terms(t, x, y, q, p), 200)]
-                got = [_outcome(identities._gf_series, copy(terms), trunc)]
-                want = [_outcome(_reference_series,
-                                 _reference_terms(t, x, y, q, p), trunc)]
-                for half in (0, 1):
-                    ref = ((-1) ** (j // 2) * w for j, w in islice(enumerate(
-                        _reference_terms(t, x, y, q, p)), half, None, 2))
-                    got.append(_outcome(identities._half_series, half, terms, trunc))
-                    want.append(_outcome(_reference_series, ref, trunc))
-                assert got == want
-                capped = "within %d terms" % (8 * dps + 1)
-                assert (capped in str(got[0])) == (q > mpf("0.9"))
+                tail = (trunc or Truncation()).effective_tail_tol()
+                cap = 8 * dps + 1
+                wp = fixed_bits(tail, cap)
+                ref = _reference_terms(t, x, y, q, p, 2 * cap + 1)
+                stream = identities._gf_terms(t, x, y, q, alpha, wp).upto(cap)
+                with mp.workdps(dps + 40):
+                    peak = max(1, *map(abs, ref[:cap + 1]))
+                    assert max(abs(mpf(v) / 2 ** wp - want) for v, want
+                               in zip(stream, ref)) <= 2 ** (16 - wp) * peak, case
+                got = [_gf_outcome(half, t, x, y, q, p, trunc)
+                       for half in (None, 0, 1)]
+                qcore._kept.cache_clear()
+                for _ in range(2):  # cold, then with the rows of (q, alpha) kept
+                    with shared_scope():
+                        again = [_gf_outcome(half, t, x, y, q, p, trunc)
+                                 for half in (None, 0, 1)]
+                        assert identities._gf_terms(
+                            t, x, y, q, alpha, wp).upto(cap) == stream
+                    assert list(map(_gf_bits, again)) == list(map(_gf_bits, got))
+                for half, outcome in zip((None, 0, 1), got):
+                    signed = (list(enumerate(ref)) if half is None else
+                              [(j, (-1) ** (j // 2) * v)
+                               for j, v in islice(enumerate(ref), half, None, 2)])
+                    # at q = 0.95 the halves read twice as far into the
+                    # stream as the whole series, and at 181 digits and
+                    # tail_tol 1e-30 they end within their cap
+                    raised = isinstance(outcome, ConvergenceError)
+                    assert raised or q < mpf("0.9") or half is not None
+                    assert not raised or q > mpf("0.9")
+                    if isinstance(outcome, ConvergenceError):
+                        assert str(outcome) == (
+                            "generating-function series did not meet "
+                            "tail_tol=%s within %d terms (last term %s)"
+                            % (mp.nstr(tail, 4), cap,
+                               mp.nstr(abs(signed[cap - 1][1]), 4)))
+                        continue
+                    total, used = outcome
+                    bound = mpf(2) ** (1 - mp.prec) + (0 if trunc is None
+                                                       else 100 * tail)
+                    with mp.workdps(dps + 40):
+                        want = sum(v for _, v in signed)
+                        assert abs(total - want) <= bound * max(1, abs(want)), (
+                            case, half)
+                    assert 4 < used < cap
 
 
 def test_gf_adaptive_sum_that_exhausts_its_cap_raises():
@@ -466,8 +460,8 @@ def test_suite_cell_computes_shared_values_once(monkeypatch):
     # longest sum, and per n the shared definition sum and connection's lhs
     steps, sums = [], Counter()
     definition = polyfam._gdqh2_definition
-    for module in (polyfam, identities):  # the ladder's kernel, the stream's
-        _counting_steps(monkeypatch, module, steps)
+    _counting_steps(monkeypatch, polyfam, steps)  # the ladder's kernel
+    _counting_steps(monkeypatch, identities, steps, "_gf_term_stream")
     monkeypatch.setattr(polyfam, "_gdqh2_definition",
                         lambda n, *a: sums.update([n]) or definition(n, *a))
     reports = run_identity_suite(CELL)
@@ -585,20 +579,23 @@ def test_suite_block_builds_each_form_row_once(monkeypatch):
 
 
 def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
-    # the two cells' ladders (at the ladder digits) and generating-function
-    # streams (at 30 more digits) each read one table of their precision
+    # the two cells' ladders (at the ladder digits) read one table of
+    # recurrence coefficients, and their generating-function streams (at 30
+    # more digits) one table of rows at the streams' fixed-point bits
     qcore._kept.cache_clear()  # builds counted from a cold start
-    tables = Counter()
-    table = polyfam._recurrence_table
+    tables, rows = Counter(), Counter()
+    table, gf_rows = polyfam._recurrence_table, identities._gf_rows
     monkeypatch.setattr(polyfam, "_recurrence_table",
                         lambda *a: tables.update([mp.prec]) or table(*a))
+    monkeypatch.setattr(identities, "_gf_rows",
+                        lambda q, alpha, wp: rows.update([wp]) or gf_rows(q, alpha, wp))
     grid = replace(CELL, x_values=("0.9", "1.3"), y_values=("0.4",))
     assert all(r.passed for r in run_identity_suite(grid))
     with mp.workdps(identities._work_digits("cancel", 12, mpf(grid.q_values[0]))):
         ladder_prec = mp.prec
     with mp.workdps(mp.dps + 30):
-        gf_prec = mp.prec
-    assert tables == Counter({ladder_prec: 1, gf_prec: 1})
+        wp = fixed_bits(Truncation().effective_tail_tol(), 8 * mp.dps + 1)
+    assert tables == Counter({ladder_prec: 1}) and rows == Counter({wp: 1})
 
 
 def test_suite_leaves_no_scope_open(monkeypatch):

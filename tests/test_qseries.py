@@ -397,25 +397,32 @@ def _wide(value):
 
 
 def _phi_cases():
+    """Terminating sums: the phi and Laguerre forms, a 2-phi-0 (1+s-r = -1)
+    and an upper q^(-m) found by its exact value, then the exact cases."""
     q, x = mpf("0.68"), mpf("0.9")
     q2, b = q * q, qpow(q, 2 * mpf("0.37") + 2)
     m = 6
     return [
-        # terminating: the phi and Laguerre forms, a 2-phi-0 (1+s-r = -1) and
-        # an upper q^(-m) found by its exact value
         PhiSpec((qpow(q, -2 * m), qpow(q, -2 * m - mpf("0.74"))), (0,), q2,
                 -mpf("0.4") * qpow(q, mpf("3.74")) / (x * x), terminate_at=m),
         PhiSpec((qpow(q2, -m),), (b,), q2, -qpow(q2, m) * b * x, terminate_at=m),
         PhiSpec((qpow(q, -5), _wide("0.3")), (), q, mpf("0.2"), terminate_at=5),
         PhiSpec((qpow(q, -7),), (_wide("0.5"),), q, mpf("-1.3")),
-        # convergent: 0-phi-1 (1+s-r = 2), 1-phi-0 (0), 0-phi-0 (1), 1-phi-1,
-        # 2-phi-1, with operands wider than the working precision
+    ] + _exact_phi_cases()
+
+
+def _convergent_phi_cases():
+    """Non-terminating sums: 0-phi-1 (1+s-r = 2), 1-phi-0 (0), 0-phi-0 (1),
+    1-phi-1, 2-phi-1, with operands wider than the working precision."""
+    q, x = mpf("0.68"), mpf("0.9")
+    q2, b = q * q, qpow(q, 2 * mpf("0.37") + 2)
+    return [
         PhiSpec((), (b,), q2, -q * x * x),
         PhiSpec((0,), (), q2, mpf("-0.05")),
         PhiSpec((), (), q, mpf("-0.8")),
         PhiSpec((_wide("0.4"),), (_wide("0.25"),), q, _wide("0.7")),
         PhiSpec((0, _wide("-0.6")), (b,), q2, mpf("0.09")),
-    ] + _exact_phi_cases()
+    ]
 
 
 def _exact_phi_cases():
@@ -454,6 +461,37 @@ def test_phi_rs_bit_identical_to_mpf_loop(dps):
             for spec in _phi_cases():
                 got, want = phi_rs(spec, trunc), reference_phi_rs(spec, trunc)
                 assert _bits(got) == _bits(want), spec
+
+
+@pytest.mark.parametrize("dps", [50, 181, 750])
+def test_convergent_phi_rs_matches_qhyper_at_40_more_digits(dps, monkeypatch):
+    # a non-terminating sum on fixed-point ints is within 2^(1-prec) of
+    # mpmath.qhyper at 40 more digits relative to the sum, plus 2 tail_tol
+    # for its absolute stop rule, with a tail bound above 0 and below
+    # tail_tol.  q_cos_alpha at q = 0.95, x = 10 has terms near 2^29 times
+    # its value, past the guard bits, so it is summed twice, the second
+    # time with those bits added
+    loops = []
+    loop = qseries._phi_loop
+    monkeypatch.setattr(qseries, "_phi_loop",
+                        lambda *a, **k: loops.append(k.get("wp")) or loop(*a, **k))
+    with mp.workdps(dps):
+        q, x = mpf("0.95"), mpf("10")
+        p = QParams(q, mpf(0))
+        cancelling = PhiSpec((), (qpow(q, 2 * p.alpha + 2),), q * q, -q * x * x)
+        for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
+            tail = (trunc or Truncation()).effective_tail_tol()
+            for spec in _convergent_phi_cases() + [cancelling]:
+                loops.clear()
+                got = phi_rs(spec, trunc)
+                bound = mpf(2) ** (1 - mp.prec)
+                with mp.workdps(dps + 40):
+                    want = mp.qhyper(spec.upper, spec.lower, spec.q, spec.z)
+                    assert abs(got.value - want) <= bound * abs(want) + 2 * tail, spec
+                assert 0 < got.tail_estimate < tail
+                assert len(loops) == 1 + (spec is cancelling), spec
+                assert loops[-1] > mp.prec + 32
+            assert q_cos_alpha(x, p) == phi_rs(cancelling).value
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
@@ -544,8 +582,8 @@ def test_phi21_tables_end_with_their_scope(monkeypatch):
     builds = []
     factors = qseries._phi_factors
     monkeypatch.setattr(qseries, "_phi_factors",
-                        lambda q, upper, lower: builds.append(upper[1])
-                        or factors(q, upper, lower))
+                        lambda q, upper, lower, *wp: builds.append(upper[1])
+                        or factors(q, upper, lower, *wp))
     q, alpha = mpf("0.3"), mpf("1.2")
     xs = [mpf("0.8"), mpf("-1.5"), mpf("2.25")]
 
