@@ -45,6 +45,8 @@ CASES = {
                                    "--t", "0.2", "6.0"),
     "check_even_gf.txt": ("check", "even_gf", "--q", "0.4", "--alpha", "0.7",
                           "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
+    "check_odd_gf.txt": ("check", "odd_gf", "--q", "0.4", "--alpha", "0.7",
+                         "--x", "-1.1", "--y", "-0.9", "--t", "0.3"),
     # every family at its default representation
     "eval_gdqh2.json": ("--format", "json", "eval", "gdqh2", "--n", "5",
                         "--q", "0.4", "--alpha", "0.6", "--x", "-0.9",
