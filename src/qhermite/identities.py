@@ -23,10 +23,13 @@ digits at every n, so one set of alpha = -1/2, (q^2;q^2) and Hahn tables
 serves every degree; both read the definition sum's terms row
 (polyfam._gdqh2_terms) at alpha = -1/2.  The four polynomial checks are
 wrapped in qcore._call_local.
-The generating-function checks read one term stream (_gf_terms) over the
-float recurrence kernel (polyfam._recurrence); the stream, its sum
-(_gf_series) and its parity halves (_half_series) run on raw libmp values
-with the operations and rounding order of the same loops on mpf values.
+The generating-function checks read one term stream per cell (_gf_terms):
+the series' terms q^C(j,2) t^j h_j / (q;q)_j follow one recurrence of
+their own, on ints scaled by 2^wp (wp from scalars.fixed_bits), over
+kept rows of (q, alpha, wp), and the whole series and both parity halves
+(_gf_series) sum and compare those ints, each rounded once; the parity
+reports run in a call-local scope when no scope is open, so both halves
+read one stream.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
 included, is built by _report from parameters spelled by _params.  Reports
 carry lhs, rhs and residuals at the working precision of the check, not

@@ -17,21 +17,22 @@ the generalized q-cosine / q-sine pair and Jackson's second q-Bessel
 function.  The big q-exponential's even and odd halves, 0-phi-1 series in
 base q^2, and the q-cosine and q-sine, the same halves with alternating
 signs, are one helper, _parity_half; alpha is finite and > -1 (QParams).
-phi_rs holds the only summation loop, a compensated sum over the operands'
-arithmetic (scalars.Arithmetic).  It reads the factors of each term ratio
-that hold no z from one table per (q, upper, lower) and precision, a value
-qcore.kept serves, or qcore.shared when a parameter holds a point
-(PhiSpec.point).  A non-terminating sum stops at
-the tail tolerance of its Truncation, taken at the precision the sum runs
-at.
+phi_rs holds the only summation loop, over one of three arithmetics
+(scalars.Arithmetic): a terminating sum runs on its operands' own, exact
+on Fractions and compensated on raw libmp values, where an addition
+rounds; a non-terminating one on ints scaled by 2^wp (scalars.fixed),
+rounded to mp.prec once.  It reads the factors of each term ratio that
+hold no z from one table per (q, upper, lower), precision and arithmetic,
+a value qcore.kept serves, or qcore.shared when a parameter holds a point
+(PhiSpec.point).  A non-terminating sum stops at the tail tolerance of its
+Truncation, taken at the precision the sum runs at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from itertools import count
+from typing import Optional
 
 from mpmath import mp, mpf
 from mpmath.libmp import fone, fzero, mpf_mul, mpf_sub, round_nearest
@@ -258,7 +259,8 @@ def _phi_factor_rows(q, upper, lower, prec: int, wp):
         if m is not None:
             for _ in range(m):
                 power = mpf_mul(power, q._mpf_, prec, rnd)
-            if mpf_sub(fone, mpf_mul(b._mpf_, power, prec, rnd), prec, rnd) == fzero:
+            if mpf_sub(fone, mpf_mul(b._mpf_, power, prec, rnd), prec,
+                       rnd) == fzero:
                 poles.setdefault(m, []).append(i)
     q, qk = ar.raw(q), one  # q^k
     ups, lows = [ar.raw(a) for a in upper], [ar.raw(b) for b in lower]

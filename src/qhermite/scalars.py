@@ -6,6 +6,11 @@ every operand is rational and every exponent is an integer; anything else is
 promoted to mpf at the ambient mpmath precision.  ``qpow`` is the single
 gateway for powers, so the exact backend fails loudly (ExactBackendError)
 instead of silently rounding when a non-integer exponent sneaks in.
+
+A loop written once runs on any of three arithmetics (``Arithmetic``):
+EXACT on ints and Fractions, RAW on raw libmp values, and ``fixed(wp)`` on
+ints scaled by 2^wp, for sums that round once at the end; ``fixed_bits``
+and ``cancelled`` set the bits of such a sum.
 """
 
 from __future__ import annotations
@@ -123,9 +128,9 @@ class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
     values at mp.prec = prec, with no Python frame per operation added.
     EXACT's are Python's operators on ints and Fractions, which ignore prec
     and rnd, so the same loop is exact.  `fixed(wp)`'s are Python's
-    operators on ints scaled by 2^wp, rounded down to a unit of 2^-wp at
-    each product and quotient: prec is wp there and rnd is ignored, and
-    value rounds to mp.prec once.  Only on RAW does an addition round.
+    operators on ints scaled by 2^wp, each product and quotient rounded
+    down to a unit of 2^-wp whatever prec and rnd say, and value rounds to
+    mp.prec once.  Only on RAW does an addition round.
     """
 
     __slots__ = ()
