@@ -25,7 +25,7 @@ serves every degree; both read the definition sum's terms row
 wrapped in qcore._call_local.
 The generating-function checks read one term stream per cell (_gf_terms):
 the series' terms q^C(j,2) t^j h_j / (q;q)_j follow one recurrence of
-their own, on ints scaled by 2^wp (wp from scalars.fixed_bits), over
+their own, on ints scaled by 2^wp (wp from scalars.fixed_sum), over
 kept rows of (q, alpha, wp), and the whole series and both parity halves
 (_gf_series) sum and compare those ints, each rounded once; the parity
 reports run in a call-local scope when no scope is open, so both halves
@@ -71,8 +71,8 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (_ten_power, cancelled, fixed_bits, guarded_mul,
-                      is_exact, qpow, to_mpf, unify)
+from .scalars import (_ten_power, fixed_sum, guarded_mul, is_exact, qpow,
+                      to_mpf, unify)
 
 __all__ = [
     "IdentityReport",
@@ -382,30 +382,22 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
 
     since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), read from the cell's
-    term stream (`_gf_terms`) at wp bits from scalars.fixed_bits.  The sum
-    stops after two consecutive terms below trunc's tail tolerance relative
-    to the sum, |term| < tail_tol * max(1, |sum|), compared on the ints, and
-    is rounded to mp.prec once; a sum that cancelled more bits than its
-    guard allows (scalars.cancelled) is summed once more with them added.
+    term stream (`_gf_terms`) at wp bits from scalars.fixed_sum, which
+    reruns a sum that cancelled.  The sum stops after two consecutive terms
+    below trunc's tail tolerance relative to the sum, |term| < tail_tol *
+    max(1, |sum|), compared on the ints, and is rounded to mp.prec once.
 
     It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
     it raises ConvergenceError rather than return a truncated sum."""
     tail = (trunc or Truncation()).effective_tail_tol()
-    cap = 8 * mp.dps + 1
-    wp = fixed_bits(tail, cap)
-    alpha = to_mpf(p.alpha)
-    total, used, peak = _gf_sum(half, shared(_gf_terms, t, x, y, q, alpha, wp),
-                                tail, wp, cap)
-    more = cancelled(peak, total)
-    if more:
-        wp += more
-        total, used, _ = _gf_sum(half, shared(_gf_terms, t, x, y, q, alpha, wp),
-                                 tail, wp, cap)
+    cap, alpha = 8 * mp.dps + 1, to_mpf(p.alpha)
+    (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(
+        half, shared(_gf_terms, t, x, y, q, alpha, wp), tail, wp, cap), tail, cap)
     return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest)), used
 
 
 def _gf_sum(half, stream: _Rows, tail, wp: int, cap: int) -> tuple:
-    """(total, terms used, largest |term|) of `_gf_series` on the ints."""
+    """(total, largest |term|, terms used) of `_gf_series` on the ints."""
     one, unit = 1 << wp, to_fixed(tail._mpf_, wp)
     terms = stream.each()
     if half is not None:
@@ -421,7 +413,7 @@ def _gf_sum(half, stream: _Rows, tail, wp: int, cap: int) -> tuple:
         if size < (unit * sum_size >> wp if sum_size > one else unit):
             small += 1
             if small >= 2 and n >= 4:
-                return total, used, peak
+                return total, peak, used
         else:
             small = 0
     raise ConvergenceError(

@@ -45,8 +45,8 @@ from .errors import (
 )
 from .qcore import (QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
-from .scalars import (RAW, Numeric, arithmetic, cancelled, fixed,
-                      fixed_bits, is_exact, qpow, to_mpf, unify)
+from .scalars import (RAW, Numeric, arithmetic, fixed, fixed_sum, is_exact,
+                      qpow, to_mpf, unify)
 
 __all__ = [
     "PhiSpec",
@@ -119,13 +119,11 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     Terminating series are summed through their last nonzero term, exactly
     on the exact backend, else on raw libmp values.  Non-terminating series
     require r <= s+1 (r = s+1 additionally needs |z| < 1), run on ints
-    scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_bits` at the
-    tail tolerance and max_terms) and stop when the absolute term drops
-    below tail_tol with a geometric tail bound recorded, rounded up by one
-    unit of 2^-wp so that it is never 0.  A non-terminating sum that
-    cancelled more bits than its guard allows (`scalars.cancelled`) is
-    summed once more with those bits added to wp.  Each is rounded to
-    mp.prec once.
+    scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_sum` at the
+    tail tolerance and max_terms, which reruns a sum that cancelled) and
+    stop when the absolute term drops below tail_tol with a geometric tail
+    bound recorded, rounded up by one unit of 2^-wp so that it is never 0.
+    Each is rounded to mp.prec once.
     """
     tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
@@ -149,7 +147,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     if n_term is not None:
-        total, used, _, _ = _phi_loop(q, z, upper, lower, tr, spec.point,
+        total, _, used, _ = _phi_loop(q, z, upper, lower, tr, spec.point,
                                       n_term)
         return SeriesValue(arithmetic(q).value(total), used, q - q)
     if is_exact(q):
@@ -166,14 +164,9 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
         raise DivergenceError(
             "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
         )
-    wp = fixed_bits(tr.effective_tail_tol(), tr.max_terms)
-    total, used, tail, peak = _phi_loop(q, z, upper, lower, tr, spec.point,
-                                        wp=wp)
-    more = cancelled(peak, total)
-    if more:
-        wp += more
-        total, used, tail, peak = _phi_loop(q, z, upper, lower, tr,
-                                            spec.point, wp=wp)
+    (total, _, used, tail), wp = fixed_sum(
+        lambda wp: _phi_loop(q, z, upper, lower, tr, spec.point, wp=wp),
+        tr.effective_tail_tol(), tr.max_terms)
     ar = fixed(wp)
     return SeriesValue(ar.value(total), used, ar.value(tail + 1))
 
@@ -182,7 +175,7 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
               wp=None) -> tuple:
     """phi_rs's one loop, over the arithmetic of q, or over fixed(wp) when
     wp is given, a compensated sum on RAW alone, where an addition rounds:
-    (total, terms used, tail bound, largest |term|) as operands of that
+    (total, largest |term|, terms used, tail bound) as operands of that
     arithmetic, through term n_term, else until the tail meets tr's tail
     tolerance.  It reads the factors of each term ratio that hold no z
     from `_phi_factors`' table in that arithmetic, `shared` when point
@@ -199,7 +192,7 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
     comp, k = zero, 0
     while True:
         if n_term is not None and k >= n_term:
-            return total, k + 1, zero, peak
+            return total, peak, k + 1, zero
         if k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
@@ -233,7 +226,7 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
                     tail = div(mul(size, rho, prec, rnd),
                                sub(one, rho, prec, rnd), prec, rnd)
                     if lt(tail, limit):
-                        return total, k + 1, tail, peak
+                        return total, peak, k + 1, tail
 
 
 def _phi_factors(q, upper, lower, wp=None) -> _Rows:

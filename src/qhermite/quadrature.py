@@ -312,21 +312,21 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                 "met tail_tol %s" % (end, k, trunc.max_terms,
                                      mp.nstr(tail, 4)))
 
+        def c_x2(x):  # the stop rules' c x^2, rounded as c * x * x
+            return mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd)
+
         w_one = orthogonality_weight(1, p, trunc)
-        # the stop rules run on raw values, each rounded as on mpf values
-        # k = 0, -1, -2, ...
+        # k = 0, -1, -2, ...: rho = reach / (1 + c x^2) and the rest bound
+        # 2 m_k x^(2N) rho / (1 - rho), on raw values rounded as on mpfs
         reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
         for k, xk, mk in _walk(p, w_one, -1):
             far = visit(xk, mk)
             x = xk._mpf_
-            rho = mpf_div(reach, mpf_add(mpf_mul(mpf_mul(c, x, prec, rnd), x,
-                                                 prec, rnd), fone, prec, rnd),
-                          prec, rnd)  # reach / (1 + c x^2)
+            rho = mpf_div(reach, mpf_add(c_x2(x), fone, prec, rnd), prec, rnd)
             if mpf_lt(rho, fone):
-                # 2 m_k x^(2N) rho / (1 - rho)
-                rest = mpf_div(mpf_mul(mpf_mul(mpf_shift(mk._mpf_, 1),
-                                               mpf_pow_int(x, 2 * top, prec, rnd),
-                                               prec, rnd), rho, prec, rnd),
+                rest = mpf_mul(mpf_shift(mk._mpf_, 1),
+                               mpf_pow_int(x, 2 * top, prec, rnd), prec, rnd)
+                rest = mpf_div(mpf_mul(rest, rho, prec, rnd),
                                mpf_sub(fone, rho, prec, rnd), prec, rnd)
                 if all(mpf_le(far[i], f) and
                        mpf_le(mpf_mul(s_nm[i], rest, prec, rnd), f)
@@ -339,8 +339,7 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         # k = 1, 2, ...: up to the first k the closed-form tail can take
         z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)._mpf_
         for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
-            x = xk._mpf_
-            if mpf_le(mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd), z_max):
+            if mpf_le(c_x2(xk._mpf_), z_max):
                 break
             if k > trunc.max_terms:
                 raise exhausted(k - 1, "k_max")

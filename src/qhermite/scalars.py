@@ -9,8 +9,8 @@ instead of silently rounding when a non-integer exponent sneaks in.
 
 A loop written once runs on any of three arithmetics (``Arithmetic``):
 EXACT on ints and Fractions, RAW on raw libmp values, and ``fixed(wp)`` on
-ints scaled by 2^wp, for sums that round once at the end; ``fixed_bits``
-and ``cancelled`` set the bits of such a sum.
+ints scaled by 2^wp, for sums that round once at the end; ``fixed_sum``
+sets the bits of such a sum and reruns one that cancelled.
 """
 
 from __future__ import annotations
@@ -182,18 +182,13 @@ def qpowers(q, step: int, first):
 def fixed(wp: int) -> Arithmetic:
     """The fixed-point arithmetic at wp bits (see `Arithmetic`)."""
     one = 1 << wp
-
-    def pow_int(a, n, prec, rnd):  # n >= 0, one product at a time
-        out = one
-        for _ in range(n):
-            out = out * a >> wp
-        return out
-
     return Arithmetic(
         lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
         lambda a, b, prec, rnd: a * b >> wp,
         lambda a, b, prec, rnd: (a << wp) // b,
-        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a), pow_int, lt,
+        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
+        # n >= 0: the exact power, rounded down once
+        lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one, lt,
         lambda v: to_fixed(to_mpf(v)._mpf_, wp),
         lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
         one, 0)
@@ -207,12 +202,19 @@ def fixed_bits(tol, count: int) -> int:
     return max(mp.prec, -exp - bc) + GUARD_BITS + count.bit_length()
 
 
-def cancelled(peak: int, total: int) -> int:
-    """The bits a fixed-point sum must rerun with: 0, unless |total| is below
-    its largest term peak by more than half of GUARD_BITS, then the bits
-    between them, the part of the guard that cancellation took."""
-    lost = peak.bit_length() - abs(total).bit_length()
-    return lost if lost > GUARD_BITS // 2 else 0
+def fixed_sum(run, tol, count: int) -> tuple:
+    """(run(wp), wp) for a fixed-point sum run(wp) that returns (total,
+    largest |term|, ...) as ints scaled by 2^wp, wp = fixed_bits(tol,
+    count).  A total below its largest term by more than half of
+    GUARD_BITS, the part of the guard that cancellation may take, is
+    summed once more with the bits between them added to wp."""
+    wp = fixed_bits(tol, count)
+    out = run(wp)
+    lost = out[1].bit_length() - abs(out[0]).bit_length()
+    if lost > GUARD_BITS // 2:
+        wp += lost
+        out = run(wp)
+    return out, wp
 
 
 @lru_cache(maxsize=128)

@@ -287,22 +287,31 @@ def _gf_bits(outcome) -> tuple:
 
 
 # (q, alpha, t, x, y): a fast cell, a cell at alpha < 0 and x < 0, two slow
-# ones, and at q = 0.95 one whose sums exhaust their 8*mp.dps + 1 cap
+# ones, one whose halves cancel about 28 bits, past half the guard bits,
+# and at q = 0.95 one whose sums exhaust their 8*mp.dps + 1 cap
+_GF_CANCELLING = ("0.95", "0", "0.5", "20", "0.2")
+_GF_CAPPED = ("0.95", "0.5", "0.95", "1.1", "1.05")
 _GF_CASES = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
              ("0.2", "-0.4", "0.2", "-1.1", "0.3"),
              ("0.8", "1.5", "0.5", "1.7", "1.2"),
              ("0.5", "-0.9", "0.5", "-1.8", "1.2"),
-             ("0.95", "0.5", "0.95", "1.1", "1.05")]
+             _GF_CANCELLING, _GF_CAPPED]
 
 
 @pytest.mark.parametrize("dps", [50, 80, 181])
-def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps):
+def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
     # the fixed-point term stream within 2^(16-wp) times the largest term (or
-    # 1) of each term at 40 more digits; the whole series and both halves within 2^(1-prec) of the sum
-    # of those terms relative to max(1, |sum|), plus 100 tail_tol when the
-    # caller's tail_tol stops them early; at q = 0.95 all three exhaust
-    # their cap with its text and the last term read; the same ints and
-    # bits outside a scope and in one, cold and warm
+    # 1) of each term at 40 more digits; the whole series and both halves
+    # within 2^(1-prec) of the sum of those terms relative to max(1, |sum|),
+    # plus 100 tail_tol when the caller's tail_tol stops them early, each
+    # after the terms the stop rule takes on the reference terms; the
+    # cancelling halves read a second stream with more bits; at q = 0.95
+    # all three exhaust their cap with its text and the last term read; the
+    # same ints and bits outside a scope and in one, cold and warm
+    streams = []
+    terms = identities._gf_terms
+    monkeypatch.setattr(identities, "_gf_terms",
+                        lambda *a: streams.append(a[-1]) or terms(*a))
     for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
         for case in _GF_CASES:
             with mp.workdps(dps):
@@ -317,8 +326,12 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps):
                     peak = max(1, *map(abs, ref[:cap + 1]))
                     assert max(abs(mpf(v) / 2 ** wp - want) for v, want
                                in zip(stream, ref)) <= 2 ** (16 - wp) * peak, case
+                streams.clear()
                 got = [_gf_outcome(half, t, x, y, q, p, trunc)
                        for half in (None, 0, 1)]
+                more = [bits for bits in streams if bits != wp]
+                assert streams.count(wp) == 3 and all(b > wp for b in more)
+                assert len(more) == (2 if case is _GF_CANCELLING else 0), case
                 qcore._kept.cache_clear()
                 for _ in range(2):  # cold, then with the rows of (q, alpha) kept
                     with shared_scope():
@@ -328,30 +341,38 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps):
                             t, x, y, q, alpha, wp).upto(cap) == stream
                     assert list(map(_gf_bits, again)) == list(map(_gf_bits, got))
                 for half, outcome in zip((None, 0, 1), got):
-                    signed = (list(enumerate(ref)) if half is None else
-                              [(j, (-1) ** (j // 2) * v)
-                               for j, v in islice(enumerate(ref), half, None, 2)])
+                    with mp.workdps(dps + 40):  # mpf negation rounds
+                        signed = (ref if half is None else
+                                  [-v if j & 2 else v for j, v
+                                   in islice(enumerate(ref), half, None, 2)])
                     # at q = 0.95 the halves read twice as far into the
                     # stream as the whole series, and at 181 digits and
                     # tail_tol 1e-30 they end within their cap
                     raised = isinstance(outcome, ConvergenceError)
-                    assert raised or q < mpf("0.9") or half is not None
-                    assert not raised or q > mpf("0.9")
+                    assert raised or case is not _GF_CAPPED or half is not None
+                    assert not raised or case is _GF_CAPPED
                     if isinstance(outcome, ConvergenceError):
                         assert str(outcome) == (
                             "generating-function series did not meet "
                             "tail_tol=%s within %d terms (last term %s)"
                             % (mp.nstr(tail, 4), cap,
-                               mp.nstr(abs(signed[cap - 1][1]), 4)))
+                               mp.nstr(abs(signed[cap - 1]), 4)))
                         continue
                     total, used = outcome
                     bound = mpf(2) ** (1 - mp.prec) + (0 if trunc is None
                                                        else 100 * tail)
                     with mp.workdps(dps + 40):
-                        want = sum(v for _, v in signed)
+                        want = sum(signed)
                         assert abs(total - want) <= bound * max(1, abs(want)), (
                             case, half)
-                    assert 4 < used < cap
+                        # the stop rule on the reference terms: two in a row
+                        # below tail_tol * max(1, |partial sum|), from n = 4
+                        partial, small = mpf(0), []
+                        for v in signed:
+                            partial += v
+                            small.append(abs(v) < tail * max(1, abs(partial)))
+                        assert used == next(n + 1 for n in range(4, cap)
+                                            if small[n - 1] and small[n])
 
 
 def test_gf_adaptive_sum_that_exhausts_its_cap_raises():
