@@ -180,18 +180,17 @@ def qpowers(q, step: int, first):
 
 @lru_cache(maxsize=64)
 def fixed(wp: int) -> Arithmetic:
-    """The fixed-point arithmetic at wp bits (see `Arithmetic`)."""
+    """The fixed-point arithmetic at wp bits (see `Arithmetic`): EXACT's
+    additions, negation, absolute value and comparison, on ints."""
     one = 1 << wp
-    return Arithmetic(
-        lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
-        lambda a, b, prec, rnd: a * b >> wp,
-        lambda a, b, prec, rnd: (a << wp) // b,
-        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
+    return EXACT._replace(
+        mul=lambda a, b, prec, rnd: a * b >> wp,
+        div=lambda a, b, prec, rnd: (a << wp) // b,
         # n >= 0: the exact power, rounded down once
-        lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one, lt,
-        lambda v: to_fixed(to_mpf(v)._mpf_, wp),
-        lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
-        one, 0)
+        pow_int=lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one,
+        raw=lambda v: to_fixed(to_mpf(v)._mpf_, wp),
+        value=lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
+        one=one, zero=0)
 
 
 def fixed_bits(tol, count: int) -> int:
