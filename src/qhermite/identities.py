@@ -47,11 +47,12 @@ from itertools import count, islice, product
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
     _gdqh2_terms,
+    _q_squared,
     gdqh2,
     gdqh2_recurrence_ladder,
     rosenblum_hermite,
@@ -71,7 +72,7 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (_ten_power, fixed_sum, guarded_mul, is_exact, qpow,
+from .scalars import (_ten_power, arithmetic, fixed_sum, is_exact, qpow,
                       to_mpf, unify)
 
 __all__ = [
@@ -258,9 +259,16 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     """
     ladder = _ladder(n, x, y, p)
     half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
-    hahn = _products(omega, y, guarded_mul(q, q), n // 2, point=True)
-    return sum((sign * hahn[k] / den * ladder[n - 2 * k]
-                for k, sign, den in kept(_gdqh2_terms, n, q, half)), q - q)
+    hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
+    ar, out = arithmetic(q), arithmetic(ladder[0])  # a float alpha: float
+    mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, out.zero
+    for k, sign, den in kept(_gdqh2_terms, n, q, half):
+        term = div(mul(sign, hahn[k], prec, rnd), den, prec, rnd)
+        if out is not ar:  # an exact term, as mpf's * converts it
+            term = from_rational(*term, prec)
+        term = out.mul(term, out.raw(ladder[n - 2 * k]), prec, rnd)
+        total = out.add(total, term, prec, rnd)
+    return out.value(total)
 
 
 @_call_local
@@ -387,10 +395,13 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
     below trunc's tail tolerance relative to the sum, |term| < tail_tol *
     max(1, |sum|), compared on the ints, and is rounded to mp.prec once.
 
-    It reads at most 8*mp.dps + 1 terms; if the stop rule is not met by then
-    it raises ConvergenceError rather than return a truncated sum."""
+    The terms fall like |y t^2|^(n/2), so 2 (dps + 10) / -log10|y t^2| of
+    them reach 10^-(dps+10).  It reads at most 8*mp.dps + 1 terms, or that
+    count with a margin of 5/4 when more; if the stop rule is not met by
+    then it raises ConvergenceError rather than return a truncated sum."""
     tail = (trunc or Truncation()).effective_tail_tol()
-    cap, alpha = 8 * mp.dps + 1, to_mpf(p.alpha)
+    reach = 5 * (mp.dps + 10) / (-2 * mp.log10(abs(y * t * t)))
+    cap, alpha = max(8 * mp.dps + 1, int(mp.ceil(reach)) + 1), to_mpf(p.alpha)
     (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(
         half, shared(_gf_terms, t, x, y, q, alpha, wp), tail, wp, cap), tail, cap)
     return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest)), used
@@ -581,12 +592,9 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
-    qs = _grid_mpf(grid.q_values)
-    alphas = _grid_mpf(grid.alpha_values)
-    xs = _grid_mpf(grid.x_values)
-    ys = _grid_mpf(grid.y_values)
-    omegas = _grid_mpf(grid.omega_values)
-    ts = _grid_mpf(grid.t_values)
+    qs, alphas, xs, ys, omegas, ts = map(_grid_mpf, (
+        grid.q_values, grid.alpha_values, grid.x_values, grid.y_values,
+        grid.omega_values, grid.t_values))
     n_max = max(grid.n_values, default=0)
 
     for q in qs:

@@ -28,18 +28,19 @@ on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
 1 there and an odd step divides by nothing.  They sit in one growable table
 per (q, alpha) and mp.prec, a value qcore.kept serves, so a step does its
 multiplications and no powers.  The table's q^n and the definition sum's
-signs are running products with 32 guard bits (scalars.guarded_mul), and
-(q;q)_{m,alpha} and (q^2;q^2)_k are prefixes of qcore's one guarded
-product; the table and (q;q)_{m,alpha} take the one real power
-q^(2 alpha + 1), qcore._odd_lift.
+signs are running products on the arithmetic's operands with
+scalars.GUARD_BITS guard bits, and (q;q)_{m,alpha} and (q^2;q^2)_k are
+prefixes of qcore's one guarded product; the table and (q;q)_{m,alpha}
+take the one real power q^(2 alpha + 1), qcore._odd_lift.
 
 Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
-serves: the definition sum's terms (k, sign, den) (_gdqh2_terms), the phi
-form's and the Laguerre form's powers and prefactors (_phi_row,
-_laguerre_row) and q_laguerre's factors (_q_laguerre_row), which its phi11
-and phi21 forms both read.  A row is computed by the form's own expressions
-in their order, so a row kept or built afresh gives the same bits; what
-holds the point (x^(n-2k), y^k, z and the phi sum) is computed by each call.
+serves: the definition sum's terms (k, sign, den) (_gdqh2_terms), held
+as operands of q's arithmetic, the phi form's and the Laguerre form's
+powers and prefactors (_phi_row, _laguerre_row) and q_laguerre's factors
+(_q_laguerre_row), which its phi11 and phi21 forms both read.  A row is
+computed by the form's own expressions in their order, so a row kept or
+built afresh gives the same bits; what holds the point (x^(n-2k), y^k, z
+and the phi sum) is computed by each call.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import round_nearest
+from mpmath.libmp import from_rational, round_nearest
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
@@ -63,12 +64,11 @@ from .qcore import (
     _odd_lift,
     _products,
     kept,
-    parity_indicator,
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import (Numeric, arithmetic, guarded_mul, is_exact, qpow, qpowers,
-                      to_mpf, unify)
+from .scalars import (GUARD_BITS, Numeric, arithmetic, is_exact, qpow, to_mpf,
+                      unify)
 
 __all__ = [
     "q_laguerre",
@@ -131,20 +131,35 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
     return series / q_pochhammer(q, q, n)
 
 
+def _q_squared(q):
+    """q^2 with the guard bits, the base of (q^2;q^2)_k and of Hahn's
+    powers in base q^2."""
+    with mp.workprec(mp.prec + GUARD_BITS):
+        return q * q
+
+
 def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
     """The row ((k, sign, den) for k = 0..n//2), where the definition sum's
     k-th term is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1))
-    and den = (q;q)_{n-2k,alpha} (q^2;q^2)_k."""
-    # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2; the sign
-    # runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3)
-    q2 = guarded_mul(q, q)
+    and den = (q;q)_{n-2k,alpha} (q^2;q^2)_k, sign and den operands of q's
+    arithmetic."""
+    ar = arithmetic(q)
+    mul, rnd, prec, guard = ar.mul, round_nearest, mp.prec, mp.prec + GUARD_BITS
+    # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2
+    q2 = _q_squared(q)
     gen_fact = _gen_q_shifted_prefix(n, params)
+    if arithmetic(unify(params.q, params.alpha)[0]) is not ar:
+        # exact (q, alpha) at a float q: each factor as mpf's * converts it
+        gen_fact = [from_rational(*f, prec) for f in gen_fact]
     poch_q2 = _products(1, q2, q2, n // 2)
-    ratios = qpowers(-q, 4, 3 - 2 * n)
-    sign, row = q - q + 1, []
+    # the sign runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3), itself a
+    # running product from (-q)^(3-2n) by (-q)^4, each with the guard bits
+    minus_q = ar.neg(ar.raw(q), prec, rnd)
+    power, step = (ar.pow_int(minus_q, e, guard, rnd) for e in (3 - 2 * n, 4))
+    sign, row = ar.one, []
     for k in range(n // 2 + 1):
-        row.append((k, sign, gen_fact[n - 2 * k] * poch_q2[k]))
-        sign = guarded_mul(sign, next(ratios))
+        row.append((k, sign, mul(gen_fact[n - 2 * k], poch_q2[k], prec, rnd)))
+        sign, power = mul(sign, power, guard, rnd), mul(power, step, guard, rnd)
     return tuple(row)
 
 
@@ -153,13 +168,12 @@ def _gdqh2_definition(n: int, x, y, params: QParams):
     `_gdqh2_terms`, each rounded in that order."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
     ar = arithmetic(q)
-    mul, pow_int, raw = ar.mul, ar.pow_int, ar.raw
-    prec, rnd = mp.prec, round_nearest
-    x, y, total = raw(x), raw(y), ar.zero
+    mul, pow_int, prec, rnd = ar.mul, ar.pow_int, mp.prec, round_nearest
+    x, y, total = ar.raw(x), ar.raw(y), ar.zero
     for k, sign, den in kept(_gdqh2_terms, n, q, params):
-        term = mul(mul(raw(sign), pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
+        term = mul(mul(sign, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
                    pow_int(y, k, prec, rnd), prec, rnd)
-        total = ar.add(total, ar.div(term, raw(den), prec, rnd), prec, rnd)
+        total = ar.add(total, ar.div(term, den, prec, rnd), prec, rnd)
     return q_pochhammer(q, q, n) * ar.value(total)
 
 
@@ -252,27 +266,31 @@ class RecurrenceState:
     table: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
-def _recurrence_rows(q, lift) -> Iterator:
+def _recurrence_rows(q, lift, prec: int) -> Iterator:
     """The step's coefficients (lead_n, q / (q^n)^2, 1 - q^n) for n = 0, 1,
-    ..., as operands of q's arithmetic, with lead_n = (1 -
-    q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a running product and lift
-    = q^(2 alpha + 1), both with the guard bits.  At odd n, theta_n = 0 and
-    lead_n is the backend's exact 1, the quotient (1 - q^(n+1)) /
-    (1 - q^(n+1)) without the division."""
-    raw = arithmetic(q).raw
-    q_n = one = q - q + 1
+    ..., as operands of q's arithmetic at prec bits, with lead_n = (1 -
+    q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a running product and its
+    products with lift = q^(2 alpha + 1) and with itself taken with the
+    guard bits.  At odd n, theta_n = 0 and lead_n is the arithmetic's one,
+    the quotient (1 - q^(n+1)) / (1 - q^(n+1)) without the division."""
+    ar = arithmetic(q)
+    mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
+    guard, q, lift = prec + GUARD_BITS, ar.raw(q), ar.raw(lift)
+    q_n = one = ar.one
     for n in count():
-        q_n1 = guarded_mul(q_n, q)
-        lead = ((1 - guarded_mul(q_n1, lift)) / (1 - q_n1)
-                if parity_indicator(n) else one)
-        yield raw(lead), raw(q / guarded_mul(q_n, q_n)), raw(1 - q_n)
+        q_n1 = mul(q_n, q, guard, rnd)
+        lead = one if n & 1 else div(
+            sub(one, mul(q_n1, lift, guard, rnd), prec, rnd),
+            sub(one, q_n1, prec, rnd), prec, rnd)
+        yield (lead, div(q, mul(q_n, q_n, guard, rnd), prec, rnd),
+               sub(one, q_n, prec, rnd))
         q_n = q_n1
 
 
 def _recurrence_table(q, alpha) -> _Rows:
     """The rows of `_recurrence_rows` on unified operands at mp.prec, grown
     by the steps at that precision, with the lift of (q;q)_{n,alpha}."""
-    return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha))
+    return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha), mp.prec)
 
 
 def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,

@@ -23,7 +23,9 @@ One rule sets the lifetime of every memoized value:
 
 Where they memoize, f runs once per operands, their types and mp.prec.
 A finite table grows to the longest n asked, a shorter request reading its
-prefix, bit for bit the table built to that n.
+prefix, bit for bit the table built to that n.  A table holds operands of
+its arithmetic, which the kernels read as they are; only the public
+single values, (a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n, make a value.
 
 Conventions: 0 < q < 1 throughout, alpha finite and > -1 where alpha
 appears, and the empty product is 1.
@@ -299,7 +301,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
 
     if not isinstance(n, int):
         raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
-    return _products(1, a, q, n)[-1]
+    return _product(1, a, q, n)
 
 
 def parity_indicator(n: int) -> int:
@@ -311,13 +313,20 @@ def parity_indicator(n: int) -> int:
 def _products(c, a, q, n: int, lift=1, point=False) -> list:
     """[P_0, ..., P_n] with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
     times lift for even m, as one running product GUARD_BITS above mp.prec
-    (its entries keep those bits).  Exact operands stay exact, and a factor
+    (its entries keep those bits), operands of the arithmetic of the
+    unified (c, a, q, lift).  Exact operands stay exact, and a factor
     c - a is 0 exactly when c = a.  Inside a shared scope one table per
     operands and precision grows to the longest n asked; it is `kept` unless
     point says that c or a holds a point (Hahn's x, y, omega), then `shared`."""
     _check_degree(n, "n")
     table = (shared if point else kept)(_product_table, *unify(c, a, q, lift))
     return table.upto(n)[:n + 1]
+
+
+def _product(c, a, q, n: int, lift=1, point=False):
+    """P_n of `_products`, as a value."""
+    c, a, q, lift = unify(c, a, q, lift)
+    return arithmetic(q).value(_products(c, a, q, n, lift, point)[n])
 
 
 def _product_table(c, a, q, lift) -> _Rows:
@@ -332,7 +341,7 @@ def _product_rows(c, power, q, lift, prec: int):
     c, power, q, lift = map(ar.raw, (c, power, q, lift))  # power = a q^m
     out = ar.one
     for m in count():
-        yield ar.value(out)
+        yield out
         factor = power if m & 1 else mul(power, lift, prec, rnd)
         out = mul(out, sub(c, factor, prec, rnd), prec, rnd)
         power = mul(power, q, prec, rnd)
@@ -346,10 +355,10 @@ def _odd_lift(q, alpha):
 
 def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
     """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}]: the running product of the
-    recursion below, on the backend of (q, alpha) alone."""
+    recursion below, as operands of the arithmetic of (q, alpha) alone."""
     q, alpha = unify(params.q, params.alpha)
     if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
-        return [q - q + 1]
+        return [arithmetic(q).one]
     return _products(1, q, q, n, kept(_odd_lift, q, alpha))
 
 
@@ -364,7 +373,8 @@ def gen_q_shifted_factorial(n: int, params: QParams):
     # here, not only in _products: at exact q with 2 alpha not an integer,
     # the prefix takes q^(2 alpha + 1), which the exact backend rejects
     _check_degree(n, "n")
-    return _gen_q_shifted_prefix(n, params)[-1]
+    return arithmetic(unify(params.q, params.alpha)[0]).value(
+        _gen_q_shifted_prefix(n, params)[-1])
 
 
 def hahn_add_power(x, y, q, n: int):
@@ -373,4 +383,4 @@ def hahn_add_power(x, y, q, n: int):
     The product keeps structural zeros (a vanishing factor) exact.
     """
     _check_q(q)
-    return _products(x, -y, q, n, point=True)[-1]
+    return _product(x, -y, q, n, point=True)

@@ -45,8 +45,8 @@ from .errors import (
 )
 from .qcore import (QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
-from .scalars import (RAW, Numeric, arithmetic, fixed, fixed_sum, is_exact,
-                      qpow, to_mpf, unify)
+from .scalars import (EXACT, RAW, Numeric, arithmetic, fixed, fixed_sum,
+                      is_exact, qpow, to_mpf, unify)
 
 __all__ = [
     "PhiSpec",
@@ -184,7 +184,8 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
     add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
     absolute, lt, one, zero = ar.abs, ar.lt, ar.one, ar.zero
     prec, rnd, compensate = mp.prec, round_nearest, ar is RAW
-    limit, z = ar.raw(tr.effective_tail_tol()), ar.raw(z)
+    # a terminating sum, exact or not, has no tail to compare
+    z, limit = ar.raw(z), n_term is None and ar.raw(tr.effective_tail_tol())
     table = (shared if point else kept)(_phi_factors, q, upper, lower, wp)
     # a terminating sum's rows in one growth
     rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
@@ -203,7 +204,8 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
         for factor in ups:
             ratio = mul(ratio, factor, prec, rnd)
         for b, denom in zip(lower, lows):
-            if denom == zero:
+            # a pair (num, den) of EXACT is 0 at num = 0, whatever den
+            if denom == zero or ar is EXACT and not denom[0]:
                 raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
             ratio = div(ratio, denom, prec, rnd)
         if bracket is not None:

@@ -120,9 +120,10 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
 def _coefficients(n: int, p: QParams) -> list:
     """[A_0, ..., A_{n//2}] with h_n(x) = sum_k A_k x^(n-2k), from the
     definition sum's terms at y = 1."""
-    q = to_mpf(p.q)
-    front = q_pochhammer(q, q, n)
-    return [front * sign / den for _, sign, den in kept(_gdqh2_terms, n, q, p)]
+    q, prec, rnd = to_mpf(p.q), mp.prec, round_nearest
+    front = q_pochhammer(q, q, n)._mpf_
+    return [mp.make_mpf(mpf_div(mpf_mul(front, sign, prec, rnd), den, prec, rnd))
+            for _, sign, den in kept(_gdqh2_terms, n, q, p)]
 
 
 def _plus(a: tuple, b: tuple) -> tuple:

@@ -8,9 +8,10 @@ gateway for powers, so the exact backend fails loudly (ExactBackendError)
 instead of silently rounding when a non-integer exponent sneaks in.
 
 A loop written once runs on any of three arithmetics (``Arithmetic``):
-EXACT on ints and Fractions, RAW on raw libmp values, and ``fixed(wp)`` on
-ints scaled by 2^wp, for sums that round once at the end; ``fixed_sum``
-sets the bits of such a sum and reruns one that cancelled.
+EXACT on unreduced pairs of ints, one `Fraction` made at the end, RAW on
+raw libmp values, and ``fixed(wp)`` on ints scaled by 2^wp, for sums that
+round once at the end; ``fixed_sum`` sets the bits of such a sum and
+reruns one that cancelled.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from operator import attrgetter, lt
 from typing import Union
 
@@ -65,16 +67,10 @@ def unify(*values):
 
 def as_int_if_integral(e):
     """Collapse an exponent to int when it is integral, else return it as-is."""
-    if isinstance(e, int):
-        return e
     if isinstance(e, Fraction):
         return int(e) if e.denominator == 1 else e
-    if isinstance(e, float):
-        return int(e) if e == int(e) else e
-    if isinstance(e, mpf):
-        if mp.isint(e):
-            return int(e)
-        return e
+    if isinstance(e, (float, mpf)) and mp.isint(e):
+        return int(e)
     return e
 
 
@@ -94,8 +90,7 @@ def qpow(base, exponent):
             if base == 0:
                 raise DomainError("0 cannot be raised to a negative power")
             return Fraction(1, 1) / Fraction(base) ** (-e)
-        b = to_mpf(base)
-        return b ** e
+        return to_mpf(base) ** e
     # non-integer exponent
     if is_exact(base):
         raise ExactBackendError(
@@ -126,22 +121,57 @@ class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
     RAW's members are libmp's own functions on raw mpf tuples, each rounding
     to prec, so a loop on RAW has the bits of the same expressions on mpf
     values at mp.prec = prec, with no Python frame per operation added.
-    EXACT's are Python's operators on ints and Fractions, which ignore prec
-    and rnd, so the same loop is exact.  `fixed(wp)`'s are Python's
-    operators on ints scaled by 2^wp, each product and quotient rounded
-    down to a unit of 2^-wp whatever prec and rnd say, and value rounds to
-    mp.prec once.  Only on RAW does an addition round.
+    EXACT's operands are pairs (numerator, denominator) of ints with
+    denominator > 0, not reduced: a product, quotient or power multiplies
+    ints, a sum puts both over the least common denominator, one gcd, and
+    value builds the `Fraction`, the one reduction.  They ignore prec and
+    rnd, so the same loop is exact.  `fixed(wp)`'s are Python's operators
+    on ints scaled by 2^wp, each product and quotient rounded down to a
+    unit of 2^-wp whatever prec and rnd say, and value rounds to mp.prec
+    once.  Only on RAW does an addition round.
     """
 
     __slots__ = ()
 
 
+def _pair_add(a, b, prec, rnd):
+    (n, d), (m, e) = a, b
+    if d == e:
+        return n + m, d
+    g = gcd(d, e)
+    return n * (e // g) + m * (d // g), d // g * e
+
+
+def _pair_sub(a, b, prec, rnd):
+    (n, d), (m, e) = a, b
+    if d == e:
+        return n - m, d
+    g = gcd(d, e)
+    return n * (e // g) - m * (d // g), d // g * e
+
+
+def _pair_div(a, b, prec, rnd):
+    (n, d), (m, e) = a, b
+    if not m:
+        raise ZeroDivisionError("division by zero")
+    return (n * e, d * m) if m > 0 else (-n * e, -d * m)
+
+
+def _pair_pow(a, k, prec, rnd):
+    n, d = a
+    if k < 0:
+        if not n:
+            raise DomainError("0 cannot be raised to a negative power")
+        n, d, k = (d, n, -k) if n > 0 else (-d, -n, -k)
+    return n ** k, d ** k
+
+
 EXACT = Arithmetic(
-    lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
-    lambda a, b, prec, rnd: a * b, lambda a, b, prec, rnd: a / b,
-    lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
-    lambda a, n, prec, rnd: qpow(a, n), lt, lambda v: v, lambda v: v,
-    Fraction(1), Fraction(0))
+    _pair_add, _pair_sub,
+    lambda a, b, prec, rnd: (a[0] * b[0], a[1] * b[1]), _pair_div,
+    lambda a, prec, rnd: (-a[0], a[1]), lambda a, prec, rnd: (abs(a[0]), a[1]),
+    _pair_pow, lambda a, b: a[0] * b[1] < b[0] * a[1],
+    attrgetter("numerator", "denominator"), lambda v: Fraction(*v), (1, 1), (0, 1))
 RAW = Arithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_neg, mpf_abs,
                  mpf_pow_int, mpf_lt, attrgetter("_mpf_"), mp.make_mpf,
                  fone, fzero)
@@ -156,41 +186,20 @@ def arithmetic(value) -> Arithmetic:
 GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep
 
 
-def guarded_mul(a, b):
-    """a * b for a running product of q-powers: exact on the exact backend,
-    else rounded to mp.prec + GUARD_BITS bits, so that N < 2^20 such products
-    stay as accurate at mp.prec as the correctly rounded power they replace."""
-    if is_exact(a) and is_exact(b):
-        return a * b
-    return mp.make_mpf(mpf_mul(to_mpf(a)._mpf_, to_mpf(b)._mpf_,
-                               mp.prec + GUARD_BITS, round_nearest))
-
-
-def qpowers(q, step: int, first):
-    """q^first, q^(first+step), q^(first+2*step), ... as a running product:
-    q^step and q^first are taken once with the guard bits, then each next
-    power by guarded_mul."""
-    with mp.workprec(mp.prec + GUARD_BITS):
-        ratio = q ** step
-        power = qpow(q, first)
-    while True:
-        yield power
-        power = guarded_mul(power, ratio)
-
-
 @lru_cache(maxsize=64)
 def fixed(wp: int) -> Arithmetic:
-    """The fixed-point arithmetic at wp bits (see `Arithmetic`): EXACT's
-    additions, negation, absolute value and comparison, on ints."""
+    """The fixed-point arithmetic at wp bits (see `Arithmetic`), on ints."""
     one = 1 << wp
-    return EXACT._replace(
-        mul=lambda a, b, prec, rnd: a * b >> wp,
-        div=lambda a, b, prec, rnd: (a << wp) // b,
+    return Arithmetic(
+        lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
+        lambda a, b, prec, rnd: a * b >> wp,
+        lambda a, b, prec, rnd: (a << wp) // b,
+        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
         # n >= 0: the exact power, rounded down once
-        pow_int=lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one,
-        raw=lambda v: to_fixed(to_mpf(v)._mpf_, wp),
-        value=lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
-        one=one, zero=0)
+        lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one, lt,
+        lambda v: to_fixed(to_mpf(v)._mpf_, wp),
+        lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
+        one, 0)
 
 
 def fixed_bits(tol, count: int) -> int:

@@ -235,17 +235,17 @@ def test_check_out_of_domain_t_gives_labelled_error_rows(capsys):
 @pytest.mark.parametrize("precision, ident", [("50", "bessel_odd"),
                                               ("20", "generating_function")])
 def test_check_capped_adaptive_sum_is_an_error_row(capsys, precision, ident):
-    # the series has not met its stop rule within 8*digits+1 terms: an error,
-    # not a truncated sum reported as a failed identity
+    # the series has not met its stop rule within its cap of terms: an
+    # error, not a truncated sum reported as a failed identity
     code, out, _ = run(capsys, "--no-timestamp", "--precision", precision,
-                       "--format", "json", "check", ident, "--q", "0.95",
-                       "--alpha", "0.5", "--x", "1.1", "--y", "1.05",
-                       "--t", "0.95")
+                       "--format", "json", "check", ident, "--q", "0.999",
+                       "--alpha", "0.5", "--x", "10", "--y", "1",
+                       "--t", "0.5")
     assert code == 2
     rows = json.loads(out)["rows"]
     assert [r["identity"] for r in rows] == [ident]
     assert "did not meet tail_tol" in rows[0]["error"]
-    assert "t=9.5000000e-1" in rows[0]["params"]
+    assert "t=5.0000000e-1" in rows[0]["params"]
 
 
 def test_check_tight_tol_exit_one(capsys):

@@ -286,16 +286,25 @@ def _gf_bits(outcome) -> tuple:
     return outcome[0]._mpf_, outcome[1]
 
 
+def _gf_cap(y, t) -> int:
+    """The series' term cap: 8*mp.dps + 1, or 5/4 of the 2 (dps + 10) /
+    -log10|y t^2| terms that the decay |y t^2|^(n/2) takes to reach
+    10^-(dps+10), when more."""
+    reach = 5 * (mp.dps + 10) / (-2 * mp.log10(abs(y * t * t)))
+    return max(8 * mp.dps + 1, int(mp.ceil(reach)) + 1)
+
+
 # (q, alpha, t, x, y): a fast cell, a cell at alpha < 0 and x < 0, two slow
-# ones, one whose halves cancel about 28 bits, past half the guard bits,
-# and at q = 0.95 one whose sums exhaust their 8*mp.dps + 1 cap
+# ones and one whose halves cancel about 28 bits, past half the guard bits
 _GF_CANCELLING = ("0.95", "0", "0.5", "20", "0.2")
-_GF_CAPPED = ("0.95", "0.5", "0.95", "1.1", "1.05")
 _GF_CASES = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
              ("0.2", "-0.4", "0.2", "-1.1", "0.3"),
              ("0.8", "1.5", "0.5", "1.7", "1.2"),
              ("0.5", "-0.9", "0.5", "-1.8", "1.2"),
-             _GF_CANCELLING, _GF_CAPPED]
+             _GF_CANCELLING]
+# at q = 0.999 the terms still grow at n = 2000, where q^n x t / (1 -
+# q^(n+1)) is about 0.16 / 0.86: every sum exhausts its cap
+_GF_CAPPED = ("0.999", "0.5", "0.5", "10", "1")
 
 
 @pytest.mark.parametrize("dps", [50, 80, 181])
@@ -305,9 +314,8 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
     # within 2^(1-prec) of the sum of those terms relative to max(1, |sum|),
     # plus 100 tail_tol when the caller's tail_tol stops them early, each
     # after the terms the stop rule takes on the reference terms; the
-    # cancelling halves read a second stream with more bits; at q = 0.95
-    # all three exhaust their cap with its text and the last term read; the
-    # same ints and bits outside a scope and in one, cold and warm
+    # cancelling halves read a second stream with more bits; the same ints
+    # and bits outside a scope and in one, cold and warm
     streams = []
     terms = identities._gf_terms
     monkeypatch.setattr(identities, "_gf_terms",
@@ -318,7 +326,7 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
                 q, alpha, t, x, y = map(mpf, case)
                 p = QParams(q, alpha)
                 tail = (trunc or Truncation()).effective_tail_tol()
-                cap = 8 * dps + 1
+                cap = _gf_cap(y, t)
                 wp = fixed_bits(tail, cap)
                 ref = _reference_terms(t, x, y, q, p, 2 * cap + 1)
                 stream = identities._gf_terms(t, x, y, q, alpha, wp).upto(cap)
@@ -342,22 +350,8 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
                     assert list(map(_gf_bits, again)) == list(map(_gf_bits, got))
                 for half, outcome in zip((None, 0, 1), got):
                     with mp.workdps(dps + 40):  # mpf negation rounds
-                        signed = (ref if half is None else
-                                  [-v if j & 2 else v for j, v
-                                   in islice(enumerate(ref), half, None, 2)])
-                    # at q = 0.95 the halves read twice as far into the
-                    # stream as the whole series, and at 181 digits and
-                    # tail_tol 1e-30 they end within their cap
-                    raised = isinstance(outcome, ConvergenceError)
-                    assert raised or case is not _GF_CAPPED or half is not None
-                    assert not raised or case is _GF_CAPPED
-                    if isinstance(outcome, ConvergenceError):
-                        assert str(outcome) == (
-                            "generating-function series did not meet "
-                            "tail_tol=%s within %d terms (last term %s)"
-                            % (mp.nstr(tail, 4), cap,
-                               mp.nstr(abs(signed[cap - 1]), 4)))
-                        continue
+                        signed = _signed_terms(ref, half)
+                    assert not isinstance(outcome, ConvergenceError), (case, half)
                     total, used = outcome
                     bound = mpf(2) ** (1 - mp.prec) + (0 if trunc is None
                                                        else 100 * tail)
@@ -375,9 +369,50 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
                                             if small[n - 1] and small[n])
 
 
+@pytest.mark.parametrize("q", ["0.5", "0.9"])
+@pytest.mark.parametrize("t", ["0.75", "0.9", "0.97"])
+def test_gf_checks_pass_in_domain_past_eight_terms_a_digit(q, t):
+    # |y t^2| = 0.5625, 0.81 and 0.94 need 721 to 6876 terms at the
+    # checks' 80 digits, past 8*mp.dps + 1 = 641: every row passes, each
+    # sum within its cap
+    p, x, y, t = QParams(mpf(q), mpf("0.5")), mpf("1.7"), mpf(1), mpf(t)
+    reports = [check_generating_function(t, x, y, p),
+               *check_even_odd_gf(t, x, y, p), *check_bessel_forms(t, x, y, p)]
+    with mp.workdps(80):
+        cap = _gf_cap(y, t)
+    assert reports[0].terms_used > 641
+    assert all(r.passed and r.error is None and r.terms_used <= cap
+               for r in reports), [(r.identity_id, r.terms_used) for r in reports]
+
+
+def _signed_terms(terms, half) -> list:
+    """The terms of the whole series (half None) or of one half, with the
+    half's sign (-1)^(j//2)."""
+    if half is None:
+        return terms
+    return [-v if j & 2 else v for j, v in islice(enumerate(terms), half, None, 2)]
+
+
 def test_gf_adaptive_sum_that_exhausts_its_cap_raises():
-    p = QParams(mpf("0.95"), mpf("0.5"))
-    args = (mpf("0.95"), mpf("1.1"), mpf("1.05"), p)
+    # every sum at the capped cell raises, at each precision and tail_tol,
+    # with the cap's text and the last term read, to 4 digits of that term
+    # at 40 more digits; and through the checks at their working digits
+    q, alpha, t, x, y = map(mpf, _GF_CAPPED)
+    p = QParams(q, alpha)
+    for dps in (50, 80, 181):
+        for trunc in (None, Truncation(tail_tol=mpf("1e-30"))):
+            with mp.workdps(dps):
+                tail = (trunc or Truncation()).effective_tail_tol()
+                cap = _gf_cap(y, t)
+                ref = _reference_terms(t, x, y, q, p, 2 * cap + 1)
+                for half in (None, 0, 1):
+                    with mp.workdps(dps + 40):
+                        last = _signed_terms(ref, half)[cap - 1]
+                    assert str(_gf_outcome(half, t, x, y, q, p, trunc)) == (
+                        "generating-function series did not meet tail_tol=%s "
+                        "within %d terms (last term %s)"
+                        % (mp.nstr(tail, 4), cap, mp.nstr(abs(last), 4)))
+    args = (t, x, y, p)
     with pytest.raises(ConvergenceError, match="within 641 terms"):
         check_bessel_forms(*args)
     mp.dps = 20

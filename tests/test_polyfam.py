@@ -30,8 +30,7 @@ from qhermite.qcore import (
     q_pochhammer,
     shared_scope,
 )
-from qhermite.scalars import (GUARD_BITS, arithmetic, binom2, guarded_mul, qpow,
-                              qpowers, unify)
+from qhermite.scalars import GUARD_BITS, arithmetic, binom2, qpow, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
 alphas = st.floats(min_value=-0.8, max_value=2.5)
@@ -259,7 +258,7 @@ def test_exact_prefix_needs_no_power_at_degree_zero():
     # (q;q)_{0,alpha} = 1 takes no power; from degree 1 on the real power
     # q^(2 alpha + 1) has no exact value
     p = QParams(F(1, 2), F(1, 3))
-    assert _gen_q_shifted_prefix(0, p) == [1]
+    assert list(map(arithmetic(p.q).value, _gen_q_shifted_prefix(0, p))) == [1]
     with pytest.raises(ExactBackendError):
         _gen_q_shifted_prefix(1, p)
 
@@ -272,8 +271,8 @@ def test_running_powers_within_two_ulps(alpha):
     # connection and inversion read
     n, q, alpha = 60, mpf("0.68"), mpf(alpha)
     p = QParams(q, alpha)
-    prefix = _gen_q_shifted_prefix(n, p)
-    signs = [sign for _, sign, _ in _gdqh2_terms(n, q, p)]
+    prefix = list(map(mp.make_mpf, _gen_q_shifted_prefix(n, p)))
+    signs = [mp.make_mpf(sign) for _, sign, _ in _gdqh2_terms(n, q, p)]
     with mp.workdps(mp.dps + 40):
         want_prefix = [mpf(1)]
         for m in range(n):
@@ -300,13 +299,21 @@ def test_recurrence_values_prefix_is_the_ladder(q, alpha, x, y):
         gdqh2_recurrence_ladder(-1, x, y, p)
 
 
+def guarded_mul(a, b):
+    """a * b, exact on Fractions, else rounded GUARD_BITS above mp.prec."""
+    if isinstance(a, F) and isinstance(b, F):
+        return a * b
+    with mp.workprec(mp.prec + GUARD_BITS):
+        return a * b
+
+
 def _ladder_with_own_powers(n, x, y, p):
     """h_0..h_n from a step that carries q^n and q^(2 alpha + 1) itself:
     the step before the coefficient table, as the reference."""
     x, y, q, alpha = unify(x, y, p.q, p.alpha)
     with mp.workprec(mp.prec + GUARD_BITS):
         lift = qpow(q, 2 * alpha + 1)
-    q_n = next(qpowers(q, 1, 0))
+    q_n = q - q + 1
     previous, current = q - q, q - q + 1
     out = [current]
     for k in range(n):
@@ -347,7 +354,8 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
     # bits of the one that divides at every n (_ladder_with_own_powers)
     with mp.workdps(dps):
         q, alpha, x, y = (v if isinstance(v, F) else mpf(v) for v in (q, alpha, x, y))
-        rows = list(islice(polyfam._recurrence_rows(q, _odd_lift(q, alpha)), 61))
+        rows = list(islice(polyfam._recurrence_rows(q, _odd_lift(q, alpha),
+                                                    mp.prec), 61))
         one, value = q - q + 1, arithmetic(q).value
         for lead in (value(row[0]) for row in rows[1::2]):
             assert type(lead) is type(one) and lead == 1
@@ -396,9 +404,10 @@ def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
     # the loop rounds sign * x^(n-2k) * y^k / den and the running sum as
     # the mpf expression below does, at x = 0, y = 0 and y < 0 too
     def reference(n, x, y, p):
-        total = p.q - p.q
+        total, value = p.q - p.q, arithmetic(p.q).value
         for k, sign, den in _gdqh2_terms(n, p.q, p):
-            total = total + sign * qpow(x, n - 2 * k) * qpow(y, k) / den
+            total = total + (value(sign) * qpow(x, n - 2 * k) * qpow(y, k)
+                             / value(den))
         return q_pochhammer(p.q, p.q, n) * total
 
     def bits(v):
@@ -421,7 +430,8 @@ def test_coefficient_table_takes_the_generalized_factorials_lift(monkeypatch):
     # exponent too is rounded with the guard bits
     lifts, rows = [], polyfam._recurrence_rows
     monkeypatch.setattr(polyfam, "_recurrence_rows",
-                        lambda q, lift: lifts.append(lift) or rows(q, lift))
+                        lambda q, lift, prec: lifts.append(lift)
+                        or rows(q, lift, prec))
     q, alpha = mpf("0.68"), mpf("0.37")
     gdqh2_recurrence_ladder(3, mpf("0.9"), mpf("0.5"), QParams(q, alpha))
     assert [v._mpf_ for v in lifts] == [_odd_lift(q, alpha)._mpf_]

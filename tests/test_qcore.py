@@ -17,6 +17,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import round_nearest
 
 from qhermite import qcore
 from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
@@ -38,8 +39,8 @@ from qhermite.qcore import (
     shared_scope,
 )
 from qhermite.quadrature import orthogonality_gram
-from qhermite.scalars import (GUARD_BITS, CompensatedSum, binom2, qpow, to_mpf,
-                              unify)
+from qhermite.scalars import (EXACT, GUARD_BITS, CompensatedSum, arithmetic,
+                              binom2, qpow, to_mpf, unify)
 
 qs = st.floats(min_value=0.05, max_value=0.95)
 alphas = st.floats(min_value=-0.9, max_value=3.0)
@@ -428,12 +429,18 @@ def _bits(values) -> list:
     return [getattr(v, "_mpf_", (type(v), v)) for v in values]
 
 
+def product_values(c, a, q, n: int, lift=1) -> list:
+    """`_products`' rows, operands of their arithmetic, as values."""
+    value = arithmetic(unify(c, a, q, lift)[2]).value
+    return [value(v) for v in _products(c, a, q, n, lift)]
+
+
 @pytest.mark.parametrize("dps", [50, 181, 750])
 def test_finite_products_bit_identical_to_mpf_loop(dps):
     with mp.workdps(dps):
         for case in _product_cases():
             want = _bits(reference_products(*case))
-            assert _bits(_products(*case)) == want, case
+            assert _bits(product_values(*case)) == want, case
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
@@ -447,7 +454,8 @@ def test_scoped_table_prefix_equals_a_table_built_to_that_n(dps):
             for order in (range(n + 1), reversed(range(n + 1))):
                 qcore._kept.cache_clear()  # each order grows its own tables
                 with shared_scope():
-                    got = {k: _bits(_products(c, a, q, k, lift)) for k in order}
+                    got = {k: _bits(product_values(c, a, q, k, lift))
+                           for k in order}
                 assert [got[k] for k in range(n + 1)] == want
 
 
@@ -456,8 +464,8 @@ def test_exact_and_float_operands_never_share_an_entry():
     # operand by its type, so each backend computes its own value
     calls = []
     with shared_scope():
-        exact = _products(1, F(1, 2), F(1, 2), 4)
-        floats = _products(1, mpf(0.5), mpf(0.5), 4)
+        exact = product_values(1, F(1, 2), F(1, 2), 4)
+        floats = product_values(1, mpf(0.5), mpf(0.5), 4)
         exact_gen = gen_q_shifted_factorial(3, QParams(F(1, 2), 1))
         float_gen = gen_q_shifted_factorial(3, QParams(mpf(0.5), mpf(1)))
         for v in (F(1, 2), mpf(0.5), F(1, 2), mpf(0.5), 1, mpf(1), F(1),
@@ -477,8 +485,8 @@ def test_scope_is_per_precision_and_closes():
         for dps in (50, 120, 50):
             with mp.workdps(dps):
                 shared(builds.append, mp.prec)
-                assert _gen_q_shifted_prefix(6, QParams(mpf("0.3"), mpf("0.2"))) \
-                    == reference_products(1, mpf("0.3"), mpf("0.3"), 6,
+                prefix = _gen_q_shifted_prefix(6, QParams(mpf("0.3"), mpf("0.2")))
+                assert list(map(mp.make_mpf, prefix)) == reference_products(1, mpf("0.3"), mpf("0.3"), 6,
                                           _lift(mpf("0.3"), mpf("0.2")))
     assert len(builds) == 2 and scope_declared() is None
     shared(builds.append, 1)
@@ -505,6 +513,49 @@ def test_unify_keeps_objects_and_backends():
             assert all(type(g) is mpf and g == to_mpf(v)
                        for g, v in zip(got, values))
             assert all(g is v for g, v in zip(got, values) if type(v) is mpf)
+
+
+_rationals = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 6)
+
+
+def _pair(value: F, scale: int) -> tuple:
+    """value as EXACT's pair, unreduced by scale."""
+    n, d = EXACT.raw(value)
+    return n * scale, d * scale
+
+
+@given(a=_rationals, b=_rationals, k=st.integers(min_value=-6, max_value=6),
+       scales=st.tuples(*[st.integers(min_value=1, max_value=10 ** 9)] * 2),
+       exact_int=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_exact_pairs_are_fraction_arithmetic(a, b, k, scales, exact_int):
+    # every member of EXACT, on pairs reduced or not, is the Fraction
+    # operation: value of the result equals it, with a positive denominator
+    if exact_int:
+        a = int(a)
+    value, prec, rnd = EXACT.value, 0, round_nearest
+    x, y = _pair(F(a), scales[0]), _pair(b, scales[1])
+    assert EXACT.raw(a) == (F(a).numerator, F(a).denominator)
+    assert value(x) == a and type(value(x)) is F
+    results = [(EXACT.add(x, y, prec, rnd), a + b),
+               (EXACT.sub(x, y, prec, rnd), a - b),
+               (EXACT.mul(x, y, prec, rnd), F(a) * b),
+               (EXACT.neg(x, prec, rnd), -F(a)),
+               (EXACT.abs(x, prec, rnd), abs(F(a)))]
+    if b:
+        results.append((EXACT.div(x, y, prec, rnd), F(a) / b))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            EXACT.div(x, y, prec, rnd)
+    if a or k >= 0:
+        results.append((EXACT.pow_int(x, k, prec, rnd), F(a) ** k))
+    else:
+        with pytest.raises(DomainError):
+            EXACT.pow_int(x, k, prec, rnd)
+    for pair, want in results:
+        assert pair[1] > 0 and value(pair) == want
+    assert EXACT.lt(x, y) == (a < b) and EXACT.lt(y, x) == (b < a)
+    assert value(EXACT.one) == 1 and value(EXACT.zero) == 0
 
 
 # --- the tables, powers and products kept across scopes --------------------------
@@ -609,7 +660,8 @@ def test_threads_extend_one_table_as_one_thread_does():
     def work(order):
         with shared_scope():
             return {n: [[v._mpf_ for v in rows] for rows in (
-                _products(1, q, q, n, lift), _products(1, q * q, q * q, n),
+                product_values(1, q, q, n, lift),
+                product_values(1, q * q, q * q, n),
                 gdqh2_recurrence_ladder(n, x, y, p))] for n in order}
 
     qcore._kept.cache_clear()
@@ -650,7 +702,7 @@ def test_interrupted_growth_never_serves_a_short_table(monkeypatch, stream):
     q, p = mpf("0.3"), QParams(mpf("0.3"), mpf("0.2"))
     x, y = mpf("1.1"), mpf("0.4")
     if stream == "_product_rows":
-        home, build = qcore, lambda n: _products(1, q, q, n)
+        home, build = qcore, lambda n: product_values(1, q, q, n)
         want = [v._mpf_ for v in reference_products(1, q, q, 20)]
     else:
         home, build = polyfam, lambda n: gdqh2_recurrence_ladder(n, x, y, p)

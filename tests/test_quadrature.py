@@ -296,6 +296,33 @@ def test_walk_max_terms_names_the_end(q, alpha, cap, end, monkeypatch):
                            trunc=Truncation(max_terms=cap))
 
 
+@pytest.mark.parametrize("q, alpha, n_max, tail_tol, points", [
+    ("0.2", "0.5", 2, "1e-2", 7), ("0.2", "0.5", 4, "1e-8", 12),
+    ("0.2", "-0.5", 4, "1e-26", 15)])
+def test_walk_toward_large_x_stops_where_the_rest_bound_decides(
+        q, alpha, n_max, tail_tol, points):
+    # at these cells, found by a scan, every pair's term is below its floor
+    # one point before the walk stops, and the rest bound 2 S_n S_m m_k
+    # x^(2N) rho / (1 - rho) is above it by less than its factor 2: the
+    # point count pins both the rule and that factor
+    reports = orthogonality_gram(n_max, QParams(mpf(q), mpf(alpha)),
+                                 trunc=Truncation(tail_tol=mpf(tail_tol)))
+    assert {r.terms_used for r in reports} == {points}
+
+
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_walk_toward_zero_stops_before_c_x2_equal_to_z_max(k):
+    # at q = 1/2, alpha = 1/2, c = q^(-2 alpha - 1) = 4 and c x_k^2 =
+    # 2^(2-2k) exactly; tail_tol = 2^(16-16k) makes z_max = tail_tol^(1/8)
+    # that very number.  The walk stops before the first k with c x^2 <=
+    # z_max, so at equality it visits what it visits at a tail_tol a little
+    # above, and one point less than at one a little below
+    p, tail = QParams(mpf("0.5"), mpf("0.5")), mpf(2) ** (16 - 16 * k)
+    points = [orthogonality_check(2, 2, p, trunc=Truncation(tail_tol=t)).terms_used
+              for t in (tail, tail * (1 + mpf(2) ** -30), tail * (1 - mpf(2) ** -30))]
+    assert points[0] == points[1] == points[2] - 1
+
+
 def test_rhs_two_path():
     # the closed form uses infinite products; rebuild it from partial
     # products long enough that the tails are below target precision
