@@ -260,7 +260,8 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     ladder = _ladder(n, x, y, p)
     half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
     hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
-    ar, out = arithmetic(q), arithmetic(ladder[0])  # a float alpha: float
+    # the sum runs in the ladder's arithmetic, float at a float alpha
+    ar, out = arithmetic(q), arithmetic(ladder[0])
     mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, out.zero
     for k, sign, den in kept(_gdqh2_terms, n, q, half):
         term = div(mul(sign, hahn[k], prec, rnd), den, prec, rnd)

@@ -134,8 +134,9 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
 def _q_squared(q):
     """q^2 with the guard bits, the base of (q^2;q^2)_k and of Hahn's
     powers in base q^2."""
-    with mp.workprec(mp.prec + GUARD_BITS):
-        return q * q
+    ar = arithmetic(q)
+    return ar.value(ar.mul(ar.raw(q), ar.raw(q), mp.prec + GUARD_BITS,
+                           round_nearest))
 
 
 def _gdqh2_terms(n: int, q, params: QParams) -> tuple:

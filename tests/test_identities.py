@@ -371,7 +371,7 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
 
 @pytest.mark.parametrize("q", ["0.5", "0.9"])
 @pytest.mark.parametrize("t", ["0.75", "0.9", "0.97"])
-def test_gf_checks_pass_in_domain_past_eight_terms_a_digit(q, t):
+def test_gf_checks_pass_where_the_terms_fall_slowly(q, t):
     # |y t^2| = 0.5625, 0.81 and 0.94 need 721 to 6876 terms at the
     # checks' 80 digits, past 8*mp.dps + 1 = 641: every row passes, each
     # sum within its cap

@@ -486,8 +486,8 @@ def test_scope_is_per_precision_and_closes():
             with mp.workdps(dps):
                 shared(builds.append, mp.prec)
                 prefix = _gen_q_shifted_prefix(6, QParams(mpf("0.3"), mpf("0.2")))
-                assert list(map(mp.make_mpf, prefix)) == reference_products(1, mpf("0.3"), mpf("0.3"), 6,
-                                          _lift(mpf("0.3"), mpf("0.2")))
+                assert list(map(mp.make_mpf, prefix)) == reference_products(
+                    1, mpf("0.3"), mpf("0.3"), 6, _lift(mpf("0.3"), mpf("0.2")))
     assert len(builds) == 2 and scope_declared() is None
     shared(builds.append, 1)
     shared(builds.append, 1)
