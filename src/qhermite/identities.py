@@ -398,13 +398,14 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
 
     The terms fall like |y t^2|^(n/2), so 2 (dps + 10) / -log10|y t^2| of
     them reach 10^-(dps+10).  It reads at most 8*mp.dps + 1 terms, or that
-    count with a margin of 5/4 when more; if the stop rule is not met by
-    then it raises ConvergenceError rather than return a truncated sum."""
-    tail = (trunc or Truncation()).effective_tail_tol()
+    count with a margin of 5/4 when more, up to trunc's max_terms; if the
+    stop rule is not met by then it raises ConvergenceError rather than
+    return a truncated sum."""
+    tail = (tr := trunc or Truncation()).effective_tail_tol()
     reach = 5 * (mp.dps + 10) / (-2 * mp.log10(abs(y * t * t)))
-    cap, alpha = max(8 * mp.dps + 1, int(mp.ceil(reach)) + 1), to_mpf(p.alpha)
-    (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(
-        half, shared(_gf_terms, t, x, y, q, alpha, wp), tail, wp, cap), tail, cap)
+    cap = max(8 * mp.dps + 1, min(int(mp.ceil(reach)) + 1, tr.max_terms))
+    (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(half, shared(
+        _gf_terms, t, x, y, q, to_mpf(p.alpha), wp), tail, wp, cap), tail, cap)
     return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest)), used
 
 

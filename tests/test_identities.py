@@ -385,6 +385,19 @@ def test_gf_checks_pass_where_the_terms_fall_slowly(q, t):
                for r in reports), [(r.identity_id, r.terms_used) for r in reports]
 
 
+def test_gf_cap_stops_at_the_callers_max_terms():
+    # the count the decay asks for, 2459 terms at |y t^2| = 0.81, is cut to
+    # trunc's max_terms; a max_terms under 8*mp.dps + 1 leaves that cap
+    q, t, x, y = mpf("0.5"), mpf("0.9"), mpf("1.7"), mpf(1)
+    p = QParams(q, mpf("0.5"))
+    with mp.workdps(80):
+        for max_terms, cap in ((1000, 1000), (400, 641)):
+            trunc = Truncation(max_terms=max_terms)
+            outcome = _gf_outcome(None, t, x, y, q, p, trunc)
+            assert "within %d terms" % cap in str(outcome)
+        assert _gf_outcome(None, t, x, y, q, p, Truncation())[1] == 1965
+
+
 def _signed_terms(terms, half) -> list:
     """The terms of the whole series (half None) or of one half, with the
     half's sign (-1)^(j//2)."""
