@@ -302,8 +302,8 @@ _GF_CASES = [("0.68", "0.37", "-0.25", "0.9", "0.6"),
              ("0.8", "1.5", "0.5", "1.7", "1.2"),
              ("0.5", "-0.9", "0.5", "-1.8", "1.2"),
              _GF_CANCELLING]
-# at q = 0.999 the terms still grow at n = 2000, where q^n x t / (1 -
-# q^(n+1)) is about 0.16 / 0.86: every sum exhausts its cap
+# at q = 0.999 the terms grow until n is about 1790, where q^n x t = 1 -
+# q^(n+1): every sum, whole or half, exhausts its cap at 50 to 181 digits
 _GF_CAPPED = ("0.999", "0.5", "0.5", "10", "1")
 
 
