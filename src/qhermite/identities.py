@@ -47,7 +47,7 @@ from itertools import count, islice, product
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import ConvergenceError, DomainError, QHermiteError
 from .polyfam import (
@@ -73,7 +73,7 @@ from .qcore import (
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
 from .scalars import (_ten_power, arithmetic, fixed_sum, is_exact, qpow,
-                      to_mpf, unify)
+                      recast, to_mpf, unify)
 
 __all__ = [
     "IdentityReport",
@@ -264,9 +264,8 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     ar, out = arithmetic(q), arithmetic(ladder[0])
     mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, out.zero
     for k, sign, den in kept(_gdqh2_terms, n, q, half):
-        term = div(mul(sign, hahn[k], prec, rnd), den, prec, rnd)
-        if out is not ar:  # an exact term, as mpf's * converts it
-            term = from_rational(*term, prec)
+        term = recast(div(mul(sign, hahn[k], prec, rnd), den, prec, rnd),
+                      ar, out)
         term = out.mul(term, out.raw(ladder[n - 2 * k]), prec, rnd)
         total = out.add(total, term, prec, rnd)
     return out.value(total)
@@ -341,20 +340,25 @@ def _gf_frame(t, x, y, p: QParams, tol):
 def _gf_rows(q, alpha, wp: int) -> _Rows:
     """The rows (q^n, 1 / (1 - q^(n+1+theta_n(2 alpha+1)))), n = 0, 1, ...,
     of the generating-function recurrence, as ints scaled by 2^wp: q^n a
-    running product, q^(2 alpha + 1) taken once at wp bits."""
+    running product, q^(2 alpha + 1) taken once.  1 - q^(n+1) cancels up to
+    the bits e of 1 / (1 - q), so both run at wp + e bits and each row is
+    rounded down to 2^-wp."""
     return _Rows(_gf_row_stream, q, alpha, wp)
 
 
 def _gf_row_stream(q, alpha, wp: int):
     """The rows of `_gf_rows`."""
-    with mp.workprec(wp):
-        lift = to_fixed(qpow(q, 2 * alpha + 1)._mpf_, wp)
-    one, q = 1 << wp, to_fixed(q._mpf_, wp)
+    one = 1 << wp
+    extra = (one // (one - to_fixed(q._mpf_, wp))).bit_length()
+    hp = wp + extra
+    with mp.workprec(hp):
+        lift = to_fixed(qpow(q, 2 * alpha + 1)._mpf_, hp)
+    one, q = 1 << hp, to_fixed(q._mpf_, hp)
     power = one
     for n in count():
-        after = power * q >> wp  # q^(n+1)
-        gap = one - (after if n & 1 else after * lift >> wp)
-        yield power, (one << wp) // gap
+        after = power * q >> hp  # q^(n+1)
+        gap = one - (after if n & 1 else after * lift >> hp)
+        yield power >> extra, (1 << wp + hp) // gap
         power = after
 
 
@@ -594,9 +598,12 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
-    qs, alphas, xs, ys, omegas, ts = map(_grid_mpf, (
-        grid.q_values, grid.alpha_values, grid.x_values, grid.y_values,
-        grid.omega_values, grid.t_values))
+    qs = _grid_mpf(grid.q_values)
+    alphas = _grid_mpf(grid.alpha_values)
+    xs = _grid_mpf(grid.x_values)
+    ys = _grid_mpf(grid.y_values)
+    omegas = _grid_mpf(grid.omega_values)
+    ts = _grid_mpf(grid.t_values)
     n_max = max(grid.n_values, default=0)
 
     for q in qs:

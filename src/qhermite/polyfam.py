@@ -51,7 +51,7 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import round_nearest
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
@@ -67,8 +67,8 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import (GUARD_BITS, Numeric, arithmetic, is_exact, qpow, to_mpf,
-                      unify)
+from .scalars import (EXACT, GUARD_BITS, Numeric, arithmetic, is_exact, qpow,
+                      recast, to_mpf, unify)
 
 __all__ = [
     "q_laguerre",
@@ -148,10 +148,9 @@ def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
     mul, rnd, prec, guard = ar.mul, round_nearest, mp.prec, mp.prec + GUARD_BITS
     # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2
     q2 = _q_squared(q)
-    gen_fact = _gen_q_shifted_prefix(n, params)
-    if arithmetic(unify(params.q, params.alpha)[0]) is not ar:
-        # exact (q, alpha) at a float q: each factor as mpf's * converts it
-        gen_fact = [from_rational(*f, prec) for f in gen_fact]
+    # exact (q, alpha) at a float q: each factor as mpf's * converts it
+    source = arithmetic(unify(params.q, params.alpha)[0])
+    gen_fact = [recast(f, source, ar) for f in _gen_q_shifted_prefix(n, params)]
     poch_q2 = _products(1, q2, q2, n // 2)
     # the sign runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3), itself a
     # running product from (-q)^(3-2n) by (-q)^4, each with the guard bits
@@ -301,7 +300,8 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
     recurrence kernel.  Each value is rounded at the precision in force when
     it is pulled, with the rows of that precision's `_recurrence_table`, or
     the given table's at the first step, and is not divided at odd n, where
-    lead_n is one."""
+    lead_n is one.  On EXACT each value is carried in lowest terms, so the
+    pairs grow as the values do, not by the factors each step leaves."""
     ar = arithmetic(q)
     mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
     x, y = ar.raw(x), ar.raw(y)
@@ -321,6 +321,8 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
             nxt = sub(nxt, mul(back, previous, prec, rnd), prec, rnd)
         previous, current = current, (nxt if n & 1
                                       else div(nxt, lead, prec, rnd))
+        if ar is EXACT:  # the Fraction's one gcd a step bounds the pair
+            current = ar.raw(ar.value(current))
         n += 1
 
 

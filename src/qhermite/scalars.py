@@ -24,8 +24,8 @@ from operator import attrgetter, lt
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_abs,
-                          mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
+from mpmath.libmp import (fone, from_int, from_man_exp, from_rational, fzero,
+                          mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
                           mpf_pow_int, mpf_sub, round_nearest, to_fixed,
                           to_str)
 
@@ -67,10 +67,16 @@ def unify(*values):
 
 def as_int_if_integral(e):
     """Collapse an exponent to int when it is integral, else return it as-is."""
+    if isinstance(e, int):
+        return e
     if isinstance(e, Fraction):
         return int(e) if e.denominator == 1 else e
-    if isinstance(e, (float, mpf)) and mp.isint(e):
-        return int(e)
+    if isinstance(e, float):
+        return int(e) if e == int(e) else e
+    if isinstance(e, mpf):
+        if mp.isint(e):
+            return int(e)
+        return e
     return e
 
 
@@ -90,7 +96,8 @@ def qpow(base, exponent):
             if base == 0:
                 raise DomainError("0 cannot be raised to a negative power")
             return Fraction(1, 1) / Fraction(base) ** (-e)
-        return to_mpf(base) ** e
+        b = to_mpf(base)
+        return b ** e
     # non-integer exponent
     if is_exact(base):
         raise ExactBackendError(
@@ -181,6 +188,13 @@ def arithmetic(value) -> Arithmetic:
     """EXACT for an int or Fraction, else RAW: the arithmetic of a group of
     operands that `unify` brought onto value's backend."""
     return EXACT if isinstance(value, _EXACT_TYPES) else RAW
+
+
+def recast(operand, source: Arithmetic, target: Arithmetic):
+    """An operand of source as one of target: itself when they are one
+    arithmetic, else an EXACT pair as a RAW value at mp.prec, rounded as
+    mpf arithmetic rounds a rational operand."""
+    return operand if source is target else from_rational(*operand, mp.prec)
 
 
 GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import islice, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -366,6 +367,18 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
         assert [getattr(h, "_mpf_", h) for h in got] \
             == [getattr(h, "_mpf_", h) for h in want]
         assert all(type(h) is type(one) for h in got)
+
+
+def test_exact_recurrence_carries_its_pairs_in_lowest_terms():
+    # each step leaves common factors of its coefficients in the pair it
+    # carries on; reduced once a step, h_100 at q = 2/3 holds 10,819 /
+    # 8,020-bit ints, where unreduced it would hold about twice that
+    q, alpha, x, y = F(2, 3), F(1), F(5, 7), F(3, 11)
+    pairs = list(islice(polyfam._recurrence(x, y, q, alpha), 101))
+    assert all(gcd(*pair) == 1 for pair in pairs)
+    assert [v.bit_length() for v in pairs[100]] == [10819, 8020]
+    assert [F(*pair) for pair in pairs] == gdqh2_recurrence_ladder(
+        100, x, y, QParams(q, alpha))
 
 
 def _step_chain(x, y, p):
