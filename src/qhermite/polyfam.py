@@ -300,8 +300,10 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
     recurrence kernel.  Each value is rounded at the precision in force when
     it is pulled, with the rows of that precision's `_recurrence_table`, or
     the given table's at the first step, and is not divided at odd n, where
-    lead_n is one.  On EXACT each value is carried in lowest terms, so the
-    pairs grow as the values do, not by the factors each step leaves."""
+    lead_n is one.  A caller may send back the value it pulled as the
+    operand to carry on: on EXACT, the pair of its `Fraction`, in lowest
+    terms, so the pairs grow as the values do, not by the factors each
+    step leaves."""
     ar = arithmetic(q)
     mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
     x, y = ar.raw(x), ar.raw(y)
@@ -311,7 +313,9 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
         current, previous = ar.raw(current), ar.raw(previous)
     prec = None if table is None else mp.prec
     while True:
-        yield current
+        sent = yield current
+        if sent is not None:
+            current = sent
         if mp.prec != prec:
             prec, table = mp.prec, kept(_recurrence_table, q, alpha)
         lead, ratio, gap = table.upto(n)[n]
@@ -321,8 +325,6 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
             nxt = sub(nxt, mul(back, previous, prec, rnd), prec, rnd)
         previous, current = current, (nxt if n & 1
                                       else div(nxt, lead, prec, rnd))
-        if ar is EXACT:  # the Fraction's one gcd a step bounds the pair
-            current = ar.raw(ar.value(current))
         n += 1
 
 
@@ -354,7 +356,18 @@ def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:
     with that precision's coefficient table, so read the stream inside the
     caller's working-precision block."""
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
-    return map(arithmetic(q).value, _recurrence(x, y, q, alpha))
+    ar, kernel = arithmetic(q), _recurrence(x, y, q, alpha)
+    return map(ar.value, kernel) if ar is not EXACT else _reduced(kernel)
+
+
+def _reduced(kernel) -> Iterator:
+    """The values of an exact kernel, each sent back to it as the pair it
+    carries on: the one gcd a step, which each `Fraction` takes anyway,
+    keeps that pair in lowest terms."""
+    value = EXACT.value(next(kernel))
+    while True:
+        yield value
+        value = EXACT.value(kernel.send(EXACT.raw(value)))
 
 
 def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:

@@ -2,7 +2,6 @@
 
 from fractions import Fraction as F
 from itertools import islice, product
-from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,16 +368,27 @@ def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
         assert all(type(h) is type(one) for h in got)
 
 
-def test_exact_recurrence_carries_its_pairs_in_lowest_terms():
-    # each step leaves common factors of its coefficients in the pair it
-    # carries on; reduced once a step, h_100 at q = 2/3 holds 10,819 /
-    # 8,020-bit ints, where unreduced it would hold about twice that
+def test_exact_ladder_sends_its_values_back_in_lowest_terms(monkeypatch):
+    # each step leaves common factors of its coefficients in its pair; the
+    # ladder sends each value back to the kernel as the pair it carries
+    # on, so h_100 at q = 2/3 leaves the kernel as 10,979/8,180-bit ints
+    # (10,819/8,020 reduced), where a kernel that carried its own pairs
+    # would reach 20,373/17,574
+    pairs, kernel = [], polyfam._recurrence
+
+    def spy(*args):
+        stream, sent = kernel(*args), None
+        while True:
+            pairs.append(stream.send(sent))
+            sent = yield pairs[-1]
+
+    monkeypatch.setattr(polyfam, "_recurrence", spy)
     q, alpha, x, y = F(2, 3), F(1), F(5, 7), F(3, 11)
-    pairs = list(islice(polyfam._recurrence(x, y, q, alpha), 101))
-    assert all(gcd(*pair) == 1 for pair in pairs)
-    assert [v.bit_length() for v in pairs[100]] == [10819, 8020]
-    assert [F(*pair) for pair in pairs] == gdqh2_recurrence_ladder(
-        100, x, y, QParams(q, alpha))
+    ladder = gdqh2_recurrence_ladder(100, x, y, QParams(q, alpha))
+    assert [F(*pair) for pair in pairs] == ladder
+    assert [v.bit_length() for v in pairs[100]] == [10979, 8180]
+    assert [v.bit_length() for v in (ladder[100].numerator,
+                                     ladder[100].denominator)] == [10819, 8020]
 
 
 def _step_chain(x, y, p):
