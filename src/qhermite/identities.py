@@ -64,7 +64,7 @@ from .qcore import (
     _call_local,
     _products,
     _Rows,
-    gen_q_shifted_factorial,
+    _gen_q_shifted,
     kept,
     q_pochhammer,
     scope_declared,
@@ -72,8 +72,7 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (_ten_power, arithmetic, fixed_sum, is_exact, qpow,
-                      recast, to_mpf, unify)
+from .scalars import _ten_power, arithmetic, fixed_sum, qpow, to_mpf, unify
 
 __all__ = [
     "IdentityReport",
@@ -256,19 +255,19 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     (q;q)_m, with (omega (+)_{q^2} -y)^k h_{n-2k} for x^(n-2k) y^k, over one
     recurrence ladder.  At omega = 0, (0 (+)_{q^2} -y)^k = (-y)^k q^(k(k-1)).
     The Hahn powers are one product: omega = y zeroes every k >= 1 exactly.
+    x, y, omega and q are unified with p.alpha, so the ladder is on q's
+    backend.
     """
     ladder = _ladder(n, x, y, p)
-    half = QParams(q, Fraction(-1, 2) if is_exact(q) else mpf(-0.5))
+    _, half = unify(q, Fraction(-1, 2))
     hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
-    # the sum runs in the ladder's arithmetic, float at a float alpha
-    ar, out = arithmetic(q), arithmetic(ladder[0])
-    mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, out.zero
+    ar = arithmetic(q)
+    mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, ar.zero
     for k, sign, den in kept(_gdqh2_terms, n, q, half):
-        term = recast(div(mul(sign, hahn[k], prec, rnd), den, prec, rnd),
-                      ar, out)
-        term = out.mul(term, out.raw(ladder[n - 2 * k]), prec, rnd)
-        total = out.add(total, term, prec, rnd)
-    return out.value(total)
+        term = mul(div(mul(sign, hahn[k], prec, rnd), den, prec, rnd),
+                   ar.raw(ladder[n - 2 * k]), prec, rnd)
+        total = ar.add(total, term, prec, rnd)
+    return ar.value(total)
 
 
 @_call_local
@@ -286,7 +285,7 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     params = _params(p, n=n, x=x, y=y, omega=omega)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
-        x, y, omega, q = unify(x, y, omega, p.q)
+        x, y, omega, q, _ = unify(x, y, omega, p.q, p.alpha)
         lhs = gdqh2(n, x, omega, p, trunc=trunc)
         rhs = q_pochhammer(q, q, n) * _descending_sum(n, x, y, omega, q, p)
         return _report("connection", params, lhs, rhs, tol, trunc,
@@ -302,9 +301,9 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
-        x, y, q = unify(x, y, p.q)
+        x, y, q, alpha = unify(x, y, p.q, p.alpha)
         lhs = qpow(x, n)
-        rhs = gen_q_shifted_factorial(n, p) * _descending_sum(n, x, y, 0, q, p)
+        rhs = _gen_q_shifted(n, q, alpha) * _descending_sum(n, x, y, 0, q, p)
         return _report("inversion", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
 
@@ -333,7 +332,7 @@ def _gf_frame(t, x, y, p: QParams, tol):
     note = _gf_domain(y, t)
     tol = _tolerance(tol)
     with mp.workdps(_work_digits("gf")):
-        x, y, t, q = (to_mpf(v) for v in unify(x, y, t, p.q))
+        x, y, t, q = map(to_mpf, (x, y, t, p.q))
         yield params, note, tol, x, y, t, q
 
 
@@ -537,7 +536,7 @@ def stieltjes_wigert_limit(n: int, x, y, q, trunc: Optional[Truncation] = None):
 def hermite_scaled_deviation(n: int, x, q):
     """|h_n(sqrt(1-q^2) x, 1) / (1-q^2)^(n/2) - H_n(x)/2^n| at alpha = -1/2,
     the distance from the classical Hermite scaling limit."""
-    x, q = (to_mpf(v) for v in unify(x, q))
+    x, q = to_mpf(x), to_mpf(q)
     s = mp.sqrt(1 - q * q)
     p = QParams(q, mpf(-0.5))
     scaled = gdqh2(n, s * x, mpf(1), p) / s ** n

@@ -59,7 +59,7 @@ from .qcore import (
     Truncation,
     _Rows,
     _check_degree,
-    gen_q_shifted_factorial,
+    _gen_q_shifted,
     _gen_q_shifted_prefix,
     _odd_lift,
     _products,
@@ -67,8 +67,8 @@ from .qcore import (
     q_pochhammer,
 )
 from .qseries import phi
-from .scalars import (EXACT, GUARD_BITS, Numeric, arithmetic, is_exact, qpow,
-                      recast, to_mpf, unify)
+from .scalars import (EXACT, GUARD_BITS, Numeric, arithmetic, qpow, to_mpf,
+                      unify)
 
 __all__ = [
     "q_laguerre",
@@ -139,7 +139,7 @@ def _q_squared(q):
                            round_nearest))
 
 
-def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
+def _gdqh2_terms(n: int, q, alpha) -> tuple:
     """The row ((k, sign, den) for k = 0..n//2), where the definition sum's
     k-th term is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1))
     and den = (q;q)_{n-2k,alpha} (q^2;q^2)_k, sign and den operands of q's
@@ -148,9 +148,7 @@ def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
     mul, rnd, prec, guard = ar.mul, round_nearest, mp.prec, mp.prec + GUARD_BITS
     # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2
     q2 = _q_squared(q)
-    # exact (q, alpha) at a float q: each factor as mpf's * converts it
-    source = arithmetic(unify(params.q, params.alpha)[0])
-    gen_fact = [recast(f, source, ar) for f in _gen_q_shifted_prefix(n, params)]
+    gen_fact = _gen_q_shifted_prefix(n, q, alpha)
     poch_q2 = _products(1, q2, q2, n // 2)
     # the sign runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3), itself a
     # running product from (-q)^(3-2n) by (-q)^4, each with the guard bits
@@ -163,48 +161,44 @@ def _gdqh2_terms(n: int, q, params: QParams) -> tuple:
     return tuple(row)
 
 
-def _gdqh2_definition(n: int, x, y, params: QParams):
+def _gdqh2_definition(n: int, x, y, q, alpha):
     """(q;q)_n times the sum of the terms sign * x^(n-2k) * y^k / den of
     `_gdqh2_terms`, each rounded in that order."""
-    x, y, q, alpha = unify(x, y, params.q, params.alpha)
     ar = arithmetic(q)
     mul, pow_int, prec, rnd = ar.mul, ar.pow_int, mp.prec, round_nearest
     x, y, total = ar.raw(x), ar.raw(y), ar.zero
-    for k, sign, den in kept(_gdqh2_terms, n, q, params):
+    for k, sign, den in kept(_gdqh2_terms, n, q, alpha):
         term = mul(mul(sign, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
                    pow_int(y, k, prec, rnd), prec, rnd)
         total = ar.add(total, ar.div(term, den, prec, rnd), prec, rnd)
     return q_pochhammer(q, q, n) * ar.value(total)
 
 
-def _phi_row(n: int, q, params: QParams) -> tuple:
+def _phi_row(n: int, q, alpha) -> tuple:
     """The phi form's factors of (n, q, alpha) alone: its upper parameters,
     q^2, q^(2 alpha + 3) and (q;q)_n / (q;q)_{n,alpha}."""
-    _, alpha = unify(q, params.alpha)
     m = n // 2
     if n % 2 == 0:
         upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha))
     else:
         upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha - 2))
     return (upper, q * q, qpow(q, 2 * alpha + 3),
-            q_pochhammer(q, q, n) / gen_q_shifted_factorial(n, params))
+            q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha))
 
 
-def _gdqh2_phi(n: int, x, y, params: QParams, trunc):
-    x, y, q, _ = unify(x, y, params.q, params.alpha)
+def _gdqh2_phi(n: int, x, y, q, alpha, trunc):
     if to_mpf(x) == 0:
         # the 2-phi-1 form divides by x^2; the definition is total
-        return _gdqh2_definition(n, x, y, params)
-    upper, q2, scale, ratio = kept(_phi_row, n, q, params)
+        return _gdqh2_definition(n, x, y, q, alpha)
+    upper, q2, scale, ratio = kept(_phi_row, n, q, alpha)
     z = -y * scale / (x * x)
     series = phi(upper, (x - x,), q2, z, terminate_at=n // 2, trunc=trunc)
     return ratio * qpow(x, n) * series
 
 
-def _laguerre_row(n: int, q, params: QParams) -> tuple:
+def _laguerre_row(n: int, q, alpha) -> tuple:
     """The Laguerre form's factors of (n, q, alpha) alone: q^2,
     q^(-2 alpha - 1), its prefactor and its q-Laguerre order."""
-    _, alpha = unify(q, params.alpha)
     m, odd = n // 2, n % 2
     q2 = q * q
     pref = (
@@ -215,16 +209,15 @@ def _laguerre_row(n: int, q, params: QParams) -> tuple:
     return q2, qpow(q, -2 * alpha - 1), pref, alpha + 1 if odd else alpha
 
 
-def _gdqh2_laguerre(n: int, x, y, params: QParams, trunc):
-    x, y, q, _ = unify(x, y, params.q, params.alpha)
+def _gdqh2_laguerre(n: int, x, y, q, alpha, trunc):
     if to_mpf(y) == 0:
-        return _gdqh2_definition(n, x, y, params)
+        return _gdqh2_definition(n, x, y, q, alpha)
     if to_mpf(y) < 0:
         raise RepresentationDomainError(
             "laguerre_form needs y > 0 (real-power argument); "
             "use definition_sum for y < 0"
         )
-    q2, scale, pref, order = kept(_laguerre_row, n, q, params)
+    q2, scale, pref, order = kept(_laguerre_row, n, q, alpha)
     laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2, trunc=trunc)
     if n % 2:
         pref = pref * x
@@ -238,17 +231,19 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
     rep selects the representation: 'definition_sum' (total), 'phi_form'
     (routes to the definition at x = 0), or 'laguerre_form' (y > 0; routes
     to the definition at y = 0).  All inputs may be exact rationals as long
-    as 2*alpha is an integer; the result is then exact.  laguerre_form is
+    as 2*alpha is an integer; the result is then exact, and an exact
+    (q, alpha) at a float x or y computes as floats.  laguerre_form is
     stricter: it takes the power (q^2)^(alpha+1), so exact inputs need an
     integer alpha (half-integers raise ExactBackendError).
     """
     _check_degree(n)
+    x, y, q, alpha = unify(x, y, params.q, params.alpha)
     if rep == "definition_sum":
-        return _gdqh2_definition(n, x, y, params)
+        return _gdqh2_definition(n, x, y, q, alpha)
     if rep == "phi_form":
-        return _gdqh2_phi(n, x, y, params, trunc)
+        return _gdqh2_phi(n, x, y, q, alpha, trunc)
     if rep == "laguerre_form":
-        return _gdqh2_laguerre(n, x, y, params, trunc)
+        return _gdqh2_laguerre(n, x, y, q, alpha, trunc)
     raise DomainError(
         "rep must be 'definition_sum', 'phi_form' or 'laguerre_form': got %r" % rep
     )
@@ -378,9 +373,8 @@ def gdqh2_recurrence_ladder(n: int, x, y, params: QParams) -> list:
 
 def discrete_q_hermite2(n: int, x, q):
     """Discrete q-Hermite II polynomial: the alpha = -1/2, y = 1 member."""
-    params = QParams(q, Fraction(-1, 2) if is_exact(q) else to_mpf(-0.5))
-    one = 1 if is_exact(q) and is_exact(x) else mpf(1)
-    return gdqh2(n, x, one, params)
+    x, one, q, alpha = unify(x, 1, q, Fraction(-1, 2))
+    return gdqh2(n, x, one, QParams(q, alpha))
 
 
 def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
@@ -390,11 +384,10 @@ def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
     H_{2m+1}^(mu)(x;q) = (-1)^m (q;q)_m x L_m^(mu+1/2)(x^2; q)
     """
     _check_degree(n)
-    mu, x, q = unify(mu, x, q)
+    mu, x, q, half = unify(mu, x, q, Fraction(1, 2))
     if not (to_mpf(mu) > -0.5):
         raise DomainError("mu must be > -1/2: got %s" % to_mpf(mu))
     m = n // 2
-    half = Fraction(1, 2) if is_exact(mu) else mpf(0.5)
     sign_poch = (-1) ** m * q_pochhammer(q, q, m)
     if n % 2 == 0:
         return sign_poch * q_laguerre(m, mu - half, x * x, q, trunc=trunc)
@@ -404,7 +397,7 @@ def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
 def _laguerre_classical(n: int, a, z):
     """Classical Laguerre polynomial L_n^(a)(z) =
     sum_k (-1)^k binom(n+a, n-k) z^k / k!."""
-    a, z = (to_mpf(v) for v in unify(a, z))
+    a, z = to_mpf(a), to_mpf(z)
     total = mpf(0)
     for k in range(n + 1):
         total += (-1) ** k * mp.binomial(n + a, n - k) * z ** k / mp.factorial(k)
@@ -420,7 +413,7 @@ def rosenblum_hermite(n: int, mu, x):
     Normalized so that mu = 0 gives the physicists' Hermite polynomials H_n.
     """
     _check_degree(n)
-    mu, x = (to_mpf(v) for v in unify(mu, x))
+    mu, x = to_mpf(mu), to_mpf(x)
     if not (mu >= 0):
         raise DomainError("mu must be >= 0: got %s" % mu)
     m = n // 2

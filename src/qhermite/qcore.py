@@ -103,7 +103,7 @@ class QParams:
 class Truncation:
     """Budget for infinite sums/products.
 
-    max_terms is a hard cap; tail_tol is the size at which a tail is
+    max_terms, an int, is a hard cap; tail_tol is the size at which a tail is
     declared negligible.  An explicit tail_tol, finite and > 0, is stored as
     an mpf; None stays None and means 10^-(mp.dps+10) at the precision of
     the sum that reads it (`effective_tail_tol`), so a Truncation built only
@@ -114,6 +114,9 @@ class Truncation:
     tail_tol: Optional[Numeric] = None
 
     def __post_init__(self):
+        if not isinstance(self.max_terms, int):
+            raise DomainError("max_terms must be an int: got %r"
+                              % (self.max_terms,))
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1: got %s" % self.max_terms)
         if self.tail_tol is not None:
@@ -353,13 +356,17 @@ def _odd_lift(q, alpha):
         return qpow(q, 2 * alpha + 1)
 
 
-def _gen_q_shifted_prefix(n: int, params: QParams) -> list:
+def _gen_q_shifted_prefix(n: int, q, alpha) -> list:
     """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}]: the running product of the
-    recursion below, as operands of the arithmetic of (q, alpha) alone."""
-    q, alpha = unify(params.q, params.alpha)
+    recursion below, as operands of the arithmetic of unified (q, alpha)."""
     if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
         return [arithmetic(q).one]
     return _products(1, q, q, n, kept(_odd_lift, q, alpha))
+
+
+def _gen_q_shifted(n: int, q, alpha):
+    """(q;q)_{n,alpha} of the unified (q, alpha), as a value."""
+    return arithmetic(q).value(_gen_q_shifted_prefix(n, q, alpha)[-1])
 
 
 def gen_q_shifted_factorial(n: int, params: QParams):
@@ -373,8 +380,7 @@ def gen_q_shifted_factorial(n: int, params: QParams):
     # here, not only in _products: at exact q with 2 alpha not an integer,
     # the prefix takes q^(2 alpha + 1), which the exact backend rejects
     _check_degree(n, "n")
-    return arithmetic(unify(params.q, params.alpha)[0]).value(
-        _gen_q_shifted_prefix(n, params)[-1])
+    return _gen_q_shifted(n, *unify(params.q, params.alpha))
 
 
 def hahn_add_power(x, y, q, n: int):

@@ -299,7 +299,7 @@ def _parity_half(half: int, sign: int, x, params: QParams, trunc):
       half 0: 0-phi-1(-; b; q^2, sign q x^2)
       half 1: x/(1-b) * 0-phi-1(-; b q^2; q^2, sign q^3 x^2),
     on the float backend: the series are infinite."""
-    x, q, alpha = (to_mpf(v) for v in unify(x, params.q, params.alpha))
+    x, q, alpha = map(to_mpf, (x, params.q, params.alpha))
     b = qpow(q, 2 * alpha + 2)
     if not half:
         return phi((), (b,), q * q, sign * q * x * x, trunc=trunc)
@@ -323,7 +323,7 @@ def q_bessel2(nu, z, q, trunc: Optional[Truncation] = None):
     Float backend (the prefactor is an infinite product).  z must be > 0
     unless nu is a nonnegative integer; z = 0 returns the limit value.
     """
-    nu, z, q = (to_mpf(v) for v in unify(nu, z, q))
+    nu, z, q = map(to_mpf, (nu, z, q))
     _check_q(q)
     nu_int = mp.isint(nu)
     if z < 0 and not nu_int:

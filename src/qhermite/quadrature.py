@@ -87,8 +87,9 @@ def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
 
 
 def _rhs_by_degree(p: QParams, trunc: Optional[Truncation]):
-    """n -> orthogonality_rhs(n, p, trunc), taking its products once."""
-    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    """n -> orthogonality_rhs(n, p, trunc), taking its products once; q and
+    alpha are mpfs, as the infinite products are."""
+    q, alpha = p.q, p.alpha
     q2 = q * q
     neg_q = q_pochhammer(-q, q2, None, trunc=trunc)
     num = neg_q * neg_q * q_pochhammer(q2, q2, None, trunc=trunc)
@@ -114,16 +115,16 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
     a call at the same (q, alpha), precision and truncation reads them.
     """
     with shared_scope():
-        return _rhs_by_degree(p, trunc)(n)
+        return _rhs_by_degree(QParams(to_mpf(p.q), to_mpf(p.alpha)), trunc)(n)
 
 
 def _coefficients(n: int, p: QParams) -> list:
     """[A_0, ..., A_{n//2}] with h_n(x) = sum_k A_k x^(n-2k), from the
     definition sum's terms at y = 1."""
-    q, prec, rnd = to_mpf(p.q), mp.prec, round_nearest
+    q, prec, rnd = p.q, mp.prec, round_nearest
     front = q_pochhammer(q, q, n)._mpf_
     return [mp.make_mpf(mpf_div(mpf_mul(front, sign, prec, rnd), den, prec, rnd))
-            for _, sign, den in kept(_gdqh2_terms, n, q, p)]
+            for _, sign, den in kept(_gdqh2_terms, n, q, p.alpha)]
 
 
 def _plus(a: tuple, b: tuple) -> tuple:
@@ -160,7 +161,7 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
     r = c q^(2k) / (1-q^2) per term at most and g falls, so the rest is at
     most r/(1-r) g_I sum_l |even[l]| U_l |d_(I-l)|.
     """
-    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    q, alpha = p.q, p.alpha
     tail_tol = trunc.effective_tail_tol()._mpf_
     wp = max(mp.prec, -tail_tol[2] - tail_tol[3]) + GUARD_BITS
     one, rnd = 1 << wp, round_nearest
@@ -223,7 +224,7 @@ def _walk(p: QParams, w_one, step: int) -> Iterator:
     """(k, x_k, m_k) for k = 0, step, 2 step, ...: the lattice point
     x_k = q^k and its measure factor m_k = q^(k(2a+2)) w_a(x_k), each from
     the last by the running ratio w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
-    q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+    q, alpha = p.q, p.alpha
     prec, rnd = mp.prec, round_nearest
     c = qpow(q, -2 * alpha - 1)._mpf_
     lead = qpow(q, 2 * alpha + 2)._mpf_
@@ -257,7 +258,8 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
         prec, rnd = mp.prec, round_nearest
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
-        q, alpha = to_mpf(p.q), to_mpf(p.alpha)
+        given, p = p, QParams(to_mpf(p.q), to_mpf(p.alpha))
+        q, alpha = p.q, p.alpha
         c, one = qpow(q, -2 * alpha - 1)._mpf_, mpf(1)
         top = max(max(pair) for pair in pairs)
         coef = [_coefficients(n, p) for n in range(top + 1)]
@@ -372,8 +374,8 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
             else:
                 scale = mp.sqrt(rhs_of[n] * rhs_of[m])
                 rhs, residual = 0, (abs(lhs), abs(lhs) / scale)
-            reports.append(_report("orthogonality", _params(p, n=n, m=m), lhs,
-                                   rhs, tol, trunc, terms_used=points,
+            reports.append(_report("orthogonality", _params(given, n=n, m=m),
+                                   lhs, rhs, tol, trunc, terms_used=points,
                                    residual=residual))
         return reports
 

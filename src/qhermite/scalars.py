@@ -1,11 +1,15 @@
 """Scalar backends: exact rationals and high-precision floats.
 
 All public functions in this package accept plain ints, ``fractions.Fraction``
-and mpmath ``mpf`` values interchangeably.  Arithmetic stays exact as long as
-every operand is rational and every exponent is an integer; anything else is
-promoted to mpf at the ambient mpmath precision.  ``qpow`` is the single
-gateway for powers, so the exact backend fails loudly (ExactBackendError)
-instead of silently rounding when a non-integer exponent sneaks in.
+and mpmath ``mpf`` values interchangeably.  One backend per call: a public
+entry point brings its point and its (q, alpha) onto one backend with
+``unify``, once, at its working digits, exact when every operand is an int
+or Fraction and mpf otherwise, and what it calls takes those operands and
+picks no backend again.  So an exact (q, alpha) at a float point computes
+as floats, converted at the call's working digits, and an all-exact call
+stays exact.  ``qpow`` is the single gateway for powers, so the exact
+backend fails loudly (ExactBackendError) instead of silently rounding when
+a non-integer exponent sneaks in.
 
 A loop written once runs on any of three arithmetics (``Arithmetic``):
 EXACT on unreduced pairs of ints, one `Fraction` made at the end, RAW on
@@ -24,7 +28,7 @@ from operator import attrgetter, lt
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, from_rational, fzero,
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero,
                           mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
                           mpf_pow_int, mpf_sub, round_nearest, to_fixed,
                           to_str)
@@ -188,13 +192,6 @@ def arithmetic(value) -> Arithmetic:
     """EXACT for an int or Fraction, else RAW: the arithmetic of a group of
     operands that `unify` brought onto value's backend."""
     return EXACT if isinstance(value, _EXACT_TYPES) else RAW
-
-
-def recast(operand, source: Arithmetic, target: Arithmetic):
-    """An operand of source as one of target: itself when they are one
-    arithmetic, else an EXACT pair as a RAW value at mp.prec, rounded as
-    mpf arithmetic rounds a rational operand."""
-    return operand if source is target else from_rational(*operand, mp.prec)
 
 
 GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep

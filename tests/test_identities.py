@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qhermite import identities, polyfam, qcore, qseries
-from qhermite.errors import ConvergenceError, DomainError
+from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
 from qhermite.identities import (
     DEFAULT_GRID,
     IDENTITY_IDS,
@@ -29,10 +29,12 @@ from qhermite.identities import (
     stieltjes_wigert_limit,
     summarize_reports,
 )
-from qhermite.polyfam import gdqh2
+from qhermite.polyfam import (RecurrenceState, gdqh2, gdqh2_recurrence_ladder,
+                              gdqh2_recurrence_step)
 from qhermite.qcore import QParams, Truncation, q_pochhammer, shared_scope
 from qhermite.qseries import euler_e, gen_E
-from qhermite.scalars import binom2, fixed_bits, fmt_scalar
+from qhermite.quadrature import orthogonality_gram
+from qhermite.scalars import binom2, fixed_bits, fmt_scalar, to_mpf
 
 
 def test_residual_normalization():
@@ -51,6 +53,49 @@ def test_default_tolerance_is_half_the_digits_at_each_precision():
         with mp.workdps(dps):
             want = (mpf(10) ** -(dps // 2))._mpf_
             assert default_identity_tol()._mpf_ == want
+
+
+REPS = ("definition_sum", "phi_form", "laguerre_form")
+
+
+def _one_backend_bits(p, x, y) -> list:
+    """The bits of each form, the ladder, a step, the four polynomial
+    checks and the two-degree orthogonality sweep at (x, y) for p."""
+    state = RecurrenceState(2, mpf("0.7"), mpf("-0.4"))
+    values = [gdqh2(9, x, y, p, rep=rep) for rep in REPS]
+    values += gdqh2_recurrence_ladder(9, x, y, p)
+    values.append(gdqh2_recurrence_step(state, x, y, p).current)
+    reports = [*check_representations(9, p, x, y),
+               check_recurrence(9, p, x, y),
+               check_connection(9, p, x, y, mpf("0.3")),
+               check_inversion(9, p, x, y), *orthogonality_gram(2, p)]
+    values += [v for r in reports for v in (r.lhs, r.rhs, r.rel_residual)]
+    return [v._mpf_ for v in values]
+
+
+@pytest.mark.parametrize("q, alpha", [(F(5, 8), F(3, 8)), (F(1, 2), F(1, 4))])
+def test_exact_params_at_a_float_point_compute_as_floats(q, alpha):
+    # one backend per call: an exact (q, alpha) with 2 alpha not an integer
+    # at a float point is converted at each call's working digits, and a
+    # dyadic value converts to one mpf at any digits, so every result has
+    # the bits of the all-float call, at the checks' raised digits too
+    x, y = mpf("0.9"), mpf("0.5")
+    floats = QParams(to_mpf(q), to_mpf(alpha))
+    assert (_one_backend_bits(QParams(q, alpha), x, y)
+            == _one_backend_bits(floats, x, y))
+
+
+def test_non_dyadic_exact_params_convert_at_the_ambient_digits():
+    p, x, y = QParams(F(2, 3), F(1, 3)), mpf("0.9"), mpf("0.5")
+    floats = QParams(to_mpf(p.q), to_mpf(p.alpha))
+    for n in range(4, 14):
+        for rep in REPS:
+            assert (gdqh2(n, x, y, p, rep=rep)._mpf_
+                    == gdqh2(n, x, y, floats, rep=rep)._mpf_), (n, rep)
+    # an all-exact call still has no exact q^(2 alpha + 1)
+    for rep in REPS:
+        with pytest.raises(ExactBackendError):
+            gdqh2(5, F(9, 10), F(1, 2), p, rep=rep)
 
 
 def test_connection_reference_point():

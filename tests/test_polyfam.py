@@ -257,10 +257,10 @@ def test_step_reads_the_table_of_its_own_params():
 def test_exact_prefix_needs_no_power_at_degree_zero():
     # (q;q)_{0,alpha} = 1 takes no power; from degree 1 on the real power
     # q^(2 alpha + 1) has no exact value
-    p = QParams(F(1, 2), F(1, 3))
-    assert list(map(arithmetic(p.q).value, _gen_q_shifted_prefix(0, p))) == [1]
+    q, alpha = F(1, 2), F(1, 3)
+    assert list(map(arithmetic(q).value, _gen_q_shifted_prefix(0, q, alpha))) == [1]
     with pytest.raises(ExactBackendError):
-        _gen_q_shifted_prefix(1, p)
+        _gen_q_shifted_prefix(1, q, alpha)
 
 
 @pytest.mark.parametrize("alpha", ["0.37", "-0.5"])
@@ -270,9 +270,8 @@ def test_running_powers_within_two_ulps(alpha):
     # digits; at alpha = -1/2 the prefix is the plain (q;q)_m that
     # connection and inversion read
     n, q, alpha = 60, mpf("0.68"), mpf(alpha)
-    p = QParams(q, alpha)
-    prefix = list(map(mp.make_mpf, _gen_q_shifted_prefix(n, p)))
-    signs = [mp.make_mpf(sign) for _, sign, _ in _gdqh2_terms(n, q, p)]
+    prefix = list(map(mp.make_mpf, _gen_q_shifted_prefix(n, q, alpha)))
+    signs = [mp.make_mpf(sign) for _, sign, _ in _gdqh2_terms(n, q, alpha)]
     with mp.workdps(mp.dps + 40):
         want_prefix = [mpf(1)]
         for m in range(n):
@@ -428,7 +427,7 @@ def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
     # the mpf expression below does, at x = 0, y = 0 and y < 0 too
     def reference(n, x, y, p):
         total, value = p.q - p.q, arithmetic(p.q).value
-        for k, sign, den in _gdqh2_terms(n, p.q, p):
+        for k, sign, den in _gdqh2_terms(n, p.q, p.alpha):
             total = total + (value(sign) * qpow(x, n - 2 * k) * qpow(y, k)
                              / value(den))
         return q_pochhammer(p.q, p.q, n) * total

@@ -92,6 +92,11 @@ def test_truncation_validation():
         Truncation(max_terms=0)
     with pytest.raises(DomainError):
         Truncation(tail_tol=mpf(0))
+    # a cap that is not an int would fail only inside the first sum or
+    # product that reads it, as a TypeError or an AttributeError
+    for cap in (2.5, mpf(3), F(3)):
+        with pytest.raises(DomainError, match="max_terms must be an int"):
+            Truncation(max_terms=cap)
 
 
 def test_unset_tail_tol_resolves_at_the_reading_precision():
@@ -485,7 +490,7 @@ def test_scope_is_per_precision_and_closes():
         for dps in (50, 120, 50):
             with mp.workdps(dps):
                 shared(builds.append, mp.prec)
-                prefix = _gen_q_shifted_prefix(6, QParams(mpf("0.3"), mpf("0.2")))
+                prefix = _gen_q_shifted_prefix(6, mpf("0.3"), mpf("0.2"))
                 assert list(map(mp.make_mpf, prefix)) == reference_products(
                     1, mpf("0.3"), mpf("0.3"), 6, _lift(mpf("0.3"), mpf("0.2")))
     assert len(builds) == 2 and scope_declared() is None
