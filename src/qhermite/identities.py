@@ -22,7 +22,8 @@ inversion need there; inside a block those two checks run at the ladder's
 digits at every n, so one set of alpha = -1/2, (q^2;q^2) and Hahn tables
 serves every degree; both read the definition sum's terms row
 (polyfam._gdqh2_terms) at alpha = -1/2.  The four polynomial checks are
-wrapped in qcore._call_local.
+wrapped in qcore._call_local; each unifies (x, y, q, alpha) once and calls
+polyfam's form bodies, and their shared definition sum, on those operands.
 The generating-function checks read one term stream per cell (_gf_terms):
 the series' terms q^C(j,2) t^j h_j / (q;q)_j follow one recurrence of
 their own, on ints scaled by 2^wp (wp from scalars.fixed_sum), over
@@ -31,10 +32,10 @@ kept rows of (q, alpha, wp), and the whole series and both parity halves
 reports run in a call-local scope when no scope is open, so both halves
 read one stream.
 Every IdentityReport, the suite's error rows and the orthogonality sweep's
-included, is built by _report from parameters spelled by _params.  Reports
-carry lhs, rhs and residuals at the working precision of the check, not
-rounded back to the ambient context: a printer that rounds them once to its
-own digits avoids rounding them twice.
+included, is built by _report from parameters spelled by _params, with
+residuals on raw libmp values.  Reports carry lhs, rhs and residuals at the
+working precision of the check, not rounded back to the ambient context: a
+printer that rounds them once to its own digits avoids rounding them twice.
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ from itertools import count, islice, product
 from typing import Optional
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_lt,
+                          mpf_sub, round_nearest, to_fixed)
 
 from .errors import ConvergenceError, DomainError, QHermiteError
+from . import polyfam
 from .polyfam import (
     _gdqh2_terms,
     _q_squared,
@@ -59,9 +62,11 @@ from .polyfam import (
     stieltjes_wigert,
 )
 from .qcore import (
+    _DEFAULT_TRUNCATION,
     QParams,
     Truncation,
     _call_local,
+    _check_degree,
     _products,
     _Rows,
     _gen_q_shifted,
@@ -71,8 +76,8 @@ from .qcore import (
     shared,
     shared_scope,
 )
-from .qseries import euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import _ten_power, arithmetic, fixed_sum, qpow, to_mpf, unify
+from .qseries import _alpha_powers, euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
+from .scalars import _ten_power, arithmetic, fixed_sum, is_exact, qpow, to_mpf, unify
 
 __all__ = [
     "IdentityReport",
@@ -126,9 +131,13 @@ class IdentityReport:
 
 def residuals(lhs, rhs):
     """(absolute, relative) residual pair; relative uses max(1,|lhs|,|rhs|)."""
-    lhs, rhs = to_mpf(lhs), to_mpf(rhs)
-    a = abs(lhs - rhs)
-    return a, a / max(mpf(1), abs(lhs), abs(rhs))
+    prec, rnd = mp.prec, round_nearest
+    lhs, rhs = to_mpf(lhs)._mpf_, to_mpf(rhs)._mpf_
+    a = mpf_abs(mpf_sub(lhs, rhs, prec, rnd), prec, rnd)
+    scale = fone  # max(1, |lhs|, |rhs|): the first of equals, as max keeps
+    for side in (mpf_abs(lhs, prec, rnd), mpf_abs(rhs, prec, rnd)):
+        scale = side if mpf_lt(scale, side) else scale
+    return mp.make_mpf(a), mp.make_mpf(mpf_div(a, scale, prec, rnd))
 
 
 def default_identity_tol():
@@ -170,7 +179,7 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note="",
         rhs=to_mpf(rhs),
         abs_residual=abs_r,
         rel_residual=rel_r,
-        truncation=trunc or Truncation(),
+        truncation=trunc or _DEFAULT_TRUNCATION,
         tolerance=tol,
         passed=bool(rel_r <= tol),
         terms_used=terms_used,
@@ -222,13 +231,16 @@ def check_representations(n: int, p: QParams, x, y,
     """
     params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
-    forms = [(i, rep) for i, rep in (("representation_phi", "phi_form"),
-                                     ("representation_laguerre", "laguerre_form"))
-             if _wanted(i) and (rep == "phi_form" or to_mpf(y) >= 0)]
+    forms = [(i, form) for i, form in (
+                 ("representation_phi", polyfam._gdqh2_phi),
+                 ("representation_laguerre", polyfam._gdqh2_laguerre))
+             if _wanted(i) and (i == "representation_phi" or to_mpf(y) >= 0)]
     with mp.workdps(kept(_work_digits, "poly", n, p.q)):
-        base = shared(gdqh2, n, x, y, p) if forms else None
-        return [_report(i, params, base, gdqh2(n, x, y, p, rep=rep, trunc=trunc),
-                        tol, trunc) for i, rep in forms]
+        _check_degree(n)
+        ops = unify(x, y, p.q, p.alpha)
+        base = shared(polyfam._gdqh2_definition, n, *ops) if forms else None
+        return [_report(i, params, base, form(n, *ops, trunc), tol, trunc)
+                for i, form in forms]
 
 
 @_call_local
@@ -238,8 +250,11 @@ def check_recurrence(n: int, p: QParams, x, y, tol=None,
     params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     with mp.workdps(kept(_work_digits, "poly", n, p.q)):
+        _check_degree(n)
+        ops = unify(x, y, p.q, p.alpha)
         lhs = _ladder(n, x, y, p)[n]
-        return _report("recurrence", params, lhs, shared(gdqh2, n, x, y, p), tol, trunc)
+        return _report("recurrence", params, lhs,
+                       shared(polyfam._gdqh2_definition, n, *ops), tol, trunc)
 
 
 # --- connection and inversion -------------------------------------------------
@@ -259,7 +274,7 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     backend.
     """
     ladder = _ladder(n, x, y, p)
-    _, half = unify(q, Fraction(-1, 2))
+    half = Fraction(-1, 2) if is_exact(q) else mpf(-0.5)  # exact at any precision
     hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
     ar = arithmetic(q)
     mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, ar.zero
@@ -285,9 +300,10 @@ def check_connection(n: int, p: QParams, x, y, omega, tol=None,
     params = _params(p, n=n, x=x, y=y, omega=omega)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
-        x, y, omega, q, _ = unify(x, y, omega, p.q, p.alpha)
-        lhs = gdqh2(n, x, omega, p, trunc=trunc)
-        rhs = q_pochhammer(q, q, n) * _descending_sum(n, x, y, omega, q, p)
+        _check_degree(n)
+        x, y, omega, q, alpha = unify(x, y, omega, p.q, p.alpha)
+        lhs = polyfam._gdqh2_definition(n, x, omega, q, alpha)
+        rhs = kept(q_pochhammer, q, q, n) * _descending_sum(n, x, y, omega, q, p)
         return _report("connection", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
 
@@ -303,7 +319,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     with mp.workdps(_cancel_digits(n, p.q)):
         x, y, q, alpha = unify(x, y, p.q, p.alpha)
         lhs = qpow(x, n)
-        rhs = _gen_q_shifted(n, q, alpha) * _descending_sum(n, x, y, 0, q, p)
+        rhs = kept(_gen_q_shifted, n, q, alpha) * _descending_sum(n, x, y, 0, q, p)
         return _report("inversion", params, lhs, rhs, tol, trunc,
                        terms_used=n // 2 + 1)
 
@@ -404,7 +420,7 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
     count with a margin of 5/4 when more, up to trunc's max_terms; if the
     stop rule is not met by then it raises ConvergenceError rather than
     return a truncated sum."""
-    tail = (tr := trunc or Truncation()).effective_tail_tol()
+    tail = (tr := trunc or _DEFAULT_TRUNCATION).effective_tail_tol()
     reach = 5 * (mp.dps + 10) / (-2 * mp.log10(abs(y * t * t)))
     cap = max(8 * mp.dps + 1, min(int(mp.ceil(reach)) + 1, tr.max_terms))
     (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(half, shared(
@@ -498,16 +514,14 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
     Returns (even_report, odd_report).
     """
     with _gf_frame(t, x, y, p, tol) as (params, note, tol, x, y, t, q):
-        alpha = to_mpf(p.alpha)
-        z = x * t
-        q2 = q * q
+        alpha, z, q2 = to_mpf(p.alpha), x * t, q * q
+        b, _, root, lifts = kept(_alpha_powers, q, alpha)
         front = (q_pochhammer(q2, q2, None, trunc=trunc)
-                 / q_pochhammer(qpow(q, 2 * alpha + 2), q2, None, trunc=trunc)
-                 * qpow(z, -alpha))
-        warg = 2 * z * qpow(q, -alpha - mpf("0.5"))
+                 / q_pochhammer(b, q2, None, trunc=trunc) * qpow(z, -alpha))
+        warg = 2 * z * root
         return _parity_reports(
             ("bessel_even", "bessel_odd"),
-            lambda half: (qpow(q, (alpha + half) * (alpha + mpf("0.5"))) * front
+            lambda half: (lifts[half] * front
                           * q_bessel2(alpha + half, warg, q2, trunc=trunc)),
             t, x, y, q, p, params, tol, trunc, note)
 

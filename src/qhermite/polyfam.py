@@ -40,7 +40,7 @@ powers and prefactors (_phi_row, _laguerre_row) and q_laguerre's factors
 (_q_laguerre_row), which its phi11 and phi21 forms both read.  A row is
 computed by the form's own expressions in their order, so a row kept or
 built afresh gives the same bits; what holds the point (x^(n-2k), y^k, z
-and the phi sum) is computed by each call.
+and the phi sums, qseries._phi_loop on the rows' operands) each call computes.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from mpmath.libmp import round_nearest
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
+    _DEFAULT_TRUNCATION,
     QParams,
     Truncation,
     _Rows,
@@ -66,7 +67,7 @@ from .qcore import (
     kept,
     q_pochhammer,
 )
-from .qseries import phi
+from .qseries import _phi_loop, phi
 from .scalars import (EXACT, GUARD_BITS, Numeric, arithmetic, qpow, to_mpf,
                       unify)
 
@@ -171,7 +172,7 @@ def _gdqh2_definition(n: int, x, y, q, alpha):
         term = mul(mul(sign, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
                    pow_int(y, k, prec, rnd), prec, rnd)
         total = ar.add(total, ar.div(term, den, prec, rnd), prec, rnd)
-    return q_pochhammer(q, q, n) * ar.value(total)
+    return kept(q_pochhammer, q, q, n) * ar.value(total)
 
 
 def _phi_row(n: int, q, alpha) -> tuple:
@@ -192,8 +193,10 @@ def _gdqh2_phi(n: int, x, y, q, alpha, trunc):
         return _gdqh2_definition(n, x, y, q, alpha)
     upper, q2, scale, ratio = kept(_phi_row, n, q, alpha)
     z = -y * scale / (x * x)
-    series = phi(upper, (x - x,), q2, z, terminate_at=n // 2, trunc=trunc)
-    return ratio * qpow(x, n) * series
+    # phi's sum, whose one lower parameter, 0, is no pole
+    total = _phi_loop(q2, z, upper, (x - x,), trunc or _DEFAULT_TRUNCATION,
+                      False, n // 2)[0]
+    return ratio * qpow(x, n) * arithmetic(q).value(total)
 
 
 def _laguerre_row(n: int, q, alpha) -> tuple:
@@ -218,7 +221,11 @@ def _gdqh2_laguerre(n: int, x, y, q, alpha, trunc):
             "use definition_sum for y < 0"
         )
     q2, scale, pref, order = kept(_laguerre_row, n, q, alpha)
-    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2, trunc=trunc)
+    # q_laguerre's phi11 sum, whose lower parameter (q^2)^(order+1) < 1 is no pole
+    down, qa1, step, front = kept(_q_laguerre_row, n // 2, order, q2)
+    total = _phi_loop(q2, step * (x * x / y * scale), (down,), (qa1,),
+                      trunc or _DEFAULT_TRUNCATION, False, n // 2)[0]
+    laguerre = front * arithmetic(q).value(total)
     if n % 2:
         pref = pref * x
     return pref * qpow(-y, n // 2) * laguerre

@@ -66,7 +66,9 @@ def _check_q(q) -> None:
 
 
 def _check_degree(n: int, name: str = "degree n") -> None:
-    """The one non-negative-index rule: "<name> must be >= 0: got <n>"."""
+    """The one index rule: an int, not a bool, and "<name> must be >= 0: got <n>"."""
+    if type(n) is not int:
+        raise DomainError("%s must be an int: got %r" % (name, n))
     if n < 0:
         raise DomainError("%s must be >= 0: got %d" % (name, n))
 
@@ -114,7 +116,7 @@ class Truncation:
     tail_tol: Optional[Numeric] = None
 
     def __post_init__(self):
-        if not isinstance(self.max_terms, int):
+        if type(self.max_terms) is not int:  # a bool is no count
             raise DomainError("max_terms must be an int: got %r"
                               % (self.max_terms,))
         if self.max_terms < 1:
@@ -132,11 +134,13 @@ class Truncation:
         return _ten_power(-(mp.dps + 10), mp.prec)
 
 
+_DEFAULT_TRUNCATION = Truncation()  # shared: a Truncation holds no call state
+
 # The open shared-value scope, else None: (what its opener declared, memo,
 # call-local), where a call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-# A (q, alpha) block of DEFAULT_GRID keeps about 150 values: the cap holds
-# the three blocks of an identity_sweep seed and a half, and a larger one
+# A (q, alpha) block of DEFAULT_GRID keeps about 220 values: the cap holds
+# the three blocks of an identity_sweep seed and more, and a larger one
 # costs the orthogonality sweep, a fresh (q, alpha) per call, peak RSS.
 _KEPT_CAP = 1024
 
@@ -246,7 +250,7 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     a = to_mpf(value)
     if not mp.isfinite(a):
         raise DomainError("(a;q)_inf needs a finite a: got a=%s" % a)
-    tr = trunc or Truncation()
+    tr = trunc or _DEFAULT_TRUNCATION
     tail = tr.effective_tail_tol()
     out, prec, rnd = mp.prec, mp.prec + GUARD_BITS, round_nearest
     limit = mpf_shift(tail._mpf_, -1)
@@ -321,15 +325,19 @@ def _products(c, a, q, n: int, lift=1, point=False) -> list:
     c - a is 0 exactly when c = a.  Inside a shared scope one table per
     operands and precision grows to the longest n asked; it is `kept` unless
     point says that c or a holds a point (Hahn's x, y, omega), then `shared`."""
+    return _grown(*unify(c, a, q, lift), n, point)[:n + 1]
+
+
+def _grown(c, a, q, lift, n: int, point) -> _Rows:
+    """The table of `_products` on unified operands, grown through P_n."""
     _check_degree(n, "n")
-    table = (shared if point else kept)(_product_table, *unify(c, a, q, lift))
-    return table.upto(n)[:n + 1]
+    return (shared if point else kept)(_product_table, c, a, q, lift).upto(n)
 
 
 def _product(c, a, q, n: int, lift=1, point=False):
-    """P_n of `_products`, as a value."""
+    """P_n of `_products`, as a value, read in its table, not copied."""
     c, a, q, lift = unify(c, a, q, lift)
-    return arithmetic(q).value(_products(c, a, q, n, lift, point)[n])
+    return arithmetic(q).value(_grown(c, a, q, lift, n, point)[n])
 
 
 def _product_table(c, a, q, lift) -> _Rows:

@@ -25,7 +25,8 @@ rounded to mp.prec once.  It reads the factors of each term ratio that
 hold no z from one table per (q, upper, lower), precision and arithmetic,
 a value qcore.kept serves, or qcore.shared when a parameter holds a point
 (PhiSpec.point).  A non-terminating sum stops at the tail tolerance of its
-Truncation, taken at the precision the sum runs at.
+Truncation, taken at the precision the sum runs at.  The real powers of
+(q, alpha) of the parity halves and the Bessel forms are one kept row.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (QParams, Truncation, _check_degree, _check_q,
+from .qcore import (_DEFAULT_TRUNCATION, QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
 from .scalars import (EXACT, RAW, Numeric, arithmetic, fixed, fixed_sum,
                       is_exact, qpow, to_mpf, unify)
@@ -125,7 +126,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     bound recorded, rounded up by one unit of 2^-wp so that it is never 0.
     Each is rounded to mp.prec once.
     """
-    tr = trunc or Truncation()
+    tr = trunc or _DEFAULT_TRUNCATION
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
     q, z = vals[0], vals[1]
@@ -293,6 +294,15 @@ def euler_e(x, q, trunc: Optional[Truncation] = None):
     return 1 / _infinite_product(x, q, trunc)
 
 
+def _alpha_powers(q, alpha) -> tuple:
+    """The real powers of mpf (q, alpha) that the parity halves and the Bessel
+    forms read: q^(2a+2), q^(2a+4), q^(-a-1/2), q^((a+h)(a+1/2)) for h = 0, 1."""
+    half = mpf("0.5")
+    return (qpow(q, 2 * alpha + 2), qpow(q, 2 * alpha + 4),
+            qpow(q, -alpha - half),
+            tuple(qpow(q, (alpha + h) * (alpha + half)) for h in (0, 1)))
+
+
 def _parity_half(half: int, sign: int, x, params: QParams, trunc):
     """The even (half 0) or odd (half 1) terms of sum_k sign^(k//2)
     q^C(k,2) x^k / (q;q)_{k,alpha}, sign = +-1, with b = q^(2a+2):
@@ -300,11 +310,11 @@ def _parity_half(half: int, sign: int, x, params: QParams, trunc):
       half 1: x/(1-b) * 0-phi-1(-; b q^2; q^2, sign q^3 x^2),
     on the float backend: the series are infinite."""
     x, q, alpha = map(to_mpf, (x, params.q, params.alpha))
-    b = qpow(q, 2 * alpha + 2)
+    b, b_q2 = kept(_alpha_powers, q, alpha)[:2]
     if not half:
         return phi((), (b,), q * q, sign * q * x * x, trunc=trunc)
-    return x / (1 - b) * phi((), (qpow(q, 2 * alpha + 4),), q * q,
-                             sign * q ** 3 * x * x, trunc=trunc)
+    return x / (1 - b) * phi((), (b_q2,), q * q, sign * q ** 3 * x * x,
+                             trunc=trunc)
 
 
 def gen_E(x, params: QParams, trunc: Optional[Truncation] = None):

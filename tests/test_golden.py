@@ -4,9 +4,11 @@ Every printed digit is pinned: a change to the order of any check's
 arithmetic, its truncation or its working precision shows here.  Each file
 under golden/ is the stdout of `python3 -m qhermite.cli --no-timestamp` with
 the arguments listed below, which exits 0 unless EXIT says otherwise;
-rewrite one only for a deliberate change of output.
+rewrite one only for a deliberate change of output.  check_all_default.sha256
+is the `sha256sum` line of `check all` on the whole default grid.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,14 @@ CASES = {
 
 # exit code per case, 0 unless listed
 EXIT = {"check_gf_out_of_domain.txt": 2}
+
+
+def test_check_all_on_the_default_grid_matches_its_digest(capsys):
+    # all 3744 rows of DEFAULT_GRID, pinned by the digest CI checks too
+    assert main(["--no-timestamp", "--format", "json", "check", "all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    line = (GOLDEN / "check_all_default.sha256").read_text(encoding="utf-8")
+    assert line == digest + "  -\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

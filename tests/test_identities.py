@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_neg
 
 from qhermite import identities, polyfam, qcore, qseries
 from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
@@ -45,6 +46,31 @@ def test_residual_normalization():
     # below 1 in magnitude the relative residual degrades to the absolute one
     a, r = residuals(mpf("0.25"), mpf("0.5"))
     assert a == r == mpf("0.25")
+
+
+def _operand(man: int, exp: int):
+    """An mpf of every bit of man * 2^exp, as many bits as man has."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
+operands = st.builds(_operand, st.one_of(st.just(0),
+                                         st.integers(-2 ** 400, 2 ** 400)),
+                     st.integers(-420, 20))
+
+
+@given(lhs=operands, rhs=operands, same=st.sampled_from((None, 1, -1)),
+       dps=st.sampled_from((15, 50, 90)))
+@settings(max_examples=200, deadline=None)
+def test_residuals_are_the_mpf_expressions_bit_for_bit(lhs, rhs, same, dps):
+    # on raw values, with operands of more bits than mp.prec, zeros and
+    # equal sides: the bits of |lhs - rhs| / max(1, |lhs|, |rhs|) on mpfs
+    if same is not None:  # rhs = +-lhs, every bit kept
+        rhs = lhs if same == 1 else mp.make_mpf(mpf_neg(lhs._mpf_))
+    with mp.workdps(dps):
+        a = abs(lhs - rhs)
+        want = a, a / max(mpf(1), abs(lhs), abs(rhs))
+        got = residuals(lhs, rhs)
+    assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 def test_default_tolerance_is_half_the_digits_at_each_precision():
@@ -775,6 +801,25 @@ def test_suite_rows_match_direct_calls():
                      "inversion": check_inversion}[ident](n, p, a["x"], a["y"])
             assert fmt_scalar(r.lhs, 50) == fmt_scalar(d.lhs, 50)
             assert fmt_scalar(r.rhs, 50) == fmt_scalar(d.rhs, 50)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, mpf(2)],
+                         ids=["2.5", "2.0", "True", "mpf(2)"])
+def test_a_degree_that_is_not_an_int_is_a_domain_error(n):
+    # 2.0 and mpf(2) are no degree and True is not h_1: each is a
+    # DomainError, which the suite turns into one error row per id
+    p = QParams(mpf("0.5"), mpf("0.3"))
+    for rep in ("definition_sum", "phi_form", "laguerre_form"):
+        with pytest.raises(DomainError, match="^degree n must be an int"):
+            gdqh2(n, mpf("0.7"), mpf("0.4"), p, rep=rep)
+    with pytest.raises(DomainError, match="^max_terms must be an int"):
+        Truncation(max_terms=n)
+    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0.3",), n_values=(n,),
+                        x_values=("0.7",), y_values=("0.4",))
+    (row,) = run_identity_suite(grid, identity_id="recurrence")
+    assert row.identity_id == "recurrence" and "must be an int" in row.error
+    rows = [r for r in run_identity_suite(grid) if "n" in r.params]
+    assert len(rows) == 5 and all("must be an int" in r.error for r in rows)
 
 
 def test_summarize_counts():

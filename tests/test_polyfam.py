@@ -1,5 +1,6 @@
 """Polynomial families: values, representation agreement, recurrence."""
 
+import random
 from fractions import Fraction as F
 from itertools import islice, product
 
@@ -24,12 +25,14 @@ from qhermite.polyfam import (
 )
 from qhermite.qcore import (
     QParams,
+    Truncation,
     _gen_q_shifted_prefix,
     _odd_lift,
     gen_q_shifted_factorial,
     q_pochhammer,
     shared_scope,
 )
+from qhermite.qseries import phi
 from qhermite.scalars import GUARD_BITS, arithmetic, binom2, qpow, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
@@ -154,6 +157,75 @@ def test_gdqh2_rep_edge_routing():
         gdqh2(2, mpf(1), mpf(1), p, rep="nonsense")
     with pytest.raises(DomainError):
         gdqh2(-1, mpf(1), mpf(1), p)
+
+
+def _public_phi_form(n, x, y, q, alpha, trunc):
+    """The phi form through phi: its row, then the 2-phi-1 by the public
+    series entry point."""
+    upper, q2, scale, ratio = polyfam._phi_row(n, q, alpha)
+    z = -y * scale / (x * x)
+    return ratio * qpow(x, n) * phi(upper, (x - x,), q2, z,
+                                    terminate_at=n // 2, trunc=trunc)
+
+
+def _public_laguerre_form(n, x, y, q, alpha, trunc):
+    """The Laguerre form through q_laguerre: its row, then the public
+    q-Laguerre polynomial."""
+    q2, scale, pref, order = polyfam._laguerre_row(n, q, alpha)
+    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2, trunc=trunc)
+    if n % 2:
+        pref = pref * x
+    return pref * qpow(-y, n // 2) * laguerre
+
+
+def _form_cells(seed: int, count: int):
+    """Seeded (q, alpha, x, y) cells, half mpf and half exact; exact alphas
+    are integers, where the Laguerre form is exact too."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 2:
+            den = rng.randint(3, 9)
+            yield (F(rng.randint(1, den - 1), den), rng.randint(0, 2),
+                   F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)),
+                   F(rng.randint(1, 9), rng.randint(1, 9)))
+        else:
+            yield tuple(mpf("%.6f" % v) for v in (
+                rng.uniform(0.15, 0.85), rng.uniform(-0.8, 2.5),
+                rng.choice((-1, 1)) * rng.uniform(0.2, 2.0),
+                rng.uniform(0.1, 2.0)))
+
+
+def _exact_bits(v):
+    return v._mpf_ if isinstance(v, mpf) else (type(v), v)
+
+
+@pytest.mark.parametrize("dps", [50, 90])
+def test_forms_on_the_series_kernel_are_the_public_route_bit_for_bit(dps):
+    # the phi and Laguerre forms sum on their rows' operands; on seeded
+    # float and exact cells, at both parities, they give the bits of the
+    # same expressions through phi and q_laguerre, with and without a
+    # truncation, and route x = 0 and y = 0 to the definition sum
+    with mp.workdps(dps):
+        for cell in _form_cells(36, 12):
+            x, y, q, alpha = unify(cell[2], cell[3], cell[0], cell[1])
+            for n, trunc in product(range(10), (None, Truncation(max_terms=50))):
+                for lean, public in ((polyfam._gdqh2_phi, _public_phi_form),
+                                     (polyfam._gdqh2_laguerre,
+                                      _public_laguerre_form)):
+                    got = lean(n, x, y, q, alpha, trunc)
+                    assert _exact_bits(got) == _exact_bits(
+                        public(n, x, y, q, alpha, trunc))
+                    assert isinstance(got, F) == isinstance(q, F)
+                zero_x, zero_y = x - x, y - y
+                definition = polyfam._gdqh2_definition
+                assert _exact_bits(polyfam._gdqh2_phi(
+                    n, zero_x, y, q, alpha, trunc)) == _exact_bits(
+                        definition(n, zero_x, y, q, alpha))
+                assert _exact_bits(polyfam._gdqh2_laguerre(
+                    n, x, zero_y, q, alpha, trunc)) == _exact_bits(
+                        definition(n, x, zero_y, q, alpha))
+                with pytest.raises(RepresentationDomainError):
+                    polyfam._gdqh2_laguerre(n, x, -y, q, alpha, trunc)
 
 
 @pytest.mark.parametrize("num, cases", [

@@ -640,7 +640,8 @@ def test_kept_values_hold_no_point(monkeypatch):
     assert {f.__name__ for f, _ in reached} == {
         "_product_table", "_odd_lift", "_infinite_product", "_recurrence_table",
         "_work_digits", "_gdqh2_terms", "_phi_row", "_laguerre_row",
-        "_q_laguerre_row", "_phi_factors", "_gf_rows"}
+        "_q_laguerre_row", "_phi_factors", "_gf_rows", "_alpha_powers",
+        "q_pochhammer", "_gen_q_shifted"}
 
     def operands(args):  # a row's QParams field by field, a phi's
         for a in args:       # parameter tuples element by element
