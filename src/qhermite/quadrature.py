@@ -5,49 +5,41 @@ lattice {±q^k} checked against the closed-form constants.
 The pair of points ±q^k carries the measure (1-q) q^k |x|^(2a+1) w_a(x),
 with w_a(x) = 1/(-c x^2; q^2)_inf and c = q^(-2a-1).  So the pair (n, m)
 adds m_k E(q^k) at k, where m_k = q^(k(2a+2)) w_a(q^k) and
-E(x) = h_n h_m(x) + h_n h_m(-x).
+E(x) = h_n h_m(x) + h_n h_m(-x): 0 for odd n + m, and for even n + m
+2 h_n h_m(x) = sum_l e_l x^(2l), whose sum is sum_l e_l M_l over the
+lattice moments M_l = sum_k m_k x_k^(2l), l <= N, the top degree.
 
 The sweep walks out from k = 0.  One infinite product gives w_a(1); every
 other weight follows from the running ratio
-(-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf, one
-multiplication per point.  One recurrence ladder per point x, read raw from
-the float recurrence kernel (polyfam._recurrence), feeds all the pairs
-(at -x, the same ladder with the odd degrees negated); the closed
-form's products and the small-x tail's lattice moments are computed once
-per sweep.
-The sweep opens one shared-value scope (qcore.shared_scope), so w_a(1)'s
-product, bit for bit the first factor of the constants' denominator, is
-taken once, the coefficients and the constants read one (q;q)_n and one
-(q;q)_{n,alpha} table, and every ladder reads one table of recurrence
-coefficients.  A
-pair of odd n + m has E = 0 exactly at every point: it gets no sum, only
-the test that its factors are finite, and its lhs is 0.  The walk and the
-ladders run on raw libmp values, with the operations, order and precision
-of the same loop on mpf values.  A pair of even n + m sums on Python ints:
-the exact products m_k 2 h_n h_m of those values, then its exact small-x
-tail, rounded to the working precision once.  mpf exponents do not
-overflow, so a product is non-finite only when a factor is: the pairs test
-their own factors only at a point whose weight or ladder is not finite.
+(-c q^(2k); q^2)_inf = (1 + c q^(2k)) (-c q^(2k+2); q^2)_inf.  Each point
+adds its exact terms m_k x_k^(2l) into the N+1 moments, summed on Python
+ints; no pair is read per point.  Then each even pair is the dot product
+of its exact e_l (from the definition sum's coefficients) with the
+moments, plus its small-x tail, rounded to the working precision once.
+That dot product cancels, so the walk and the coefficients run GUARD_BITS
+above the working precision; w_a(1) stays at it, bit for bit the first
+factor of the constants, which one shared-value scope (qcore.shared_scope)
+takes once.  Odd pairs alone walk no lattice.  mpf exponents do not
+overflow, so a term is non-finite only when m_k is: that raises.
 
-- k -> -inf (large |x|): for |x| >= 1, |h_n(x)| <= S_n |x|^n, where S_n
-  is the sum of the absolute coefficients of h_n.  The envelope
-  m_j x_j^(2N) of the degrees up to N falls from j to j-1 by
-  q^(-(2a+2+2N)) / (1 + c q^(2j-2)), which is at most
-  rho = q^(-(2a+2+2N)) / (1 + c q^(2k)) for every j <= k.  The walk stops
-  at the first k where every pair's term is below tail_tol times its
-  largest and, with rho < 1, the bound 2 S_n S_m m_k x_k^(2N) rho / (1 - rho)
-  on the rest is too.  A pair of odd n + m, whose terms are exactly 0, has
-  no largest term and is held to tail_tol itself.
+Each end's rest is at most tail_tol sqrt(W_n W_m) per pair, W_n the sum
+of (n, n) over the points walked so far: its residual's scale.
+
+- k -> -inf (large |x|): moment l's terms fall from j to j-1 by
+  q^(-(2a+2+2l)) / (1 + c q^(2j-2)), at most
+  rho = q^(-(2a+2+2N)) / (1 + c q^(2k)) for all j <= k and l <= N.  With
+  rho < 1, the walk stops at the first k where every moment's term over
+  1 - rho (the term and its rest) is below tail_tol times the moment's
+  largest term, and every pair's sum_l |e_l| m_k x_k^(2l) / (1 - rho) is
+  below tail_tol sqrt(W_n W_m).
 - k -> +inf (points crowding 0): the terms decay only like q^(k(2a+2)),
   slowly as a -> -1.  The walk stops before the first k > 0 with
-  c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2) and adds the rest in
-  closed form (`_small_x_tail`): the q-binomial theorem gives
-  w_a(x) = sum_j (-c x^2)^j / (q^2;q^2)_j, and E is an even polynomial,
-  so the rest is a dot product of E's coefficients with lattice moments.
+  c q^(2k) <= z_max = min(tail_tol^(1/8), (1-q^2)/2), and
+  `_small_x_tail` adds the rest in closed form.
 
-The walk's stop rule, the weight product and the closed-form constants all
-use one truncation, the caller's; a tail_tol left unset resolves to
-10^-(dps+10) at the sweep's working precision, whatever the cap.
+The stop rules, the weight product and the constants all use one
+truncation, the caller's; a tail_tol left unset resolves to 10^-(dps+10)
+at the sweep's working precision, whatever the cap.
 """
 
 from __future__ import annotations
@@ -58,15 +50,14 @@ from typing import Iterator, Optional
 from mpmath import mp, mpf
 from mpmath.libmp import (finf, fnan, fninf, fone, from_man_exp, fzero,
                           mpf_add, mpf_div, mpf_le, mpf_lt, mpf_mul,
-                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest,
+                          mpf_pow_int, mpf_sqrt, mpf_sub, mpf_sum, round_nearest,
                           to_fixed)
 
 from .errors import ConvergenceError, EvaluationError
 from .identities import _params, _report, _tolerance, _work_digits
-from .polyfam import _gdqh2_terms, _recurrence
-# bound here, though the sweep reads the recurrence kernel, for the benchmark's
-# tracer, which wraps the ladder at every module that binds it
-from .polyfam import gdqh2_recurrence_ladder  # noqa: F401
+# the ladder is bound here, though the sweep reads no recurrence, for the
+# benchmark's tracer, which wraps it at every module that binds it
+from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder  # noqa: F401
 from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
                     kept, q_pochhammer, shared_scope)
 from .scalars import GUARD_BITS, qpow, to_mpf
@@ -240,135 +231,33 @@ def _walk(p: QParams, w_one, step: int) -> Iterator:
         k, xk = k + step, x_next
 
 
+def _dot(even: list, moments: list) -> tuple:
+    """sum_l even[l] moments[l], exactly, as a pair of `_plus`."""
+    total = (0, 0)
+    for (e, ee), (m, em) in zip(even, moments):
+        total = _plus(total, (e * m, ee + em))
+    return total
+
+
 def _orthogonality_sweep(pairs, p: QParams, tol,
                          trunc: Optional[Truncation]) -> list:
-    """Reports for the (n, m) pairs, in order, from one lattice walk.
-
-    Each pair of even n + m keeps its own exact sum, fed in walk order:
-    k = 0 down to the negative end, then k = 1 up to the positive end, then
-    its small-x tail; a pair of odd n + m sums nothing.  After the walk
-    the pairs are finished in order, and the first one whose sum hit a
-    non-finite term raises.  A walk that reaches trunc.max_terms points at
-    one end raises there.
-    """
+    """Reports for the (n, m) pairs, in order: `_lattice_sums` for the
+    pairs of even n + m; a pair of odd n + m is 0 and counts its points."""
     if not pairs:
         return []
     tol = _tolerance(tol)
     with mp.workdps(_work_digits("sweep")), shared_scope():
-        prec, rnd = mp.prec, round_nearest
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         given, p = p, QParams(to_mpf(p.q), to_mpf(p.alpha))
-        q, alpha = p.q, p.alpha
-        c, one = qpow(q, -2 * alpha - 1)._mpf_, mpf(1)
         top = max(max(pair) for pair in pairs)
-        coef = [_coefficients(n, p) for n in range(top + 1)]
-        size = [sum(abs(a) for a in row) for row in coef]  # S_n
-        # per pair: S_n S_m, its exact sum, its largest term, and the first
-        # x whose term is non-finite (which stops it)
-        s_nm = [(size[n] * size[m])._mpf_ for n, m in pairs]
-        total, largest = [(0, 0)] * len(pairs), [fzero] * len(pairs)
-        bad_x = [None] * len(pairs)
-        summed = [i for i, (n, m) in enumerate(pairs) if (n + m) % 2 == 0]
-        nonfinite = {fnan, finf, fninf}
-
-        def visit(xk, mk):
-            # h_j(-x) = (-1)^j h_j(x): the recurrence at -x flips the sign of
-            # every odd degree exactly, so one ladder serves both points and
-            # their products sum to h_n h_m (1 + (-1)^(n+m)), bit for bit
-            lad = list(islice(_recurrence(xk, one, q, alpha), top + 1))
-            mk = mk._mpf_
-            if mk in nonfinite or not nonfinite.isdisjoint(lad):
-                # a product is non-finite exactly when a factor is (mpf
-                # exponents do not overflow): each pair stops at its own
-                # factors, a pair of odd n + m (not summed) included
-                for i, (n, m) in enumerate(pairs):
-                    if bad_x[i] is None and {mk, lad[n], lad[m]} & nonfinite:
-                        bad_x[i] = xk
-            sign, man, exp, _ = mk
-            terms = [fzero] * len(pairs)
-            for i in summed:
-                if bad_x[i] is None:
-                    n, m = pairs[i]
-                    sn, man_n, exp_n, _ = lad[n]
-                    sm, man_m, exp_m, _ = lad[m]
-                    # m_k 2 h_n h_m, exactly, and rounded for the stop rules
-                    term = man * man_n * man_m
-                    exp_t = exp + exp_n + exp_m + 1
-                    terms[i] = from_man_exp(term, exp_t, prec, rnd)
-                    if mpf_lt(largest[i], terms[i]):
-                        largest[i] = terms[i]
-                    total[i] = _plus(total[i], (-term if sign ^ sn ^ sm
-                                                else term, exp_t))
-            return terms
-
-        def floor(i):
-            # relative to the pair's largest term; a pair with no nonzero
-            # term (odd n + m, whose terms are exactly 0) has no scale and
-            # takes tail_tol itself, so the walk still stops
-            return mpf_mul(tail._mpf_, largest[i] if largest[i] != fzero
-                           else fone, prec, rnd)
-
-        def exhausted(k, end):
-            return ConvergenceError(
-                "lattice walk reached %s %d at max_terms=%d before its tail "
-                "met tail_tol %s" % (end, k, trunc.max_terms,
-                                     mp.nstr(tail, 4)))
-
-        def c_x2(x):  # the stop rules' c x^2, rounded as c * x * x
-            return mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd)
-
-        w_one = orthogonality_weight(1, p, trunc)
-        # k = 0, -1, -2, ...: rho = reach / (1 + c x^2) and the rest bound
-        # 2 m_k x^(2N) rho / (1 - rho), on raw values rounded as on mpfs
-        reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
-        for k, xk, mk in _walk(p, w_one, -1):
-            far = visit(xk, mk)
-            x = xk._mpf_
-            rho = mpf_div(reach, mpf_add(c_x2(x), fone, prec, rnd), prec, rnd)
-            if mpf_lt(rho, fone):
-                rest = mpf_mul(mpf_shift(mk._mpf_, 1),
-                               mpf_pow_int(x, 2 * top, prec, rnd), prec, rnd)
-                rest = mpf_div(mpf_mul(rest, rho, prec, rnd),
-                               mpf_sub(fone, rho, prec, rnd), prec, rnd)
-                if all(mpf_le(far[i], f) and
-                       mpf_le(mpf_mul(s_nm[i], rest, prec, rnd), f)
-                       for i, f in enumerate(map(floor, range(len(pairs))))):
-                    break
-            if 1 - k >= trunc.max_terms:
-                raise exhausted(k, "k_min")
-        points = 1 - k
-
-        # k = 1, 2, ...: up to the first k the closed-form tail can take
-        z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)._mpf_
-        for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
-            if mpf_le(c_x2(xk._mpf_), z_max):
-                break
-            if k > trunc.max_terms:
-                raise exhausted(k - 1, "k_max")
-            visit(xk, mk)
-        points += k - 1
-
-        # after the walk, so that a cap on max_terms stops the walk first
-        small_x = _small_x_tail(k, p, trunc)
+        summed = [pair for pair in pairs if sum(pair) % 2 == 0]
+        lhs_of, points = (_lattice_sums(summed, p, trunc, tail) if summed
+                          else ({}, 0))
         rhs_of = list(map(_rhs_by_degree(p, trunc), range(top + 1)))
-        exact = [[_dyadic(a._mpf_) for a in row] for row in coef]
         reports = []
-        for i, (n, m) in enumerate(pairs):
-            if bad_x[i] is not None:
-                raise EvaluationError(
-                    "integrand non-finite at lattice point x = %s"
-                    % mp.nstr(bad_x[i], 8))
-            if (n + m) % 2 == 0:
-                # E(x) = 2 h_n h_m(x): the coefficient of x^(2l) in it
-                half = (n + m) // 2
-                even = [(0, 0)] * (half + 1)
-                for a, (an, ea) in enumerate(exact[n]):
-                    for b, (bm, eb) in enumerate(exact[m]):
-                        even[half - a - b] = _plus(even[half - a - b],
-                                                   (an * bm, ea + eb + 1))
-                total[i] = _plus(total[i], small_x(even, floor(i)))
-            lhs = (1 - q) * mp.make_mpf(from_man_exp(*total[i], prec, rnd))
+        for n, m in pairs:
+            lhs = lhs_of.get((n, m), mpf(0))
             if n == m:
                 rhs, residual = rhs_of[n], None
             else:
@@ -378,6 +267,112 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
                                    lhs, rhs, tol, trunc, terms_used=points,
                                    residual=residual))
         return reports
+
+
+def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
+    """({(n, m): lhs}, points walked) for pairs of even n + m, with p's q
+    and alpha mpfs and tail the resolved tail_tol.  The walk feeds the
+    moments from k = 0 down to the negative end, then from k = 1 up; a
+    non-finite m_k raises at its point, and an end that reaches
+    trunc.max_terms points raises there."""
+    prec, rnd = mp.prec, round_nearest
+    q, alpha = p.q, p.alpha
+    w_one = orthogonality_weight(1, p, trunc)
+    z_max = min(tail ** (mpf(1) / 8), (1 - q * q) / 2)._mpf_
+    tail_tol, nonfinite = tail._mpf_, {fnan, finf, fninf}
+    degrees = {n for pair in pairs for n in pair}
+    top = max(degrees)  # N
+    with mp.workprec(prec + GUARD_BITS):
+        wp = mp.prec
+        exact = [[_dyadic(a._mpf_) for a in _coefficients(n, p)]
+                 for n in range(top + 1)]
+        even = {}  # per pair e_l, 2 h_n h_m(x) = sum_l e_l x^(2l), exactly
+        for n, m in {*pairs, *((n, n) for n in degrees)}:
+            half = (n + m) // 2
+            row = even[(n, m)] = [(0, 0)] * (half + 1)
+            for a, (an, ea) in enumerate(exact[n]):
+                for b, (bm, eb) in enumerate(exact[m]):
+                    row[half - a - b] = _plus(row[half - a - b],
+                                              (an * bm, ea + eb + 1))
+        size = {pair: [from_man_exp(abs(e), exp, wp, rnd)  # |e_l|
+                       for e, exp in even[pair]] for pair in pairs}
+        moments, largest = [(0, 0)] * (top + 1), [fzero] * (top + 1)
+        c = qpow(q, -2 * alpha - 1)._mpf_
+        reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
+
+        def visit(xk, mk) -> list:
+            # m_k x_k^(2l) for l <= N, exactly, into the moments
+            if mk._mpf_ in nonfinite:
+                raise EvaluationError("integrand non-finite at lattice point "
+                                      "x = %s" % mp.nstr(xk, 8))
+            sign, term, exp, _ = mk._mpf_
+            _, man, x_exp, _ = xk._mpf_
+            term, x2, terms = -term if sign else term, man * man, []
+            for l in range(top + 1):
+                terms.append((term, exp))
+                moments[l] = _plus(moments[l], terms[-1])
+                term, exp = term * x2, exp + 2 * x_exp
+            return terms
+
+        def floors() -> dict:
+            # per pair tail_tol sqrt(W_n W_m), from the moments walked so far
+            w = {n: from_man_exp(*_dot(even[(n, n)], moments), wp, rnd)
+                 for n in degrees}
+            return {(n, m): mpf_mul(tail_tol, mpf_sqrt(
+                mpf_mul(w[n], w[m], wp, rnd), wp, rnd), wp, rnd)
+                for n, m in pairs}
+
+        def settled(terms, left) -> bool:
+            # with left = 1 - rho: every moment's term / left below tail_tol
+            # times its largest (the highest, slowest to fall, first), then
+            # every pair's sum_l |e_l| term_l / left below its floor
+            cap = mpf_mul(tail_tol, left, wp, rnd)
+            if not all(mpf_le(t, mpf_mul(cap, big, wp, rnd))
+                       for t, big in zip(terms[::-1], largest[::-1])):
+                return False
+            return all(mpf_le(mpf_sum([mpf_mul(s, t, wp, rnd) for s, t
+                                       in zip(size[pair], terms)], wp, rnd),
+                              mpf_mul(floor, left, wp, rnd))
+                       for pair, floor in floors().items())
+
+        def exhausted(k, end):
+            return ConvergenceError(
+                "lattice walk reached %s %d at max_terms=%d before its tail "
+                "met tail_tol %s" % (end, k, trunc.max_terms,
+                                     mp.nstr(tail, 4)))
+
+        def c_x2(x):  # the stop rules' c x^2, rounded as c * x * x
+            return mpf_mul(mpf_mul(c, x, wp, rnd), x, wp, rnd)
+
+        # k = 0, -1, -2, ...: rho = reach / (1 + c x^2)
+        for k, xk, mk in _walk(p, w_one, -1):
+            terms = [from_man_exp(t, e, wp, rnd) for t, e in visit(xk, mk)]
+            largest = [t if mpf_lt(big, t) else big
+                       for t, big in zip(terms, largest)]
+            rho = mpf_div(reach, mpf_add(c_x2(xk._mpf_), fone, wp, rnd),
+                          wp, rnd)
+            if mpf_lt(rho, fone) and settled(terms,
+                                             mpf_sub(fone, rho, wp, rnd)):
+                break
+            if 1 - k >= trunc.max_terms:
+                raise exhausted(k, "k_min")
+        points = 1 - k
+
+        # k = 1, 2, ...: up to the first k the closed-form tail can take
+        for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
+            if mpf_le(c_x2(xk._mpf_), z_max):
+                break
+            if k > trunc.max_terms:
+                raise exhausted(k - 1, "k_max")
+            visit(xk, mk)
+        points += k - 1
+        floor = floors()
+
+    # after the walk, so that a cap on max_terms stops the walk first
+    small_x = _small_x_tail(k, p, trunc)
+    return {pair: (1 - q) * mp.make_mpf(from_man_exp(*_plus(
+        _dot(even[pair], moments), small_x(even[pair], floor[pair])),
+        prec, rnd)) for pair in pairs}, points
 
 
 def orthogonality_check(n: int, m: int, p: QParams, tol=None,

@@ -27,6 +27,9 @@ CASES = {
     # every pair m <= n <= 4, from one lattice sweep
     "orthogonality_n4.csv": ("--format", "csv", "orthogonality", "--n", "4",
                              "--q", "0.22", "--alpha", "1.3"),
+    # every pair m <= n <= 10: moments to x^20, dot products that cancel
+    "orthogonality_n10.txt": ("orthogonality", "--n", "10", "--q", "0.25",
+                              "--alpha", "1.2"),
     # alpha near -1: a long walk toward 0 and the closed-form small-x tail
     "orthogonality_alpha_near_minus_one.txt": ("orthogonality", "--n", "5",
                                                "--q", "0.3", "--alpha", "-0.9"),
@@ -38,7 +41,7 @@ CASES = {
     # terms where the plain product takes hundreds
     "orthogonality_q_near_one.txt": ("orthogonality", "--n", "3", "--q", "0.9",
                                      "--alpha", "0.5"),
-    # one pair of odd n + m: no sum, lhs = 0, and the walk's terms count
+    # one pair of odd n + m: no sum, no walk, lhs = 0 and terms = 0
     "orthogonality_odd_pair.txt": ("orthogonality", "--n", "1", "--m", "0",
                                    "--q", "0.5", "--alpha", "0.5"),
     # one passing row and one error row (|y*t| >= 1): lhs = nan, exit 2
