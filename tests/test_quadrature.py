@@ -338,7 +338,7 @@ def test_walk_max_terms_names_the_end(q, alpha, cap, end, monkeypatch):
 @pytest.mark.parametrize("q, alpha, n_max, tail_tol, points", [
     ("0.9", "-0.5", 2, "1e-2", 20), ("0.8", "2", 8, "1e-2", 21),
     ("0.9", "10", 6, "1e-2", 37)])
-def test_walk_toward_large_x_stops_where_moment_and_pair_bounds_decide(
+def test_large_x_stop_by_moment_and_pair_bounds(
         q, alpha, n_max, tail_tol, points):
     # cells found by a scan: at the first, the walk stops one point later
     # than with the per-moment test gone or with its term not divided by
