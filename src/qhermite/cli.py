@@ -284,7 +284,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
     if args.n_max is not None:
         given["n_values"] = tuple(range(args.n_max + 1))
     grid = IdentityGrid(**given)
-    # validate grid parameters up front so bad values exit 2, not 1
+    # every (q, alpha) up front: a bad one exits 2 before any block runs
     for qs in grid.q_values:
         for al in grid.alpha_values:
             QParams(mpf(qs), mpf(al))

@@ -11,12 +11,13 @@ degrades to the absolute one there).
 Checks escalate their internal working precision before summing: the
 connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
-digits.  run_identity_suite computes only the requested ids, and opens one
-shared-value scope (qcore.shared_scope) per (q, alpha) block of its grid:
-in it each finite table, recurrence-coefficient table, polynomial form's
-row of (n, q, alpha), series factor row, real power, infinite product,
-working-digit count and parity half-sum is computed once per backend,
-operands and precision, across the block's (x, y) cells.  Each cell builds
+digits.  run_identity_suite computes only the requested ids, and runs
+each (q, alpha) block of its grid with the block set in _BLOCK and one
+shared-value scope (qcore.shared_scope) open: in it each finite table,
+recurrence-coefficient table, polynomial form's row of (n, q, alpha),
+series factor row, real power, infinite product, working-digit count and
+parity half-sum is computed once per backend, operands and precision,
+across the block's (x, y) cells.  Each cell builds
 one recurrence ladder to its largest n at the digits connection and
 inversion need there; inside a block those two checks run at the ladder's
 digits at every n, so one set of alpha = -1/2, (q^2;q^2) and Hahn tables
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, product
@@ -72,7 +74,6 @@ from .qcore import (
     _gen_q_shifted,
     kept,
     q_pochhammer,
-    scope_declared,
     shared,
     shared_scope,
 )
@@ -188,21 +189,22 @@ def _report(identity_id, params, lhs, rhs, tol, trunc, terms_used=0, note="",
     )
 
 
-# What run_identity_suite declares in the shared scope of one (q, alpha)
-# block: the ids asked for, and the degree and digits of each (x, y) cell's
-# one ladder, which connection and inversion also sum at.
+# The (q, alpha) block that run_identity_suite is running, else None: the
+# ids asked for, and the degree and digits of each (x, y) cell's one ladder,
+# which connection and inversion also sum at.
 _Block = namedtuple("_Block", "ids ladder_n ladder_dps")
+_BLOCK: ContextVar[Optional[_Block]] = ContextVar("_BLOCK", default=None)
 
 
 def _wanted(identity_id: str) -> bool:
     """False only inside a suite block that did not ask for identity_id."""
-    block = scope_declared()
+    block = _BLOCK.get()
     return block is None or identity_id in block.ids
 
 
 def _ladder(n: int, x, y, p: QParams) -> list:
     """h_0..h_n, or the cell's longer ladder inside a suite block."""
-    block = scope_declared()
+    block = _BLOCK.get()
     if block is None:
         return gdqh2_recurrence_ladder(n, x, y, p)
     with mp.workdps(block.ladder_dps):
@@ -212,7 +214,7 @@ def _ladder(n: int, x, y, p: QParams) -> list:
 def _cancel_digits(n: int, q) -> int:
     """The digits of connection and inversion at degree n: the cell's ladder
     digits inside a suite block, so one set of tables serves every n."""
-    block = scope_declared()
+    block = _BLOCK.get()
     if block is None:
         return kept(_work_digits, "cancel", n, q)
     return block.ladder_dps
@@ -619,10 +621,11 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
     ts = _grid_mpf(grid.t_values)
     n_max = max(grid.n_values, default=0)
 
-    for q in qs:
-        for alpha in alphas:
-            p = QParams(q, alpha)
-            with shared_scope(_Block(asked, n_max, _work_digits("cancel", n_max, q))):
+    for q, alpha in product(qs, alphas):
+        p = QParams(q, alpha)
+        block = _BLOCK.set(_Block(asked, n_max, _work_digits("cancel", n_max, q)))
+        try:
+            with shared_scope():
                 for x, y in product(xs, ys):
                     for n in grid.n_values:
                         at = _params(p, n=n, x=x, y=y)
@@ -642,6 +645,8 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                         if x * t > 0:
                             guard(("bessel_even", "bessel_odd"), at,
                                   check_bessel_forms, t, x, y, p, tol, trunc)
+        finally:
+            _BLOCK.reset(block)
     return reports
 
 

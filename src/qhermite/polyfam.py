@@ -45,7 +45,7 @@ and the phi sums, qseries._phi_loop on the rows' operands) each call computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, Optional
@@ -60,6 +60,7 @@ from .qcore import (
     Truncation,
     _Rows,
     _check_degree,
+    _check_q,
     _gen_q_shifted,
     _gen_q_shifted_prefix,
     _odd_lift,
@@ -111,9 +112,13 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
     if rep == "phi11":
         return front * phi((down,), (qa1,), q, step * x, terminate_at=n,
                            trunc=trunc)
-    # q^n q^(alpha+1) = -step exactly: rounding is symmetric in sign
-    return (phi((down, -x), (x - x,), q, -step, terminate_at=n, trunc=trunc,
-                point=True) / q_pochhammer(q, q, n))
+    _check_q(q)
+    # phi's sum, whose one lower parameter, 0, is no pole, with a factor
+    # table `shared`, as -x holds the point; q^n q^(alpha+1) = -step exactly:
+    # rounding is symmetric in sign
+    total = _phi_loop(q, -step, (down, -x), (x - x,),
+                      trunc or _DEFAULT_TRUNCATION, True, n)[0]
+    return arithmetic(q).value(total) / q_pochhammer(q, q, n)
 
 
 def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
@@ -258,14 +263,11 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
 
 @dataclass(frozen=True)
 class RecurrenceState:
-    """Ladder state: degree n together with values at n and n-1, and the
-    coefficient table a step reads with the mp.prec and the (q, alpha),
-    values and types, it serves (None: fetched by the step)."""
+    """Ladder state: degree n together with values at n and n-1."""
 
     n: int
     current: Numeric
     previous: Numeric
-    table: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 def _recurrence_rows(q, lift, prec: int) -> Iterator:
@@ -295,17 +297,16 @@ def _recurrence_table(q, alpha) -> _Rows:
     return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha), mp.prec)
 
 
-def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
-                table=None) -> Iterator:
+def _recurrence(x, y, q, alpha, n: int = 0, current=None,
+                previous=None) -> Iterator:
     """h_n, h_(n+1), ... at one point, from h_n = current and h_(n-1) =
     previous (h_0 = 1 by default), as operands of q's arithmetic: the one
     recurrence kernel.  Each value is rounded at the precision in force when
-    it is pulled, with the rows of that precision's `_recurrence_table`, or
-    the given table's at the first step, and is not divided at odd n, where
-    lead_n is one.  A caller may send back the value it pulled as the
-    operand to carry on: on EXACT, the pair of its `Fraction`, in lowest
-    terms, so the pairs grow as the values do, not by the factors each
-    step leaves."""
+    it is pulled, with the rows of that precision's `_recurrence_table`, and
+    is not divided at odd n, where lead_n is one.  A caller may send back
+    the value it pulled as the operand to carry on: on EXACT, the pair of
+    its `Fraction`, in lowest terms, so the pairs grow as the values do, not
+    by the factors each step leaves."""
     ar = arithmetic(q)
     mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
     x, y = ar.raw(x), ar.raw(y)
@@ -313,7 +314,7 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
         current, previous = ar.one, ar.zero
     else:
         current, previous = ar.raw(current), ar.raw(previous)
-    prec = None if table is None else mp.prec
+    prec = None
     while True:
         sent = yield current
         if sent is not None:
@@ -333,22 +334,13 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None, previous=None,
 def gdqh2_recurrence_step(state: RecurrenceState, x, y, params: QParams) -> RecurrenceState:
     """One step of the three-term recurrence, n -> n+1: the kernel started
     at the state's (n, current, previous), with x, y, params and the
-    state's values on one backend (`unify`).
-
-    The coefficients come from the state's table when it serves this
-    mp.prec and this (q, alpha) on this backend, else from the one of this
-    (q, alpha) and mp.prec; the returned state carries that table on, so
-    the next step at the same operands finds it by identity."""
+    state's values on one backend (`unify`)."""
     x, y, q, alpha, current, previous = unify(
         x, y, params.q, params.alpha, state.current, state.previous)
-    # keyed on the types too: Fraction(1, 2) == mpf(0.5)
-    key, table = (mp.prec, q, alpha, type(q), type(alpha)), state.table
-    if table is None or table[0] != key:
-        table = key, kept(_recurrence_table, q, alpha)
-    values = _recurrence(x, y, q, alpha, state.n, current, previous, table[1])
+    values = _recurrence(x, y, q, alpha, state.n, current, previous)
     next(values)
     return RecurrenceState(state.n + 1, arithmetic(q).value(next(values)),
-                           state.current, table)
+                           state.current)
 
 
 def gdqh2_recurrence_values(x, y, params: QParams) -> Iterator:

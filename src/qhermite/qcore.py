@@ -136,8 +136,8 @@ class Truncation:
 
 _DEFAULT_TRUNCATION = Truncation()  # shared: a Truncation holds no call state
 
-# The open shared-value scope, else None: (what its opener declared, memo,
-# call-local), where a call-local scope keeps its kept values in its memo.
+# The open shared-value scope, else None: (memo, call-local), where a
+# call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
 # A (q, alpha) block of DEFAULT_GRID keeps about 220 values: the cap holds
 # the three blocks of an identity_sweep seed and more, and a larger one
@@ -156,20 +156,19 @@ _kept = lru_cache(maxsize=_KEPT_CAP, typed=True)(_value)
 
 
 @contextmanager
-def _scope(declared, local: bool):
+def _scope(local: bool):
     """Open a scope with a fresh memo; see `shared_scope` and `_call_local`."""
-    token = _SCOPE.set((declared, lru_cache(maxsize=None, typed=True)(_value),
-                        local))
+    token = _SCOPE.set((lru_cache(maxsize=None, typed=True)(_value), local))
     try:
         yield
     finally:
         _SCOPE.reset(token)
 
 
-def shared_scope(declared=None):
+def shared_scope():
     """A block inside which `shared` and `kept` compute each value once;
     the memo of `shared` is gone after the block, raised or not."""
-    return _scope(declared, False)
+    return _scope(False)
 
 
 def _call_local(check):
@@ -179,21 +178,15 @@ def _call_local(check):
     def run(*args, **kwargs):
         if _SCOPE.get() is not None:
             return check(*args, **kwargs)
-        with _scope(None, True):
+        with _scope(True):
             return check(*args, **kwargs)
     return run
-
-
-def scope_declared():
-    """What the opener of the innermost open scope declared; None outside one."""
-    scope = _SCOPE.get()
-    return None if scope is None else scope[0]
 
 
 def shared(f, *args):
     """f(*args) for a value that holds a point, by the module's rule."""
     scope = _SCOPE.get()
-    return f(*args) if scope is None else scope[1](f, mp.prec, *args)
+    return f(*args) if scope is None else scope[0](f, mp.prec, *args)
 
 
 def kept(f, *args):
@@ -201,7 +194,7 @@ def kept(f, *args):
     scope = _SCOPE.get()
     if scope is None:
         return f(*args)
-    return (scope[1] if scope[2] else _kept)(f, mp.prec, *args)
+    return (scope[0] if scope[1] else _kept)(f, mp.prec, *args)
 
 
 class _Rows(list):

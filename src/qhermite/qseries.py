@@ -23,10 +23,11 @@ on Fractions and compensated on raw libmp values, where an addition
 rounds; a non-terminating one on ints scaled by 2^wp (scalars.fixed),
 rounded to mp.prec once.  It reads the factors of each term ratio that
 hold no z from one table per (q, upper, lower), precision and arithmetic,
-a value qcore.kept serves, or qcore.shared when a parameter holds a point
-(PhiSpec.point).  A non-terminating sum stops at the tail tolerance of its
-Truncation, taken at the precision the sum runs at.  The real powers of
-(q, alpha) of the parity halves and the Bessel forms are one kept row.
+a value qcore.kept serves, or qcore.shared when the loop's caller says
+that a parameter holds a point.  A non-terminating sum stops at the tail
+tolerance of its Truncation, taken at the precision the sum runs at.  The
+real powers of (q, alpha) of the parity halves and the Bessel forms are
+one kept row.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ class PhiSpec:
     terminate_at, when given, asserts that the summand vanishes for
     k > terminate_at (callers that build q^(-n) upper parameters know this
     index exactly and should pass it; else only an upper parameter equal to
-    qpow(q, -m) at the working precision terminates the series).  point
-    says that a parameter holds a point (x, y, omega or t), so the factor
-    table of the float sum is not kept past a shared scope.
+    qpow(q, -m) at the working precision terminates the series).
     """
 
     upper: tuple
@@ -88,7 +87,6 @@ class PhiSpec:
     q: Numeric
     z: Numeric
     terminate_at: Optional[int] = None
-    point: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(self.upper))
@@ -148,8 +146,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     if n_term is not None:
-        total, _, used, _ = _phi_loop(q, z, upper, lower, tr, spec.point,
-                                      n_term)
+        total, _, used, _ = _phi_loop(q, z, upper, lower, tr, False, n_term)
         return SeriesValue(arithmetic(q).value(total), used, q - q)
     if is_exact(q):
         # exact backend only makes sense for terminating sums
@@ -166,7 +163,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
         )
     (total, _, used, tail), wp = fixed_sum(
-        lambda wp: _phi_loop(q, z, upper, lower, tr, spec.point, wp=wp),
+        lambda wp: _phi_loop(q, z, upper, lower, tr, False, wp=wp),
         tr.effective_tail_tol(), tr.max_terms)
     ar = fixed(wp)
     return SeriesValue(ar.value(total), used, ar.value(tail + 1))
@@ -275,11 +272,10 @@ def _phi_factor_rows(q, upper, lower, prec: int, wp):
         qk = mul(qk, q, prec, rnd)
 
 
-def phi(upper, lower, q, z, terminate_at=None, trunc=None, point=False):
+def phi(upper, lower, q, z, terminate_at=None, trunc=None):
     """Convenience wrapper: the value of phi_rs."""
     return phi_rs(
-        PhiSpec(tuple(upper), tuple(lower), q, z, terminate_at=terminate_at,
-                point=point),
+        PhiSpec(tuple(upper), tuple(lower), q, z, terminate_at=terminate_at),
         trunc=trunc,
     ).value
 

@@ -250,11 +250,9 @@ def binom2(k: int) -> int:
 
 
 class CompensatedSum:
-    """Kahan-style compensated accumulator.
-
-    Works for both backends; for exact scalars the compensation term is
-    identically zero, for mpf it absorbs the rounding of each addition.
-    """
+    """Kahan-style compensated accumulator, for both backends: for exact
+    scalars the compensation term is identically zero.  No kernel sums with
+    it; it stays for the tests and the bench tracer until ROADMAP item 7."""
 
     __slots__ = ("total", "_c")
 

@@ -485,6 +485,26 @@ def test_kept_values_print_what_cold_ones_do(capsys, monkeypatch):
     assert all(code == 0 for code, _ in cold)
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "all", "--q", "0.5", "--alpha", "1.5"),
+    ("--format", "json", "check", "all", "--q", "0.5", "--alpha", "1.5"),
+    ("check", "all", "--q", "0.68", "--alpha", "0.37"),
+    ("--format", "json", "check", "all", "--q", "0.68", "--alpha", "0.37"),
+    ("orthogonality", "--n", "4", "--q", "0.22", "--alpha", "1.3"),
+])
+def test_a_warm_rerun_prints_the_cold_runs_bytes(capsys, argv):
+    # a second run in one process reads the tables, powers, products and
+    # series factor rows the first one kept, and prints the cold run's
+    # bytes; at alpha = 0.37 (2 alpha not an integer) the recurrence and the
+    # generalized factorial read the one kept q^(2 alpha + 1)
+    qcore._kept.cache_clear()
+    cold = run(capsys, "--no-timestamp", *argv)
+    hits = qcore._kept.cache_info().hits
+    assert run(capsys, "--no-timestamp", *argv) == cold
+    assert qcore._kept.cache_info().hits > hits
+    assert cold[0] == 0 and cold[1]
+
+
 @pytest.mark.parametrize("timestamp", [False, True])
 def test_json_rows_are_the_bytes_json_dump_writes(monkeypatch, timestamp):
     # the rows are written as one string; it is json.dump's indent=2,

@@ -1,6 +1,7 @@
 """Connection, inversion, generating functions, Bessel forms, limit trends."""
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
@@ -33,7 +34,8 @@ from qhermite.identities import (
 from qhermite.polyfam import (RecurrenceState, gdqh2, gdqh2_recurrence_ladder,
                               gdqh2_recurrence_step)
 from qhermite.qcore import QParams, Truncation, q_pochhammer, shared_scope
-from qhermite.qseries import euler_e, gen_E
+from qhermite.qseries import (euler_e, gen_E, q_bessel2, q_cos_alpha,
+                              q_sin_alpha)
 from qhermite.quadrature import orthogonality_gram
 from qhermite.scalars import binom2, fixed_bits, fmt_scalar, to_mpf
 
@@ -687,7 +689,7 @@ def test_direct_checks_build_each_table_once_and_keep_nothing(monkeypatch):
         direct.append(check(*args))
         assert builds and set(builds.values()) == {1}, check.__name__
     assert qcore._kept.cache_info().currsize == size
-    assert qcore.scope_declared() is None
+    assert qcore._SCOPE.get() is None
     with shared_scope():
         scoped = [check(*args) for check, args in calls]
 
@@ -697,6 +699,42 @@ def test_direct_checks_build_each_table_once_and_keep_nothing(monkeypatch):
 
     assert [bits(r) for r in direct] == [bits(r) for r in scoped]
     assert direct == scoped
+
+
+@pytest.mark.parametrize("q, alpha, exact", [
+    ("0.5", "1.5", False), ("0.68", "0.37", False), ("0.625", "0.375", True)])
+def test_direct_calls_give_the_bits_of_a_shared_scope(q, alpha, exact):
+    # the four polynomial checks at n = 60, each in a call-local scope of
+    # its own, the three generating-function checks and the q-functions,
+    # whose sums build their factor tables for themselves outside a scope,
+    # give the bits they give inside one.  At 0.625 0.375 a Fraction
+    # (q, alpha), which each call takes as floats at its working digits,
+    # gives the mpf pass's bits: a dyadic value is one mpf at any digits
+    x, y, omega, t = mpf("0.9"), mpf("0.5"), mpf("0.3"), mpf("0.2")
+
+    def bits(num, scoped):
+        p = QParams(num(q), num(alpha))
+        qcore._kept.cache_clear()
+        with shared_scope() if scoped else nullcontext():
+            reports = [*check_representations(60, p, x, y),
+                       check_recurrence(60, p, x, y),
+                       check_inversion(60, p, x, y),
+                       check_connection(60, p, x, y, omega),
+                       check_generating_function(t, x, y, p),
+                       *check_even_odd_gf(t, x, y, p),
+                       *check_bessel_forms(t, x, y, p)]
+            values = [euler_e(omega, p.q), gen_E(x, p), q_cos_alpha(x, p),
+                      q_sin_alpha(x, p), q_bessel2(p.alpha, x, p.q),
+                      polyfam.q_laguerre(4, p.alpha, x, p.q, rep="phi21")]
+        return ([(r.identity_id, r.lhs._mpf_, r.rhs._mpf_,
+                  r.rel_residual._mpf_, r.terms_used) for r in reports],
+                [v._mpf_ for v in values])
+
+    direct = bits(mpf, False)
+    assert len(direct[0]) == 10
+    assert bits(mpf, True) == direct
+    if exact:
+        assert bits(F, False) == direct
 
 
 def test_suite_block_builds_each_form_row_once(monkeypatch):
@@ -752,7 +790,8 @@ def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
 
 def test_suite_leaves_no_scope_open(monkeypatch):
     grid = replace(CELL, n_values=(0, 1))
-    assert run_identity_suite(grid) and qcore.scope_declared() is None
+    assert run_identity_suite(grid)
+    assert qcore._SCOPE.get() is None and identities._BLOCK.get() is None
 
     def broken(*args):
         raise RuntimeError("not a check error")
@@ -760,7 +799,7 @@ def test_suite_leaves_no_scope_open(monkeypatch):
     monkeypatch.setattr(identities, "check_inversion", broken)
     with pytest.raises(RuntimeError):
         run_identity_suite(grid)
-    assert qcore.scope_declared() is None
+    assert qcore._SCOPE.get() is None and identities._BLOCK.get() is None
     built = []
     qcore.shared(built.append, 1)
     qcore.shared(built.append, 1)

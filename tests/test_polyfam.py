@@ -57,6 +57,13 @@ def test_q_laguerre_degree_one_by_hand():
     assert q_laguerre(1, alpha, x, q, rep="phi21") == want
 
 
+@pytest.mark.parametrize("rep", ["phi11", "phi21"])
+@pytest.mark.parametrize("q", ["1.5", "-0.5"])
+def test_q_laguerre_rejects_q_outside_the_unit_interval(q, rep):
+    with pytest.raises(DomainError, match="q out of range"):
+        q_laguerre(2, mpf(0), mpf("0.7"), mpf(q), rep=rep)
+
+
 @given(q=qs, alpha=alphas, x=st.floats(min_value=0.0, max_value=3.0),
        n=st.integers(min_value=0, max_value=8))
 @settings(max_examples=30, deadline=None)
@@ -293,8 +300,7 @@ def test_recurrence_step_by_step():
     (F(1, 3), F(1), F(-5, 4), F(2, 7)),
 ])
 def test_step_from_a_state_without_powers(q, alpha, x, y):
-    # a hand-built mid-ladder state carries no coefficient table; the step
-    # fetches one itself and lands on the stream's value
+    # from a hand-built mid-ladder state the step lands on the stream's value
     p = QParams(q, alpha)
     h = gdqh2_recurrence_ladder(6, x, y, p)
     state = gdqh2_recurrence_step(RecurrenceState(5, h[5], h[4]), x, y, p)
@@ -303,9 +309,9 @@ def test_step_from_a_state_without_powers(q, alpha, x, y):
 
 
 def test_step_reads_the_table_of_its_own_params():
-    # a state stepped at one (q, alpha) carries that table on; a step at
-    # another (q, alpha), or at equal values on the other backend, reads its
-    # own coefficients, not the carried ones
+    # a state stepped at one (q, alpha), then stepped at another (q, alpha)
+    # or at equal values on the other backend, reads the coefficients of the
+    # params it is stepped at: it lands where a fresh state at them does
     with mp.workdps(30):
         x, y = mpf("0.7"), mpf("0.9")
         first, other = QParams(mpf("0.5"), mpf(0)), QParams(mpf("0.3"), mpf("1.2"))

@@ -34,7 +34,6 @@ from qhermite.qcore import (
     kept,
     parity_indicator,
     q_pochhammer,
-    scope_declared,
     shared,
     shared_scope,
 )
@@ -485,22 +484,22 @@ def test_exact_and_float_operands_never_share_an_entry():
 
 def test_scope_is_per_precision_and_closes():
     builds = []
-    with shared_scope("declared"):
-        assert scope_declared() == "declared"
+    with shared_scope():
+        assert qcore._SCOPE.get() is not None
         for dps in (50, 120, 50):
             with mp.workdps(dps):
                 shared(builds.append, mp.prec)
                 prefix = _gen_q_shifted_prefix(6, mpf("0.3"), mpf("0.2"))
                 assert list(map(mp.make_mpf, prefix)) == reference_products(
                     1, mpf("0.3"), mpf("0.3"), 6, _lift(mpf("0.3"), mpf("0.2")))
-    assert len(builds) == 2 and scope_declared() is None
+    assert len(builds) == 2 and qcore._SCOPE.get() is None
     shared(builds.append, 1)
     shared(builds.append, 1)
     assert len(builds) == 4
     with pytest.raises(DomainError):
         with shared_scope():
             q_pochhammer(mpf(1), mpf("0.5"), -1)
-    assert scope_declared() is None
+    assert qcore._SCOPE.get() is None
 
 
 def test_unify_keeps_objects_and_backends():

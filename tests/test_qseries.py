@@ -600,6 +600,26 @@ def test_phi21_tables_end_with_their_scope(monkeypatch):
     assert values() == direct
 
 
+def test_phi21_keeps_no_factor_table_that_holds_x(monkeypatch):
+    # in a scope, q_laguerre's phi21 form keeps its row of (n, alpha, q) but
+    # no factor table of its sum, whose upper parameter -x holds the point
+    reached = []
+    kept = qcore._kept
+    monkeypatch.setattr(qcore, "_kept",
+                        lambda f, prec, *args: reached.append((f, args))
+                        or kept(f, prec, *args))
+    q, alpha = mpf("0.3"), mpf("1.2")
+    xs = [mpf("0.8"), mpf("-1.5")]
+    with shared_scope():
+        for x in xs:
+            q_laguerre(3, alpha, x, q, rep="phi21")
+    assert "_q_laguerre_row" in {f.__name__ for f, _ in reached}
+    held = {(-x)._mpf_ for x in xs}
+    assert not [(f.__name__, args) for f, args in reached
+                if f is qseries._phi_factors
+                and any(getattr(a, "_mpf_", None) in held for a in args[1])]
+
+
 def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():
     # a lower parameter q^-m, found exactly or met by the running q^k, is
     # the same PoleError at the same k in a scope, cold and warm, as outside
