@@ -23,7 +23,6 @@ from .qcore import (
     Truncation,
     gen_q_shifted_factorial,
     hahn_add_power,
-    parity_indicator,
     q_pochhammer,
 )
 from .qseries import (

@@ -283,12 +283,7 @@ def cmd_check(args, cfg: RunConfig) -> int:
              if getattr(args, name)}
     if args.n_max is not None:
         given["n_values"] = tuple(range(args.n_max + 1))
-    grid = IdentityGrid(**given)
-    # every (q, alpha) up front: a bad one exits 2 before any block runs
-    for qs in grid.q_values:
-        for al in grid.alpha_values:
-            QParams(mpf(qs), mpf(al))
-    reports = run_identity_suite(grid, tol=cfg.rel_tol,
+    reports = run_identity_suite(IdentityGrid(**given), tol=cfg.rel_tol,
                                  trunc=_truncation(cfg),
                                  identity_id=args.identity)
     if not reports:

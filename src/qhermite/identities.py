@@ -589,8 +589,9 @@ def _grid_mpf(values):
 def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                        trunc: Optional[Truncation] = None,
                        identity_id: str = "all"):
-    """Run the selected identity family (or all of them) over the grid.
-    A check that raises becomes one error report, with its parameters, per
+    """Run the selected identity family (or all of them) over the grid,
+    whose every (q, alpha) is validated before any check runs.  A check
+    that raises becomes one error report, with its parameters, per
     requested id it stands for, instead of raising."""
     if identity_id not in ("all",) + IDENTITY_IDS:
         raise DomainError(
@@ -613,17 +614,16 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 
-    qs = _grid_mpf(grid.q_values)
-    alphas = _grid_mpf(grid.alpha_values)
+    blocks = [QParams(q, alpha) for q, alpha in product(
+        _grid_mpf(grid.q_values), _grid_mpf(grid.alpha_values))]
     xs = _grid_mpf(grid.x_values)
     ys = _grid_mpf(grid.y_values)
     omegas = _grid_mpf(grid.omega_values)
     ts = _grid_mpf(grid.t_values)
     n_max = max(grid.n_values, default=0)
 
-    for q, alpha in product(qs, alphas):
-        p = QParams(q, alpha)
-        block = _BLOCK.set(_Block(asked, n_max, _work_digits("cancel", n_max, q)))
+    for p in blocks:
+        block = _BLOCK.set(_Block(asked, n_max, _work_digits("cancel", n_max, p.q)))
         try:
             with shared_scope():
                 for x, y in product(xs, ys):

@@ -108,11 +108,11 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
     if rep not in ("phi11", "phi21"):
         raise DomainError("rep must be 'phi11' or 'phi21': got %r" % rep)
     alpha, x, q = unify(alpha, x, q)
+    _check_q(q)
     down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
     if rep == "phi11":
         return front * phi((down,), (qa1,), q, step * x, terminate_at=n,
                            trunc=trunc)
-    _check_q(q)
     # phi's sum, whose one lower parameter, 0, is no pole, with a factor
     # table `shared`, as -x holds the point; q^n q^(alpha+1) = -step exactly:
     # rounding is symmetric in sign
@@ -126,6 +126,7 @@ def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
     S_n(x; q) = 1/(q;q)_n * 1-phi-1(q^-n; 0; q, -q^(n+1) x)."""
     _check_degree(n)
     x, q = unify(x, q)
+    _check_q(q)
     series = phi(
         (qpow(q, -n),),
         (x - x,),

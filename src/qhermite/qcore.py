@@ -53,7 +53,6 @@ __all__ = [
     "QParams",
     "Truncation",
     "q_pochhammer",
-    "parity_indicator",
     "gen_q_shifted_factorial",
     "hahn_add_power",
 ]
@@ -281,16 +280,11 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
 
     (a;q)_0 = 1, (a;q)_n = prod_{k=0}^{n-1} (1 - a q^k), and n=None gives
     (a;q)_infinity to within trunc's tail tolerance times its size
-    (`_infinite_product`).  `a` may be a tuple, meaning the
-    product of the individual shifted factorials (a1, ..., am; q)_n.
+    (`_infinite_product`).  a is one scalar: mpf would read a pair as
+    (mantissa, exponent), so a tuple raises.
     """
     if isinstance(a, tuple):
-        out = None
-        for ai in a:
-            term = q_pochhammer(ai, q, n, trunc=trunc)
-            out = term if out is None else out * term
-        return out if out is not None else 1
-
+        raise DomainError("a must be a scalar: got %r" % (a,))
     if n is None:
         _check_q(q)
         if is_exact(a) and is_exact(q):
@@ -298,16 +292,7 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
                 "(a;q)_infinity is an infinite product; use mpf operands"
             )
         return kept(_infinite_product, a, q, trunc)
-
-    if not isinstance(n, int):
-        raise DomainError("n must be a nonnegative integer or None: got %r" % (n,))
     return _product(1, a, q, n)
-
-
-def parity_indicator(n: int) -> int:
-    """1 for even n, 0 for odd n."""
-    _check_degree(n, "n")
-    return 1 - (n & 1)
 
 
 def _products(c, a, q, n: int, lift=1, point=False) -> list:

@@ -59,7 +59,7 @@ from .identities import _params, _report, _tolerance, _work_digits
 # benchmark's tracer, which wraps it at every module that binds it
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder  # noqa: F401
 from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
-                    kept, q_pochhammer, shared_scope)
+                    q_pochhammer, shared_scope)
 from .scalars import GUARD_BITS, qpow, to_mpf
 
 __all__ = [
@@ -84,9 +84,9 @@ def _rhs_by_degree(p: QParams, trunc: Optional[Truncation]):
     q2 = q * q
     neg_q = q_pochhammer(-q, q2, None, trunc=trunc)
     num = neg_q * neg_q * q_pochhammer(q2, q2, None, trunc=trunc)
-    den = q_pochhammer(
-        (-qpow(q, -2 * alpha - 1), -qpow(q, 2 * alpha + 3), qpow(q, 2 * alpha + 2)),
-        q2, None, trunc=trunc)
+    den = (q_pochhammer(-qpow(q, -2 * alpha - 1), q2, None, trunc=trunc)
+           * q_pochhammer(-qpow(q, 2 * alpha + 3), q2, None, trunc=trunc)
+           * q_pochhammer(qpow(q, 2 * alpha + 2), q2, None, trunc=trunc))
 
     def rhs(n: int):
         pn = q_pochhammer(q, q, n)
@@ -111,11 +111,11 @@ def orthogonality_rhs(n: int, p: QParams, trunc: Optional[Truncation] = None):
 
 def _coefficients(n: int, p: QParams) -> list:
     """[A_0, ..., A_{n//2}] with h_n(x) = sum_k A_k x^(n-2k), from the
-    definition sum's terms at y = 1."""
+    definition sum's terms at y = 1, each a pair (man, exp) of `_plus`."""
     q, prec, rnd = p.q, mp.prec, round_nearest
     front = q_pochhammer(q, q, n)._mpf_
-    return [mp.make_mpf(mpf_div(mpf_mul(front, sign, prec, rnd), den, prec, rnd))
-            for _, sign, den in kept(_gdqh2_terms, n, q, p.alpha)]
+    return [_dyadic(mpf_div(mpf_mul(front, sign, prec, rnd), den, prec, rnd))
+            for _, sign, den in _gdqh2_terms(n, q, p.alpha)]
 
 
 def _plus(a: tuple, b: tuple) -> tuple:
@@ -284,8 +284,7 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
     top = max(degrees)  # N
     with mp.workprec(prec + GUARD_BITS):
         wp = mp.prec
-        exact = [[_dyadic(a._mpf_) for a in _coefficients(n, p)]
-                 for n in range(top + 1)]
+        exact = [_coefficients(n, p) for n in range(top + 1)]
         even = {}  # per pair e_l, 2 h_n h_m(x) = sum_l e_l x^(2l), exactly
         for n, m in {*pairs, *((n, n) for n in degrees)}:
             half = (n + m) // 2

@@ -604,6 +604,18 @@ def test_suite_single_identity_filter():
         run_identity_suite(grid, identity_id="no_such_identity")
 
 
+def test_suite_rejects_a_bad_q_before_any_check(monkeypatch):
+    # every (q, alpha) is checked before the first block: q = 0.5's block
+    # does not run ahead of q = 1.5's DomainError
+    calls = []
+    check = identities.check_representations
+    monkeypatch.setattr(identities, "check_representations",
+                        lambda *args: calls.append(args) or check(*args))
+    with pytest.raises(DomainError, match=r"q out of range \(0,1\)"):
+        run_identity_suite(IdentityGrid(q_values=("0.5", "1.5")))
+    assert calls == []
+
+
 # one (q, alpha, x, y) cell of DEFAULT_GRID, x > 0 so every id has rows
 CELL = replace(DEFAULT_GRID, **{f: getattr(DEFAULT_GRID, f)[-1:] for f in (
     "q_values", "alpha_values", "x_values", "y_values")})

@@ -64,6 +64,19 @@ def test_q_laguerre_rejects_q_outside_the_unit_interval(q, rep):
         q_laguerre(2, mpf(0), mpf("0.7"), mpf(q), rep=rep)
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_q_families_check_q_before_their_rows(q):
+    # at q = 0 or 1 the rows divide by q^n or (q;q)_n = 0: the q check
+    # comes first, for both q_laguerre forms and the families built on them
+    q, x = mpf(q), mpf("0.7")
+    for call in (lambda: q_laguerre(2, mpf("0.5"), x, q),
+                 lambda: q_laguerre(2, mpf("0.5"), x, q, rep="phi21"),
+                 lambda: mu_hermite(3, mpf("0.5"), x, q),
+                 lambda: stieltjes_wigert(2, x, q)):
+        with pytest.raises(DomainError, match=r"q out of range \(0,1\)"):
+            call()
+
+
 @given(q=qs, alpha=alphas, x=st.floats(min_value=0.0, max_value=3.0),
        n=st.integers(min_value=0, max_value=8))
 @settings(max_examples=30, deadline=None)
@@ -121,6 +134,26 @@ def test_gdqh2_reps_agree_exactly_on_rationals():
             assert isinstance(a, F)
             if alpha.denominator == 1:
                 assert gdqh2(n, F(3, 2), F(2, 3), p, rep="laguerre_form") == a
+
+
+@pytest.mark.parametrize("q, alpha, reps", [
+    (F(2, 3), F(1), ("phi_form", "laguerre_form")),
+    (F(3, 5), F(1, 2), ("phi_form",)),  # exact Laguerre needs an integer alpha
+])
+def test_forms_agree_exactly_on_a_product_grid(q, alpha, reps):
+    # each form and the recurrence is a polynomial of degree n in x and
+    # n//2 in y; agreeing on n+1 x's times n//2+1 y's, they are one
+    # polynomial (Alon's Combinatorial Nullstellensatz, 1999): each identity
+    # holds at this (q, alpha) for n <= 12
+    p = QParams(q, alpha)
+    for n in range(13):
+        for x, y in product((F(i, 7) for i in range(1, n + 2)),
+                            (F(j, 5) for j in range(1, n // 2 + 2))):
+            want = gdqh2(n, x, y, p)
+            assert type(want) is F
+            assert gdqh2_recurrence_ladder(n, x, y, p)[n] == want, (n, x, y)
+            for rep in reps:
+                assert gdqh2(n, x, y, p, rep=rep) == want, (rep, n, x, y)
 
 
 def test_gdqh2_laguerre_form_exact_needs_integer_alpha():

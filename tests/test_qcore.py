@@ -32,7 +32,6 @@ from qhermite.qcore import (
     gen_q_shifted_factorial,
     hahn_add_power,
     kept,
-    parity_indicator,
     q_pochhammer,
     shared,
     shared_scope,
@@ -127,10 +126,14 @@ def test_pochhammer_exact_small():
     assert q_pochhammer(F(1, 2), F(1, 2), 0) == 1
 
 
-def test_pochhammer_tuple_is_product():
+def test_pochhammer_takes_one_scalar_a_and_an_int_n():
+    # mpf reads an int pair as (mantissa, exponent): (3, 1) would be 6
     q = mpf("0.4")
-    single = q_pochhammer(mpf("0.3"), q, 5) * q_pochhammer(mpf("-0.7"), q, 5)
-    assert abs(q_pochhammer((mpf("0.3"), mpf("-0.7")), q, 5) - single) < mpf("1e-48")
+    for n in (5, None):
+        with pytest.raises(DomainError, match=r"^a must be a scalar: got \(3, 1\)$"):
+            q_pochhammer((3, 1), q, n)
+    with pytest.raises(DomainError, match=r"^n must be an int: got 2\.0$"):
+        q_pochhammer(mpf("0.3"), q, 2.0)
 
 
 def test_pochhammer_infinite_vs_partial_product():
@@ -308,10 +311,6 @@ def test_pochhammer_recursion_property(a, q, n):
     assert abs(lhs - rhs) <= mpf("1e-40") * max(1, abs(lhs))
 
 
-def test_parity_indicator():
-    assert [parity_indicator(n) for n in range(6)] == [1, 0, 1, 0, 1, 0]
-
-
 def test_gen_q_shifted_factorial_frozen():
     p = QParams(F(1, 2), F(0))
     # n=1: 1 - q^(2a+2) = 3/4; n=2: (3/4)(1 - q^2) = 9/16
@@ -384,7 +383,6 @@ def test_negative_n_rejected():
     # with 2 alpha not an integer, gen_q_shifted_factorial checks n before
     # its prefix takes q^(2 alpha + 1), which the exact backend rejects
     for call in (lambda: q_pochhammer(mpf(1), mpf("0.5"), -1),
-                 lambda: parity_indicator(-1),
                  lambda: gen_q_shifted_factorial(-1, QParams(F(1, 2), F(1, 3)))):
         with pytest.raises(DomainError, match=r"^n must be >= 0: got -1$"):
             call()

@@ -449,7 +449,8 @@ def test_exact_sum_with_a_negative_bracket_power_stays_exact():
     # the sum a float
     q, a, z = F(17, 25), (F(17, 25) ** -5, F(3, 10)), F(1, 5)
     got = phi_rs(PhiSpec(a, (), q, z, terminate_at=5))
-    want = sum(q_pochhammer(a, q, k) / q_pochhammer(q, q, k) * z ** k
+    want = sum(q_pochhammer(a[0], q, k) * q_pochhammer(a[1], q, k)
+               / q_pochhammer(q, q, k) * z ** k
                / ((-1) ** k * q ** (k * (k - 1) // 2)) for k in range(6))
     assert type(got.value) is F and got.value == want
 

@@ -75,7 +75,8 @@ def test_small_x_tail_matches_brute_force():
         brute = mp.fsum(2 * m for m in mass)
         got = _value(tail(_dyadics([mpf(2)]), floor._mpf_))
         assert abs(got - brute) <= mpf(10) ** (1 - mp.dps) * brute
-        a0, a1 = quadrature._coefficients(2, p)  # h_2(x) = a0 x^2 + a1
+        # h_2(x) = a0 x^2 + a1
+        a0, a1 = map(_value, quadrature._coefficients(2, p))
         brute = mp.fsum(2 * gdqh2(2, qpow(q, k), mpf(1), p,
                                   rep="definition_sum") ** 2 * m
                         for k, m in zip(ks, mass))
@@ -138,7 +139,7 @@ def test_pair_sums_are_their_exact_terms_rounded_once(q, alpha, monkeypatch):
     with mp.workdps(quadrature._work_digits("sweep")):
         prec = mp.prec
         with mp.workprec(prec + GUARD_BITS):
-            coef = [[_fraction(a._mpf_) for a in quadrature._coefficients(n, p)]
+            coef = [[_fraction(a) for a in quadrature._coefficients(n, p)]
                     for n in range(4)]
         moments = [sum(_fraction(m._mpf_) * _fraction(x._mpf_) ** (2 * l)
                        for x, m in visited) for l in range(4)]
@@ -478,6 +479,16 @@ def test_sweep_builds_no_recurrence_ladder(monkeypatch):
     assert len(reports) == 10 and all(r.passed for r in reports)
 
 
+def test_sweep_keeps_no_terms_row(monkeypatch):
+    # the sweep reads the definition sum's terms at its own precision plus
+    # guard bits, which nothing else reads: none goes to the kept memo
+    memo, kept = [], qcore._kept
+    monkeypatch.setattr(qcore, "_kept", lambda f, prec, *args:
+                        memo.append(f) or kept(f, prec, *args))
+    orthogonality_gram(4, QParams(mpf("0.22"), mpf("1.3")))
+    assert memo and polyfam._gdqh2_terms not in memo
+
+
 def test_odd_pairs_alone_walk_no_lattice(monkeypatch):
     # E = 0 exactly at every point: no weight, no walk, lhs = 0, no terms
     def refuse(*args):
@@ -540,7 +551,7 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
 
 def test_public_rhs_keeps_its_products(monkeypatch):
     # one degree at a time, the public constant reads the five products
-    # (one tuple of three and two more) its first call kept
+    # (the denominator's three and two more) its first call kept
     calls = []
     product = qcore._infinite_product
     monkeypatch.setattr(qcore, "_infinite_product",

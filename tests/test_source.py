@@ -1,0 +1,37 @@
+"""The package's own source: checks on the code, not on what it computes."""
+
+import ast
+from pathlib import Path
+
+import qhermite
+
+SOURCE = Path(qhermite.__file__).parent
+
+
+def _unused_imports(path: Path) -> list:
+    """The names that path's module-level imports bind and its code never
+    reads, save `from __future__` and lines marked `# noqa: F401`."""
+    text = path.read_text()
+    lines, tree = text.splitlines(), ast.parse(text)
+    bound = {}
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_every_import_is_read():
+    # __init__.py imports only to re-export
+    modules = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = {p.name: names for p in modules if (names := _unused_imports(p))}
+    assert unused == {}
