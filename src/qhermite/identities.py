@@ -319,6 +319,7 @@ def check_inversion(n: int, p: QParams, x, y, tol=None,
     params = _params(p, n=n, x=x, y=y)
     tol = _tolerance(tol)
     with mp.workdps(_cancel_digits(n, p.q)):
+        _check_degree(n)
         x, y, q, alpha = unify(x, y, p.q, p.alpha)
         lhs = qpow(x, n)
         rhs = kept(_gen_q_shifted, n, q, alpha) * _descending_sum(n, x, y, 0, q, p)

@@ -16,9 +16,9 @@ One rule sets the lifetime of every memoized value:
   cache of `_KEPT_CAP` entries, the least recently used dropped first.
 - `shared(f, *args)`, for a value that holds a point (x, y, omega or t):
   computed once and kept until its scope ends.
-- A direct polynomial check runs in a call-local scope (`_call_local`)
-  when none is open: both memoize in its own memo, whose values end with
-  the call and never enter the LRU.
+- A direct polynomial check and the orthogonality sweep run in a
+  call-local scope (`_call_local`) when none is open: both memoize in its
+  own memo, whose values end with the call and never enter the LRU.
 - Outside every scope both just compute.
 
 Where they memoize, f runs once per operands, their types and mp.prec.
@@ -46,8 +46,8 @@ from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_lt, mpf_mul,
                           mpf_shift, mpf_sub, round_nearest, to_fixed)
 
 from .errors import ConvergenceError, DomainError, ExactBackendError
-from .scalars import (GUARD_BITS, Numeric, _ten_power, arithmetic, is_exact,
-                      qpow, to_mpf, unify)
+from .scalars import (GUARD_BITS, Numeric, _ten_power, arithmetic,
+                      fixed_bits, is_exact, qpow, to_mpf, unify)
 
 __all__ = [
     "QParams",
@@ -139,8 +139,8 @@ _DEFAULT_TRUNCATION = Truncation()  # shared: a Truncation holds no call state
 # call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
 # A (q, alpha) block of DEFAULT_GRID keeps about 220 values: the cap holds
-# the three blocks of an identity_sweep seed and more, and a larger one
-# costs the orthogonality sweep, a fresh (q, alpha) per call, peak RSS.
+# the three blocks of an identity_sweep seed and more.  The orthogonality
+# sweep, a fresh (q, alpha) per call, keeps nothing here.
 _KEPT_CAP = 1024
 
 
@@ -233,10 +233,9 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
     stops at the first term of at most half of trunc's tail tolerance, read
     at the caller's precision, so what it drops is below tail_tol times the
     sum.  The product runs on raw libmp values GUARD_BITS above mp.prec; the
-    series on ints scaled by 2^wp, with wp that precision, or the stop
-    limit's, if finer, plus bits for the roundings of its terms.  Their
-    product is rounded to mp.prec once, at the end.  max_terms counts the
-    factors and the series terms together; a non-finite a raises
+    series on ints scaled by 2^wp, wp = fixed_bits(tail_tol / 2, max_terms).
+    Their product is rounded to mp.prec once, at the end.  max_terms counts
+    the factors and the series terms together; a non-finite a raises
     DomainError before the first factor.
     """
     a = to_mpf(value)
@@ -254,10 +253,7 @@ def _infinite_product(value, q, trunc: Optional[Truncation] = None):
         prod = mpf_mul(prod, mpf_sub(fone, a_q, prec, rnd), prec, rnd)
         a_q = mpf_mul(a_q, step, prec, rnd)
         budget -= 1
-    # the guarded precision, or the limit's if finer, plus bits for the
-    # roundings of the terms: each is at most half the last, so there are
-    # fewer than wp of them
-    wp = max(prec, -limit[2] - limit[3]) + prec.bit_length()
+    wp = fixed_bits(mp.make_mpf(limit), tr.max_terms)
     one, step, bound = 1 << wp, to_fixed(step, wp), to_fixed(limit, wp)
     a_q = to_fixed(a_q, wp)
     total = term = power = one  # power = q^(k+1) after its update
@@ -285,8 +281,8 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
     """
     if isinstance(a, tuple):
         raise DomainError("a must be a scalar: got %r" % (a,))
+    _check_q(q)
     if n is None:
-        _check_q(q)
         if is_exact(a) and is_exact(q):
             raise ExactBackendError(
                 "(a;q)_infinity is an infinite product; use mpf operands"

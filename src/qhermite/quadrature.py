@@ -18,8 +18,9 @@ of its exact e_l (from the definition sum's coefficients) with the
 moments, plus its small-x tail, rounded to the working precision once.
 That dot product cancels, so the walk and the coefficients run GUARD_BITS
 above the working precision; w_a(1) stays at it, bit for bit the first
-factor of the constants, which one shared-value scope (qcore.shared_scope)
-takes once.  Odd pairs alone walk no lattice.  mpf exponents do not
+factor of the constants, which the sweep's call-local scope
+(qcore._call_local) takes once: its products, constants and tables end
+with the call.  Odd pairs alone walk no lattice.  mpf exponents do not
 overflow, so a term is non-finite only when m_k is: that raises.
 
 Each end's rest is at most tail_tol sqrt(W_n W_m) per pair, W_n the sum
@@ -58,9 +59,9 @@ from .identities import _params, _report, _tolerance, _work_digits
 # the ladder is bound here, though the sweep reads no recurrence, for the
 # benchmark's tracer, which wraps it at every module that binds it
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder  # noqa: F401
-from .qcore import (QParams, Truncation, _check_degree, gen_q_shifted_factorial,
-                    q_pochhammer, shared_scope)
-from .scalars import GUARD_BITS, qpow, to_mpf
+from .qcore import (QParams, Truncation, _call_local, _check_degree,
+                    gen_q_shifted_factorial, q_pochhammer, shared_scope)
+from .scalars import GUARD_BITS, fixed_bits, qpow, to_mpf
 
 __all__ = [
     "orthogonality_weight",
@@ -145,16 +146,15 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
     M_l = sum_{j >= k} q^(j s_l) w_a(q^j) = U_l sum_i d_i g_(l+i), where
     s_l = 2a+2+2l, U_l = q^(k s_l), d_i = (-c q^(2k))^i / (q^2;q^2)_i and
     g_i = 1/(1 - q^(s_i)).  The closure keeps the moments, summed on ints
-    scaled by 2^wp, with wp the working precision, or tail_tol's if finer,
-    plus GUARD_BITS; U_l is rounded at wp bits.  A call takes the terms
-    with l + i <= I, for the first I >= len(even) - 1 at which the bound on
-    the rest is at most floor: past I the d-series falls by
+    scaled by 2^wp, wp = fixed_bits(tail_tol, 0): the working precision, or
+    tail_tol's if finer, plus GUARD_BITS; U_l is rounded at wp bits.  A call
+    takes the terms with l + i <= I, for the first I >= len(even) - 1 at
+    which the bound on the rest is at most floor: past I the d-series falls by
     r = c q^(2k) / (1-q^2) per term at most and g falls, so the rest is at
     most r/(1-r) g_I sum_l |even[l]| U_l |d_(I-l)|.
     """
     q, alpha = p.q, p.alpha
-    tail_tol = trunc.effective_tail_tol()._mpf_
-    wp = max(mp.prec, -tail_tol[2] - tail_tol[3]) + GUARD_BITS
+    wp = fixed_bits(trunc.effective_tail_tol(), 0)
     one, rnd = 1 << wp, round_nearest
     with mp.workprec(wp):
         u = qpow(q, 2 * k)  # x_k^2
@@ -211,24 +211,23 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
     return tail
 
 
-def _walk(p: QParams, w_one, step: int) -> Iterator:
-    """(k, x_k, m_k) for k = 0, step, 2 step, ...: the lattice point
-    x_k = q^k and its measure factor m_k = q^(k(2a+2)) w_a(x_k), each from
-    the last by the running ratio w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
-    q, alpha = p.q, p.alpha
+def _walk(q, c, lead, w_one, step: int) -> Iterator:
+    """Raw (k, x_k, c x_k^2, m_k) for k = 0, step, 2 step, ... from raw q,
+    c, lead = q^(2a+2) and w_a(1): x_k = q^k, c x_k^2 as c * x_k * x_k, read
+    by the ratio and both stop rules, and m_k = q^(k(2a+2)) w_a(x_k), each
+    from the last by w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
     prec, rnd = mp.prec, round_nearest
-    c = qpow(q, -2 * alpha - 1)._mpf_
-    lead = qpow(q, 2 * alpha + 2)._mpf_
-    k, xk, mk = 0, fone, w_one._mpf_
+    k, mk = 0, w_one
     while True:
-        yield k, mp.make_mpf(xk), mp.make_mpf(mk)
-        x_next = mpf_pow_int(q._mpf_, k + step, prec, rnd)
-        x = xk if step > 0 else x_next
-        grow = mpf_add(mpf_mul(mpf_mul(c, x, prec, rnd), x, prec, rnd), fone,
-                       prec, rnd)  # 1 + c x^2
-        mk = (mpf_mul(mpf_mul(mk, lead, prec, rnd), grow, prec, rnd) if step > 0
-              else mpf_div(mk, mpf_mul(lead, grow, prec, rnd), prec, rnd))
-        k, xk = k + step, x_next
+        xk = mpf_pow_int(q, k, prec, rnd)
+        cx2 = mpf_mul(mpf_mul(c, xk, prec, rnd), xk, prec, rnd)
+        grow = mpf_add(cx2, fone, prec, rnd)  # 1 + c x_k^2
+        if step < 0 and k:
+            mk = mpf_div(mk, mpf_mul(lead, grow, prec, rnd), prec, rnd)
+        yield k, xk, cx2, mk
+        if step > 0:
+            mk = mpf_mul(mpf_mul(mk, lead, prec, rnd), grow, prec, rnd)
+        k += step
 
 
 def _dot(even: list, moments: list) -> tuple:
@@ -239,14 +238,16 @@ def _dot(even: list, moments: list) -> tuple:
     return total
 
 
+@_call_local
 def _orthogonality_sweep(pairs, p: QParams, tol,
                          trunc: Optional[Truncation]) -> list:
     """Reports for the (n, m) pairs, in order: `_lattice_sums` for the
-    pairs of even n + m; a pair of odd n + m is 0 and counts its points."""
+    pairs of even n + m; a pair of odd n + m is 0 and counts its points.
+    Call-local, as no later call is likely to read its (q, alpha)."""
     if not pairs:
         return []
     tol = _tolerance(tol)
-    with mp.workdps(_work_digits("sweep")), shared_scope():
+    with mp.workdps(_work_digits("sweep")):
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()
         given, p = p, QParams(to_mpf(p.q), to_mpf(p.alpha))
@@ -296,16 +297,18 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
         size = {pair: [from_man_exp(abs(e), exp, wp, rnd)  # |e_l|
                        for e, exp in even[pair]] for pair in pairs}
         moments, largest = [(0, 0)] * (top + 1), [fzero] * (top + 1)
-        c = qpow(q, -2 * alpha - 1)._mpf_
+        # the walk's q, c = q^(-2a-1), lead = q^(2a+2) and w_a(1), raw
+        lattice = (q._mpf_, qpow(q, -2 * alpha - 1)._mpf_,
+                   qpow(q, 2 * alpha + 2)._mpf_, w_one._mpf_)
         reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
 
         def visit(xk, mk) -> list:
             # m_k x_k^(2l) for l <= N, exactly, into the moments
-            if mk._mpf_ in nonfinite:
+            if mk in nonfinite:
                 raise EvaluationError("integrand non-finite at lattice point "
-                                      "x = %s" % mp.nstr(xk, 8))
-            sign, term, exp, _ = mk._mpf_
-            _, man, x_exp, _ = xk._mpf_
+                                      "x = %s" % mp.nstr(mp.make_mpf(xk), 8))
+            sign, term, exp, _ = mk
+            _, man, x_exp, _ = xk
             term, x2, terms = -term if sign else term, man * man, []
             for l in range(top + 1):
                 terms.append((term, exp))
@@ -340,16 +343,12 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
                 "met tail_tol %s" % (end, k, trunc.max_terms,
                                      mp.nstr(tail, 4)))
 
-        def c_x2(x):  # the stop rules' c x^2, rounded as c * x * x
-            return mpf_mul(mpf_mul(c, x, wp, rnd), x, wp, rnd)
-
         # k = 0, -1, -2, ...: rho = reach / (1 + c x^2)
-        for k, xk, mk in _walk(p, w_one, -1):
+        for k, xk, cx2, mk in _walk(*lattice, -1):
             terms = [from_man_exp(t, e, wp, rnd) for t, e in visit(xk, mk)]
             largest = [t if mpf_lt(big, t) else big
                        for t, big in zip(terms, largest)]
-            rho = mpf_div(reach, mpf_add(c_x2(xk._mpf_), fone, wp, rnd),
-                          wp, rnd)
+            rho = mpf_div(reach, mpf_add(cx2, fone, wp, rnd), wp, rnd)
             if mpf_lt(rho, fone) and settled(terms,
                                              mpf_sub(fone, rho, wp, rnd)):
                 break
@@ -358,8 +357,8 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
         points = 1 - k
 
         # k = 1, 2, ...: up to the first k the closed-form tail can take
-        for k, xk, mk in islice(_walk(p, w_one, 1), 1, None):
-            if mpf_le(c_x2(xk._mpf_), z_max):
+        for k, xk, cx2, mk in islice(_walk(*lattice, 1), 1, None):
+            if mpf_le(cx2, z_max):
                 break
             if k > trunc.max_terms:
                 raise exhausted(k - 1, "k_max")

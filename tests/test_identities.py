@@ -873,6 +873,22 @@ def test_a_degree_that_is_not_an_int_is_a_domain_error(n):
     assert len(rows) == 5 and all("must be an int" in r.error for r in rows)
 
 
+@pytest.mark.parametrize("x", ["0.7", "0"])
+@pytest.mark.parametrize("n", [-1, 2.0, True], ids=["-1", "2.0", "True"])
+def test_every_polynomial_check_names_a_bad_degree(n, x):
+    # the one index rule runs before any sum: at x = 0 inversion's x^n would
+    # divide by zero first, and elsewhere a table's own check would name n
+    p, y = QParams(mpf("0.5"), mpf("0.3")), mpf("0.4")
+    message = ("degree n must be >= 0: got -1" if n == -1
+               else "degree n must be an int: got %r" % n)
+    for check, extra in ((check_representations, ()), (check_recurrence, ()),
+                         (check_connection, (mpf("0.6"),)),
+                         (check_inversion, ())):
+        with pytest.raises(DomainError) as error:
+            check(n, p, mpf(x), y, *extra)
+        assert str(error.value) == message, check.__name__
+
+
 def test_summarize_counts():
     grid = IdentityGrid(q_values=("0.5",), alpha_values=("0",),
                         n_values=(1, 2), x_values=("0.4",), y_values=("1",),

@@ -36,7 +36,7 @@ from qhermite.qcore import (
     shared,
     shared_scope,
 )
-from qhermite.quadrature import orthogonality_gram
+from qhermite.quadrature import orthogonality_rhs
 from qhermite.scalars import (EXACT, GUARD_BITS, CompensatedSum, arithmetic,
                               binom2, qpow, to_mpf, unify)
 
@@ -134,6 +134,15 @@ def test_pochhammer_takes_one_scalar_a_and_an_int_n():
             q_pochhammer((3, 1), q, n)
     with pytest.raises(DomainError, match=r"^n must be an int: got 2\.0$"):
         q_pochhammer(mpf("0.3"), q, 2.0)
+
+
+@pytest.mark.parametrize("q", [0, 1, mpf("1.5"), mpf("-0.5"), F(3, 2)],
+                         ids=["0", "1", "1.5", "-0.5", "3/2"])
+def test_pochhammer_checks_q_at_every_n(q):
+    # one q check serves the finite and the infinite product alike
+    for n in (3, None):
+        with pytest.raises(DomainError, match=r"^q out of range \(0,1\)"):
+            q_pochhammer(mpf("0.5"), q, n)
 
 
 def test_pochhammer_infinite_vs_partial_product():
@@ -602,20 +611,21 @@ def test_each_memo_keeps_a_value_for_its_lifetime(serve):
 
 
 def test_kept_cache_stays_within_its_cap():
-    # each sweep at a fresh (q, alpha) adds about thirteen entries: a
-    # hundred of them pass the cap, which then holds, dropping the least
-    # recently used first
+    # each public orthogonality constant at a fresh (q, alpha) keeps eight
+    # entries: two hundred of them pass the cap, which then holds, dropping
+    # the least recently used first
     qcore._kept.cache_clear()
     rng = random.Random(3)
     sizes = []
-    for _ in range(100):
+    for _ in range(200):
         p = QParams(mpf("%.4f" % rng.uniform(0.2, 0.25)),
                     mpf("%.4f" % rng.uniform(-0.4, 1.5)))
-        assert all(r.passed for r in orthogonality_gram(2, p))
+        orthogonality_rhs(2, p)
         sizes.append(qcore._kept.cache_info().currsize)
     assert max(sizes) == sizes[-1] == qcore._KEPT_CAP
+    assert sizes[:8] == [8 * i for i in range(1, 9)]
     misses = qcore._kept.cache_info().misses
-    orthogonality_gram(2, p)  # the most recent sweep's values are all kept
+    orthogonality_rhs(2, p)  # the most recent call's values are all kept
     assert qcore._kept.cache_info().misses == misses
 
 

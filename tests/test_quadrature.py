@@ -106,13 +106,13 @@ def _record_sweep(monkeypatch):
 
 def _recording_walk(seen):
     """`quadrature._walk`, putting (x_k, m_k) of every point it yields
-    into seen[k]."""
+    into seen[k], as mpfs."""
     walk = quadrature._walk
 
-    def recording(p, w_one, step):
-        for k, xk, mk in walk(p, w_one, step):
-            seen[k] = (xk, mk)
-            yield k, xk, mk
+    def recording(*lattice):
+        for k, xk, cx2, mk in walk(*lattice):
+            seen[k] = (mp.make_mpf(xk), mp.make_mpf(mk))
+            yield k, xk, cx2, mk
     return recording
 
 
@@ -479,14 +479,13 @@ def test_sweep_builds_no_recurrence_ladder(monkeypatch):
     assert len(reports) == 10 and all(r.passed for r in reports)
 
 
-def test_sweep_keeps_no_terms_row(monkeypatch):
-    # the sweep reads the definition sum's terms at its own precision plus
-    # guard bits, which nothing else reads: none goes to the kept memo
-    memo, kept = [], qcore._kept
-    monkeypatch.setattr(qcore, "_kept", lambda f, prec, *args:
-                        memo.append(f) or kept(f, prec, *args))
+def test_sweep_keeps_no_terms_row():
+    # each sweep draws its own (q, alpha), which no later call is likely to
+    # read: its terms rows, products and constants end with the call, and
+    # none reaches the kept memo
+    qcore._kept.cache_clear()
     orthogonality_gram(4, QParams(mpf("0.22"), mpf("1.3")))
-    assert memo and polyfam._gdqh2_terms not in memo
+    assert qcore._kept.cache_info().currsize == 0
 
 
 def test_odd_pairs_alone_walk_no_lattice(monkeypatch):
@@ -512,9 +511,9 @@ def test_nonfinite_weight_stops_every_pair_at_its_point(monkeypatch, k, bad):
     # raise naming that x; a pair of odd n + m alone walks no lattice
     walk = quadrature._walk
 
-    def poisoned(p, w_one, step):
-        for j, xj, mj in walk(p, w_one, step):
-            yield j, xj, (bad if j == k else mj)
+    def poisoned(*lattice):
+        for j, xj, cx2, mj in walk(*lattice):
+            yield j, xj, cx2, (bad._mpf_ if j == k else mj)
 
     monkeypatch.setattr(quadrature, "_walk", poisoned)
     p = QParams(mpf("0.22"), mpf(0))
@@ -562,14 +561,12 @@ def test_public_rhs_keeps_its_products(monkeypatch):
     assert len(calls) <= 5
 
 
-def _mpf_walk(p, w_one, step):
+def _mpf_walk(q, c, lead, w_one, step):
     """`quadrature._walk` as the loop on mpf values that it runs on raw
     libmp values: the reference for its bits."""
-    q, alpha = p.q, p.alpha
-    c, lead = qpow(q, -2 * alpha - 1), qpow(q, 2 * alpha + 2)
     k, xk, mk = 0, mpf(1), w_one
     while True:
-        yield k, xk, mk
+        yield k, xk, c * xk * xk, mk
         x_next = qpow(q, k + step)
         if step > 0:
             mk = mk * lead * (1 + c * xk * xk)
@@ -583,9 +580,10 @@ def _mpf_walk(p, w_one, step):
 def test_raw_walk_gives_the_mpf_loops_bits(q, alpha):
     p = QParams(mpf(q), mpf(alpha))
     with mp.workdps(70):
-        w_one = orthogonality_weight(1, p)
+        lattice = (p.q, qpow(p.q, -2 * p.alpha - 1), qpow(p.q, 2 * p.alpha + 2),
+                   orthogonality_weight(1, p))
         for step in (-1, 1):
-            raw = islice(quadrature._walk(p, w_one, step), 60)
-            ref = islice(_mpf_walk(p, w_one, step), 60)
-            assert [(j, x._mpf_, m._mpf_) for j, x, m in raw] == \
-                [(j, x._mpf_, m._mpf_) for j, x, m in ref]
+            raw = islice(quadrature._walk(*(v._mpf_ for v in lattice), step), 60)
+            ref = islice(_mpf_walk(*lattice, step), 60)
+            assert list(raw) == [(j, x._mpf_, cx2._mpf_, m._mpf_)
+                                 for j, x, cx2, m in ref]

@@ -35,3 +35,27 @@ def test_every_import_is_read():
     assert len(modules) >= 8
     unused = {p.name: names for p in modules if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def _names_read(tree: ast.Module) -> list:
+    """Per top-level statement of tree: (the statement, every name and
+    attribute its code reads)."""
+    return [(node, {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+            for node in tree.body]
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    # a private top-level function or class that no other code in the
+    # package names is dead: a refactor orphaned it
+    statements = [read for p in sorted(SOURCE.glob("*.py"))
+                  for read in _names_read(ast.parse(p.read_text()))]
+    private = [node for node, _ in statements
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    assert len(private) >= 20
+    dead = [node.name for node in private
+            if not any(node.name in names for other, names in statements
+                       if other is not node)]
+    assert dead == []
