@@ -171,13 +171,11 @@ def _json_doc(rows: list, timestamp: Optional[str]) -> str:
 
 
 def _emit_rows(rows: list, cfg: RunConfig, out) -> None:
-    """rows: list of dicts with string values, identical key order."""
+    """rows: one or more dicts with string values, identical key order."""
     if cfg.fmt == "json":
         out.write(_json_doc(rows, _now() if cfg.timestamp else None))
         return
     if cfg.fmt == "csv":
-        if not rows:
-            return
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()),
                                 lineterminator="\n")
         writer.writeheader()
@@ -274,13 +272,16 @@ def _finish_reports(reports, cfg: RunConfig) -> int:
     return 0 if summary["all_passed"] else 1
 
 
+# check's list flags, each the IdentityGrid field name + "_values"
+_GRID_FLAGS = ("q", "alpha", "x", "y", "omega", "t")
+
+
 def cmd_check(args, cfg: RunConfig) -> int:
     if args.n_max is not None:
         _check_degree(args.n_max, "n_max")
     # only the flags given; IdentityGrid's defaults fill the rest
     given = {name + "_values": tuple(getattr(args, name))
-             for name in ("q", "alpha", "x", "y", "omega", "t")
-             if getattr(args, name)}
+             for name in _GRID_FLAGS if getattr(args, name)}
     if args.n_max is not None:
         given["n_values"] = tuple(range(args.n_max + 1))
     reports = run_identity_suite(IdentityGrid(**given), tol=cfg.rel_tol,
@@ -325,50 +326,44 @@ def build_parser() -> argparse.ArgumentParser:
                     help="omit the timestamp (byte-identical reruns)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="evaluate one polynomial")
-    pe.add_argument("family", choices=sorted(_FAMILIES))
-    pe.add_argument("--n", type=int, required=True)
-    pe.add_argument("--q", default="0.5")
-    pe.add_argument("--alpha", default="0")
-    pe.add_argument("--x", required=True)
-    pe.add_argument("--y", default="1")
-    pe.add_argument("--mu", default="0")
-    pe.add_argument("--rep", default=None,
-                    help="representation (family-specific, e.g. phi_form)")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--q", default="0.5")
+    params.add_argument("--alpha", default="0")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("family", choices=sorted(_FAMILIES))
+    family.add_argument("--y", default="1")
+    family.add_argument("--mu", default="0")
+    family.add_argument("--rep", default=None,
+                        help="representation (family-specific, e.g. phi_form)")
 
-    pt = sub.add_parser("table", help="table of values for n = 0..n_max")
-    pt.add_argument("family", choices=sorted(_FAMILIES))
+    pe = sub.add_parser("eval", parents=[params, family],
+                        help="evaluate one polynomial")
+    pe.add_argument("--n", type=int, required=True)
+    pe.add_argument("--x", required=True)
+
+    pt = sub.add_parser("table", parents=[params, family],
+                        help="table of values for n = 0..n_max")
     pt.add_argument("--n-max", type=int, required=True)
-    pt.add_argument("--q", default="0.5")
-    pt.add_argument("--alpha", default="0")
     pt.add_argument("--x", nargs="+", required=True)
-    pt.add_argument("--y", default="1")
-    pt.add_argument("--mu", default="0")
-    pt.add_argument("--rep", default=None)
 
     pc = sub.add_parser("check", help="run identity suites over a grid")
     pc.add_argument("identity", choices=("all",) + IDENTITY_IDS)
-    pc.add_argument("--q", nargs="+", default=None)
-    pc.add_argument("--alpha", nargs="+", default=None)
     pc.add_argument("--n-max", type=int, default=None)
-    pc.add_argument("--x", nargs="+", default=None)
-    pc.add_argument("--y", nargs="+", default=None)
-    pc.add_argument("--omega", nargs="+", default=None)
-    pc.add_argument("--t", nargs="+", default=None)
+    for name in _GRID_FLAGS:
+        pc.add_argument("--" + name, nargs="+", default=None)
 
-    po = sub.add_parser("orthogonality", help="orthogonality quadrature checks")
+    po = sub.add_parser("orthogonality", parents=[params],
+                        help="orthogonality quadrature checks")
     po.add_argument("--n", type=int, required=True,
                     help="degree (or max degree when --m is omitted)")
     po.add_argument("--m", type=int, default=None)
-    po.add_argument("--q", default="0.5")
-    po.add_argument("--alpha", default="0")
     return ap
 
 
 def _require_finite(args) -> None:
     """Reject an inf or nan numeric flag before anything is evaluated (a
     malformed one raises mpf's own ValueError, as the command would)."""
-    for flag in ("q", "alpha", "x", "y", "mu", "omega", "t"):
+    for flag in _GRID_FLAGS + ("mu",):
         value = getattr(args, flag, None)
         for text in [value] if isinstance(value, str) else value or ():
             if not mp.isfinite(mpf(text)):

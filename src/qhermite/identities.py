@@ -11,32 +11,9 @@ degrades to the absolute one there).
 Checks escalate their internal working precision before summing: the
 connection and inversion sums cancel terms of size roughly q^(-n^2), so a
 result good to the ambient precision needs about n^2*log10(1/q) guard
-digits.  run_identity_suite computes only the requested ids, and runs
-each (q, alpha) block of its grid with the block set in _BLOCK and one
-shared-value scope (qcore.shared_scope) open: in it each finite table,
-recurrence-coefficient table, polynomial form's row of (n, q, alpha),
-series factor row, real power, infinite product, working-digit count and
-parity half-sum is computed once per backend, operands and precision,
-across the block's (x, y) cells.  Each cell builds
-one recurrence ladder to its largest n at the digits connection and
-inversion need there; inside a block those two checks run at the ladder's
-digits at every n, so one set of alpha = -1/2, (q^2;q^2) and Hahn tables
-serves every degree; both read the definition sum's terms row
-(polyfam._gdqh2_terms) at alpha = -1/2.  The four polynomial checks are
-wrapped in qcore._call_local; each unifies (x, y, q, alpha) once and calls
-polyfam's form bodies, and their shared definition sum, on those operands.
-The generating-function checks read one term stream per cell (_gf_terms):
-the series' terms q^C(j,2) t^j h_j / (q;q)_j follow one recurrence of
-their own, on ints scaled by 2^wp (wp from scalars.fixed_sum), over
-kept rows of (q, alpha, wp), and the whole series and both parity halves
-(_gf_series) sum and compare those ints, each rounded once; the parity
-reports run in a call-local scope when no scope is open, so both halves
-read one stream.
-Every IdentityReport, the suite's error rows and the orthogonality sweep's
-included, is built by _report from parameters spelled by _params, with
-residuals on raw libmp values.  Reports carry lhs, rhs and residuals at the
-working precision of the check, not rounded back to the ambient context: a
-printer that rounds them once to its own digits avoids rounding them twice.
+digits.  Reports carry lhs, rhs and residuals at the working precision of
+the check, not rounded back to the ambient context: a printer that rounds
+them once to its own digits avoids rounding them twice.
 """
 
 from __future__ import annotations
@@ -591,9 +568,11 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
                        trunc: Optional[Truncation] = None,
                        identity_id: str = "all"):
     """Run the selected identity family (or all of them) over the grid,
-    whose every (q, alpha) is validated before any check runs.  A check
-    that raises becomes one error report, with its parameters, per
-    requested id it stands for, instead of raising."""
+    whose every (q, alpha) is validated before any check runs, one
+    (q, alpha) block at a time, each in one shared-value scope
+    (qcore.shared_scope) and set in _BLOCK.  A check that raises becomes
+    one error report, with its parameters, per requested id it stands for,
+    instead of raising."""
     if identity_id not in ("all",) + IDENTITY_IDS:
         raise DomainError(
             "unknown identity id %r (expected 'all' or one of %s)"

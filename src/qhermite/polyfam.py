@@ -15,32 +15,12 @@ The recurrence
   (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) * h_{n+1}
       = x h_n - y q^(-2n+1) (1 - q^n) h_{n-1}
 
-is exposed step-wise (gdqh2_recurrence_step) and as one lazy stream of
-h_0, h_1, ... at one point (gdqh2_recurrence_values), which a caller reads
-only as far as it needs; gdqh2_recurrence_ladder is its first n+1 values,
-the cheap way to evaluate a whole ladder of degrees.  The stream and the
-step read one kernel, _recurrence, a loop over the operands' arithmetic
-(scalars.Arithmetic) that at each pull reads the coefficient table of the
-precision then in force; the definition sum is one such loop too.
+runs in one kernel, `_recurrence`, on coefficients of (q, alpha) alone.
 
-The step's coefficients (the leading factor, q^(-2n+1) and 1 - q^n) depend
-on (q, alpha) alone; theta_n = 0 at odd n, so the leading factor is exactly
-1 there and an odd step divides by nothing.  They sit in one growable table
-per (q, alpha) and mp.prec, a value qcore.kept serves, so a step does its
-multiplications and no powers.  The table's q^n and the definition sum's
-signs are running products on the arithmetic's operands with
-scalars.GUARD_BITS guard bits, and (q;q)_{m,alpha} and (q^2;q^2)_k are
-prefixes of qcore's one guarded product; the table and (q;q)_{m,alpha}
-take the one real power q^(2 alpha + 1), qcore._odd_lift.
-
-Each form reads a row of (n, q, alpha) alone, one tuple that qcore.kept
-serves: the definition sum's terms (k, sign, den) (_gdqh2_terms), held
-as operands of q's arithmetic, the phi form's and the Laguerre form's
-powers and prefactors (_phi_row, _laguerre_row) and q_laguerre's factors
-(_q_laguerre_row), which its phi11 and phi21 forms both read.  A row is
-computed by the form's own expressions in their order, so a row kept or
-built afresh gives the same bits; what holds the point (x^(n-2k), y^k, z
-and the phi sums, qseries._phi_loop on the rows' operands) each call computes.
+Each form reads its factors of (n, q, alpha) alone from one row that
+qcore.kept serves (_gdqh2_terms, _phi_row, _laguerre_row, _q_laguerre_row),
+computed by the form's own expressions in their order, so a kept row gives
+the bits of a fresh one; what holds the point each call computes.
 """
 
 from __future__ import annotations

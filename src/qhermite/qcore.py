@@ -138,10 +138,11 @@ _DEFAULT_TRUNCATION = Truncation()  # shared: a Truncation holds no call state
 # The open shared-value scope, else None: (memo, call-local), where a
 # call-local scope keeps its kept values in its memo.
 _SCOPE: ContextVar[Optional[tuple]] = ContextVar("_SCOPE", default=None)
-# A (q, alpha) block of DEFAULT_GRID keeps about 220 values: the cap holds
-# the three blocks of an identity_sweep seed and more.  The orthogonality
-# sweep, a fresh (q, alpha) per call, keeps nothing here.
-_KEPT_CAP = 1024
+# One pass over DEFAULT_GRID keeps 1,570 values, and 1,200 identity_sweep
+# items (seed 1) with the out-of-domain probe keep 975: the cap holds a
+# second pass over the grid whole.  The orthogonality sweep, a fresh
+# (q, alpha) per call, keeps nothing here.
+_KEPT_CAP = 2048
 
 
 def _value(f, prec: int, *args):

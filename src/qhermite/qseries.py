@@ -6,28 +6,10 @@ The r-phi-s engine sums
       = sum_k [(-1)^k q^C(k,2)]^(1+s-r) * prod (ai;q)_k / prod (bj;q)_k
               * z^k / (q;q)_k
 
-with a term-ratio recurrence.  It terminates at PhiSpec.terminate_at, else at
-the least m of an upper parameter exactly q^(-m) (bit for bit on mpf); a lower
-parameter exactly q^(-m) inside that range is a pole.  Terminating series
-work on the exact backend, everything else runs on mpf.
-
-On top of it: Euler's small q-exponential e_q, the reciprocal of qcore's
-(x; q)_inf, and, each as phi_rs calls, the generalized big q-exponential,
-the generalized q-cosine / q-sine pair and Jackson's second q-Bessel
-function.  The big q-exponential's even and odd halves, 0-phi-1 series in
-base q^2, and the q-cosine and q-sine, the same halves with alternating
-signs, are one helper, _parity_half; alpha is finite and > -1 (QParams).
-phi_rs holds the only summation loop, over one of three arithmetics
-(scalars.Arithmetic): a terminating sum runs on its operands' own, exact
-on Fractions and compensated on raw libmp values, where an addition
-rounds; a non-terminating one on ints scaled by 2^wp (scalars.fixed),
-rounded to mp.prec once.  It reads the factors of each term ratio that
-hold no z from one table per (q, upper, lower), precision and arithmetic,
-a value qcore.kept serves, or qcore.shared when the loop's caller says
-that a parameter holds a point.  A non-terminating sum stops at the tail
-tolerance of its Truncation, taken at the precision the sum runs at.  The
-real powers of (q, alpha) of the parity halves and the Bessel forms are
-one kept row.
+with a term-ratio recurrence, in one loop, `_phi_loop`.  It terminates at
+PhiSpec.terminate_at, else at the least m of an upper parameter exactly
+q^(-m) (bit for bit on mpf); a lower parameter exactly q^(-m) inside that
+range is a pole.  alpha is finite and > -1 (QParams).
 """
 
 from __future__ import annotations

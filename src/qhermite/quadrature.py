@@ -212,10 +212,10 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
 
 
 def _walk(q, c, lead, w_one, step: int) -> Iterator:
-    """Raw (k, x_k, c x_k^2, m_k) for k = 0, step, 2 step, ... from raw q,
-    c, lead = q^(2a+2) and w_a(1): x_k = q^k, c x_k^2 as c * x_k * x_k, read
-    by the ratio and both stop rules, and m_k = q^(k(2a+2)) w_a(x_k), each
-    from the last by w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
+    """Raw (k, x_k, c x_k^2, m_k, 1 + c x_k^2) for k = 0, step, 2 step, ...
+    from raw q, c, lead = q^(2a+2) and w_a(1): x_k = q^k, c x_k^2 as
+    c * x_k * x_k, and m_k = q^(k(2a+2)) w_a(x_k), each from the last by
+    w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
     prec, rnd = mp.prec, round_nearest
     k, mk = 0, w_one
     while True:
@@ -224,7 +224,7 @@ def _walk(q, c, lead, w_one, step: int) -> Iterator:
         grow = mpf_add(cx2, fone, prec, rnd)  # 1 + c x_k^2
         if step < 0 and k:
             mk = mpf_div(mk, mpf_mul(lead, grow, prec, rnd), prec, rnd)
-        yield k, xk, cx2, mk
+        yield k, xk, cx2, mk, grow
         if step > 0:
             mk = mpf_mul(mpf_mul(mk, lead, prec, rnd), grow, prec, rnd)
         k += step
@@ -344,11 +344,11 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
                                      mp.nstr(tail, 4)))
 
         # k = 0, -1, -2, ...: rho = reach / (1 + c x^2)
-        for k, xk, cx2, mk in _walk(*lattice, -1):
+        for k, xk, _, mk, grow in _walk(*lattice, -1):
             terms = [from_man_exp(t, e, wp, rnd) for t, e in visit(xk, mk)]
             largest = [t if mpf_lt(big, t) else big
                        for t, big in zip(terms, largest)]
-            rho = mpf_div(reach, mpf_add(cx2, fone, wp, rnd), wp, rnd)
+            rho = mpf_div(reach, grow, wp, rnd)
             if mpf_lt(rho, fone) and settled(terms,
                                              mpf_sub(fone, rho, wp, rnd)):
                 break
@@ -357,7 +357,7 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
         points = 1 - k
 
         # k = 1, 2, ...: up to the first k the closed-form tail can take
-        for k, xk, cx2, mk in islice(_walk(*lattice, 1), 1, None):
+        for k, xk, cx2, mk, _ in islice(_walk(*lattice, 1), 1, None):
             if mpf_le(cx2, z_max):
                 break
             if k > trunc.max_terms:

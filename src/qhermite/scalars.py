@@ -3,19 +3,12 @@
 All public functions in this package accept plain ints, ``fractions.Fraction``
 and mpmath ``mpf`` values interchangeably.  One backend per call: a public
 entry point brings its point and its (q, alpha) onto one backend with
-``unify``, once, at its working digits, exact when every operand is an int
-or Fraction and mpf otherwise, and what it calls takes those operands and
-picks no backend again.  So an exact (q, alpha) at a float point computes
-as floats, converted at the call's working digits, and an all-exact call
-stays exact.  ``qpow`` is the single gateway for powers, so the exact
-backend fails loudly (ExactBackendError) instead of silently rounding when
-a non-integer exponent sneaks in.
-
-A loop written once runs on any of three arithmetics (``Arithmetic``):
-EXACT on unreduced pairs of ints, one `Fraction` made at the end, RAW on
-raw libmp values, and ``fixed(wp)`` on ints scaled by 2^wp, for sums that
-round once at the end; ``fixed_sum`` sets the bits of such a sum and
-reruns one that cancelled.
+``unify``, once, at its working digits, and what it calls takes those
+operands and picks no backend again.  So an exact (q, alpha) at a float
+point computes as floats, converted at the call's working digits, and an
+all-exact call stays exact.  ``qpow`` is the single gateway for powers, so
+the exact backend fails loudly instead of silently rounding.  A loop
+written once runs on any of three arithmetics (``Arithmetic``).
 """
 
 from __future__ import annotations
@@ -244,15 +237,10 @@ def _ten_power(exponent: int, prec: int) -> mpf:
     return mp.make_mpf(mpf_pow_int(from_int(10), exponent, prec, round_nearest))
 
 
-def binom2(k: int) -> int:
-    """Binomial coefficient C(k, 2) = k(k-1)/2, the standard q-series exponent."""
-    return k * (k - 1) // 2
-
-
 class CompensatedSum:
     """Kahan-style compensated accumulator, for both backends: for exact
     scalars the compensation term is identically zero.  No kernel sums with
-    it; it stays for the tests and the bench tracer until ROADMAP item 7."""
+    it; it stays for the tests and the bench tracer until ROADMAP item 15."""
 
     __slots__ = ("total", "_c")
 

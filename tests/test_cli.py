@@ -331,7 +331,8 @@ def test_main_restores_caller_precision(capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=csv\nprecision=30\n")
+    cfg.write_text("# a comment line, then a blank one\n\n"
+                   "format=csv\nprecision=30  # digits\n")
     code, out, _ = run(capsys, "--no-timestamp", "--config", str(cfg),
                        "eval", "gdqh2", "--n", "1", "--q", "0.5",
                        "--alpha", "0", "--x", "1", "--y", "1")
@@ -354,6 +355,15 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
                        "--x", "1", "--y", "1")
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_config_line_without_equals_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format csv\n")
+    code, out, err = run(capsys, "--config", str(cfg), "eval", "gdqh2",
+                         "--n", "1", "--x", "1")
+    assert code == 2 and out == ""
+    assert "config line is not key = value: 'format csv'" in err
 
 
 @pytest.mark.parametrize("value, stamped", [
@@ -527,3 +537,33 @@ def test_json_rows_are_the_bytes_json_dump_writes(monkeypatch, timestamp):
         cli._emit_rows(rows, RunConfig(fmt="json", timestamp=timestamp), out)
         doc = dict({"rows": rows}, **({"timestamp": cli._now()} if timestamp else {}))
         assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _options(parser) -> tuple:
+    """(option strings, positional names) of one argparse parser."""
+    return ({s for a in parser._actions for s in a.option_strings},
+            {a.dest for a in parser._actions if not a.option_strings
+             and a.dest != "command"})
+
+
+def test_each_command_takes_the_flags_it_always_took(capsys):
+    top = cli.build_parser()
+    sub = next(a for a in top._actions if a.dest == "command")
+    assert _options(top) == ({"-h", "--help", "--precision", "--rel-tol",
+                              "--tail-tol", "--format", "--config",
+                              "--no-timestamp"}, set())
+    help_ = {"-h", "--help"}
+    assert {name: _options(p) for name, p in sub.choices.items()} == {
+        "eval": (help_ | {"--n", "--q", "--alpha", "--x", "--y", "--mu",
+                          "--rep"}, {"family"}),
+        "table": (help_ | {"--n-max", "--q", "--alpha", "--x", "--y", "--mu",
+                           "--rep"}, {"family"}),
+        "check": (help_ | {"--q", "--alpha", "--n-max", "--x", "--y",
+                           "--omega", "--t"}, {"identity"}),
+        "orthogonality": (help_ | {"--n", "--m", "--q", "--alpha"}, set()),
+    }
+    for argv in ([], ["eval"], ["table"], ["check"], ["orthogonality"]):
+        with pytest.raises(SystemExit) as done:
+            main(argv + ["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qhermite")

@@ -33,7 +33,7 @@ from qhermite.qcore import (
     shared_scope,
 )
 from qhermite.qseries import phi
-from qhermite.scalars import GUARD_BITS, arithmetic, binom2, qpow, unify
+from qhermite.scalars import GUARD_BITS, arithmetic, qpow, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
 alphas = st.floats(min_value=-0.8, max_value=2.5)
@@ -642,8 +642,18 @@ def test_mu_hermite_vs_one_variable_family():
     x = mpf("0.3")
     for n in range(11):
         lhs = mu_hermite(n, mpf(0), x, q * q)
-        rhs = qpow(q, binom2(n)) * discrete_q_hermite2(n, x, q)
+        rhs = qpow(q, n * (n - 1) // 2) * discrete_q_hermite2(n, x, q)
         assert abs(lhs - rhs) <= mpf("1e-44") * max(1, abs(lhs))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_laguerre(2, mpf(0), mpf("0.7"), mpf("0.5"), rep="phi_form"),
+     "rep must be 'phi11' or 'phi21': got 'phi_form'"),
+    (lambda: rosenblum_hermite(2, mpf("-0.5"), mpf(1)), "mu must be >= 0"),
+])
+def test_a_family_rejects_a_rep_or_mu_it_does_not_take(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
 
 
 def test_rosenblum_hermite_reduces_to_hermite():

@@ -38,7 +38,7 @@ from qhermite.qcore import (
 )
 from qhermite.quadrature import orthogonality_rhs
 from qhermite.scalars import (EXACT, GUARD_BITS, CompensatedSum, arithmetic,
-                              binom2, qpow, to_mpf, unify)
+                              qpow, to_mpf, unify)
 
 qs = st.floats(min_value=0.05, max_value=0.95)
 alphas = st.floats(min_value=-0.9, max_value=3.0)
@@ -57,7 +57,7 @@ def hahn_add_power_sum(x, y, q, n: int):
     x, y, q = unify(x, y, q)
     total = CompensatedSum(q - q)
     for k in range(n + 1):
-        total.add(q_binomial(n, k, q) * qpow(q, binom2(k))
+        total.add(q_binomial(n, k, q) * qpow(q, k * (k - 1) // 2)
                   * qpow(x, n - k) * qpow(y, k))
     return total.total
 
@@ -526,6 +526,22 @@ def test_unify_keeps_objects_and_backends():
             assert all(g is v for g, v in zip(got, values) if type(v) is mpf)
 
 
+@pytest.mark.parametrize("base, exponent, want", [
+    (F(1, 2), 2.0, F(1, 4)),        # an integral float is an int exponent
+    (mpf(4), "0.5", mpf(2)),        # a numeric string, as to_mpf takes it
+    (mpf(0), mpf("0.5"), mpf(0)),
+    (0, -1, DomainError),
+    (mpf(0), mpf("-0.5"), DomainError),
+])
+def test_qpow_at_zero_and_for_other_exponent_types(base, exponent, want):
+    if want is DomainError:
+        with pytest.raises(DomainError, match="0 cannot be raised to a"):
+            qpow(base, exponent)
+    else:
+        got = qpow(base, exponent)
+        assert got == want and type(got) is type(want)
+
+
 _rationals = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 6)
 
 
@@ -612,12 +628,13 @@ def test_each_memo_keeps_a_value_for_its_lifetime(serve):
 
 def test_kept_cache_stays_within_its_cap():
     # each public orthogonality constant at a fresh (q, alpha) keeps eight
-    # entries: two hundred of them pass the cap, which then holds, dropping
-    # the least recently used first
+    # entries: a sixth of the cap's count of them, a few (q, alpha) drawn
+    # twice, pass the cap, which then holds, dropping the least recently
+    # used first
     qcore._kept.cache_clear()
     rng = random.Random(3)
     sizes = []
-    for _ in range(200):
+    for _ in range(qcore._KEPT_CAP // 6):
         p = QParams(mpf("%.4f" % rng.uniform(0.2, 0.25)),
                     mpf("%.4f" % rng.uniform(-0.4, 1.5)))
         orthogonality_rhs(2, p)

@@ -230,6 +230,8 @@ def test_q_bessel2_edge_cases():
     with pytest.raises(DomainError):
         q_bessel2(mpf("0.5"), mpf("-1"), q)   # (z/2)^nu branch
     assert mp.isfinite(q_bessel2(mpf(3), mpf("-1"), q))  # integer order is fine
+    with pytest.raises(DomainError, match="at z=0 needs nu >= 0"):
+        q_bessel2(mpf("-0.5"), mpf(0), q)    # the limit is infinite
 
 
 # each function as its defining series sum_k c_k x^k / (q;q)_{k,alpha} over

@@ -110,9 +110,9 @@ def _recording_walk(seen):
     walk = quadrature._walk
 
     def recording(*lattice):
-        for k, xk, cx2, mk in walk(*lattice):
+        for k, xk, cx2, mk, grow in walk(*lattice):
             seen[k] = (mp.make_mpf(xk), mp.make_mpf(mk))
-            yield k, xk, cx2, mk
+            yield k, xk, cx2, mk, grow
     return recording
 
 
@@ -336,6 +336,17 @@ def test_walk_max_terms_names_the_end(q, alpha, cap, end, monkeypatch):
                            trunc=Truncation(max_terms=cap))
 
 
+def test_small_x_tail_short_of_its_floor_at_max_terms_raises():
+    # at q = 0.05 the walk ends within 6 points each way, but the
+    # closed-form tail from k = 1 falls by about c q^2 / (1 - q^2) = 0.05 a
+    # term and needs more than 6 terms to meet its floor
+    with pytest.raises(ConvergenceError, match="closed-form lattice tail "
+                       "from k = 1 did not meet .* within max_terms=6"):
+        orthogonality_gram(2, QParams(mpf("0.05"), mpf(0)),
+                           trunc=Truncation(max_terms=6,
+                                            tail_tol=mpf("1e-10")))
+
+
 @pytest.mark.parametrize("q, alpha, n_max, tail_tol, points", [
     ("0.9", "-0.5", 2, "1e-2", 20), ("0.8", "2", 8, "1e-2", 21),
     ("0.9", "10", 6, "1e-2", 37)])
@@ -512,8 +523,8 @@ def test_nonfinite_weight_stops_every_pair_at_its_point(monkeypatch, k, bad):
     walk = quadrature._walk
 
     def poisoned(*lattice):
-        for j, xj, cx2, mj in walk(*lattice):
-            yield j, xj, cx2, (bad._mpf_ if j == k else mj)
+        for j, xj, cx2, mj, grow in walk(*lattice):
+            yield j, xj, cx2, (bad._mpf_ if j == k else mj), grow
 
     monkeypatch.setattr(quadrature, "_walk", poisoned)
     p = QParams(mpf("0.22"), mpf(0))
@@ -566,10 +577,11 @@ def _mpf_walk(q, c, lead, w_one, step):
     libmp values: the reference for its bits."""
     k, xk, mk = 0, mpf(1), w_one
     while True:
-        yield k, xk, c * xk * xk, mk
+        grow = 1 + c * xk * xk
+        yield k, xk, c * xk * xk, mk, grow
         x_next = qpow(q, k + step)
         if step > 0:
-            mk = mk * lead * (1 + c * xk * xk)
+            mk = mk * lead * grow
         else:
             mk = mk / (lead * (1 + c * x_next * x_next))
         k, xk = k + step, x_next
@@ -585,5 +597,5 @@ def test_raw_walk_gives_the_mpf_loops_bits(q, alpha):
         for step in (-1, 1):
             raw = islice(quadrature._walk(*(v._mpf_ for v in lattice), step), 60)
             ref = islice(_mpf_walk(*lattice, step), 60)
-            assert list(raw) == [(j, x._mpf_, cx2._mpf_, m._mpf_)
-                                 for j, x, cx2, m in ref]
+            assert list(raw) == [(j, x._mpf_, cx2._mpf_, m._mpf_, g._mpf_)
+                                 for j, x, cx2, m, g in ref]
