@@ -49,7 +49,7 @@ from .polyfam import (
     rosenblum_hermite,
     stieltjes_wigert,
 )
-from .qcore import QParams, Truncation, _check_degree
+from .qcore import QParams, Truncation, _check_degree, _check_tol
 from .quadrature import orthogonality_check, orthogonality_gram
 from .scalars import fmt_scalar
 
@@ -96,9 +96,8 @@ class RunConfig:
         if self.fmt not in ("human", "json", "csv"):
             raise ValueError("format must be human, json or csv: got %r" % self.fmt)
         for name in ("rel_tol", "tail_tol"):
-            v = getattr(self, name)
-            if v is not None and not (0 < mpf(v) < mp.inf):
-                raise ValueError("%s must be finite and > 0: got %s" % (name, v))
+            if getattr(self, name) is not None:
+                _check_tol(getattr(self, name), name)
 
 
 def _read_config_file(path: str) -> dict:

@@ -46,6 +46,7 @@ from .qcore import (
     Truncation,
     _call_local,
     _check_degree,
+    _check_tol,
     _products,
     _Rows,
     _gen_q_shifted,
@@ -124,8 +125,8 @@ def default_identity_tol():
 
 
 def _tolerance(tol) -> mpf:
-    """A check's tolerance: tol as an mpf, else default_identity_tol()."""
-    return to_mpf(tol) if tol is not None else default_identity_tol()
+    """A check's tolerance: tol by `_check_tol`, else default_identity_tol()."""
+    return _check_tol(tol, "tol") if tol is not None else default_identity_tol()
 
 
 def _work_digits(kind: str, n: int = 0, q=None) -> int:
@@ -332,17 +333,12 @@ def _gf_frame(t, x, y, p: QParams, tol):
         yield params, note, tol, x, y, t, q
 
 
-def _gf_rows(q, alpha, wp: int) -> _Rows:
+def _gf_row_stream(q, alpha, wp: int):
     """The rows (q^n, 1 / (1 - q^(n+1+theta_n(2 alpha+1)))), n = 0, 1, ...,
     of the generating-function recurrence, as ints scaled by 2^wp: q^n a
     running product, q^(2 alpha + 1) taken once.  1 - q^(n+1) cancels up to
     the bits e of 1 / (1 - q), so both run at wp + e bits and each row is
     rounded down to 2^-wp."""
-    return _Rows(_gf_row_stream, q, alpha, wp)
-
-
-def _gf_row_stream(q, alpha, wp: int):
-    """The rows of `_gf_rows`."""
     one = 1 << wp
     extra = (one // (one - to_fixed(q._mpf_, wp))).bit_length()
     hp = wp + extra
@@ -357,26 +353,21 @@ def _gf_row_stream(q, alpha, wp: int):
         power = after
 
 
-def _gf_terms(t, x, y, q, alpha, wp: int) -> _Rows:
+def _gf_term_stream(t, x, y, q, alpha, wp: int):
     """The terms T_j = q^C(j,2) t^j h_j(x, y) / (q;q)_j of the
-    generating-function series as ints scaled by 2^wp, one stream per cell
-    that the whole series and both halves read.  Multiplying the
-    polynomials' recurrence by the running weight gives one recurrence,
+    generating-function series as ints scaled by 2^wp, each product rounded
+    down to 2^-wp.  Multiplying the polynomials' recurrence by the running
+    weight gives one recurrence,
 
       T_(n+1) = t (x q^n T_n - y t T_(n-1)) / (1 - q^(n+1+theta_n(2a+1))),
 
     T_0 = 1, T_(-1) = 0, whose coefficients are bounded and whose solutions
     both fall like |y t^2|^(1/2) per step; it reads the kept rows of
-    (q, alpha) (`_gf_rows`)."""
-    return _Rows(_gf_term_stream, t, x, y, q, alpha, wp)
-
-
-def _gf_term_stream(t, x, y, q, alpha, wp: int):
-    """The terms of `_gf_terms`, each product rounded down to 2^-wp."""
+    (q, alpha) (`_gf_row_stream`)."""
     t, x, y = (to_fixed(v._mpf_, wp) for v in (t, x, y))
     tx, yt2 = t * x >> wp, (y * t >> wp) * t >> wp
     current, previous = 1 << wp, 0
-    for power, inverse in kept(_gf_rows, q, alpha, wp).each():
+    for power, inverse in kept(_Rows, _gf_row_stream, q, alpha, wp).each():
         yield current
         step = ((tx * power >> wp) * current - yt2 * previous) >> wp
         current, previous = step * inverse >> wp, current
@@ -390,7 +381,7 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
       sum_n (-1)^n q^(n(2n+1)) t^(2n+1) h_{2n+1} / (q;q)_{2n+1}    (half 1),
 
     since C(2n,2) = n(2n-1) and C(2n+1,2) = n(2n+1), read from the cell's
-    term stream (`_gf_terms`) at wp bits from scalars.fixed_sum, which
+    term stream (`_gf_term_stream`) at wp bits from scalars.fixed_sum, which
     reruns a sum that cancelled.  The sum stops after two consecutive terms
     below trunc's tail tolerance relative to the sum, |term| < tail_tol *
     max(1, |sum|), compared on the ints, and is rounded to mp.prec once.
@@ -404,7 +395,8 @@ def _gf_series(half, t, x, y, q, p: QParams, trunc) -> tuple:
     reach = 5 * (mp.dps + 10) / (-2 * mp.log10(abs(y * t * t)))
     cap = max(8 * mp.dps + 1, min(int(mp.ceil(reach)) + 1, tr.max_terms))
     (total, _, used), wp = fixed_sum(lambda wp: _gf_sum(half, shared(
-        _gf_terms, t, x, y, q, to_mpf(p.alpha), wp), tail, wp, cap), tail, cap)
+        _Rows, _gf_term_stream, t, x, y, q, to_mpf(p.alpha), wp), tail, wp,
+        cap), tail, cap)
     return mp.make_mpf(from_man_exp(total, -wp, mp.prec, round_nearest)), used
 
 
@@ -572,11 +564,16 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
     (q, alpha) block at a time, each in one shared-value scope
     (qcore.shared_scope) and set in _BLOCK.  A check that raises becomes
     one error report, with its parameters, per requested id it stands for,
-    instead of raising."""
+    instead of raising; tol is checked first.  The grid's largest degree
+    sets each cell's one ladder and the digits connection and inversion sum
+    at, so their rows at that degree are the direct checks' bit for bit;
+    rows below it and recurrence rows may differ from a direct call's in
+    their residuals' last digits."""
     if identity_id not in ("all",) + IDENTITY_IDS:
         raise DomainError(
             "unknown identity id %r (expected 'all' or one of %s)"
             % (identity_id, ", ".join(IDENTITY_IDS)))
+    tol = _tolerance(tol)
     reports = []
     asked = IDENTITY_IDS if identity_id == "all" else (identity_id,)
 
@@ -588,9 +585,9 @@ def run_identity_suite(grid: IdentityGrid = DEFAULT_GRID, tol=None,
         try:
             got = check(*args)
         except (QHermiteError, ZeroDivisionError, OverflowError) as exc:
-            reports.extend(_report(i, params, mp.nan, mp.nan, _tolerance(tol),
-                                   trunc, residual=(mp.inf, mp.inf),
-                                   error=str(exc)) for i in ids)
+            reports.extend(_report(i, params, mp.nan, mp.nan, tol, trunc,
+                                   residual=(mp.inf, mp.inf), error=str(exc))
+                           for i in ids)
             return
         reports.extend(got if isinstance(got, (list, tuple)) else [got])
 

@@ -272,18 +272,12 @@ def _recurrence_rows(q, lift, prec: int) -> Iterator:
         q_n = q_n1
 
 
-def _recurrence_table(q, alpha) -> _Rows:
-    """The rows of `_recurrence_rows` on unified operands at mp.prec, grown
-    by the steps at that precision, with the lift of (q;q)_{n,alpha}."""
-    return _Rows(_recurrence_rows, q, kept(_odd_lift, q, alpha), mp.prec)
-
-
 def _recurrence(x, y, q, alpha, n: int = 0, current=None,
                 previous=None) -> Iterator:
     """h_n, h_(n+1), ... at one point, from h_n = current and h_(n-1) =
     previous (h_0 = 1 by default), as operands of q's arithmetic: the one
     recurrence kernel.  Each value is rounded at the precision in force when
-    it is pulled, with the rows of that precision's `_recurrence_table`, and
+    it is pulled, with the kept `_recurrence_rows` of that precision, and
     is not divided at odd n, where lead_n is one.  A caller may send back
     the value it pulled as the operand to carry on: on EXACT, the pair of
     its `Fraction`, in lowest terms, so the pairs grow as the values do, not
@@ -301,7 +295,8 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None,
         if sent is not None:
             current = sent
         if mp.prec != prec:
-            prec, table = mp.prec, kept(_recurrence_table, q, alpha)
+            prec, table = mp.prec, kept(_Rows, _recurrence_rows, q,
+                                        kept(_odd_lift, q, alpha), mp.prec)
         lead, ratio, gap = table.upto(n)[n]
         nxt = mul(x, current, prec, rnd)
         if n:

@@ -22,10 +22,11 @@ One rule sets the lifetime of every memoized value:
 - Outside every scope both just compute.
 
 Where they memoize, f runs once per operands, their types and mp.prec.
-A finite table grows to the longest n asked, a shorter request reading its
-prefix, bit for bit the table built to that n.  A table holds operands of
-its arithmetic, which the kernels read as they are; only the public
-single values, (a;q)_n, (q;q)_{n,alpha} and (x (+)_q y)^n, make a value.
+A table is the memo of its stream, `kept(_Rows, stream, *operands)`, or
+`shared`, grown to the longest n asked, its prefix bit for bit the table
+built to that n.  It holds operands of its arithmetic, which the kernels
+read as they are; only the public single values, (a;q)_n, (q;q)_{n,alpha}
+and (x (+)_q y)^n, make a value.
 
 Conventions: 0 < q < 1 throughout, alpha finite and > -1 where alpha
 appears, and the empty product is 1.
@@ -78,6 +79,15 @@ def _check_alpha(alpha) -> None:
         raise DomainError("alpha out of range (-1, inf): got %s" % af)
 
 
+def _check_tol(value, name: str) -> mpf:
+    """value as an mpf, finite and > 0: the one rule of every tolerance."""
+    v = to_mpf(value)
+    sign, man = v._mpf_[:2]  # raw 0, inf and nan have mantissa 0
+    if sign or not man:
+        raise DomainError("%s must be finite and > 0: got %s" % (name, value))
+    return v
+
+
 @dataclass(frozen=True)
 class QParams:
     """Base q in (0,1) and a finite family parameter alpha > -1.
@@ -121,10 +131,8 @@ class Truncation:
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1: got %s" % self.max_terms)
         if self.tail_tol is not None:
-            if not (0 < to_mpf(self.tail_tol) < mp.inf):
-                raise DomainError(
-                    "tail_tol must be finite and > 0: got %s" % self.tail_tol)
-            object.__setattr__(self, "tail_tol", to_mpf(self.tail_tol))
+            object.__setattr__(self, "tail_tol",
+                               _check_tol(self.tail_tol, "tail_tol"))
 
     def effective_tail_tol(self) -> mpf:
         """tail_tol, or 10^-(mp.dps+10) at the precision in force now."""
@@ -292,39 +300,30 @@ def q_pochhammer(a, q, n=None, *, trunc: Optional[Truncation] = None):
     return _product(1, a, q, n)
 
 
-def _products(c, a, q, n: int, lift=1, point=False) -> list:
-    """[P_0, ..., P_n] with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
-    times lift for even m, as one running product GUARD_BITS above mp.prec
-    (its entries keep those bits), operands of the arithmetic of the
-    unified (c, a, q, lift).  Exact operands stay exact, and a factor
-    c - a is 0 exactly when c = a.  Inside a shared scope one table per
-    operands and precision grows to the longest n asked; it is `kept` unless
-    point says that c or a holds a point (Hahn's x, y, omega), then `shared`."""
-    return _grown(*unify(c, a, q, lift), n, point)[:n + 1]
-
-
-def _grown(c, a, q, lift, n: int, point) -> _Rows:
-    """The table of `_products` on unified operands, grown through P_n."""
+def _products(c, a, q, n: int, lift=1, point=False) -> _Rows:
+    """The table of `_product_rows` on the unified (c, a, q, lift), GUARD_BITS
+    above mp.prec, grown through P_n: `kept`, unless point says that c or a
+    holds a point (Hahn's x, y, omega), then `shared`."""
     _check_degree(n, "n")
-    return (shared if point else kept)(_product_table, c, a, q, lift).upto(n)
-
-
-def _product(c, a, q, n: int, lift=1, point=False):
-    """P_n of `_products`, as a value, read in its table, not copied."""
     c, a, q, lift = unify(c, a, q, lift)
-    return arithmetic(q).value(_grown(c, a, q, lift, n, point)[n])
+    return (shared if point else kept)(
+        _Rows, _product_rows, c, a, q, lift, mp.prec + GUARD_BITS).upto(n)
 
 
-def _product_table(c, a, q, lift) -> _Rows:
-    """The rows P_0, P_1, ... of `_products`, on unified operands."""
-    return _Rows(_product_rows, c, a, q, lift, mp.prec + GUARD_BITS)
+def _product(c, a, q, n: int, point=False):
+    """P_n of `_products`, as a value, read in its table, not copied."""
+    c, a, q = unify(c, a, q)
+    return arithmetic(q).value(_products(c, a, q, n, point=point)[n])
 
 
-def _product_rows(c, power, q, lift, prec: int):
-    """P_0, P_1, ... of `_products` in the arithmetic of q, at prec bits."""
+def _product_rows(c, a, q, lift, prec: int):
+    """P_0, P_1, ... with P_0 = 1 and P_(m+1) = P_m (c - a q^m), a q^m
+    times lift for even m, as one running product at prec bits (its entries
+    keep those bits), operands of the arithmetic of q.  Exact operands stay
+    exact, and a factor c - a is 0 exactly when c = a."""
     ar = arithmetic(q)
     mul, sub, rnd = ar.mul, ar.sub, round_nearest
-    c, power, q, lift = map(ar.raw, (c, power, q, lift))  # power = a q^m
+    c, power, q, lift = map(ar.raw, (c, a, q, lift))  # power = a q^m
     out = ar.one
     for m in count():
         yield out
@@ -340,8 +339,8 @@ def _odd_lift(q, alpha):
 
 
 def _gen_q_shifted_prefix(n: int, q, alpha) -> list:
-    """[(q;q)_{0,alpha}, ..., (q;q)_{n,alpha}]: the running product of the
-    recursion below, as operands of the arithmetic of unified (q, alpha)."""
+    """(q;q)_{0,alpha}, ... through (q;q)_{n,alpha} at least: the running
+    product of the recursion below, in the arithmetic of unified (q, alpha)."""
     if not n:  # (q;q)_{0,alpha} = 1 needs no power, exact or not
         return [arithmetic(q).one]
     return _products(1, q, q, n, kept(_odd_lift, q, alpha))
@@ -349,7 +348,7 @@ def _gen_q_shifted_prefix(n: int, q, alpha) -> list:
 
 def _gen_q_shifted(n: int, q, alpha):
     """(q;q)_{n,alpha} of the unified (q, alpha), as a value."""
-    return arithmetic(q).value(_gen_q_shifted_prefix(n, q, alpha)[-1])
+    return arithmetic(q).value(_gen_q_shifted_prefix(n, q, alpha)[n])
 
 
 def gen_q_shifted_factorial(n: int, params: QParams):

@@ -157,16 +157,16 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
     wp is given, a compensated sum on RAW alone, where an addition rounds:
     (total, largest |term|, terms used, tail bound) as operands of that
     arithmetic, through term n_term, else until the tail meets tr's tail
-    tolerance.  It reads the factors of each term ratio that hold no z
-    from `_phi_factors`' table in that arithmetic, `shared` when point
-    says a parameter holds a point, else `kept`."""
+    tolerance, reading the factors that hold no z from the table of
+    `_phi_factor_rows`, `shared` if point says a parameter holds a point."""
     ar = arithmetic(q) if wp is None else fixed(wp)
     add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
     absolute, lt, one, zero = ar.abs, ar.lt, ar.one, ar.zero
     prec, rnd, compensate = mp.prec, round_nearest, ar is RAW
     # a terminating sum, exact or not, has no tail to compare
     z, limit = ar.raw(z), n_term is None and ar.raw(tr.effective_tail_tol())
-    table = (shared if point else kept)(_phi_factors, q, upper, lower, wp)
+    table = (shared if point else kept)(_Rows, _phi_factor_rows, q, upper,
+                                        lower, prec, wp)
     # a terminating sum's rows in one growth
     rows = table.each() if n_term is None else iter(table.upto(n_term - 1))
     total = term = peak = one  # term_0 = 1
@@ -211,18 +211,13 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
                         return total, peak, k + 1, tail
 
 
-def _phi_factors(q, upper, lower, wp=None) -> _Rows:
-    """The rows of phi_rs's term-ratio factors that hold no z, one per k:
-    (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b in lower),
-    (-1)^e q^(k e), or None at e = 1+s-r = 0), in the arithmetic of q at
-    mp.prec, or in fixed(wp) when wp is given, q^k a running product.  A
-    lower factor is 0 where 1 - b q^k rounds to 0 at mp.prec with q^k that
-    product on raw values: the pole rule of both."""
-    return _Rows(_phi_factor_rows, q, upper, lower, mp.prec, wp)
-
-
 def _phi_factor_rows(q, upper, lower, prec: int, wp):
-    """The rows of `_phi_factors`, k = 0, 1, ..., at prec bits or at wp."""
+    """The rows of phi_rs's term-ratio factors that hold no z, one per k =
+    0, 1, ...: (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b
+    in lower), (-1)^e q^(k e), or None at e = 1+s-r = 0), in the arithmetic
+    of q at prec bits, or in fixed(wp) when wp is given, q^k a running
+    product.  A lower factor is 0 where 1 - b q^k rounds to 0 at prec with
+    q^k that product on raw values: the pole rule of both."""
     ar = arithmetic(q) if wp is None else fixed(wp)
     mul, sub, rnd, one = ar.mul, ar.sub, round_nearest, ar.one
     power_exponent = 1 + len(lower) - len(upper)

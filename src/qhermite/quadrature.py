@@ -244,9 +244,9 @@ def _orthogonality_sweep(pairs, p: QParams, tol,
     """Reports for the (n, m) pairs, in order: `_lattice_sums` for the
     pairs of even n + m; a pair of odd n + m is 0 and counts its points.
     Call-local, as no later call is likely to read its (q, alpha)."""
+    tol = _tolerance(tol)
     if not pairs:
         return []
-    tol = _tolerance(tol)
     with mp.workdps(_work_digits("sweep")):
         trunc = trunc or Truncation()
         tail = trunc.effective_tail_tol()

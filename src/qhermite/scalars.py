@@ -21,10 +21,10 @@ from operator import attrgetter, lt
 from typing import Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_int, from_man_exp, fzero,
-                          mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul, mpf_neg,
-                          mpf_pow_int, mpf_sub, round_nearest, to_fixed,
-                          to_str)
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
+                          fzero, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
+                          mpf_neg, mpf_pow_int, mpf_sub, round_nearest,
+                          to_fixed, to_str)
 
 from .errors import DomainError, ExactBackendError
 
@@ -63,30 +63,26 @@ def unify(*values):
     return tuple(map(to_mpf, values))
 
 
-def as_int_if_integral(e):
-    """Collapse an exponent to int when it is integral, else return it as-is."""
-    if isinstance(e, int):
-        return e
-    if isinstance(e, Fraction):
-        return int(e) if e.denominator == 1 else e
-    if isinstance(e, float):
-        return int(e) if e == int(e) else e
-    if isinstance(e, mpf):
-        if mp.isint(e):
-            return int(e)
-        return e
-    return e
-
-
 def qpow(base, exponent):
     """base**exponent with backend discipline.
 
-    Integer exponents preserve exactness (Fraction**int stays a Fraction).
+    Integer exponents, an integral Fraction or mpf too, preserve exactness
+    (Fraction**int stays a Fraction); a float or numeric string exponent is
+    taken as an mpf.
     Non-integer exponents require an mpf base; an exact base raises
     ExactBackendError, a negative base raises DomainError (no complex branch
-    is taken anywhere in this package).
+    is taken anywhere in this package), and so does a non-finite exponent.
     """
-    e = as_int_if_integral(exponent)
+    e = exponent
+    if not isinstance(e, int):
+        e = mpf(e) if isinstance(e, (float, str)) else e
+        if isinstance(e, mpf):
+            if mp.isint(e):
+                e = int(e)
+            elif e._mpf_ in (finf, fninf, fnan):
+                raise DomainError("exponent must be finite: got %s" % e)
+        elif isinstance(e, Fraction) and e.denominator == 1:
+            e = int(e)
     if isinstance(e, int):
         if isinstance(base, _EXACT_TYPES):
             if e >= 0:

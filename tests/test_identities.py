@@ -36,7 +36,7 @@ from qhermite.polyfam import (RecurrenceState, gdqh2, gdqh2_recurrence_ladder,
 from qhermite.qcore import QParams, Truncation, q_pochhammer, shared_scope
 from qhermite.qseries import (euler_e, gen_E, q_bessel2, q_cos_alpha,
                               q_sin_alpha)
-from qhermite.quadrature import orthogonality_gram
+from qhermite.quadrature import orthogonality_check, orthogonality_gram
 from qhermite.scalars import fixed_bits, fmt_scalar, to_mpf
 
 
@@ -81,6 +81,34 @@ def test_default_tolerance_is_half_the_digits_at_each_precision():
         with mp.workdps(dps):
             want = (mpf(10) ** -(dps // 2))._mpf_
             assert default_identity_tol()._mpf_ == want
+
+
+@pytest.mark.parametrize("tol", [0, -1, mp.nan, mp.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_every_check_rejects_a_tolerance_that_is_not_positive(tol, monkeypatch):
+    # a tol of 0, -1 or nan would fail every row and +inf pass every row,
+    # whatever the residual; the suite and the sweep reject it before any
+    # work, an empty sweep too
+    p, x, y, t = QParams(mpf("0.5"), mpf("0.7")), mpf("1.1"), mpf("0.4"), mpf("0.3")
+
+    def no_work():
+        raise AssertionError("tol is checked before any block runs")
+
+    monkeypatch.setattr(identities, "shared_scope", no_work)
+    calls = [lambda: check_representations(3, p, x, y, tol),
+             lambda: check_recurrence(3, p, x, y, tol),
+             lambda: check_connection(3, p, x, y, mpf("0.6"), tol),
+             lambda: check_inversion(3, p, x, y, tol),
+             lambda: check_generating_function(t, x, y, p, tol),
+             lambda: check_even_odd_gf(t, x, y, p, tol),
+             lambda: check_bessel_forms(t, x, y, p, tol),
+             lambda: orthogonality_check(2, 0, p, tol),
+             lambda: orthogonality_gram(2, p, tol),
+             lambda: orthogonality_gram(-1, p, tol),
+             lambda: run_identity_suite(DEFAULT_GRID, tol)]
+    for call in calls:
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            call()
 
 
 REPS = ("definition_sum", "phi_form", "laguerre_form")
@@ -394,8 +422,8 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
     # the sums exhaust their cap; the same ints and bits outside a scope
     # and in one, cold and warm
     streams = []
-    terms = identities._gf_terms
-    monkeypatch.setattr(identities, "_gf_terms",
+    terms = identities._gf_term_stream
+    monkeypatch.setattr(identities, "_gf_term_stream",
                         lambda *a: streams.append(a[-1]) or terms(*a))
     for case in (*_GF_CASES, _GF_CAPPED):
         with mp.workdps(dps):
@@ -406,7 +434,8 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
             with mp.workdps(dps):
                 tail = (trunc or Truncation()).effective_tail_tol()
                 wp = fixed_bits(tail, cap)
-                stream = identities._gf_terms(t, x, y, q, alpha, wp).upto(cap)
+                stream = qcore._Rows(identities._gf_term_stream, t, x, y, q,
+                                     alpha, wp).upto(cap)
                 with mp.workdps(dps + 40):
                     peak = max(1, *map(abs, ref))
                     assert max(abs(mpf(v) / 2 ** wp - want) for v, want
@@ -426,8 +455,8 @@ def test_gf_stream_and_sums_match_a_sum_at_40_more_digits(dps, monkeypatch):
                     with shared_scope():
                         again = [_gf_outcome(half, t, x, y, q, p, trunc)
                                  for half in (None, 0, 1)]
-                        assert identities._gf_terms(
-                            t, x, y, q, alpha, wp).upto(cap) == stream
+                        assert qcore._Rows(identities._gf_term_stream, t, x,
+                                           y, q, alpha, wp).upto(cap) == stream
                     assert list(map(_gf_bits, again)) == list(map(_gf_bits, got))
                 raised = [isinstance(v, ConvergenceError) for v in got]
                 assert raised == [case is _GF_CAPPED] * 3, case
@@ -648,12 +677,12 @@ def test_suite_block_builds_each_table_and_product_once(monkeypatch):
     # is built once, and connection and inversion share one set of tables
     qcore._kept.cache_clear()  # builds counted from a cold start
     tables, products = Counter(), Counter()
-    table, product = qcore._product_table, qcore._infinite_product
+    table, product = qcore._product_rows, qcore._infinite_product
 
     def key(args):
         return tuple((type(a), a) for a in args) + (mp.prec,)
 
-    monkeypatch.setattr(qcore, "_product_table",
+    monkeypatch.setattr(qcore, "_product_rows",
                         lambda *a: tables.update([key(a)]) or table(*a))
     monkeypatch.setattr(qcore, "_infinite_product",
                         lambda *a: products.update([key(a)]) or product(*a))
@@ -681,7 +710,7 @@ def test_direct_checks_build_each_table_once_and_keep_nothing(monkeypatch):
              (check_inversion, (60, p, x, y)),
              (check_connection, (60, p, x, y, omega))]
     builds = Counter()
-    table, lift = qcore._product_table, qcore._odd_lift
+    table, lift = qcore._product_rows, qcore._odd_lift
 
     def key(name, args):
         return (name,) + tuple((type(a), a) for a in args) + (mp.prec,)
@@ -690,7 +719,7 @@ def test_direct_checks_build_each_table_once_and_keep_nothing(monkeypatch):
         builds.update([key("lift", a)])
         return lift(*a)
 
-    monkeypatch.setattr(qcore, "_product_table",
+    monkeypatch.setattr(qcore, "_product_rows",
                         lambda *a: builds.update([key("table", a)]) or table(*a))
     monkeypatch.setattr(qcore, "_odd_lift", counted_lift)
     monkeypatch.setattr(polyfam, "_odd_lift", counted_lift)
@@ -786,10 +815,10 @@ def test_suite_block_reads_one_coefficient_table_per_precision(monkeypatch):
     # more digits) one table of rows at the streams' fixed-point bits
     qcore._kept.cache_clear()  # builds counted from a cold start
     tables, rows = Counter(), Counter()
-    table, gf_rows = polyfam._recurrence_table, identities._gf_rows
-    monkeypatch.setattr(polyfam, "_recurrence_table",
+    table, gf_rows = polyfam._recurrence_rows, identities._gf_row_stream
+    monkeypatch.setattr(polyfam, "_recurrence_rows",
                         lambda *a: tables.update([mp.prec]) or table(*a))
-    monkeypatch.setattr(identities, "_gf_rows",
+    monkeypatch.setattr(identities, "_gf_row_stream",
                         lambda q, alpha, wp: rows.update([wp]) or gf_rows(q, alpha, wp))
     grid = replace(CELL, x_values=("0.9", "1.3"), y_values=("0.4",))
     assert all(r.passed for r in run_identity_suite(grid))
@@ -864,6 +893,27 @@ def test_suite_rows_match_direct_calls():
                      "inversion": check_inversion}[ident](n, p, a["x"], a["y"])
             assert fmt_scalar(r.lhs, 50) == fmt_scalar(d.lhs, 50)
             assert fmt_scalar(r.rhs, 50) == fmt_scalar(d.rhs, 50)
+
+
+def test_suite_rows_at_the_top_degree_are_the_direct_checks():
+    # the grid's largest degree sets the cell's ladder and the block's
+    # digits, the ones a direct check at that degree takes itself: there a
+    # connection or inversion row is the direct check's, every field bit for
+    # bit, in a grid whose top degree is 3 and in one whose top is 12
+    def bits(r):
+        return [v._mpf_ for v in (r.lhs, r.rhs, r.abs_residual, r.rel_residual)]
+
+    for top in (3, 12):
+        grid = replace(CELL, n_values=tuple(range(top + 1)))
+        for ident, check in (("connection", check_connection),
+                             ("inversion", check_inversion)):
+            (r,) = [r for r in run_identity_suite(grid, identity_id=ident)
+                    if r.params["n"] == top]
+            a = r.params
+            p = QParams(a["q"], a["alpha"])
+            point = (a["x"], a["y"]) + ((a["omega"],) if "omega" in a else ())
+            direct = check(top, p, *point)
+            assert direct == r and bits(direct) == bits(r), (top, ident)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, True, mpf(2)],

@@ -32,7 +32,7 @@ from qhermite.qcore import (
     q_pochhammer,
     shared_scope,
 )
-from qhermite.qseries import phi
+from qhermite.qseries import phi, q_bessel2
 from qhermite.scalars import GUARD_BITS, arithmetic, qpow, unify
 
 qs = st.floats(min_value=0.15, max_value=0.85)
@@ -74,6 +74,17 @@ def test_q_families_check_q_before_their_rows(q):
                  lambda: mu_hermite(3, mpf("0.5"), x, q),
                  lambda: stieltjes_wigert(2, x, q)):
         with pytest.raises(DomainError, match=r"q out of range \(0,1\)"):
+            call()
+
+
+def test_real_exponent_parameters_must_be_finite():
+    # alpha, mu and nu are real exponents that no range check bounds above:
+    # an inf or nan one is invalid input, not an inf, 0 or nan value
+    x, q = mpf("0.7"), mpf("0.5")
+    for call in (lambda: q_laguerre(2, mp.inf, x, q),
+                 lambda: mu_hermite(2, mp.inf, x, q),
+                 lambda: q_bessel2(mp.nan, x, q)):
+        with pytest.raises(DomainError, match="exponent must be finite"):
             call()
 
 

@@ -441,9 +441,9 @@ def _bits(values) -> list:
 
 
 def product_values(c, a, q, n: int, lift=1) -> list:
-    """`_products`' rows, operands of their arithmetic, as values."""
+    """`_products`' rows through P_n, operands of their arithmetic, as values."""
     value = arithmetic(unify(c, a, q, lift)[2]).value
-    return [value(v) for v in _products(c, a, q, n, lift)]
+    return [value(v) for v in _products(c, a, q, n, lift)[:n + 1]]
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
@@ -540,6 +540,20 @@ def test_qpow_at_zero_and_for_other_exponent_types(base, exponent, want):
     else:
         got = qpow(base, exponent)
         assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("base", [mpf(2), mpf("0.5"), F(1, 2)],
+                         ids=["mpf-2", "mpf-half", "Fraction"])
+@pytest.mark.parametrize("exponent", [
+    float("inf"), float("-inf"), float("nan"), mp.inf, -mp.inf, mp.nan,
+    "inf", "-inf", "nan"],
+    ids=["float-inf", "float-neginf", "float-nan",
+         "mpf-inf", "mpf-neginf", "mpf-nan", "str-inf", "str-neginf", "str-nan"])
+def test_qpow_rejects_a_non_finite_exponent(base, exponent):
+    # not int()'s OverflowError or ValueError on a float, nor mpf's own
+    # +inf, 0 or nan: the exponent is named as invalid input
+    with pytest.raises(DomainError, match="exponent must be finite: got"):
+        qpow(base, exponent)
 
 
 _rationals = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 6)
@@ -661,11 +675,13 @@ def test_kept_values_hold_no_point(monkeypatch):
                         lambda f, prec, *args: reached.append((f, args))
                         or kept(f, prec, *args))
     assert all(r.passed for r in run_identity_suite(grid))
-    assert {f.__name__ for f, _ in reached} == {
-        "_product_table", "_odd_lift", "_infinite_product", "_recurrence_table",
+    # a table by the stream it grows
+    assert {(args[0] if f is qcore._Rows else f).__name__
+            for f, args in reached} == {
+        "_product_rows", "_odd_lift", "_infinite_product", "_recurrence_rows",
         "_work_digits", "_gdqh2_terms", "_phi_row", "_laguerre_row",
-        "_q_laguerre_row", "_phi_factors", "_gf_rows", "_alpha_powers",
-        "q_pochhammer", "_gen_q_shifted"}
+        "_q_laguerre_row", "_phi_factor_rows", "_gf_row_stream",
+        "_alpha_powers", "q_pochhammer", "_gen_q_shifted"}
 
     def operands(args):  # a row's QParams field by field, a phi's
         for a in args:       # parameter tuples element by element

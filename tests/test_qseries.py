@@ -583,10 +583,10 @@ def test_phi21_tables_end_with_their_scope(monkeypatch):
     # them in qcore._kept past its end, and the bits are those of the same
     # calls outside any scope
     builds = []
-    factors = qseries._phi_factors
-    monkeypatch.setattr(qseries, "_phi_factors",
-                        lambda q, upper, lower, *wp: builds.append(upper[1])
-                        or factors(q, upper, lower, *wp))
+    factors = qseries._phi_factor_rows
+    monkeypatch.setattr(qseries, "_phi_factor_rows",
+                        lambda q, upper, *rest: builds.append(upper[1])
+                        or factors(q, upper, *rest))
     q, alpha = mpf("0.3"), mpf("1.2")
     xs = [mpf("0.8"), mpf("-1.5"), mpf("2.25")]
 
@@ -619,8 +619,8 @@ def test_phi21_keeps_no_factor_table_that_holds_x(monkeypatch):
     assert "_q_laguerre_row" in {f.__name__ for f, _ in reached}
     held = {(-x)._mpf_ for x in xs}
     assert not [(f.__name__, args) for f, args in reached
-                if f is qseries._phi_factors
-                and any(getattr(a, "_mpf_", None) in held for a in args[1])]
+                if f is qcore._Rows and args[0] is qseries._phi_factor_rows
+                and any(getattr(a, "_mpf_", None) in held for a in args[2])]
 
 
 def test_phi_rs_in_a_scope_raises_the_poles_of_a_sum_outside_one():

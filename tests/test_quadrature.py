@@ -550,7 +550,8 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
     # recurrence's own leading factors, at every degree up to 38
     with mp.workdps(dps):
         p = QParams(mpf(q), mpf(alpha))
-        rows = polyfam._recurrence_table(p.q, p.alpha).upto(37)
+        rows = qcore._Rows(polyfam._recurrence_rows, p.q,
+                           qcore._odd_lift(p.q, p.alpha), mp.prec).upto(37)
         d = [orthogonality_rhs(n, p) for n in range(39)]
         for n in range(38):
             beta = p.q * (1 - qpow(p.q, n + 1)) / qpow(p.q, 2 * (n + 1))

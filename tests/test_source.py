@@ -88,3 +88,47 @@ def test_every_public_name_has_a_caller_or_is_exported():
               and not any(node.name in names for other, names in statements
                           if other is not node)]
     assert unused == []
+
+
+_MEMOS = {"kept", "shared"}
+
+
+def _memo_call(node) -> bool:
+    """node calls kept or shared, by name or as (shared if ... else kept)."""
+    func = node.func
+    if isinstance(func, ast.IfExp):
+        return {getattr(func.body, "id", None),
+                getattr(func.orelse, "id", None)} <= _MEMOS
+    return isinstance(func, ast.Name) and func.id in _MEMOS
+
+
+def test_every_table_is_built_through_the_memo():
+    # a table is the memo of its stream: `_Rows` is read only as the first
+    # argument of a kept or shared call, never called or passed on itself,
+    # so no table is built unmemoized
+    memoized, stray = 0, []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        annotations = {id(n) for node in ast.walk(tree)
+                       for a in _annotations(node) for n in ast.walk(a)}
+        first = {id(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _memo_call(node)
+                 and node.args}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "_Rows"
+                    and id(node) not in annotations):
+                if id(node) in first:
+                    memoized += 1
+                else:
+                    stray.append((path.name, node.lineno))
+    assert stray == []
+    assert memoized >= 5
+
+
+def _annotations(node) -> list:
+    """The annotation expressions node holds itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns] if node.returns else []
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return [node.annotation] if node.annotation else []
+    return []
