@@ -56,7 +56,8 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import _alpha_powers, euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import _ten_power, arithmetic, fixed_sum, is_exact, qpow, to_mpf, unify
+from .scalars import (_ten_power, arithmetic, fixed, fixed_sum, is_exact, qpow,
+                      to_mpf, unify)
 
 __all__ = [
     "IdentityReport",
@@ -219,7 +220,7 @@ def check_representations(n: int, p: QParams, x, y,
         _check_degree(n)
         ops = unify(x, y, p.q, p.alpha)
         base = shared(polyfam._gdqh2_definition, n, *ops) if forms else None
-        return [_report(i, params, base, form(n, *ops, trunc), tol, trunc)
+        return [_report(i, params, base, form(n, *ops), tol, trunc)
                 for i, form in forms]
 
 
@@ -364,7 +365,7 @@ def _gf_term_stream(t, x, y, q, alpha, wp: int):
     T_0 = 1, T_(-1) = 0, whose coefficients are bounded and whose solutions
     both fall like |y t^2|^(1/2) per step; it reads the kept rows of
     (q, alpha) (`_gf_row_stream`)."""
-    t, x, y = (to_fixed(v._mpf_, wp) for v in (t, x, y))
+    t, x, y = map(fixed(wp).raw, (t, x, y))
     tx, yt2 = t * x >> wp, (y * t >> wp) * t >> wp
     current, previous = 1 << wp, 0
     for power, inverse in kept(_Rows, _gf_row_stream, q, alpha, wp).each():
@@ -501,7 +502,7 @@ def check_bessel_forms(t, x, y, p: QParams, tol=None,
 # --- limit targets --------------------------------------------------------------
 
 
-def stieltjes_wigert_limit(n: int, x, y, q, trunc: Optional[Truncation] = None):
+def stieltjes_wigert_limit(n: int, x, y, q):
     """Large-alpha limit of the degree-n polynomial:
       even n=2m:   q^(-m(2m-1)) (q;q)_{2m}    (-y)^m   S_m(x^2 y^-1 q^-1; q^2)
       odd  n=2m+1: q^(-m(2m+1)) (q;q)_{2m+1} x (-y)^m  S_m(x^2 y^-1 q;    q^2)
@@ -510,11 +511,13 @@ def stieltjes_wigert_limit(n: int, x, y, q, trunc: Optional[Truncation] = None):
     rescales by one extra power of q^2 before the large-alpha limit.
     """
     x, y, q = unify(x, y, q)
+    if not y:
+        raise DomainError("stieltjes_wigert_limit needs y != 0: got y=%s" % y)
     m = n // 2
     if n % 2 == 0:
-        sw = stieltjes_wigert(m, x * x / y * qpow(q, -1), q * q, trunc=trunc)
+        sw = stieltjes_wigert(m, x * x / y * qpow(q, -1), q * q)
         return qpow(q, -m * (2 * m - 1)) * q_pochhammer(q, q, 2 * m) * qpow(-y, m) * sw
-    sw = stieltjes_wigert(m, x * x / y * q, q * q, trunc=trunc)
+    sw = stieltjes_wigert(m, x * x / y * q, q * q)
     return (qpow(q, -m * (2 * m + 1)) * q_pochhammer(q, q, 2 * m + 1)
             * x * qpow(-y, m) * sw)
 

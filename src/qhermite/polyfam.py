@@ -28,16 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator, Optional
+from typing import Iterator
 
 from mpmath import mp, mpf
 from mpmath.libmp import round_nearest
 
 from .errors import DomainError, RepresentationDomainError
 from .qcore import (
-    _DEFAULT_TRUNCATION,
     QParams,
-    Truncation,
     _Rows,
     _check_degree,
     _check_q,
@@ -74,8 +72,7 @@ def _q_laguerre_row(n: int, alpha, q) -> tuple:
             q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n))
 
 
-def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
-               trunc: Optional[Truncation] = None):
+def q_laguerre(n: int, alpha, x, q, rep: str = "phi11"):
     """q-Laguerre polynomial L_n^(alpha)(x; q).
 
     phi11:  (q^(a+1);q)_n / (q;q)_n * 1-phi-1(q^-n; q^(a+1); q, -q^(n+a+1) x)
@@ -91,30 +88,22 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11",
     _check_q(q)
     down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
     if rep == "phi11":
-        return front * phi((down,), (qa1,), q, step * x, terminate_at=n,
-                           trunc=trunc)
+        return front * phi((down,), (qa1,), q, step * x, terminate_at=n)
     # phi's sum, whose one lower parameter, 0, is no pole, with a factor
     # table `shared`, as -x holds the point; q^n q^(alpha+1) = -step exactly:
     # rounding is symmetric in sign
-    total = _phi_loop(q, -step, (down, -x), (x - x,),
-                      trunc or _DEFAULT_TRUNCATION, True, n)[0]
+    total = _phi_loop(q, -step, (down, -x), (x - x,), True, n)[0]
     return arithmetic(q).value(total) / q_pochhammer(q, q, n)
 
 
-def stieltjes_wigert(n: int, x, q, trunc: Optional[Truncation] = None):
+def stieltjes_wigert(n: int, x, q):
     """Stieltjes-Wigert polynomial
     S_n(x; q) = 1/(q;q)_n * 1-phi-1(q^-n; 0; q, -q^(n+1) x)."""
     _check_degree(n)
     x, q = unify(x, q)
     _check_q(q)
-    series = phi(
-        (qpow(q, -n),),
-        (x - x,),
-        q,
-        -qpow(q, n + 1) * x,
-        terminate_at=n,
-        trunc=trunc,
-    )
+    series = phi((qpow(q, -n),), (x - x,), q, -qpow(q, n + 1) * x,
+                 terminate_at=n)
     return series / q_pochhammer(q, q, n)
 
 
@@ -173,15 +162,14 @@ def _phi_row(n: int, q, alpha) -> tuple:
             q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha))
 
 
-def _gdqh2_phi(n: int, x, y, q, alpha, trunc):
+def _gdqh2_phi(n: int, x, y, q, alpha):
     if to_mpf(x) == 0:
         # the 2-phi-1 form divides by x^2; the definition is total
         return _gdqh2_definition(n, x, y, q, alpha)
     upper, q2, scale, ratio = kept(_phi_row, n, q, alpha)
     z = -y * scale / (x * x)
     # phi's sum, whose one lower parameter, 0, is no pole
-    total = _phi_loop(q2, z, upper, (x - x,), trunc or _DEFAULT_TRUNCATION,
-                      False, n // 2)[0]
+    total = _phi_loop(q2, z, upper, (x - x,), False, n // 2)[0]
     return ratio * qpow(x, n) * arithmetic(q).value(total)
 
 
@@ -198,7 +186,7 @@ def _laguerre_row(n: int, q, alpha) -> tuple:
     return q2, qpow(q, -2 * alpha - 1), pref, alpha + 1 if odd else alpha
 
 
-def _gdqh2_laguerre(n: int, x, y, q, alpha, trunc):
+def _gdqh2_laguerre(n: int, x, y, q, alpha):
     if to_mpf(y) == 0:
         return _gdqh2_definition(n, x, y, q, alpha)
     if to_mpf(y) < 0:
@@ -209,16 +197,15 @@ def _gdqh2_laguerre(n: int, x, y, q, alpha, trunc):
     q2, scale, pref, order = kept(_laguerre_row, n, q, alpha)
     # q_laguerre's phi11 sum, whose lower parameter (q^2)^(order+1) < 1 is no pole
     down, qa1, step, front = kept(_q_laguerre_row, n // 2, order, q2)
-    total = _phi_loop(q2, step * (x * x / y * scale), (down,), (qa1,),
-                      trunc or _DEFAULT_TRUNCATION, False, n // 2)[0]
+    total = _phi_loop(q2, step * (x * x / y * scale), (down,), (qa1,), False,
+                      n // 2)[0]
     laguerre = front * arithmetic(q).value(total)
     if n % 2:
         pref = pref * x
     return pref * qpow(-y, n // 2) * laguerre
 
 
-def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
-          trunc: Optional[Truncation] = None):
+def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum"):
     """Two-variable generalized discrete q-Hermite II polynomial of degree n.
 
     rep selects the representation: 'definition_sum' (total), 'phi_form'
@@ -234,9 +221,9 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum",
     if rep == "definition_sum":
         return _gdqh2_definition(n, x, y, q, alpha)
     if rep == "phi_form":
-        return _gdqh2_phi(n, x, y, q, alpha, trunc)
+        return _gdqh2_phi(n, x, y, q, alpha)
     if rep == "laguerre_form":
-        return _gdqh2_laguerre(n, x, y, q, alpha, trunc)
+        return _gdqh2_laguerre(n, x, y, q, alpha)
     raise DomainError(
         "rep must be 'definition_sum', 'phi_form' or 'laguerre_form': got %r" % rep
     )
@@ -352,7 +339,7 @@ def discrete_q_hermite2(n: int, x, q):
     return gdqh2(n, x, one, QParams(q, alpha))
 
 
-def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
+def mu_hermite(n: int, mu, x, q):
     """mu-deformed q-Hermite polynomial H_n^(mu)(x; q), mu > -1/2.
 
     H_{2m}^(mu)(x;q)   = (-1)^m (q;q)_m L_m^(mu-1/2)(x^2; q)
@@ -365,8 +352,8 @@ def mu_hermite(n: int, mu, x, q, trunc: Optional[Truncation] = None):
     m = n // 2
     sign_poch = (-1) ** m * q_pochhammer(q, q, m)
     if n % 2 == 0:
-        return sign_poch * q_laguerre(m, mu - half, x * x, q, trunc=trunc)
-    return sign_poch * x * q_laguerre(m, mu + half, x * x, q, trunc=trunc)
+        return sign_poch * q_laguerre(m, mu - half, x * x, q)
+    return sign_poch * x * q_laguerre(m, mu + half, x * x, q)
 
 
 def _laguerre_classical(n: int, a, z):

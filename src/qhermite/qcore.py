@@ -112,7 +112,7 @@ class QParams:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Budget for infinite sums/products.
+    """Budget for infinite sums/products; a finite sum reads none.
 
     max_terms, an int, is a hard cap; tail_tol is the size at which a tail is
     declared negligible.  An explicit tail_tol, finite and > 0, is stored as

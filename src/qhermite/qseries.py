@@ -98,15 +98,15 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     """Sum a basic hypergeometric series.
 
     Terminating series are summed through their last nonzero term, exactly
-    on the exact backend, else on raw libmp values.  Non-terminating series
-    require r <= s+1 (r = s+1 additionally needs |z| < 1), run on ints
-    scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_sum` at the
-    tail tolerance and max_terms, which reruns a sum that cancelled) and
+    on the exact backend, else on raw libmp values, whatever trunc says: a
+    finite sum has no tail to cut.  Non-terminating series require r <= s+1
+    (r = s+1 additionally needs |z| < 1) and a finite z and parameters, run
+    on ints scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_sum` at
+    the tail tolerance and max_terms, which reruns a sum that cancelled) and
     stop when the absolute term drops below tail_tol with a geometric tail
     bound recorded, rounded up by one unit of 2^-wp so that it is never 0.
     Each is rounded to mp.prec once.
     """
-    tr = trunc or _DEFAULT_TRUNCATION
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
     q, z = vals[0], vals[1]
@@ -128,7 +128,7 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
             )
 
     if n_term is not None:
-        total, _, used, _ = _phi_loop(q, z, upper, lower, tr, False, n_term)
+        total, _, used, _ = _phi_loop(q, z, upper, lower, False, n_term)
         return SeriesValue(arithmetic(q).value(total), used, q - q)
     if is_exact(q):
         # exact backend only makes sense for terminating sums
@@ -144,24 +144,26 @@ def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
         raise DivergenceError(
             "r = s+1 requires |z| < 1 for convergence: got |z|=%s" % abs(z)
         )
+    tr = trunc or _DEFAULT_TRUNCATION
     (total, _, used, tail), wp = fixed_sum(
-        lambda wp: _phi_loop(q, z, upper, lower, tr, False, wp=wp),
+        lambda wp: _phi_loop(q, z, upper, lower, False, wp=wp, tr=tr),
         tr.effective_tail_tol(), tr.max_terms)
     ar = fixed(wp)
     return SeriesValue(ar.value(total), used, ar.value(tail + 1))
 
 
-def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
-              wp=None) -> tuple:
+def _phi_loop(q, z, upper, lower, point: bool, n_term=None, wp=None,
+              tr=None) -> tuple:
     """phi_rs's one loop, over the arithmetic of q, or over fixed(wp) when
     wp is given, a compensated sum on RAW alone, where an addition rounds:
     (total, largest |term|, terms used, tail bound) as operands of that
-    arithmetic, through term n_term, else until the tail meets tr's tail
-    tolerance, reading the factors that hold no z from the table of
+    arithmetic, through term n_term, else, on fixed(wp) alone, until the
+    tail meets tr's tail tolerance within tr's max_terms: a terminating sum
+    reads no Truncation.  The factors that hold no z come from the table of
     `_phi_factor_rows`, `shared` if point says a parameter holds a point."""
     ar = arithmetic(q) if wp is None else fixed(wp)
     add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
-    absolute, lt, one, zero = ar.abs, ar.lt, ar.one, ar.zero
+    one, zero = ar.one, ar.zero
     prec, rnd, compensate = mp.prec, round_nearest, ar is RAW
     # a terminating sum, exact or not, has no tail to compare
     z, limit = ar.raw(z), n_term is None and ar.raw(tr.effective_tail_tol())
@@ -174,7 +176,7 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
     while True:
         if n_term is not None and k >= n_term:
             return total, peak, k + 1, zero
-        if k + 1 >= tr.max_terms:
+        if n_term is None and k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
                 % (tr.max_terms, abs(to_mpf(ar.value(term))))
@@ -200,14 +202,14 @@ def _phi_loop(q, z, upper, lower, tr, point: bool, n_term=None,
             total = add(total, term, prec, rnd)
         k += 1
         if n_term is None:
-            size = absolute(term, prec, rnd)
+            size = abs(term)
             peak = max(peak, size)
-            if lt(size, limit):
-                rho = absolute(ratio, prec, rnd)
-                if lt(rho, one):
+            if size < limit:
+                rho = abs(ratio)
+                if rho < one:
                     tail = div(mul(size, rho, prec, rnd),
                                sub(one, rho, prec, rnd), prec, rnd)
-                    if lt(tail, limit):
+                    if tail < limit:
                         return total, peak, k + 1, tail
 
 

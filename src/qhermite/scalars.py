@@ -17,14 +17,14 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import attrgetter, lt
+from operator import attrgetter
 from typing import Union
 
 from mpmath import mp, mpf
 from mpmath.libmp import (finf, fnan, fninf, fone, from_int, from_man_exp,
-                          fzero, mpf_abs, mpf_add, mpf_div, mpf_lt, mpf_mul,
-                          mpf_neg, mpf_pow_int, mpf_sub, round_nearest,
-                          to_fixed, to_str)
+                          fzero, mpf_add, mpf_div, mpf_mul, mpf_neg,
+                          mpf_pow_int, mpf_sub, round_nearest, to_fixed,
+                          to_str)
 
 from .errors import DomainError, ExactBackendError
 
@@ -111,14 +111,14 @@ def qpow(base, exponent):
     return b ** to_mpf(e)
 
 
-class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
-                                          "raw value one zero")):
+class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg pow_int raw "
+                                          "value one zero")):
     """The operations of a loop that runs on any of three arithmetics: one
     loop, the same operation order.
 
     A kernel takes its operands with raw, calls op(a, b, prec, rnd),
-    neg(a, prec, rnd), abs(a, prec, rnd), pow_int(a, n, prec, rnd) and
-    lt(a, b), starts from one and zero, and hands a result back with value.
+    neg(a, prec, rnd) and pow_int(a, n, prec, rnd), starts from one and
+    zero, and hands a result back with value.
     RAW's members are libmp's own functions on raw mpf tuples, each rounding
     to prec, so a loop on RAW has the bits of the same expressions on mpf
     values at mp.prec = prec, with no Python frame per operation added.
@@ -128,8 +128,9 @@ class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg abs pow_int lt "
     value builds the `Fraction`, the one reduction.  They ignore prec and
     rnd, so the same loop is exact.  `fixed(wp)`'s are Python's operators
     on ints scaled by 2^wp, each product and quotient rounded down to a
-    unit of 2^-wp whatever prec and rnd say, and value rounds to mp.prec
-    once.  Only on RAW does an addition round.
+    unit of 2^-wp whatever prec and rnd say, raw the one entry into fixed
+    point, which raises DomainError for a non-finite value, and value rounds
+    to mp.prec once.  Only on RAW does an addition round.
     """
 
     __slots__ = ()
@@ -170,12 +171,10 @@ def _pair_pow(a, k, prec, rnd):
 EXACT = Arithmetic(
     _pair_add, _pair_sub,
     lambda a, b, prec, rnd: (a[0] * b[0], a[1] * b[1]), _pair_div,
-    lambda a, prec, rnd: (-a[0], a[1]), lambda a, prec, rnd: (abs(a[0]), a[1]),
-    _pair_pow, lambda a, b: a[0] * b[1] < b[0] * a[1],
+    lambda a, prec, rnd: (-a[0], a[1]), _pair_pow,
     attrgetter("numerator", "denominator"), lambda v: Fraction(*v), (1, 1), (0, 1))
-RAW = Arithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_neg, mpf_abs,
-                 mpf_pow_int, mpf_lt, attrgetter("_mpf_"), mp.make_mpf,
-                 fone, fzero)
+RAW = Arithmetic(mpf_add, mpf_sub, mpf_mul, mpf_div, mpf_neg, mpf_pow_int,
+                 attrgetter("_mpf_"), mp.make_mpf, fone, fzero)
 
 
 def arithmetic(value) -> Arithmetic:
@@ -191,14 +190,23 @@ GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep
 def fixed(wp: int) -> Arithmetic:
     """The fixed-point arithmetic at wp bits (see `Arithmetic`), on ints."""
     one = 1 << wp
+
+    def raw(value):
+        # libmp's to_fixed takes a non-finite value as 0
+        value = to_mpf(value)._mpf_
+        if value in (finf, fninf, fnan):
+            raise DomainError("an infinite sum's operand must be finite: got %s"
+                              % mp.make_mpf(value))
+        return to_fixed(value, wp)
+
     return Arithmetic(
         lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
         lambda a, b, prec, rnd: a * b >> wp,
         lambda a, b, prec, rnd: (a << wp) // b,
-        lambda a, prec, rnd: -a, lambda a, prec, rnd: abs(a),
+        lambda a, prec, rnd: -a,
         # n >= 0: the exact power, rounded down once
-        lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one, lt,
-        lambda v: to_fixed(to_mpf(v)._mpf_, wp),
+        lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one,
+        raw,
         lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
         one, 0)
 

@@ -4,15 +4,17 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_neg
 
+import qhermite as qh
 from qhermite import identities, polyfam, qcore, qseries
-from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
+from qhermite.errors import (ConvergenceError, DomainError, ExactBackendError,
+                             QHermiteError)
 from qhermite.identities import (
     DEFAULT_GRID,
     IDENTITY_IDS,
@@ -563,6 +565,28 @@ def test_representation_and_recurrence_checks():
     assert r.passed and r.rel_residual < mpf("1e-25")
 
 
+def test_a_truncation_reaches_no_finite_sum():
+    # the phi and Laguerre forms at n = 10 sum at most 6 terms each, and
+    # pass under a cap of 5; in the suite every representation row at
+    # n = 0..12 passes, while the generating-function rows, infinite
+    # series, still raise, and every row records the caller's truncation
+    capped = Truncation(max_terms=5)
+    p, x, y = QParams(mpf("0.5"), mpf("0.3")), mpf("0.7"), mpf("0.4")
+    reps = check_representations(10, p, x, y, trunc=capped)
+    assert len(reps) == 2 and all(r.passed and r.truncation is capped
+                                  for r in reps)
+    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0.3",),
+                        x_values=("0.7",), y_values=("0.4",))
+    rows = run_identity_suite(grid, trunc=capped)
+    assert all(r.truncation is capped for r in rows)
+    forms = [r for r in rows if r.identity_id.startswith("representation")]
+    assert len(forms) == 26 and all(r.passed for r in forms)
+    errors = [r for r in rows if r.error is not None]
+    assert {r.identity_id for r in errors} == {
+        "generating_function", "even_gf", "odd_gf", "bessel_even", "bessel_odd"}
+    assert len(errors) == 5 and all("max_terms=5" in r.error for r in errors)
+
+
 # --- limit trends -----------------------------------------------------------------
 
 
@@ -575,6 +599,15 @@ def test_stieltjes_wigert_limit_trend():
                 for a in (5, 10, 20, 40)]
         assert all(devs[i] > devs[i + 1] for i in range(len(devs) - 1)) \
             or max(devs) < mpf("1e-30"), (n, devs)
+
+
+@pytest.mark.parametrize("y", [mpf(0), F(0)], ids=["mpf", "Fraction"])
+def test_stieltjes_wigert_limit_needs_a_nonzero_y(y):
+    # its argument x^2 / y divides by y: a DomainError naming y, not the
+    # ZeroDivisionError of the division
+    for n in range(4):
+        with pytest.raises(DomainError, match="y != 0"):
+            stieltjes_wigert_limit(n, F(9, 10), y, F(1, 2))
 
 
 def test_hermite_scaling_limit_trend():
@@ -949,6 +982,131 @@ def test_every_polynomial_check_names_a_bad_degree(n, x):
         with pytest.raises(DomainError) as error:
             check(n, p, mpf(x), y, *extra)
         assert str(error.value) == message, check.__name__
+
+
+def _nonfinite_probe_calls():
+    """(name, call, finite arguments) for every public evaluator and check:
+    call takes the arguments by name, each a finite real that the probe
+    replaces in turn.  The polynomials are at n = 3 and the suite at n = 2,
+    3, where every value depends on x and y."""
+    def p(q, alpha):
+        return qh.QParams(q, alpha)
+
+    half, tol = mpf("0.5"), mpf("1e-30")
+    qa = dict(q=half, alpha=mpf("0.3"))
+    point = dict(qa, x=mpf("0.7"), y=mpf("0.4"))
+    gf = dict(point, t=mpf("0.2"), tol=tol)
+    series = dict(a=mpf("0.2"), b=mpf("0.3"), q=half, z=mpf("0.4"))
+    calls = [
+        ("q_pochhammer", lambda a, q: qh.q_pochhammer(a, q, 3), dict(a=half, q=half)),
+        ("q_pochhammer_inf", qh.q_pochhammer, dict(a=half, q=half)),
+        ("gen_q_shifted_factorial",
+         lambda q, alpha: qh.gen_q_shifted_factorial(3, p(q, alpha)), qa),
+        ("hahn_add_power", lambda x, y, q: qh.hahn_add_power(x, y, q, 3),
+         dict(x=mpf("0.7"), y=mpf("0.4"), q=half)),
+        ("phi", lambda a, b, q, z: qh.phi((a,), (b,), q, z), series),
+        ("phi_rs", lambda b, q, z: qh.phi_rs(qh.PhiSpec((), (b,), q, z)),
+         dict(b=mpf("0.2"), q=half, z=mpf("0.7"))),
+        ("phi_terminating", lambda a, q, z: qh.phi((q ** -3, a), (), q, z,
+                                                   terminate_at=3),
+         dict(a=mpf("0.2"), q=half, z=mpf("0.4"))),
+        ("euler_e", qh.euler_e, dict(x=mpf("0.3"), q=half)),
+        ("q_bessel2", qh.q_bessel2, dict(nu=mpf("0.3"), z=mpf("0.7"), q=half)),
+        ("gdqh2_recurrence_step",
+         lambda x, y, q, alpha, h1, h0: qh.gdqh2_recurrence_step(
+             qh.RecurrenceState(1, h1, h0), x, y, p(q, alpha)),
+         dict(point, h1=mpf("0.7"), h0=mpf(1))),
+        ("gdqh2_recurrence_ladder", lambda x, y, q, alpha:
+         qh.gdqh2_recurrence_ladder(3, x, y, p(q, alpha)), point),
+        ("discrete_q_hermite2", lambda x, q: qh.discrete_q_hermite2(3, x, q),
+         dict(x=mpf("0.7"), q=half)),
+        ("mu_hermite", lambda mu, x, q: qh.mu_hermite(3, mu, x, q),
+         dict(mu=mpf("0.3"), x=mpf("0.7"), q=half)),
+        ("rosenblum_hermite", lambda mu, x: qh.rosenblum_hermite(3, mu, x),
+         dict(mu=mpf("0.3"), x=mpf("0.7"))),
+        ("stieltjes_wigert", lambda x, q: qh.stieltjes_wigert(3, x, q),
+         dict(x=mpf("0.7"), q=half)),
+        ("stieltjes_wigert_limit", lambda x, y, q:
+         stieltjes_wigert_limit(3, x, y, q), dict(x=mpf("0.7"), y=mpf("0.4"), q=half)),
+        ("hermite_scaled_deviation", lambda x, q: hermite_scaled_deviation(3, x, q),
+         dict(x=mpf("0.7"), q=half)),
+        ("residuals", residuals, dict(lhs=half, rhs=half)),
+        ("check_representations", lambda x, y, q, alpha, tol:
+         check_representations(3, p(q, alpha), x, y, tol), dict(point, tol=tol)),
+        ("check_recurrence", lambda x, y, q, alpha, tol:
+         check_recurrence(3, p(q, alpha), x, y, tol), dict(point, tol=tol)),
+        ("check_connection", lambda x, y, q, alpha, omega, tol:
+         check_connection(3, p(q, alpha), x, y, omega, tol),
+         dict(point, omega=mpf("0.6"), tol=tol)),
+        ("check_inversion", lambda x, y, q, alpha, tol:
+         check_inversion(3, p(q, alpha), x, y, tol), dict(point, tol=tol)),
+        ("orthogonality_weight", lambda x, q, alpha:
+         qh.orthogonality_weight(x, p(q, alpha)), dict(qa, x=mpf("0.7"))),
+        ("orthogonality_rhs", lambda q, alpha: qh.orthogonality_rhs(2, p(q, alpha)), qa),
+        ("orthogonality_check", lambda q, alpha, tol:
+         qh.orthogonality_check(1, 1, p(q, alpha), tol), dict(qa, tol=tol)),
+        ("orthogonality_gram", lambda q, alpha, tol:
+         qh.orthogonality_gram(1, p(q, alpha), tol), dict(qa, tol=tol)),
+    ]
+    calls += [("q_laguerre_" + rep, lambda alpha, x, q, rep=rep:
+               qh.q_laguerre(3, alpha, x, q, rep),
+               dict(alpha=mpf("0.3"), x=mpf("0.7"), q=half))
+              for rep in ("phi11", "phi21")]
+    calls += [("gdqh2_" + rep, lambda x, y, q, alpha, rep=rep:
+               gdqh2(3, x, y, p(q, alpha), rep), point)
+              for rep in ("definition_sum", "phi_form", "laguerre_form")]
+    calls += [(f.__name__, lambda x, q, alpha, f=f: f(x, p(q, alpha)),
+               dict(qa, x=mpf("0.7")))
+              for f in (qh.gen_E, qh.q_cos_alpha, qh.q_sin_alpha)]
+    calls += [(check.__name__, lambda t, x, y, q, alpha, tol, check=check:
+               check(t, x, y, p(q, alpha), tol), gf)
+              for check in (check_generating_function, check_even_odd_gf,
+                            check_bessel_forms)]
+    grid = IdentityGrid(q_values=("0.5",), alpha_values=("0.3",),
+                        n_values=(2, 3), x_values=("0.7",), y_values=("0.4",))
+    calls += [("run_identity_suite", lambda tol, **values: run_identity_suite(
+                   replace(grid, **{k: (str(v),) for k, v in values.items()}),
+                   tol),
+               {"tol": tol, field: mpf(getattr(grid, field)[0])})
+              for field in ("q_values", "alpha_values", "x_values", "y_values",
+                            "omega_values", "t_values")]
+    return calls
+
+
+def _flags_nonfinite(out) -> bool:
+    """True for a non-finite value (any one of a list), or for reports of
+    which none that holds a non-finite parameter passed."""
+    if isinstance(out, identities.IdentityReport):
+        out = [out]
+    if isinstance(out, (list, tuple)) and out and all(
+            isinstance(r, identities.IdentityReport) for r in out):
+        return not any(r.passed for r in out
+                       if not all(map(mp.isfinite, r.params.values())))
+    if isinstance(out, (list, tuple)):
+        return any(map(_flags_nonfinite, out))
+    if isinstance(out, qh.SeriesValue):
+        out = out.value
+    if isinstance(out, qh.RecurrenceState):
+        out = out.current
+    return not mp.isfinite(out)
+
+
+def test_a_nonfinite_argument_never_gives_a_finite_value_or_a_pass():
+    # libmp's to_fixed takes inf and nan as 0, so a convergent phi, a
+    # q-cosine and the parity halves once summed them as finite numbers;
+    # every numeric argument of every public evaluator and check, set to
+    # inf, -inf or nan, now raises a QHermiteError, gives a non-finite value
+    # or gives reports none of which passes
+    missed = []
+    for name, call, args in _nonfinite_probe_calls():
+        for key, bad in product(args, ("inf", "-inf", "nan")):
+            try:
+                out = call(**dict(args, **{key: mpf(bad)}))
+            except QHermiteError:
+                continue
+            if not _flags_nonfinite(out):
+                missed.append((name, key, bad))
+    assert not missed
 
 
 def test_summarize_counts():

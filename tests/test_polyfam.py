@@ -1,5 +1,6 @@
 """Polynomial families: values, representation agreement, recurrence."""
 
+import inspect
 import random
 from fractions import Fraction as F
 from itertools import islice, product
@@ -10,6 +11,7 @@ from mpmath import mp, mpf
 
 from qhermite import polyfam
 from qhermite.errors import DomainError, ExactBackendError, RepresentationDomainError
+from qhermite.identities import stieltjes_wigert_limit
 from qhermite.polyfam import (
     _gdqh2_terms,
     discrete_q_hermite2,
@@ -25,7 +27,6 @@ from qhermite.polyfam import (
 )
 from qhermite.qcore import (
     QParams,
-    Truncation,
     _gen_q_shifted_prefix,
     _odd_lift,
     gen_q_shifted_factorial,
@@ -113,6 +114,13 @@ def test_stieltjes_wigert_values():
     # degree 1 by hand: S_1(x;q) = (1 - qx) / (1-q)
     qe, xe = F(1, 2), F(3, 7)
     assert stieltjes_wigert(1, xe, qe) == (1 - qe * xe) / (1 - qe)
+
+
+def test_finite_sums_take_no_truncation():
+    # each family is a finite sum, so no caller's Truncation reaches it
+    for family in (gdqh2, q_laguerre, stieltjes_wigert, mu_hermite,
+                   discrete_q_hermite2, stieltjes_wigert_limit):
+        assert "trunc" not in inspect.signature(family).parameters, family
 
 
 # --- the central family ----------------------------------------------------------
@@ -210,20 +218,20 @@ def test_gdqh2_rep_edge_routing():
         gdqh2(-1, mpf(1), mpf(1), p)
 
 
-def _public_phi_form(n, x, y, q, alpha, trunc):
+def _public_phi_form(n, x, y, q, alpha):
     """The phi form through phi: its row, then the 2-phi-1 by the public
     series entry point."""
     upper, q2, scale, ratio = polyfam._phi_row(n, q, alpha)
     z = -y * scale / (x * x)
     return ratio * qpow(x, n) * phi(upper, (x - x,), q2, z,
-                                    terminate_at=n // 2, trunc=trunc)
+                                    terminate_at=n // 2)
 
 
-def _public_laguerre_form(n, x, y, q, alpha, trunc):
+def _public_laguerre_form(n, x, y, q, alpha):
     """The Laguerre form through q_laguerre: its row, then the public
     q-Laguerre polynomial."""
     q2, scale, pref, order = polyfam._laguerre_row(n, q, alpha)
-    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2, trunc=trunc)
+    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2)
     if n % 2:
         pref = pref * x
     return pref * qpow(-y, n // 2) * laguerre
@@ -254,29 +262,29 @@ def _exact_bits(v):
 def test_forms_on_the_series_kernel_are_the_public_route_bit_for_bit(dps):
     # the phi and Laguerre forms sum on their rows' operands; on seeded
     # float and exact cells, at both parities, they give the bits of the
-    # same expressions through phi and q_laguerre, with and without a
-    # truncation, and route x = 0 and y = 0 to the definition sum
+    # same expressions through phi and q_laguerre, and route x = 0 and y = 0
+    # to the definition sum
     with mp.workdps(dps):
         for cell in _form_cells(36, 12):
             x, y, q, alpha = unify(cell[2], cell[3], cell[0], cell[1])
-            for n, trunc in product(range(10), (None, Truncation(max_terms=50))):
+            for n in range(10):
                 for lean, public in ((polyfam._gdqh2_phi, _public_phi_form),
                                      (polyfam._gdqh2_laguerre,
                                       _public_laguerre_form)):
-                    got = lean(n, x, y, q, alpha, trunc)
+                    got = lean(n, x, y, q, alpha)
                     assert _exact_bits(got) == _exact_bits(
-                        public(n, x, y, q, alpha, trunc))
+                        public(n, x, y, q, alpha))
                     assert isinstance(got, F) == isinstance(q, F)
                 zero_x, zero_y = x - x, y - y
                 definition = polyfam._gdqh2_definition
                 assert _exact_bits(polyfam._gdqh2_phi(
-                    n, zero_x, y, q, alpha, trunc)) == _exact_bits(
+                    n, zero_x, y, q, alpha)) == _exact_bits(
                         definition(n, zero_x, y, q, alpha))
                 assert _exact_bits(polyfam._gdqh2_laguerre(
-                    n, x, zero_y, q, alpha, trunc)) == _exact_bits(
+                    n, x, zero_y, q, alpha)) == _exact_bits(
                         definition(n, x, zero_y, q, alpha))
                 with pytest.raises(RepresentationDomainError):
-                    polyfam._gdqh2_laguerre(n, x, -y, q, alpha, trunc)
+                    polyfam._gdqh2_laguerre(n, x, -y, q, alpha)
 
 
 @pytest.mark.parametrize("num, cases", [

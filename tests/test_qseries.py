@@ -343,7 +343,8 @@ def test_exact_negative_power_still_terminates(dps):
 
 def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
     """phi_rs by mpf expressions, the reference of its one loop: the same
-    pole and divergence rules, then a CompensatedSum of term-ratio steps."""
+    pole and divergence rules, then a CompensatedSum of term-ratio steps,
+    capped at max_terms only where the series does not terminate."""
     tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
@@ -366,7 +367,7 @@ def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
     while True:
         if n_term is not None and k >= n_term:
             return SeriesValue(total.total, k + 1, q - q)
-        if k + 1 >= tr.max_terms:
+        if n_term is None and k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
                 % (tr.max_terms, abs(to_mpf(term))))
@@ -495,6 +496,24 @@ def test_convergent_phi_rs_matches_qhyper_at_40_more_digits(dps, monkeypatch):
                 assert len(loops) == 1 + (spec is cancelling), spec
                 assert loops[-1] > mp.prec + 32
             assert q_cos_alpha(x, p) == phi_rs(cancelling).value
+
+
+@pytest.mark.parametrize("dps", [50, 181])
+def test_terminating_phi_rs_reads_no_truncation(dps):
+    # a finite sum has no tail to cut: under a cap below its length each
+    # terminating case, a 13-term 1-phi-1 among them, gives the bits of the
+    # default truncation, as its reference does, where the parent raised
+    # ConvergenceError
+    capped = Truncation(max_terms=2)
+    q = mpf("0.6")
+    long_sum = PhiSpec((q ** -12,), (mpf("0.3"),), q, mpf("0.2"),
+                       terminate_at=12)
+    with mp.workdps(dps):
+        for spec in _phi_cases() + [long_sum]:
+            got = _bits(phi_rs(spec, capped))
+            assert got == _bits(phi_rs(spec)), spec
+            assert got == _bits(reference_phi_rs(spec, capped)), spec
+        assert phi_rs(long_sum, capped).terms_used == 13
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])

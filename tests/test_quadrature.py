@@ -560,6 +560,66 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
                 <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
 
 
+def _moment_ratio(l: int, p: QParams):
+    """mu_l = (q;q)_{2l,alpha} q^(-l^2) / (q^2;q^2)_l, the closed-form
+    L[x^(2l)] / L[1] of the functional L that orthogonality defines."""
+    q = p.q
+    return (gen_q_shifted_factorial(2 * l, p) * qpow(q, -l * l)
+            / q_pochhammer(q * q, q * q, l))
+
+
+def _power_coefficients(n: int, p: QParams) -> list:
+    """[a_0, ..., a_n] with h_n(x, 1) = sum_i a_i x^i, solved exactly from
+    the exact values of gdqh2 at x = 0..n; the Vandermonde matrix's leading
+    minors are nonzero, so the elimination needs no pivoting."""
+    rows = [[F(x) ** i for i in range(n + 1)] + [gdqh2(n, F(x), 1, p)]
+            for x in range(n + 1)]
+    for c in range(n + 1):
+        for r in range(n + 1):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return [row[-1] / row[i] for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("q, alpha", [(F(1, 2), 0), (F(2, 3), F(1, 2)),
+                                      (F(3, 5), 1), (F(17, 25), F(-1, 2))],
+                         ids=["1/2-0", "2/3-1/2", "3/5-1", "17/25--1/2"])
+def test_orthogonality_is_a_moment_identity_exactly(q, alpha):
+    # L[h_n h_m] / L[1] from the closed-form moments: the x^(2l)
+    # coefficients c_l of h_n h_m(x, 1) give sum_l c_l mu_l = delta_nm
+    # q^(-n^2) (q;q)_n^2 / (q;q)_{n,alpha}, equal as Fractions
+    p = QParams(q, alpha)
+    coefficients = [_power_coefficients(n, p) for n in range(7)]
+    for n in range(7):
+        for m in range(n % 2, 7, 2):
+            c = [0] * (n + m + 1)
+            for i, a in enumerate(coefficients[n]):
+                for j, b in enumerate(coefficients[m]):
+                    c[i + j] += a * b
+            got = sum(c[2 * l] * _moment_ratio(l, p)
+                      for l in range((n + m) // 2 + 1))
+            want = 0 if n != m else (qpow(q, -n * n) * q_pochhammer(q, q, n) ** 2
+                                     / gen_q_shifted_factorial(n, p))
+            assert got == want, (n, m)
+
+
+@pytest.mark.parametrize("q, alpha", [("0.5", "0"), ("0.25", "1.2"),
+                                      ("0.6", "-0.3")])
+def test_weight_moments_are_the_closed_form_moments(q, alpha):
+    # the Jackson sums M_l = sum_k q^(k(2a+2+2l)) w_a(q^k), k = -40..399,
+    # against the public weight at 80 digits: M_l / M_0 = mu_l for l <= 6
+    with mp.workdps(80):
+        p = QParams(mpf(q), mpf(alpha))
+        lattice = [(k, orthogonality_weight(qpow(p.q, k), p))
+                   for k in range(-40, 400)]
+        moments = [mp.fsum(qpow(p.q, k * (2 * p.alpha + 2 + 2 * l)) * w
+                           for k, w in lattice) for l in range(7)]
+        for l in range(7):
+            mu = _moment_ratio(l, p)
+            assert abs(moments[l] / moments[0] - mu) <= mpf("1e-70") * mu, l
+
+
 def test_public_rhs_keeps_its_products(monkeypatch):
     # one degree at a time, the public constant reads the five products
     # (the denominator's three and two more) its first call kept
