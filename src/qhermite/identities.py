@@ -56,7 +56,7 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import _alpha_powers, euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (_ten_power, arithmetic, fixed, fixed_sum, is_exact, qpow,
+from .scalars import (GUARD_BITS, _ten_power, arithmetic, fixed, fixed_sum, is_exact, qpow,
                       to_mpf, unify)
 
 __all__ = [
@@ -258,10 +258,11 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     half = Fraction(-1, 2) if is_exact(q) else mpf(-0.5)  # exact at any precision
     hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
     ar = arithmetic(q)
-    mul, div, prec, rnd, total = ar.mul, ar.div, mp.prec, round_nearest, ar.zero
-    for k, sign, den in kept(_gdqh2_terms, n, q, half):
-        term = mul(div(mul(sign, hahn[k], prec, rnd), den, prec, rnd),
-                   ar.raw(ladder[n - 2 * k]), prec, rnd)
+    mul, rnd, total = ar.mul, round_nearest, ar.zero
+    prec = mp.prec + GUARD_BITS
+    for k, _, _, c in kept(_gdqh2_terms, n, q, half):
+        term = mul(mul(c, hahn[k], prec, rnd), ar.raw(ladder[n - 2 * k]),
+                   prec, rnd)
         total = ar.add(total, term, prec, rnd)
     return ar.value(total)
 

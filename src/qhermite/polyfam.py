@@ -67,9 +67,10 @@ __all__ = [
 def _q_laguerre_row(n: int, alpha, q) -> tuple:
     """q_laguerre's factors of (n, alpha, q) alone: q^-n, q^(alpha+1),
     -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n."""
-    qa1 = qpow(q, alpha + 1)
-    return (qpow(q, -n), qa1, -qpow(q, n) * qa1,
-            q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n))
+    with mp.workprec(mp.prec + GUARD_BITS):
+        qa1 = qpow(q, alpha + 1)
+        down, step = qpow(q, -n), -qpow(q, n) * qa1
+    return down, qa1, step, q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n)
 
 
 def q_laguerre(n: int, alpha, x, q, rep: str = "phi11"):
@@ -116,10 +117,11 @@ def _q_squared(q):
 
 
 def _gdqh2_terms(n: int, q, alpha) -> tuple:
-    """The row ((k, sign, den) for k = 0..n//2), where the definition sum's
-    k-th term is sign * x^(n-2k) y^k / den: sign = (-1)^k q^(-2nk+k(2k+1))
-    and den = (q;q)_{n-2k,alpha} (q^2;q^2)_k, sign and den operands of q's
-    arithmetic."""
+    """The row ((k, sign, den, c) for k = 0..n//2), where the definition
+    sum's k-th term is sign * x^(n-2k) y^k / den = c * x^(n-2k) y^k: sign =
+    (-1)^k q^(-2nk+k(2k+1)), den = (q;q)_{n-2k,alpha} (q^2;q^2)_k and c =
+    sign / den, operands of q's arithmetic.  The sums multiply by c alone;
+    the orthogonality sweep reads sign and den."""
     ar = arithmetic(q)
     mul, rnd, prec, guard = ar.mul, round_nearest, mp.prec, mp.prec + GUARD_BITS
     # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2
@@ -132,21 +134,23 @@ def _gdqh2_terms(n: int, q, alpha) -> tuple:
     power, step = (ar.pow_int(minus_q, e, guard, rnd) for e in (3 - 2 * n, 4))
     sign, row = ar.one, []
     for k in range(n // 2 + 1):
-        row.append((k, sign, mul(gen_fact[n - 2 * k], poch_q2[k], prec, rnd)))
+        den = mul(gen_fact[n - 2 * k], poch_q2[k], prec, rnd)
+        row.append((k, sign, den, ar.div(sign, den, guard, rnd)))
         sign, power = mul(sign, power, guard, rnd), mul(power, step, guard, rnd)
     return tuple(row)
 
 
 def _gdqh2_definition(n: int, x, y, q, alpha):
-    """(q;q)_n times the sum of the terms sign * x^(n-2k) * y^k / den of
+    """(q;q)_n times the sum of the terms c * x^(n-2k) * y^k of
     `_gdqh2_terms`, each rounded in that order."""
     ar = arithmetic(q)
-    mul, pow_int, prec, rnd = ar.mul, ar.pow_int, mp.prec, round_nearest
+    mul, pow_int, rnd = ar.mul, ar.pow_int, round_nearest
+    prec = mp.prec + GUARD_BITS
     x, y, total = ar.raw(x), ar.raw(y), ar.zero
-    for k, sign, den in kept(_gdqh2_terms, n, q, alpha):
-        term = mul(mul(sign, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
+    for k, _, _, c in kept(_gdqh2_terms, n, q, alpha):
+        term = mul(mul(c, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
                    pow_int(y, k, prec, rnd), prec, rnd)
-        total = ar.add(total, ar.div(term, den, prec, rnd), prec, rnd)
+        total = ar.add(total, term, prec, rnd)
     return kept(q_pochhammer, q, q, n) * ar.value(total)
 
 
@@ -154,12 +158,10 @@ def _phi_row(n: int, q, alpha) -> tuple:
     """The phi form's factors of (n, q, alpha) alone: its upper parameters,
     q^2, q^(2 alpha + 3) and (q;q)_n / (q;q)_{n,alpha}."""
     m = n // 2
-    if n % 2 == 0:
-        upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha))
-    else:
-        upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha - 2))
-    return (upper, q * q, qpow(q, 2 * alpha + 3),
-            q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha))
+    with mp.workprec(mp.prec + GUARD_BITS):
+        upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha - 2 * (n % 2)))
+        q2, scale = q * q, qpow(q, 2 * alpha + 3)
+    return upper, q2, scale, q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha)
 
 
 def _gdqh2_phi(n: int, x, y, q, alpha):
@@ -167,7 +169,8 @@ def _gdqh2_phi(n: int, x, y, q, alpha):
         # the 2-phi-1 form divides by x^2; the definition is total
         return _gdqh2_definition(n, x, y, q, alpha)
     upper, q2, scale, ratio = kept(_phi_row, n, q, alpha)
-    z = -y * scale / (x * x)
+    with mp.workprec(mp.prec + GUARD_BITS):
+        z = -y * scale / (x * x)
     # phi's sum, whose one lower parameter, 0, is no pole
     total = _phi_loop(q2, z, upper, (x - x,), False, n // 2)[0]
     return ratio * qpow(x, n) * arithmetic(q).value(total)
@@ -177,13 +180,14 @@ def _laguerre_row(n: int, q, alpha) -> tuple:
     """The Laguerre form's factors of (n, q, alpha) alone: q^2,
     q^(-2 alpha - 1), its prefactor and its q-Laguerre order."""
     m, odd = n // 2, n % 2
-    q2 = q * q
+    with mp.workprec(mp.prec + GUARD_BITS):
+        q2, scale = q * q, qpow(q, -2 * alpha - 1)
     pref = (
         qpow(q, -m * (2 * m - 1 + 2 * odd))
         * q_pochhammer(q, q, 2 * m + odd)
         / q_pochhammer(qpow(q, 2 * alpha + 2), q2, m + odd)
     )
-    return q2, qpow(q, -2 * alpha - 1), pref, alpha + 1 if odd else alpha
+    return q2, scale, pref, alpha + 1 if odd else alpha
 
 
 def _gdqh2_laguerre(n: int, x, y, q, alpha):
@@ -197,7 +201,9 @@ def _gdqh2_laguerre(n: int, x, y, q, alpha):
     q2, scale, pref, order = kept(_laguerre_row, n, q, alpha)
     # q_laguerre's phi11 sum, whose lower parameter (q^2)^(order+1) < 1 is no pole
     down, qa1, step, front = kept(_q_laguerre_row, n // 2, order, q2)
-    total = _phi_loop(q2, step * (x * x / y * scale), (down,), (qa1,), False,
+    with mp.workprec(mp.prec + GUARD_BITS):
+        z = step * (x * x / y * scale)
+    total = _phi_loop(q2, z, (down,), (qa1,), False,
                       n // 2)[0]
     laguerre = front * arithmetic(q).value(total)
     if n % 2:
@@ -211,10 +217,9 @@ def gdqh2(n: int, x, y, params: QParams, rep: str = "definition_sum"):
     rep selects the representation: 'definition_sum' (total), 'phi_form'
     (routes to the definition at x = 0), or 'laguerre_form' (y > 0; routes
     to the definition at y = 0).  All inputs may be exact rationals as long
-    as 2*alpha is an integer; the result is then exact, and an exact
-    (q, alpha) at a float x or y computes as floats.  laguerre_form is
-    stricter: it takes the power (q^2)^(alpha+1), so exact inputs need an
-    integer alpha (half-integers raise ExactBackendError).
+    as 2*alpha is an integer; the result is then exact, in every form (the
+    Laguerre form's (q^2)^(alpha+1) is q^(2 alpha + 2), which `qpow` takes
+    exactly), and an exact (q, alpha) at a float x or y computes as floats.
     """
     _check_degree(n)
     x, y, q, alpha = unify(x, y, params.q, params.alpha)
@@ -239,38 +244,41 @@ class RecurrenceState:
 
 
 def _recurrence_rows(q, lift, prec: int) -> Iterator:
-    """The step's coefficients (lead_n, q / (q^n)^2, 1 - q^n) for n = 0, 1,
-    ..., as operands of q's arithmetic at prec bits, with lead_n = (1 -
-    q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)), q^n a running product and its
-    products with lift = q^(2 alpha + 1) and with itself taken with the
-    guard bits.  At odd n, theta_n = 0 and lead_n is the arithmetic's one,
-    the quotient (1 - q^(n+1)) / (1 - q^(n+1)) without the division."""
+    """The step's coefficients of (q, alpha) alone, one row per n = 0, 1,
+    ...: (1 / lead_n, beta_n), as operands of q's arithmetic at prec bits,
+    with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) and beta_n =
+    q^(1-2n) (1 - q^n).  q^n and q^(1-2n) are running products by q and by
+    q^-2, and q^(n+1) lift, lift = q^(2 alpha + 1), and 1 - q^n are taken
+    with the guard bits.  At odd n, theta_n = 0 and 1 / lead_n is the
+    arithmetic's one, the quotient (1 - q^(n+1)) / (1 - q^(n+1)) without
+    the division."""
     ar = arithmetic(q)
-    mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
+    mul, sub, rnd = ar.mul, ar.sub, round_nearest
     guard, q, lift = prec + GUARD_BITS, ar.raw(q), ar.raw(lift)
     q_n = one = ar.one
+    power, step = q, ar.pow_int(q, -2, guard, rnd)  # q^(1-2n), q^-2
     for n in count():
         q_n1 = mul(q_n, q, guard, rnd)
-        lead = one if n & 1 else div(
-            sub(one, mul(q_n1, lift, guard, rnd), prec, rnd),
-            sub(one, q_n1, prec, rnd), prec, rnd)
-        yield (lead, div(q, mul(q_n, q_n, guard, rnd), prec, rnd),
-               sub(one, q_n, prec, rnd))
-        q_n = q_n1
+        inverse = one if n & 1 else ar.div(
+            sub(one, q_n1, guard, rnd),
+            sub(one, mul(q_n1, lift, guard, rnd), guard, rnd), guard, rnd)
+        yield inverse, mul(power, sub(one, q_n, guard, rnd), guard, rnd)
+        q_n, power = q_n1, mul(power, step, guard, rnd)
 
 
 def _recurrence(x, y, q, alpha, n: int = 0, current=None,
                 previous=None) -> Iterator:
     """h_n, h_(n+1), ... at one point, from h_n = current and h_(n-1) =
     previous (h_0 = 1 by default), as operands of q's arithmetic: the one
-    recurrence kernel.  Each value is rounded at the precision in force when
-    it is pulled, with the kept `_recurrence_rows` of that precision, and
-    is not divided at odd n, where lead_n is one.  A caller may send back
-    the value it pulled as the operand to carry on: on EXACT, the pair of
-    its `Fraction`, in lowest terms, so the pairs grow as the values do, not
-    by the factors each step leaves."""
+    recurrence kernel, h_(n+1) = (x h_n - (y beta_n) h_(n-1)) / lead_n, on
+    the kept `_recurrence_rows` of the precision in force when each value
+    is pulled, rounded at that precision: three products a step, and a
+    fourth, by 1 / lead_n, at even n only.  A caller may send back the
+    value it pulled as the operand to carry on: on EXACT, the pair of its
+    `Fraction`, in lowest terms, so the pairs grow as the values do, not by
+    the factors each step leaves."""
     ar = arithmetic(q)
-    mul, sub, div, rnd = ar.mul, ar.sub, ar.div, round_nearest
+    mul, sub, rnd = ar.mul, ar.sub, round_nearest
     x, y = ar.raw(x), ar.raw(y)
     if current is None:
         current, previous = ar.one, ar.zero
@@ -284,13 +292,13 @@ def _recurrence(x, y, q, alpha, n: int = 0, current=None,
         if mp.prec != prec:
             prec, table = mp.prec, kept(_Rows, _recurrence_rows, q,
                                         kept(_odd_lift, q, alpha), mp.prec)
-        lead, ratio, gap = table.upto(n)[n]
+        inverse, beta = table.upto(n)[n]
         nxt = mul(x, current, prec, rnd)
         if n:
-            back = mul(mul(y, ratio, prec, rnd), gap, prec, rnd)
-            nxt = sub(nxt, mul(back, previous, prec, rnd), prec, rnd)
+            nxt = sub(nxt, mul(mul(y, beta, prec, rnd), previous, prec, rnd),
+                      prec, rnd)
         previous, current = current, (nxt if n & 1
-                                      else div(nxt, lead, prec, rnd))
+                                      else mul(nxt, inverse, prec, rnd))
         n += 1
 
 

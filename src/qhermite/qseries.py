@@ -29,8 +29,8 @@ from .errors import (
 )
 from .qcore import (_DEFAULT_TRUNCATION, QParams, Truncation, _check_degree, _check_q,
                     _infinite_product, _Rows, kept, q_pochhammer, shared)
-from .scalars import (EXACT, RAW, Numeric, arithmetic, fixed, fixed_sum,
-                      is_exact, qpow, to_mpf, unify)
+from .scalars import (EXACT, GUARD_BITS, RAW, Numeric, arithmetic, finite_raw,
+                      fixed, fixed_sum, is_exact, qpow, to_mpf, unify)
 
 __all__ = [
     "PhiSpec",
@@ -97,21 +97,24 @@ def _neg_q_power_index(a, q) -> Optional[int]:
 def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
     """Sum a basic hypergeometric series.
 
+    A non-finite z or parameter raises DomainError (`scalars.finite_raw`).
     Terminating series are summed through their last nonzero term, exactly
-    on the exact backend, else on raw libmp values, whatever trunc says: a
-    finite sum has no tail to cut.  Non-terminating series require r <= s+1
-    (r = s+1 additionally needs |z| < 1) and a finite z and parameters, run
-    on ints scaled by 2^wp (`scalars.fixed`, wp from `scalars.fixed_sum` at
-    the tail tolerance and max_terms, which reruns a sum that cancelled) and
-    stop when the absolute term drops below tail_tol with a geometric tail
-    bound recorded, rounded up by one unit of 2^-wp so that it is never 0.
-    Each is rounded to mp.prec once.
+    on the exact backend, else on raw libmp values GUARD_BITS above
+    mp.prec, whatever trunc says: a finite sum has no tail to cut.
+    Non-terminating series require r <= s+1 (r = s+1 additionally needs
+    |z| < 1), run on ints scaled by 2^wp (`scalars.fixed`, wp from
+    `scalars.fixed_sum` at the tail tolerance and max_terms, which reruns a
+    sum that cancelled) and stop when the absolute term drops below
+    tail_tol with a geometric tail bound recorded, rounded up by one unit
+    of 2^-wp so that it is never 0.  Each is rounded to mp.prec once.
     """
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
     q, z = vals[0], vals[1]
     upper = vals[2 : 2 + r]
     lower = vals[2 + r :]
+    for v in vals[1:] if not is_exact(q) else ():
+        finite_raw(v)
 
     n_term = spec.terminate_at
     if n_term is None:
@@ -159,12 +162,14 @@ def _phi_loop(q, z, upper, lower, point: bool, n_term=None, wp=None,
     (total, largest |term|, terms used, tail bound) as operands of that
     arithmetic, through term n_term, else, on fixed(wp) alone, until the
     tail meets tr's tail tolerance within tr's max_terms: a terminating sum
-    reads no Truncation.  The factors that hold no z come from the table of
-    `_phi_factor_rows`, `shared` if point says a parameter holds a point."""
+    reads no Truncation.  Each term ratio is z times one coefficient of
+    the table of `_phi_factor_rows`, `shared` if point says a parameter
+    holds a point."""
     ar = arithmetic(q) if wp is None else fixed(wp)
     add, sub, mul, div = ar.add, ar.sub, ar.mul, ar.div
     one, zero = ar.one, ar.zero
     prec, rnd, compensate = mp.prec, round_nearest, ar is RAW
+    wide = prec + GUARD_BITS
     # a terminating sum, exact or not, has no tail to compare
     z, limit = ar.raw(z), n_term is None and ar.raw(tr.effective_tail_tol())
     table = (shared if point else kept)(_Rows, _phi_factor_rows, q, upper,
@@ -175,31 +180,21 @@ def _phi_loop(q, z, upper, lower, point: bool, n_term=None, wp=None,
     comp, k = zero, 0
     while True:
         if n_term is not None and k >= n_term:
-            return total, peak, k + 1, zero
+            return add(total, zero, prec, rnd), peak, k + 1, zero
         if n_term is None and k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
                 % (tr.max_terms, abs(to_mpf(ar.value(term))))
             )
-        head, ups, lows, bracket = next(rows)
-        ratio = div(z, head, prec, rnd)
-        for factor in ups:
-            ratio = mul(ratio, factor, prec, rnd)
-        for b, denom in zip(lower, lows):
-            # a pair (num, den) of EXACT is 0 at num = 0, whatever den
-            if denom == zero or ar is EXACT and not denom[0]:
-                raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
-            ratio = div(ratio, denom, prec, rnd)
-        if bracket is not None:
-            ratio = mul(ratio, bracket, prec, rnd)
-        term = mul(term, ratio, prec, rnd)
+        ratio = mul(z, next(rows), wide, rnd)
+        term = mul(term, ratio, wide, rnd)
         if compensate:
-            low = sub(term, comp, prec, rnd)
-            high = add(total, low, prec, rnd)
-            comp = sub(sub(high, total, prec, rnd), low, prec, rnd)
+            low = sub(term, comp, wide, rnd)
+            high = add(total, low, wide, rnd)
+            comp = sub(sub(high, total, wide, rnd), low, wide, rnd)
             total = high
         else:
-            total = add(total, term, prec, rnd)
+            total = add(total, term, wide, rnd)
         k += 1
         if n_term is None:
             size = abs(term)
@@ -214,19 +209,21 @@ def _phi_loop(q, z, upper, lower, point: bool, n_term=None, wp=None,
 
 
 def _phi_factor_rows(q, upper, lower, prec: int, wp):
-    """The rows of phi_rs's term-ratio factors that hold no z, one per k =
-    0, 1, ...: (1 - q^(k+1), (1 - a q^k for a in upper), (1 - b q^k for b
-    in lower), (-1)^e q^(k e), or None at e = 1+s-r = 0), in the arithmetic
-    of q at prec bits, or in fixed(wp) when wp is given, q^k a running
-    product.  A lower factor is 0 where 1 - b q^k rounds to 0 at prec with
-    q^k that product on raw values: the pole rule of both."""
+    """The coefficients of phi_rs's term ratios, z aside, one per k = 0, 1,
+    ...: prod (1 - a q^k) * bracket / ((1 - q^(k+1)) prod (1 - b q^k)),
+    over a in upper and b in lower, bracket = (-1)^e q^(k e) with e =
+    1+s-r (none at e = 0), in the arithmetic of q GUARD_BITS above prec,
+    or in fixed(wp) when wp is given, q^k a running product: as many
+    operations as the ratio they fold.  A lower factor is a pole where
+    1 - b q^k rounds to 0 at prec with q^k that product at prec on raw
+    values, or is 0, and its row raises PoleError."""
     ar = arithmetic(q) if wp is None else fixed(wp)
     mul, sub, rnd, one = ar.mul, ar.sub, round_nearest, ar.one
-    power_exponent = 1 + len(lower) - len(upper)
-    # on fixed(wp), the one k near b q^k = 1 where a lower factor can round
-    # to 0 on raw values: k = m of b = q^-m, checked with q^m that product
+    wide, power_exponent = prec + GUARD_BITS, 1 + len(lower) - len(upper)
+    # on raw values, the one k near b q^k = 1 where a lower factor can round
+    # to 0 at prec: k = m of b = q^-m, checked with q^m that product
     poles = {}
-    for i, b in enumerate(lower if wp is not None else ()):
+    for i, b in enumerate(lower if ar is not EXACT else ()):
         m, power = _q_log_index(b, q), fone
         if m is not None:
             for _ in range(m):
@@ -237,18 +234,25 @@ def _phi_factor_rows(q, upper, lower, prec: int, wp):
     q, qk = ar.raw(q), one  # q^k
     ups, lows = [ar.raw(a) for a in upper], [ar.raw(b) for b in lower]
     for k in count():
-        bracket = None
+        num = None
         if power_exponent:
-            bracket = ar.pow_int(qk, power_exponent, prec, rnd)
+            num = ar.pow_int(qk, power_exponent, wide, rnd)
             if power_exponent & 1:
-                bracket = ar.neg(bracket, prec, rnd)
-        row = [sub(one, mul(b, qk, prec, rnd), prec, rnd) for b in lows]
-        for i in poles.get(k, ()):
-            row[i] = ar.zero
-        yield (sub(one, mul(q, qk, prec, rnd), prec, rnd),
-               [sub(one, mul(a, qk, prec, rnd), prec, rnd) for a in ups],
-               row, bracket)
-        qk = mul(qk, q, prec, rnd)
+                num = ar.neg(num, wide, rnd)
+        for a in ups:
+            factor = sub(one, mul(a, qk, wide, rnd), wide, rnd)
+            num = factor if num is None else mul(num, factor, wide, rnd)
+        den = sub(one, mul(q, qk, wide, rnd), wide, rnd)
+        for i, b in enumerate(lows):
+            factor = sub(one, mul(b, qk, wide, rnd), wide, rnd)
+            # a pair (num, den) of EXACT is 0 at num = 0, whatever den
+            if (i in poles.get(k, ()) or factor == ar.zero
+                    or ar is EXACT and not factor[0]):
+                raise PoleError("lower parameter %s hits a pole at k=%d"
+                                % (lower[i], k + 1))
+            den = mul(den, factor, wide, rnd)
+        yield ar.div(one if num is None else num, den, wide, rnd)
+        qk = mul(qk, q, wide, rnd)
 
 
 def phi(upper, lower, q, z, terminate_at=None, trunc=None):

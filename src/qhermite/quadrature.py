@@ -116,7 +116,7 @@ def _coefficients(n: int, p: QParams) -> list:
     q, prec, rnd = p.q, mp.prec, round_nearest
     front = q_pochhammer(q, q, n)._mpf_
     return [_dyadic(mpf_div(mpf_mul(front, sign, prec, rnd), den, prec, rnd))
-            for _, sign, den in _gdqh2_terms(n, q, p.alpha)]
+            for _, sign, den, _ in _gdqh2_terms(n, q, p.alpha)]
 
 
 def _plus(a: tuple, b: tuple) -> tuple:

@@ -69,9 +69,11 @@ def qpow(base, exponent):
     Integer exponents, an integral Fraction or mpf too, preserve exactness
     (Fraction**int stays a Fraction); a float or numeric string exponent is
     taken as an mpf.
-    Non-integer exponents require an mpf base; an exact base raises
-    ExactBackendError, a negative base raises DomainError (no complex branch
-    is taken anywhere in this package), and so does a non-finite exponent.
+    A non-integer Fraction exponent num/r of an exact base > 0 that is a
+    perfect r-th power gives the exact value, root**num; any other
+    non-integer power of an exact base raises ExactBackendError.  A negative
+    base raises DomainError (no complex branch is taken anywhere in this
+    package), and so does a non-finite exponent.
     """
     e = exponent
     if not isinstance(e, int):
@@ -94,6 +96,11 @@ def qpow(base, exponent):
         return b ** e
     # non-integer exponent
     if is_exact(base):
+        if isinstance(e, Fraction) and base > 0:
+            num, den = (_int_root(v, e.denominator)
+                        for v in (base.numerator, base.denominator))
+            if num and den:
+                return Fraction(num, den) ** e.numerator
         raise ExactBackendError(
             "non-integer exponent %r requires the float backend (got exact base %r)"
             % (exponent, base)
@@ -109,6 +116,17 @@ def qpow(base, exponent):
             return mpf(0)
         raise DomainError("0 cannot be raised to a non-positive non-integer power")
     return b ** to_mpf(e)
+
+
+def _int_root(n: int, r: int):
+    """The r-th root of the int n >= 1 if it is an int, else None: Newton's
+    step on ints from above, down to the floor of the root."""
+    x = 1 << -(-n.bit_length() // r)  # above the root
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x if x ** r == n else None
+        x = y
 
 
 class Arithmetic(namedtuple("Arithmetic", "add sub mul div neg pow_int raw "
@@ -186,18 +204,21 @@ def arithmetic(value) -> Arithmetic:
 GUARD_BITS = 32  # bits beyond mp.prec that running products of q-powers keep
 
 
+def finite_raw(value) -> tuple:
+    """value's raw libmp tuple, or DomainError if it is not finite: the rule
+    for every operand of a sum, and fixed point's entry, as libmp's
+    to_fixed takes a non-finite value as 0."""
+    raw = to_mpf(value)._mpf_
+    if raw in (finf, fninf, fnan):
+        raise DomainError("a sum's operand must be finite: got %s"
+                          % mp.make_mpf(raw))
+    return raw
+
+
 @lru_cache(maxsize=64)
 def fixed(wp: int) -> Arithmetic:
     """The fixed-point arithmetic at wp bits (see `Arithmetic`), on ints."""
     one = 1 << wp
-
-    def raw(value):
-        # libmp's to_fixed takes a non-finite value as 0
-        value = to_mpf(value)._mpf_
-        if value in (finf, fninf, fnan):
-            raise DomainError("an infinite sum's operand must be finite: got %s"
-                              % mp.make_mpf(value))
-        return to_fixed(value, wp)
 
     return Arithmetic(
         lambda a, b, prec, rnd: a + b, lambda a, b, prec, rnd: a - b,
@@ -206,7 +227,7 @@ def fixed(wp: int) -> Arithmetic:
         lambda a, prec, rnd: -a,
         # n >= 0: the exact power, rounded down once
         lambda a, n, prec, rnd: a ** n >> wp * (n - 1) if n else one,
-        raw,
+        lambda value: to_fixed(finite_raw(value), wp),
         lambda v: mp.make_mpf(from_man_exp(v, -wp, mp.prec, round_nearest)),
         one, 0)
 

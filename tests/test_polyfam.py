@@ -151,13 +151,12 @@ def test_gdqh2_reps_agree_exactly_on_rationals():
             assert gdqh2(n, F(3, 2), F(2, 3), p, rep="phi_form") == a
             assert gdqh2_recurrence_ladder(n, F(3, 2), F(2, 3), p)[-1] == a
             assert isinstance(a, F)
-            if alpha.denominator == 1:
-                assert gdqh2(n, F(3, 2), F(2, 3), p, rep="laguerre_form") == a
+            assert gdqh2(n, F(3, 2), F(2, 3), p, rep="laguerre_form") == a
 
 
 @pytest.mark.parametrize("q, alpha, reps", [
     (F(2, 3), F(1), ("phi_form", "laguerre_form")),
-    (F(3, 5), F(1, 2), ("phi_form",)),  # exact Laguerre needs an integer alpha
+    (F(3, 5), F(1, 2), ("phi_form", "laguerre_form")),
 ])
 def test_forms_agree_exactly_on_a_product_grid(q, alpha, reps):
     # each form and the recurrence is a polynomial of degree n in x and
@@ -175,13 +174,17 @@ def test_forms_agree_exactly_on_a_product_grid(q, alpha, reps):
                 assert gdqh2(n, x, y, p, rep=rep) == want, (rep, n, x, y)
 
 
-def test_gdqh2_laguerre_form_exact_needs_integer_alpha():
-    # the Laguerre route takes the power (q^2)^(alpha+1); on exact inputs a
-    # half-integer alpha cannot stay rational and must refuse loudly
-    from qhermite.errors import ExactBackendError
-    p = QParams(F(2, 5), F(-1, 2))
+def test_gdqh2_laguerre_form_is_exact_at_half_integer_alpha():
+    # the Laguerre route takes the power (q^2)^(alpha+1) = q^(2 alpha + 2),
+    # a rational at a half-integer alpha, which qpow takes as the exact
+    # power of the root q; where 2 alpha is no integer it still refuses
+    for n, x, y, p in ((2, F(3, 2), F(2, 3), QParams(F(2, 5), F(-1, 2))),
+                       (8, F(9, 10), F(7, 10), QParams(F(17, 25), F(1, 2)))):
+        got = gdqh2(n, x, y, p, rep="laguerre_form")
+        assert type(got) is F and got == gdqh2(n, x, y, p)
     with pytest.raises(ExactBackendError):
-        gdqh2(2, F(3, 2), F(2, 3), p, rep="laguerre_form")
+        gdqh2(2, F(3, 2), F(2, 3), QParams(F(2, 5), F(1, 3)),
+              rep="laguerre_form")
 
 
 @given(q=qs, alpha=alphas, x=st.floats(min_value=-2, max_value=2),
@@ -219,19 +222,24 @@ def test_gdqh2_rep_edge_routing():
 
 
 def _public_phi_form(n, x, y, q, alpha):
-    """The phi form through phi: its row, then the 2-phi-1 by the public
-    series entry point."""
+    """The phi form through phi: its row, its argument GUARD_BITS above the
+    working precision, then the 2-phi-1 by the public series entry point."""
     upper, q2, scale, ratio = polyfam._phi_row(n, q, alpha)
-    z = -y * scale / (x * x)
+    with mp.workprec(mp.prec + GUARD_BITS):
+        z = -y * scale / (x * x)
     return ratio * qpow(x, n) * phi(upper, (x - x,), q2, z,
                                     terminate_at=n // 2)
 
 
 def _public_laguerre_form(n, x, y, q, alpha):
-    """The Laguerre form through q_laguerre: its row, then the public
-    q-Laguerre polynomial."""
+    """The Laguerre form through phi: its row and q_laguerre's, its
+    argument GUARD_BITS above the working precision, then q_laguerre's
+    phi11 sum by the public series entry point."""
     q2, scale, pref, order = polyfam._laguerre_row(n, q, alpha)
-    laguerre = q_laguerre(n // 2, order, x * x / y * scale, q2)
+    down, qa1, step, front = polyfam._q_laguerre_row(n // 2, order, q2)
+    with mp.workprec(mp.prec + GUARD_BITS):
+        z = step * (x * x / y * scale)
+    laguerre = front * phi((down,), (qa1,), q2, z, terminate_at=n // 2)
     if n % 2:
         pref = pref * x
     return pref * qpow(-y, n // 2) * laguerre
@@ -401,7 +409,7 @@ def test_running_powers_within_two_ulps(alpha):
     # connection and inversion read
     n, q, alpha = 60, mpf("0.68"), mpf(alpha)
     prefix = list(map(mp.make_mpf, _gen_q_shifted_prefix(n, q, alpha)))
-    signs = [mp.make_mpf(sign) for _, sign, _ in _gdqh2_terms(n, q, alpha)]
+    signs = [mp.make_mpf(sign) for _, sign, _, _ in _gdqh2_terms(n, q, alpha)]
     with mp.workdps(mp.dps + 40):
         want_prefix = [mpf(1)]
         for m in range(n):
@@ -437,21 +445,26 @@ def guarded_mul(a, b):
 
 
 def _ladder_with_own_powers(n, x, y, p):
-    """h_0..h_n from a step that carries q^n and q^(2 alpha + 1) itself:
-    the step before the coefficient table, as the reference."""
+    """h_0..h_n from a step that carries q^n, q^(1-2n) and q^(2 alpha + 1)
+    itself, its coefficients 1 / lead_n and beta_n = q^(1-2n) (1 - q^n)
+    rounded GUARD_BITS above the working precision: the step before the
+    coefficient table, as the reference."""
     x, y, q, alpha = unify(x, y, p.q, p.alpha)
     with mp.workprec(mp.prec + GUARD_BITS):
-        lift = qpow(q, 2 * alpha + 1)
-    q_n = q - q + 1
+        lift, step = qpow(q, 2 * alpha + 1), qpow(q, -2)
+    q_n, power = q - q + 1, q
     previous, current = q - q, q - q + 1
     out = [current]
     for k in range(n):
         q_n1 = guarded_mul(q_n, q)
-        lead = (1 - (guarded_mul(q_n1, lift) if k % 2 == 0 else q_n1)) / (1 - q_n1)
+        with mp.workprec(mp.prec + GUARD_BITS):
+            inverse = (1 - q_n1) / (1 - (q_n1 * lift if k % 2 == 0 else q_n1))
+            beta = power * (1 - q_n)
         nxt = x * current
         if k >= 1:
-            nxt = nxt - y * (q / guarded_mul(q_n, q_n)) * (1 - q_n) * previous
-        previous, current, q_n = current, nxt / lead, q_n1
+            nxt = nxt - y * beta * previous
+        previous, current = current, nxt * inverse
+        q_n, power = q_n1, guarded_mul(power, step)
         out.append(current)
     return out
 
@@ -478,9 +491,10 @@ def test_coefficient_table_is_bit_for_bit_the_carried_powers(dps, alpha):
     (F(17, 25), F(3, 2), F(-9, 10), F(1, 2)),
 ], ids=["mpf", "Fraction"])
 def test_odd_leads_are_exact_ones_that_change_no_bit(q, alpha, x, y, dps):
-    # theta_n = 0 at odd n, so lead_n = (1 - q^(n+1)) / (1 - q^(n+1)) is the
-    # backend's exact one, and the ladder that skips dividing by it has the
-    # bits of the one that divides at every n (_ladder_with_own_powers)
+    # theta_n = 0 at odd n, so 1 / lead_n = (1 - q^(n+1)) / (1 - q^(n+1))
+    # is the backend's exact one, and the ladder that skips multiplying by
+    # it has the bits of the one that multiplies at every n
+    # (_ladder_with_own_powers)
     with mp.workdps(dps):
         q, alpha, x, y = (v if isinstance(v, F) else mpf(v) for v in (q, alpha, x, y))
         rows = list(islice(polyfam._recurrence_rows(q, _odd_lift(q, alpha),
@@ -553,13 +567,15 @@ def test_float_kernel_is_the_step_chain_bit_for_bit(alpha):
 
 @pytest.mark.parametrize("dps", [50, 181, 750])
 def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
-    # the loop rounds sign * x^(n-2k) * y^k / den and the running sum as
-    # the mpf expression below does, at x = 0, y = 0 and y < 0 too
+    # the loop rounds c * x^(n-2k) * y^k and the running sum GUARD_BITS
+    # above the working precision as the mpf expression below does, at
+    # x = 0, y = 0 and y < 0 too
     def reference(n, x, y, p):
         total, value = p.q - p.q, arithmetic(p.q).value
-        for k, sign, den in _gdqh2_terms(n, p.q, p.alpha):
-            total = total + (value(sign) * qpow(x, n - 2 * k) * qpow(y, k)
-                             / value(den))
+        terms = _gdqh2_terms(n, p.q, p.alpha)
+        with mp.workprec(mp.prec + GUARD_BITS):
+            for k, _, _, c in terms:
+                total = total + value(c) * qpow(x, n - 2 * k) * qpow(y, k)
         return q_pochhammer(p.q, p.q, n) * total
 
     def bits(v):

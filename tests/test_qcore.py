@@ -556,6 +556,34 @@ def test_qpow_rejects_a_non_finite_exponent(base, exponent):
         qpow(base, exponent)
 
 
+@pytest.mark.parametrize("base, exponent, want", [
+    (F(289, 625), F(3, 2), F(17, 25) ** 3),
+    (F(289, 625), F(-3, 2), F(25, 17) ** 3),
+    (F(8, 27), F(2, 3), F(4, 9)),
+    (4, F(1, 2), F(2)),
+    (F(7, 3) ** 35, F(1, 35), F(7, 3)),
+    (F(2, 5), F(1, 2), ExactBackendError),  # 2/5 is no square
+    (F(8, 25), F(2, 3), ExactBackendError),  # 25 is no cube
+    (F(1, 2), F(5, 3), ExactBackendError),
+    (F(4, 9), 0.5, ExactBackendError),  # a float exponent takes mpf
+    (F(4, 9), mpf("0.5"), ExactBackendError),
+])
+def test_qpow_takes_exact_roots_of_perfect_powers(base, exponent, want):
+    # an exact base that is a perfect r-th power, r the exponent's
+    # denominator, gives its exact power; any other non-integer power of an
+    # exact base refuses, and an mpf base keeps its bits
+    if want is ExactBackendError:
+        with pytest.raises(ExactBackendError, match="requires the float backend"):
+            qpow(base, exponent)
+        return
+    got = qpow(base, exponent)
+    assert got == want and type(got) is F
+    with mp.workdps(60):
+        wide = qpow(to_mpf(base), to_mpf(exponent))
+        assert wide._mpf_ == (to_mpf(base) ** to_mpf(exponent))._mpf_
+        assert abs(wide - to_mpf(want)) <= mpf(10) ** -55 * abs(wide)
+
+
 _rationals = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 6)
 
 

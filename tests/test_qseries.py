@@ -34,7 +34,7 @@ from qhermite.qseries import (
     q_cos_alpha,
     q_sin_alpha,
 )
-from qhermite.scalars import CompensatedSum, qpow, to_mpf, unify
+from qhermite.scalars import GUARD_BITS, CompensatedSum, qpow, to_mpf, unify
 
 qs = st.floats(min_value=0.1, max_value=0.9)
 
@@ -344,7 +344,11 @@ def test_exact_negative_power_still_terminates(dps):
 def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
     """phi_rs by mpf expressions, the reference of its one loop: the same
     pole and divergence rules, then a CompensatedSum of term-ratio steps,
-    capped at max_terms only where the series does not terminate."""
+    each ratio z times one coefficient prod (1 - a q^k) * bracket /
+    ((1 - q^(k+1)) prod (1 - b q^k)), all GUARD_BITS above the working
+    precision, the sum rounded to it once, a pole where 1 - b q^k rounds
+    to 0 at the working precision with q^k a running product there; capped
+    at max_terms only where the series does not terminate."""
     tr = trunc or Truncation()
     r, s = len(spec.upper), len(spec.lower)
     vals = unify(spec.q, spec.z, *spec.upper, *spec.lower)
@@ -362,35 +366,41 @@ def reference_phi_rs(spec: PhiSpec, trunc=None) -> SeriesValue:
     total = CompensatedSum(q - q)
     term = q - q + 1
     total.add(term)
-    qk = q - q + 1
+    qk = running = q - q + 1
     k = 0
     while True:
         if n_term is not None and k >= n_term:
-            return SeriesValue(total.total, k + 1, q - q)
+            return SeriesValue(+total.total, k + 1, q - q)
         if n_term is None and k + 1 >= tr.max_terms:
             raise ConvergenceError(
                 "phi series needed more than max_terms=%d terms (last |term|=%s)"
                 % (tr.max_terms, abs(to_mpf(term))))
-        ratio = z / (1 - q * qk)
-        for a in upper:
-            ratio *= 1 - a * qk
         for b in lower:
-            denom = 1 - b * qk
-            if denom == 0:
-                raise PoleError("lower parameter %s hits a pole at k=%d" % (b, k + 1))
-            ratio /= denom
-        if power_exponent:
-            ratio *= ((-1) ** power_exponent) * qpow(qk, power_exponent)
-        term = term * ratio
-        total.add(term)
-        qk *= q
+            if 1 - b * running == 0:
+                raise PoleError("lower parameter %s hits a pole at k=%d"
+                                % (b, k + 1))
+        with mp.workprec(mp.prec + GUARD_BITS):
+            num = None
+            if power_exponent:
+                num = qpow(qk, power_exponent)
+                num = -num if power_exponent % 2 else num
+            for a in upper:
+                num = 1 - a * qk if num is None else num * (1 - a * qk)
+            den = 1 - q * qk
+            for b in lower:
+                den = den * (1 - b * qk)
+            ratio = z * ((q - q + 1 if num is None else num) / den)
+            term = term * ratio
+            total.add(term)
+            qk *= q
+        running *= q
         k += 1
         if n_term is None and abs(to_mpf(term)) < tail_tol:
             rho = abs(to_mpf(ratio))
             if rho < 1:
                 tail = abs(to_mpf(term)) * rho / (1 - rho)
                 if tail < tail_tol:
-                    return SeriesValue(total.total, k + 1, tail)
+                    return SeriesValue(+total.total, k + 1, tail)
 
 
 def _wide(value):
@@ -514,6 +524,23 @@ def test_terminating_phi_rs_reads_no_truncation(dps):
             assert got == _bits(phi_rs(spec)), spec
             assert got == _bits(reference_phi_rs(spec, capped)), spec
         assert phi_rs(long_sum, capped).terms_used == 13
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_phi_rs_rejects_a_nonfinite_operand_terminating_or_not(bad):
+    # a terminating sum once ran on raw values, where a lower parameter of
+    # +-inf divides each term past the first by 1 - b q^k = -+inf, its
+    # limit: phi((q^-3, 0.2), (inf,), 0.5, 0.4, terminate_at=3) gave 1.0;
+    # now z and every parameter are held to the convergent sum's rule
+    q, bad = mpf("0.5"), mpf(bad)
+    terminating = ((q ** -3, mpf("0.2")), (mpf("0.3"),), mpf("0.4"), 3)
+    convergent = ((mpf("0.2"),), (mpf("0.3"),), mpf("0.4"), None)
+    for upper, lower, z, stop in (terminating, convergent):
+        for spec in (PhiSpec(upper, (bad,), q, z, stop),
+                     PhiSpec(upper[:-1] + (bad,), lower, q, z, stop),
+                     PhiSpec(upper, lower, q, bad, stop)):
+            with pytest.raises(DomainError, match="operand must be finite"):
+                phi_rs(spec)
 
 
 @pytest.mark.parametrize("dps", [50, 181, 750])

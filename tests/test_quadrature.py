@@ -555,7 +555,7 @@ def test_constants_satisfy_favard_with_the_recurrence(q, alpha, dps):
         d = [orthogonality_rhs(n, p) for n in range(39)]
         for n in range(38):
             beta = p.q * (1 - qpow(p.q, n + 1)) / qpow(p.q, 2 * (n + 1))
-            lead = mp.make_mpf(rows[n][0])
+            lead = 1 / mp.make_mpf(rows[n][0])
             assert abs(lead * d[n + 1] - beta * d[n]) \
                 <= mpf(10) ** (1 - dps) * abs(beta * d[n]), n
 
