@@ -251,6 +251,8 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     (q;q)_m, with (omega (+)_{q^2} -y)^k h_{n-2k} for x^(n-2k) y^k, over one
     recurrence ladder.  At omega = 0, (0 (+)_{q^2} -y)^k = (-y)^k q^(k(k-1)).
     The Hahn powers are one product: omega = y zeroes every k >= 1 exactly.
+    Terms and sum run GUARD_BITS above mp.prec; the caller's product with
+    (q;q)_n or (q;q)_{n,alpha} rounds them once.
     x, y, omega and q are unified with p.alpha, so the ladder is on q's
     backend.
     """

@@ -142,7 +142,8 @@ def _gdqh2_terms(n: int, q, alpha) -> tuple:
 
 def _gdqh2_definition(n: int, x, y, q, alpha):
     """(q;q)_n times the sum of the terms c * x^(n-2k) * y^k of
-    `_gdqh2_terms`, each rounded in that order."""
+    `_gdqh2_terms`, terms and sum GUARD_BITS above mp.prec, rounded once
+    by the product with (q;q)_n."""
     ar = arithmetic(q)
     mul, pow_int, rnd = ar.mul, ar.pow_int, round_nearest
     prec = mp.prec + GUARD_BITS
@@ -245,11 +246,10 @@ class RecurrenceState:
 
 def _recurrence_rows(q, lift, prec: int) -> Iterator:
     """The step's coefficients of (q, alpha) alone, one row per n = 0, 1,
-    ...: (1 / lead_n, beta_n), as operands of q's arithmetic at prec bits,
-    with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) and beta_n =
-    q^(1-2n) (1 - q^n).  q^n and q^(1-2n) are running products by q and by
-    q^-2, and q^(n+1) lift, lift = q^(2 alpha + 1), and 1 - q^n are taken
-    with the guard bits.  At odd n, theta_n = 0 and 1 / lead_n is the
+    ...: (1 / lead_n, beta_n), as operands of q's arithmetic GUARD_BITS
+    above prec, with lead_n = (1 - q^(n+1+theta_n(2a+1))) / (1 - q^(n+1)) and beta_n =
+    q^(1-2n) (1 - q^n), q^n and q^(1-2n) running products by q and by
+    q^-2 and lift = q^(2 alpha + 1).  At odd n, theta_n = 0 and 1 / lead_n is the
     arithmetic's one, the quotient (1 - q^(n+1)) / (1 - q^(n+1)) without
     the division."""
     ar = arithmetic(q)
