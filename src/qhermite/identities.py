@@ -33,8 +33,7 @@ from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_div, mpf_lt,
 from .errors import ConvergenceError, DomainError, QHermiteError
 from . import polyfam
 from .polyfam import (
-    _gdqh2_terms,
-    _q_squared,
+    _q_power,
     gdqh2,
     gdqh2_recurrence_ladder,
     rosenblum_hermite,
@@ -56,7 +55,7 @@ from .qcore import (
     shared_scope,
 )
 from .qseries import _alpha_powers, euler_e, gen_E, q_bessel2, q_cos_alpha, q_sin_alpha
-from .scalars import (GUARD_BITS, _ten_power, arithmetic, fixed, fixed_sum, is_exact, qpow,
+from .scalars import (_ten_power, arithmetic, fixed, fixed_sum, is_exact, qpow,
                       to_mpf, unify)
 
 __all__ = [
@@ -258,15 +257,9 @@ def _descending_sum(n: int, x, y, omega, q, p: QParams):
     """
     ladder = _ladder(n, x, y, p)
     half = Fraction(-1, 2) if is_exact(q) else mpf(-0.5)  # exact at any precision
-    hahn = _products(omega, y, _q_squared(q), n // 2, point=True)
-    ar = arithmetic(q)
-    mul, rnd, total = ar.mul, round_nearest, ar.zero
-    prec = mp.prec + GUARD_BITS
-    for k, _, _, c in kept(_gdqh2_terms, n, q, half):
-        term = mul(mul(c, hahn[k], prec, rnd), ar.raw(ladder[n - 2 * k]),
-                   prec, rnd)
-        total = ar.add(total, term, prec, rnd)
-    return ar.value(total)
+    hahn = _products(omega, y, _q_power(q, 2), n // 2, point=True)
+    return polyfam._term_sum(n, q, half, hahn,
+                             map(arithmetic(q).raw, ladder[n::-2]))
 
 
 @_call_local

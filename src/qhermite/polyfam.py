@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from functools import partial
+from itertools import accumulate, count, islice, repeat
 from typing import Iterator
 
 from mpmath import mp, mpf
@@ -37,6 +38,7 @@ from .errors import DomainError, RepresentationDomainError
 from .qcore import (
     QParams,
     _Rows,
+    _alpha_power,
     _check_degree,
     _check_q,
     _gen_q_shifted,
@@ -64,11 +66,12 @@ __all__ = [
 ]
 
 
-def _q_laguerre_row(n: int, alpha, q) -> tuple:
-    """q_laguerre's factors of (n, alpha, q) alone: q^-n, q^(alpha+1),
-    -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n."""
+def _q_laguerre_row(n: int, qa1, q) -> tuple:
+    """q_laguerre's factors of (n, q^(alpha+1), q) alone: q^-n, q^(alpha+1),
+    -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n.  The caller takes
+    q^(alpha+1) from its own (q, alpha) (`_alpha_power`): the Laguerre
+    form, at base q^2, takes no real power of its own."""
     with mp.workprec(mp.prec + GUARD_BITS):
-        qa1 = qpow(q, alpha + 1)
         down, step = qpow(q, -n), -qpow(q, n) * qa1
     return down, qa1, step, q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n)
 
@@ -87,7 +90,8 @@ def q_laguerre(n: int, alpha, x, q, rep: str = "phi11"):
         raise DomainError("rep must be 'phi11' or 'phi21': got %r" % rep)
     alpha, x, q = unify(alpha, x, q)
     _check_q(q)
-    down, qa1, step, front = kept(_q_laguerre_row, n, alpha, q)
+    down, qa1, step, front = kept(_q_laguerre_row, n,
+                                  _alpha_power(q, alpha, 1, 1), q)
     if rep == "phi11":
         return front * phi((down,), (qa1,), q, step * x, terminate_at=n)
     # phi's sum, whose one lower parameter, 0, is no pole, with a factor
@@ -108,12 +112,12 @@ def stieltjes_wigert(n: int, x, q):
     return series / q_pochhammer(q, q, n)
 
 
-def _q_squared(q):
-    """q^2 with the guard bits, the base of (q^2;q^2)_k and of Hahn's
-    powers in base q^2."""
+def _q_power(q, e: int):
+    """q^e with the guard bits: q^2 is the base of (q^2;q^2)_k, of Hahn's
+    powers in base q^2 and of the forms' sums."""
     ar = arithmetic(q)
-    return ar.value(ar.mul(ar.raw(q), ar.raw(q), mp.prec + GUARD_BITS,
-                           round_nearest))
+    return ar.value(ar.pow_int(ar.raw(q), e, mp.prec + GUARD_BITS,
+                               round_nearest))
 
 
 def _gdqh2_terms(n: int, q, alpha) -> tuple:
@@ -125,7 +129,7 @@ def _gdqh2_terms(n: int, q, alpha) -> tuple:
     ar = arithmetic(q)
     mul, rnd, prec, guard = ar.mul, round_nearest, mp.prec, mp.prec + GUARD_BITS
     # (q;q)_{m,alpha} for m = 0..n and (q^2;q^2)_k for k = 0..n//2
-    q2 = _q_squared(q)
+    q2 = _q_power(q, 2)
     gen_fact = _gen_q_shifted_prefix(n, q, alpha)
     poch_q2 = _products(1, q2, q2, n // 2)
     # the sign runs by its ratio -q^(-2n+4k+3) = (-q)^(-2n+4k+3), itself a
@@ -140,29 +144,41 @@ def _gdqh2_terms(n: int, q, alpha) -> tuple:
     return tuple(row)
 
 
+def _term_sum(n: int, q, alpha, first, second):
+    """sum_k c_k first_k second_k, k = 0..n//2, over the coefficients c_k of
+    `_gdqh2_terms` and operands of q's arithmetic, each product and the sum
+    GUARD_BITS above mp.prec, as a value: the one loop of the definition
+    sum and of the descending expansion (identities._descending_sum)."""
+    ar, rnd, prec = arithmetic(q), round_nearest, mp.prec + GUARD_BITS
+    total, terms = ar.zero, kept(_gdqh2_terms, n, q, alpha)
+    for (_, _, _, c), a, b in zip(terms, first, second):
+        term = ar.mul(ar.mul(c, a, prec, rnd), b, prec, rnd)
+        total = ar.add(total, term, prec, rnd)
+    return ar.value(total)
+
+
 def _gdqh2_definition(n: int, x, y, q, alpha):
     """(q;q)_n times the sum of the terms c * x^(n-2k) * y^k of
-    `_gdqh2_terms`, terms and sum GUARD_BITS above mp.prec, rounded once
-    by the product with (q;q)_n."""
-    ar = arithmetic(q)
-    mul, pow_int, rnd = ar.mul, ar.pow_int, round_nearest
-    prec = mp.prec + GUARD_BITS
-    x, y, total = ar.raw(x), ar.raw(y), ar.zero
-    for k, _, _, c in kept(_gdqh2_terms, n, q, alpha):
-        term = mul(mul(c, pow_int(x, n - 2 * k, prec, rnd), prec, rnd),
-                   pow_int(y, k, prec, rnd), prec, rnd)
-        total = ar.add(total, term, prec, rnd)
-    return kept(q_pochhammer, q, q, n) * ar.value(total)
+    `_gdqh2_terms` (`_term_sum`), rounded once by the product with
+    (q;q)_n.  The powers are running products GUARD_BITS above mp.prec,
+    x^(n-2k) = x^(n mod 2) (x^2)^(n//2-k), and y^k."""
+    ar, m = arithmetic(q), n // 2
+    times = partial(ar.mul, prec=mp.prec + GUARD_BITS, rnd=round_nearest)
+    x, y = ar.raw(x), ar.raw(y)
+    xs = accumulate(repeat(times(x, x), m), times,
+                    initial=x if n & 1 else ar.one)
+    ys = accumulate(repeat(y, m), times, initial=ar.one)
+    total = _term_sum(n, q, alpha, reversed([*xs]), ys)
+    return kept(q_pochhammer, q, q, n) * total
 
 
 def _phi_row(n: int, q, alpha) -> tuple:
     """The phi form's factors of (n, q, alpha) alone: its upper parameters,
     q^2, q^(2 alpha + 3) and (q;q)_n / (q;q)_{n,alpha}."""
     m = n // 2
-    with mp.workprec(mp.prec + GUARD_BITS):
-        upper = (qpow(q, -2 * m), qpow(q, -2 * m - 2 * alpha - 2 * (n % 2)))
-        q2, scale = q * q, qpow(q, 2 * alpha + 3)
-    return upper, q2, scale, q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha)
+    upper = (_q_power(q, -2 * m), _alpha_power(q, alpha, -2, -2 * (m + n % 2)))
+    return (upper, _q_power(q, 2), _alpha_power(q, alpha, 2, 3),
+            q_pochhammer(q, q, n) / _gen_q_shifted(n, q, alpha))
 
 
 def _gdqh2_phi(n: int, x, y, q, alpha):
@@ -179,16 +195,16 @@ def _gdqh2_phi(n: int, x, y, q, alpha):
 
 def _laguerre_row(n: int, q, alpha) -> tuple:
     """The Laguerre form's factors of (n, q, alpha) alone: q^2,
-    q^(-2 alpha - 1), its prefactor and its q-Laguerre order."""
-    m, odd = n // 2, n % 2
-    with mp.workprec(mp.prec + GUARD_BITS):
-        q2, scale = q * q, qpow(q, -2 * alpha - 1)
-    pref = (
+    q^(-2 alpha - 1), its prefactor and (q^2)^(order + 1) of its q-Laguerre
+    order alpha + n % 2, the q-Laguerre row's operand."""
+    m, odd, q2 = n // 2, n % 2, _q_power(q, 2)
+    pref = (  # at the working precision, q^(2 alpha + 2) too
         qpow(q, -m * (2 * m - 1 + 2 * odd))
         * q_pochhammer(q, q, 2 * m + odd)
-        / q_pochhammer(qpow(q, 2 * alpha + 2), q2, m + odd)
+        / q_pochhammer(+_alpha_power(q, alpha, 2, 2), q2, m + odd)
     )
-    return q2, scale, pref, alpha + 1 if odd else alpha
+    return (q2, _alpha_power(q, alpha, -2, -1), pref,
+            _alpha_power(q, alpha, 2, 2 + 2 * odd))
 
 
 def _gdqh2_laguerre(n: int, x, y, q, alpha):
@@ -199,9 +215,9 @@ def _gdqh2_laguerre(n: int, x, y, q, alpha):
             "laguerre_form needs y > 0 (real-power argument); "
             "use definition_sum for y < 0"
         )
-    q2, scale, pref, order = kept(_laguerre_row, n, q, alpha)
+    q2, scale, pref, qa1 = kept(_laguerre_row, n, q, alpha)
     # q_laguerre's phi11 sum, whose lower parameter (q^2)^(order+1) < 1 is no pole
-    down, qa1, step, front = kept(_q_laguerre_row, n // 2, order, q2)
+    down, qa1, step, front = kept(_q_laguerre_row, n // 2, qa1, q2)
     with mp.workprec(mp.prec + GUARD_BITS):
         z = step * (x * x / y * scale)
     total = _phi_loop(q2, z, (down,), (qa1,), False,

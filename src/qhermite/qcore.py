@@ -332,10 +332,21 @@ def _product_rows(c, a, q, lift, prec: int):
         power = mul(power, q, prec, rnd)
 
 
+def _alpha_power(q, alpha, scale: int, shift: int):
+    """q^(scale alpha + shift) of unified (q, alpha), for ints scale and
+    shift, GUARD_BITS above mp.prec.  Exact operands take qpow's exact
+    power.  Floats take q^alpha at that precision, qpow's one exp/log,
+    `kept`, so a memo holds one per (q, alpha) and precision, to the power
+    scale, times q^shift: three roundings after q^alpha's own."""
+    if is_exact(q):
+        return qpow(q, scale * alpha + shift)
+    with mp.workprec(mp.prec + GUARD_BITS):
+        return kept(qpow, q, alpha) ** scale * q ** shift
+
+
 def _odd_lift(q, alpha):
     """q^(2 alpha + 1), GUARD_BITS above mp.prec."""
-    with mp.workprec(mp.prec + GUARD_BITS):
-        return qpow(q, 2 * alpha + 1)
+    return _alpha_power(q, alpha, 2, 1)
 
 
 def _gen_q_shifted_prefix(n: int, q, alpha) -> list:

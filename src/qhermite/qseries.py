@@ -27,8 +27,9 @@ from .errors import (
     DomainError,
     PoleError,
 )
-from .qcore import (_DEFAULT_TRUNCATION, QParams, Truncation, _check_degree, _check_q,
-                    _infinite_product, _Rows, kept, q_pochhammer, shared)
+from .qcore import (_DEFAULT_TRUNCATION, QParams, Truncation, _alpha_power,
+                    _check_degree, _check_q, _infinite_product, _Rows, kept,
+                    q_pochhammer, shared)
 from .scalars import (EXACT, GUARD_BITS, RAW, Numeric, arithmetic, finite_raw,
                       fixed, fixed_sum, is_exact, qpow, to_mpf, unify)
 
@@ -78,20 +79,15 @@ class PhiSpec:
             _check_degree(self.terminate_at, "terminate_at")
 
 
-def _q_log_index(a, q) -> Optional[int]:
-    """The m >= 0 nearest log(a) / -log(q), from one rounded log, for
-    1 <= a < inf; else None."""
+def _neg_q_power_index(a, q) -> Optional[int]:
+    """m >= 0 if a == qpow(q, -m) at the working precision (bit for bit on
+    mpf, exactly on the exact backend), with m the nearest integer to
+    log(a) / -log(q), from one rounded log, for 1 <= a < inf."""
     af = to_mpf(a)
     if not 1 <= af < mp.inf:
         return None
-    return int(mp.nint(mp.log(af) / -mp.log(to_mpf(q))))
-
-
-def _neg_q_power_index(a, q) -> Optional[int]:
-    """m >= 0 if a == qpow(q, -m) at the working precision (bit for bit on
-    mpf, exactly on the exact backend), with m from one rounded log."""
-    m = _q_log_index(a, q)
-    return m if m is not None and a == qpow(q, -m) else None
+    m = int(mp.nint(mp.log(af) / -mp.log(to_mpf(q))))
+    return m if a == qpow(q, -m) else None
 
 
 def phi_rs(spec: PhiSpec, trunc: Optional[Truncation] = None) -> SeriesValue:
@@ -220,18 +216,8 @@ def _phi_factor_rows(q, upper, lower, prec: int, wp):
     ar = arithmetic(q) if wp is None else fixed(wp)
     mul, sub, rnd, one = ar.mul, ar.sub, round_nearest, ar.one
     wide, power_exponent = prec + GUARD_BITS, 1 + len(lower) - len(upper)
-    # on raw values, the one k near b q^k = 1 where a lower factor can round
-    # to 0 at prec: k = m of b = q^-m, checked with q^m that product
-    poles = {}
-    for i, b in enumerate(lower if ar is not EXACT else ()):
-        m, power = _q_log_index(b, q), fone
-        if m is not None:
-            for _ in range(m):
-                power = mpf_mul(power, q._mpf_, prec, rnd)
-            if mpf_sub(fone, mpf_mul(b._mpf_, power, prec, rnd), prec,
-                       rnd) == fzero:
-                poles.setdefault(m, []).append(i)
-    q, qk = ar.raw(q), one  # q^k
+    exact, near = ar is EXACT, fone  # near: q^k at prec on raw values
+    step, q, qk = None if exact else q._mpf_, ar.raw(q), one  # qk = q^k
     ups, lows = [ar.raw(a) for a in upper], [ar.raw(b) for b in lower]
     for k in count():
         num = None
@@ -245,14 +231,18 @@ def _phi_factor_rows(q, upper, lower, prec: int, wp):
         den = sub(one, mul(q, qk, wide, rnd), wide, rnd)
         for i, b in enumerate(lows):
             factor = sub(one, mul(b, qk, wide, rnd), wide, rnd)
-            # a pair (num, den) of EXACT is 0 at num = 0, whatever den
-            if (i in poles.get(k, ()) or factor == ar.zero
-                    or ar is EXACT and not factor[0]):
+            # a pole: a pair (num, den) of EXACT at num = 0, whatever den;
+            # else a factor of 0, or 1 - b q^k that rounds to 0 at prec
+            if (not factor[0] if exact else factor == ar.zero or mpf_sub(
+                    fone, mpf_mul(lower[i]._mpf_, near, prec, rnd), prec,
+                    rnd) == fzero):
                 raise PoleError("lower parameter %s hits a pole at k=%d"
                                 % (lower[i], k + 1))
             den = mul(den, factor, wide, rnd)
         yield ar.div(one if num is None else num, den, wide, rnd)
         qk = mul(qk, q, wide, rnd)
+        if not exact:
+            near = mpf_mul(near, step, prec, rnd)
 
 
 def phi(upper, lower, q, z, terminate_at=None, trunc=None):
@@ -275,10 +265,12 @@ def euler_e(x, q, trunc: Optional[Truncation] = None):
 
 def _alpha_powers(q, alpha) -> tuple:
     """The real powers of mpf (q, alpha) that the parity halves and the Bessel
-    forms read: q^(2a+2), q^(2a+4), q^(-a-1/2), q^((a+h)(a+1/2)) for h = 0, 1."""
+    forms read, at the working precision: q^(2a+2), q^(2a+4) and q^(-a-1/2),
+    the root of q^(-2a-1), from the kept q^alpha (`_alpha_power`), and
+    q^((a+h)(a+1/2)) for h = 0, 1, each its own exp/log."""
     half = mpf("0.5")
-    return (qpow(q, 2 * alpha + 2), qpow(q, 2 * alpha + 4),
-            qpow(q, -alpha - half),
+    b, b_q2 = (+_alpha_power(q, alpha, 2, shift) for shift in (2, 4))
+    return (b, b_q2, mp.sqrt(_alpha_power(q, alpha, -2, -1)),
             tuple(qpow(q, (alpha + h) * (alpha + half)) for h in (0, 1)))
 
 

@@ -59,8 +59,9 @@ from .identities import _params, _report, _tolerance, _work_digits
 # the ladder is bound here, though the sweep reads no recurrence, for the
 # benchmark's tracer, which wraps it at every module that binds it
 from .polyfam import _gdqh2_terms, gdqh2_recurrence_ladder  # noqa: F401
-from .qcore import (QParams, Truncation, _call_local, _check_degree,
-                    gen_q_shifted_factorial, q_pochhammer, shared_scope)
+from .qcore import (QParams, Truncation, _alpha_power, _call_local,
+                    _check_degree, gen_q_shifted_factorial, q_pochhammer,
+                    shared_scope)
 from .scalars import GUARD_BITS, fixed_bits, qpow, to_mpf
 
 __all__ = [
@@ -74,8 +75,8 @@ __all__ = [
 def orthogonality_weight(x, p: QParams, trunc: Optional[Truncation] = None):
     """w_alpha(x) = 1 / (-q^(-2 alpha - 1) x^2; q^2)_inf."""
     q, alpha, x = to_mpf(p.q), to_mpf(p.alpha), to_mpf(x)
-    return 1 / q_pochhammer(-qpow(q, -2 * alpha - 1) * x * x, q * q, None,
-                            trunc=trunc)
+    return 1 / q_pochhammer(-_alpha_power(q, alpha, -2, -1) * x * x, q * q,
+                            None, trunc=trunc)
 
 
 def _rhs_by_degree(p: QParams, trunc: Optional[Truncation]):
@@ -85,9 +86,10 @@ def _rhs_by_degree(p: QParams, trunc: Optional[Truncation]):
     q2 = q * q
     neg_q = q_pochhammer(-q, q2, None, trunc=trunc)
     num = neg_q * neg_q * q_pochhammer(q2, q2, None, trunc=trunc)
-    den = (q_pochhammer(-qpow(q, -2 * alpha - 1), q2, None, trunc=trunc)
-           * q_pochhammer(-qpow(q, 2 * alpha + 3), q2, None, trunc=trunc)
-           * q_pochhammer(qpow(q, 2 * alpha + 2), q2, None, trunc=trunc))
+    # each power rounded to the working precision, as the constants are
+    den = (q_pochhammer(-_alpha_power(q, alpha, -2, -1), q2, None, trunc=trunc)
+           * q_pochhammer(-_alpha_power(q, alpha, 2, 3), q2, None, trunc=trunc)
+           * q_pochhammer(+_alpha_power(q, alpha, 2, 2), q2, None, trunc=trunc))
 
     def rhs(n: int):
         pn = q_pochhammer(q, q, n)
@@ -156,11 +158,12 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
     q, alpha = p.q, p.alpha
     wp = fixed_bits(trunc.effective_tail_tol(), 0)
     one, rnd = 1 << wp, round_nearest
+    # c and lead = q^(2a+2) at the caller's precision, with its guard bits
+    c, lead = _alpha_power(q, alpha, -2, -1), _alpha_power(q, alpha, 2, 2)
     with mp.workprec(wp):
         u = qpow(q, 2 * k)  # x_k^2
-        z = qpow(q, -2 * alpha - 1) * u
+        z = c * u
         r = z / (1 - q * q)
-        lead = qpow(q, 2 * alpha + 2)
         start = qpow(lead, k)._mpf_  # U_0 = q^(k(2a+2))
         q2, neg_z, bound = (to_fixed(v._mpf_, wp)
                             for v in (q * q, -z, r / (1 - r)))
@@ -213,13 +216,14 @@ def _small_x_tail(k: int, p: QParams, trunc: Truncation):
 
 def _walk(q, c, lead, w_one, step: int) -> Iterator:
     """Raw (k, x_k, c x_k^2, m_k, 1 + c x_k^2) for k = 0, step, 2 step, ...
-    from raw q, c, lead = q^(2a+2) and w_a(1): x_k = q^k, c x_k^2 as
-    c * x_k * x_k, and m_k = q^(k(2a+2)) w_a(x_k), each from the last by
+    from raw q, c, lead = q^(2a+2) and w_a(1): x_k = q^k, a running product
+    by q (step 1) or quotient by q (step -1), c x_k^2 as c * x_k * x_k, and
+    m_k = q^(k(2a+2)) w_a(x_k), each from the last by
     w_a(x_(k+1)) = w_a(x_k) (1 + c x_k^2)."""
     prec, rnd = mp.prec, round_nearest
-    k, mk = 0, w_one
+    k, xk, mk = 0, fone, w_one
+    move = mpf_mul if step > 0 else mpf_div
     while True:
-        xk = mpf_pow_int(q, k, prec, rnd)
         cx2 = mpf_mul(mpf_mul(c, xk, prec, rnd), xk, prec, rnd)
         grow = mpf_add(cx2, fone, prec, rnd)  # 1 + c x_k^2
         if step < 0 and k:
@@ -227,7 +231,7 @@ def _walk(q, c, lead, w_one, step: int) -> Iterator:
         yield k, xk, cx2, mk, grow
         if step > 0:
             mk = mpf_mul(mpf_mul(mk, lead, prec, rnd), grow, prec, rnd)
-        k += step
+        k, xk = k + step, move(xk, q, prec, rnd)
 
 
 def _dot(even: list, moments: list) -> tuple:
@@ -283,6 +287,12 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
     tail_tol, nonfinite = tail._mpf_, {fnan, finf, fninf}
     degrees = {n for pair in pairs for n in pair}
     top = max(degrees)  # N
+    # the walk's q, c = q^(-2a-1), lead = q^(2a+2) and w_a(1), raw, and
+    # reach = q^(-2a-2-2N): powers GUARD_BITS above prec of the one q^alpha
+    # that the weight, the constants and the tail read
+    c, lead, reach = (_alpha_power(q, alpha, scale, shift)._mpf_
+                      for scale, shift in ((-2, -1), (2, 2), (-2, -2 - 2 * top)))
+    lattice = (q._mpf_, c, lead, w_one._mpf_)
     with mp.workprec(prec + GUARD_BITS):
         wp = mp.prec
         exact = [_coefficients(n, p) for n in range(top + 1)]
@@ -297,10 +307,6 @@ def _lattice_sums(pairs, p: QParams, trunc: Truncation, tail) -> tuple:
         size = {pair: [from_man_exp(abs(e), exp, wp, rnd)  # |e_l|
                        for e, exp in even[pair]] for pair in pairs}
         moments, largest = [(0, 0)] * (top + 1), [fzero] * (top + 1)
-        # the walk's q, c = q^(-2a-1), lead = q^(2a+2) and w_a(1), raw
-        lattice = (q._mpf_, qpow(q, -2 * alpha - 1)._mpf_,
-                   qpow(q, 2 * alpha + 2)._mpf_, w_one._mpf_)
-        reach = qpow(q, -2 * alpha - 2 - 2 * top)._mpf_
 
         def visit(xk, mk) -> list:
             # m_k x_k^(2l) for l <= N, exactly, into the moments

@@ -568,14 +568,19 @@ def test_float_kernel_is_the_step_chain_bit_for_bit(alpha):
 @pytest.mark.parametrize("dps", [50, 181, 750])
 def test_definition_sum_is_the_mpf_expression_bit_for_bit(dps):
     # the loop rounds c * x^(n-2k) * y^k and the running sum GUARD_BITS
-    # above the working precision as the mpf expression below does, at
-    # x = 0, y = 0 and y < 0 too
+    # above the working precision as the mpf expression below does, its
+    # powers running products, x^(n mod 2) (x^2)^j and y^k, at x = 0, y = 0
+    # and y < 0 too
     def reference(n, x, y, p):
         total, value = p.q - p.q, arithmetic(p.q).value
         terms = _gdqh2_terms(n, p.q, p.alpha)
         with mp.workprec(mp.prec + GUARD_BITS):
+            x2, y_k, powers = x * x, y - y + 1, [x if n % 2 else x - x + 1]
+            for _ in range(n // 2):
+                powers.append(powers[-1] * x2)
             for k, _, _, c in terms:
-                total = total + value(c) * qpow(x, n - 2 * k) * qpow(y, k)
+                total = total + value(c) * powers[n // 2 - k] * y_k
+                y_k = y_k * y
         return q_pochhammer(p.q, p.q, n) * total
 
     def bits(v):

@@ -9,9 +9,10 @@ import random
 import re
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction as F
 from functools import partial
-from itertools import count
+from itertools import count, product
 
 import mpmath
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import round_nearest
 
-from qhermite import qcore
+from qhermite import identities, polyfam, qcore, qseries, quadrature
 from qhermite.errors import ConvergenceError, DomainError, ExactBackendError
 from qhermite.identities import IdentityGrid, run_identity_suite
 from qhermite.polyfam import gdqh2_recurrence_ladder
@@ -584,6 +585,86 @@ def test_qpow_takes_exact_roots_of_perfect_powers(base, exponent, want):
         assert abs(wide - to_mpf(want)) <= mpf(10) ** -55 * abs(wide)
 
 
+# (scale, shift) of q^(scale alpha + shift) at every caller of _alpha_power:
+# the odd lift, the weight's c (whose root is the parity rows' q^(-a-1/2)),
+# the constants, the forms' rows, q_laguerre, and the lattice's reach at
+# N = 4 and 40
+_LINEAR_POWERS = [(2, 1), (-2, -1), (2, 2), (2, 3), (2, 4), (1, 1),
+                  (-2, -4), (-2, -10), (-2, -82)]
+
+
+@pytest.mark.parametrize("dps", [50, 300])
+def test_alpha_powers_are_qpow_within_the_guard_bits(dps):
+    # each linear power from the one kept q^alpha is within
+    # 2^-(prec + GUARD_BITS - 4) of qpow's power 40 digits higher, at alpha
+    # near -1, at 2.5 and at seeded (q, alpha)
+    rng = random.Random(45)
+    cells = [("0.3", "-0.9"), ("0.22", "-0.9999"), ("0.7", "2.5"),
+             ("0.9", "-0.5")] + [("%.6f" % rng.uniform(0.05, 0.95),
+                                  "%.6f" % rng.uniform(-0.99, 3.0))
+                                 for _ in range(6)]
+    with mp.workdps(dps):
+        bound = mpf(2) ** -(mp.prec + GUARD_BITS - 4)
+        for (q, alpha), (scale, shift) in product(cells, _LINEAR_POWERS):
+            q, alpha = mpf(q), mpf(alpha)
+            got = qcore._alpha_power(q, alpha, scale, shift)
+            with mp.workdps(dps + 40):
+                want = qpow(q, scale * alpha + shift)
+                assert abs(got - want) <= bound * want, (q, alpha, scale, shift)
+
+
+@pytest.mark.parametrize("q, alpha", [(F(17, 25), F(3, 2)),
+                                      (F(17, 25), F(1, 3)),
+                                      (F(289, 625), F(1, 4)), (F(2, 3), 2)])
+def test_alpha_powers_of_exact_operands_are_qpows(q, alpha):
+    # exact operands take qpow's exact path: an exact power where qpow has
+    # one, a perfect-power root too, and ExactBackendError where it has none
+    for scale, shift in _LINEAR_POWERS:
+        try:
+            want = qpow(q, scale * alpha + shift)
+        except ExactBackendError:
+            with pytest.raises(ExactBackendError):
+                qcore._alpha_power(q, alpha, scale, shift)
+            continue
+        got = qcore._alpha_power(q, alpha, scale, shift)
+        assert got == want and type(got) is F, (scale, shift)
+    if alpha == F(1, 3):
+        with pytest.raises(ExactBackendError):
+            gen_q_shifted_factorial(3, QParams(q, alpha))
+    else:
+        assert type(gen_q_shifted_factorial(3, QParams(q, alpha))) is F
+
+
+def _real_powers(monkeypatch) -> Counter:
+    """Counts, per mp.prec, the calls of qpow that take its non-integer
+    branch, at every module that binds qpow."""
+    counts, real = Counter(), qpow
+
+    def spy(base, exponent):
+        if not mp.isint(to_mpf(exponent)):
+            counts[mp.prec] += 1
+        return real(base, exponent)
+    for module in (qcore, polyfam, qseries, quadrature, identities):
+        monkeypatch.setattr(module, "qpow", spy)
+    return counts
+
+
+def test_a_cold_check_takes_one_real_power_per_precision(monkeypatch):
+    # a (q, alpha) pays one exp/log per precision: the representations at
+    # n = 60, and the sweep, whose coefficients run GUARD_BITS higher, two
+    counts = _real_powers(monkeypatch)
+    qcore._kept.cache_clear()
+    p, x, y = QParams(mpf("0.6713"), mpf("0.377")), mpf("0.9"), mpf("0.5")
+    reports = identities.check_representations(60, p, x, y)
+    assert len(reports) == 2 and all(r.passed for r in reports)
+    assert counts and set(counts.values()) == {1}
+    counts.clear()
+    gram = quadrature.orthogonality_gram(4, QParams(mpf("0.2213"),
+                                                    mpf("0.731")))
+    assert len(gram) == 15 and all(r.passed for r in gram)
+    assert 0 < sum(counts.values()) <= 2
+
+
 _rationals = st.fractions(max_denominator=10 ** 6).filter(lambda v: abs(v) < 10 ** 6)
 
 
@@ -667,10 +748,10 @@ def test_each_memo_keeps_a_value_for_its_lifetime(serve):
 
 
 def test_kept_cache_stays_within_its_cap():
-    # each public orthogonality constant at a fresh (q, alpha) keeps eight
-    # entries: a sixth of the cap's count of them, a few (q, alpha) drawn
-    # twice, pass the cap, which then holds, dropping the least recently
-    # used first
+    # each public orthogonality constant at a fresh (q, alpha) keeps nine
+    # entries, q^alpha one of them: a sixth of the cap's count of them, a
+    # few (q, alpha) drawn twice, pass the cap, which then holds, dropping
+    # the least recently used first
     qcore._kept.cache_clear()
     rng = random.Random(3)
     sizes = []
@@ -680,7 +761,7 @@ def test_kept_cache_stays_within_its_cap():
         orthogonality_rhs(2, p)
         sizes.append(qcore._kept.cache_info().currsize)
     assert max(sizes) == sizes[-1] == qcore._KEPT_CAP
-    assert sizes[:8] == [8 * i for i in range(1, 9)]
+    assert sizes[:8] == [9 * i for i in range(1, 9)]
     misses = qcore._kept.cache_info().misses
     orthogonality_rhs(2, p)  # the most recent call's values are all kept
     assert qcore._kept.cache_info().misses == misses
@@ -707,7 +788,7 @@ def test_kept_values_hold_no_point(monkeypatch):
         "_product_rows", "_odd_lift", "_infinite_product", "_recurrence_rows",
         "_work_digits", "_gdqh2_terms", "_phi_row", "_laguerre_row",
         "_q_laguerre_row", "_phi_factor_rows", "_gf_row_stream",
-        "_alpha_powers", "q_pochhammer", "_gen_q_shifted"}
+        "_alpha_powers", "q_pochhammer", "_gen_q_shifted", "qpow"}
 
     def operands(args):  # a row's QParams field by field, a phi's
         for a in args:       # parameter tuples element by element

@@ -635,12 +635,13 @@ def test_public_rhs_keeps_its_products(monkeypatch):
 
 def _mpf_walk(q, c, lead, w_one, step):
     """`quadrature._walk` as the loop on mpf values that it runs on raw
-    libmp values: the reference for its bits."""
+    libmp values: the reference for its bits.  x_k steps by q, a product
+    toward 0 and a quotient away from it."""
     k, xk, mk = 0, mpf(1), w_one
     while True:
         grow = 1 + c * xk * xk
         yield k, xk, c * xk * xk, mk, grow
-        x_next = qpow(q, k + step)
+        x_next = xk * q if step > 0 else xk / q
         if step > 0:
             mk = mk * lead * grow
         else:
@@ -655,8 +656,15 @@ def test_raw_walk_gives_the_mpf_loops_bits(q, alpha):
     with mp.workdps(70):
         lattice = (p.q, qpow(p.q, -2 * p.alpha - 1), qpow(p.q, 2 * p.alpha + 2),
                    orthogonality_weight(1, p))
+        bound = mpf(2) ** -(mp.prec - 8)
         for step in (-1, 1):
-            raw = islice(quadrature._walk(*(v._mpf_ for v in lattice), step), 60)
-            ref = islice(_mpf_walk(*lattice, step), 60)
-            assert list(raw) == [(j, x._mpf_, cx2._mpf_, m._mpf_, g._mpf_)
-                                 for j, x, cx2, m, g in ref]
+            raw = list(islice(
+                quadrature._walk(*(v._mpf_ for v in lattice), step), 61))
+            ref = islice(_mpf_walk(*lattice, step), 61)
+            assert raw == [(j, x._mpf_, cx2._mpf_, m._mpf_, g._mpf_)
+                           for j, x, cx2, m, g in ref]
+            # the running x_k, 60 steps each way, against q^k 40 digits higher
+            with mp.workdps(110):
+                for j, x, *_ in raw:
+                    want = qpow(p.q, j)
+                    assert abs(mp.make_mpf(x) - want) <= bound * want, j
