@@ -68,9 +68,8 @@ __all__ = [
 
 def _q_laguerre_row(n: int, qa1, q) -> tuple:
     """q_laguerre's factors of (n, q^(alpha+1), q) alone: q^-n, q^(alpha+1),
-    -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n.  The caller takes
-    q^(alpha+1) from its own (q, alpha) (`_alpha_power`): the Laguerre
-    form, at base q^2, takes no real power of its own."""
+    -q^n q^(alpha+1) and (q^(alpha+1);q)_n / (q;q)_n, the caller's
+    q^(alpha+1) a power of its own (q, alpha) (`_alpha_power`)."""
     with mp.workprec(mp.prec + GUARD_BITS):
         down, step = qpow(q, -n), -qpow(q, n) * qa1
     return down, qa1, step, q_pochhammer(qa1, q, n) / q_pochhammer(q, q, n)

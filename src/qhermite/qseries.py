@@ -265,9 +265,8 @@ def euler_e(x, q, trunc: Optional[Truncation] = None):
 
 def _alpha_powers(q, alpha) -> tuple:
     """The real powers of mpf (q, alpha) that the parity halves and the Bessel
-    forms read, at the working precision: q^(2a+2), q^(2a+4) and q^(-a-1/2),
-    the root of q^(-2a-1), from the kept q^alpha (`_alpha_power`), and
-    q^((a+h)(a+1/2)) for h = 0, 1, each its own exp/log."""
+    forms read, at the working precision: q^(2a+2), q^(2a+4), q^(-a-1/2)
+    (`_alpha_power`) and q^((a+h)(a+1/2)) for h = 0, 1."""
     half = mpf("0.5")
     b, b_q2 = (+_alpha_power(q, alpha, 2, shift) for shift in (2, 4))
     return (b, b_q2, mp.sqrt(_alpha_power(q, alpha, -2, -1)),
