@@ -337,7 +337,7 @@ def _alpha_power(q, alpha, scale: int, shift: int):
     shift, GUARD_BITS above mp.prec.  Exact operands take qpow's exact
     power.  Floats take q^alpha at that precision, qpow's one exp/log,
     `kept`, so a memo holds one per (q, alpha) and precision, to the power
-    scale, times q^shift: three roundings after q^alpha's own."""
+    scale, times q^shift, each rounded at that precision."""
     if is_exact(q):
         return qpow(q, scale * alpha + shift)
     with mp.workprec(mp.prec + GUARD_BITS):
